@@ -145,6 +145,17 @@ def two_point_circle(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance)
     return xc, _lp_pair(xc - xi, yi, p)
 
 
+def _cover_slack(R: float, eps: float) -> float:
+    """How far beyond radius R a point still counts as covered.
+
+    Follows R's scale: a pair circle through two points whose abscissas
+    almost coincide has a huge radius, and rounding in its center and
+    radius then exceeds any absolute slack, so that the circle would
+    miss its own points.
+    """
+    return eps * max(1.0, R)
+
+
 def _covered_p2(px: float, py: float, xc: float, thr: float) -> bool:
     dx = px - xc
     return dx * dx + py * py <= thr
@@ -176,7 +187,6 @@ def build_lists_naive(pts: PointSet, norm: NormP, tol: Tolerance):
     if n == 0:
         raise EmptyInput("need at least one point")
     p = norm.p
-    slack = tol.eps
     X = [q.x for q in P]
     Y = [q.y for q in P]
     lists = [[] for _ in range(n)]
@@ -186,6 +196,7 @@ def build_lists_naive(pts: PointSet, norm: NormP, tol: Tolerance):
                 xc, R = two_point_circle(pts, i, j, norm, tol)
             except NoBisectorRoot:
                 continue
+            slack = _cover_slack(R, tol.eps)
             if p == 2.0:
                 thr = (R + slack) * (R + slack)
 
@@ -209,7 +220,7 @@ def build_lists_naive(pts: PointSet, norm: NormP, tol: Tolerance):
     return _finalize_lists(lists, pts)
 
 
-def _sweep_pass(X, Y, slack: float, mirrored: bool, n: int, sugg) -> None:
+def _sweep_pass(X, Y, eps: float, mirrored: bool, n: int, sugg) -> None:
     """One directional pass; X, Y are already mirrored when asked.
 
     Maintains the points seen so far ordered by current squared
@@ -266,6 +277,7 @@ def _sweep_pass(X, Y, slack: float, mirrored: bool, n: int, sugg) -> None:
             R = abs(Y[anchor])
         else:
             R = math.hypot(xc - X[anchor], Y[anchor])
+        slack = _cover_slack(R, eps)
         thr = (R + slack) * (R + slack)
         lo, hi = 0, len(order)
         while lo < hi:
@@ -349,12 +361,11 @@ def build_lists_sweep(pts: PointSet, norm: NormP, tol: Tolerance):
         raise EmptyInput("need at least one point")
     X = [q.x for q in P]
     Y = [q.y for q in P]
-    slack = tol.eps
     sugg = {}
-    _sweep_pass(X, Y, slack, False, n, sugg)
+    _sweep_pass(X, Y, tol.eps, False, n, sugg)
     Xm = [-X[n - 1 - k] for k in range(n)]
     Ym = [Y[n - 1 - k] for k in range(n)]
-    _sweep_pass(Xm, Ym, slack, True, n, sugg)
+    _sweep_pass(Xm, Ym, tol.eps, True, n, sugg)
 
     lists = [[] for _ in range(n)]
     for (i, j), (pl, pr) in sugg.items():

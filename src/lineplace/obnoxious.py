@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import EmptyInput, NoCrossing
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, axis_argmin_exact, \
     equal_distance_point, point_segment_distance, segment_ox_intersection
-from .intervals import Interval, covering_interval, union_covers
+from .intervals import covering_union
 from .one_center import PlacedCircle
 
 _INF = math.inf
@@ -138,19 +138,22 @@ def _regime_boundary(ex: float, ey: float, U: float, V: float, p: float) -> floa
     """Abscissa where the nearest segment point stops being endpoint e.
 
     Solves the first-order condition of the parametric distance at the
-    endpoint. Overflow of the power means the endpoint regime covers a
-    whole half line.
+    endpoint: the boundary is ex - |kappa|^(1/(p-1)) sign(kappa) with
+    kappa = -(V/U) |ey|^(p-1) sign(ey). The root is taken factor by
+    factor, as |V/U|^(1/(p-1)) |ey|, because |ey|^(p-1) alone overflows
+    or underflows at large p. Overflow of the remaining power means the
+    endpoint regime covers a whole half line.
     """
     if ey == 0.0 or V == 0.0:
         return ex
-    kappa = -(V / U) * abs(ey) ** (p - 1.0) * math.copysign(1.0, ey)
+    kappa_sign = -math.copysign(1.0, V / U) * math.copysign(1.0, ey)
     try:
-        mag = abs(kappa) ** (1.0 / (p - 1.0))
+        mag = abs(V / U) ** (1.0 / (p - 1.0)) * abs(ey)
     except OverflowError:
         mag = _INF
     if math.isinf(mag):
-        return -_INF if kappa > 0.0 else _INF
-    return ex - math.copysign(mag, kappa)
+        return -_INF if kappa_sign > 0.0 else _INF
+    return ex - math.copysign(mag, kappa_sign)
 
 
 def _build_profile_p1(seg: Segment):
@@ -702,12 +705,7 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
         raise EmptyInput("need at least one segment")
     if L < 0.0 or not math.isfinite(L):
         raise ValueError("L must be finite and nonnegative")
-    domain = Interval(0.0, L)
-
-    def gaps(R: float):
-        return union_covers([covering_interval(s, R, L, norm, tol) for s in segs],
-                            domain)
-
+    gaps = covering_union(segs, L, norm, tol)
     if gaps(0.0)[0]:
         return PlacedCircle(0.0, 0.0)
     s0 = segs[0]

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyInput
 from .geometry import NormP, Point, Tolerance, axis_argmin_exact, point_segment_distance
-from .intervals import Interval, covering_interval, intersect_all
+from .intervals import covering_intersection
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,6 @@ class PlacedCircle:
         object.__setattr__(self, "radius", float(self.radius))
 
 
-def _feasible_region(segments, R: float, L: float, norm: NormP, tol: Tolerance) -> Interval:
-    ivs = [covering_interval(s, R, L, norm, tol) for s in segments]
-    ivs.append(Interval(0.0, L))
-    return intersect_all(ivs)
-
-
 def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCircle:
     """Minimise over x in [0, L] the largest distance to any segment.
 
@@ -47,12 +41,13 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
     if L < 0.0 or not math.isfinite(L):
         raise ValueError("L must be finite and nonnegative")
 
+    region_at = covering_intersection(segs, L, norm, tol)
     lo = 0.0
     for s in segs:
         dmin = axis_argmin_exact(s, L, norm, tol)[1]
         if dmin > lo:
             lo = dmin
-    region = _feasible_region(segs, lo, L, norm, tol)
+    region = region_at(lo)
     if not region.is_empty:
         return PlacedCircle(0.5 * (region.lo + region.hi), lo)
 
@@ -63,13 +58,13 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
     it = 0
     while hi - lo > tol.eps and it < tol.max_iters:
         mid = 0.5 * (lo + hi)
-        if _feasible_region(segs, mid, L, norm, tol).is_empty:
+        if region_at(mid).is_empty:
             lo = mid
         else:
             hi = mid
         it += 1
-    region = _feasible_region(segs, hi, L, norm, tol)
+    region = region_at(hi)
     if region.is_empty:
         hi = hi + 4.0 * tol.eps
-        region = _feasible_region(segs, hi, L, norm, tol)
+        region = region_at(hi)
     return PlacedCircle(0.5 * (region.lo + region.hi), hi)

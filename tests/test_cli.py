@@ -110,6 +110,69 @@ class TestSolverErrors:
         assert doc["error"]["name"] == "NonIsometricRotation"
 
 
+class TestToleranceFlags:
+    @pytest.mark.parametrize("flags,name", [
+        (["--eps", "0"], "--eps"),
+        (["--eps", "nan"], "--eps"),
+        (["--eps", "-0.5"], "--eps"),
+        (["--eps", "inf"], "--eps"),
+        (["--max-iters", "0"], "--max-iters"),
+    ])
+    def test_rejected_with_exit_2(self, flags, name, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["solve", "--in", str(GOLDEN / "inst_01.json")] + flags)
+        assert exc.value.code == 2
+        assert f"argument {name}:" in capsys.readouterr().err
+
+
+class TestRobustness:
+    def test_near_equal_abscissas_k_cover(self, tmp_path):
+        # abscissas 1e-6 apart give a pair circle of radius about 1e9;
+        # with an absolute coverage slack it missed its own point
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "problem": "k-cover", "p": 2.0, "constraint": [0, 0, 10, 0],
+            "points": [[0.447712, 96.415328], [0.447713, 54.104628]], "k": None}))
+        objectives = []
+        for lists in ("naive", "sweep"):
+            code, out = run_cli(["solve", "--in", str(path), "--lists", lists,
+                                 "--verify"])
+            assert code == 0
+            result = json.loads(out)["result"]
+            assert result["verify"]["ok"] is True
+            objectives.append(result["objective"])
+        assert abs(objectives[0] - objectives[1]) <= 1e-6
+
+    @pytest.mark.parametrize("split", ["halves", "one-off"])
+    def test_envelope_at_p400(self, tmp_path, split):
+        # |ey|^(p-1) overflowed in the envelope's regime boundaries
+        path = tmp_path / "inst.json"
+        run_cli(["gen", "--problem", "obnoxious-center", "--p", "400",
+                 "--out", str(path)])
+        code, out = run_cli(["solve", "--in", str(path), "--method", "envelope",
+                             "--split", split, "--verify"])
+        assert code == 0
+        verify = json.loads(out)["result"]["verify"]
+        assert verify["kind"] == "binsearch"
+        assert verify["ok"] is True
+        assert verify["delta"] <= 2 * 1e-9
+
+    @pytest.mark.parametrize("n,k", [(12, None), (6, 5)])
+    def test_verify_beyond_oracle_limits(self, tmp_path, n, k):
+        path = tmp_path / "inst.json"
+        argv = ["gen", "--problem", "k-cover", "--p", "1.5", "--n", str(n),
+                "--seed", "4", "--out", str(path)]
+        if k is not None:
+            argv += ["--k", str(k)]
+        run_cli(argv)
+        code, out = run_cli(["solve", "--in", str(path), "--verify"])
+        assert code == 0
+        verify = json.loads(out)["result"]["verify"]
+        assert verify["ok"] is None
+        assert verify["kind"] == "set-partition"
+        assert "oracle limited" in verify["reason"]
+
+
 class TestPlot:
     def test_unwritable_plot_path(self, tmp_path):
         inst = GOLDEN / "inst_04.json"

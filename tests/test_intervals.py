@@ -1,7 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from lineplace import (
     Interval,
@@ -14,6 +16,7 @@ from lineplace import (
     point_segment_distance,
     union_covers,
 )
+from lineplace.intervals import SegmentArray, intersect_arrays, union_covers_arrays
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -147,3 +150,92 @@ class TestUnionCovers:
                                    Interval(0, 10))
         assert not ok
         assert 6.0 < witness <= 10.0
+
+
+coord = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+point = st.builds(Point, coord, coord)
+# general segments plus the shapes the scalar kernel branches on:
+# horizontal (uy = 0), vertical (ux = 0) and single points
+segment = st.one_of(
+    st.builds(Segment, point, point),
+    st.builds(lambda x1, x2, y: seg(x1, y, x2, y), coord, coord, coord),
+    st.builds(lambda x, y1, y2: seg(x, y1, x, y2), coord, coord, coord),
+    st.builds(lambda q: Segment(q, q), point),
+)
+radius = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=80.0))
+
+
+def kernel_tolerance(x, R, p):
+    """Largest |array - scalar| allowed for a covering bound x at radius R.
+
+    Both kernels compute the same candidate parameters, heights and
+    abscissas bit for bit. Only u = (|y|/R)^p and v^(1/p), v = 1 - u,
+    go through different pow implementations, each within 2 ulp, so the
+    two v differ by less than 2^-49 and R v^(1/p) by at most
+    R (2^-49)^(1/p), as t -> t^(1/p) is subadditive. That term matters
+    only near v = 0, where the ball barely reaches the segment; 8 ulp of
+    max(|x|, R) covers the roundings everywhere else.
+    """
+    return 8 * math.ulp(max(abs(x), R)) + R * 2.0 ** (-49.0 / p)
+
+
+class TestSegmentArray:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @given(segs=st.lists(segment, min_size=1, max_size=12), R=radius)
+    def test_covering_matches_scalar(self, p, segs, R):
+        norm = NormP(p)
+        lo, hi = SegmentArray(segs, norm).covering(R)
+        for k, s in enumerate(segs):
+            ref = covering_interval(s, R, 10.0, norm, TOL)
+            if ref.is_empty:
+                assert (lo[k], hi[k]) == (math.inf, -math.inf)
+                continue
+            assert abs(lo[k] - ref.lo) <= kernel_tolerance(ref.lo, R, p)
+            assert abs(hi[k] - ref.hi) <= kernel_tolerance(ref.hi, R, p)
+
+    def test_rejects_bad_radius(self):
+        arr = SegmentArray([seg(0, 1, 1, 1)], N2)
+        with pytest.raises(ValueError):
+            arr.covering(-1.0)
+        with pytest.raises(ValueError):
+            arr.covering(math.nan)
+
+
+def as_arrays(ivs):
+    return (np.array([iv.lo for iv in ivs], dtype=float),
+            np.array([iv.hi for iv in ivs], dtype=float))
+
+
+E = Interval.empty()
+COMBINE_CASES = {
+    "gap at start": ([Interval(2, 11), Interval(3, 4)], Interval(0, 10)),
+    "interior gap": ([Interval(7, 11), Interval(-1, 3), Interval(1, 2)], Interval(0, 10)),
+    "trailing gap": ([Interval(-1, 6), Interval(-5, -2)], Interval(0, 10)),
+    "gap beyond domain end": ([Interval(-1, 6), Interval(14, 20)], Interval(0, 10)),
+    "covered": ([Interval(3, 11), E, Interval(-1, 4)], Interval(0, 10)),
+    "covered by one": ([Interval(-1, 11), Interval(2, 3)], Interval(0, 10)),
+    "ties on lo": ([Interval(0, 2), Interval(0, 5), Interval(5, 10)], Interval(0, 10)),
+    "L = 0 covered": ([Interval(-1, 0), Interval(3, 4)], Interval(0, 0)),
+    "L = 0 missed": ([Interval(1, 2), Interval(-3, -1)], Interval(0, 0)),
+    "all empty": ([E, E, E], Interval(0, 10)),
+    "all before domain": ([Interval(-5, -1), Interval(-3, -2)], Interval(0, 10)),
+}
+
+
+class TestArrayCombine:
+    @pytest.mark.parametrize("case", sorted(COMBINE_CASES))
+    def test_cases_equal_scalar(self, case):
+        ivs, domain = COMBINE_CASES[case]
+        lo, hi = as_arrays(ivs)
+        assert union_covers_arrays(lo, hi, domain) == union_covers(ivs, domain)
+        assert intersect_arrays(lo, hi, domain) == intersect_all(ivs + [domain])
+
+    @given(st.lists(st.one_of(st.just(E), st.builds(
+               lambda a, w: Interval(a, a + w),
+               st.floats(-20, 20), st.floats(0, 15))), min_size=1, max_size=8),
+           st.floats(0, 12))
+    def test_random_equal_scalar(self, ivs, L):
+        domain = Interval(0.0, L)
+        lo, hi = as_arrays(ivs)
+        assert union_covers_arrays(lo, hi, domain) == union_covers(ivs, domain)
+        assert intersect_arrays(lo, hi, domain) == intersect_all(ivs + [domain])

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lineplace import intervals
 from lineplace import (
     EmptyInput,
     EnvelopePiece,
@@ -211,3 +212,25 @@ class TestMaxEmpty:
             env = compute_lower_envelope(segs, 10.0, norm, TOL)
             c2 = largest_empty_from_envelope(env, segs, norm, TOL)
             assert abs(c1.radius - c2.radius) <= 2e-9
+
+
+class TestArrayRoute:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_routes_agree_across_crossover(self, p, monkeypatch):
+        norm = NormP(p)
+        rng = random.Random(round(p * 1000) + 1)
+        cut = intervals.ARRAY_MIN_SEGMENTS
+        for n in (5, cut - 1, cut, 150):
+            segments = random_segments(rng, n - n // 3, span=30.0)
+            segments += [pt(rng.uniform(-4, 14), rng.uniform(-30, 30))
+                         for _ in range(n // 3)]
+            got = {}
+            for route, threshold in (("array", 1), ("scalar", 10**9)):
+                monkeypatch.setattr(intervals, "ARRAY_MIN_SEGMENTS", threshold)
+                got[route] = max_empty_binsearch(segments, 10.0, norm, TOL)
+            assert abs(got["array"].radius - got["scalar"].radius) <= 2 * TOL.eps
+            for c in got.values():
+                assert 0.0 <= c.cx <= 10.0
+                nearest = min(point_segment_distance(Point(c.cx, 0.0), s, norm, TOL)
+                              for s in segments)
+                assert nearest == c.radius

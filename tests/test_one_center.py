@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from lineplace import intervals
 from lineplace import (
     EmptyInput,
     NormP,
@@ -86,3 +87,26 @@ class TestMinEnclosing:
                             and lo is not None
                             and max(lo, 0.0) <= min(hi, 10.0))
                 assert not feasible
+
+
+class TestArrayRoute:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_routes_agree_across_crossover(self, p, monkeypatch):
+        norm = NormP(p)
+        rng = random.Random(round(p * 1000))
+        cut = intervals.ARRAY_MIN_SEGMENTS
+        for n in (5, cut - 1, cut, 150):
+            segments = [seg(rng.uniform(-30, 40), rng.uniform(-20, 20),
+                            rng.uniform(-30, 40), rng.uniform(-20, 20))
+                        for _ in range(n - n // 3)]
+            # the point segments k-cover reconstruction passes
+            segments += [pt(rng.uniform(-30, 40), rng.uniform(-20, 20))
+                         for _ in range(n // 3)]
+            got = {}
+            for route, threshold in (("array", 1), ("scalar", 10**9)):
+                monkeypatch.setattr(intervals, "ARRAY_MIN_SEGMENTS", threshold)
+                got[route] = min_enclosing(segments, 10.0, norm, TOL)
+            assert abs(got["array"].radius - got["scalar"].radius) <= 2 * TOL.eps
+            for c in got.values():
+                assert 0.0 <= c.cx <= 10.0
+                assert farthest(segments, c.cx, norm) <= c.radius + 1e-7
