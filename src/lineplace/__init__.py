@@ -10,7 +10,8 @@ restricted to a given segment, all under general L_p norms:
   radii (dp_solve).
 
 Grid oracles and an exhaustive partition oracle provide independent
-cross-checks.
+cross-checks. The other second routes, which the tests compare the
+solvers against, live in the non-exported lineplace._reference.
 """
 
 from .errors import (
@@ -30,8 +31,6 @@ from .geometry import (
     Segment,
     Tolerance,
     axis_argmin_exact,
-    distance_argmin_on_axis,
-    equal_distance_point,
     lp_distance,
     point_segment_distance,
     segment_ox_intersection,
@@ -58,7 +57,6 @@ from .obnoxious import (
     base_envelope,
     compact,
     compute_lower_envelope,
-    envelope_value,
     largest_empty_from_envelope,
     max_empty_binsearch,
     merge_lower_envelopes,
@@ -104,11 +102,8 @@ __all__ = [
     "compact",
     "compute_lower_envelope",
     "covering_interval",
-    "distance_argmin_on_axis",
     "dp_solve",
     "enumerate_partitions",
-    "envelope_value",
-    "equal_distance_point",
     "grid_obnoxious_center",
     "grid_one_center",
     "intersect_all",

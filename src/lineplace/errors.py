@@ -24,8 +24,9 @@ class NonIsometricRotation(SolverError):
 class NoCrossing(SolverError):
     """An equal-distance search was bracketed by same-sign values.
 
-    This signals a logic error in the caller (usually envelope
-    merging), not bad user input.
+    Raised by the reference search _reference.equal_distance_point when
+    its caller passes a bracket without a sign change; the solvers
+    never raise it.
     """
 
 

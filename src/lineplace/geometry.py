@@ -3,8 +3,9 @@
 Everything downstream works in an "axis frame" where the feasible
 center line is the interval [0, L] of the horizontal axis. This module
 provides the norm and tolerance types, exact point-to-segment
-distances, the frame transform, and the small set of scalar searches
-(argmin along the axis, equal-distance point) the solvers build on.
+distances, the frame transform, and the closed-form argmin along the
+axis that the solvers build on. Iterative second routes to these
+quantities live in lineplace._reference, for the tests only.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NoCrossing, NonIsometricRotation
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .errors import NonIsometricRotation
 
 
 @dataclass(frozen=True)
@@ -123,9 +122,9 @@ def point_segment_distance(q: Point, s: Segment, norm: NormP, tol: Tolerance) ->
     p = 2 uses the clamped perpendicular projection. Other exponents
     enumerate the finitely many optimality candidates of the convex
     one-dimensional problem (segment ends, the two coordinate kinks,
-    and the sign-pattern stationary points), which is exact. The
-    iterative search in _min_distance_search is kept as an
-    independently implemented cross-check.
+    and the sign-pattern stationary points), which is exact. The tests
+    cross-check it against the golden-section search
+    _reference._min_distance_search.
     """
     p = norm.p
     ax, ay = s.a.x, s.a.y
@@ -152,42 +151,6 @@ def point_segment_distance(q: Point, s: Segment, norm: NormP, tol: Tolerance) ->
     if p > 1.0 and ux != 0.0 and uy != 0.0:
         cands.extend(_stationary_params(A, B, ux, uy, p))
     return min(_lp_pair(A - t * ux, B - t * uy, p) for t in cands)
-
-
-def _min_distance_search(q: Point, s: Segment, norm: NormP, tol: Tolerance) -> float:
-    """Golden-section minimisation over the segment parameter.
-
-    Distance to a convex set is convex, hence unimodal in t. Used only
-    as a second route in tests; the width target is scaled by the
-    segment extent so the value error stays below tol.eps.
-    """
-    p = norm.p
-    ax, ay = s.a.x, s.a.y
-    ux, uy = s.b.x - ax, s.b.y - ay
-    A, B = q.x - ax, q.y - ay
-    if ux == 0.0 and uy == 0.0:
-        return _lp_pair(A, B, p)
-
-    def f(t: float) -> float:
-        return _lp_pair(A - t * ux, B - t * uy, p)
-
-    lo, hi = 0.0, 1.0
-    target = tol.eps / max(1.0, _lp_pair(ux, uy, p))
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    it = 0
-    while hi - lo > target and it < tol.max_iters:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-        it += 1
-    return min(f(lo), fc, fd, f(hi))
 
 
 @dataclass(frozen=True)
@@ -291,58 +254,12 @@ def _plateau(s: Segment):
     return xm, xm
 
 
-def distance_argmin_on_axis(s: Segment, L: float, norm: NormP, tol: Tolerance,
-                            strategy: str = "candidates"):
-    """Minimise x -> distance((x,0), s) over [0, L].
-
-    Returns (xmin, dmin). The profile is convex, so the minimiser is
-    the clamp of the unconstrained plateau; ties resolve to the
-    smallest x. Two strategies are provided and must agree on the
-    minimum value: direct evaluation of the geometric candidates
-    {0, L, endpoint abscissas, axis crossing}, and a binary search on
-    an approximate derivative sign.
-    """
-    if L < 0.0:
-        raise ValueError("L must be nonnegative")
-    if strategy == "candidates":
-        xs = {0.0, L}
-        for x in (s.a.x, s.b.x):
-            if 0.0 <= x <= L:
-                xs.add(x)
-        hit = segment_ox_intersection(s)
-        if hit is not None and 0.0 <= hit[0] <= L:
-            xs.add(hit[0])
-        best_x, best = 0.0, math.inf
-        for x in sorted(xs):
-            d = point_segment_distance(Point(x, 0.0), s, norm, tol)
-            if d < best:
-                best_x, best = x, d
-        return best_x, best
-    if strategy == "derivative":
-        def d(x: float) -> float:
-            return point_segment_distance(Point(x, 0.0), s, norm, tol)
-
-        lo, hi = 0.0, L
-        it = 0
-        while hi - lo > tol.eps and it < tol.max_iters:
-            m = 0.5 * (lo + hi)
-            probe = min(L, m + tol.eps)
-            # strictly decreasing at m means the minimiser lies right of m
-            if d(probe) < d(m):
-                lo = m
-            else:
-                hi = m
-            it += 1
-        x = 0.5 * (lo + hi)
-        return x, d(x)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
 def axis_argmin_exact(s: Segment, L: float, norm: NormP, tol: Tolerance):
     """Closed-form constrained argmin used internally by the solvers.
 
-    Same contract as distance_argmin_on_axis but derived from the
-    plateau geometry instead of candidate evaluation, and exact.
+    Returns (xmin, dmin), the clamp of the unconstrained plateau to
+    [0, L] with ties at the smallest x; exact. The tests compare it
+    with _reference.distance_argmin_on_axis.
     """
     plo, phi = _plateau(s)
     if phi < 0.0:
@@ -352,39 +269,3 @@ def axis_argmin_exact(s: Segment, L: float, norm: NormP, tol: Tolerance):
     else:
         x = max(0.0, plo)
     return x, point_segment_distance(Point(x, 0.0), s, norm, tol)
-
-
-def equal_distance_point(s1: Segment, s2: Segment, u: float, v: float,
-                         norm: NormP, tol: Tolerance) -> float:
-    """Binary search the x in [u, v] equidistant from s1 and s2.
-
-    Requires the signed difference of the two distances to change sign
-    across the bracket (an exact zero at an endpoint short-circuits).
-    Profiles are 1-Lipschitz in x, so bisecting to eps/4 leaves the
-    distance mismatch at the returned point below tol.eps.
-    """
-    def g(x: float) -> float:
-        q = Point(x, 0.0)
-        return (point_segment_distance(q, s1, norm, tol)
-                - point_segment_distance(q, s2, norm, tol))
-
-    gu, gv = g(u), g(v)
-    if gu == 0.0:
-        return u
-    if gv == 0.0:
-        return v
-    if (gu > 0.0) == (gv > 0.0):
-        raise NoCrossing(f"no sign change on [{u}, {v}]")
-    pos_u = gu > 0.0
-    it = 0
-    while v - u > tol.eps / 4.0 and it < tol.max_iters:
-        m = 0.5 * (u + v)
-        gm = g(m)
-        if gm == 0.0:
-            return m
-        if (gm > 0.0) == pos_u:
-            u = m
-        else:
-            v = m
-        it += 1
-    return 0.5 * (u + v)

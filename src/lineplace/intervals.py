@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormP, Point, Segment, Tolerance, _profile_min_unclamped, \
-    point_segment_distance
+from .geometry import NormP, Segment
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,17 @@ def _ystar_ratio(ux: float, uy: float, p: float) -> float:
     return ratio ** (1.0 / p)
 
 
-def _covering_analytic(s: Segment, R: float, norm: NormP) -> Interval:
+def covering_interval(s: Segment, R: float, norm: NormP) -> Interval:
+    """All x on the axis with distance((x,0), s) <= R.
+
+    The result is not clipped to [0, L]; callers intersect with the
+    feasible range themselves. The bounds are the extremes of
+    qx(t) -+ halfwidth(qy(t)) over closed-form candidate parameters t;
+    the tests cross-check them against the boundary bisection
+    _reference._covering_bisect.
+    """
+    if R < 0.0 or not math.isfinite(R):
+        raise ValueError("radius must be finite and nonnegative")
     p = norm.p
     ax, ay = s.a.x, s.a.y
     ux, uy = s.b.x - ax, s.b.y - ay
@@ -128,53 +137,6 @@ def _covering_analytic(s: Segment, R: float, norm: NormP) -> Interval:
     if lo > hi:
         return Interval.empty()
     return Interval(lo, hi)
-
-
-def _covering_bisect(s: Segment, R: float, norm: NormP, tol: Tolerance) -> Interval:
-    def d(x: float) -> float:
-        return point_segment_distance(Point(x, 0.0), s, norm, tol)
-
-    xm, dm = _profile_min_unclamped(s)
-    if dm > R:
-        return Interval.empty()
-    # outside [min_x - R, max_x + R] the x-offset alone already exceeds R
-    lo0 = min(s.a.x, s.b.x) - R
-    hi0 = max(s.a.x, s.b.x) + R
-
-    def boundary(a: float, b: float, increasing: bool) -> float:
-        # invariant: d(a) and d(b) straddle R with the covered side at b
-        it = 0
-        while b - a > tol.eps / 2.0 and it < tol.max_iters:
-            m = 0.5 * (a + b)
-            inside = d(m) <= R
-            if inside == increasing:
-                b = m
-            else:
-                a = m
-            it += 1
-        return 0.5 * (a + b)
-
-    u = lo0 if d(lo0) <= R else boundary(lo0, xm, True)
-    v = hi0 if d(hi0) <= R else boundary(xm, hi0, False)
-    return Interval(u, v)
-
-
-def covering_interval(s: Segment, R: float, L: float, norm: NormP, tol: Tolerance,
-                      method: str = "analytic") -> Interval:
-    """All x on the axis with distance((x,0), s) <= R.
-
-    The result is not clipped to [0, L]; callers intersect with the
-    feasible range themselves. Two routes are provided: a closed-form
-    candidate evaluation (default) and a convexity-based boundary
-    bisection, kept as an independent cross-check.
-    """
-    if R < 0.0 or not math.isfinite(R):
-        raise ValueError("radius must be finite and nonnegative")
-    if method == "analytic":
-        return _covering_analytic(s, R, norm)
-    if method == "bisect":
-        return _covering_bisect(s, R, norm, tol)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def intersect_all(intervals) -> Interval:
@@ -337,7 +299,7 @@ def union_covers_arrays(lo, hi, domain: Interval):
     return False, 0.5 * (float(reach[g]) + gap_end)
 
 
-def covering_intersection(segments, L: float, norm: NormP, tol: Tolerance):
+def covering_intersection(segments, L: float, norm: NormP):
     """The function R -> intersection of [0, L] and every covering interval.
 
     Evaluates through SegmentArray from ARRAY_MIN_SEGMENTS segments on,
@@ -346,7 +308,7 @@ def covering_intersection(segments, L: float, norm: NormP, tol: Tolerance):
     domain = Interval(0.0, L)
     if len(segments) < ARRAY_MIN_SEGMENTS:
         def region(R: float) -> Interval:
-            ivs = [covering_interval(s, R, L, norm, tol) for s in segments]
+            ivs = [covering_interval(s, R, norm) for s in segments]
             ivs.append(domain)
             return intersect_all(ivs)
         return region
@@ -354,7 +316,7 @@ def covering_intersection(segments, L: float, norm: NormP, tol: Tolerance):
     return lambda R: intersect_arrays(*arr.covering(R), domain)
 
 
-def covering_union(segments, L: float, norm: NormP, tol: Tolerance):
+def covering_union(segments, L: float, norm: NormP):
     """The function R -> union_covers(covering intervals at R, [0, L]).
 
     Evaluates through SegmentArray from ARRAY_MIN_SEGMENTS segments on,
@@ -363,7 +325,7 @@ def covering_union(segments, L: float, norm: NormP, tol: Tolerance):
     domain = Interval(0.0, L)
     if len(segments) < ARRAY_MIN_SEGMENTS:
         def gaps(R: float):
-            return union_covers([covering_interval(s, R, L, norm, tol) for s in segments],
+            return union_covers([covering_interval(s, R, norm) for s in segments],
                                 domain)
         return gaps
     arr = SegmentArray(segments, norm)

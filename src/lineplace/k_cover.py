@@ -392,6 +392,13 @@ def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
 
 
 def _rmin_points(points, norm: NormP, tol: Tolerance):
+    """Smallest ball centered anywhere on the axis covering the points.
+
+    The center is not held to any stretch [0, L]: it ranges over the
+    whole line. A center left or right of every point gets nearer to
+    all of them by moving toward them, so the optimum lies in
+    [min x, max x]; min_enclosing searches that window padded by max|y|.
+    """
     maxy = max(abs(q.y) for q in points)
     xs = [q.x for q in points]
     lo = min(xs) - maxy
@@ -412,15 +419,21 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     sub-run with the same right end, and some optimal partition has
     every block's circle stopping exactly at the block's right end, so
     this break relaxation is both sound and complete. Unused budget is
-    free because zero points always cost zero. Circles are re-derived
+    free because zero points always cost zero, and a budget beyond n
+    runs changes nothing, so K is clamped to n. Circles are re-derived
     for the chosen runs, so the reported objective reflects the tight
     per-run radii.
+
+    Centers range over the whole axis, the line through the constraint;
+    no stretch [0, L] bounds them, and none is taken.
     """
     n = len(pts)
     if n == 0:
         raise EmptyInput("need at least one point")
     if K is not None and not (isinstance(K, int) and K >= 1):
         raise ValueError("K must be None or an integer >= 1")
+    if K is not None:
+        K = min(K, n)
     if lists == "naive":
         cls = build_lists_naive(pts, norm, tol)
     elif lists == "sweep":

@@ -15,9 +15,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .errors import EmptyInput, NoCrossing
+from .errors import EmptyInput
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, axis_argmin_exact, \
-    equal_distance_point, point_segment_distance, segment_ox_intersection
+    point_segment_distance, segment_ox_intersection
 from .intervals import covering_union
 from .one_center import PlacedCircle
 
@@ -57,15 +57,6 @@ class LowerEnvelope:
     @property
     def xmax(self) -> float:
         return self.pieces[-1].b
-
-
-def envelope_value(le: LowerEnvelope, segments, x: float, norm: NormP, tol: Tolerance) -> float:
-    """Distance at x to the owning segment of the piece containing x."""
-    starts = [pc.a for pc in le.pieces]
-    i = bisect_right(starts, x) - 1
-    if i < 0:
-        i = 0
-    return point_segment_distance(Point(x, 0.0), segments[le.pieces[i].seg_index], norm, tol)
 
 
 # -- distance profiles -------------------------------------------------
@@ -406,26 +397,20 @@ def _subcell_roots(prof_i, prof_j, a: float, b: float, p: float, tol: Tolerance)
     return roots
 
 
-def _resolve_cell(u, v, i, j, prof_i, prof_j, segments, norm, tol):
-    """Ownership stretches of cell [u, v] where owners i and j differ."""
-    p = norm.p
+def _resolve_cell(u, v, i, j, prof_i, prof_j, tol):
+    """Ownership stretches of cell [u, v] where owners i and j differ.
+
+    The knots of both profiles split the cell into subcells that each
+    lie within one piece of each profile, where _subcell_roots finds
+    every equal-distance point.
+    """
+    p = prof_i.p
     knots = sorted(set(prof_i.knots_in(u, v) + prof_j.knots_in(u, v)))
     roots = []
-    if not knots:
-        ga = prof_i.value(u) - prof_j.value(u)
-        gb = prof_i.value(v) - prof_j.value(v)
-        if p != 2.0 and ga != 0.0 and gb != 0.0 and (ga > 0.0) != (gb > 0.0):
-            try:
-                roots = [equal_distance_point(segments[i], segments[j], u, v, norm, tol)]
-            except NoCrossing:
-                roots = _subcell_roots(prof_i, prof_j, u, v, p, tol)
-        else:
-            roots = _subcell_roots(prof_i, prof_j, u, v, p, tol)
-    else:
-        edges = [u] + knots + [v]
-        for k in range(len(edges) - 1):
-            if edges[k + 1] > edges[k]:
-                roots.extend(_subcell_roots(prof_i, prof_j, edges[k], edges[k + 1], p, tol))
+    edges = [u] + knots + [v]
+    for k in range(len(edges) - 1):
+        if edges[k + 1] > edges[k]:
+            roots.extend(_subcell_roots(prof_i, prof_j, edges[k], edges[k + 1], p, tol))
 
     cuts = sorted(knots + roots)
     kept = []
@@ -535,7 +520,7 @@ def _merge_raw(e1: LowerEnvelope, e2: LowerEnvelope, segments,
             continue
         prof_i = _get_profile(_cache, segments, oi, p)
         prof_j = _get_profile(_cache, segments, oj, p)
-        raw.extend(_resolve_cell(u, v, oi, oj, prof_i, prof_j, segments, norm, tol))
+        raw.extend(_resolve_cell(u, v, oi, oj, prof_i, prof_j, tol))
     if not raw:
         raw = [(e1.pieces[0].a, e1.pieces[-1].b, min(p1[0].seg_index, p2[0].seg_index))]
     return raw
@@ -705,7 +690,7 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
         raise EmptyInput("need at least one segment")
     if L < 0.0 or not math.isfinite(L):
         raise ValueError("L must be finite and nonnegative")
-    gaps = covering_union(segs, L, norm, tol)
+    gaps = covering_union(segs, L, norm)
     if gaps(0.0)[0]:
         return PlacedCircle(0.0, 0.0)
     s0 = segs[0]

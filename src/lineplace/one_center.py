@@ -41,7 +41,7 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
     if L < 0.0 or not math.isfinite(L):
         raise ValueError("L must be finite and nonnegative")
 
-    region_at = covering_intersection(segs, L, norm, tol)
+    region_at = covering_intersection(segs, L, norm)
     lo = 0.0
     for s in segs:
         dmin = axis_argmin_exact(s, L, norm, tol)[1]

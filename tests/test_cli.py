@@ -173,6 +173,25 @@ class TestRobustness:
         assert "oracle limited" in verify["reason"]
 
 
+class TestKCoverCenters:
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    def test_center_may_leave_the_constraint_stretch(self, tmp_path, p):
+        # k-cover centers range over the whole line through the
+        # constraint, not over the stretch [0, L] itself
+        points = [[-9.0, 1.0], [-7.5, -0.5], [-6.0, 2.0]]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "problem": "k-cover", "p": p, "constraint": [0, 0, 10, 0],
+            "points": points, "k": 1}))
+        code, out = run_cli(["solve", "--in", str(path)])
+        assert code == 0
+        (circle,) = json.loads(out)["result"]["circles"]
+        cx, r = circle["center_x"], circle["radius"]
+        assert cx < 0.0
+        for x, y in points:
+            assert (abs(x - cx) ** p + abs(y) ** p) ** (1.0 / p) <= r + 1e-9
+
+
 class TestPlot:
     def test_unwritable_plot_path(self, tmp_path):
         inst = GOLDEN / "inst_04.json"

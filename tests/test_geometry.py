@@ -11,14 +11,13 @@ from lineplace import (
     Segment,
     Tolerance,
     axis_argmin_exact,
-    distance_argmin_on_axis,
-    equal_distance_point,
     lp_distance,
     point_segment_distance,
     segment_ox_intersection,
     transform_to_axis,
 )
-from lineplace.geometry import _min_distance_search
+from lineplace._reference import _min_distance_search, distance_argmin_on_axis, \
+    equal_distance_point
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)

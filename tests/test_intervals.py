@@ -16,6 +16,7 @@ from lineplace import (
     point_segment_distance,
     union_covers,
 )
+from lineplace._reference import _covering_bisect
 from lineplace.intervals import SegmentArray, intersect_arrays, union_covers_arrays
 
 TOL = Tolerance()
@@ -47,38 +48,38 @@ class TestInterval:
 class TestCoveringInterval:
     @pytest.mark.parametrize("norm", [N1, N2, N3])
     def test_vertical_segment_regression(self, norm):
-        iv = covering_interval(seg(0, 0, 0, 5), 2.0, 10.0, norm, TOL)
+        iv = covering_interval(seg(0, 0, 0, 5), 2.0, norm)
         assert abs(iv.lo - (-2.0)) < 1e-9
         assert abs(iv.hi - 2.0) < 1e-9
 
     def test_tangent_horizontal(self):
-        iv = covering_interval(seg(1, 3, 6, 3), 3.0, 10.0, N2, TOL)
+        iv = covering_interval(seg(1, 3, 6, 3), 3.0, N2)
         assert abs(iv.lo - 1.0) < 1e-9
         assert abs(iv.hi - 6.0) < 1e-9
 
     def test_unreachable_is_empty(self):
-        iv = covering_interval(seg(0, 5, 10, 5), 2.0, 10.0, N2, TOL)
+        iv = covering_interval(seg(0, 5, 10, 5), 2.0, N2)
         assert iv.is_empty
 
     def test_point_segment(self):
-        iv = covering_interval(seg(0, 0, 0, 0), 4.0, 10.0, N2, TOL)
+        iv = covering_interval(seg(0, 0, 0, 0), 4.0, N2)
         assert abs(iv.lo - (-4.0)) < 1e-9
         assert abs(iv.hi - 4.0) < 1e-9
 
     def test_zero_radius_on_crossing(self):
-        iv = covering_interval(seg(2, -1, 2, 1), 0.0, 10.0, N2, TOL)
+        iv = covering_interval(seg(2, -1, 2, 1), 0.0, N2)
         assert not iv.is_empty
         assert abs(iv.lo - 2.0) < 1e-9 and abs(iv.hi - 2.0) < 1e-9
 
     def test_zero_radius_off_axis(self):
-        iv = covering_interval(seg(2, 1, 2, 3), 0.0, 10.0, N2, TOL)
+        iv = covering_interval(seg(2, 1, 2, 3), 0.0, N2)
         assert iv.is_empty
 
     def test_rejects_bad_radius(self):
         with pytest.raises(ValueError):
-            covering_interval(seg(0, 1, 1, 1), -1.0, 10.0, N2, TOL)
+            covering_interval(seg(0, 1, 1, 1), -1.0, N2)
         with pytest.raises(ValueError):
-            covering_interval(seg(0, 1, 1, 1), math.inf, 10.0, N2, TOL)
+            covering_interval(seg(0, 1, 1, 1), math.inf, N2)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_methods_agree_and_membership(self, p):
@@ -88,8 +89,8 @@ class TestCoveringInterval:
             s = seg(rng.uniform(-8, 12), rng.uniform(-6, 6),
                     rng.uniform(-8, 12), rng.uniform(-6, 6))
             R = rng.uniform(0.0, 7.0)
-            a = covering_interval(s, R, 10.0, norm, TOL, method="analytic")
-            b = covering_interval(s, R, 10.0, norm, TOL, method="bisect")
+            a = covering_interval(s, R, norm)
+            b = _covering_bisect(s, R, norm, TOL)
             if a.is_empty or b.is_empty:
                 assert a.is_empty == b.is_empty
                 continue
@@ -186,7 +187,7 @@ class TestSegmentArray:
         norm = NormP(p)
         lo, hi = SegmentArray(segs, norm).covering(R)
         for k, s in enumerate(segs):
-            ref = covering_interval(s, R, 10.0, norm, TOL)
+            ref = covering_interval(s, R, norm)
             if ref.is_empty:
                 assert (lo[k], hi[k]) == (math.inf, -math.inf)
                 continue

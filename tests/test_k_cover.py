@@ -171,6 +171,13 @@ class TestDpSolve:
         b = dp_solve(ps, 4, N2, TOL, AggSpec(1.0, "sum"))
         assert abs(a.objective - b.objective) < 1e-9
 
+    def test_budget_beyond_point_count(self):
+        # rows k >= n of the DP are identical, so the budget is clamped
+        # to n instead of allocating K rows
+        ps = pset((0, 1), (4, 2), (9, 1))
+        agg = AggSpec(1.0, "sum")
+        assert dp_solve(ps, 10**6, N2, TOL, agg) == dp_solve(ps, len(ps), N2, TOL, agg)
+
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             dp_solve(PointSet(()), 1, N2, TOL, AggSpec())

@@ -15,12 +15,12 @@ from lineplace import (
     base_envelope,
     compact,
     compute_lower_envelope,
-    envelope_value,
     largest_empty_from_envelope,
     max_empty_binsearch,
     merge_lower_envelopes,
     point_segment_distance,
 )
+from lineplace._reference import envelope_value, equal_distance_point
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -174,6 +174,37 @@ class TestEnvelopeStructure:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             compute_lower_envelope([], 10.0, N2, TOL)
+
+
+class TestOwnershipBoundaries:
+    @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+    def test_roots_match_reference_search(self, p):
+        # _subcell_roots is the merge's only root finder; bisecting the
+        # difference of the two distances is an independent route. Its
+        # bracket runs from the middle of the piece left of the boundary
+        # to the middle of the piece right of it, which holds no other
+        # ownership change.
+        norm = NormP(p)
+        rng = random.Random(round(p * 10))
+        checked = 0
+        for _ in range(200):
+            segs = random_segments(rng, 2)
+            env = merge_lower_envelopes(base_envelope(0, segs[0], 10.0, norm, TOL),
+                                        base_envelope(1, segs[1], 10.0, norm, TOL),
+                                        segs, norm, TOL)
+            for left, right in zip(env.pieces, env.pieces[1:]):
+                if left.seg_index == right.seg_index:
+                    continue
+                x = left.b
+                s1, s2 = segs[left.seg_index], segs[right.seg_index]
+                d1 = point_segment_distance(Point(x, 0.0), s1, norm, TOL)
+                d2 = point_segment_distance(Point(x, 0.0), s2, norm, TOL)
+                assert abs(d1 - d2) <= TOL.eps
+                ref = equal_distance_point(s1, s2, 0.5 * (left.a + left.b),
+                                           0.5 * (right.a + right.b), norm, TOL)
+                assert abs(x - ref) <= TOL.eps / 2.0
+                checked += 1
+        assert checked >= 100
 
 
 class TestMaxEmpty:

@@ -79,8 +79,7 @@ class TestMinEnclosing:
             # tightening: a slightly smaller radius admits no center
             smaller = c.radius - max(1e-6, 1e-6 * c.radius)
             if smaller > 0.0:
-                ivs = [covering_interval(s, smaller, 10.0, norm, TOL)
-                       for s in segments]
+                ivs = [covering_interval(s, smaller, norm) for s in segments]
                 lo = max((iv.lo for iv in ivs if not iv.is_empty), default=None)
                 hi = min((iv.hi for iv in ivs if not iv.is_empty), default=None)
                 feasible = (all(not iv.is_empty for iv in ivs)
