@@ -17,7 +17,6 @@ solvers against, live in the non-exported lineplace._reference.
 from .errors import (
     EmptyInput,
     NoBisectorRoot,
-    NoCrossing,
     NonIsometricRotation,
     SchemaError,
     SolverError,
@@ -82,7 +81,6 @@ __all__ = [
     "Interval",
     "LowerEnvelope",
     "NoBisectorRoot",
-    "NoCrossing",
     "NonIsometricRotation",
     "NormP",
     "OraclePartition",

@@ -2,7 +2,9 @@
 
 Instances are JSON objects; results are deterministic JSON (sorted
 keys) apart from the wall_time_ms field. Exit codes: 0 success, 2
-malformed instance, 3 solver failure, 4 plot not writable.
+malformed or unreadable instance, 3 solver failure (the error JSON
+names it; this includes arithmetic overflow at extreme coordinate
+scales), 4 output (--out or --plot) not writable.
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ def _want(cond: bool, field: str, msg: str) -> None:
 def _num(obj, field: str) -> float:
     _want(isinstance(obj, (int, float)) and not isinstance(obj, bool),
           field, "must be a number")
-    val = float(obj)
+    try:
+        val = float(obj)
+    except OverflowError:
+        val = math.inf  # an integer beyond the float range
     _want(math.isfinite(val), field, "must be finite")
     return val
 
@@ -305,14 +310,18 @@ def render_svg(inst: InstanceFile, payload: dict) -> str:
 
 
 def _read_doc(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"instance: cannot read {path!r} ({exc})") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError also covers integers past the digit limit of int()
         raise SchemaError(f"instance: not valid JSON ({exc})") from exc
 
 
@@ -324,6 +333,16 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
 
 
+def _write_out(path: str, text: str, code: int) -> int:
+    """Write text to --out and return code, or 4 if the path is not writable."""
+    try:
+        _write_text(path, text)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 4
+    return code
+
+
 def _cmd_solve(args) -> int:
     try:
         inst = parse_instance(_read_doc(args.inp))
@@ -332,11 +351,12 @@ def _cmd_solve(args) -> int:
         return 2
     try:
         payload = _solve_payload(inst, args)
-    except SolverError as exc:
+    except (SolverError, ArithmeticError, ValueError) as exc:
+        # ArithmeticError and ValueError come from intermediates that
+        # overflow or underflow at extreme coordinate scales
         err = {"ok": False,
                "error": {"name": type(exc).__name__, "detail": str(exc)}}
-        _write_text(args.out, json.dumps(err, sort_keys=True, indent=2) + "\n")
-        return 3
+        return _write_out(args.out, json.dumps(err, sort_keys=True, indent=2) + "\n", 3)
     if args.plot is not None:
         try:
             with open(args.plot, "w", encoding="utf-8") as fh:
@@ -344,8 +364,7 @@ def _cmd_solve(args) -> int:
         except OSError as exc:
             print(f"plot error: {exc}", file=sys.stderr)
             return 4
-    _write_text(args.out, ResultRecord(payload).to_json())
-    return 0
+    return _write_out(args.out, ResultRecord(payload).to_json(), 0)
 
 
 def _cmd_gen(args) -> int:
@@ -368,17 +387,27 @@ def _cmd_gen(args) -> int:
     else:
         doc["segments"] = [[coord(), coord(), coord(), coord()]
                            for _ in range(args.n)]
-    _write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
-    return 0
+    return _write_out(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n", 0)
+
+
+def _real(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
 def _positive_finite(text: str) -> float:
-    try:
-        val = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    val = _real(text)
     if not (math.isfinite(val) and val > 0.0):
         raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return val
+
+
+def _exponent(text: str) -> float:
+    val = _real(text)
+    if not (math.isfinite(val) and val >= 1.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 1, got {text!r}")
     return val
 
 
@@ -417,13 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("gen", help="generate a random instance")
     pg.add_argument("--problem", choices=_PROBLEMS, required=True)
-    pg.add_argument("--n", type=int, default=8)
+    pg.add_argument("--n", type=_positive_int, default=8)
     pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--p", type=float, default=2.0)
-    pg.add_argument("--k", type=int, default=None)
-    pg.add_argument("--q", type=float, default=1.0)
+    pg.add_argument("--p", type=_exponent, default=2.0)
+    pg.add_argument("--k", type=_positive_int, default=None)
+    pg.add_argument("--q", type=_exponent, default=1.0)
     pg.add_argument("--agg", choices=("sum", "max"), default="sum")
-    pg.add_argument("--length", type=float, default=10.0)
+    pg.add_argument("--length", type=_positive_finite, default=10.0)
     pg.add_argument("--out", default="-")
     pg.set_defaults(func=_cmd_gen)
     return parser

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyInput
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, axis_argmin_exact, \
-    point_segment_distance, segment_ox_intersection
+    point_segment_distance
 from .intervals import covering_union
 from .one_center import PlacedCircle
 
@@ -65,7 +65,11 @@ class LowerEnvelope:
 # pieces that are either a cone lp(x - c, h) or a nonnegative affine
 # A*x + B. Cones are strictly convex with slope in (-1, 1) when h > 0;
 # every affine piece has |A| <= 1. This is what makes the per-cell
-# crossing analysis below exhaustive.
+# crossing analysis below exhaustive. One builder serves every p: the
+# distance to endpoint a, to the supporting line, then to endpoint b,
+# split at the regime boundaries. At p = 1 it takes the p -> 1 limit
+# of each part (the line's dual norm becomes the max norm) and splits
+# the cones |x - c| + h at their apex, so every p = 1 piece is affine.
 
 _CONE = 0
 _AFFINE = 1
@@ -103,16 +107,15 @@ def _append_affine_abs(pieces, A: float, B: float, lo: float, hi: float) -> None
         pieces.append((lo, hi, _AFFINE, 0.0, abs(B)))
         return
     sA = math.copysign(1.0, A)
-    right = (abs(A), sA * B)
-    left = (-abs(A), -sA * B)
+    right = (_AFFINE, abs(A), sA * B)
+    left = (_AFFINE, -abs(A), -sA * B)
     xz = -B / A
     if xz <= lo:
-        pieces.append((lo, hi, _AFFINE, right[0], right[1]))
+        pieces.append((lo, hi) + right)
     elif xz >= hi:
-        pieces.append((lo, hi, _AFFINE, left[0], left[1]))
+        pieces.append((lo, hi) + left)
     else:
-        pieces.append((lo, xz, _AFFINE, left[0], left[1]))
-        pieces.append((xz, hi, _AFFINE, right[0], right[1]))
+        pieces.extend(((lo, xz) + left, (xz, hi) + right))
 
 
 def _append_cone(pieces, c: float, h: float, lo: float, hi: float) -> None:
@@ -133,99 +136,23 @@ def _regime_boundary(ex: float, ey: float, U: float, V: float, p: float) -> floa
     kappa = -(V/U) |ey|^(p-1) sign(ey). The root is taken factor by
     factor, as |V/U|^(1/(p-1)) |ey|, because |ey|^(p-1) alone overflows
     or underflows at large p. Overflow of the remaining power means the
-    endpoint regime covers a whole half line.
+    endpoint regime covers a whole half line. At p = 1 the power takes
+    its p -> 1 limit: 0 when |V| < U, 1 when |V| = U and infinity when
+    |V| > U, so the boundary is the endpoint itself, ex -/+ |ey|, or an
+    infinity.
     """
     if ey == 0.0 or V == 0.0:
         return ex
     kappa_sign = -math.copysign(1.0, V / U) * math.copysign(1.0, ey)
-    try:
-        mag = abs(V / U) ** (1.0 / (p - 1.0)) * abs(ey)
-    except OverflowError:
-        mag = _INF
-    if math.isinf(mag):
-        return -_INF if kappa_sign > 0.0 else _INF
-    return ex - math.copysign(mag, kappa_sign)
-
-
-def _build_profile_p1(seg: Segment):
-    ax, ay = seg.a.x, seg.a.y
-    bx, by = seg.b.x, seg.b.y
-    if bx < ax:
-        ax, ay, bx, by = bx, by, ax, ay
-    U = bx - ax
-    # candidate upper bounds, each affine on its validity range; the
-    # profile is their pointwise minimum (nearest point is an endpoint,
-    # the point straight above x, or the axis crossing)
-    cand = []
-
-    def add_point_cone(cx: float, h: float) -> None:
-        cand.append((-_INF, cx, -1.0, cx + h))
-        cand.append((cx, _INF, 1.0, h - cx))
-
-    if U == 0.0:
-        hmin = 0.0 if ay * by <= 0.0 else min(abs(ay), abs(by))
-        pieces = []
-        _append_cone(pieces, ax, hmin, -_INF, _INF)
-        # p = 1 cones are themselves piecewise affine: split at the apex
-        return _Profile(1.0, _split_p1_cones(pieces))
-
-    add_point_cone(ax, abs(ay))
-    add_point_cone(bx, abs(by))
-    hit = segment_ox_intersection(Segment(Point(ax, ay), Point(bx, by)))
-    if hit is not None:
-        add_point_cone(hit[0], 0.0)
-    mslope = (by - ay) / U
-    if mslope == 0.0:
-        cand.append((ax, bx, 0.0, abs(ay)))
+    if p == 1.0:
+        root = 0.0 if abs(V) < U else (1.0 if abs(V) == U else _INF)
     else:
-        icept = ay - ax * mslope
-        tmp = []
-        _append_affine_abs(tmp, mslope, icept, ax, bx)
-        cand.extend((lo, hi, A, B) for lo, hi, _k, A, B in tmp)
-
-    brk = set()
-    for lo, hi, _A, _B in cand:
-        if math.isfinite(lo):
-            brk.add(lo)
-        if math.isfinite(hi):
-            brk.add(hi)
-    m = len(cand)
-    for i in range(m):
-        lo1, hi1, A1, B1 = cand[i]
-        for j in range(i + 1, m):
-            lo2, hi2, A2, B2 = cand[j]
-            olo, ohi = max(lo1, lo2), min(hi1, hi2)
-            if ohi <= olo or A1 == A2:
-                continue
-            xc = (B2 - B1) / (A1 - A2)
-            if olo < xc < ohi:
-                brk.add(xc)
-    xs = sorted(brk)
-    edges = [-_INF] + xs + [_INF]
-    pieces = []
-    for k in range(len(edges) - 1):
-        lo, hi = edges[k], edges[k + 1]
-        if hi <= lo:
-            continue
-        if math.isinf(lo):
-            probe = hi - 1.0
-        elif math.isinf(hi):
-            probe = lo + 1.0
-        else:
-            probe = 0.5 * (lo + hi)
-        best = None
-        for clo, chi, A, B in cand:
-            if clo <= probe <= chi:
-                val = A * probe + B
-                if best is None or val < best[0]:
-                    best = (val, A, B)
-        _A, _B = best[1], best[2]
-        if pieces and pieces[-1][3] == _A and pieces[-1][4] == _B:
-            prev = pieces.pop()
-            pieces.append((prev[0], hi, _AFFINE, _A, _B))
-        else:
-            pieces.append((lo, hi, _AFFINE, _A, _B))
-    return _Profile(1.0, pieces)
+        try:
+            root = abs(V / U) ** (1.0 / (p - 1.0))
+        except OverflowError:
+            root = _INF
+    # an infinite magnitude puts the boundary at the matching infinity
+    return ex - math.copysign(root * abs(ey), kappa_sign)
 
 
 def _split_p1_cones(pieces):
@@ -244,7 +171,7 @@ def _split_p1_cones(pieces):
     return out
 
 
-def _build_profile_general(seg: Segment, p: float):
+def _build_profile(seg: Segment, p: float) -> _Profile:
     ax, ay = seg.a.x, seg.a.y
     bx, by = seg.b.x, seg.b.y
     if bx < ax:
@@ -255,33 +182,37 @@ def _build_profile_general(seg: Segment, p: float):
     if U == 0.0:
         hmin = 0.0 if ay * by <= 0.0 else min(abs(ay), abs(by))
         _append_cone(pieces, ax, hmin, -_INF, _INF)
-        return _Profile(p, pieces)
-    ps = p / (p - 1.0)
-    mx = max(abs(V), U)
-    nrm = mx * ((abs(V) / mx) ** ps + (U / mx) ** ps) ** (1.0 / ps)
-    A = V / nrm
-    B = (U * ay - V * ax) / nrm
-    w1 = _regime_boundary(ax, ay, U, V, p)
-    w2 = _regime_boundary(bx, by, U, V, p)
-    if w1 > w2:
-        w1 = w2 = 0.5 * (w1 + w2)
-    _append_cone(pieces, ax, abs(ay), -_INF, w1)
-    _append_affine_abs(pieces, A, B, max(w1, -_INF), min(w2, _INF))
-    _append_cone(pieces, bx, abs(by), w2, _INF)
-    if not pieces:
-        # both boundaries collapsed to infinities of the same side
-        _append_cone(pieces, ax, abs(ay), -_INF, _INF)
+    else:
+        # distance to the supporting line: |V x - (U ay - V ax)| over the
+        # dual norm of (V, U), which is the max norm at p = 1
+        mx = max(abs(V), U)
+        if p == 1.0:
+            nrm = mx
+        else:
+            ps = p / (p - 1.0)
+            nrm = mx * ((abs(V) / mx) ** ps + (U / mx) ** ps) ** (1.0 / ps)
+        A = V / nrm
+        B = (U * ay - V * ax) / nrm
+        w1 = _regime_boundary(ax, ay, U, V, p)
+        w2 = _regime_boundary(bx, by, U, V, p)
+        if w1 > w2:
+            w1 = w2 = 0.5 * (w1 + w2)
+        _append_cone(pieces, ax, abs(ay), -_INF, w1)
+        _append_affine_abs(pieces, A, B, w1, w2)
+        _append_cone(pieces, bx, abs(by), w2, _INF)
+        if not pieces:
+            # both boundaries collapsed to infinities of the same side
+            _append_cone(pieces, ax, abs(ay), -_INF, _INF)
+    if p == 1.0:
+        # p = 1 cones are themselves piecewise affine: split at the apex
+        pieces = _split_p1_cones(pieces)
     return _Profile(p, pieces)
 
 
 def _get_profile(cache, segments, idx: int, p: float):
     prof = cache.get(idx)
     if prof is None:
-        if p == 1.0:
-            prof = _build_profile_p1(segments[idx])
-        else:
-            prof = _build_profile_general(segments[idx], p)
-        cache[idx] = prof
+        prof = cache[idx] = _build_profile(segments[idx], p)
     return prof
 
 
@@ -448,16 +379,21 @@ def _resolve_cell(u, v, i, j, prof_i, prof_j, tol):
 def base_envelope(seg_index: int, seg: Segment, L: float, norm: NormP,
                   tol: Tolerance) -> LowerEnvelope:
     """Single-segment envelope, split at the constrained minimiser."""
-    xm = axis_argmin_exact(seg, L, norm, tol)[0]
+    return _split_at(seg_index, axis_argmin_exact(seg, L, norm, tol)[0], L, tol)
+
+
+def _split_at(seg_index: int, xm: float, L: float, tol: Tolerance) -> LowerEnvelope:
     raw = LowerEnvelope((EnvelopePiece(0.0, xm, seg_index),
                          EnvelopePiece(xm, L, seg_index)))
-    return _compact_pieces(raw, {seg_index: xm}, 0.5 * tol.eps)
+    return _compact_pieces(raw, {seg_index: xm}, tol)
 
 
-def _compact_pieces(le: LowerEnvelope, xmins, sliver: float = 0.0) -> LowerEnvelope:
-    # pieces narrower than the root refinement resolution are merge
-    # order noise, not certified ownership; absorbing them keeps both
-    # build orders on the same piece list
+def _compact_pieces(le: LowerEnvelope, xmins, tol: Tolerance) -> LowerEnvelope:
+    # xmins maps (dict) or indexes (list) every owner to its constrained
+    # minimiser. Pieces narrower than half of tol.eps are merge order
+    # noise, not certified ownership; absorbing them keeps both build
+    # orders on the same piece list
+    sliver = 0.5 * tol.eps
     pieces = list(le.pieces)
     keep = [pc for pc in pieces if pc.b - pc.a > sliver]
     if not keep:
@@ -473,7 +409,7 @@ def _compact_pieces(le: LowerEnvelope, xmins, sliver: float = 0.0) -> LowerEnvel
     out = [spans[0]]
     for a, b, s in spans[1:]:
         pa, pb, ps = out[-1]
-        if s == ps and pb != xmins.get(s):
+        if s == ps and pb != xmins[s]:
             out[-1] = (pa, b, ps)
         else:
             out.append((a, b, s))
@@ -490,11 +426,9 @@ def compact(le: LowerEnvelope, segments, norm: NormP, tol: Tolerance) -> LowerEn
     (L = 0) keeps one zero-width piece. Idempotent.
     """
     L = le.pieces[-1].b
-    xmins = {}
-    for pc in le.pieces:
-        if pc.seg_index not in xmins:
-            xmins[pc.seg_index] = axis_argmin_exact(segments[pc.seg_index], L, norm, tol)[0]
-    return _compact_pieces(le, xmins, 0.5 * tol.eps)
+    xmins = {s: axis_argmin_exact(segments[s], L, norm, tol)[0]
+             for s in {pc.seg_index for pc in le.pieces}}
+    return _compact_pieces(le, xmins, tol)
 
 
 def _merge_raw(e1: LowerEnvelope, e2: LowerEnvelope, segments,
@@ -522,7 +456,11 @@ def _merge_raw(e1: LowerEnvelope, e2: LowerEnvelope, segments,
         prof_j = _get_profile(_cache, segments, oj, p)
         raw.extend(_resolve_cell(u, v, oi, oj, prof_i, prof_j, tol))
     if not raw:
-        raw = [(e1.pieces[0].a, e1.pieces[-1].b, min(p1[0].seg_index, p2[0].seg_index))]
+        # a one-point span (L = 0): the nearer owner, ties to the lower index
+        x = e1.pieces[0].a
+        owner = min((p1[0].seg_index, p2[0].seg_index),
+                    key=lambda s: (_get_profile(_cache, segments, s, p).value(x), s))
+        raw = [(x, x, owner)]
     return raw
 
 
@@ -531,9 +469,12 @@ def merge_lower_envelopes(e1: LowerEnvelope, e2: LowerEnvelope, segments,
     """Pointwise minimum of two envelopes over the same [0, L]."""
     if _cache is None:
         _cache = {}
-    raw = _merge_raw(e1, e2, segments, norm, tol, _cache)
-    merged = LowerEnvelope(tuple(EnvelopePiece(a, b, s) for a, b, s in raw))
-    return compact(merged, segments, norm, tol)
+    return compact(_pieces_of(_merge_raw(e1, e2, segments, norm, tol, _cache)),
+                   segments, norm, tol)
+
+
+def _pieces_of(raw) -> LowerEnvelope:
+    return LowerEnvelope(tuple(EnvelopePiece(a, b, s) for a, b, s in raw))
 
 
 def _envelope_peak(env: LowerEnvelope, segments, norm: NormP, tol: Tolerance) -> float:
@@ -576,7 +517,7 @@ def _fold_one(env: LowerEnvelope, base: LowerEnvelope, lo_x: float, hi_x: float,
     local = list(pieces[head:ilo])
     local.extend(EnvelopePiece(a, b, s) for a, b, s in raw)
     local.extend(pieces[ihi + 1:tail])
-    fused = _compact_pieces(LowerEnvelope(tuple(local)), xmins, 0.5 * tol.eps).pieces
+    fused = _compact_pieces(LowerEnvelope(tuple(local)), xmins, tol).pieces
     return LowerEnvelope(pieces[:head] + fused + pieces[tail:])
 
 
@@ -586,7 +527,10 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
 
     split="halves" merges recursively; split="one-off" folds segments
     into the running envelope one at a time. Both produce the same
-    envelope up to root refinement tolerance. The fold skips segments
+    envelope up to root refinement tolerance. One table of constrained
+    minimisers (axis_argmin_exact, once per segment) serves both
+    splits: it places the split of every single-segment envelope and
+    the kept breakpoints of every compaction. The fold skips segments
     whose least distance over the domain already exceeds the envelope
     peak, and contests only the x range where the newcomer can win:
     outside it the horizontal gap to the segment's x extent (a lower
@@ -598,64 +542,57 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
         raise EmptyInput("need at least one segment")
     if L < 0.0 or not math.isfinite(L):
         raise ValueError("L must be finite and nonnegative")
-    cache = {}
-    if split == "halves":
-        def build(lo: int, hi: int) -> LowerEnvelope:
-            if hi - lo == 1:
-                return base_envelope(lo, segs[lo], L, norm, tol)
-            mid = (lo + hi) // 2
-            return merge_lower_envelopes(build(lo, mid), build(mid, hi),
-                                         segs, norm, tol, _cache=cache)
-        env = build(0, n)
-    elif split == "one-off":
-        xmins = {}
-
-        def base(i: int):
-            xm, vm = axis_argmin_exact(segs[i], L, norm, tol)
-            xmins[i] = xm
-            raw = LowerEnvelope((EnvelopePiece(0.0, xm, i),
-                                 EnvelopePiece(xm, L, i)))
-            return _compact_pieces(raw, xmins, 0.5 * tol.eps), vm
-
-        env, _ = base(0)
-        if L == 0.0:
-            for i in range(1, n):
-                env = merge_lower_envelopes(env, base(i)[0], segs, norm, tol,
-                                            _cache=cache)
-        else:
-            peak = _envelope_peak(env, segs, norm, tol)
-            accepted = 0
-            for i in range(1, n):
-                be, vmin = base(i)
-                if vmin > peak:
-                    continue
-                # the newcomer can only beat values <= peak, so only the
-                # x range of its portion within peak of the axis, padded
-                # by peak, can change ownership
-                ax, ay = segs[i].a.x, segs[i].a.y
-                bx, by = segs[i].b.x, segs[i].b.y
-                if ay == by:
-                    u1, u2 = min(ax, bx), max(ax, bx)
-                else:
-                    ta = (peak - ay) / (by - ay)
-                    tb = (-peak - ay) / (by - ay)
-                    t1 = max(0.0, min(ta, tb))
-                    t2 = min(1.0, max(ta, tb))
-                    if t1 > t2:
-                        continue
-                    xa = ax + t1 * (bx - ax)
-                    xb = ax + t2 * (bx - ax)
-                    u1, u2 = (xa, xb) if xa <= xb else (xb, xa)
-                lo_x = max(u1 - peak, 0.0)
-                hi_x = min(u2 + peak, L)
-                if lo_x > hi_x:
-                    continue
-                env = _fold_one(env, be, lo_x, hi_x, segs, xmins, norm, tol, cache)
-                accepted += 1
-                if accepted % 32 == 0:
-                    peak = _envelope_peak(env, segs, norm, tol)
-    else:
+    if split not in ("halves", "one-off"):
         raise ValueError(f"unknown split {split!r}")
+    argmins = [axis_argmin_exact(s, L, norm, tol) for s in segs]
+    xmins = [xm for xm, _ in argmins]
+    cache = {}
+
+    def base(i: int) -> LowerEnvelope:
+        return _split_at(i, xmins[i], L, tol)
+
+    def build(lo: int, hi: int) -> LowerEnvelope:
+        if hi - lo == 1:
+            return base(lo)
+        mid = (lo + hi) // 2
+        raw = _merge_raw(build(lo, mid), build(mid, hi), segs, norm, tol, cache)
+        return _compact_pieces(_pieces_of(raw), xmins, tol)
+
+    if split == "halves" or L == 0.0:
+        # a fold needs a window of positive width, so L = 0 merges too
+        env = build(0, n)
+    else:
+        env = base(0)
+        peak = _envelope_peak(env, segs, norm, tol)
+        accepted = 0
+        for i in range(1, n):
+            if argmins[i][1] > peak:
+                continue
+            # the newcomer can only beat values <= peak, so only the
+            # x range of its portion within peak of the axis, padded
+            # by peak, can change ownership
+            ax, ay = segs[i].a.x, segs[i].a.y
+            bx, by = segs[i].b.x, segs[i].b.y
+            if ay == by:
+                u1, u2 = min(ax, bx), max(ax, bx)
+            else:
+                ta = (peak - ay) / (by - ay)
+                tb = (-peak - ay) / (by - ay)
+                t1 = max(0.0, min(ta, tb))
+                t2 = min(1.0, max(ta, tb))
+                if t1 > t2:
+                    continue
+                xa = ax + t1 * (bx - ax)
+                xb = ax + t2 * (bx - ax)
+                u1, u2 = (xa, xb) if xa <= xb else (xb, xa)
+            lo_x = max(u1 - peak, 0.0)
+            hi_x = min(u2 + peak, L)
+            if lo_x > hi_x:
+                continue
+            env = _fold_one(env, base(i), lo_x, hi_x, segs, xmins, norm, tol, cache)
+            accepted += 1
+            if accepted % 32 == 0:
+                peak = _envelope_peak(env, segs, norm, tol)
     assert env.pieces[0].a == 0.0 and env.pieces[-1].b == L
     assert all(env.pieces[k].b == env.pieces[k + 1].a for k in range(len(env.pieces) - 1))
     return env
@@ -677,7 +614,8 @@ def largest_empty_from_envelope(le: LowerEnvelope, segments, norm: NormP,
     for x in sorted(owners):
         val = min(point_segment_distance(Point(x, 0.0), segments[s], norm, tol)
                   for s in owners[x])
-        if val > best:
+        # a NaN from overflowed coordinates is kept, for PlacedCircle to reject
+        if best_x is None or val > best:
             best_x, best = x, val
     return PlacedCircle(best_x, best)
 

@@ -1,10 +1,13 @@
 import io
 import json
 import pathlib
+import sys
+import tempfile
 import xml.etree.ElementTree as ET
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lineplace.cli import main, parse_instance
 from lineplace.errors import SchemaError
@@ -94,6 +97,73 @@ class TestSchemaErrors:
         path.write_text("{nope")
         code, _ = run_cli(["solve", "--in", str(path)])
         assert code == 2
+
+
+class TestUnreadableInput:
+    def _expect_instance_error(self, argv, capsys, field=None):
+        code, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("instance error: ")
+        assert "Traceback" not in err
+        if field is not None:
+            assert f"{field}:" in err
+
+    def test_missing_file(self, tmp_path, capsys):
+        self._expect_instance_error(["solve", "--in", str(tmp_path / "nope.json")], capsys)
+
+    def test_directory(self, tmp_path, capsys):
+        self._expect_instance_error(["solve", "--in", str(tmp_path)], capsys)
+
+    def test_non_utf8_bytes(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_bytes(b'{"problem": "one-center", "p": 2.0\xff\xfe}')
+        self._expect_instance_error(["solve", "--in", str(path)], capsys)
+
+    def test_non_utf8_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe"),
+                                                           encoding="utf-8"))
+        self._expect_instance_error(["solve", "--in", "-"], capsys)
+
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text('{"problem": "obnoxious-center", "p": 2, '
+                        '"constraint": [' + "9" * 400 + ', 0, 1, 0], '
+                        '"segments": [[0, 1, 1, 1]]}')
+        self._expect_instance_error(["solve", "--in", str(path)], capsys,
+                                    field="constraint[0]")
+
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        self._expect_instance_error(["solve", "--in", str(path)], capsys)
+
+
+class TestUnwritableOut:
+    def test_result(self, tmp_path, capsys):
+        bad = tmp_path / "no_such_dir" / "res.json"
+        code, out = run_cli(["solve", "--in", str(GOLDEN / "inst_01.json"),
+                             "--out", str(bad)])
+        err = capsys.readouterr().err
+        assert code == 4 and out == ""
+        assert err.startswith("output error: ")
+
+    def test_error_document(self, tmp_path, capsys):
+        # the solver fails (exit 3), and its error JSON cannot be written
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "problem": "obnoxious-center", "p": 3.0,
+            "constraint": [0, 0, 3, 4],
+            "segments": [[0, 1, 1, 1]]}))
+        bad = tmp_path / "no_such_dir" / "res.json"
+        code, _ = run_cli(["solve", "--in", str(inst), "--out", str(bad)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("output error: ")
+
+    def test_gen(self, tmp_path):
+        bad = tmp_path / "no_such_dir" / "inst.json"
+        code, _ = run_cli(["gen", "--problem", "k-cover", "--out", str(bad)])
+        assert code == 4
 
 
 class TestSolverErrors:
@@ -236,6 +306,21 @@ class TestGen:
         assert code == 0
         assert json.loads(out)["ok"] is True
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--n", "0"), ("--n", "-3"), ("--n", "two"),
+        ("--k", "0"),
+        ("--length", "0"), ("--length", "-1"), ("--length", "inf"), ("--length", "nan"),
+        ("--p", "0.5"), ("--p", "nan"), ("--p", "inf"),
+        ("--q", "0.99"), ("--q", "nan"),
+    ])
+    def test_bad_flag_rejected(self, flag, value, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen", "--problem", "k-cover", flag, value, "--out", str(path)])
+        assert exc.value.code == 2
+        assert f"argument {flag}:" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_gen_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(["gen", "--problem", "obnoxious-center", "--seed", "5", "--out", str(a)])
@@ -251,3 +336,70 @@ class TestOutFile:
         assert code == 0
         assert printed == ""
         assert json.loads(out.read_text())["ok"] is True
+
+
+# -- fuzz guard: every input gets one of the documented exit codes ------
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.integers(-50, 50), st.integers(min_value=10**300, max_value=10**400),
+    st.floats(), st.floats(-100.0, 100.0))
+_json = st.recursive(
+    _scalars,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=8), kids,
+                                                             max_size=4),
+    max_leaves=12)
+_coord = st.one_of(st.integers(-20, 20), st.floats(-100.0, 100.0),
+                   st.floats(allow_nan=False, allow_infinity=False))
+_FIELDS = ("problem", "p", "constraint", "segments", "points", "k", "q", "agg")
+
+
+@st.composite
+def _instances(draw):
+    """A tiny valid instance, sometimes with one field replaced by junk."""
+    problem = draw(st.sampled_from(["one-center", "obnoxious-center", "k-cover"]))
+    doc = {"problem": problem,
+           "p": draw(st.one_of(st.sampled_from([1, 1.0, 2.0, 3.0]), st.floats(1.0, 8.0))),
+           "constraint": draw(st.one_of(
+               st.lists(_coord, min_size=4, max_size=4),
+               st.floats(0.5, 50.0).map(lambda L: [0, 0, L, 0])))}
+    n = draw(st.integers(1, 6))
+    if problem == "k-cover":
+        doc["points"] = draw(st.lists(st.lists(_coord, min_size=2, max_size=2),
+                                      min_size=n, max_size=n))
+        doc["k"] = draw(st.one_of(st.none(), st.integers(1, 7)))
+        doc["q"] = draw(st.floats(1.0, 4.0))
+        doc["agg"] = draw(st.sampled_from(["sum", "max"]))
+    else:
+        doc["segments"] = draw(st.lists(st.lists(_coord, min_size=4, max_size=4),
+                                        min_size=n, max_size=n))
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(_FIELDS))] = draw(_json)
+    return doc
+
+
+_flag_text = st.one_of(st.sampled_from(["0", "-1", "nan", "inf", "1e-300", "1e-9",
+                                        "0.5", "3", "200", "x", ""]),
+                       st.text(max_size=5))
+_flags = st.lists(st.one_of(
+    st.tuples(st.just("--eps"), _flag_text),
+    st.tuples(st.just("--max-iters"), st.one_of(_flag_text, st.integers(-5, 300).map(str))),
+    st.tuples(st.just("--method"), st.sampled_from(["binsearch", "envelope", "grid"])),
+    st.tuples(st.just("--split"), st.sampled_from(["halves", "one-off", "thirds"])),
+    st.tuples(st.just("--lists"), st.sampled_from(["naive", "sweep", "dense"]))),
+    max_size=4)
+
+
+@given(doc=st.one_of(_instances(), _json), flags=_flags)
+@settings(max_examples=200, deadline=None)
+def test_fuzz_solve_exits_with_a_documented_code(doc, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "inst.json"
+        path.write_text(json.dumps(doc))
+        argv = ["solve", "--in", str(path)] + [tok for pair in flags for tok in pair]
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value
+            code = exc.code
+    assert code in (0, 2, 3, 4)

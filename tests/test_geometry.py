@@ -5,7 +5,6 @@ import pytest
 from lineplace import (
     AxisFrame,
     NonIsometricRotation,
-    NoCrossing,
     NormP,
     Point,
     Segment,
@@ -18,6 +17,7 @@ from lineplace import (
 )
 from lineplace._reference import _min_distance_search, distance_argmin_on_axis, \
     equal_distance_point
+from lineplace.errors import NoCrossing
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lineplace import intervals
+from lineplace import intervals, obnoxious
 from lineplace import (
     EmptyInput,
     EnvelopePiece,
@@ -21,6 +21,7 @@ from lineplace import (
     point_segment_distance,
 )
 from lineplace._reference import envelope_value, equal_distance_point
+from lineplace.obnoxious import _AFFINE, _build_profile
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -174,6 +175,82 @@ class TestEnvelopeStructure:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             compute_lower_envelope([], 10.0, N2, TOL)
+
+
+class TestP1Profile:
+    # at p = 1 the profile builder takes the p -> 1 limit of the general
+    # cone | affine | cone decomposition; |V| = U is the boundary case
+    # between the shallow (|V| < U) and steep (|V| > U) limits
+    CASES = {
+        "slope +1 crossing": seg(1, -2, 5, 2),
+        "slope -1 crossing": seg(1, 2, 5, -2),
+        "slope +1 above": seg(1, 1, 4, 4),
+        "slope -1 below": seg(1, -1, 4, -4),
+        "slope -1 touching": seg(-3, 3, 0, 0),
+        "shallow crossing": seg(0, -1, 6, 2),
+        "shallow above": seg(0, 1, 6, 3),
+        "shallow below, leftward": seg(6, -3, 0.5, -1),
+        "steep crossing": seg(2, -5, 3, 4),
+        "steep above": seg(2, 1, 3, 7),
+        "steep below, falling": seg(2, -1, 2.5, -7),
+        "vertical crossing": seg(3, -2, 3, 2),
+        "vertical below": seg(3, -2, 3, -5),
+        "horizontal": seg(-1, 2, 4, 2),
+        "on axis": seg(1, 0, 4, 0),
+        "point": pt(2, 3),
+        "point on axis": pt(2, 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_affine_pieces_match_distance_and_tile(self, name):
+        s = self.CASES[name]
+        pieces = _build_profile(s, 1.0).pieces
+        assert pieces[0][0] == -math.inf and pieces[-1][1] == math.inf
+        for prev, cur in zip(pieces, pieces[1:]):
+            assert prev[1] == cur[0]
+        for lo, hi, kind, A, B in pieces:
+            assert kind == _AFFINE and abs(A) <= 1.0
+            assert lo < hi
+            ends = [x for x in (lo, hi) if math.isfinite(x)]
+            if not ends:
+                probes = [-10.0, 0.0, 10.0]
+            elif len(ends) == 1:
+                probes = ends + [ends[0] + (10.0 if hi == math.inf else -10.0)]
+            else:
+                probes = ends + [0.5 * (lo + hi)]
+            for x in probes:
+                want = point_segment_distance(Point(x, 0.0), s, N1, TOL)
+                assert abs(A * x + B - want) <= 1e-12 * max(1.0, want), (x, A, B)
+
+
+class TestMinimiserTable:
+    @pytest.mark.parametrize("split", ["halves", "one-off"])
+    @pytest.mark.parametrize("norm", [N1, N2, N3])
+    def test_one_argmin_per_segment(self, split, norm, monkeypatch):
+        calls = []
+        real = obnoxious.axis_argmin_exact
+
+        def counting(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(obnoxious, "axis_argmin_exact", counting)
+        segs = random_segments(random.Random(41), 40)
+        compute_lower_envelope(segs, 10.0, norm, TOL, split=split)
+        assert len(calls) == len(segs)
+        assert {id(s) for s in calls} == {id(s) for s in segs}
+
+    @pytest.mark.parametrize("split", ["halves", "one-off"])
+    @pytest.mark.parametrize("norm", [N1, N2, N3])
+    def test_one_point_domain(self, split, norm):
+        # at L = 0 the envelope is one zero-width piece owned by the
+        # nearest segment, not by the lowest index
+        segs = [seg(0, 5, 1, 5), seg(-2, 3, 4, 3), seg(0, 1, 1, 1), pt(0, -1)]
+        env = compute_lower_envelope(segs, 0.0, norm, TOL, split=split)
+        assert [(pc.a, pc.b, pc.seg_index) for pc in env.pieces] == [(0.0, 0.0, 2)]
+        got = largest_empty_from_envelope(env, segs, norm, TOL)
+        assert (got.cx, got.radius) == (0.0, 1.0)
+        assert got == max_empty_binsearch(segs, 0.0, norm, TOL)
 
 
 class TestOwnershipBoundaries:

@@ -4,7 +4,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lineplace import (
     Interval,
-    NoCrossing,
     NormP,
     Point,
     Segment,
@@ -17,7 +16,8 @@ from lineplace import (
     union_covers,
 )
 from lineplace._reference import distance_argmin_on_axis, equal_distance_point
-from lineplace.obnoxious import _build_profile_general, _build_profile_p1
+from lineplace.errors import NoCrossing
+from lineplace.obnoxious import _build_profile
 
 TOL = Tolerance()
 
@@ -92,10 +92,7 @@ def test_covering_interval_membership(s, radius, p):
 def test_profile_matches_distance(s, p, x):
     # the envelope machinery rests on these per-segment profiles
     norm = NormP(p)
-    if p == 1.0:
-        prof = _build_profile_p1(s)
-    else:
-        prof = _build_profile_general(s, p)
+    prof = _build_profile(s, p)
     got = prof.value(x)
     want = point_segment_distance(Point(x, 0.0), s, norm, TOL)
     assert abs(got - want) <= 1e-8 * max(1.0, want)

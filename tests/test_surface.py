@@ -62,3 +62,12 @@ def test_version_matches_pyproject():
     meta = tomllib.loads(PYPROJECT.read_text())["project"]
     assert meta["name"] == "lineplace"
     assert lineplace.__version__ == meta["version"]
+
+
+def test_no_crossing_stays_internal():
+    # only the reference search raises it, so the package does not export it
+    from lineplace import errors
+
+    assert "NoCrossing" not in lineplace.__all__
+    assert not hasattr(lineplace, "NoCrossing")
+    assert issubclass(errors.NoCrossing, errors.SolverError)
