@@ -2,7 +2,8 @@
 
 Each function here reaches a result of the production code by an
 independent method (bisection, golden-section search, candidate
-evaluation), so the tests can compare the two. Not exported, and no
+evaluation, plain loops where the solver works on arrays or range
+minima), so the tests can compare the two. Not exported, and no
 solver module imports it.
 """
 
@@ -11,10 +12,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 
-from .errors import NoCrossing
+from .errors import EmptyInput, NoBisectorRoot, NoCrossing
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _profile_min_unclamped, \
     point_segment_distance, segment_ox_intersection
 from .intervals import Interval
+from .k_cover import PointSet, _cover_slack, _finalize_lists, two_point_circle
 from .obnoxious import LowerEnvelope
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -182,3 +184,73 @@ def envelope_value(le: LowerEnvelope, segments, x: float, norm: NormP, tol: Tole
     if i < 0:
         i = 0
     return point_segment_distance(Point(x, 0.0), segments[le.pieces[i].seg_index], norm, tol)
+
+
+def _covered_p2(px: float, py: float, xc: float, thr: float) -> bool:
+    dx = px - xc
+    return dx * dx + py * py <= thr
+
+
+def build_lists_loop(pts: PointSet, norm: NormP, tol: Tolerance):
+    """Candidate lists by direct enumeration of all point pairs.
+
+    Each pair circle is expanded from its smaller index in both
+    directions while points stay covered; the resulting run and radius
+    join the list of the run's right end. Reference for
+    k_cover.build_lists_naive, one two_point_circle call per pair.
+    """
+    P = pts.pts
+    n = len(P)
+    if n == 0:
+        raise EmptyInput("need at least one point")
+    p = norm.p
+    X = [q.x for q in P]
+    Y = [q.y for q in P]
+    lists = [[] for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            try:
+                xc, R = two_point_circle(pts, i, j, norm, tol)
+            except NoBisectorRoot:
+                continue
+            slack = _cover_slack(R, tol.eps)
+            if p == 2.0:
+                thr = (R + slack) * (R + slack)
+
+                def cov(k: int) -> bool:
+                    return _covered_p2(X[k], Y[k], xc, thr)
+            else:
+                reach = R + slack
+
+                def cov(k: int) -> bool:
+                    return _lp_pair(X[k] - xc, Y[k], p) <= reach
+            left = i
+            while left > 0 and cov(left - 1):
+                left -= 1
+            right = i
+            while right + 1 < n and cov(right + 1):
+                right += 1
+            # expansion is stepwise, so a run that reached the pair's
+            # far point must be covered throughout
+            assert right < j or all(cov(k) for k in range(left, right + 1))
+            lists[right].append((left, R))
+    return _finalize_lists(lists, pts)
+
+
+def relax_scan(row_prev, j: int, lefts, weights, is_sum: bool):
+    """Best (value, break) for a last run ending at point j - 1.
+
+    Scans every candidate of list j - 1 (left ends lefts, weights
+    radius ** q) and every break inside its run; the first strictly
+    smaller value wins. Reference for k_cover._relax.
+    """
+    best, bl = math.inf, None
+    for cand_left, w in zip(lefts, weights):
+        for left in range(cand_left, j):
+            prev = row_prev[left]
+            if prev == math.inf:
+                continue
+            val = prev + w if is_sum else (prev if prev >= w else w)
+            if val < best:
+                best, bl = val, left
+    return best, bl

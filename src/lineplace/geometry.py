@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import NonIsometricRotation
 
 
@@ -78,6 +80,20 @@ def _lp_pair(dx: float, dy: float, p: float) -> float:
     if m == 0.0:
         return 0.0
     return m * ((dx / m) ** p + (dy / m) ** p) ** (1.0 / p)
+
+
+def _np_lp(dx: np.ndarray, dy: np.ndarray, p: float) -> np.ndarray:
+    """_lp_pair over arrays; np.hypot at p = 2, else the same scaled formula."""
+    dx = np.abs(dx)
+    dy = np.abs(dy)
+    if p == 1.0:
+        return dx + dy
+    if p == 2.0:
+        return np.hypot(dx, dy)
+    m = np.maximum(dx, dy)
+    md = np.where(m > 0.0, m, 1.0)
+    s = (dx / md) ** p + (dy / md) ** p
+    return m * s ** (1.0 / p)
 
 
 def lp_distance(a: Point, b: Point, norm: NormP) -> float:

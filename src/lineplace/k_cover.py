@@ -3,8 +3,11 @@
 An optimal solution may be chosen so that each ball covers an index
 run of the x-sorted points, so the problem reduces to a shortest-path
 style DP over candidate runs. Candidates are generated from circles
-through one or two points; a plane sweep builds the same candidate
-lists as the cubic enumeration at lower cost for the Euclidean norm.
+through one or two points: build_lists_naive computes all O(N^2) pair
+circles at once over numpy arrays and grows their runs with work in
+proportion to the run lengths; a plane sweep builds the same lists at
+p = 2. The DP relaxes each of its K·N cells by suffix minima, O(N)
+each, so it does O(K·N^2) work.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyInput, NoBisectorRoot, TooLarge, UnsupportedNorm
-from .geometry import NormP, Point, Segment, Tolerance, _lp_pair
+from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _np_lp
 from .one_center import PlacedCircle, min_enclosing
 
 _INF = math.inf
@@ -87,7 +92,9 @@ def two_point_circle(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance)
     For i == j this is the smallest ball pinned at the point. Equal
     abscissas admit a center only when the |y| match. For p = 1 the
     distance difference plateaus, so a center may not exist either;
-    the nonexistent cases raise NoBisectorRoot.
+    the nonexistent cases raise NoBisectorRoot. The scalar kernel of
+    one pair; build_lists_naive computes all pairs at once by the same
+    steps (_pair_circles).
     """
     P = pts.pts
     if not 0 <= i <= j < len(P):
@@ -156,18 +163,20 @@ def _cover_slack(R: float, eps: float) -> float:
     return eps * max(1.0, R)
 
 
-def _covered_p2(px: float, py: float, xc: float, thr: float) -> bool:
-    dx = px - xc
-    return dx * dx + py * py <= thr
-
-
 def _finalize_lists(lists, pts: PointSet):
-    """Add the pinned single-point candidate, dedup, and sort."""
+    """Add the pinned single-point candidate, dedup, and sort.
+
+    Candidates whose radius is not finite are dropped, as
+    build_lists_naive drops them: coordinates near the float range
+    give pair circles of radius inf or NaN, which the DP never chooses.
+    """
     P = pts.pts
     out = []
     for r, cand in enumerate(lists):
         best = {r: abs(P[r].y)}
         for left, rad in cand:
+            if not math.isfinite(rad):
+                continue
             cur = best.get(left)
             if cur is None or rad < cur:
                 best[left] = rad
@@ -175,49 +184,168 @@ def _finalize_lists(lists, pts: PointSet):
     return tuple(out)
 
 
+def _bisect_pairs(lo, hi, F, target, act, tol: Tolerance) -> None:
+    """The eps/4 bisection of two_point_circle on every pair in act at once.
+
+    Each pair stops under its own condition, as the scalar loop does.
+    """
+    quarter = tol.eps / 4.0
+    for _ in range(tol.max_iters):
+        act = act[hi[act] - lo[act] > quarter]
+        if not len(act):
+            return
+        mid = 0.5 * (lo[act] + hi[act])
+        below = F(mid, act) < target[act]
+        lo[act[below]] = mid[below]
+        hi[act[~below]] = mid[~below]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _pair_circles(X, Y, I, J, p: float, tol: Tolerance):
+    """two_point_circle for every pair (I[k], J[k]), I <= J, at once.
+
+    X, Y are the sorted abscissas and ordinates. Returns (xc, R, ok);
+    ok is False where two_point_circle raises NoBisectorRoot, and
+    where the radius is not finite (a pair circle of coordinates near
+    the float range, which the DP could never choose). At p = 1 and
+    p = 2 every value equals two_point_circle's bit for bit; p = 2 uses
+    its closed-form center and math.hypot. At other p all pairs run
+    the bracket widening and the eps/4 bisection in lockstep, and since
+    numpy's powers may differ from Python's ** in the last bit, the
+    center and radius may too. Those powers run under
+    np.errstate(over="raise", invalid="raise"): where ** raises
+    OverflowError this raises FloatingPointError, and no inf - inf
+    steers a bisection. Other arithmetic overflows to inf, silently, as
+    Python float arithmetic does.
+    """
+    xi, yi, xj, yj = X[I], Y[I], X[J], Y[J]
+    xc = xi.copy()
+    R = np.abs(yi)
+    ok = np.ones(len(I), dtype=bool)
+    # i == j is the pinned ball; equal abscissas need equal |y|
+    tie = (I != J) & (xi == xj)
+    ok[tie] = yi[tie] * yi[tie] == yj[tie] * yj[tie]
+    g = np.flatnonzero(xi != xj)
+    xi, yi, xj, yj = xi[g], yi[g], xj[g], yj[g]
+    if p == 2.0:
+        c = (xj * xj + yj * yj - xi * xi - yi * yi) / (2.0 * (xj - xi))
+        xc[g] = c
+        R[g] = np.fromiter(map(math.hypot, (c - xi).tolist(), yi.tolist()),
+                           dtype=float, count=len(g))
+        return xc, R, ok & np.isfinite(R)
+    lo, hi = xi.copy(), xj.copy()
+    if p == 1.0:
+        # |x - xi| - |x - xj| plateaus at -span and +span
+        target = np.abs(yj) - np.abs(yi)
+        span = xj - xi
+        ok[g[(target > span) | (target < -span)]] = False
+        at_j = target == span
+        xc[g[at_j]] = xj[at_j]
+        R[g[at_j]] = span[at_j] + np.abs(yi[at_j])
+        at_i = target == -span
+        xc[g[at_i]] = xi[at_i]  # R = |yi| already
+        keep = np.flatnonzero((target < span) & (target > -span))
+
+        def F(x, a):
+            return np.abs(x - xi[a]) - np.abs(x - xj[a])
+
+        _bisect_pairs(lo, hi, F, target, keep, tol)
+    else:
+        def F(x, a):
+            return np.abs(x - xi[a]) ** p - np.abs(x - xj[a]) ** p
+
+        keep = np.arange(len(g))
+        with np.errstate(over="raise", invalid="raise"):
+            target = np.abs(yj) ** p - np.abs(yi) ** p
+            # widen lo while F(lo) > target and hi while F(hi) < target,
+            # doubling the step; F is evaluated once more at the cap, as
+            # the scalar loop's `F(lo) > target and it < max_iters` does
+            for x, sign, outside in ((lo, -1.0, np.greater), (hi, 1.0, np.less)):
+                step = np.maximum(1.0, xj - xi)
+                act = keep
+                for it in range(tol.max_iters + 1):
+                    act = act[outside(F(x[act], act), target[act])]
+                    if it == tol.max_iters or not len(act):
+                        break
+                    x[act] += sign * step[act]
+                    step[act] *= 2.0
+            _bisect_pairs(lo, hi, F, target, keep, tol)
+    c = 0.5 * (lo[keep] + hi[keep])
+    xc[g[keep]] = c
+    R[g[keep]] = _np_lp(c - xi[keep], yi[keep], p)
+    return xc, R, ok & np.isfinite(R)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _expand_runs(X, Y, I, J, xc, R, p: float, eps: float):
+    """Grow each pair circle's run from its smaller index both ways.
+
+    All pairs step in lockstep, and each tests only the next point
+    beyond its run, so the work is proportional to the run lengths.
+    """
+    n = len(X)
+    slack = eps * np.maximum(1.0, R)  # _cover_slack
+    if p == 2.0:
+        thr = (R + slack) * (R + slack)
+
+        def cov(k, a):
+            dx = X[k] - xc[a]
+            return dx * dx + Y[k] * Y[k] <= thr[a]
+    else:
+        reach = R + slack
+
+        def cov(k, a):
+            return _np_lp(X[k] - xc[a], Y[k], p) <= reach[a]
+    left = I.copy()
+    right = I.copy()
+    for end, step, stop in ((left, -1, 0), (right, 1, n - 1)):
+        act = np.flatnonzero(end != stop)
+        while len(act):
+            act = act[cov(end[act] + step, act)]
+            end[act] += step
+            act = act[end[act] != stop]
+    # every point of a run was tested on the way out except the pair's
+    # own point i, so a run that reached the far point j needs only that
+    far = np.flatnonzero(right >= J)
+    assert cov(I[far], far).all()
+    return left, right
+
+
 def build_lists_naive(pts: PointSet, norm: NormP, tol: Tolerance):
     """Candidate lists by direct enumeration of all point pairs.
 
     Each pair circle is expanded from its smaller index in both
     directions while points stay covered; the resulting run and radius
-    join the list of the run's right end.
+    join the list of the run's right end, and each (right, left) group
+    keeps its smallest radius. All O(N^2) pair circles are computed at
+    once over numpy arrays (at p != 2 by a lockstep bisection of
+    O(log(span / eps)) steps); the expansion then costs the sum of the
+    run lengths, O(N^3) only when most runs span most points.
     """
     P = pts.pts
     n = len(P)
     if n == 0:
         raise EmptyInput("need at least one point")
     p = norm.p
-    X = [q.x for q in P]
-    Y = [q.y for q in P]
-    lists = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            try:
-                xc, R = two_point_circle(pts, i, j, norm, tol)
-            except NoBisectorRoot:
-                continue
-            slack = _cover_slack(R, tol.eps)
-            if p == 2.0:
-                thr = (R + slack) * (R + slack)
-
-                def cov(k: int) -> bool:
-                    return _covered_p2(X[k], Y[k], xc, thr)
-            else:
-                reach = R + slack
-
-                def cov(k: int) -> bool:
-                    return _lp_pair(X[k] - xc, Y[k], p) <= reach
-            left = i
-            while left > 0 and cov(left - 1):
-                left -= 1
-            right = i
-            while right + 1 < n and cov(right + 1):
-                right += 1
-            # expansion is stepwise, so a run that reached the pair's
-            # far point must be covered throughout
-            assert right < j or all(cov(k) for k in range(left, right + 1))
-            lists[right].append((left, R))
-    return _finalize_lists(lists, pts)
+    X = np.array([q.x for q in P], dtype=float)
+    Y = np.array([q.y for q in P], dtype=float)
+    I, J = np.triu_indices(n)
+    xc, R, ok = _pair_circles(X, Y, I, J, p, tol)
+    I, J, xc, R = I[ok], J[ok], xc[ok], R[ok]
+    left, right = _expand_runs(X, Y, I, J, xc, R, p, tol.eps)
+    # the pinned single-point candidates, then the smallest radius of
+    # each (right, left) group
+    key = np.concatenate((right * n + left, np.arange(n) * (n + 1)))
+    rad = np.concatenate((R, np.abs(Y)))
+    order = np.argsort(key)
+    key, rad = key[order], rad[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    rights, lefts = np.divmod(key[first], n)
+    radii = np.minimum.reduceat(rad, first).tolist()
+    lefts = lefts.tolist()
+    bounds = np.searchsorted(rights, np.arange(n + 1)).tolist()
+    return tuple(tuple(map(Candidate, lefts[a:b], radii[a:b]))
+                 for a, b in zip(bounds, bounds[1:]))
 
 
 def _sweep_pass(X, Y, eps: float, mirrored: bool, n: int, sugg) -> None:
@@ -410,6 +538,42 @@ def _rmin_points(points, norm: NormP, tol: Tolerance):
     return c.cx + lo, c.radius
 
 
+@np.errstate(over="ignore")  # m + w overflows to inf, as Python floats do
+def _relax(row_prev, j: int, lefts, weights, is_sum: bool):
+    """Best (value, break) for a last run that ends at point j - 1.
+
+    lefts are the left ends of list j - 1's candidates, ascending, and
+    weights their radius ** q, both numpy arrays; row_prev is the
+    previous DP row. The nested scan over every candidate and break
+    keeps the first (candidate, break) in scan order with the smallest
+    value. Rounding is monotone, so over its breaks a candidate's
+    smallest value is its value at the range minimum m of
+    row_prev[left:j], m + w or max(m, w): one backward pass of suffix
+    minima prices every candidate, and argmin picks the first of the
+    cheapest. The winner's break is then the first whose value equals
+    the best, which is the one the scan keeps even where prev + w
+    rounds two different prev to the same sum. (None as the break
+    when every value is inf.)
+    """
+    suffix_min = np.minimum.accumulate(row_prev[lefts[0]:j][::-1])
+    m = suffix_min[j - 1 - lefts]
+    vals = m + weights if is_sum else np.maximum(m, weights)
+    c = int(np.argmin(vals))
+    best = float(vals[c])
+    if best == _INF:
+        return _INF, None
+    run = row_prev[lefts[c]:j]
+    w = weights[c]
+    hit = (run + w if is_sum else np.maximum(run, w)) == best
+    return best, int(lefts[c]) + int(np.argmax(hit))
+
+
+def _no_finite_cover() -> OverflowError:
+    # the smallest circle around any run is a candidate, so every K
+    # has a finite optimum unless radii or their sum overflow
+    return OverflowError("no cover by the allowed runs has a finite objective")
+
+
 def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
              lists: str = "naive") -> CoverSolution:
     """Optimal cover of the points by at most K runs (K=None: unlimited).
@@ -426,6 +590,10 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
 
     Centers range over the whole axis, the line through the constraint;
     no stretch [0, L] bounds them, and none is taken.
+
+    Cost: the lists (see build_lists_naive and build_lists_sweep), then
+    K·N relaxations of O(N) each (N for K = None; see _relax), so
+    O(K·N^2), then one rmin_on_axis per chosen run.
     """
     n = len(pts)
     if n == 0:
@@ -443,26 +611,17 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     q = agg.q
     is_sum = agg.kind == "sum"
 
-    def relax(row_prev, j):
-        best, bl = _INF, None
-        for cand in cls[j - 1]:
-            w = cand.radius ** q
-            for left in range(cand.left, j):
-                prev = row_prev[left]
-                if prev == _INF:
-                    continue
-                val = prev + w if is_sum else (prev if prev >= w else w)
-                if val < best:
-                    best, bl = val, left
-        return best, bl
+    cand_lefts = [np.array([cand.left for cand in cl]) for cl in cls]
+    cand_weights = [np.array([cand.radius ** q for cand in cl]) for cl in cls]
 
     if K is None:
-        opt = [_INF] * (n + 1)
+        opt = np.full(n + 1, _INF)
         par = [None] * (n + 1)
         opt[0] = 0.0
         for j in range(1, n + 1):
-            opt[j], par[j] = relax(opt, j)
-        assert opt[n] < _INF
+            opt[j], par[j] = _relax(opt, j, cand_lefts[j - 1], cand_weights[j - 1], is_sum)
+        if opt[n] == _INF:
+            raise _no_finite_cover()
         runs = []
         j = n
         while j > 0:
@@ -470,14 +629,15 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
             runs.append((left, j - 1))
             j = left
     else:
-        opt = [[_INF] * (n + 1) for _ in range(K + 1)]
+        opt = np.full((K + 1, n + 1), _INF)
         par = [[None] * (n + 1) for _ in range(K + 1)]
-        for k in range(K + 1):
-            opt[k][0] = 0.0
+        opt[:, 0] = 0.0
         for k in range(1, K + 1):
             for j in range(1, n + 1):
-                opt[k][j], par[k][j] = relax(opt[k - 1], j)
-        assert opt[K][n] < _INF
+                opt[k][j], par[k][j] = _relax(opt[k - 1], j, cand_lefts[j - 1],
+                                                cand_weights[j - 1], is_sum)
+        if opt[K][n] == _INF:
+            raise _no_finite_cover()
         runs = []
         k, j = K, n
         while j > 0:

@@ -3,6 +3,7 @@ import json
 import pathlib
 import sys
 import tempfile
+import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -226,6 +227,65 @@ class TestRobustness:
         assert verify["kind"] == "binsearch"
         assert verify["ok"] is True
         assert verify["delta"] <= 2 * 1e-9
+
+    def test_pair_circle_overflow_is_a_solver_failure(self, tmp_path):
+        # |x - xi|^p overflows while a pair circle's bracket widens; the
+        # powers raise instead of warning and comparing inf - inf
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "problem": "k-cover", "p": 5.998, "constraint": [0, 0, 2.96, 0],
+            "points": [[-10, 0], [-16, 0], [1.2e-246, -16], [-16, -3.73e16], [-6, -94.8]],
+            "k": 1, "agg": "sum", "q": 1}))
+        err = io.StringIO()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with redirect_stderr(err):
+                code, out = run_cli(["solve", "--in", str(path)])
+        assert code == 3
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        assert doc["error"]["name"] == "FloatingPointError"
+        assert "overflow" in doc["error"]["detail"]
+        assert err.getvalue() == ""
+
+    def test_non_finite_pair_circle(self, tmp_path):
+        # the pair circle of these points has a NaN center: with two
+        # runs both builders solve, with one no cover is finite
+        path = tmp_path / "inst.json"
+        inst = {"problem": "k-cover", "p": 2.0, "constraint": [0, 0, 1, 0],
+                "points": [[1e200, 1], [2e200, 1]], "k": 2, "agg": "sum", "q": 1}
+        path.write_text(json.dumps(inst))
+        for lists in ("naive", "sweep"):
+            code, out = run_cli(["solve", "--in", str(path), "--lists", lists, "--verify"])
+            assert code == 0
+            result = json.loads(out)["result"]
+            assert result["objective"] == 2.0
+            assert result["verify"]["ok"] is True
+        path.write_text(json.dumps(dict(inst, k=1)))
+        code, out = run_cli(["solve", "--in", str(path)])
+        assert code == 3
+        assert json.loads(out)["error"]["name"] == "OverflowError"
+
+    def test_verify_beyond_grid_limit(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "problem": "one-center", "p": 2.0, "constraint": [0, 0, 1e300, 0],
+            "segments": [[1, 1, 2, 3], [5, -1, 6, 2]]}))
+        code, out = run_cli(["solve", "--in", str(path), "--verify"])
+        assert code == 0
+        verify = json.loads(out)["result"]["verify"]
+        assert verify["ok"] is None
+        assert verify["kind"] == "grid"
+        assert "exceeds the limit" in verify["reason"]
+
+    def test_verify_on_a_small_instance_unchanged(self):
+        # golden case 2 is a one-center instance solved with --verify
+        case = json.loads((GOLDEN / "manifest.json").read_text())["cases"][1]
+        assert case["flags"] == ["--verify"]
+        code, out = run_cli(["solve", "--in", str(GOLDEN / case["instance"]), "--verify"])
+        assert code == 0
+        want = json.loads((GOLDEN / case["expected"]).read_text())["result"]["verify"]
+        assert json.loads(out)["result"]["verify"] == want
 
     @pytest.mark.parametrize("n,k", [(12, None), (6, 5)])
     def test_verify_beyond_oracle_limits(self, tmp_path, n, k):

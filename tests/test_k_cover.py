@@ -3,6 +3,7 @@ import math
 import pathlib
 import random
 
+import numpy as np
 import pytest
 
 from lineplace import (
@@ -24,6 +25,8 @@ from lineplace import (
     set_partition_oracle,
     two_point_circle,
 )
+from lineplace import k_cover
+from lineplace._reference import build_lists_loop, relax_scan
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -36,6 +39,62 @@ def pset(*pairs):
 
 def lists_as_tuples(lists):
     return [tuple((c.left, c.radius) for c in cl) for cl in lists]
+
+
+def lists_as_runs(lists):
+    return [tuple(c.left for c in cl) for cl in lists]
+
+
+def random_pset(rng, n, regime):
+    """Points near the line, spread over the plane, or on a small
+    integer grid (equal abscissas, equal |y|, duplicates)."""
+    if regime == "nearline":
+        return pset(*((rng.uniform(0, 100), rng.uniform(-2, 2)) for _ in range(n)))
+    if regime == "spread":
+        return pset(*((rng.uniform(-100, 100), rng.uniform(-100, 100)) for _ in range(n)))
+    return pset(*((float(rng.randint(0, 5)), float(rng.randint(-3, 3))) for _ in range(n)))
+
+
+U = 2.0 ** -52
+
+
+def pair_tolerance(ps, i, j, xc, R, p, eps):
+    """Bound on |batch radius - scalar radius| for one pair at p != 1, 2.
+
+    Derived before comparing, from float64 and the pair's conditioning.
+    Both routes evaluate F(x) = |x - xi|^p - |x - xj|^p and the target
+    |yj|^p - |yi|^p with a few ulp of error each (numpy's SIMD powers
+    and Python's ** may differ in the last bit), so within
+    dF = 8u (|x - xi|^p + |x - xj|^p + |yi|^p + |yj|^p), u = 2^-52.
+    F increases with slope s = F'(xc), so every bracket end a route
+    keeps lies within dF / s of the root, and its midpoint within
+    dF / s + eps/8 once the bracket is eps/4 wide: centers differ by
+    at most 2 dF / s + eps/4. The radius is 1-Lipschitz in the center
+    and each route rounds it by a few ulp, so the radii differ by at
+    most 2 dF / s + eps/4 + 8u R. Between the points s = p (da^(p-1) +
+    db^(p-1)), with da, db the distances to them; outside, the mean
+    value theorem gives s >= p (p - 1) min(da^(p-2), db^(p-2)) |xj - xi|
+    (the difference of the two powers cancels in float64, so s is not
+    computed from it). Far from both points, at distance D ~ R, that
+    is s ~ p (p - 1) R^(p-2) |xj - xi| against dF ~ u R^p, so the
+    relative bound grows like u R / |xj - xi|.
+    """
+    a, b = ps.pts[i], ps.pts[j]
+    da, db = abs(xc - a.x), abs(xc - b.x)
+    dF = 8 * U * (da ** p + db ** p + abs(a.y) ** p + abs(b.y) ** p)
+    if a.x <= xc <= b.x:
+        s = p * (da ** (p - 1) + db ** (p - 1))
+    else:
+        s = p * (p - 1) * min(da ** (p - 2), db ** (p - 2)) * (b.x - a.x)
+    return 2 * dF / s + eps / 4 + 8 * U * R
+
+
+def batch_pair_circles(ps, norm, tol):
+    X = np.array([q.x for q in ps.pts])
+    Y = np.array([q.y for q in ps.pts])
+    I, J = np.triu_indices(len(ps))
+    xc, R, ok = k_cover._pair_circles(X, Y, I, J, norm.p, tol)
+    return zip(I.tolist(), J.tolist(), xc.tolist(), R.tolist(), ok.tolist())
 
 
 class TestPointSet:
@@ -125,6 +184,110 @@ class TestCandidateLists:
         a = lists_as_tuples(build_lists_naive(ps, N2, TOL))
         b = lists_as_tuples(build_lists_sweep(ps, N2, TOL))
         assert a == b
+
+
+class TestPairCirclesBatch:
+    """k_cover._pair_circles against two_point_circle, pair by pair."""
+
+    SPECIAL = {
+        # i == j, equal abscissas with equal and with different |y|
+        "ties": ((4, -2), (4, 2), (4, 3), (4, 3), (6, 1)),
+        # p = 1: target = +span, beyond +span, beyond -span, = -span
+        "plateau": ((0, 1), (2, 3), (3, 6), (4, 1), (6, 4), (7, 3)),
+        # abscissas 1e-3 apart: centers far away, F cancels
+        "near-equal": ((0.0, 1.0), (1e-3, 2.0), (2e-3, 1.5), (50, 0.5), (50.001, -1.7)),
+    }
+
+    def _compare(self, ps, norm):
+        seen_fail = 0
+        for i, j, xc, R, ok in batch_pair_circles(ps, norm, TOL):
+            try:
+                want = two_point_circle(ps, i, j, norm, TOL)
+            except NoBisectorRoot:
+                assert not ok, (i, j)
+                seen_fail += 1
+                continue
+            assert ok, (i, j)
+            if norm.p in (1.0, 2.0) or ps.pts[i].x == ps.pts[j].x:
+                assert (xc, R) == want, (i, j)
+            else:
+                assert abs(R - want[1]) <= pair_tolerance(ps, i, j, *want, norm.p, TOL.eps), (i, j)
+        return seen_fail
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("case", sorted(SPECIAL))
+    def test_special_cases(self, case, p):
+        ps = pset(*self.SPECIAL[case])
+        fails = self._compare(ps, NormP(p))
+        if case == "ties":
+            assert fails >= 1  # (4, 2) with (4, 3)
+        if case == "plateau" and p == 1.0:
+            assert fails >= 1
+
+    def test_plateau_cases_occur(self):
+        # the "plateau" points hold each p = 1 case the batch must mask
+        ps = pset(*self.SPECIAL["plateau"])
+        assert two_point_circle(ps, 0, 1, N1, TOL) == (2.0, 3.0)  # target = +span
+        assert two_point_circle(ps, 4, 5, N1, TOL) == (6.0, 4.0)  # target = -span
+        for i, j in ((1, 2), (2, 3)):  # beyond +span, beyond -span
+            with pytest.raises(NoBisectorRoot):
+                two_point_circle(ps, i, j, N1, TOL)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("regime", ["nearline", "spread", "grid"])
+    def test_random(self, regime, p):
+        rng = random.Random(f"{regime}{p}")
+        for _ in range(4):
+            self._compare(random_pset(rng, rng.randint(1, 25), regime), NormP(p))
+
+    def test_huge_coordinates_give_no_inf(self):
+        # pair circles of coordinates near the float range overflow to
+        # inf or NaN at p = 2, as in Python floats; none reaches a list
+        ps = pset((-2.019955896797132e+200, 0.0), (-9.864074220590215e+151, 0.0),
+                  (1.7602215165300773e+241, 1.0), (1.2662318830438603e+282, 0.0))
+        assert two_point_circle(ps, 1, 3, N2, TOL)[1] == math.inf
+        assert math.isnan(two_point_circle(ps, 0, 3, N2, TOL)[1])
+        want = lists_as_tuples(build_lists_loop(ps, N2, TOL))
+        assert lists_as_tuples(build_lists_naive(ps, N2, TOL)) == want
+        assert lists_as_tuples(build_lists_sweep(ps, N2, TOL)) == want
+        for norm in (N1, N2):
+            for cl in build_lists_naive(ps, norm, TOL):
+                assert all(math.isfinite(c.radius) for c in cl)
+
+    def test_overflowing_power_raises(self):
+        # where Python's ** raises OverflowError, the batch raises too
+        ps = pset((-16, -3.73e16), (-16, 0), (-10, 0), (-6, -94.8), (1.2e-246, -16))
+        with pytest.raises(OverflowError):
+            build_lists_loop(ps, NormP(5.998), TOL)
+        with pytest.raises(FloatingPointError):
+            build_lists_naive(ps, NormP(5.998), TOL)
+
+
+class TestListsAgainstLoop:
+    """build_lists_naive against the per-pair loop of lineplace._reference."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("regime", ["nearline", "spread", "grid"])
+    def test_identical_lists(self, regime, p):
+        rng = random.Random(f"lists{regime}{p}")
+        for n in (1, 2, 7, 30):
+            ps = random_pset(rng, n, regime)
+            assert (lists_as_tuples(build_lists_naive(ps, NormP(p), TOL))
+                    == lists_as_tuples(build_lists_loop(ps, NormP(p), TOL)))
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("regime", ["nearline", "spread", "grid"])
+    def test_identical_runs(self, regime, p):
+        rng = random.Random(f"runs{regime}{p}")
+        for n in (1, 2, 7, 30):
+            ps = random_pset(rng, n, regime)
+            assert (lists_as_runs(build_lists_naive(ps, NormP(p), TOL))
+                    == lists_as_runs(build_lists_loop(ps, NormP(p), TOL)))
+
+    def test_near_equal_abscissas(self):
+        ps = pset((0.447712, 96.415328), (0.447713, 54.104628), (3, 1))
+        assert (lists_as_tuples(build_lists_naive(ps, N2, TOL))
+                == lists_as_tuples(build_lists_loop(ps, N2, TOL)))
 
 
 class TestRminOnAxis:
@@ -220,6 +383,93 @@ class TestDpSolve:
             a = dp_solve(ps, 2, N3, TOL, agg)
             o = set_partition_oracle(ps, 2, N3, TOL, agg)
             assert abs(a.objective - o.objective) <= 1e-6
+
+
+class TestRelax:
+    """k_cover._relax against the nested scan of lineplace._reference."""
+
+    def _both(self, row, j, cands, q, is_sum):
+        lefts = [left for left, _ in cands]
+        weights = [radius ** q for _, radius in cands]
+        return (k_cover._relax(np.array(row), j, np.array(lefts), np.array(weights), is_sum),
+                relax_scan(row, j, lefts, weights, is_sum))
+
+    @pytest.mark.parametrize("kind", ["sum", "max"])
+    def test_random_rows(self, kind):
+        rng = random.Random(kind)
+        for _ in range(400):
+            j = rng.randint(1, 12)
+            row = [rng.choice([math.inf, float(rng.randint(0, 4)), rng.uniform(0, 4)])
+                   for _ in range(j)]
+            lefts = sorted(rng.sample(range(j), rng.randint(1, j)))
+            cands = [(left, rng.choice([0.0, 1.0, rng.uniform(0, 3)])) for left in lefts]
+            q = rng.choice([1.0, 2.0])
+            got, want = self._both(row, j, cands, q, kind == "sum")
+            assert got == want
+
+    def test_all_inf(self):
+        for is_sum in (True, False):
+            got, want = self._both([math.inf] * 3, 3, [(0, 1.0), (2, 0.5)], 1.0, is_sum)
+            assert got == want == (math.inf, None)
+
+    def test_rounding_tie_keeps_the_first_break(self):
+        # prev one ulp apart, the smaller one later: with w = 1e6 both
+        # sums round to 1000001.0, and the scan keeps the first break,
+        # not the range minimum's
+        row = [math.nextafter(1.0, 2.0), 1.0]
+        got, want = self._both(row, 2, [(0, 1e6)], 1.0, True)
+        assert got == want == (1000001.0, 0)
+
+    def test_overflow_is_inf(self):
+        # prev + w beyond the float range is inf, as in Python floats
+        got, want = self._both([1e308, 1.0], 2, [(0, 1e308)], 1.0, True)
+        assert got == want == (1e308, 1)
+
+
+class TestDpAgainstScan:
+    """dp_solve against a DP built from the loops of lineplace._reference."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("K", [1, 3, None])
+    def test_loops_give_the_same_solution(self, monkeypatch, K, p):
+        rng = random.Random(f"dp{K}{p}")
+        cases = [(random_pset(rng, n, regime), AggSpec(q, kind))
+                 for n, regime, q, kind in ((9, "nearline", 1.0, "sum"), (14, "spread", 2.0, "max"),
+                                            (12, "grid", 1.0, "max"), (25, "nearline", 2.0, "sum"))]
+        got = [dp_solve(ps, K, NormP(p), TOL, agg) for ps, agg in cases]
+        monkeypatch.setattr(k_cover, "build_lists_naive", build_lists_loop)
+        monkeypatch.setattr(k_cover, "_relax", relax_scan)
+        for (ps, agg), sol in zip(cases, got):
+            assert dp_solve(ps, K, NormP(p), TOL, agg) == sol
+
+    @pytest.mark.parametrize("lists", ["naive", "sweep"])
+    def test_non_finite_pair_circle(self, monkeypatch, lists):
+        # the pair circle of points near the float range has a NaN
+        # center; the loops skip it, and so must the DP
+        ps = pset((1e200, 1), (2e200, 1))
+        agg = AggSpec(1.0, "sum")
+        got = [dp_solve(ps, K, N2, TOL, agg, lists) for K in (2, None)]
+        assert got[0] == got[1]
+        assert got[0].intervals == ((0, 0), (1, 1))
+        with pytest.raises(OverflowError):
+            dp_solve(ps, 1, N2, TOL, agg, lists)
+        monkeypatch.setattr(k_cover, "build_lists_naive", build_lists_loop)
+        monkeypatch.setattr(k_cover, "_relax", relax_scan)
+        assert [dp_solve(ps, K, N2, TOL, agg) for K in (2, None)] == got
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("K", [1, 3, None])
+    def test_scan_relax_gives_the_same_solution(self, monkeypatch, K, p):
+        # lists at p != 1, 2 may differ from the loop's in the last
+        # bits of their radii, so only the relaxation is swapped here
+        rng = random.Random(f"dpq{K}{p}")
+        for n, regime in ((9, "nearline"), (14, "spread"), (12, "grid")):
+            ps = random_pset(rng, n, regime)
+            for agg in (AggSpec(1.0, "sum"), AggSpec(2.0, "max")):
+                with monkeypatch.context() as m:
+                    want = dp_solve(ps, K, NormP(p), TOL, agg)
+                    m.setattr(k_cover, "_relax", relax_scan)
+                    assert dp_solve(ps, K, NormP(p), TOL, agg) == want
 
 
 class TestEnumeratePartitions:

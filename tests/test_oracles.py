@@ -12,6 +12,7 @@ from lineplace import (
     Point,
     Segment,
     Tolerance,
+    TooLarge,
     grid_obnoxious_center,
     grid_one_center,
     point_segment_distance,
@@ -50,6 +51,36 @@ class TestGridSpec:
     def test_degenerate_domain(self):
         xs = GridSpec(0.5, Interval(2.0, 2.0)).abscissas()
         assert list(xs) == [2.0]
+
+
+    @pytest.mark.parametrize("step,lo,hi", [(0.3, 0.0, 1.0), (0.25, 0.0, 1.0), (0.5, 2.0, 2.0),
+                                            (1e-3, -1.5, 20.0), (0.1, 0.0, 0.7)])
+    def test_chunks_are_the_abscissas(self, step, lo, hi):
+        # the values of lo + step * arange(n), cut at hi, plus hi; the
+        # step 1e-3 case has 21501 values, over six chunks
+        from lineplace.oracles import _CHUNK
+
+        grid = GridSpec(step, Interval(lo, hi))
+        n = int(math.floor((hi - lo) / step + 1e-9)) + 1
+        want = lo + step * np.arange(n, dtype=float)
+        want = want[want <= hi]
+        if len(want) == 0 or want[-1] < hi:
+            want = np.append(want, hi)
+        chunks = list(grid.chunks())
+        assert all(0 < len(c) <= _CHUNK for c in chunks)
+        assert len(chunks) >= -(-len(want) // _CHUNK)
+        got = np.concatenate(chunks)
+        assert got.tobytes() == want.tobytes()
+        assert grid.abscissas().tobytes() == want.tobytes()
+
+    def test_scan_refuses_a_grid_beyond_the_limit(self):
+        from lineplace.oracles import MAX_GRID_STEPS
+
+        grid = GridSpec(1.0, Interval(0.0, 2.0 * MAX_GRID_STEPS))
+        with pytest.raises(TooLarge):
+            grid_one_center([pt(1.0, 1.0)], grid, N2)
+        with pytest.raises(TooLarge):
+            grid_obnoxious_center([pt(1.0, 1.0)], GridSpec(1e-3, Interval(0.0, 1e300)), N2)
 
 
 class TestSegmentDistances:

@@ -14,9 +14,11 @@ PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
 REFERENCE_ROUTES = {
     "_covering_bisect",
     "_min_distance_search",
+    "build_lists_loop",
     "distance_argmin_on_axis",
     "equal_distance_point",
     "envelope_value",
+    "relax_scan",
 }
 
 
