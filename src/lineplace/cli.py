@@ -16,9 +16,13 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
+
+import numpy as np
 
 from .errors import SchemaError, SolverError, TooLarge
-from .geometry import AxisFrame, NormP, Point, Segment, Tolerance, transform_to_axis
+from .geometry import NormP, Point, Segment, Tolerance, segments_from_columns, \
+    transform_to_axis
 from .intervals import Interval
 from .k_cover import AggSpec, PointSet, dp_solve, set_partition_oracle
 from .obnoxious import compute_lower_envelope, largest_empty_from_envelope, \
@@ -33,13 +37,18 @@ _GRID_TOL = 2e-3
 
 @dataclass(frozen=True)
 class InstanceFile:
-    """Parsed, validated instance."""
+    """Parsed, validated instance.
+
+    segments is an (N, 4) array of rows [x1, y1, x2, y2] and points an
+    (N, 2) array of rows [x, y]; the table the problem does not use has
+    no rows.
+    """
 
     problem: str
     norm: NormP
     constraint: Segment
-    segments: tuple
-    points: tuple
+    segments: np.ndarray
+    points: np.ndarray
     k: object
     agg: AggSpec
 
@@ -71,13 +80,43 @@ def _num(obj, field: str) -> float:
     return val
 
 
-def _xy(obj, field: str) -> Point:
-    _want(isinstance(obj, (list, tuple)) and len(obj) == 2,
-          field, "must be a pair [x, y]")
-    return Point(_num(obj[0], field + "[0]"), _num(obj[1], field + "[1]"))
+_ROW_SHAPES = {4: "must be [x1, y1, x2, y2]", 2: "must be a pair [x, y]"}
+
+
+def _table(raw, name: str, width: int) -> np.ndarray:
+    """A nonempty list of rows of `width` numbers as an (N, width) array.
+
+    One pass checks every row's type and length and every cell's type,
+    then casts the table and checks it is finite. Only a table that
+    fails those checks, or holds number types other than int and float,
+    goes through the per-cell validator, which names the first bad
+    field (numpy would cast bools and numeric strings silently).
+    """
+    _want(isinstance(raw, list) and len(raw) > 0, name, "must be a nonempty list")
+    if (set(map(type, raw)) <= {list, tuple} and set(map(len, raw)) == {width}
+            and set(map(type, chain.from_iterable(raw))) <= {int, float}):
+        try:
+            table = np.array(raw, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if np.isfinite(table).all():
+                return table
+    rows = []
+    for idx, item in enumerate(raw):
+        field = f"{name}[{idx}]"
+        _want(isinstance(item, (list, tuple)) and len(item) == width,
+              field, _ROW_SHAPES[width])
+        rows.append([_num(v, f"{field}[{j}]") for j, v in enumerate(item)])
+    return np.array(rows, dtype=np.float64)
 
 
 def parse_instance(doc) -> InstanceFile:
+    """Validate an instance document; a SchemaError names the bad field.
+
+    The segments or points table is checked in one pass into a float64
+    array of rows [x1, y1, x2, y2] or [x, y] (_table).
+    """
     _want(isinstance(doc, dict), "instance", "must be a JSON object")
     problem = doc.get("problem")
     _want(problem in _PROBLEMS, "problem", f"must be one of {list(_PROBLEMS)}")
@@ -93,29 +132,14 @@ def parse_instance(doc) -> InstanceFile:
     _want(ca != cb, "constraint", "endpoints must differ")
     constraint = Segment(ca, cb)
 
-    segments = ()
-    points = ()
+    segments = np.empty((0, 4))
+    points = np.empty((0, 2))
     k = None
     agg = AggSpec()
     if problem in ("one-center", "obnoxious-center"):
-        raw = doc.get("segments")
-        _want(isinstance(raw, list) and len(raw) > 0,
-              "segments", "must be a nonempty list")
-        out = []
-        for idx, item in enumerate(raw):
-            _want(isinstance(item, (list, tuple)) and len(item) == 4,
-                  f"segments[{idx}]", "must be [x1, y1, x2, y2]")
-            out.append(Segment(
-                Point(_num(item[0], f"segments[{idx}][0]"),
-                      _num(item[1], f"segments[{idx}][1]")),
-                Point(_num(item[2], f"segments[{idx}][2]"),
-                      _num(item[3], f"segments[{idx}][3]"))))
-        segments = tuple(out)
+        segments = _table(doc.get("segments"), "segments", 4)
     else:
-        raw = doc.get("points")
-        _want(isinstance(raw, list) and len(raw) > 0,
-              "points", "must be a nonempty list")
-        points = tuple(_xy(item, f"points[{idx}]") for idx, item in enumerate(raw))
+        points = _table(doc.get("points"), "points", 2)
         kraw = doc.get("k")
         if kraw is not None:
             _want(isinstance(kraw, int) and not isinstance(kraw, bool) and kraw >= 1,
@@ -130,10 +154,16 @@ def parse_instance(doc) -> InstanceFile:
 
 
 def _axis_instance(inst: InstanceFile):
+    """The axis frame, and the instance's table moved into it.
+
+    Returns (frame, segments, points): segments as an (N, 4) array for
+    the two center problems, points as a tuple of Point for k-cover.
+    """
     frame = transform_to_axis(inst.constraint, inst.norm)
     if inst.problem == "k-cover":
-        return frame, None, tuple(frame.forward_point(q) for q in inst.points)
-    return frame, tuple(frame.forward_segment(s) for s in inst.segments), None
+        return frame, None, tuple(Point(x, y)
+                                  for x, y in frame.forward_columns(inst.points).tolist())
+    return frame, frame.forward_columns(inst.segments), None
 
 
 def _verify_k_cover(ps: PointSet, inst: InstanceFile, tol: Tolerance, lists: str,
@@ -159,12 +189,19 @@ def _verify_k_cover(ps: PointSet, inst: InstanceFile, tol: Tolerance, lists: str
             "tolerance": 1e-6, "ok": delta <= 1e-6}
 
 
+def _envelope_center(segs, L: float, norm: NormP, tol: Tolerance, split: str):
+    """The envelope route, which works on Segment objects."""
+    objs = segments_from_columns(segs)
+    env = compute_lower_envelope(objs, L, norm, tol, split=split)
+    return largest_empty_from_envelope(env, objs, norm, tol)
+
+
 def _solve_payload(inst: InstanceFile, args) -> dict:
     tol = Tolerance(eps=args.eps, max_iters=args.max_iters)
     frame, segs, pts = _axis_instance(inst)
     t0 = time.perf_counter()
     if inst.problem == "one-center":
-        c = min_enclosing(list(segs), frame.L, inst.norm, tol)
+        c = min_enclosing(segs, frame.L, inst.norm, tol)
         center = frame.inverse_point(Point(c.cx, 0.0))
         payload = {
             "problem": inst.problem,
@@ -178,7 +215,7 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
         if args.verify:
             grid = GridSpec(_GRID_STEP, Interval(0.0, frame.L))
             try:
-                gc = grid_one_center(list(segs), grid, inst.norm)
+                gc = grid_one_center(segments_from_columns(segs), grid, inst.norm)
             except TooLarge as exc:
                 # the solve stands; only its cross-check is out of reach
                 payload["verify"] = {"kind": "grid", "ok": None, "reason": str(exc)}
@@ -189,11 +226,9 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
                                      "ok": delta <= _GRID_TOL}
     elif inst.problem == "obnoxious-center":
         if args.method == "binsearch":
-            best = max_empty_binsearch(list(segs), frame.L, inst.norm, tol)
+            best = max_empty_binsearch(segs, frame.L, inst.norm, tol)
         else:
-            env = compute_lower_envelope(list(segs), frame.L, inst.norm, tol,
-                                         split=args.split)
-            best = largest_empty_from_envelope(env, list(segs), inst.norm, tol)
+            best = _envelope_center(segs, frame.L, inst.norm, tol, args.split)
         cx, radius = best.cx, best.radius
         center = frame.inverse_point(Point(cx, 0.0))
         payload = {
@@ -208,12 +243,10 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
         }
         if args.verify:
             if args.method == "binsearch":
-                env = compute_lower_envelope(list(segs), frame.L, inst.norm, tol,
-                                             split=args.split)
-                oc = largest_empty_from_envelope(env, list(segs), inst.norm, tol)
+                oc = _envelope_center(segs, frame.L, inst.norm, tol, args.split)
                 other = "envelope"
             else:
-                oc = max_empty_binsearch(list(segs), frame.L, inst.norm, tol)
+                oc = max_empty_binsearch(segs, frame.L, inst.norm, tol)
                 other = "binsearch"
             tol_cmp = 2.0 * tol.eps
             delta = abs(oc.radius - radius)
@@ -266,14 +299,16 @@ def _ball_svg(cx: float, cy: float, r: float, p: float, color: str) -> str:
 
 
 def render_svg(inst: InstanceFile, payload: dict) -> str:
+    segments = inst.segments.tolist()
+    points = inst.points.tolist()
     xs = [inst.constraint.a.x, inst.constraint.b.x]
     ys = [inst.constraint.a.y, inst.constraint.b.y]
-    for s in inst.segments:
-        xs += [s.a.x, s.b.x]
-        ys += [s.a.y, s.b.y]
-    for q in inst.points:
-        xs.append(q.x)
-        ys.append(q.y)
+    for x1, y1, x2, y2 in segments:
+        xs += [x1, x2]
+        ys += [y1, y2]
+    for x, y in points:
+        xs.append(x)
+        ys.append(y)
     circles = []
     if inst.problem == "k-cover":
         for c in payload["circles"]:
@@ -298,13 +333,13 @@ def render_svg(inst: InstanceFile, payload: dict) -> str:
         f'x2="{inst.constraint.b.x:.6g}" y2="{inst.constraint.b.y:.6g}" '
         f'stroke="#888" stroke-width="0.4%" stroke-dasharray="2,1"/>',
     ]
-    for s in inst.segments:
-        parts.append(f'<line x1="{s.a.x:.6g}" y1="{s.a.y:.6g}" '
-                     f'x2="{s.b.x:.6g}" y2="{s.b.y:.6g}" '
+    for x1, y1, x2, y2 in segments:
+        parts.append(f'<line x1="{x1:.6g}" y1="{y1:.6g}" '
+                     f'x2="{x2:.6g}" y2="{y2:.6g}" '
                      f'stroke="#222" stroke-width="0.5%" stroke-linecap="round"/>')
     dot = 0.008 * max(vb[2], vb[3])
-    for q in inst.points:
-        parts.append(f'<circle cx="{q.x:.6g}" cy="{q.y:.6g}" r="{dot:.6g}" '
+    for x, y in points:
+        parts.append(f'<circle cx="{x:.6g}" cy="{y:.6g}" r="{dot:.6g}" '
                      f'fill="#222"/>')
     for cx, cy, r in circles:
         parts.append(_ball_svg(cx, cy, r, inst.norm.p, "#c22"))

@@ -169,6 +169,111 @@ def point_segment_distance(q: Point, s: Segment, norm: NormP, tol: Tolerance) ->
     return min(_lp_pair(A - t * ux, B - t * uy, p) for t in cands)
 
 
+def segment_columns(segments) -> np.ndarray:
+    """Segments as an (N, 4) float64 array of rows [ax, ay, bx, by].
+
+    An array passes through as it is; a sequence of Segment is read
+    once. The solvers take either.
+    """
+    if isinstance(segments, np.ndarray):
+        return segments
+    return np.array([(s.a.x, s.a.y, s.b.x, s.b.y) for s in segments],
+                    dtype=np.float64).reshape(-1, 4)
+
+
+def segments_from_columns(cols: np.ndarray) -> list:
+    """The rows of an (N, 4) array as Segment objects, bit for bit."""
+    return [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in cols.tolist()]
+
+
+def axis_distances(x, cols: np.ndarray, p: float) -> np.ndarray:
+    """point_segment_distance from (x, 0) to every row of cols at once.
+
+    x is one abscissa or one per row. The candidates are the scalar
+    function's (ends, coordinate kinks and, for p not in {1, 2}, the
+    sign-pattern stationary points); only np.hypot and np.power may
+    round differently from math.hypot and **, so a value can differ
+    from the scalar one in its last bits. Callers that need the exact
+    bits recompute the near-ties with rescored_extreme.
+    """
+    ax, ay = cols[:, 0], cols[:, 1]
+    with np.errstate(all="ignore"):
+        ux, uy = cols[:, 2] - ax, cols[:, 3] - ay
+        A = x - ax
+        B = -ay
+        if p == 2.0:
+            den = ux * ux + uy * uy
+            t = np.clip((A * ux + B * uy) / np.where(den == 0.0, 1.0, den), 0.0, 1.0)
+            return np.hypot(A - t * ux, B - t * uy)
+        cands = [np.zeros_like(A), np.ones_like(A), A / ux, B / uy]
+        if p > 1.0:
+            # of _stationary_params' four sign patterns (sa, sb), only the
+            # two with sa * sb = -sign(ux * uy) give k = |uy / ux| > 0,
+            # and both give the same t; one of their sign tests passes
+            # when A - t ux and sa * sb * (B - t uy) have the same sign
+            k = np.abs(uy / ux)
+            c = k ** (1.0 / (p - 1.0))
+            sab = -np.sign(ux * uy)
+            m = sab * c
+            den = ux - m * uy
+            t = (A - m * B) / den
+            ra, rb = A - t * ux, (B - t * uy) * sab
+            ok = ((k > 0.0) & (k < math.inf) & (c > 0.0) & (c < math.inf) & (den != 0.0)
+                  & (((ra >= 0.0) & (rb >= 0.0)) | ((ra <= 0.0) & (rb <= 0.0))))
+            cands.append(np.where(ok, t, np.nan))
+        t = np.stack(cands)
+        # NaN parameters (no such candidate) fail the range test
+        t = np.where((t >= 0.0) & (t <= 1.0), t, 0.0)
+        return _np_lp(A - t * ux, B - t * uy, p).min(axis=0)
+
+
+def axis_argmin_abscissas(cols: np.ndarray, L: float) -> np.ndarray:
+    """The abscissa axis_argmin_exact picks, for every row at once."""
+    xa, ya, xb, yb = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
+    with np.errstate(all="ignore"):
+        # the unconstrained minimiser (_profile_min_unclamped)
+        cross = (ya > 0.0) != (yb > 0.0)
+        xm = np.where(np.abs(ya) < np.abs(yb), xa, np.where(np.abs(yb) < np.abs(ya), xb,
+                                                              np.minimum(xa, xb)))
+        xm = np.where(cross, xa + ya / (ya - yb) * (xb - xa), xm)
+        xm = np.where(yb == 0.0, xb, xm)
+        xm = np.where(ya == 0.0, np.where(yb == 0.0, np.minimum(xa, xb), xa), xm)
+        # its plateau (_plateau), clamped to [0, L]
+        level = ya == yb
+        plo = np.where(level, np.minimum(xa, xb), xm)
+        phi = np.where(level, np.maximum(xa, xb), xm)
+        return np.where(phi < 0.0, 0.0, np.where(plo > L, L, np.maximum(0.0, plo)))
+
+
+def rescored_extreme(approx: np.ndarray, exact, cols: np.ndarray, scale: float,
+                     largest: bool, initial=None):
+    """max (largest) or min of exact(segment) over the rows of cols, exactly.
+
+    approx holds array estimates of exact at every row, within a few
+    ulp of the value. exact is evaluated, on the row as a Segment, only
+    at the rows whose estimate lies within 2^-30 (|extreme| + scale)
+    (plus the smallest normal number) of the extreme estimate, at the rows whose estimate is not finite, and
+    at row 0, then folded in row order as Python's max() and min() fold
+    (a NaN first wins, a NaN later is skipped), starting from initial
+    when given. So the result is that of folding exact over all rows.
+    """
+    finite = np.isfinite(approx)
+    rows = ~finite
+    if finite.any():
+        ext = float(approx[finite].max() if largest else approx[finite].min())
+        # the floor covers estimates that differ by subnormal steps
+        tie = 2.0 ** -30 * (abs(ext) + scale) + 2.0 ** -1022
+        rows |= approx >= ext - tie if largest else approx <= ext + tie
+    if initial is None:
+        rows[0] = True
+    best = initial
+    for s in segments_from_columns(cols[rows]):
+        v = exact(s)
+        if best is None or (v > best if largest else v < best):
+            best = v
+    return best
+
+
 @dataclass(frozen=True)
 class AxisFrame:
     """Rigid map sending the constraint segment onto (0,0)-(L,0).
@@ -193,6 +298,24 @@ class AxisFrame:
 
     def forward_segment(self, s: Segment) -> Segment:
         return Segment(self.forward_point(s.a), self.forward_point(s.b))
+
+    def forward_columns(self, coords: np.ndarray) -> np.ndarray:
+        """forward_point on every (x, y) pair of an (N, 2k) array at once.
+
+        The same products and sums as forward_point, elementwise, so the
+        results are its bits. A non-finite result raises the ValueError
+        that Point raises for it.
+        """
+        (m00, m01), (m10, m11) = self.rows
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx = coords[:, 0::2] - self.origin.x
+            dy = coords[:, 1::2] - self.origin.y
+            out = np.empty_like(coords)
+            out[:, 0::2] = m00 * dx + m01 * dy
+            out[:, 1::2] = m10 * dx + m11 * dy
+        if not np.isfinite(out).all():
+            raise ValueError("point coordinates must be finite")
+        return out
 
     def inverse_segment(self, s: Segment) -> Segment:
         return Segment(self.inverse_point(s.a), self.inverse_point(s.b))

@@ -6,10 +6,13 @@ Distance to a segment is convex in x, so this set is a closed interval
 (possibly empty). Solvers combine these intervals by intersection
 (enclosing problems) or union (empty-ball problems).
 
-Both radius bisections evaluate all N intervals at every step. From
+Both radius bisections evaluate covering intervals at every step. From
 ARRAY_MIN_SEGMENTS segments on they do so with SegmentArray and the
-array forms of the intersection and the union cover; below it the
-per-call cost of numpy outweighs the loop, and the scalar kernel runs.
+array forms of the intersection and the union cover, over the rows
+that survive their pruning (covering_slack bounds how far the array
+kernel may stray, which is what makes that pruning exact); below it
+the per-call cost of numpy outweighs the loop, and the scalar kernel
+runs over every segment.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormP, Segment
+from .geometry import NormP, Segment, segment_columns
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,12 @@ def _halfwidth(R: float, y: float, p: float):
     y = abs(y)
     if R == 0.0:
         return 0.0 if y == 0.0 else None
-    base = 1.0 - (y / R) ** p
+    ratio = y / R
+    # the array kernel's rule base >= -1e-9, decided before the power
+    # can overflow: ratio > 1 + 1e-9 gives ratio ** p > 1 + 1e-9
+    if ratio > 1.0 + 1e-9:
+        return None
+    base = 1.0 - ratio ** p
     if base < 0.0:
         if base < -1e-9:
             return None
@@ -191,8 +199,63 @@ def union_covers(intervals, domain: Interval):
 ARRAY_MIN_SEGMENTS = 24
 
 
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def covering_slack(R: float, scale: float, p: float):
+    """(eta, c) with SegmentArray.covering(R) between exact intervals.
+
+    For every row whose coordinates, like L, are at most scale in
+    magnitude, the computed covering interval at R contains the exact
+    covering interval at R - e and lies inside the one at R + e, where
+    e = eta * R + c; c also bounds the error of the array distance
+    estimates (geometry.axis_distances) that the pruning rules compare
+    with R. eta is inf where no bound is claimed: R <= 0, rounding
+    beyond the kernel's clamp, or scale outside (2^-200, 2^200), where
+    squares and products of coordinates can underflow or overflow and
+    the rounding below is no longer relative. As R grows, eta falls and eta * R grows,
+    at a rate below eta; so R + e grows with R, and so does R - e while
+    eta < 1.
+
+    Derivation. An endpoint is qx(t) -+ h at a candidate t, with
+    h = R * max(base, 0)^(1/p) and base = 1 - (|qy|/R)^p, and the kernel
+    admits a candidate whose computed base is at least -1e-9.
+    - Rounding |qy| (a few ulp of scale), the quotient, the power and
+      the subtraction leaves base off by at most rnd = 16 p u (scale/R
+      + 2), u the unit roundoff. An admitted candidate has an exact
+      base >= -beta, beta = 1e-9 + rnd; and while rnd <= 1e-9, no
+      candidate with an exact base >= 0 is rejected. Only the inner
+      half of the bound needs the latter: the outer half (inside the
+      interval at R + e) holds at every R > 0, with e from the same
+      formula, which grows with R.
+    - t -> t^(1/p) is subadditive, so h is within R beta^(1/p) of the
+      exact halfwidth, and an admitted point of the segment lies within
+      R (1 + beta)^(1/p) <= R (1 + beta^(1/p)) of (qx, 0). As distance
+      along the axis is 1-Lipschitz, both give eta = 2 beta^(1/p).
+    - Abscissas qx = ax + t ux carry a few ulp of scale. At the ends
+      tA, tB of the reachable range a parameter error dt moves qx by
+      |ux| dt <= 4 u scale^2 / |uy|, and a row that matters to a margin
+      m has |uy| >= m, so the move stays below m once m >= 2^-22 scale;
+      the array distance estimates are within a few ulp of the value.
+      Interior candidates are stationary, so their parameter errors
+      enter to second order. c = 2^-22 scale covers all of these with
+      room to spare.
+    """
+    if not (R > 0.0 and 2.0 ** -200 < scale < 2.0 ** 200):
+        return math.inf, math.inf
+    rnd = 16.0 * p * _UNIT_ROUNDOFF * (scale / R + 2.0)
+    if not rnd <= 1e-9:
+        return math.inf, math.inf
+    return 2.0 * (1e-9 + rnd) ** (1.0 / p), scale * 2.0 ** -22
+
+
 class SegmentArray:
     """Segments as float64 columns ax, ay, ux, uy, for one norm.
+
+    Built from an (N, 4) array of rows [ax, ay, bx, by] or from Segment
+    objects (geometry.segment_columns). The radius bisections build it
+    over the rows they keep after pruning, so its per-row ystar ratio,
+    a scalar call per row, is paid for those rows only.
 
     covering(R) evaluates, for every segment at once, the candidates of
     the scalar kernel: the ends tA, tB of the reachable parameter range,
@@ -203,17 +266,19 @@ class SegmentArray:
     """
 
     def __init__(self, segments, norm: NormP):
-        coords = np.array([(s.a.x, s.a.y, s.b.x, s.b.y) for s in segments],
-                          dtype=np.float64).reshape(-1, 4)
+        coords = segment_columns(segments)
         p = norm.p
         self.p = p
         self.ax, self.ay = coords[:, 0], coords[:, 1]
-        self.ux = coords[:, 2] - self.ax
-        self.uy = coords[:, 3] - self.ay
-        self.flat = self.uy == 0.0
-        # flat rows divide by 1 instead of 0 and are masked afterwards
-        self.uy_div = np.where(self.flat, 1.0, self.uy)
-        self.t0 = np.where(self.flat, np.nan, -self.ay / self.uy_div)
+        # coordinates near the float range overflow here as Python floats
+        # do in the scalar kernel, to inf without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.ux = coords[:, 2] - self.ax
+            self.uy = coords[:, 3] - self.ay
+            self.flat = self.uy == 0.0
+            # flat rows divide by 1 instead of 0 and are masked afterwards
+            self.uy_div = np.where(self.flat, 1.0, self.uy)
+            self.t0 = np.where(self.flat, np.nan, -self.ay / self.uy_div)
         # radius-independent ystar / R; NaN fails every range test below
         self.star = None
         if p > 1.0:
@@ -297,36 +362,3 @@ def union_covers_arrays(lo, hi, domain: Interval):
         return False, 0.5 * (float(reach[-1]) + domain.hi)
     gap_end = float(lo[g]) if lo[g] < domain.hi else domain.hi
     return False, 0.5 * (float(reach[g]) + gap_end)
-
-
-def covering_intersection(segments, L: float, norm: NormP):
-    """The function R -> intersection of [0, L] and every covering interval.
-
-    Evaluates through SegmentArray from ARRAY_MIN_SEGMENTS segments on,
-    else through covering_interval and intersect_all.
-    """
-    domain = Interval(0.0, L)
-    if len(segments) < ARRAY_MIN_SEGMENTS:
-        def region(R: float) -> Interval:
-            ivs = [covering_interval(s, R, norm) for s in segments]
-            ivs.append(domain)
-            return intersect_all(ivs)
-        return region
-    arr = SegmentArray(segments, norm)
-    return lambda R: intersect_arrays(*arr.covering(R), domain)
-
-
-def covering_union(segments, L: float, norm: NormP):
-    """The function R -> union_covers(covering intervals at R, [0, L]).
-
-    Evaluates through SegmentArray from ARRAY_MIN_SEGMENTS segments on,
-    else through covering_interval and union_covers.
-    """
-    domain = Interval(0.0, L)
-    if len(segments) < ARRAY_MIN_SEGMENTS:
-        def gaps(R: float):
-            return union_covers([covering_interval(s, R, norm) for s in segments],
-                                domain)
-        return gaps
-    arr = SegmentArray(segments, norm)
-    return lambda R: union_covers_arrays(*arr.covering(R), domain)

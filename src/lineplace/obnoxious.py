@@ -15,10 +15,15 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import intervals
 from .errors import EmptyInput
-from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, axis_argmin_exact, \
-    point_segment_distance
-from .intervals import covering_union
+from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, axis_argmin_abscissas, \
+    axis_argmin_exact, axis_distances, point_segment_distance, rescored_extreme, \
+    segment_columns, segments_from_columns
+from .intervals import Interval, SegmentArray, covering_interval, covering_slack, \
+    union_covers, union_covers_arrays
 from .one_center import PlacedCircle
 
 _INF = math.inf
@@ -620,18 +625,78 @@ def largest_empty_from_envelope(le: LowerEnvelope, segments, norm: NormP,
     return PlacedCircle(best_x, best)
 
 
+def _owning_rows(far: np.ndarray, dmin: np.ndarray, scale: float, p: float) -> np.ndarray:
+    """Mask of the rows that may decide whether [0, L] is covered.
+
+    far is max(d0, dL) per row and dmin its constrained minimum over
+    [0, L]. H = min(far) is attained by a row s* whose covering interval
+    holds [0, L] once R - e(R) >= H + c, (eta, c) = covering_slack(H):
+    from R_s = (H + 2c) / (1 - eta) on, every union covers, with or
+    without the other rows (R - e grows with R). Below R_s a row with
+    dmin > R_s (1 + eta) + 2c has an exact covering interval at
+    R + e(R) < R_s + e(R_s) that misses [0, L] (that half of the bound
+    holds at every R > 0 and grows with R), so its computed one at R
+    lies wholly before 0 or wholly beyond L, which changes neither the
+    answer of union_covers_arrays nor its witness. Such rows are
+    dropped; s* stays, so the kept set is never empty. The bracket of
+    the search still comes from segments[0], so the midpoints are the
+    same as without pruning.
+    """
+    H = float(far.min())
+    eta, c = covering_slack(H, scale, p)
+    if not eta < 1.0:
+        return np.ones(len(far), dtype=bool)
+    R_s = (H + 2.0 * c) / (1.0 - eta)
+    return ~(dmin > R_s * (1.0 + eta) + 2.0 * c)
+
+
 def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCircle:
     """Binary search the largest radius whose covering intervals fail
-    to cover [0, L]; the witness of the failure is the center."""
-    segs = list(segments)
-    if not segs:
+    to cover [0, L]; the witness of the failure is the center.
+
+    segments is a sequence of Segment or an (N, 4) array of rows
+    [ax, ay, bx, by]; either is converted once. The bracket is
+    [0, max(d0, dL) of segments[0]]. From intervals.ARRAY_MIN_SEGMENTS
+    rows on, one array pass over all rows finds the rows that cannot
+    own any part of the answer (_owning_rows) and the search runs on a
+    SegmentArray of the rest; the final radius, the distance from the
+    witness to the nearest segment, comes from an array kernel over
+    all rows with its near-ties recomputed by point_segment_distance,
+    so every bit is that of the search over all rows. Below it the
+    scalar kernels run over every segment.
+    """
+    cols = segment_columns(segments)
+    if not len(cols):
         raise EmptyInput("need at least one segment")
     if L < 0.0 or not math.isfinite(L):
         raise ValueError("L must be finite and nonnegative")
-    gaps = covering_union(segs, L, norm)
+    domain = Interval(0.0, L)
+    if len(cols) < intervals.ARRAY_MIN_SEGMENTS:
+        segs = segments_from_columns(cols)
+
+        def gaps(R: float):
+            return union_covers([covering_interval(s, R, norm) for s in segs], domain)
+
+        def nearest(x: float) -> float:
+            return min(point_segment_distance(Point(x, 0.0), s, norm, tol) for s in segs)
+    else:
+        p = norm.p
+        scale = max(float(np.abs(cols).max()), L)
+        far = np.maximum(axis_distances(0.0, cols, p), axis_distances(L, cols, p))
+        dmin = axis_distances(axis_argmin_abscissas(cols, L), cols, p)
+        arr = SegmentArray(cols[_owning_rows(far, dmin, scale, p)], norm)
+
+        def gaps(R: float):
+            return union_covers_arrays(*arr.covering(R), domain)
+
+        def nearest(x: float) -> float:
+            q = Point(x, 0.0)
+            return rescored_extreme(axis_distances(x, cols, p),
+                                    lambda s: point_segment_distance(q, s, norm, tol),
+                                    cols, scale, largest=False)
     if gaps(0.0)[0]:
         return PlacedCircle(0.0, 0.0)
-    s0 = segs[0]
+    s0 = segments_from_columns(cols[:1])[0]
     hi = max(point_segment_distance(Point(0.0, 0.0), s0, norm, tol),
              point_segment_distance(Point(L, 0.0), s0, norm, tol))
     # the covering interval of s0 at radius hi spans [0, L] by convexity
@@ -646,5 +711,4 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
             lo = mid
         it += 1
     witness = gaps(lo)[1]
-    radius = min(point_segment_distance(Point(witness, 0.0), s, norm, tol) for s in segs)
-    return PlacedCircle(witness, radius)
+    return PlacedCircle(witness, nearest(witness))

@@ -5,9 +5,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import intervals
 from .errors import EmptyInput
-from .geometry import NormP, Point, Tolerance, axis_argmin_exact, point_segment_distance
-from .intervals import covering_intersection
+from .geometry import NormP, Point, Tolerance, axis_argmin_abscissas, \
+    axis_argmin_exact, axis_distances, point_segment_distance, rescored_extreme, \
+    segment_columns, segments_from_columns
+from .intervals import Interval, SegmentArray, covering_interval, covering_slack, \
+    intersect_all, intersect_arrays
 
 
 @dataclass(frozen=True)
@@ -26,33 +32,81 @@ class PlacedCircle:
         object.__setattr__(self, "radius", float(self.radius))
 
 
+def _binding_rows(far: np.ndarray, lo: float, scale: float, p: float) -> np.ndarray:
+    """Mask of the rows that may bind at some radius R >= lo.
+
+    far is max(d0, dL), the distances from (0, 0) and (L, 0); distance
+    is convex along the axis, so it bounds the distance from every point
+    of [0, L]. A row with far <= lo (1 - eta) - 2c, (eta, c) =
+    covering_slack(lo), is dropped: far's estimate is within c of the
+    exact value, so [0, L] lies in the row's exact covering interval at
+    R - e(R) for every R >= lo (R - e grows with R), hence in its
+    computed one at R, strictly inside given the slack in c. The row
+    then moves neither end of an intersection with [0, L], not even in
+    its bits. The row that attains lo has far >= lo and stays, so the
+    kept set is never empty; lo = 0 drops nothing.
+    """
+    eta, c = covering_slack(lo, scale, p)
+    return ~(far <= lo * (1.0 - eta) - 2.0 * c)
+
+
 def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCircle:
     """Minimise over x in [0, L] the largest distance to any segment.
 
-    Feasibility of a radius R means the covering intervals of all
-    segments and [0, L] share a point. The radius is bisected between
-    a certified lower bound (largest per-segment constrained minimum,
-    returned exactly when already feasible) and the radius that works
-    at x = 0.
+    segments is a sequence of Segment or an (N, 4) array of rows
+    [ax, ay, bx, by]; either is converted once. Feasibility of a radius
+    R means the covering intervals of all segments and [0, L] share a
+    point. The radius is bisected between a certified lower bound lo
+    (largest per-segment constrained minimum, returned exactly when
+    already feasible) and the radius hi that works at x = 0.
+
+    From intervals.ARRAY_MIN_SEGMENTS rows on, lo and hi come from array
+    kernels over all rows, with their near-ties recomputed by the
+    scalar axis_argmin_exact and point_segment_distance so that both
+    keep their exact bits; the rows that cannot bind at any R >= lo
+    (_binding_rows) are then dropped, and the bisection runs on a
+    SegmentArray of the rest, with the same answer bit for bit. Below
+    it the scalar kernels run over every segment.
     """
-    segs = list(segments)
-    if not segs:
+    cols = segment_columns(segments)
+    if not len(cols):
         raise EmptyInput("need at least one segment")
     if L < 0.0 or not math.isfinite(L):
         raise ValueError("L must be finite and nonnegative")
+    domain = Interval(0.0, L)
+    origin = Point(0.0, 0.0)
+    if len(cols) < intervals.ARRAY_MIN_SEGMENTS:
+        segs = segments_from_columns(cols)
+        lo = 0.0
+        for s in segs:
+            dmin = axis_argmin_exact(s, L, norm, tol)[1]
+            if dmin > lo:
+                lo = dmin
+        hi = max(point_segment_distance(origin, s, norm, tol) for s in segs)
 
-    region_at = covering_intersection(segs, L, norm)
-    lo = 0.0
-    for s in segs:
-        dmin = axis_argmin_exact(s, L, norm, tol)[1]
-        if dmin > lo:
-            lo = dmin
+        def region_at(R: float) -> Interval:
+            ivs = [covering_interval(s, R, norm) for s in segs]
+            ivs.append(domain)
+            return intersect_all(ivs)
+    else:
+        p = norm.p
+        scale = max(float(np.abs(cols).max()), L)
+        d0 = axis_distances(0.0, cols, p)
+        lo = rescored_extreme(
+            axis_distances(axis_argmin_abscissas(cols, L), cols, p),
+            lambda s: axis_argmin_exact(s, L, norm, tol)[1],
+            cols, scale, largest=True, initial=0.0)
+        hi = rescored_extreme(d0, lambda s: point_segment_distance(origin, s, norm, tol),
+                              cols, scale, largest=True)
+        far = np.maximum(d0, axis_distances(L, cols, p))
+        arr = SegmentArray(cols[_binding_rows(far, lo, scale, p)], norm)
+
+        def region_at(R: float) -> Interval:
+            return intersect_arrays(*arr.covering(R), domain)
+
     region = region_at(lo)
     if not region.is_empty:
         return PlacedCircle(0.5 * (region.lo + region.hi), lo)
-
-    origin = Point(0.0, 0.0)
-    hi = max(point_segment_distance(origin, s, norm, tol) for s in segs)
     # nudge above the exact radius at x = 0 so the bracket is strictly feasible
     hi = hi + max(tol.eps, 1e-12 * hi)
     it = 0

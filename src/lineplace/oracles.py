@@ -3,7 +3,8 @@
 Distances are evaluated with vectorised numpy code (geometry._np_lp)
 that shares nothing with the exact scalar routines: the Euclidean case
 uses the closed form projection and every other norm runs a
-golden-section search over the segment parameter, per abscissa.
+golden-section search over the segment parameter, per abscissa, all
+abscissas of a chunk in lockstep with one evaluation a step.
 """
 
 from __future__ import annotations
@@ -83,14 +84,24 @@ def segment_distances(xs: np.ndarray, seg: Segment, norm: NormP) -> np.ndarray:
     def f(t: np.ndarray) -> np.ndarray:
         return _np_lp(xs - (ax + t * ux), ay + t * uy, p)
 
+    # golden-section search in lockstep over the abscissas: the interior
+    # point that survives a step is the next step's other interior point,
+    # so each step evaluates f once, at the one new point of each search
     lo = np.zeros_like(xs)
     hi = np.ones_like(xs)
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
     for _ in range(80):
-        c = hi - _GOLDEN * (hi - lo)
-        d = lo + _GOLDEN * (hi - lo)
-        sel = f(c) <= f(d)
-        hi = np.where(sel, d, hi)
-        lo = np.where(sel, lo, c)
+        left = fc <= fd
+        # keep [lo, d] with c as its upper point, or [c, hi] with d as its lower
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        kept, fkept = np.where(left, c, d), np.where(left, fc, fd)
+        new = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        fnew = f(new)
+        c, fc = np.where(left, new, kept), np.where(left, fnew, fkept)
+        d, fd = np.where(left, kept, new), np.where(left, fkept, fnew)
     mid = 0.5 * (lo + hi)
     return np.minimum(np.minimum(f(lo), f(hi)), f(mid))
 

@@ -1,6 +1,7 @@
 import io
 import json
 import pathlib
+import random
 import sys
 import tempfile
 import warnings
@@ -98,6 +99,41 @@ class TestSchemaErrors:
         path.write_text("{nope")
         code, _ = run_cli(["solve", "--in", str(path)])
         assert code == 2
+
+
+class TestTableErrors:
+    """A bad cell or row of a long table is named as the per-cell
+    validator names it, in whichever row it is."""
+
+    # JSON text of the bad cell, and the message; the cell in error is
+    # the third of a segment row and the second of a point row
+    CELLS = {"true": "must be a number", '"1.5"': "must be a number",
+             "null": "must be a number", "[1]": "must be a number",
+             "1" + "0" * 400: "must be finite"}
+    # a 3-value row, and rows that are no list (one with four characters)
+    ROWS = ["[1, 2, 3]", '"wxyz"', "7"]
+    SHAPES = {"segments": "must be [x1, y1, x2, y2]", "points": "must be a pair [x, y]"}
+
+    @pytest.mark.parametrize("table", ["segments", "points"])
+    @pytest.mark.parametrize("row", [0, 30])
+    @pytest.mark.parametrize("text", list(CELLS) + ROWS)
+    def test_first_bad_field_is_named(self, tmp_path, capsys, table, row, text):
+        width, col = (4, 2) if table == "segments" else (2, 1)
+        rows = [[json.dumps(float(i + j)) for j in range(width)] for i in range(40)]
+        if text in self.CELLS:
+            rows[row][col] = text
+            want = f"{table}[{row}][{col}]: {self.CELLS[text]}"
+        else:
+            want = f"{table}[{row}]: {self.SHAPES[table]}"
+        body = ", ".join(text if i == row and text in self.ROWS else "[" + ", ".join(r) + "]"
+                         for i, r in enumerate(rows))
+        problem = "one-center" if table == "segments" else "k-cover"
+        path = tmp_path / "inst.json"
+        path.write_text(f'{{"problem": "{problem}", "p": 2.0, '
+                        f'"constraint": [0, 0, 10, 0], "{table}": [{body}]}}')
+        code, out = run_cli(["solve", "--in", str(path)])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"instance error: {want}\n"
 
 
 class TestUnreadableInput:
@@ -266,6 +302,21 @@ class TestRobustness:
         assert code == 3
         assert json.loads(out)["error"]["name"] == "OverflowError"
 
+    @pytest.mark.parametrize("problem", ["one-center", "obnoxious-center"])
+    def test_array_route_near_the_float_range(self, tmp_path, problem):
+        # differences of these coordinates overflow; the array route must
+        # take them to inf silently, as the scalar route's Python floats
+        # do, and not warn (the test settings make a RuntimeWarning an error)
+        rng = random.Random(7)
+        segs = [[rng.choice([-1.0, 1.0]) * rng.random() * 1.7e308 for _ in range(4)]
+                for _ in range(30)]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"problem": problem, "p": 2.0,
+                                    "constraint": [0, 0, 1, 0], "segments": segs}))
+        code, out = run_cli(["solve", "--in", str(path)])
+        assert code == 3
+        assert json.loads(out)["ok"] is False
+
     def test_verify_beyond_grid_limit(self, tmp_path):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({
@@ -416,14 +467,15 @@ _FIELDS = ("problem", "p", "constraint", "segments", "points", "k", "q", "agg")
 
 @st.composite
 def _instances(draw):
-    """A tiny valid instance, sometimes with one field replaced by junk."""
+    """A small valid instance, sometimes with one field replaced by junk."""
     problem = draw(st.sampled_from(["one-center", "obnoxious-center", "k-cover"]))
     doc = {"problem": problem,
            "p": draw(st.one_of(st.sampled_from([1, 1.0, 2.0, 3.0]), st.floats(1.0, 8.0))),
            "constraint": draw(st.one_of(
                st.lists(_coord, min_size=4, max_size=4),
                st.floats(0.5, 50.0).map(lambda L: [0, 0, L, 0])))}
-    n = draw(st.integers(1, 6))
+    # 24 rows and more take the array routes, the column parse and the pruning
+    n = draw(st.one_of(st.integers(1, 6), st.integers(24, 64)))
     if problem == "k-cover":
         doc["points"] = draw(st.lists(st.lists(_coord, min_size=2, max_size=2),
                                       min_size=n, max_size=n))

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lineplace import (
     Interval,
@@ -73,6 +73,13 @@ class TestCoveringInterval:
 
     def test_zero_radius_off_axis(self):
         iv = covering_interval(seg(2, 1, 2, 3), 0.0, N2)
+        assert iv.is_empty
+
+    @pytest.mark.parametrize("norm", [N1, N2, N3])
+    def test_unreachable_before_the_power_overflows(self, norm):
+        # |qy| is 1.8e-15 at the crossing, far beyond R: (|qy| / R) ** p
+        # raised OverflowError where the array kernel found no candidate
+        iv = covering_interval(seg(0, -16, 0, 35.5), 1.278e-195, norm)
         assert iv.is_empty
 
     def test_rejects_bad_radius(self):
@@ -183,6 +190,7 @@ def kernel_tolerance(x, R, p):
 class TestSegmentArray:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @given(segs=st.lists(segment, min_size=1, max_size=12), R=radius)
+    @example(segs=[seg(0.0, -16.0, 0.0, 35.5)], R=1.278e-195)
     def test_covering_matches_scalar(self, p, segs, R):
         norm = NormP(p)
         lo, hi = SegmentArray(segs, norm).covering(R)

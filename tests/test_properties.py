@@ -1,5 +1,8 @@
 import math
+import random
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lineplace import (
@@ -11,6 +14,10 @@ from lineplace import (
     axis_argmin_exact,
     covering_interval,
     lp_distance,
+    max_empty_binsearch,
+    min_enclosing,
+    obnoxious,
+    one_center,
     point_segment_distance,
     transform_to_axis,
     union_covers,
@@ -147,3 +154,88 @@ def test_union_covers_witness_is_uncovered(raw):
         return
     assert domain.contains(witness)
     assert all(not iv.contains(witness) for iv in ivs)
+
+
+# -- pruning in the two radius bisections never changes an answer ------
+
+@st.composite
+def _pruning_instances(draw):
+    """24-200 rows mixing the shapes the pruning rules meet.
+
+    A seeded generator fills the rows; hypothesis draws the seed, the
+    size, the coordinate scale, L and the share of each shape: spread
+    or near-line rows, rows crossing the axis, point rows, level rows,
+    duplicates (ties in every bound), and rows lying on the axis over
+    all of [0, L]. When every row is of the last kind, the one-center
+    lower bound is 0 and a rule that dropped every row with
+    max(d0, dL) <= lo would keep none.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(24, 200))
+    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    L = draw(st.sampled_from([0.0, 1.0, 10.0, 100.0])) * scale
+    nearline = draw(st.booleans())
+    weights = draw(st.lists(st.integers(0, 3), min_size=6, max_size=6))
+    rng = random.Random(seed)
+
+    def coord(lo, hi):
+        return rng.uniform(lo, hi) * scale
+
+    def row():
+        if nearline:
+            x1, x2 = coord(-20.0, 120.0), coord(-20.0, 120.0)
+            y1, y2 = coord(-2.0, 2.0), coord(-2.0, 2.0)
+        else:
+            x1, y1, x2, y2 = (coord(-100.0, 100.0) for _ in range(4))
+        return [x1, y1, x2, y2]
+
+    def crossing():
+        x1, y1, x2, y2 = row()
+        return [x1, abs(y1), x2, -abs(y2)]
+
+    def point():
+        x, y = row()[:2]
+        return [x, y, x, y]
+
+    def level():
+        x1, y1, x2, _ = row()
+        return [x1, y1, x2, y1]
+
+    def on_axis():
+        return [-coord(0.0, 5.0), 0.0, L + coord(0.0, 5.0), 0.0]
+
+    makers = [row, crossing, point, level, on_axis]
+    pick = [m for m, w in zip(makers, weights) for _ in range(w)] or [on_axis]
+    rows = []
+    while len(rows) < n:
+        if rows and rng.random() < 0.1 * weights[5]:
+            rows.append(list(rng.choice(rows)))
+        else:
+            rows.append(rng.choice(pick)())
+    return np.array(rows), L
+
+
+def _bits(c):
+    return c.cx.hex(), c.radius.hex()
+
+
+def _all_rows(far, *args):
+    return np.ones(len(far), dtype=bool)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@given(inst=_pruning_instances())
+@settings(deadline=None)
+def test_pruning_never_changes_an_answer(p, inst):
+    cols, L = inst
+    norm = NormP(p)
+    segs = [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in cols.tolist()]
+    pruned = [_bits(min_enclosing(segs, L, norm, TOL)),
+              _bits(max_empty_binsearch(segs, L, norm, TOL))]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(one_center, "_binding_rows", _all_rows)
+        m.setattr(obnoxious, "_owning_rows", _all_rows)
+        full = [_bits(min_enclosing(segs, L, norm, TOL)),
+                _bits(max_empty_binsearch(segs, L, norm, TOL))]
+    assert pruned == full
+
