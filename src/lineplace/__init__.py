@@ -9,18 +9,17 @@ restricted to a given segment, all under general L_p norms:
 * covering points by at most K balls minimising an aggregate of the
   radii (dp_solve).
 
-Grid oracles and an exhaustive partition oracle provide independent
-cross-checks. The other second routes, which the tests compare the
-solvers against, live in the non-exported lineplace._reference.
+The cross-checks of `lineplace solve --verify` live in lineplace.verify,
+which only the CLI imports; the second routes that the tests compare
+the solvers against, and the entry points only the tests call, live in
+lineplace._reference. Neither is exported.
 """
 
 from .errors import (
     EmptyInput,
-    NoBisectorRoot,
     NonIsometricRotation,
     SchemaError,
     SolverError,
-    TooLarge,
     UnsupportedNorm,
 )
 from .geometry import (
@@ -40,33 +39,19 @@ from .k_cover import (
     AggSpec,
     Candidate,
     CoverSolution,
-    OraclePartition,
     PointSet,
     build_lists_naive,
-    build_lists_sweep,
     dp_solve,
-    enumerate_partitions,
     rmin_on_axis,
-    set_partition_oracle,
-    two_point_circle,
 )
 from .obnoxious import (
     EnvelopePiece,
     LowerEnvelope,
-    base_envelope,
-    compact,
     compute_lower_envelope,
     largest_empty_from_envelope,
     max_empty_binsearch,
-    merge_lower_envelopes,
 )
 from .one_center import PlacedCircle, min_enclosing
-from .oracles import (
-    GridSpec,
-    grid_obnoxious_center,
-    grid_one_center,
-    segment_distances,
-)
 
 __version__ = "1.0.0"
 
@@ -77,13 +62,10 @@ __all__ = [
     "CoverSolution",
     "EmptyInput",
     "EnvelopePiece",
-    "GridSpec",
     "Interval",
     "LowerEnvelope",
-    "NoBisectorRoot",
     "NonIsometricRotation",
     "NormP",
-    "OraclePartition",
     "PlacedCircle",
     "Point",
     "PointSet",
@@ -91,31 +73,20 @@ __all__ = [
     "Segment",
     "SolverError",
     "Tolerance",
-    "TooLarge",
     "UnsupportedNorm",
     "axis_argmin_exact",
-    "base_envelope",
     "build_lists_naive",
-    "build_lists_sweep",
-    "compact",
     "compute_lower_envelope",
     "covering_interval",
     "dp_solve",
-    "enumerate_partitions",
-    "grid_obnoxious_center",
-    "grid_one_center",
     "intersect_all",
     "largest_empty_from_envelope",
     "lp_distance",
     "max_empty_binsearch",
-    "merge_lower_envelopes",
     "min_enclosing",
     "point_segment_distance",
     "rmin_on_axis",
-    "segment_distances",
     "segment_ox_intersection",
-    "set_partition_oracle",
     "transform_to_axis",
-    "two_point_circle",
     "union_covers",
 ]

@@ -3,8 +3,10 @@
 Each function here reaches a result of the production code by an
 independent method (bisection, golden-section search, candidate
 evaluation, plain loops where the solver works on arrays or range
-minima), so the tests can compare the two. Not exported, and no
-solver module imports it.
+minima), so the tests can compare the two. Beside them sit the
+one-at-a-time entry points that only the tests call: the scalar pair
+circle, the single-segment envelope, and the merge and compaction of
+two envelopes. Not exported, and no solver module imports it.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from bisect import bisect_right
 
 from .errors import EmptyInput, NoBisectorRoot, NoCrossing
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _profile_min_unclamped, \
-    point_segment_distance, segment_ox_intersection
+    axis_argmin_exact, point_segment_distance, segment_ox_intersection
 from .intervals import Interval
-from .k_cover import PointSet, _cover_slack, _finalize_lists, two_point_circle
-from .obnoxious import LowerEnvelope
+from .k_cover import PointSet, _cover_slack, _finalize_lists
+from .obnoxious import LowerEnvelope, _compact_pieces, _merge_raw, _pieces_of, _split_at
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -177,6 +179,34 @@ def _covering_bisect(s: Segment, R: float, norm: NormP, tol: Tolerance) -> Inter
     return Interval(u, v)
 
 
+def base_envelope(seg_index: int, seg: Segment, L: float, norm: NormP,
+                  tol: Tolerance) -> LowerEnvelope:
+    """Single-segment envelope, split at the constrained minimiser."""
+    return _split_at(seg_index, axis_argmin_exact(seg, L, norm, tol)[0], L, tol)
+
+
+def compact(le: LowerEnvelope, segments, norm: NormP, tol: Tolerance) -> LowerEnvelope:
+    """Fuse same-owner neighbours and absorb sub-resolution pieces.
+
+    A shared endpoint that exactly equals the owner's constrained
+    minimiser is kept as a breakpoint. Pieces narrower than half of
+    tol.eps fold into a neighbour, since boundary roots are only
+    refined to a quarter of tol.eps. A fully degenerate envelope
+    (L = 0) keeps one zero-width piece. Idempotent.
+    """
+    L = le.pieces[-1].b
+    xmins = {s: axis_argmin_exact(segments[s], L, norm, tol)[0]
+             for s in {pc.seg_index for pc in le.pieces}}
+    return _compact_pieces(le, xmins, tol)
+
+
+def merge_lower_envelopes(e1: LowerEnvelope, e2: LowerEnvelope, segments,
+                          norm: NormP, tol: Tolerance) -> LowerEnvelope:
+    """Pointwise minimum of two envelopes over the same [0, L]."""
+    return compact(_pieces_of(_merge_raw(e1, e2, segments, norm, tol, {})),
+                   segments, norm, tol)
+
+
 def envelope_value(le: LowerEnvelope, segments, x: float, norm: NormP, tol: Tolerance) -> float:
     """Distance at x to the owning segment of the piece containing x."""
     starts = [pc.a for pc in le.pieces]
@@ -184,6 +214,72 @@ def envelope_value(le: LowerEnvelope, segments, x: float, norm: NormP, tol: Tole
     if i < 0:
         i = 0
     return point_segment_distance(Point(x, 0.0), segments[le.pieces[i].seg_index], norm, tol)
+
+
+def two_point_circle(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
+    """Center on the axis equidistant from points i <= j, and the radius.
+
+    For i == j this is the smallest ball pinned at the point. Equal
+    abscissas admit a center only when the |y| match. For p = 1 the
+    distance difference plateaus, so a center may not exist either;
+    the nonexistent cases raise NoBisectorRoot. The scalar kernel of
+    one pair; k_cover.build_lists_naive computes all pairs at once by
+    the same steps (_pair_circles).
+    """
+    P = pts.pts
+    if not 0 <= i <= j < len(P):
+        raise ValueError("need 0 <= i <= j < len(points)")
+    xi, yi = P[i].x, P[i].y
+    xj, yj = P[j].x, P[j].y
+    p = norm.p
+    if i == j:
+        return xi, abs(yi)
+    if xi == xj:
+        if yi * yi == yj * yj:
+            return xi, abs(yi)
+        raise NoBisectorRoot(f"points {i} and {j} share x but not |y|")
+    if p == 2.0:
+        xc = (xj * xj + yj * yj - xi * xi - yi * yi) / (2.0 * (xj - xi))
+        return xc, math.hypot(xc - xi, yi)
+
+    target = abs(yj) ** p - abs(yi) ** p
+
+    def F(x: float) -> float:
+        return abs(x - xi) ** p - abs(x - xj) ** p
+
+    if p == 1.0:
+        span = xj - xi
+        if target > span or target < -span:
+            raise NoBisectorRoot(f"no equidistant axis point for {i}, {j} under p=1")
+        if target == span:
+            return xj, _lp_pair(xj - xi, yi, p)
+        if target == -span:
+            return xi, abs(yi)
+        lo, hi = xi, xj
+    else:
+        lo, hi = xi, xj
+        step = max(1.0, xj - xi)
+        it = 0
+        while F(lo) > target and it < tol.max_iters:
+            lo -= step
+            step *= 2.0
+            it += 1
+        step = max(1.0, xj - xi)
+        it = 0
+        while F(hi) < target and it < tol.max_iters:
+            hi += step
+            step *= 2.0
+            it += 1
+    it = 0
+    while hi - lo > tol.eps / 4.0 and it < tol.max_iters:
+        mid = 0.5 * (lo + hi)
+        if F(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+        it += 1
+    xc = 0.5 * (lo + hi)
+    return xc, _lp_pair(xc - xi, yi, p)
 
 
 def _covered_p2(px: float, py: float, xc: float, thr: float) -> bool:

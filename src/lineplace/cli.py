@@ -10,6 +10,7 @@ scales), 4 output (--out or --plot) not writable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -20,19 +21,14 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import SchemaError, SolverError, TooLarge
-from .geometry import NormP, Point, Segment, Tolerance, segments_from_columns, \
-    transform_to_axis
-from .intervals import Interval
-from .k_cover import AggSpec, PointSet, dp_solve, set_partition_oracle
-from .obnoxious import compute_lower_envelope, largest_empty_from_envelope, \
-    max_empty_binsearch
+from .errors import SchemaError, SolverError
+from .geometry import NormP, Point, Segment, Tolerance, transform_to_axis
+from .k_cover import AggSpec, PointSet, dp_solve
+from .obnoxious import max_empty_binsearch, max_empty_envelope
 from .one_center import min_enclosing
-from .oracles import GridSpec, grid_obnoxious_center, grid_one_center
+from .verify import cross_check
 
 _PROBLEMS = ("one-center", "obnoxious-center", "k-cover")
-_GRID_STEP = 1e-3
-_GRID_TOL = 2e-3
 
 
 @dataclass(frozen=True)
@@ -166,36 +162,6 @@ def _axis_instance(inst: InstanceFile):
     return frame, frame.forward_columns(inst.segments), None
 
 
-def _verify_k_cover(ps: PointSet, inst: InstanceFile, tol: Tolerance, lists: str,
-                    objective: float) -> dict:
-    """Cross-check a k-cover objective: the other list builder at p = 2,
-    else the exhaustive partition oracle when the instance is small
-    enough for it."""
-    if inst.norm.p == 2.0:
-        other = "sweep" if lists == "naive" else "naive"
-        kind = f"lists:{other}"
-        other_objective = dp_solve(ps, inst.k, inst.norm, tol, inst.agg,
-                                   lists=other).objective
-    else:
-        kind = "set-partition"
-        try:
-            other_objective = set_partition_oracle(ps, inst.k, inst.norm, tol,
-                                                   inst.agg).objective
-        except TooLarge as exc:
-            # the solve stands; only its cross-check is out of reach
-            return {"kind": kind, "ok": None, "reason": str(exc)}
-    delta = abs(other_objective - objective)
-    return {"kind": kind, "other_objective": other_objective, "delta": delta,
-            "tolerance": 1e-6, "ok": delta <= 1e-6}
-
-
-def _envelope_center(segs, L: float, norm: NormP, tol: Tolerance, split: str):
-    """The envelope route, which works on Segment objects."""
-    objs = segments_from_columns(segs)
-    env = compute_lower_envelope(objs, L, norm, tol, split=split)
-    return largest_empty_from_envelope(env, objs, norm, tol)
-
-
 def _solve_payload(inst: InstanceFile, args) -> dict:
     tol = Tolerance(eps=args.eps, max_iters=args.max_iters)
     frame, segs, pts = _axis_instance(inst)
@@ -212,23 +178,11 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
             "radius": c.radius,
             "objective": c.radius,
         }
-        if args.verify:
-            grid = GridSpec(_GRID_STEP, Interval(0.0, frame.L))
-            try:
-                gc = grid_one_center(segments_from_columns(segs), grid, inst.norm)
-            except TooLarge as exc:
-                # the solve stands; only its cross-check is out of reach
-                payload["verify"] = {"kind": "grid", "ok": None, "reason": str(exc)}
-            else:
-                delta = abs(gc.radius - c.radius)
-                payload["verify"] = {"kind": "grid", "grid_radius": gc.radius,
-                                     "delta": delta, "tolerance": _GRID_TOL,
-                                     "ok": delta <= _GRID_TOL}
     elif inst.problem == "obnoxious-center":
         if args.method == "binsearch":
             best = max_empty_binsearch(segs, frame.L, inst.norm, tol)
         else:
-            best = _envelope_center(segs, frame.L, inst.norm, tol, args.split)
+            best = max_empty_envelope(segs, frame.L, inst.norm, tol, args.split)
         cx, radius = best.cx, best.radius
         center = frame.inverse_point(Point(cx, 0.0))
         payload = {
@@ -241,21 +195,8 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
             "radius": radius,
             "objective": radius,
         }
-        if args.verify:
-            if args.method == "binsearch":
-                oc = _envelope_center(segs, frame.L, inst.norm, tol, args.split)
-                other = "envelope"
-            else:
-                oc = max_empty_binsearch(segs, frame.L, inst.norm, tol)
-                other = "binsearch"
-            tol_cmp = 2.0 * tol.eps
-            delta = abs(oc.radius - radius)
-            payload["verify"] = {"kind": other, "other_radius": oc.radius,
-                                 "delta": delta, "tolerance": tol_cmp,
-                                 "ok": delta <= tol_cmp}
     else:
-        ps = PointSet(pts)
-        sol = dp_solve(ps, inst.k, inst.norm, tol, inst.agg, lists=args.lists)
+        sol = dp_solve(PointSet(pts), inst.k, inst.norm, tol, inst.agg, lists=args.lists)
         circles = []
         for run, c in zip(sol.intervals, sol.circles):
             center = frame.inverse_point(Point(c.cx, 0.0))
@@ -271,8 +212,9 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
             "circles": circles,
             "objective": sol.objective,
         }
-        if args.verify:
-            payload["verify"] = _verify_k_cover(ps, inst, tol, args.lists, sol.objective)
+    if args.verify:
+        payload["verify"] = cross_check(inst, args, tol, frame.L, segs, pts,
+                                        payload["objective"])
     payload["wall_time_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
     return payload
 
@@ -498,8 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args leaves the parser as it was, so one serves every call
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -31,7 +31,10 @@ class NoCrossing(SolverError):
 
 
 class NoBisectorRoot(SolverError):
-    """Two points admit no equidistant center on the axis."""
+    """Two points admit no equidistant center on the axis.
+
+    Only the scalar pair circle _reference.two_point_circle raises it.
+    """
 
 
 class UnsupportedNorm(SolverError):
@@ -39,7 +42,10 @@ class UnsupportedNorm(SolverError):
 
 
 class TooLarge(SolverError):
-    """An exhaustive oracle was asked to enumerate beyond its caps."""
+    """An exhaustive oracle was asked to enumerate beyond its caps.
+
+    Raised and caught only inside lineplace.verify.
+    """
 
 
 class SchemaError(SolverError):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, NoBisectorRoot, TooLarge, UnsupportedNorm
-from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _np_lp
+from .errors import EmptyInput, UnsupportedNorm
+from .geometry import NormP, Point, Segment, Tolerance, _np_lp
 from .one_center import PlacedCircle, min_enclosing
 
 _INF = math.inf
@@ -73,85 +73,6 @@ class CoverSolution:
     objective: float
 
 
-@dataclass(frozen=True)
-class OraclePartition:
-    """Best partition found by exhaustive enumeration.
-
-    blocks may be non-contiguous, which CoverSolution cannot express,
-    hence the separate record type.
-    """
-
-    objective: float
-    blocks: tuple
-    contiguous: bool
-
-
-def two_point_circle(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
-    """Center on the axis equidistant from points i <= j, and the radius.
-
-    For i == j this is the smallest ball pinned at the point. Equal
-    abscissas admit a center only when the |y| match. For p = 1 the
-    distance difference plateaus, so a center may not exist either;
-    the nonexistent cases raise NoBisectorRoot. The scalar kernel of
-    one pair; build_lists_naive computes all pairs at once by the same
-    steps (_pair_circles).
-    """
-    P = pts.pts
-    if not 0 <= i <= j < len(P):
-        raise ValueError("need 0 <= i <= j < len(points)")
-    xi, yi = P[i].x, P[i].y
-    xj, yj = P[j].x, P[j].y
-    p = norm.p
-    if i == j:
-        return xi, abs(yi)
-    if xi == xj:
-        if yi * yi == yj * yj:
-            return xi, abs(yi)
-        raise NoBisectorRoot(f"points {i} and {j} share x but not |y|")
-    if p == 2.0:
-        xc = (xj * xj + yj * yj - xi * xi - yi * yi) / (2.0 * (xj - xi))
-        return xc, math.hypot(xc - xi, yi)
-
-    target = abs(yj) ** p - abs(yi) ** p
-
-    def F(x: float) -> float:
-        return abs(x - xi) ** p - abs(x - xj) ** p
-
-    if p == 1.0:
-        span = xj - xi
-        if target > span or target < -span:
-            raise NoBisectorRoot(f"no equidistant axis point for {i}, {j} under p=1")
-        if target == span:
-            return xj, _lp_pair(xj - xi, yi, p)
-        if target == -span:
-            return xi, abs(yi)
-        lo, hi = xi, xj
-    else:
-        lo, hi = xi, xj
-        step = max(1.0, xj - xi)
-        it = 0
-        while F(lo) > target and it < tol.max_iters:
-            lo -= step
-            step *= 2.0
-            it += 1
-        step = max(1.0, xj - xi)
-        it = 0
-        while F(hi) < target and it < tol.max_iters:
-            hi += step
-            step *= 2.0
-            it += 1
-    it = 0
-    while hi - lo > tol.eps / 4.0 and it < tol.max_iters:
-        mid = 0.5 * (lo + hi)
-        if F(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
-    xc = 0.5 * (lo + hi)
-    return xc, _lp_pair(xc - xi, yi, p)
-
-
 def _cover_slack(R: float, eps: float) -> float:
     """How far beyond radius R a point still counts as covered.
 
@@ -185,9 +106,9 @@ def _finalize_lists(lists, pts: PointSet):
 
 
 def _bisect_pairs(lo, hi, F, target, act, tol: Tolerance) -> None:
-    """The eps/4 bisection of two_point_circle on every pair in act at once.
+    """Bisect every pair in act to eps/4 at once, at the sign of F - target.
 
-    Each pair stops under its own condition, as the scalar loop does.
+    Each pair stops under its own condition, as a scalar loop would.
     """
     quarter = tol.eps / 4.0
     for _ in range(tol.max_iters):
@@ -202,16 +123,21 @@ def _bisect_pairs(lo, hi, F, target, act, tol: Tolerance) -> None:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _pair_circles(X, Y, I, J, p: float, tol: Tolerance):
-    """two_point_circle for every pair (I[k], J[k]), I <= J, at once.
+    """Center on the axis equidistant from points I[k] <= J[k], and the
+    radius, for every pair at once.
 
-    X, Y are the sorted abscissas and ordinates. Returns (xc, R, ok);
-    ok is False where two_point_circle raises NoBisectorRoot, and
-    where the radius is not finite (a pair circle of coordinates near
-    the float range, which the DP could never choose). At p = 1 and
-    p = 2 every value equals two_point_circle's bit for bit; p = 2 uses
-    its closed-form center and math.hypot. At other p all pairs run
-    the bracket widening and the eps/4 bisection in lockstep, and since
-    numpy's powers may differ from Python's ** in the last bit, the
+    X, Y are the sorted abscissas and ordinates. Returns (xc, R, ok).
+    For i == j the circle is the smallest ball pinned at the point.
+    Equal abscissas admit a center only when the |y| match, and at
+    p = 1 the distance difference plateaus, so a center may not exist
+    either; ok is False there, and where the radius is not finite (a
+    pair circle of coordinates near the float range, which the DP could
+    never choose). p = 2 takes the closed-form center and math.hypot;
+    other p run the bracket widening (not at p = 1) and the eps/4
+    bisection on all pairs in lockstep. The scalar kernel of one pair,
+    which the tests compare against, is _reference.two_point_circle: at
+    p = 1 and p = 2 every value equals its bit for bit, and at other p
+    numpy's powers may differ from Python's ** in the last bit, so the
     center and radius may too. Those powers run under
     np.errstate(over="raise", invalid="raise"): where ** raises
     OverflowError this raises FloatingPointError, and no inf - inf
@@ -544,7 +470,8 @@ def _relax(row_prev, j: int, lefts, weights, is_sum: bool):
 
     lefts are the left ends of list j - 1's candidates, ascending, and
     weights their radius ** q, both numpy arrays; row_prev is the
-    previous DP row. The nested scan over every candidate and break
+    previous DP row, or with K = None the row itself, of which only
+    row_prev[:j] is read. The nested scan over every candidate and break
     keeps the first (candidate, break) in scan order with the smallest
     value. Rounding is monotone, so over its breaks a candidate's
     smallest value is its value at the range minimum m of
@@ -614,37 +541,25 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     cand_lefts = [np.array([cand.left for cand in cl]) for cl in cls]
     cand_weights = [np.array([cand.radius ** q for cand in cl]) for cl in cls]
 
-    if K is None:
-        opt = np.full(n + 1, _INF)
-        par = [None] * (n + 1)
-        opt[0] = 0.0
+    # row k relaxes from row k - 1; with K = None the one row relaxes
+    # from itself, which is sound because _relax reads only row[:j]
+    rows, back = (1, 0) if K is None else (K, 1)
+    opt = np.full((rows + 1, n + 1), _INF)
+    par = [[None] * (n + 1) for _ in range(rows + 1)]
+    opt[:, 0] = 0.0
+    for k in range(1, rows + 1):
         for j in range(1, n + 1):
-            opt[j], par[j] = _relax(opt, j, cand_lefts[j - 1], cand_weights[j - 1], is_sum)
-        if opt[n] == _INF:
-            raise _no_finite_cover()
-        runs = []
-        j = n
-        while j > 0:
-            left = par[j]
-            runs.append((left, j - 1))
-            j = left
-    else:
-        opt = np.full((K + 1, n + 1), _INF)
-        par = [[None] * (n + 1) for _ in range(K + 1)]
-        opt[:, 0] = 0.0
-        for k in range(1, K + 1):
-            for j in range(1, n + 1):
-                opt[k][j], par[k][j] = _relax(opt[k - 1], j, cand_lefts[j - 1],
-                                                cand_weights[j - 1], is_sum)
-        if opt[K][n] == _INF:
-            raise _no_finite_cover()
-        runs = []
-        k, j = K, n
-        while j > 0:
-            left = par[k][j]
-            runs.append((left, j - 1))
-            j = left
-            k -= 1
+            opt[k][j], par[k][j] = _relax(opt[k - back], j, cand_lefts[j - 1],
+                                          cand_weights[j - 1], is_sum)
+    if opt[rows][n] == _INF:
+        raise _no_finite_cover()
+    runs = []
+    k, j = rows, n
+    while j > 0:
+        left = par[k][j]
+        runs.append((left, j - 1))
+        j = left
+        k -= back
     runs.reverse()
     circles = []
     weights = []
@@ -654,65 +569,3 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
         weights.append(rad ** q)
     objective = math.fsum(weights) if is_sum else max(weights)
     return CoverSolution(tuple(runs), tuple(circles), objective)
-
-
-def enumerate_partitions(n: int, kmax: int):
-    """Yield all partitions of range(n) into at most kmax unlabeled blocks."""
-    if n == 0:
-        yield ()
-        return
-    labels = [0] * n
-
-    def rec(i: int, mx: int):
-        if i == n:
-            blocks = [[] for _ in range(mx + 1)]
-            for idx, lab in enumerate(labels):
-                blocks[lab].append(idx)
-            yield tuple(tuple(b) for b in blocks)
-            return
-        top = min(mx + 1, kmax - 1)
-        for lab in range(top + 1):
-            labels[i] = lab
-            yield from rec(i + 1, mx if lab <= mx else lab)
-
-    yield from rec(1, 0)
-
-
-def set_partition_oracle(pts: PointSet, K, norm: NormP, tol: Tolerance,
-                         agg: AggSpec) -> OraclePartition:
-    """Exhaustive minimum over all point partitions into <= K blocks.
-
-    Block cost is the smallest axis-centered ball radius to the power
-    q; blocks need not be contiguous. Guarded to tiny sizes.
-    """
-    P = pts.pts
-    n = len(P)
-    if n == 0:
-        raise EmptyInput("need at least one point")
-    if n > 10:
-        raise TooLarge(f"oracle limited to 10 points, got {n}")
-    kmax = n if K is None else min(K, n)
-    if K is not None and K > 4:
-        raise TooLarge(f"oracle limited to K <= 4, got {K}")
-    q = agg.q
-    is_sum = agg.kind == "sum"
-    memo = {}
-
-    def block_cost(idx) -> float:
-        key = tuple(idx)
-        got = memo.get(key)
-        if got is None:
-            got = _rmin_points([P[k] for k in idx], norm, tol)[1] ** q
-            memo[key] = got
-        return got
-
-    best = None
-    best_blocks = None
-    for blocks in enumerate_partitions(n, kmax):
-        costs = [block_cost(b) for b in blocks]
-        val = math.fsum(costs) if is_sum else max(costs)
-        if best is None or val < best:
-            best = val
-            best_blocks = blocks
-    contiguous = all(b[-1] - b[0] + 1 == len(b) for b in best_blocks)
-    return OraclePartition(best, best_blocks, contiguous)

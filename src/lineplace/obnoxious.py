@@ -55,14 +55,6 @@ class LowerEnvelope:
             raise ValueError("envelope needs at least one piece")
         object.__setattr__(self, "pieces", tuple(self.pieces))
 
-    @property
-    def xmin(self) -> float:
-        return self.pieces[0].a
-
-    @property
-    def xmax(self) -> float:
-        return self.pieces[-1].b
-
 
 # -- distance profiles -------------------------------------------------
 #
@@ -381,12 +373,6 @@ def _resolve_cell(u, v, i, j, prof_i, prof_j, tol):
 # -- envelope assembly --------------------------------------------------
 
 
-def base_envelope(seg_index: int, seg: Segment, L: float, norm: NormP,
-                  tol: Tolerance) -> LowerEnvelope:
-    """Single-segment envelope, split at the constrained minimiser."""
-    return _split_at(seg_index, axis_argmin_exact(seg, L, norm, tol)[0], L, tol)
-
-
 def _split_at(seg_index: int, xm: float, L: float, tol: Tolerance) -> LowerEnvelope:
     raw = LowerEnvelope((EnvelopePiece(0.0, xm, seg_index),
                          EnvelopePiece(xm, L, seg_index)))
@@ -421,21 +407,6 @@ def _compact_pieces(le: LowerEnvelope, xmins, tol: Tolerance) -> LowerEnvelope:
     return LowerEnvelope(tuple(EnvelopePiece(a, b, s) for a, b, s in out))
 
 
-def compact(le: LowerEnvelope, segments, norm: NormP, tol: Tolerance) -> LowerEnvelope:
-    """Fuse same-owner neighbours and absorb sub-resolution pieces.
-
-    A shared endpoint that exactly equals the owner's constrained
-    minimiser is kept as a breakpoint. Pieces narrower than half of
-    tol.eps fold into a neighbour, since boundary roots are only
-    refined to a quarter of tol.eps. A fully degenerate envelope
-    (L = 0) keeps one zero-width piece. Idempotent.
-    """
-    L = le.pieces[-1].b
-    xmins = {s: axis_argmin_exact(segments[s], L, norm, tol)[0]
-             for s in {pc.seg_index for pc in le.pieces}}
-    return _compact_pieces(le, xmins, tol)
-
-
 def _merge_raw(e1: LowerEnvelope, e2: LowerEnvelope, segments,
                norm: NormP, tol: Tolerance, _cache) -> list:
     """Cellwise minimum of two envelopes over the same span, uncompacted."""
@@ -467,15 +438,6 @@ def _merge_raw(e1: LowerEnvelope, e2: LowerEnvelope, segments,
                     key=lambda s: (_get_profile(_cache, segments, s, p).value(x), s))
         raw = [(x, x, owner)]
     return raw
-
-
-def merge_lower_envelopes(e1: LowerEnvelope, e2: LowerEnvelope, segments,
-                          norm: NormP, tol: Tolerance, _cache=None) -> LowerEnvelope:
-    """Pointwise minimum of two envelopes over the same [0, L]."""
-    if _cache is None:
-        _cache = {}
-    return compact(_pieces_of(_merge_raw(e1, e2, segments, norm, tol, _cache)),
-                   segments, norm, tol)
 
 
 def _pieces_of(raw) -> LowerEnvelope:
@@ -623,6 +585,18 @@ def largest_empty_from_envelope(le: LowerEnvelope, segments, norm: NormP,
         if best_x is None or val > best:
             best_x, best = x, val
     return PlacedCircle(best_x, best)
+
+
+def max_empty_envelope(segments, L: float, norm: NormP, tol: Tolerance,
+                       split: str) -> PlacedCircle:
+    """The envelope route: build the lower envelope, then maximise it.
+
+    segments is an (N, 4) array of rows [ax, ay, bx, by]; the envelope
+    works on the Segment objects built from it.
+    """
+    segs = segments_from_columns(segments)
+    env = compute_lower_envelope(segs, L, norm, tol, split=split)
+    return largest_empty_from_envelope(env, segs, norm, tol)
 
 
 def _owning_rows(far: np.ndarray, dmin: np.ndarray, scale: float, p: float) -> np.ndarray:

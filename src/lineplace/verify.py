@@ -1,0 +1,282 @@
+"""The cross-checks of `lineplace solve --verify`; not exported, and
+only the CLI imports it.
+
+cross_check runs a second route to a solve's objective and reports the
+gap: a grid scan for the one-center, the other solver route for the
+largest empty circle, and for k-cover the other list builder at p = 2,
+else an exhaustive minimum over all partitions of the points. The grid
+distances come from numpy code (geometry._np_lp) that shares nothing
+with the exact scalar routines: the closed-form projection at p = 2,
+else a golden-section search over the segment parameter, all abscissas
+of a chunk in lockstep with one evaluation a step. The grid and the
+partition oracle refuse inputs beyond their caps with TooLarge, which
+the report turns into "ok": null.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import EmptyInput, TooLarge
+from .geometry import NormP, Segment, Tolerance, _np_lp, segments_from_columns
+from .intervals import Interval
+from .k_cover import AggSpec, PointSet, _rmin_points, dp_solve
+from .obnoxious import max_empty_binsearch, max_empty_envelope
+from .one_center import PlacedCircle
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_CHUNK = 4096
+# The scans hold _CHUNK abscissas at a time, so this limit bounds their
+# time, not their memory: 1e7 steps (a constraint of length 1e4 at the
+# CLI's step 1e-3) took 0.55 s for two segments at p = 2 and 109 s at
+# p = 3, where a golden-section search runs per abscissa (2-vCPU Xeon
+# VM, numpy 2.4; peak RSS 29 MiB, against 106 MiB when all abscissas
+# were built at once).
+MAX_GRID_STEPS = 10_000_000
+_GRID_STEP = 1e-3
+_GRID_TOL = 2e-3
+_OBJECTIVE_TOL = 1e-6
+
+
+# -- grid oracles -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Evaluation abscissas: domain.lo, steps of `step`, then domain.hi."""
+
+    step: float
+    domain: Interval
+
+    def __post_init__(self) -> None:
+        if not (isinstance(self.step, (int, float)) and math.isfinite(self.step)
+                and self.step > 0.0):
+            raise ValueError("step must be a finite positive real")
+        if self.domain.is_empty:
+            raise ValueError("domain must be nonempty")
+        object.__setattr__(self, "step", float(self.step))
+
+    def chunks(self):
+        """The abscissas in order, as arrays of at most _CHUNK values.
+
+        Memory stays O(_CHUNK) whatever the domain length; the values
+        are those of abscissas(), bit for bit.
+        """
+        lo, hi = self.domain.lo, self.domain.hi
+        n = int(math.floor((hi - lo) / self.step + 1e-9)) + 1
+        last = None
+        for start in range(0, n, _CHUNK):
+            xs = lo + self.step * np.arange(start, min(start + _CHUNK, n), dtype=float)
+            xs = xs[xs <= hi]  # only the last step can pass hi
+            if len(xs):
+                last = xs[-1]
+                yield xs
+        if last is None or last < hi:
+            yield np.array([hi])
+
+    def abscissas(self) -> np.ndarray:
+        return np.concatenate(tuple(self.chunks()))
+
+
+def segment_distances(xs: np.ndarray, seg: Segment, norm: NormP) -> np.ndarray:
+    """Distance from (x, 0) to the segment for every x in xs."""
+    xs = np.asarray(xs, dtype=float)
+    p = norm.p
+    ax, ay = seg.a.x, seg.a.y
+    bx, by = seg.b.x, seg.b.y
+    ux, uy = bx - ax, by - ay
+    if ux == 0.0 and uy == 0.0:
+        return _np_lp(xs - ax, np.full_like(xs, ay), p)
+    if p == 2.0:
+        t = ((xs - ax) * ux + (0.0 - ay) * uy) / (ux * ux + uy * uy)
+        t = np.clip(t, 0.0, 1.0)
+        return np.hypot(xs - (ax + t * ux), ay + t * uy)
+
+    def f(t: np.ndarray) -> np.ndarray:
+        return _np_lp(xs - (ax + t * ux), ay + t * uy, p)
+
+    # golden-section search in lockstep over the abscissas: the interior
+    # point that survives a step is the next step's other interior point,
+    # so each step evaluates f once, at the one new point of each search
+    lo = np.zeros_like(xs)
+    hi = np.ones_like(xs)
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(80):
+        left = fc <= fd
+        # keep [lo, d] with c as its upper point, or [c, hi] with d as its lower
+        hi = np.where(left, d, hi)
+        lo = np.where(left, lo, c)
+        kept, fkept = np.where(left, c, d), np.where(left, fc, fd)
+        new = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        fnew = f(new)
+        c, fc = np.where(left, new, kept), np.where(left, fnew, fkept)
+        d, fd = np.where(left, kept, new), np.where(left, fkept, fnew)
+    mid = 0.5 * (lo + hi)
+    return np.minimum(np.minimum(f(lo), f(hi)), f(mid))
+
+
+def _scan(segments, grid: GridSpec, norm: NormP, maximize: bool):
+    if not segments:
+        raise EmptyInput("need at least one segment")
+    ratio = (grid.domain.hi - grid.domain.lo) / grid.step  # may be inf
+    if ratio > MAX_GRID_STEPS:
+        raise TooLarge(f"grid of {ratio:.3g} steps exceeds the limit of {MAX_GRID_STEPS:.0e}")
+    inner = np.minimum if maximize else np.maximum
+    pick = np.argmax if maximize else np.argmin
+    best_x = None
+    best_val = None
+    for chunk in grid.chunks():
+        vals = None
+        for seg in segments:
+            d = segment_distances(chunk, seg, norm)
+            vals = d if vals is None else inner(vals, d)
+        i = int(pick(vals))
+        v = float(vals[i])
+        # strict improvement keeps the smallest abscissa on ties
+        if best_val is None or (v > best_val if maximize else v < best_val):
+            best_val = v
+            best_x = float(chunk[i])
+    return best_x, best_val
+
+
+def grid_one_center(segments, grid: GridSpec, norm: NormP) -> PlacedCircle:
+    """Grid minimiser of the farthest-segment distance."""
+    x, val = _scan(segments, grid, norm, maximize=False)
+    return PlacedCircle(x, val)
+
+
+def grid_obnoxious_center(segments, grid: GridSpec, norm: NormP) -> PlacedCircle:
+    """Grid maximiser of the nearest-segment distance."""
+    x, val = _scan(segments, grid, norm, maximize=True)
+    return PlacedCircle(x, val)
+
+
+# -- partition oracle ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OraclePartition:
+    """Best partition found by exhaustive enumeration.
+
+    blocks may be non-contiguous, which CoverSolution cannot express,
+    hence the separate record type.
+    """
+
+    objective: float
+    blocks: tuple
+    contiguous: bool
+
+
+def enumerate_partitions(n: int, kmax: int):
+    """Yield all partitions of range(n) into at most kmax unlabeled blocks."""
+    if n == 0:
+        yield ()
+        return
+    labels = [0] * n
+
+    def rec(i: int, mx: int):
+        if i == n:
+            blocks = [[] for _ in range(mx + 1)]
+            for idx, lab in enumerate(labels):
+                blocks[lab].append(idx)
+            yield tuple(tuple(b) for b in blocks)
+            return
+        top = min(mx + 1, kmax - 1)
+        for lab in range(top + 1):
+            labels[i] = lab
+            yield from rec(i + 1, mx if lab <= mx else lab)
+
+    yield from rec(1, 0)
+
+
+def set_partition_oracle(pts: PointSet, K, norm: NormP, tol: Tolerance,
+                         agg: AggSpec) -> OraclePartition:
+    """Exhaustive minimum over all point partitions into <= K blocks.
+
+    Block cost is the smallest axis-centered ball radius to the power
+    q; blocks need not be contiguous. Guarded to tiny sizes.
+    """
+    P = pts.pts
+    n = len(P)
+    if n == 0:
+        raise EmptyInput("need at least one point")
+    if n > 10:
+        raise TooLarge(f"oracle limited to 10 points, got {n}")
+    kmax = n if K is None else min(K, n)
+    if K is not None and K > 4:
+        raise TooLarge(f"oracle limited to K <= 4, got {K}")
+    q = agg.q
+    is_sum = agg.kind == "sum"
+    memo = {}
+
+    def block_cost(idx) -> float:
+        key = tuple(idx)
+        got = memo.get(key)
+        if got is None:
+            got = _rmin_points([P[k] for k in idx], norm, tol)[1] ** q
+            memo[key] = got
+        return got
+
+    best = None
+    best_blocks = None
+    for blocks in enumerate_partitions(n, kmax):
+        costs = [block_cost(b) for b in blocks]
+        val = math.fsum(costs) if is_sum else max(costs)
+        if best is None or val < best:
+            best = val
+            best_blocks = blocks
+    contiguous = all(b[-1] - b[0] + 1 == len(b) for b in best_blocks)
+    return OraclePartition(best, best_blocks, contiguous)
+
+
+# -- the report ---------------------------------------------------------
+
+
+def _compare(kind: str, key: str, other_route, value: float, tolerance: float) -> dict:
+    """Run other_route and report its value under key, against value."""
+    try:
+        other = other_route()
+    except TooLarge as exc:
+        # the solve stands; only its cross-check is out of reach
+        return {"kind": kind, "ok": None, "reason": str(exc)}
+    delta = abs(other - value)
+    return {"kind": kind, key: other, "delta": delta, "tolerance": tolerance,
+            "ok": delta <= tolerance}
+
+
+def cross_check(inst, args, tol: Tolerance, L: float, segs, pts, objective: float) -> dict:
+    """The verify block of a solve's result.
+
+    inst is the parsed instance and args the solve's options (method,
+    split, lists); segs and pts are the instance's segments or points
+    in the axis frame of length L, as the solvers took them, and
+    objective the solve's objective.
+    """
+    norm = inst.norm
+    if inst.problem == "one-center":
+        grid = GridSpec(_GRID_STEP, Interval(0.0, L))
+        return _compare("grid", "grid_radius",
+                        lambda: grid_one_center(segments_from_columns(segs), grid, norm).radius,
+                        objective, _GRID_TOL)
+    if inst.problem == "obnoxious-center":
+        if args.method == "binsearch":
+            return _compare("envelope", "other_radius",
+                            lambda: max_empty_envelope(segs, L, norm, tol, args.split).radius,
+                            objective, 2.0 * tol.eps)
+        return _compare("binsearch", "other_radius",
+                        lambda: max_empty_binsearch(segs, L, norm, tol).radius,
+                        objective, 2.0 * tol.eps)
+    ps = PointSet(pts)
+    if norm.p == 2.0:
+        other = "sweep" if args.lists == "naive" else "naive"
+        return _compare(f"lists:{other}", "other_objective",
+                        lambda: dp_solve(ps, inst.k, norm, tol, inst.agg, lists=other).objective,
+                        objective, _OBJECTIVE_TOL)
+    return _compare("set-partition", "other_objective",
+                    lambda: set_partition_oracle(ps, inst.k, norm, tol, inst.agg).objective,
+                    objective, _OBJECTIVE_TOL)

@@ -19,7 +19,6 @@ import pytest
 
 from lineplace import (
     AggSpec,
-    GridSpec,
     Interval,
     NormP,
     Point,
@@ -28,24 +27,20 @@ from lineplace import (
     Tolerance,
     axis_argmin_exact,
     build_lists_naive,
-    build_lists_sweep,
-    compact,
     compute_lower_envelope,
     covering_interval,
     dp_solve,
-    enumerate_partitions,
-    grid_obnoxious_center,
-    grid_one_center,
     largest_empty_from_envelope,
     max_empty_binsearch,
     min_enclosing,
     point_segment_distance,
     rmin_on_axis,
-    segment_distances,
-    set_partition_oracle,
 )
-from lineplace._reference import envelope_value
+from lineplace._reference import compact, envelope_value
 from lineplace.cli import main as cli_main
+from lineplace.k_cover import build_lists_sweep
+from lineplace.verify import GridSpec, enumerate_partitions, grid_obnoxious_center, \
+    grid_one_center, segment_distances, set_partition_oracle
 
 TOL = Tolerance()
 NORMS = {1.0: NormP(1.0), 2.0: NormP(2.0), 3.0: NormP(3.0)}

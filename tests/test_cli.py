@@ -449,6 +449,26 @@ class TestOutFile:
         assert json.loads(out.read_text())["ok"] is True
 
 
+class TestRepeatedCalls:
+    def test_no_state_leaks_between_calls(self, capsys):
+        # one parser serves every call of main in a process; what one
+        # call was given must not reach the next
+        argv = ["solve", "--in", str(GOLDEN / "inst_02.json")]
+        code, out = run_cli(argv + ["--verify"])
+        assert code == 0
+        assert "verify" in json.loads(out)["result"]
+        code, plain = run_cli(argv)
+        assert code == 0
+        assert "verify" not in json.loads(plain)["result"]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv + ["--eps", "0"])
+        assert exc.value.code == 2
+        assert "argument --eps:" in capsys.readouterr().err
+        code, again = run_cli(argv)
+        assert code == 0
+        assert canonical(again) == canonical(plain)
+
+
 # -- fuzz guard: every input gets one of the documented exit codes ------
 
 _scalars = st.one_of(

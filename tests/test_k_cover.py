@@ -9,24 +9,21 @@ import pytest
 from lineplace import (
     AggSpec,
     EmptyInput,
-    NoBisectorRoot,
     NormP,
     Point,
     PointSet,
     Tolerance,
-    TooLarge,
     UnsupportedNorm,
     build_lists_naive,
-    build_lists_sweep,
     dp_solve,
-    enumerate_partitions,
     lp_distance,
     rmin_on_axis,
-    set_partition_oracle,
-    two_point_circle,
 )
 from lineplace import k_cover
-from lineplace._reference import build_lists_loop, relax_scan
+from lineplace._reference import build_lists_loop, relax_scan, two_point_circle
+from lineplace.errors import NoBisectorRoot, TooLarge
+from lineplace.k_cover import build_lists_sweep
+from lineplace.verify import enumerate_partitions, set_partition_oracle
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)

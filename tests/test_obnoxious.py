@@ -12,15 +12,13 @@ from lineplace import (
     Point,
     Segment,
     Tolerance,
-    base_envelope,
-    compact,
     compute_lower_envelope,
     largest_empty_from_envelope,
     max_empty_binsearch,
-    merge_lower_envelopes,
     point_segment_distance,
 )
-from lineplace._reference import envelope_value, equal_distance_point
+from lineplace._reference import base_envelope, compact, envelope_value, equal_distance_point, \
+    merge_lower_envelopes
 from lineplace.obnoxious import _AFFINE, _build_profile
 
 TOL = Tolerance()

@@ -6,18 +6,16 @@ import pytest
 
 from lineplace import (
     EmptyInput,
-    GridSpec,
     Interval,
     NormP,
     Point,
     Segment,
     Tolerance,
-    TooLarge,
-    grid_obnoxious_center,
-    grid_one_center,
     point_segment_distance,
-    segment_distances,
 )
+from lineplace.errors import TooLarge
+from lineplace.verify import GridSpec, grid_obnoxious_center, grid_one_center, \
+    segment_distances
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -58,7 +56,7 @@ class TestGridSpec:
     def test_chunks_are_the_abscissas(self, step, lo, hi):
         # the values of lo + step * arange(n), cut at hi, plus hi; the
         # step 1e-3 case has 21501 values, over six chunks
-        from lineplace.oracles import _CHUNK
+        from lineplace.verify import _CHUNK
 
         grid = GridSpec(step, Interval(lo, hi))
         n = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -74,7 +72,7 @@ class TestGridSpec:
         assert grid.abscissas().tobytes() == want.tobytes()
 
     def test_scan_refuses_a_grid_beyond_the_limit(self):
-        from lineplace.oracles import MAX_GRID_STEPS
+        from lineplace.verify import MAX_GRID_STEPS
 
         grid = GridSpec(1.0, Interval(0.0, 2.0 * MAX_GRID_STEPS))
         with pytest.raises(TooLarge):

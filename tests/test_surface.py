@@ -1,6 +1,7 @@
 """The package surface: what is exported, and where the second routes live."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
@@ -10,15 +11,40 @@ import lineplace
 SRC = pathlib.Path(lineplace.__file__).parent
 PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
 
-# independent second routes, kept for the tests in lineplace._reference
+# independent second routes and the entry points only the tests call,
+# kept for the tests in lineplace._reference
 REFERENCE_ROUTES = {
     "_covering_bisect",
     "_min_distance_search",
+    "base_envelope",
     "build_lists_loop",
+    "compact",
     "distance_argmin_on_axis",
     "equal_distance_point",
     "envelope_value",
+    "merge_lower_envelopes",
     "relax_scan",
+    "two_point_circle",
+}
+
+# names that live on in their modules (lineplace.verify, _reference,
+# k_cover, errors) but that no caller outside the tests and the CLI's
+# cross-checks needs, so the package does not export them
+UNEXPORTED = {
+    "GridSpec",
+    "grid_one_center",
+    "grid_obnoxious_center",
+    "segment_distances",
+    "set_partition_oracle",
+    "enumerate_partitions",
+    "OraclePartition",
+    "build_lists_sweep",
+    "compact",
+    "merge_lower_envelopes",
+    "base_envelope",
+    "two_point_circle",
+    "NoBisectorRoot",
+    "TooLarge",
 }
 
 
@@ -73,3 +99,56 @@ def test_no_crossing_stays_internal():
     assert "NoCrossing" not in lineplace.__all__
     assert not hasattr(lineplace, "NoCrossing")
     assert issubclass(errors.NoCrossing, errors.SolverError)
+
+
+def _imported_names(path):
+    """(line, dotted name parts) of every import in the module at path."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield node.lineno, (node.module or "").split(".") + [alias.name]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")
+
+
+@pytest.mark.parametrize(
+    "path", [path for path in sorted(SRC.glob("*.py")) if path.name not in ("cli.py", "verify.py")],
+    ids=lambda path: path.name)
+def test_only_the_cli_imports_verify(path):
+    for lineno, parts in _imported_names(path):
+        assert "verify" not in parts, f"{path.name}:{lineno} imports {'.'.join(parts)}"
+
+
+def test_oracles_module_is_gone():
+    # the grid oracles live in lineplace.verify
+    assert not (SRC / "oracles.py").exists()
+    assert importlib.util.find_spec("lineplace.oracles") is None
+
+
+def test_unexported_names_stay_off_the_package():
+    for name in UNEXPORTED:
+        assert name not in lineplace.__all__, name
+        assert not hasattr(lineplace, name), name
+
+
+def test_no_unused_imports():
+    # an import that no name in its module uses; __init__.py imports to export
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert not unused, unused
