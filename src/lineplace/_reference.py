@@ -19,7 +19,7 @@ from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _profile_min_u
     axis_argmin_exact, point_segment_distance, segment_ox_intersection
 from .intervals import Interval
 from .k_cover import PointSet, _cover_slack, _finalize_lists
-from .obnoxious import LowerEnvelope, _compact_pieces, _merge_raw, _pieces_of, _split_at
+from .obnoxious import EnvelopePiece, LowerEnvelope, _compact_pieces, _merge_raw, _split_at
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -179,10 +179,19 @@ def _covering_bisect(s: Segment, R: float, norm: NormP, tol: Tolerance) -> Inter
     return Interval(u, v)
 
 
+def _spans(le: LowerEnvelope) -> list:
+    """The pieces as the (a, b, seg_index) tuples the envelope build carries."""
+    return [(pc.a, pc.b, pc.seg_index) for pc in le.pieces]
+
+
+def _wrap(spans) -> LowerEnvelope:
+    return LowerEnvelope(tuple(EnvelopePiece(a, b, s) for a, b, s in spans))
+
+
 def base_envelope(seg_index: int, seg: Segment, L: float, norm: NormP,
                   tol: Tolerance) -> LowerEnvelope:
     """Single-segment envelope, split at the constrained minimiser."""
-    return _split_at(seg_index, axis_argmin_exact(seg, L, norm, tol)[0], L, tol)
+    return _wrap(_split_at(seg_index, axis_argmin_exact(seg, L, norm, tol)[0], L, tol))
 
 
 def compact(le: LowerEnvelope, segments, norm: NormP, tol: Tolerance) -> LowerEnvelope:
@@ -197,13 +206,13 @@ def compact(le: LowerEnvelope, segments, norm: NormP, tol: Tolerance) -> LowerEn
     L = le.pieces[-1].b
     xmins = {s: axis_argmin_exact(segments[s], L, norm, tol)[0]
              for s in {pc.seg_index for pc in le.pieces}}
-    return _compact_pieces(le, xmins, tol)
+    return _wrap(_compact_pieces(_spans(le), xmins, tol))
 
 
 def merge_lower_envelopes(e1: LowerEnvelope, e2: LowerEnvelope, segments,
                           norm: NormP, tol: Tolerance) -> LowerEnvelope:
     """Pointwise minimum of two envelopes over the same [0, L]."""
-    return compact(_pieces_of(_merge_raw(e1, e2, segments, norm, tol, {})),
+    return compact(_wrap(_merge_raw(_spans(e1), _spans(e2), segments, norm, tol, {})),
                    segments, norm, tol)
 
 

@@ -7,6 +7,11 @@ profiles along the axis. The envelope is built by divide and conquer
 merges; each merge resolves ownership exactly by decomposing every
 profile into convex cone and affine pieces, so cells where two
 profiles cross twice (which defeats endpoint-sign tests) are handled.
+A cell where one profile lies above the other by more than a margin
+derived from the profiles' evaluation rounding is settled before any
+root finding (_dominant), with the same piece the resolution gives.
+The build carries pieces as (a, b, seg_index) tuples and wraps only
+the final envelope in EnvelopePiece and LowerEnvelope.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -73,12 +79,15 @@ _AFFINE = 1
 
 
 class _Profile:
-    __slots__ = ("p", "pieces", "starts")
+    __slots__ = ("p", "pieces", "starts", "ends", "mag")
 
-    def __init__(self, p: float, pieces):
+    def __init__(self, p: float, pieces, mag: float):
         self.p = p
         self.pieces = pieces
         self.starts = [pc[0] for pc in pieces]
+        self.ends = self.starts[1:] + [_INF]
+        # the largest coordinate magnitude of the segment
+        self.mag = mag
 
     def piece_at(self, x: float):
         i = bisect_right(self.starts, x) - 1
@@ -203,7 +212,7 @@ def _build_profile(seg: Segment, p: float) -> _Profile:
     if p == 1.0:
         # p = 1 cones are themselves piecewise affine: split at the apex
         pieces = _split_p1_cones(pieces)
-    return _Profile(p, pieces)
+    return _Profile(p, pieces, max(abs(ax), abs(ay), abs(bx), abs(by)))
 
 
 def _get_profile(cache, segments, idx: int, p: float):
@@ -370,33 +379,119 @@ def _resolve_cell(u, v, i, j, prof_i, prof_j, tol):
     return out
 
 
+# -- cells settled by dominance -----------------------------------------
+
+def _extent(prof: _Profile, u: float, v: float):
+    """(least, greatest) value of prof's pieces over [u, v], as evaluated.
+
+    The part [a, b] of [u, v] on which piece_at picks a piece is taken
+    whole; the piece, as stored, is convex, so its greatest value sits
+    at a or b, and so does its least, except for a cone whose apex c
+    lies inside (a, b), where the least is h.
+    """
+    k = bisect_right(prof.starts, u) - 1
+    if k < 0:
+        k = 0
+    ends, pieces, p = prof.ends, prof.pieces, prof.p
+    least, greatest = _INF, -_INF
+    a = u
+    while True:
+        nxt = ends[k]
+        b = nxt if nxt < v else v
+        _, _, kind, c, h = pieces[k]
+        if kind == _CONE:
+            if p == 2.0:
+                fa, fb = math.hypot(a - c, h), math.hypot(b - c, h)
+            else:
+                fa, fb = _lp_pair(a - c, h, p), _lp_pair(b - c, h, p)
+            low = h if a < c < b else (fa if c <= a else fb)
+        else:
+            fa, fb = c * a + h, c * b + h
+            low = fa if fa < fb else fb
+        high = fa if fa > fb else fb
+        if low < least:
+            least = low
+        if high > greatest:
+            greatest = high
+        if nxt > v:
+            return least, greatest
+        a = nxt
+        k += 1
+
+
+def _dominant(u: float, v: float, i: int, j: int, prof_i: _Profile, prof_j: _Profile):
+    """Owner of the whole cell [u, v] when one profile clears the other.
+
+    When j's least value over the cell (_extent) exceeds i's greatest by
+    more than the margin, every midpoint that _resolve_cell compares
+    goes to i, so it would return [(u, v, i)]: this returns i instead,
+    and the merge emits that piece bit for bit, without root finding.
+    The same holds with i and j swapped. Otherwise, or outside the
+    window, it returns None.
+
+    Margin. Let M be the largest coordinate magnitude of both segments
+    and v, so |x| <= M on the cell, and r = 2^-53 the unit roundoff.
+    - Every stored piece has |A| <= 1 and |c|, h <= M, and |B| <= 4 M:
+      B = (U ay - V ax) / nrm with U, |V| <= mx <= nrm, and a rounded
+      product is at most twice the exact one, in the subnormal range
+      too. A p = 1 piece has |B| = |c -+ h| <= 2 M.
+    - Evaluating a piece at x in [u, v] is off by at most e = 24 r M:
+      x - c by 2 r M, then _lp_pair by 6 ulps of a value below 3 M (a
+      power amplifies the relative error of its base by p, the 1/p root
+      of a sum >= 1 divides it back); A x + B by r (M + 5 M).
+      Underflow adds a few 2^-1074, far below r M while M > 2^-200.
+    - A midpoint m lies in the part [a, b] of one piece of each
+      profile, and the exact piece is convex there, so its exact value
+      at m lies between the exact least and greatest of the piece on
+      [a, b], each within e of the computed ones that _extent takes:
+      i's computed value at m is below greatest_i + 2 e and j's above
+      least_j - 2 e. The rounded difference least_j - greatest_i errs
+      by at most 12 r M.
+    A margin of 4 e + 12 r M = 108 r M suffices; 2^-44 M = 512 r M
+    leaves room. Outside (2^-200, 2^200) products of coordinates can
+    underflow or overflow (near 1e300, U ay - V ax overflows and the
+    profile gets NaN and inf pieces), so no bound is claimed.
+    """
+    mag = max(prof_i.mag, prof_j.mag, v)
+    if not 2.0 ** -200 < mag < 2.0 ** 200:
+        return None
+    margin = mag * 2.0 ** -44
+    least_i, greatest_i = _extent(prof_i, u, v)
+    least_j, greatest_j = _extent(prof_j, u, v)
+    if least_j - greatest_i > margin:
+        return i
+    if least_i - greatest_j > margin:
+        return j
+    return None
+
+
 # -- envelope assembly --------------------------------------------------
+#
+# Inside the build an envelope is a list of (a, b, seg_index) tuples
+# that tile its span left to right; compute_lower_envelope wraps the
+# final one in EnvelopePiece and LowerEnvelope.
 
 
-def _split_at(seg_index: int, xm: float, L: float, tol: Tolerance) -> LowerEnvelope:
-    raw = LowerEnvelope((EnvelopePiece(0.0, xm, seg_index),
-                         EnvelopePiece(xm, L, seg_index)))
-    return _compact_pieces(raw, {seg_index: xm}, tol)
+def _split_at(seg_index: int, xm: float, L: float, tol: Tolerance) -> list:
+    return _compact_pieces([(0.0, xm, seg_index), (xm, L, seg_index)], {seg_index: xm}, tol)
 
 
-def _compact_pieces(le: LowerEnvelope, xmins, tol: Tolerance) -> LowerEnvelope:
+def _compact_pieces(pieces, xmins, tol: Tolerance) -> list:
     # xmins maps (dict) or indexes (list) every owner to its constrained
     # minimiser. Pieces narrower than half of tol.eps are merge order
     # noise, not certified ownership; absorbing them keeps both build
     # orders on the same piece list
     sliver = 0.5 * tol.eps
-    pieces = list(le.pieces)
-    keep = [pc for pc in pieces if pc.b - pc.a > sliver]
+    keep = [pc for pc in pieces if pc[1] - pc[0] > sliver]
     if not keep:
-        return LowerEnvelope((EnvelopePiece(pieces[0].a, pieces[-1].b,
-                                            pieces[0].seg_index),))
+        return [(pieces[0][0], pieces[-1][1], pieces[0][2])]
     spans = []
-    cursor = pieces[0].a
-    for pc in keep:
-        spans.append((cursor, pc.b, pc.seg_index))
-        cursor = pc.b
+    cursor = pieces[0][0]
+    for _, b, s in keep:
+        spans.append((cursor, b, s))
+        cursor = b
     la, _, ls = spans[-1]
-    spans[-1] = (la, pieces[-1].b, ls)
+    spans[-1] = (la, pieces[-1][1], ls)
     out = [spans[0]]
     for a, b, s in spans[1:]:
         pa, pb, ps = out[-1]
@@ -404,64 +499,65 @@ def _compact_pieces(le: LowerEnvelope, xmins, tol: Tolerance) -> LowerEnvelope:
             out[-1] = (pa, b, ps)
         else:
             out.append((a, b, s))
-    return LowerEnvelope(tuple(EnvelopePiece(a, b, s) for a, b, s in out))
+    return out
 
 
-def _merge_raw(e1: LowerEnvelope, e2: LowerEnvelope, segments,
-               norm: NormP, tol: Tolerance, _cache) -> list:
-    """Cellwise minimum of two envelopes over the same span, uncompacted."""
+def _merge_raw(e1, e2, segments, norm: NormP, tol: Tolerance, _cache) -> list:
+    """Cellwise minimum of two envelopes over the same span, uncompacted.
+
+    A cell whose two owners differ goes to the owner _dominant names, or
+    else to _resolve_cell.
+    """
     p = norm.p
-    bounds = sorted({pc.a for pc in e1.pieces} | {pc.b for pc in e1.pieces}
-                    | {pc.a for pc in e2.pieces} | {pc.b for pc in e2.pieces})
+    bounds = sorted({x for a, b, _ in e1 for x in (a, b)} | {x for a, b, _ in e2 for x in (a, b)})
     i1 = i2 = 0
-    p1, p2 = e1.pieces, e2.pieces
+    n1, n2 = len(e1) - 1, len(e2) - 1
     raw = []
     for k in range(len(bounds) - 1):
         u, v = bounds[k], bounds[k + 1]
         if v <= u:
             continue
-        while i1 + 1 < len(p1) and p1[i1].b <= u:
+        while i1 < n1 and e1[i1][1] <= u:
             i1 += 1
-        while i2 + 1 < len(p2) and p2[i2].b <= u:
+        while i2 < n2 and e2[i2][1] <= u:
             i2 += 1
-        oi, oj = p1[i1].seg_index, p2[i2].seg_index
+        oi, oj = e1[i1][2], e2[i2][2]
         if oi == oj:
             raw.append((u, v, oi))
             continue
-        prof_i = _get_profile(_cache, segments, oi, p)
-        prof_j = _get_profile(_cache, segments, oj, p)
+        prof_i = _cache.get(oi) or _get_profile(_cache, segments, oi, p)
+        prof_j = _cache.get(oj) or _get_profile(_cache, segments, oj, p)
+        owner = _dominant(u, v, oi, oj, prof_i, prof_j)
+        if owner is not None:
+            raw.append((u, v, owner))
+            continue
         raw.extend(_resolve_cell(u, v, oi, oj, prof_i, prof_j, tol))
     if not raw:
         # a one-point span (L = 0): the nearer owner, ties to the lower index
-        x = e1.pieces[0].a
-        owner = min((p1[0].seg_index, p2[0].seg_index),
+        x = e1[0][0]
+        owner = min((e1[0][2], e2[0][2]),
                     key=lambda s: (_get_profile(_cache, segments, s, p).value(x), s))
         raw = [(x, x, owner)]
     return raw
 
 
-def _pieces_of(raw) -> LowerEnvelope:
-    return LowerEnvelope(tuple(EnvelopePiece(a, b, s) for a, b, s in raw))
-
-
-def _envelope_peak(env: LowerEnvelope, segments, norm: NormP, tol: Tolerance) -> float:
+def _envelope_peak(env, segments, norm: NormP, tol: Tolerance) -> float:
     """Exact maximum of the envelope value over its span.
 
     Each piece's distance profile is convex, so the maximum of the
     pointwise minimum sits at a piece boundary or a domain end.
     """
     peak = 0.0
-    for pc in env.pieces:
-        for x in (pc.a, pc.b):
-            d = point_segment_distance(Point(x, 0.0), segments[pc.seg_index],
-                                       norm, tol)
+    for a, b, s in env:
+        for x in (a, b):
+            d = point_segment_distance(Point(x, 0.0), segments[s], norm, tol)
             if d > peak:
                 peak = d
     return peak
 
 
-def _fold_one(env: LowerEnvelope, base: LowerEnvelope, lo_x: float, hi_x: float,
-              segments, xmins, norm: NormP, tol: Tolerance, cache) -> LowerEnvelope:
+def _fold_one(env, base, lo_x: float, hi_x: float,
+              segments, xmins, norm: NormP, tol: Tolerance, cache) -> list:
     """Merge a single-segment envelope into env inside [lo_x, hi_x] only.
 
     The caller guarantees the new segment strictly loses outside the
@@ -469,23 +565,18 @@ def _fold_one(env: LowerEnvelope, base: LowerEnvelope, lo_x: float, hi_x: float,
     runs on the rewritten slice plus two flanking pieces on each side,
     which bounds how far same-owner fusion can propagate.
     """
-    pieces = env.pieces
-    m = len(pieces)
-    ilo = bisect_right(pieces, lo_x, key=lambda pc: pc.b)
+    m = len(env)
+    ilo = bisect_right(env, lo_x, key=itemgetter(1))
     ilo = min(ilo, m - 1)
-    ihi = bisect_left(pieces, hi_x, key=lambda pc: pc.a) - 1
+    ihi = bisect_left(env, hi_x, key=itemgetter(0)) - 1
     ihi = min(max(ihi, ilo), m - 1)
-    span_a, span_b = pieces[ilo].a, pieces[ihi].b
-    sub = LowerEnvelope(pieces[ilo:ihi + 1])
-    clipped = tuple(EnvelopePiece(max(pc.a, span_a), min(pc.b, span_b), pc.seg_index)
-                    for pc in base.pieces if pc.b > span_a and pc.a < span_b)
-    raw = _merge_raw(sub, LowerEnvelope(clipped), segments, norm, tol, cache)
+    span_a, span_b = env[ilo][0], env[ihi][1]
+    clipped = [(max(a, span_a), min(b, span_b), s)
+               for a, b, s in base if b > span_a and a < span_b]
+    raw = _merge_raw(env[ilo:ihi + 1], clipped, segments, norm, tol, cache)
     head, tail = max(ilo - 2, 0), min(ihi + 3, m)
-    local = list(pieces[head:ilo])
-    local.extend(EnvelopePiece(a, b, s) for a, b, s in raw)
-    local.extend(pieces[ihi + 1:tail])
-    fused = _compact_pieces(LowerEnvelope(tuple(local)), xmins, tol).pieces
-    return LowerEnvelope(pieces[:head] + fused + pieces[tail:])
+    fused = _compact_pieces(env[head:ilo] + raw + env[ihi + 1:tail], xmins, tol)
+    return env[:head] + fused + env[tail:]
 
 
 def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
@@ -502,6 +593,13 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     peak, and contests only the x range where the newcomer can win:
     outside it the horizontal gap to the segment's x extent (a lower
     bound on the distance in every norm here) beats the peak.
+
+    Every merge settles a cell of two owners without root finding when
+    one profile lies above the other by a margin derived from the
+    profiles' evaluation rounding (_dominant), which gives the same
+    pieces as resolving it. The build carries pieces as (a, b,
+    seg_index) tuples and wraps only the final envelope in
+    EnvelopePiece and LowerEnvelope.
     """
     segs = list(segments)
     n = len(segs)
@@ -515,15 +613,15 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     xmins = [xm for xm, _ in argmins]
     cache = {}
 
-    def base(i: int) -> LowerEnvelope:
+    def base(i: int) -> list:
         return _split_at(i, xmins[i], L, tol)
 
-    def build(lo: int, hi: int) -> LowerEnvelope:
+    def build(lo: int, hi: int) -> list:
         if hi - lo == 1:
             return base(lo)
         mid = (lo + hi) // 2
         raw = _merge_raw(build(lo, mid), build(mid, hi), segs, norm, tol, cache)
-        return _compact_pieces(_pieces_of(raw), xmins, tol)
+        return _compact_pieces(raw, xmins, tol)
 
     if split == "halves" or L == 0.0:
         # a fold needs a window of positive width, so L = 0 merges too
@@ -560,9 +658,9 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
             accepted += 1
             if accepted % 32 == 0:
                 peak = _envelope_peak(env, segs, norm, tol)
-    assert env.pieces[0].a == 0.0 and env.pieces[-1].b == L
-    assert all(env.pieces[k].b == env.pieces[k + 1].a for k in range(len(env.pieces) - 1))
-    return env
+    assert env[0][0] == 0.0 and env[-1][1] == L
+    assert all(env[k][1] == env[k + 1][0] for k in range(len(env) - 1))
+    return LowerEnvelope(tuple(EnvelopePiece(a, b, s) for a, b, s in env))
 
 
 def largest_empty_from_envelope(le: LowerEnvelope, segments, norm: NormP,

@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lineplace import (
     Interval,
@@ -12,6 +12,7 @@ from lineplace import (
     Segment,
     Tolerance,
     axis_argmin_exact,
+    compute_lower_envelope,
     covering_interval,
     lp_distance,
     max_empty_binsearch,
@@ -23,7 +24,7 @@ from lineplace import (
     union_covers,
 )
 from lineplace._reference import distance_argmin_on_axis, equal_distance_point
-from lineplace.errors import NoCrossing
+from lineplace.errors import NoCrossing, SolverError
 from lineplace.obnoxious import _build_profile
 
 TOL = Tolerance()
@@ -159,23 +160,24 @@ def test_union_covers_witness_is_uncovered(raw):
 # -- pruning in the two radius bisections never changes an answer ------
 
 @st.composite
-def _pruning_instances(draw):
-    """24-200 rows mixing the shapes the pruning rules meet.
+def _row_instances(draw, sizes, scales, vertical=False):
+    """Rows mixing the shapes the pruning and dominance rules meet.
 
     A seeded generator fills the rows; hypothesis draws the seed, the
     size, the coordinate scale, L and the share of each shape: spread
     or near-line rows, rows crossing the axis, point rows, level rows,
-    duplicates (ties in every bound), and rows lying on the axis over
-    all of [0, L]. When every row is of the last kind, the one-center
-    lower bound is 0 and a rule that dropped every row with
-    max(d0, dL) <= lo would keep none.
+    duplicates (ties in every bound), rows lying on the axis over all
+    of [0, L], and, with vertical, rows of one abscissa. When every row
+    lies on the axis, the one-center lower bound is 0 and a rule that
+    dropped every row with max(d0, dL) <= lo would keep none.
     """
     seed = draw(st.integers(0, 2**32 - 1))
-    n = draw(st.integers(24, 200))
-    scale = draw(st.sampled_from([1e-6, 1.0, 1e6]))
+    n = draw(sizes)
+    scale = draw(st.sampled_from(scales))
     L = draw(st.sampled_from([0.0, 1.0, 10.0, 100.0])) * scale
     nearline = draw(st.booleans())
-    weights = draw(st.lists(st.integers(0, 3), min_size=6, max_size=6))
+    shapes = 6 if vertical else 5
+    weights = draw(st.lists(st.integers(0, 3), min_size=shapes + 1, max_size=shapes + 1))
     rng = random.Random(seed)
 
     def coord(lo, hi):
@@ -204,11 +206,15 @@ def _pruning_instances(draw):
     def on_axis():
         return [-coord(0.0, 5.0), 0.0, L + coord(0.0, 5.0), 0.0]
 
-    makers = [row, crossing, point, level, on_axis]
+    def upright():
+        x1, y1, _, y2 = row()
+        return [x1, y1, x1, y2]
+
+    makers = [row, crossing, point, level, on_axis, upright][:shapes]
     pick = [m for m, w in zip(makers, weights) for _ in range(w)] or [on_axis]
     rows = []
     while len(rows) < n:
-        if rows and rng.random() < 0.1 * weights[5]:
+        if rows and rng.random() < 0.1 * weights[shapes]:
             rows.append(list(rng.choice(rows)))
         else:
             rows.append(rng.choice(pick)())
@@ -224,7 +230,7 @@ def _all_rows(far, *args):
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-@given(inst=_pruning_instances())
+@given(inst=_row_instances(st.integers(24, 200), [1e-6, 1.0, 1e6]))
 @settings(deadline=None)
 def test_pruning_never_changes_an_answer(p, inst):
     cols, L = inst
@@ -239,3 +245,49 @@ def test_pruning_never_changes_an_answer(p, inst):
                 _bits(max_empty_binsearch(segs, L, norm, TOL))]
     assert pruned == full
 
+
+
+# -- settling cells by dominance never changes an envelope piece -------
+
+def _envelope_outcome(segs, L, p, split):
+    """Pieces as exact bits, or the error the build stops with."""
+    try:
+        env = compute_lower_envelope(segs, L, NormP(p), TOL, split=split)
+    except (SolverError, ArithmeticError, ValueError) as exc:  # what a solve exits 3 with
+        return type(exc).__name__, str(exc)
+    return [(pc.a.hex(), pc.b.hex(), pc.seg_index) for pc in env.pieces]
+
+
+def _never_dominant(*args):
+    return None
+
+
+_PINNED_OVERFLOW = (np.array([[-8.375333314944607e299, -7.842016392780372e294,
+                               -6.572665339832966e299, 3.7292578879228924e296],
+                              [8.795959788966634e299, 3.0939054382359757e296,
+                               4.066444125146898e299, -6.5443474838477e296]]), 1e300)
+
+
+def _nearline(n, seed):
+    rng = random.Random(seed)
+    return np.array([[rng.uniform(0.0, 100.0), rng.uniform(-2.0, 2.0),
+                      rng.uniform(0.0, 100.0), rng.uniform(-2.0, 2.0)] for _ in range(n)]), 100.0
+
+
+@pytest.mark.parametrize("split", ["halves", "one-off"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+# 1e-70, 1e70 and 1e300 lie outside (2^-200, 2^200), where _dominant
+# claims no margin; 1.0 is listed twice to weight the scales inside
+@given(inst=_row_instances(st.integers(1, 120),
+                           [1.0, 1e-6, 1e6, 1.0, 1e-70, 1e70, 1e300], vertical=True))
+@example(inst=_PINNED_OVERFLOW).via("coordinates near 1e300 overflow the profile")
+@example(inst=_nearline(240, 9)).via("many cells where two profiles nearly touch")
+@settings(deadline=None)
+def test_dominance_never_changes_an_envelope(split, p, inst):
+    cols, L = inst
+    segs = [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in cols.tolist()]
+    settled = _envelope_outcome(segs, L, p, split)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(obnoxious, "_dominant", _never_dominant)
+        resolved = _envelope_outcome(segs, L, p, split)
+    assert settled == resolved

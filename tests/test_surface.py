@@ -152,3 +152,20 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, unused
+
+
+def test_envelope_build_wraps_once():
+    # the envelope build carries pieces as (a, b, seg_index) tuples; only
+    # the return of compute_lower_envelope builds the public objects
+    tree = ast.parse((SRC / "obnoxious.py").read_text())
+
+    def wraps(node):
+        return sorted(call.func.id for call in ast.walk(node)
+                      if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                      and call.func.id in ("EnvelopePiece", "LowerEnvelope"))
+
+    build = next(fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "compute_lower_envelope")
+    final = build.body[-1]
+    assert isinstance(final, ast.Return)
+    assert wraps(tree) == wraps(final) == ["EnvelopePiece", "LowerEnvelope"]
