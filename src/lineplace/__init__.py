@@ -34,10 +34,9 @@ from .geometry import (
     segment_ox_intersection,
     transform_to_axis,
 )
-from .intervals import Interval, covering_interval, intersect_all, union_covers
+from .intervals import Interval, covering_interval, intersect_all
 from .k_cover import (
     AggSpec,
-    Candidate,
     CoverSolution,
     PointSet,
     build_lists_naive,
@@ -58,7 +57,6 @@ __version__ = "1.0.0"
 __all__ = [
     "AggSpec",
     "AxisFrame",
-    "Candidate",
     "CoverSolution",
     "EmptyInput",
     "EnvelopePiece",
@@ -88,5 +86,4 @@ __all__ = [
     "rmin_on_axis",
     "segment_ox_intersection",
     "transform_to_axis",
-    "union_covers",
 ]

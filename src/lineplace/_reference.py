@@ -3,10 +3,13 @@
 Each function here reaches a result of the production code by an
 independent method (bisection, golden-section search, candidate
 evaluation, plain loops where the solver works on arrays or range
-minima), so the tests can compare the two. Beside them sit the
-one-at-a-time entry points that only the tests call: the scalar pair
-circle, the single-segment envelope, and the merge and compaction of
-two envelopes. Not exported, and no solver module imports it.
+minima), so the tests can compare the two: among them the scalar
+union cover of covering intervals, which no solver runs, and a
+dict-based grouping of candidate runs into k-cover lists. Beside them
+sit the one-at-a-time entry points that only the tests call: the
+scalar pair circle, the single-segment envelope, and the merge and
+compaction of two envelopes. Not exported, and no solver module
+imports it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import EmptyInput, NoBisectorRoot, NoCrossing
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _profile_min_unclamped, \
     axis_argmin_exact, point_segment_distance, segment_ox_intersection
 from .intervals import Interval
-from .k_cover import PointSet, _cover_slack, _finalize_lists
+from .k_cover import PointSet, _cover_slack
 from .obnoxious import EnvelopePiece, LowerEnvelope, _compact_pieces, _merge_raw, _split_at
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -179,6 +182,38 @@ def _covering_bisect(s: Segment, R: float, norm: NormP, tol: Tolerance) -> Inter
     return Interval(u, v)
 
 
+def union_covers(intervals, domain: Interval):
+    """Whether the union of intervals covers domain; else a witness.
+
+    Returns (True, None) or (False, x) with x a point of domain no
+    interval contains. A gap at the start reports domain.lo itself,
+    interior and trailing gaps report the gap midpoint. Reference for
+    intervals.union_covers_arrays, one interval at a time.
+    """
+    if domain.is_empty:
+        return True, None
+    items = sorted((iv for iv in intervals if not iv.is_empty),
+                   key=lambda iv: (iv.lo, iv.hi))
+    reach = domain.lo
+    touched = False
+    for iv in items:
+        if iv.hi < domain.lo:
+            continue
+        if iv.lo > reach:
+            if not touched:
+                return False, domain.lo
+            gap_end = iv.lo if iv.lo < domain.hi else domain.hi
+            return False, 0.5 * (reach + gap_end)
+        touched = True
+        if iv.hi > reach:
+            reach = iv.hi
+        if reach >= domain.hi:
+            return True, None
+    if not touched:
+        return False, domain.lo
+    return False, 0.5 * (reach + domain.hi)
+
+
 def _spans(le: LowerEnvelope) -> list:
     """The pieces as the (a, b, seg_index) tuples the envelope build carries."""
     return [(pc.a, pc.b, pc.seg_index) for pc in le.pieces]
@@ -294,6 +329,30 @@ def two_point_circle(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance)
 def _covered_p2(px: float, py: float, xc: float, thr: float) -> bool:
     dx = px - xc
     return dx * dx + py * py <= thr
+
+
+def _finalize_lists(lists, pts: PointSet):
+    """Add the pinned single-point candidate, dedup, and sort.
+
+    lists[r] holds the (left, radius) of every run found that ends at
+    point r. Radii that are not finite are dropped: coordinates near
+    the float range give pair circles of radius inf or NaN, which the
+    DP never chooses. Returns the lists in the format of
+    k_cover.build_lists_naive, grouped here by a dict per list instead
+    of its sort over all runs (k_cover._group_lists).
+    """
+    P = pts.pts
+    out = []
+    for r, cand in enumerate(lists):
+        best = {r: abs(P[r].y)}
+        for left, rad in cand:
+            if not math.isfinite(rad):
+                continue
+            cur = best.get(left)
+            if cur is None or rad < cur:
+                best[left] = rad
+        out.append(tuple((left, best[left]) for left in sorted(best)))
+    return tuple(out)
 
 
 def build_lists_loop(pts: PointSet, norm: NormP, tol: Tolerance):

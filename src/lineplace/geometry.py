@@ -132,12 +132,36 @@ def _stationary_params(A: float, B: float, ux: float, uy: float, p: float) -> li
     return out
 
 
+_MIN_NORMAL = 2.0 ** -1022
+
+
+@np.errstate(all="ignore")
+def _projection_scaled(A, B, ux, uy):
+    """The clamped projection parameter of (A, B) on (ux, uy) at p = 2,
+    for directions whose squared length underflows; scalars or arrays.
+
+    With ux = sx 2^e, uy = sy 2^e and the larger of |sx|, |sy| in
+    [1/2, 1), the parameter is q 2^-e, q = (A sx + B sy) / (sx^2 +
+    sy^2): the bits of the instance scaled up by a power of two, where
+    nothing underflows. q is clamped before it counts, so an overflow
+    of q 2^-e is never used; a NaN q (both products overflow) gives 0,
+    where every parameter gives the same distance. ux and uy must not
+    both be 0.
+    """
+    e = np.frexp(np.maximum(np.abs(ux), np.abs(uy)))[1]
+    sx, sy = np.ldexp(ux, -e), np.ldexp(uy, -e)
+    q = (A * sx + B * sy) / (sx * sx + sy * sy)
+    return np.where(q > 0.0, np.where(q > np.ldexp(1.0, e), 1.0, np.ldexp(q, -e)), 0.0)
+
+
 def point_segment_distance(q: Point, s: Segment, norm: NormP, tol: Tolerance) -> float:
     """Minimum distance from q to any point of s under the norm.
 
-    p = 2 uses the clamped perpendicular projection. Other exponents
-    enumerate the finitely many optimality candidates of the convex
-    one-dimensional problem (segment ends, the two coordinate kinks,
+    p = 2 uses the clamped perpendicular projection; when the squared
+    length of the segment underflows, its parameter comes from the
+    coordinates scaled by a power of two (_projection_scaled). Other
+    exponents enumerate the finitely many optimality candidates of the
+    convex one-dimensional problem (segment ends, the two coordinate kinks,
     and the sign-pattern stationary points), which is exact. The tests
     cross-check it against the golden-section search
     _reference._min_distance_search.
@@ -149,11 +173,15 @@ def point_segment_distance(q: Point, s: Segment, norm: NormP, tol: Tolerance) ->
     if ux == 0.0 and uy == 0.0:
         return _lp_pair(A, B, p)
     if p == 2.0:
-        t = (A * ux + B * uy) / (ux * ux + uy * uy)
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
+        den = ux * ux + uy * uy
+        if den < _MIN_NORMAL:
+            t = float(_projection_scaled(A, B, ux, uy))
+        else:
+            t = (A * ux + B * uy) / den
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
         return math.hypot(A - t * ux, B - t * uy)
     cands = [0.0, 1.0]
     if ux != 0.0:
@@ -191,9 +219,11 @@ def axis_distances(x, cols: np.ndarray, p: float) -> np.ndarray:
 
     x is one abscissa or one per row. The candidates are the scalar
     function's (ends, coordinate kinks and, for p not in {1, 2}, the
-    sign-pattern stationary points); only np.hypot and np.power may
-    round differently from math.hypot and **, so a value can differ
-    from the scalar one in its last bits. Callers that need the exact
+    sign-pattern stationary points), and at p = 2 a row whose squared
+    length underflows takes the same scaled projection
+    (_projection_scaled); only np.hypot and np.power may round
+    differently from math.hypot and **, so a value can differ from the
+    scalar one in its last bits. Callers that need the exact
     bits recompute the near-ties with rescored_extreme.
     """
     ax, ay = cols[:, 0], cols[:, 1]
@@ -204,6 +234,9 @@ def axis_distances(x, cols: np.ndarray, p: float) -> np.ndarray:
         if p == 2.0:
             den = ux * ux + uy * uy
             t = np.clip((A * ux + B * uy) / np.where(den == 0.0, 1.0, den), 0.0, 1.0)
+            tiny = (den < _MIN_NORMAL) & ((ux != 0.0) | (uy != 0.0))
+            if tiny.any():
+                t[tiny] = _projection_scaled(A[tiny], B[tiny], ux[tiny], uy[tiny])
             return np.hypot(A - t * ux, B - t * uy)
         cands = [np.zeros_like(A), np.ones_like(A), A / ux, B / uy]
         if p > 1.0:

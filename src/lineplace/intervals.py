@@ -6,13 +6,16 @@ Distance to a segment is convex in x, so this set is a closed interval
 (possibly empty). Solvers combine these intervals by intersection
 (enclosing problems) or union (empty-ball problems).
 
-Both radius bisections evaluate covering intervals at every step. From
-ARRAY_MIN_SEGMENTS segments on they do so with SegmentArray and the
-array forms of the intersection and the union cover, over the rows
-that survive their pruning (covering_slack bounds how far the array
-kernel may stray, which is what makes that pruning exact); below it
-the per-call cost of numpy outweighs the loop, and the scalar kernel
-runs over every segment.
+Both radius bisections evaluate covering intervals at every step, with
+SegmentArray over the rows that survive their pruning (covering_slack
+bounds how far the array kernel may stray, which is what makes that
+pruning exact). The largest-empty-ball search does so at every N and
+combines the intervals by union_covers_arrays. The enclosing search
+does so from ARRAY_MIN_SEGMENTS segments on and intersects them by
+intersect_arrays; below that the per-call cost of numpy outweighs the
+loop, and it runs covering_interval and intersect_all over every
+segment. The scalar union cover, _reference.union_covers, is the
+reference that union_covers_arrays is tested against.
 """
 
 from __future__ import annotations
@@ -159,43 +162,13 @@ def intersect_all(intervals) -> Interval:
     return Interval(lo, hi)
 
 
-def union_covers(intervals, domain: Interval):
-    """Whether the union of intervals covers domain; else a witness.
-
-    Returns (True, None) or (False, x) with x a point of domain no
-    interval contains. A gap at the start reports domain.lo itself,
-    interior and trailing gaps report the gap midpoint.
-    """
-    if domain.is_empty:
-        return True, None
-    items = sorted((iv for iv in intervals if not iv.is_empty),
-                   key=lambda iv: (iv.lo, iv.hi))
-    reach = domain.lo
-    touched = False
-    for iv in items:
-        if iv.hi < domain.lo:
-            continue
-        if iv.lo > reach:
-            if not touched:
-                return False, domain.lo
-            gap_end = iv.lo if iv.lo < domain.hi else domain.hi
-            return False, 0.5 * (reach + gap_end)
-        touched = True
-        if iv.hi > reach:
-            reach = iv.hi
-        if reach >= domain.hi:
-            return True, None
-    if not touched:
-        return False, domain.lo
-    return False, 0.5 * (reach + domain.hi)
-
-
-# Segment count from which the bisections use SegmentArray: the fixed
-# cost of its numpy calls per step outweighs the scalar loop below it.
-# On a 2-vCPU Xeon VM with numpy 2.4.6, max_empty_binsearch on spread
-# segments and rmin_on_axis on near-line points break even near 20;
-# at 12 the array route takes 1.4-2.8 times as long as the loop, at 32
-# about half as long.
+# Segment count from which min_enclosing uses SegmentArray: the fixed
+# cost of its numpy calls per step outweighs the scalar loop below it,
+# and the k-cover reconstruction (rmin_on_axis on short runs of
+# near-line points) sends most of its calls there. On a 2-vCPU Xeon VM
+# with numpy 2.4.6 the two routes break even near 20 segments; at 12
+# the array route takes 1.4-2.8 times as long as the loop, at 32 about
+# half as long. max_empty_binsearch takes the array route at every N.
 ARRAY_MIN_SEGMENTS = 24
 
 
@@ -332,13 +305,18 @@ def intersect_arrays(lo, hi, domain: Interval) -> Interval:
 
 
 def union_covers_arrays(lo, hi, domain: Interval):
-    """union_covers of the intervals [lo[i], hi[i]] over domain.
+    """Whether the intervals [lo[i], hi[i]] cover domain; else a witness.
 
-    The scalar scan visits the intervals sorted by (lo, hi), skipping
-    empty ones and ones ending before domain.lo. Its reach before each
-    visit is a running maximum of hi, so the first gap and the first
-    visit that reaches domain.hi are found by comparisons on arrays,
-    and the witness is computed from the same values as in the scan.
+    Returns (True, None) or (False, x) with x a point of domain no
+    interval contains. A gap at the start reports domain.lo itself,
+    interior and trailing gaps report the gap midpoint.
+
+    The scalar scan of the reference, _reference.union_covers, visits
+    the intervals sorted by (lo, hi), skipping empty ones and ones
+    ending before domain.lo. Its reach before each visit is a running
+    maximum of hi, so the first gap and the first visit that reaches
+    domain.hi are found by comparisons on arrays, and the witness is
+    computed from the same values as in the scan.
     """
     if domain.is_empty:
         return True, None

@@ -6,8 +6,11 @@ style DP over candidate runs. Candidates are generated from circles
 through one or two points: build_lists_naive computes all O(N^2) pair
 circles at once over numpy arrays and grows their runs with work in
 proportion to the run lengths; a plane sweep builds the same lists at
-p = 2. The DP relaxes each of its K·N cells by suffix minima, O(N)
-each, so it does O(K·N^2) work.
+p = 2. Both hand their runs to one grouping (_group_lists), and a list
+is the same plain data whichever builds it: for each right end r, a
+tuple of (left, radius) pairs in ascending left, one per run left..r,
+at the smallest radius found for it. The DP relaxes each of its K·N
+cells by suffix minima, O(N) each, so it does O(K·N^2) work.
 """
 
 from __future__ import annotations
@@ -59,14 +62,6 @@ class AggSpec:
 
 
 @dataclass(frozen=True)
-class Candidate:
-    """Covering run [left..r] (r is the list it lives in) at this radius."""
-
-    left: int
-    radius: float
-
-
-@dataclass(frozen=True)
 class CoverSolution:
     intervals: tuple
     circles: tuple
@@ -82,27 +77,6 @@ def _cover_slack(R: float, eps: float) -> float:
     miss its own points.
     """
     return eps * max(1.0, R)
-
-
-def _finalize_lists(lists, pts: PointSet):
-    """Add the pinned single-point candidate, dedup, and sort.
-
-    Candidates whose radius is not finite are dropped, as
-    build_lists_naive drops them: coordinates near the float range
-    give pair circles of radius inf or NaN, which the DP never chooses.
-    """
-    P = pts.pts
-    out = []
-    for r, cand in enumerate(lists):
-        best = {r: abs(P[r].y)}
-        for left, rad in cand:
-            if not math.isfinite(rad):
-                continue
-            cur = best.get(left)
-            if cur is None or rad < cur:
-                best[left] = rad
-        out.append(tuple(Candidate(left, best[left]) for left in sorted(best)))
-    return tuple(out)
 
 
 def _bisect_pairs(lo, hi, F, target, act, tol: Tolerance) -> None:
@@ -237,16 +211,42 @@ def _expand_runs(X, Y, I, J, xc, R, p: float, eps: float):
     return left, right
 
 
+def _group_lists(right, left, rad, absy):
+    """The candidate lists of the runs left..right at radius rad.
+
+    right, left and rad are parallel arrays, one entry per circle found;
+    absy holds |y| of the sorted points. Adds the pinned single-point
+    circle of every point (the run k..k at radius |y_k|), drops radii
+    that are not finite (pair circles of coordinates near the float
+    range, which the DP could never choose) and keeps the smallest
+    radius of each (right, left). Returns, for each right end, a tuple
+    of (left, radius) pairs in ascending left.
+    """
+    n = len(absy)
+    fin = np.isfinite(rad)
+    key = np.concatenate((right[fin] * n + left[fin], np.arange(n) * (n + 1)))
+    rad = np.concatenate((rad[fin], absy))
+    order = np.argsort(key)
+    key, rad = key[order], rad[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    rights, lefts = np.divmod(key[first], n)
+    radii = np.minimum.reduceat(rad, first).tolist()
+    lefts = lefts.tolist()
+    bounds = np.searchsorted(rights, np.arange(n + 1)).tolist()
+    return tuple(tuple(zip(lefts[a:b], radii[a:b])) for a, b in zip(bounds, bounds[1:]))
+
+
 def build_lists_naive(pts: PointSet, norm: NormP, tol: Tolerance):
     """Candidate lists by direct enumeration of all point pairs.
 
     Each pair circle is expanded from its smaller index in both
     directions while points stay covered; the resulting run and radius
     join the list of the run's right end, and each (right, left) group
-    keeps its smallest radius. All O(N^2) pair circles are computed at
-    once over numpy arrays (at p != 2 by a lockstep bisection of
-    O(log(span / eps)) steps); the expansion then costs the sum of the
-    run lengths, O(N^3) only when most runs span most points.
+    keeps its smallest radius (_group_lists). All O(N^2) pair circles
+    are computed at once over numpy arrays (at p != 2 by a lockstep
+    bisection of O(log(span / eps)) steps); the expansion then costs
+    the sum of the run lengths, O(N^3) only when most runs span most
+    points.
     """
     P = pts.pts
     n = len(P)
@@ -259,19 +259,7 @@ def build_lists_naive(pts: PointSet, norm: NormP, tol: Tolerance):
     xc, R, ok = _pair_circles(X, Y, I, J, p, tol)
     I, J, xc, R = I[ok], J[ok], xc[ok], R[ok]
     left, right = _expand_runs(X, Y, I, J, xc, R, p, tol.eps)
-    # the pinned single-point candidates, then the smallest radius of
-    # each (right, left) group
-    key = np.concatenate((right * n + left, np.arange(n) * (n + 1)))
-    rad = np.concatenate((R, np.abs(Y)))
-    order = np.argsort(key)
-    key, rad = key[order], rad[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    rights, lefts = np.divmod(key[first], n)
-    radii = np.minimum.reduceat(rad, first).tolist()
-    lefts = lefts.tolist()
-    bounds = np.searchsorted(rights, np.arange(n + 1)).tolist()
-    return tuple(tuple(map(Candidate, lefts[a:b], radii[a:b]))
-                 for a, b in zip(bounds, bounds[1:]))
+    return _group_lists(right, left, R, np.abs(Y))
 
 
 def _sweep_pass(X, Y, eps: float, mirrored: bool, n: int, sugg) -> None:
@@ -405,7 +393,8 @@ def build_lists_sweep(pts: PointSet, norm: NormP, tol: Tolerance):
 
     Each pass sees the points on its side of a pair event and suggests
     how far the pair circle's run extends toward that side; merging
-    the passes reproduces the naive expansion exactly.
+    the passes reproduces the naive expansion exactly. The runs are
+    grouped as build_lists_naive groups its own (_group_lists).
     """
     if norm.p != 2.0:
         raise UnsupportedNorm("the sweep builder requires p = 2")
@@ -421,20 +410,18 @@ def build_lists_sweep(pts: PointSet, norm: NormP, tol: Tolerance):
     Ym = [Y[n - 1 - k] for k in range(n)]
     _sweep_pass(Xm, Ym, tol.eps, True, n, sugg)
 
-    lists = [[] for _ in range(n)]
+    rights, lefts, radii = [], [], []
     for (i, j), (pl, pr) in sugg.items():
-        pleft = pl if pl is not None else 0
-        pright = pr if pr is not None else n - 1
-        if i == j:
-            R = abs(Y[i])
-        elif X[i] == X[j]:
-            R = abs(Y[i])
+        lefts.append(pl if pl is not None else 0)
+        rights.append(pr if pr is not None else n - 1)
+        if i == j or X[i] == X[j]:
+            radii.append(abs(Y[i]))
         else:
             xc = (X[j] * X[j] + Y[j] * Y[j] - X[i] * X[i] - Y[i] * Y[i]) \
                 / (2.0 * (X[j] - X[i]))
-            R = math.hypot(xc - X[i], Y[i])
-        lists[pright].append((pleft, R))
-    return _finalize_lists(lists, pts)
+            radii.append(math.hypot(xc - X[i], Y[i]))
+    return _group_lists(np.array(rights, dtype=np.intp), np.array(lefts, dtype=np.intp),
+                        np.array(radii, dtype=float), np.abs(np.array(Y, dtype=float)))
 
 
 def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
@@ -538,8 +525,8 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     q = agg.q
     is_sum = agg.kind == "sum"
 
-    cand_lefts = [np.array([cand.left for cand in cl]) for cl in cls]
-    cand_weights = [np.array([cand.radius ** q for cand in cl]) for cl in cls]
+    cand_lefts = [np.array([left for left, _ in cl]) for cl in cls]
+    cand_weights = [np.array([radius ** q for _, radius in cl]) for cl in cls]
 
     # row k relaxes from row k - 1; with K = None the one row relaxes
     # from itself, which is sound because _relax reads only row[:j]

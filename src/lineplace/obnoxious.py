@@ -23,13 +23,11 @@ from operator import itemgetter
 
 import numpy as np
 
-from . import intervals
 from .errors import EmptyInput
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, axis_argmin_abscissas, \
     axis_argmin_exact, axis_distances, point_segment_distance, rescored_extreme, \
     segment_columns, segments_from_columns
-from .intervals import Interval, SegmentArray, covering_interval, covering_slack, \
-    union_covers, union_covers_arrays
+from .intervals import Interval, SegmentArray, covering_slack, union_covers_arrays
 from .one_center import PlacedCircle
 
 _INF = math.inf
@@ -728,14 +726,13 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
 
     segments is a sequence of Segment or an (N, 4) array of rows
     [ax, ay, bx, by]; either is converted once. The bracket is
-    [0, max(d0, dL) of segments[0]]. From intervals.ARRAY_MIN_SEGMENTS
-    rows on, one array pass over all rows finds the rows that cannot
-    own any part of the answer (_owning_rows) and the search runs on a
-    SegmentArray of the rest; the final radius, the distance from the
-    witness to the nearest segment, comes from an array kernel over
-    all rows with its near-ties recomputed by point_segment_distance,
-    so every bit is that of the search over all rows. Below it the
-    scalar kernels run over every segment.
+    [0, max(d0, dL) of segments[0]]. One array pass over all rows
+    finds the rows that cannot own any part of the answer
+    (_owning_rows), and the search runs on a SegmentArray of the rest,
+    at every N; the final radius, the distance from the witness to the
+    nearest segment, comes from an array kernel over all rows with its
+    near-ties recomputed by point_segment_distance, so every bit is
+    that of the search over all rows.
     """
     cols = segment_columns(segments)
     if not len(cols):
@@ -743,29 +740,21 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
     if L < 0.0 or not math.isfinite(L):
         raise ValueError("L must be finite and nonnegative")
     domain = Interval(0.0, L)
-    if len(cols) < intervals.ARRAY_MIN_SEGMENTS:
-        segs = segments_from_columns(cols)
+    p = norm.p
+    scale = max(float(np.abs(cols).max()), L)
+    far = np.maximum(axis_distances(0.0, cols, p), axis_distances(L, cols, p))
+    dmin = axis_distances(axis_argmin_abscissas(cols, L), cols, p)
+    arr = SegmentArray(cols[_owning_rows(far, dmin, scale, p)], norm)
 
-        def gaps(R: float):
-            return union_covers([covering_interval(s, R, norm) for s in segs], domain)
+    def gaps(R: float):
+        return union_covers_arrays(*arr.covering(R), domain)
 
-        def nearest(x: float) -> float:
-            return min(point_segment_distance(Point(x, 0.0), s, norm, tol) for s in segs)
-    else:
-        p = norm.p
-        scale = max(float(np.abs(cols).max()), L)
-        far = np.maximum(axis_distances(0.0, cols, p), axis_distances(L, cols, p))
-        dmin = axis_distances(axis_argmin_abscissas(cols, L), cols, p)
-        arr = SegmentArray(cols[_owning_rows(far, dmin, scale, p)], norm)
+    def nearest(x: float) -> float:
+        q = Point(x, 0.0)
+        return rescored_extreme(axis_distances(x, cols, p),
+                                lambda s: point_segment_distance(q, s, norm, tol),
+                                cols, scale, largest=False)
 
-        def gaps(R: float):
-            return union_covers_arrays(*arr.covering(R), domain)
-
-        def nearest(x: float) -> float:
-            q = Point(x, 0.0)
-            return rescored_extreme(axis_distances(x, cols, p),
-                                    lambda s: point_segment_distance(q, s, norm, tol),
-                                    cols, scale, largest=False)
     if gaps(0.0)[0]:
         return PlacedCircle(0.0, 0.0)
     s0 = segments_from_columns(cols[:1])[0]

@@ -314,9 +314,9 @@ def test_criterion_6_sweep_equals_naive_at_n60():
         assert len(a) == len(b)
         for r, (ca, cb) in enumerate(zip(a, b)):
             assert len(ca) == len(cb), f"trial {trial} list {r}"
-            for u, v in zip(ca, cb):
-                assert u.left == v.left, f"trial {trial} list {r}"
-                assert abs(u.radius - v.radius) <= 1e-9, f"trial {trial} list {r}"
+            for (u_left, u_radius), (v_left, v_radius) in zip(ca, cb):
+                assert u_left == v_left, f"trial {trial} list {r}"
+                assert abs(u_radius - v_radius) <= 1e-9, f"trial {trial} list {r}"
     dt = time.perf_counter() - t0
     print(f"criterion 6 PASS: 50 instances of 60 points, sweep candidate "
           f"multisets equal naive within 1e-9, {dt:.1f}s")

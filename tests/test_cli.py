@@ -302,6 +302,21 @@ class TestRobustness:
         assert code == 3
         assert json.loads(out)["error"]["name"] == "OverflowError"
 
+    @pytest.mark.parametrize("method", ["binsearch", "envelope"])
+    def test_segments_shorter_than_the_squared_length_range(self, tmp_path, method):
+        # at coordinate scale 1e-170 the p = 2 projection's squared
+        # segment length underflows to 0; it raised ZeroDivisionError
+        sc = 1e-170
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "problem": "obnoxious-center", "p": 2.0, "constraint": [0, 0, 10 * sc, 0],
+            "segments": [[1 * sc, 2 * sc, 1.5 * sc, 3 * sc], [7 * sc, -1 * sc, 8 * sc, -2 * sc],
+                         [4 * sc, 5 * sc, 4 * sc, 6 * sc]]}))
+        code, out = run_cli(["solve", "--in", str(path), "--method", method])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert 0.0 < result["radius"] < 1e-168
+
     @pytest.mark.parametrize("problem", ["one-center", "obnoxious-center"])
     def test_array_route_near_the_float_range(self, tmp_path, problem):
         # differences of these coordinates overflow; the array route must

@@ -108,6 +108,32 @@ class TestPointSegmentDistance:
             assert exact <= search + 1e-9
             assert abs(exact - search) < 1e-6 * max(1.0, exact)
 
+    def test_underflowing_squared_length(self):
+        # ux*ux + uy*uy underflows for segments shorter than about 1e-154;
+        # the distance is that of the instance scaled up by 2^600, where
+        # nothing underflows, scaled back
+        import random
+
+        rng = random.Random(170)
+        up = 2.0 ** 600
+        for scale in (3e-158, 1e-170, 1e-200, 1e-300):
+            for _ in range(40):
+                c = [rng.uniform(-10, 10) * scale for _ in range(6)]
+                if rng.random() < 0.3:
+                    c[0] *= 1e60  # a point far from the segment
+                q, s = Point(c[0], c[1]), seg(*c[2:])
+                d = point_segment_distance(q, s, N2, TOL)
+                big = point_segment_distance(Point(c[0] * up, c[1] * up),
+                                             seg(*(v * up for v in c[2:])), N2, TOL)
+                assert abs(d - big / up) <= 4 * math.ulp(big / up), (c, d, big / up)
+
+    def test_subnormal_segment(self):
+        # a segment 2 ulp of the smallest subnormal long, seen from above
+        tiny = 5e-324
+        d = point_segment_distance(Point(tiny, 1e-310), seg(0.0, 0.0, 2 * tiny, 0.0),
+                                   N2, TOL)
+        assert d == 1e-310
+
 
 class TestOxIntersection:
     def test_proper_crossing(self):

@@ -14,9 +14,8 @@ from lineplace import (
     covering_interval,
     intersect_all,
     point_segment_distance,
-    union_covers,
 )
-from lineplace._reference import _covering_bisect
+from lineplace._reference import _covering_bisect, union_covers
 from lineplace.intervals import SegmentArray, intersect_arrays, union_covers_arrays
 
 TOL = Tolerance()

@@ -35,11 +35,11 @@ def pset(*pairs):
 
 
 def lists_as_tuples(lists):
-    return [tuple((c.left, c.radius) for c in cl) for cl in lists]
+    return [tuple((left, radius) for left, radius in cl) for cl in lists]
 
 
 def lists_as_runs(lists):
-    return [tuple(c.left for c in cl) for cl in lists]
+    return [tuple(left for left, _ in cl) for cl in lists]
 
 
 def random_pset(rng, n, regime):
@@ -147,21 +147,34 @@ class TestTwoPointCircle:
 class TestCandidateLists:
     def test_pair_circle_expands(self):
         lists = build_lists_naive(pset((0, 0), (1, 0), (10, 0)), N2, TOL)
-        assert (0, 0.5) in [(c.left, c.radius) for c in lists[1]]
+        assert (0, 0.5) in [(left, radius) for left, radius in lists[1]]
 
     def test_diagonal_always_present(self):
         lists = build_lists_naive(pset((0, 3), (5, 1)), N2, TOL)
         for r, cl in enumerate(lists):
-            assert any(c.left == r for c in cl)
+            assert any(left == r for left, _ in cl)
 
     def test_sorted_and_unique_lefts(self):
         rng = random.Random(4)
         ps = pset(*((rng.uniform(-20, 20), rng.uniform(-20, 20))
                     for _ in range(12)))
         for cl in build_lists_naive(ps, N2, TOL):
-            lefts = [c.left for c in cl]
+            lefts = [left for left, _ in cl]
             assert lefts == sorted(lefts)
             assert len(set(lefts)) == len(lefts)
+
+    def test_lists_hold_plain_pairs(self):
+        # every builder gives, per right end, (left, radius) pairs of a
+        # Python int and float, the format dp_solve reads
+        ps = pset((0, 1), (0, -1), (2, 3), (5, 0.5), (6, 2))
+        for build in (build_lists_naive, build_lists_sweep, build_lists_loop):
+            lists = build(ps, N2, TOL)
+            assert isinstance(lists, tuple) and len(lists) == len(ps)
+            for cl in lists:
+                assert isinstance(cl, tuple) and cl
+                for pair in cl:
+                    assert type(pair) is tuple and len(pair) == 2
+                    assert type(pair[0]) is int and type(pair[1]) is float
 
     def test_sweep_requires_euclidean(self):
         with pytest.raises(UnsupportedNorm):
@@ -249,7 +262,7 @@ class TestPairCirclesBatch:
         assert lists_as_tuples(build_lists_sweep(ps, N2, TOL)) == want
         for norm in (N1, N2):
             for cl in build_lists_naive(ps, norm, TOL):
-                assert all(math.isfinite(c.radius) for c in cl)
+                assert all(math.isfinite(radius) for _, radius in cl)
 
     def test_overflowing_power_raises(self):
         # where Python's ** raises OverflowError, the batch raises too

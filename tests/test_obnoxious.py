@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from lineplace import intervals, obnoxious
+from lineplace import obnoxious
 from lineplace import (
     EmptyInput,
     EnvelopePiece,
@@ -361,21 +361,30 @@ class TestMaxEmpty:
 
 class TestArrayRoute:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    def test_routes_agree_across_crossover(self, p, monkeypatch):
+    def test_routes_agree_across_crossover(self, p):
+        # the search runs on SegmentArray at every N, below the
+        # min_enclosing crossover of 24 segments too
         norm = NormP(p)
         rng = random.Random(round(p * 1000) + 1)
-        cut = intervals.ARRAY_MIN_SEGMENTS
-        for n in (5, cut - 1, cut, 150):
+        for n in (5, 23, 24, 150):
             segments = random_segments(rng, n - n // 3, span=30.0)
             segments += [pt(rng.uniform(-4, 14), rng.uniform(-30, 30))
                          for _ in range(n // 3)]
-            got = {}
-            for route, threshold in (("array", 1), ("scalar", 10**9)):
-                monkeypatch.setattr(intervals, "ARRAY_MIN_SEGMENTS", threshold)
-                got[route] = max_empty_binsearch(segments, 10.0, norm, TOL)
-            assert abs(got["array"].radius - got["scalar"].radius) <= 2 * TOL.eps
+            got = {"binsearch": max_empty_binsearch(segments, 10.0, norm, TOL)}
+            env = compute_lower_envelope(segments, 10.0, norm, TOL)
+            got["envelope"] = largest_empty_from_envelope(env, segments, norm, TOL)
+            assert abs(got["binsearch"].radius - got["envelope"].radius) <= 2 * TOL.eps
             for c in got.values():
                 assert 0.0 <= c.cx <= 10.0
                 nearest = min(point_segment_distance(Point(c.cx, 0.0), s, norm, TOL)
                               for s in segments)
                 assert nearest == c.radius
+            # at scale 1e-170 squared segment lengths underflow in the
+            # distance kernels; the envelope's absolute eps is far above
+            # that scale, so only the search is checked there
+            tiny = [seg(s.a.x * 1e-170, s.a.y * 1e-170, s.b.x * 1e-170, s.b.y * 1e-170)
+                    for s in segments]
+            c = max_empty_binsearch(tiny, 1e-169, norm, TOL)
+            assert 0.0 <= c.cx <= 1e-169
+            assert c.radius == min(point_segment_distance(Point(c.cx, 0.0), s, norm, TOL)
+                                   for s in tiny)

@@ -21,10 +21,10 @@ from lineplace import (
     one_center,
     point_segment_distance,
     transform_to_axis,
-    union_covers,
 )
 from lineplace._reference import distance_argmin_on_axis, equal_distance_point
 from lineplace.errors import NoCrossing, SolverError
+from lineplace.intervals import union_covers_arrays
 from lineplace.obnoxious import _build_profile
 
 TOL = Tolerance()
@@ -149,7 +149,9 @@ def test_transform_round_trip(a, b, q):
 def test_union_covers_witness_is_uncovered(raw):
     ivs = [Interval(lo, lo + w) for lo, w in raw]
     domain = Interval(0.0, 10.0)
-    ok, witness = union_covers(ivs, domain)
+    lo = np.array([iv.lo for iv in ivs], dtype=float)
+    hi = np.array([iv.hi for iv in ivs], dtype=float)
+    ok, witness = union_covers_arrays(lo, hi, domain)
     if ok:
         assert witness is None
         return

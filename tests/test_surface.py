@@ -15,6 +15,7 @@ PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
 # kept for the tests in lineplace._reference
 REFERENCE_ROUTES = {
     "_covering_bisect",
+    "_finalize_lists",
     "_min_distance_search",
     "base_envelope",
     "build_lists_loop",
@@ -25,6 +26,7 @@ REFERENCE_ROUTES = {
     "merge_lower_envelopes",
     "relax_scan",
     "two_point_circle",
+    "union_covers",
 }
 
 # names that live on in their modules (lineplace.verify, _reference,
