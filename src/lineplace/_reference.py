@@ -21,8 +21,10 @@ from .errors import EmptyInput, NoBisectorRoot, NoCrossing
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _profile_min_unclamped, \
     axis_argmin_exact, point_segment_distance, segment_ox_intersection
 from .intervals import Interval
-from .k_cover import PointSet, _cover_slack
+from .k_cover import AggSpec, CoverSolution, PointSet, _cover_slack, _no_finite_cover, \
+    rmin_on_axis
 from .obnoxious import EnvelopePiece, LowerEnvelope, _compact_pieces, _merge_raw, _split_at
+from .one_center import PlacedCircle
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -406,7 +408,7 @@ def relax_scan(row_prev, j: int, lefts, weights, is_sum: bool):
 
     Scans every candidate of list j - 1 (left ends lefts, weights
     radius ** q) and every break inside its run; the first strictly
-    smaller value wins. Reference for k_cover._relax.
+    smaller value wins. Reference for k_cover._relax and k_cover._break.
     """
     best, bl = math.inf, None
     for cand_left, w in zip(lefts, weights):
@@ -418,3 +420,44 @@ def relax_scan(row_prev, j: int, lefts, weights, is_sum: bool):
             if val < best:
                 best, bl = val, left
     return best, bl
+
+
+def dp_scan(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec, cls) -> CoverSolution:
+    """k_cover.dp_solve over the candidate lists cls, one relax_scan per
+    DP cell, row after row. Reference for the column relaxation of
+    dp_solve; the circles of the chosen runs come from rmin_on_axis.
+    """
+    n = len(pts)
+    if n == 0:
+        raise EmptyInput("need at least one point")
+    if K is not None:
+        K = min(K, n)
+    q = agg.q
+    is_sum = agg.kind == "sum"
+    cand_lefts = [[left for left, _ in cl] for cl in cls]
+    cand_weights = [[radius ** q for _, radius in cl] for cl in cls]
+    rows, back = (1, 0) if K is None else (K, 1)
+    opt = [[0.0] + [math.inf] * n for _ in range(rows + 1)]
+    par = [[None] * (n + 1) for _ in range(rows + 1)]
+    for k in range(1, rows + 1):
+        for j in range(1, n + 1):
+            opt[k][j], par[k][j] = relax_scan(opt[k - back], j, cand_lefts[j - 1],
+                                              cand_weights[j - 1], is_sum)
+    if opt[rows][n] == math.inf:
+        raise _no_finite_cover()
+    runs = []
+    k, j = rows, n
+    while j > 0:
+        left = par[k][j]
+        runs.append((left, j - 1))
+        j = left
+        k -= back
+    runs.reverse()
+    circles = []
+    weights = []
+    for left, right in runs:
+        cx, rad = rmin_on_axis(pts, left, right, norm, tol)
+        circles.append(PlacedCircle(cx, rad))
+        weights.append(rad ** q)
+    objective = math.fsum(weights) if is_sum else max(weights)
+    return CoverSolution(tuple(runs), tuple(circles), objective)

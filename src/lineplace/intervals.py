@@ -163,12 +163,11 @@ def intersect_all(intervals) -> Interval:
 
 
 # Segment count from which min_enclosing uses SegmentArray: the fixed
-# cost of its numpy calls per step outweighs the scalar loop below it,
-# and the k-cover reconstruction (rmin_on_axis on short runs of
-# near-line points) sends most of its calls there. On a 2-vCPU Xeon VM
-# with numpy 2.4.6 the two routes break even near 20 segments; at 12
-# the array route takes 1.4-2.8 times as long as the loop, at 32 about
-# half as long. max_empty_binsearch takes the array route at every N.
+# cost of its numpy calls per step outweighs the scalar loop below it.
+# On a 2-vCPU Xeon VM with numpy 2.4.6 the two routes break even near
+# 20 segments; at 12 the array route takes 1.4-2.8 times as long as the
+# loop, at 32 about half as long. max_empty_binsearch takes the array
+# route at every N.
 ARRAY_MIN_SEGMENTS = 24
 
 

@@ -9,8 +9,11 @@ proportion to the run lengths; a plane sweep builds the same lists at
 p = 2. Both hand their runs to one grouping (_group_lists), and a list
 is the same plain data whichever builds it: for each right end r, a
 tuple of (left, radius) pairs in ascending left, one per run left..r,
-at the smallest radius found for it. The DP relaxes each of its K·N
-cells by suffix minima, O(N) each, so it does O(K·N^2) work.
+at the smallest radius found for it. The DP makes N column
+relaxations; each relaxes all K rows at once by suffix minima in
+O(K·N) array work, so it does O(K·N^2) work in all. The circle of
+each chosen run comes from a scalar bisection on plain floats
+(_rmin_points), the one-center bisection specialised to points.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, UnsupportedNorm
-from .geometry import NormP, Point, Segment, Tolerance, _np_lp
-from .one_center import PlacedCircle, min_enclosing
+from .geometry import NormP, Tolerance, _lp_pair, _np_lp
+from .intervals import _halfwidth
+from .one_center import PlacedCircle
 
 _INF = math.inf
 
@@ -429,7 +433,7 @@ def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
     P = pts.pts
     if not 0 <= i <= j < len(P):
         raise ValueError("need 0 <= i <= j < len(points)")
-    return _rmin_points([P[k] for k in range(i, j + 1)], norm, tol)
+    return _rmin_points(P[i:j + 1], norm, tol)
 
 
 def _rmin_points(points, norm: NormP, tol: Tolerance):
@@ -438,48 +442,105 @@ def _rmin_points(points, norm: NormP, tol: Tolerance):
     The center is not held to any stretch [0, L]: it ranges over the
     whole line. A center left or right of every point gets nearer to
     all of them by moving toward them, so the optimum lies in
-    [min x, max x]; min_enclosing searches that window padded by max|y|.
+    [min x, max x]. The search runs min_enclosing's scalar bisection
+    over the window [min x - max|y|, max x + max|y|], shifted to
+    [0, L], on plain floats. Each point's nearest abscissa lies in the
+    window, at distance |y|, so the lower bound is max|y|; at every
+    radius R tried, R >= |y|, a point covers the abscissas within
+    intervals._halfwidth of its own, as covering_interval gives for a
+    point segment, and the window clips their intersection. The center
+    and radius are min_enclosing's bit for bit on the scalar route
+    that it takes below intervals.ARRAY_MIN_SEGMENTS segments.
     """
-    maxy = max(abs(q.y) for q in points)
+    p, eps = norm.p, tol.eps
+    ys = [abs(q.y) for q in points]
     xs = [q.x for q in points]
-    lo = min(xs) - maxy
-    hi = max(xs) + maxy
-    if hi <= lo:
-        lo, hi = min(xs), max(xs)
-    segs = [Segment(Point(q.x - lo, q.y), Point(q.x - lo, q.y)) for q in points]
-    c = min_enclosing(segs, hi - lo, norm, tol)
-    return c.cx + lo, c.radius
+    maxy = max(ys)
+    shift, end = min(xs) - maxy, max(xs) + maxy
+    if end <= shift:
+        shift, end = min(xs), max(xs)
+    L = end - shift
+    xs = [x - shift for x in xs]
+    if not math.isfinite(L):
+        # a shifted abscissa or L beyond the float range, with the
+        # errors that Point and min_enclosing raise for them
+        raise ValueError("point coordinates must be finite" if not math.isfinite(max(xs))
+                         else "L must be finite and nonnegative")
+
+    def region_at(R: float):
+        """(lo, hi) where the points' covering intervals and [0, L]
+        meet at radius R, or None where they do not."""
+        if not math.isfinite(R):
+            raise ValueError("radius must be finite and nonnegative")
+        lo, hi = -_INF, _INF
+        for x, y in zip(xs, ys):
+            h = _halfwidth(R, y, p)
+            if x - h > lo:
+                lo = x - h
+            if x + h < hi:
+                hi = x + h
+        if 0.0 > lo:
+            lo = 0.0
+        if L < hi:
+            hi = L
+        return None if lo > hi else (lo, hi)
+
+    lo = maxy
+    region = region_at(lo)
+    if region is not None:
+        return 0.5 * (region[0] + region[1]) + shift, lo
+    hi = max(_lp_pair(x, y, p) for x, y in zip(xs, ys))
+    # nudge above the exact radius at x = 0 so the bracket is strictly feasible
+    hi = hi + max(eps, 1e-12 * hi)
+    it = 0
+    while hi - lo > eps and it < tol.max_iters:
+        mid = 0.5 * (lo + hi)
+        if region_at(mid) is None:
+            lo = mid
+        else:
+            hi = mid
+        it += 1
+    region = region_at(hi)
+    if region is None:
+        hi = hi + 4.0 * eps
+        region = region_at(hi)
+        if region is None:
+            raise ValueError("circle parameters must be finite")
+    return 0.5 * (region[0] + region[1]) + shift, hi
 
 
 @np.errstate(over="ignore")  # m + w overflows to inf, as Python floats do
-def _relax(row_prev, j: int, lefts, weights, is_sum: bool):
-    """Best (value, break) for a last run that ends at point j - 1.
+def _relax(prev, j: int, lefts, weights, is_sum: bool):
+    """Best value and candidate of a last run ending at point j - 1,
+    for every row of prev at once.
 
     lefts are the left ends of list j - 1's candidates, ascending, and
-    weights their radius ** q, both numpy arrays; row_prev is the
-    previous DP row, or with K = None the row itself, of which only
-    row_prev[:j] is read. The nested scan over every candidate and break
-    keeps the first (candidate, break) in scan order with the smallest
-    value. Rounding is monotone, so over its breaks a candidate's
-    smallest value is its value at the range minimum m of
-    row_prev[left:j], m + w or max(m, w): one backward pass of suffix
-    minima prices every candidate, and argmin picks the first of the
-    cheapest. The winner's break is then the first whose value equals
-    the best, which is the one the scan keeps even where prev + w
-    rounds two different prev to the same sum. (None as the break
-    when every value is inf.)
+    weights their radius ** q, both numpy arrays; prev holds one
+    previous DP row per row to relax, of which only prev[:, :j] is
+    read. The nested scan over every candidate and break
+    (_reference.relax_scan) keeps the first (candidate, break) in scan
+    order with the smallest value. Rounding is monotone, so over its
+    breaks a candidate's smallest value is its value at the range
+    minimum m of prev[r, left:j], m + w or max(m, w): one backward pass
+    of suffix minima along each row prices every candidate, and argmin
+    picks the first of the cheapest. Returns (best, cand), arrays over
+    the rows; _break recovers the scan's break of a row.
     """
-    suffix_min = np.minimum.accumulate(row_prev[lefts[0]:j][::-1])
-    m = suffix_min[j - 1 - lefts]
+    suffix_min = np.minimum.accumulate(prev[:, lefts[0]:j][:, ::-1], axis=1)
+    m = suffix_min[:, j - 1 - lefts]
     vals = m + weights if is_sum else np.maximum(m, weights)
-    c = int(np.argmin(vals))
-    best = float(vals[c])
-    if best == _INF:
-        return _INF, None
-    run = row_prev[lefts[c]:j]
-    w = weights[c]
+    return vals.min(axis=1), vals.argmin(axis=1)
+
+
+@np.errstate(over="ignore")
+def _break(row_prev, j: int, left: int, w: float, best: float, is_sum: bool) -> int:
+    """The break the scan keeps for a candidate run left..j-1 of weight w
+    whose best value is best: the first prev whose value equals it,
+    even where prev + w rounds two different prev to the same sum.
+    """
+    run = row_prev[left:j]
     hit = (run + w if is_sum else np.maximum(run, w)) == best
-    return best, int(lefts[c]) + int(np.argmax(hit))
+    return left + int(np.argmax(hit))
 
 
 def _no_finite_cover() -> OverflowError:
@@ -506,8 +567,10 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     no stretch [0, L] bounds them, and none is taken.
 
     Cost: the lists (see build_lists_naive and build_lists_sweep), then
-    K·N relaxations of O(N) each (N for K = None; see _relax), so
-    O(K·N^2), then one rmin_on_axis per chosen run.
+    N column relaxations, each of which relaxes all K rows (one row for
+    K = None) at once in O(K·N) array work (see _relax), so O(K·N^2)
+    in all; the break of a cell is recovered only along the chosen
+    path (_break); then one rmin_on_axis per chosen run.
     """
     n = len(pts)
     if n == 0:
@@ -529,21 +592,22 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     cand_weights = [np.array([radius ** q for _, radius in cl]) for cl in cls]
 
     # row k relaxes from row k - 1; with K = None the one row relaxes
-    # from itself, which is sound because _relax reads only row[:j]
+    # from itself, which is sound because _relax reads only columns < j
     rows, back = (1, 0) if K is None else (K, 1)
     opt = np.full((rows + 1, n + 1), _INF)
-    par = [[None] * (n + 1) for _ in range(rows + 1)]
+    cand = np.zeros((rows + 1, n + 1), dtype=np.intp)
     opt[:, 0] = 0.0
-    for k in range(1, rows + 1):
-        for j in range(1, n + 1):
-            opt[k][j], par[k][j] = _relax(opt[k - back], j, cand_lefts[j - 1],
-                                          cand_weights[j - 1], is_sum)
+    for j in range(1, n + 1):
+        opt[1:, j], cand[1:, j] = _relax(opt[1 - back:rows + 1 - back], j, cand_lefts[j - 1],
+                                         cand_weights[j - 1], is_sum)
     if opt[rows][n] == _INF:
         raise _no_finite_cover()
     runs = []
     k, j = rows, n
     while j > 0:
-        left = par[k][j]
+        c = cand[k][j]
+        left = _break(opt[k - back], j, int(cand_lefts[j - 1][c]), cand_weights[j - 1][c],
+                      opt[k][j], is_sum)
         runs.append((left, j - 1))
         j = left
         k -= back

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, TooLarge
-from .geometry import NormP, Segment, Tolerance, _np_lp, segments_from_columns
+from .geometry import NormP, Point, Segment, Tolerance, _np_lp, segments_from_columns
 from .intervals import Interval
-from .k_cover import AggSpec, PointSet, _rmin_points, dp_solve
+from .k_cover import AggSpec, PointSet, dp_solve
 from .obnoxious import max_empty_binsearch, max_empty_envelope
-from .one_center import PlacedCircle
+from .one_center import PlacedCircle, min_enclosing
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _CHUNK = 4096
@@ -194,6 +194,23 @@ def enumerate_partitions(n: int, kmax: int):
     yield from rec(1, 0)
 
 
+def _enclosing_circle(points, norm: NormP, tol: Tolerance):
+    """(cx, radius) of the smallest axis-centered ball covering the
+    points, by min_enclosing over point segments in the window
+    [min x - max|y|, max x + max|y|], which holds the optimum. The
+    oracle prices its blocks here, so it shares no kernel with the
+    k-cover reconstruction (k_cover._rmin_points)."""
+    maxy = max(abs(q.y) for q in points)
+    xs = [q.x for q in points]
+    lo = min(xs) - maxy
+    hi = max(xs) + maxy
+    if hi <= lo:
+        lo, hi = min(xs), max(xs)
+    segs = [Segment(Point(q.x - lo, q.y), Point(q.x - lo, q.y)) for q in points]
+    c = min_enclosing(segs, hi - lo, norm, tol)
+    return c.cx + lo, c.radius
+
+
 def set_partition_oracle(pts: PointSet, K, norm: NormP, tol: Tolerance,
                          agg: AggSpec) -> OraclePartition:
     """Exhaustive minimum over all point partitions into <= K blocks.
@@ -218,7 +235,7 @@ def set_partition_oracle(pts: PointSet, K, norm: NormP, tol: Tolerance,
         key = tuple(idx)
         got = memo.get(key)
         if got is None:
-            got = _rmin_points([P[k] for k in idx], norm, tol)[1] ** q
+            got = _enclosing_circle([P[k] for k in idx], norm, tol)[1] ** q
             memo[key] = got
         return got
 

@@ -19,15 +19,16 @@ from lineplace import (
     lp_distance,
     rmin_on_axis,
 )
-from lineplace import k_cover
-from lineplace._reference import build_lists_loop, relax_scan, two_point_circle
+from lineplace import intervals, k_cover
+from lineplace._reference import build_lists_loop, dp_scan, relax_scan, two_point_circle
 from lineplace.errors import NoBisectorRoot, TooLarge
 from lineplace.k_cover import build_lists_sweep
-from lineplace.verify import enumerate_partitions, set_partition_oracle
+from lineplace.verify import _enclosing_circle, enumerate_partitions, set_partition_oracle
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
 ARTIFACTS = pathlib.Path(__file__).parent / "artifacts"
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def pset(*pairs):
@@ -300,6 +301,26 @@ class TestListsAgainstLoop:
                 == lists_as_tuples(build_lists_loop(ps, N2, TOL)))
 
 
+def enclosing_route(ps, i, j, norm):
+    """rmin_on_axis by min_enclosing over the point segments of run i..j."""
+    return _enclosing_circle(ps.pts[i:j + 1], norm, TOL)
+
+
+def bits(pair):
+    return tuple(float.hex(v) for v in pair)
+
+
+def kernel_psets(rng, n):
+    """Runs of n points near the line, spread, all on the axis (lower
+    bound 0), on one abscissa, and all at one point of the axis (L = 0)."""
+    x0 = rng.uniform(-50, 50)
+    yield random_pset(rng, n, "nearline")
+    yield random_pset(rng, n, "spread")
+    yield pset(*((rng.uniform(0, 100), 0.0) for _ in range(n)))
+    yield pset(*((x0, rng.uniform(-5, 5)) for _ in range(n)))
+    yield pset(*((x0, 0.0) for _ in range(n)))
+
+
 class TestRminOnAxis:
     def test_single(self):
         cx, r = rmin_on_axis(pset((2, 5)), 0, 0, N2, TOL)
@@ -310,6 +331,42 @@ class TestRminOnAxis:
         cx, r = rmin_on_axis(pset((0, 1), (2, 3)), 0, 1, N2, TOL)
         assert abs(cx - 2.0) < 1e-6
         assert abs(r - 3.0) < 1e-9
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_bits_of_the_scalar_enclosing_route(self, monkeypatch, p):
+        # the kernel is min_enclosing's scalar bisection on plain
+        # floats; at p = 1 and 2 the array route from 24 segments on
+        # gives the same bits too, at other p its powers may differ
+        norm = NormP(p)
+        rng = random.Random(f"rmin{p}")
+        for n in (1, 2, 5, 23, 24, 60, 200):
+            for ps in kernel_psets(rng, n):
+                runs = [(0, n - 1), (n // 3, n - 1 - n // 4)]
+                got = [bits(rmin_on_axis(ps, i, j, norm, TOL)) for i, j in runs]
+                if p in (1.0, 2.0):
+                    assert got == [bits(enclosing_route(ps, i, j, norm)) for i, j in runs]
+                with monkeypatch.context() as m:
+                    m.setattr(intervals, "ARRAY_MIN_SEGMENTS", 10**9)
+                    assert got == [bits(enclosing_route(ps, i, j, norm)) for i, j in runs]
+
+    def test_signed_zero_abscissas(self):
+        # -0.0 and 0.0 on the axis: the bits of the center follow
+        # min_enclosing's, signs of zero included
+        for pairs in (((0.0, 0.0), (-0.0, 0.0)), ((-0.0, 0.0), (0.0, 0.0)),
+                      ((0.0, 0.0), (-0.0, 0.0), (5.0, 0.0))):
+            ps = pset(*pairs)
+            for p in (1.0, 2.0, 3.0):
+                n = len(ps) - 1
+                assert (bits(rmin_on_axis(ps, 0, n, NormP(p), TOL))
+                        == bits(enclosing_route(ps, 0, n, NormP(p))))
+
+    def test_window_beyond_the_float_range(self):
+        # the shifted window overflows; the errors are those of the
+        # Point and min_enclosing inputs they replace
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            rmin_on_axis(pset((-1e308, 0.0), (1e308, 0.0)), 0, 1, N1, TOL)
+        with pytest.raises(ValueError, match="L must be finite"):
+            rmin_on_axis(pset((0.0, 1e308), (1.0, 1.7e308)), 0, 1, N2, TOL)
 
 
 class TestDpSolve:
@@ -396,64 +453,86 @@ class TestDpSolve:
 
 
 class TestRelax:
-    """k_cover._relax against the nested scan of lineplace._reference."""
+    """k_cover._relax, all rows at once, and k_cover._break against the
+    nested scan of lineplace._reference, row by row."""
 
-    def _both(self, row, j, cands, q, is_sum):
+    def _both(self, rows, j, cands, q, is_sum):
         lefts = [left for left, _ in cands]
         weights = [radius ** q for _, radius in cands]
-        return (k_cover._relax(np.array(row), j, np.array(lefts), np.array(weights), is_sum),
-                relax_scan(row, j, lefts, weights, is_sum))
+        best, cand = k_cover._relax(np.array(rows), j, np.array(lefts), np.array(weights),
+                                    is_sum)
+        got = []
+        for row, b, c in zip(rows, best.tolist(), cand.tolist()):
+            brk = None if b == math.inf else k_cover._break(np.array(row), j, lefts[c],
+                                                           weights[c], b, is_sum)
+            got.append((b, brk))
+        return got, [relax_scan(row, j, lefts, weights, is_sum) for row in rows]
 
     @pytest.mark.parametrize("kind", ["sum", "max"])
     def test_random_rows(self, kind):
         rng = random.Random(kind)
         for _ in range(400):
             j = rng.randint(1, 12)
-            row = [rng.choice([math.inf, float(rng.randint(0, 4)), rng.uniform(0, 4)])
-                   for _ in range(j)]
+            # columns from j on are not read
+            width = j + rng.randint(0, 2)
+            rows = [[rng.choice([math.inf, float(rng.randint(0, 4)), rng.uniform(0, 4)])
+                     for _ in range(width)]
+                    for _ in range(rng.randint(1, 4))]
             lefts = sorted(rng.sample(range(j), rng.randint(1, j)))
             cands = [(left, rng.choice([0.0, 1.0, rng.uniform(0, 3)])) for left in lefts]
             q = rng.choice([1.0, 2.0])
-            got, want = self._both(row, j, cands, q, kind == "sum")
+            got, want = self._both(rows, j, cands, q, kind == "sum")
             assert got == want
 
     def test_all_inf(self):
         for is_sum in (True, False):
-            got, want = self._both([math.inf] * 3, 3, [(0, 1.0), (2, 0.5)], 1.0, is_sum)
-            assert got == want == (math.inf, None)
+            got, want = self._both([[math.inf] * 3], 3, [(0, 1.0), (2, 0.5)], 1.0, is_sum)
+            assert got == want == [(math.inf, None)]
 
     def test_rounding_tie_keeps_the_first_break(self):
         # prev one ulp apart, the smaller one later: with w = 1e6 both
         # sums round to 1000001.0, and the scan keeps the first break,
         # not the range minimum's
         row = [math.nextafter(1.0, 2.0), 1.0]
-        got, want = self._both(row, 2, [(0, 1e6)], 1.0, True)
-        assert got == want == (1000001.0, 0)
+        got, want = self._both([row], 2, [(0, 1e6)], 1.0, True)
+        assert got == want == [(1000001.0, 0)]
 
     def test_overflow_is_inf(self):
         # prev + w beyond the float range is inf, as in Python floats
-        got, want = self._both([1e308, 1.0], 2, [(0, 1e308)], 1.0, True)
-        assert got == want == (1e308, 1)
+        got, want = self._both([[1e308, 1.0]], 2, [(0, 1e308)], 1.0, True)
+        assert got == want == [(1e308, 1)]
+
+    def test_rows_choose_different_candidates(self):
+        # the wide candidate is cheapest from row 0's only finite prev,
+        # the narrow one from row 1, and row 2 can enter only the wide
+        # one, at a break inside it
+        rows = [[0.0, math.inf, math.inf], [math.inf, 0.0, 0.0], [math.inf, 1.0, math.inf]]
+        for is_sum, want_rows in ((True, [(5.0, 0), (1.0, 2), (6.0, 1)]),
+                                  (False, [(5.0, 0), (1.0, 2), (5.0, 1)])):
+            got, want = self._both(rows, 3, [(0, 5.0), (2, 1.0)], 1.0, is_sum)
+            assert got == want == want_rows
+
+
+def budget(K, n):
+    """K, or with K = "n" or "n+2" that budget for n points."""
+    return {"n": n, "n+2": n + 2}.get(K, K)
 
 
 class TestDpAgainstScan:
-    """dp_solve against a DP built from the loops of lineplace._reference."""
+    """dp_solve against the per-cell scan of lineplace._reference."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
-    @pytest.mark.parametrize("K", [1, 3, None])
-    def test_loops_give_the_same_solution(self, monkeypatch, K, p):
+    @pytest.mark.parametrize("K", [1, 3, "n", "n+2", None])
+    def test_loops_give_the_same_solution(self, K, p):
         rng = random.Random(f"dp{K}{p}")
-        cases = [(random_pset(rng, n, regime), AggSpec(q, kind))
-                 for n, regime, q, kind in ((9, "nearline", 1.0, "sum"), (14, "spread", 2.0, "max"),
-                                            (12, "grid", 1.0, "max"), (25, "nearline", 2.0, "sum"))]
-        got = [dp_solve(ps, K, NormP(p), TOL, agg) for ps, agg in cases]
-        monkeypatch.setattr(k_cover, "build_lists_naive", build_lists_loop)
-        monkeypatch.setattr(k_cover, "_relax", relax_scan)
-        for (ps, agg), sol in zip(cases, got):
-            assert dp_solve(ps, K, NormP(p), TOL, agg) == sol
+        for n, regime, q, kind in ((9, "nearline", 1.0, "sum"), (14, "spread", 2.0, "max"),
+                                   (12, "grid", 1.0, "max"), (25, "nearline", 2.0, "sum")):
+            ps, agg, k = random_pset(rng, n, regime), AggSpec(q, kind), budget(K, n)
+            want = dp_scan(ps, k, NormP(p), TOL, agg, build_lists_loop(ps, NormP(p), TOL))
+            assert dp_solve(ps, k, NormP(p), TOL, agg) == want
 
     @pytest.mark.parametrize("lists", ["naive", "sweep"])
-    def test_non_finite_pair_circle(self, monkeypatch, lists):
+    def test_non_finite_pair_circle(self, lists):
         # the pair circle of points near the float range has a NaN
         # center; the loops skip it, and so must the DP
         ps = pset((1e200, 1), (2e200, 1))
@@ -463,23 +542,23 @@ class TestDpAgainstScan:
         assert got[0].intervals == ((0, 0), (1, 1))
         with pytest.raises(OverflowError):
             dp_solve(ps, 1, N2, TOL, agg, lists)
-        monkeypatch.setattr(k_cover, "build_lists_naive", build_lists_loop)
-        monkeypatch.setattr(k_cover, "_relax", relax_scan)
-        assert [dp_solve(ps, K, N2, TOL, agg) for K in (2, None)] == got
+        cls = build_lists_loop(ps, N2, TOL)
+        assert [dp_scan(ps, K, N2, TOL, agg, cls) for K in (2, None)] == got
+        with pytest.raises(OverflowError):
+            dp_scan(ps, 1, N2, TOL, agg, cls)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
-    @pytest.mark.parametrize("K", [1, 3, None])
-    def test_scan_relax_gives_the_same_solution(self, monkeypatch, K, p):
+    @pytest.mark.parametrize("K", [1, 3, "n", "n+2", None])
+    def test_scan_relax_gives_the_same_solution(self, K, p):
         # lists at p != 1, 2 may differ from the loop's in the last
-        # bits of their radii, so only the relaxation is swapped here
+        # bits of their radii, so the scan runs on the solver's lists
         rng = random.Random(f"dpq{K}{p}")
         for n, regime in ((9, "nearline"), (14, "spread"), (12, "grid")):
-            ps = random_pset(rng, n, regime)
+            ps, k = random_pset(rng, n, regime), budget(K, n)
+            cls = build_lists_naive(ps, NormP(p), TOL)
             for agg in (AggSpec(1.0, "sum"), AggSpec(2.0, "max")):
-                with monkeypatch.context() as m:
-                    want = dp_solve(ps, K, NormP(p), TOL, agg)
-                    m.setattr(k_cover, "_relax", relax_scan)
-                    assert dp_solve(ps, K, NormP(p), TOL, agg) == want
+                want = dp_scan(ps, k, NormP(p), TOL, agg, cls)
+                assert dp_solve(ps, k, NormP(p), TOL, agg) == want
 
 
 class TestEnumeratePartitions:
@@ -506,6 +585,21 @@ class TestSetPartitionOracle:
         small = pset((0, 1), (1, 1))
         with pytest.raises(TooLarge):
             set_partition_oracle(small, 5, N2, TOL, AggSpec())
+
+    def test_independent_of_the_reconstruction_kernel(self, monkeypatch):
+        # --verify prices blocks by min_enclosing, not by the kernel
+        # that reconstructs the solver's circles
+        def broken(*args):
+            raise AssertionError("the oracle reached the k-cover kernel")
+
+        monkeypatch.setattr(k_cover, "_rmin_points", broken)
+        monkeypatch.setattr(k_cover, "rmin_on_axis", broken)
+        inst = json.loads((GOLDEN / "inst_10.json").read_text())
+        out = json.loads((GOLDEN / "out_10.json").read_text())
+        ps = pset(*inst["points"])
+        agg = AggSpec(inst["q"], inst["agg"])
+        got = set_partition_oracle(ps, inst["k"], NormP(inst["p"]), TOL, agg)
+        assert got.objective == out["result"]["objective"]
 
     def test_contiguity_counterexample_artifact(self):
         # two coincident points plus one offset point tie the optimum

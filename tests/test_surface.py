@@ -21,6 +21,7 @@ REFERENCE_ROUTES = {
     "build_lists_loop",
     "compact",
     "distance_argmin_on_axis",
+    "dp_scan",
     "equal_distance_point",
     "envelope_value",
     "merge_lower_envelopes",
@@ -154,6 +155,13 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert not unused, unused
+
+
+def test_k_cover_reconstructs_on_one_route():
+    # rmin_on_axis runs its own scalar bisection on plain floats; it
+    # reaches neither route of min_enclosing nor the interval objects
+    names = {parts[-1] for _, parts in _imported_names(SRC / "k_cover.py")}
+    assert not names & {"min_enclosing", "covering_interval", "Interval", "SegmentArray"}
 
 
 def test_envelope_build_wraps_once():
