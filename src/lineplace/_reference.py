@@ -18,8 +18,8 @@ import math
 from bisect import bisect_right
 
 from .errors import EmptyInput, NoBisectorRoot, NoCrossing
-from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _profile_min_unclamped, \
-    axis_argmin_exact, point_segment_distance, segment_ox_intersection
+from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, axis_argmin_exact, \
+    point_segment_distance, segment_ox_intersection
 from .intervals import Interval
 from .k_cover import AggSpec, CoverSolution, PointSet, _cover_slack, _no_finite_cover, \
     rmin_on_axis
@@ -149,6 +149,24 @@ def equal_distance_point(s1: Segment, s2: Segment, u: float, v: float,
             v = m
         it += 1
     return 0.5 * (u + v)
+
+
+def _profile_min_unclamped(s: Segment):
+    """Exact minimiser of x -> distance((x,0), s) over the whole axis.
+
+    The minimum value equals min_t |qy(t)| for every norm, attained
+    below the segment point of smallest |y|. Plateaus (horizontal or
+    on-axis segments) resolve to the smallest x. Returns (xmin, dmin).
+    """
+    ya, yb = s.a.y, s.b.y
+    hit = segment_ox_intersection(s)
+    if hit is not None:
+        return hit[0], 0.0
+    if abs(ya) < abs(yb):
+        return s.a.x, abs(ya)
+    if abs(yb) < abs(ya):
+        return s.b.x, abs(yb)
+    return min(s.a.x, s.b.x), abs(ya)
 
 
 def _covering_bisect(s: Segment, R: float, norm: NormP, tol: Tolerance) -> Interval:

@@ -104,32 +104,32 @@ def lp_distance(a: Point, b: Point, norm: NormP) -> float:
 def _stationary_params(A: float, B: float, ux: float, uy: float, p: float) -> list:
     """Interior zeros of d/dt of |A - t*ux|^p + |B - t*uy|^p, p > 1.
 
-    For a fixed sign pattern of the two absolute values the optimality
-    condition becomes linear in t, so at most four candidates exist.
-    Patterns whose scale factor overflows correspond to optima pinned
-    at a kink, which the caller already evaluates.
+    For a fixed sign pattern (sa, sb) of the two absolute values the
+    condition is linear in t. Only the two patterns with sa * sb =
+    -sign(ux * uy) have a positive scale factor k = |uy / ux|, and both
+    give the same t, admitted when A - t ux and sa * sb * (B - t uy)
+    share a sign. A factor that overflows or underflows means an
+    optimum pinned at a kink, which the caller already evaluates.
     """
-    out = []
-    e = 1.0 / (p - 1.0)
-    for sa in (-1.0, 1.0):
-        for sb in (-1.0, 1.0):
-            k = -(uy * sb) / (ux * sa)
-            if not (k > 0.0) or math.isinf(k):
-                continue
-            try:
-                c = k ** e
-            except OverflowError:
-                continue
-            if not math.isfinite(c) or c == 0.0:
-                continue
-            m = sa * sb * c
-            den = ux - m * uy
-            if den == 0.0:
-                continue
-            t = (A - m * B) / den
-            if 0.0 < t < 1.0 and sa * (A - t * ux) >= 0.0 and sb * (B - t * uy) >= 0.0:
-                out.append(t)
-    return out
+    k = abs(uy / ux)
+    if not (k > 0.0) or math.isinf(k):
+        return []
+    try:
+        c = k ** (1.0 / (p - 1.0))
+    except OverflowError:
+        return []
+    if not math.isfinite(c) or c == 0.0:
+        return []
+    sab = -math.copysign(1.0, ux) * math.copysign(1.0, uy)
+    m = sab * c
+    den = ux - m * uy
+    if den == 0.0:
+        return []
+    t = (A - m * B) / den
+    ra, rb = A - t * ux, sab * (B - t * uy)
+    if 0.0 < t < 1.0 and ((ra >= 0.0 and rb >= 0.0) or (ra <= 0.0 and rb <= 0.0)):
+        return [t]
+    return []
 
 
 _MIN_NORMAL = 2.0 ** -1022
@@ -240,10 +240,7 @@ def axis_distances(x, cols: np.ndarray, p: float) -> np.ndarray:
             return np.hypot(A - t * ux, B - t * uy)
         cands = [np.zeros_like(A), np.ones_like(A), A / ux, B / uy]
         if p > 1.0:
-            # of _stationary_params' four sign patterns (sa, sb), only the
-            # two with sa * sb = -sign(ux * uy) give k = |uy / ux| > 0,
-            # and both give the same t; one of their sign tests passes
-            # when A - t ux and sa * sb * (B - t uy) have the same sign
+            # the one candidate of _stationary_params and its sign test
             k = np.abs(uy / ux)
             c = k ** (1.0 / (p - 1.0))
             sab = -np.sign(ux * uy)
@@ -261,21 +258,20 @@ def axis_distances(x, cols: np.ndarray, p: float) -> np.ndarray:
 
 
 def axis_argmin_abscissas(cols: np.ndarray, L: float) -> np.ndarray:
-    """The abscissa axis_argmin_exact picks, for every row at once."""
+    """The abscissa axis_argmin_exact picks, for every row at once, with
+    the same sign of zero."""
     xa, ya, xb, yb = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
     with np.errstate(all="ignore"):
-        # the unconstrained minimiser (_profile_min_unclamped)
-        cross = (ya > 0.0) != (yb > 0.0)
-        xm = np.where(np.abs(ya) < np.abs(yb), xa, np.where(np.abs(yb) < np.abs(ya), xb,
-                                                              np.minimum(xa, xb)))
-        xm = np.where(cross, xa + ya / (ya - yb) * (xb - xa), xm)
+        # the unconstrained minimiser of a row that is not level
+        xm = np.where(np.abs(ya) < np.abs(yb), xa, xb)
+        xm = np.where((ya > 0.0) != (yb > 0.0), xa + ya / (ya - yb) * (xb - xa), xm)
         xm = np.where(yb == 0.0, xb, xm)
-        xm = np.where(ya == 0.0, np.where(yb == 0.0, np.minimum(xa, xb), xa), xm)
-        # its plateau (_plateau), clamped to [0, L]
+        xm = np.where(ya == 0.0, xa, xm)
+        # the plateau, clamped to [0, L]; max(0.0, plo) is +0.0 unless plo > 0
         level = ya == yb
         plo = np.where(level, np.minimum(xa, xb), xm)
         phi = np.where(level, np.maximum(xa, xb), xm)
-        return np.where(phi < 0.0, 0.0, np.where(plo > L, L, np.maximum(0.0, plo)))
+        return np.where(phi < 0.0, 0.0, np.where(plo > L, L, np.where(plo > 0.0, plo, 0.0)))
 
 
 def rescored_extreme(approx: np.ndarray, exact, cols: np.ndarray, scale: float,
@@ -399,41 +395,26 @@ def segment_ox_intersection(s: Segment):
     return s.a.x + t * (s.b.x - s.a.x), False
 
 
-def _profile_min_unclamped(s: Segment):
-    """Exact minimiser of x -> distance((x,0), s) over the whole axis.
-
-    The minimum value equals min_t |qy(t)| for every norm, attained
-    below the segment point of smallest |y|. Plateaus (horizontal or
-    on-axis segments) resolve to the smallest x. Returns (xmin, dmin).
-    """
-    ya, yb = s.a.y, s.b.y
-    hit = segment_ox_intersection(s)
-    if hit is not None:
-        return hit[0], 0.0
-    if abs(ya) < abs(yb):
-        return s.a.x, abs(ya)
-    if abs(yb) < abs(ya):
-        return s.b.x, abs(yb)
-    return min(s.a.x, s.b.x), abs(ya)
-
-
-def _plateau(s: Segment):
-    """The closed x-range of unconstrained minimisers of the profile."""
-    ya, yb = s.a.y, s.b.y
-    if ya == yb:
-        return min(s.a.x, s.b.x), max(s.a.x, s.b.x)
-    xm, _ = _profile_min_unclamped(s)
-    return xm, xm
-
-
 def axis_argmin_exact(s: Segment, L: float, norm: NormP, tol: Tolerance):
     """Closed-form constrained argmin used internally by the solvers.
 
-    Returns (xmin, dmin), the clamp of the unconstrained plateau to
-    [0, L] with ties at the smallest x; exact. The tests compare it
-    with _reference.distance_argmin_on_axis.
+    Returns (xmin, dmin); exact. The unconstrained minimisers, the rule
+    of axis_argmin_abscissas, are the x-range of a level segment, else
+    an end on the axis, the axis crossing, or the end with the smaller
+    |y|; they are clamped to [0, L] with ties at the smallest x. The
+    tests compare it with _reference.distance_argmin_on_axis.
     """
-    plo, phi = _plateau(s)
+    xa, ya, xb, yb = s.a.x, s.a.y, s.b.x, s.b.y
+    if ya == yb:
+        plo, phi = min(xa, xb), max(xa, xb)
+    elif ya == 0.0:
+        plo = phi = xa
+    elif yb == 0.0:
+        plo = phi = xb
+    elif (ya > 0.0) != (yb > 0.0):
+        plo = phi = xa + ya / (ya - yb) * (xb - xa)
+    else:
+        plo = phi = xa if abs(ya) < abs(yb) else xb
     if phi < 0.0:
         x = 0.0
     elif plo > L:

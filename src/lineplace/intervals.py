@@ -16,6 +16,10 @@ intersect_arrays; below that the per-call cost of numpy outweighs the
 loop, and it runs covering_interval and intersect_all over every
 segment. The scalar union cover, _reference.union_covers, is the
 reference that union_covers_arrays is tested against.
+
+Both bisections, and the k-cover circle of each chosen run, are one
+radius search: bisect_radius, which the enclosing ones reach through
+least_radius.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormP, Segment, segment_columns
+from .geometry import NormP, Segment, Tolerance, segment_columns
 
 
 @dataclass(frozen=True)
@@ -339,3 +343,46 @@ def union_covers_arrays(lo, hi, domain: Interval):
         return False, 0.5 * (float(reach[-1]) + domain.hi)
     gap_end = float(lo[g]) if lo[g] < domain.hi else domain.hi
     return False, 0.5 * (float(reach[g]) + gap_end)
+
+
+def bisect_radius(lo: float, hi: float, fits, tol: Tolerance):
+    """Bisect [lo, hi] at the sign of fits, monotone in R, with lo
+    infeasible and hi feasible; returns the final (lo, hi).
+
+    hi is first nudged up by max(eps, 1e-12 hi), so that a bound
+    computed exactly at the boundary is strictly feasible. The search
+    stops once hi - lo <= tol.eps or after tol.max_iters steps.
+    """
+    hi = hi + max(tol.eps, 1e-12 * hi)
+    it = 0
+    while hi - lo > tol.eps and it < tol.max_iters:
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+        it += 1
+    return lo, hi
+
+
+def least_radius(lo: float, hi: float, region_at, tol: Tolerance):
+    """Least radius R of an enclosing search; returns (region_at(R), R).
+
+    region_at(R) is the region of centers, (a, b) or None where empty.
+    R is lo, a certified lower bound, when it fits, else the final hi
+    of bisect_radius from the feasible hi. Its region is empty only if
+    the untried nudged hi fails too: then R moves up 4 eps once, and
+    if that fails as well this raises the ValueError that PlacedCircle
+    raises for the NaN center of an empty region.
+    """
+    region = region_at(lo)
+    if region is not None:
+        return region, lo
+    hi = bisect_radius(lo, hi, lambda R: region_at(R) is not None, tol)[1]
+    region = region_at(hi)
+    if region is None:
+        hi = hi + 4.0 * tol.eps
+        region = region_at(hi)
+        if region is None:
+            raise ValueError("circle parameters must be finite")
+    return region, hi

@@ -12,8 +12,9 @@ tuple of (left, radius) pairs in ascending left, one per run left..r,
 at the smallest radius found for it. The DP makes N column
 relaxations; each relaxes all K rows at once by suffix minima in
 O(K·N) array work, so it does O(K·N^2) work in all. The circle of
-each chosen run comes from a scalar bisection on plain floats
-(_rmin_points), the one-center bisection specialised to points.
+each chosen run comes from the one-center bisection specialised to
+points (_rmin_points): the radius search that every solver shares,
+intervals.least_radius, over a region kernel on plain floats.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import EmptyInput, UnsupportedNorm
 from .geometry import NormP, Tolerance, _lp_pair, _np_lp
-from .intervals import _halfwidth
+from .intervals import _halfwidth, least_radius
 from .one_center import PlacedCircle
 
 _INF = math.inf
@@ -442,17 +443,18 @@ def _rmin_points(points, norm: NormP, tol: Tolerance):
     The center is not held to any stretch [0, L]: it ranges over the
     whole line. A center left or right of every point gets nearer to
     all of them by moving toward them, so the optimum lies in
-    [min x, max x]. The search runs min_enclosing's scalar bisection
-    over the window [min x - max|y|, max x + max|y|], shifted to
-    [0, L], on plain floats. Each point's nearest abscissa lies in the
-    window, at distance |y|, so the lower bound is max|y|; at every
-    radius R tried, R >= |y|, a point covers the abscissas within
+    [min x, max x]. The search is min_enclosing's, the shared
+    intervals.least_radius, over the window [min x - max|y|,
+    max x + max|y|] shifted to [0, L], with a region kernel on plain
+    floats. Each point's nearest abscissa lies in the window, at
+    distance |y|, so the lower bound is max|y|; at every radius R
+    tried, R >= |y|, a point covers the abscissas within
     intervals._halfwidth of its own, as covering_interval gives for a
     point segment, and the window clips their intersection. The center
     and radius are min_enclosing's bit for bit on the scalar route
     that it takes below intervals.ARRAY_MIN_SEGMENTS segments.
     """
-    p, eps = norm.p, tol.eps
+    p = norm.p
     ys = [abs(q.y) for q in points]
     xs = [q.x for q in points]
     maxy = max(ys)
@@ -485,28 +487,9 @@ def _rmin_points(points, norm: NormP, tol: Tolerance):
             hi = L
         return None if lo > hi else (lo, hi)
 
-    lo = maxy
-    region = region_at(lo)
-    if region is not None:
-        return 0.5 * (region[0] + region[1]) + shift, lo
     hi = max(_lp_pair(x, y, p) for x, y in zip(xs, ys))
-    # nudge above the exact radius at x = 0 so the bracket is strictly feasible
-    hi = hi + max(eps, 1e-12 * hi)
-    it = 0
-    while hi - lo > eps and it < tol.max_iters:
-        mid = 0.5 * (lo + hi)
-        if region_at(mid) is None:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
-    region = region_at(hi)
-    if region is None:
-        hi = hi + 4.0 * eps
-        region = region_at(hi)
-        if region is None:
-            raise ValueError("circle parameters must be finite")
-    return 0.5 * (region[0] + region[1]) + shift, hi
+    (a, b), R = least_radius(maxy, hi, region_at, tol)
+    return 0.5 * (a + b) + shift, R
 
 
 @np.errstate(over="ignore")  # m + w overflows to inf, as Python floats do

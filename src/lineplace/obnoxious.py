@@ -27,7 +27,8 @@ from .errors import EmptyInput
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, axis_argmin_abscissas, \
     axis_argmin_exact, axis_distances, point_segment_distance, rescored_extreme, \
     segment_columns, segments_from_columns
-from .intervals import Interval, SegmentArray, covering_slack, union_covers_arrays
+from .intervals import Interval, SegmentArray, bisect_radius, covering_slack, \
+    union_covers_arrays
 from .one_center import PlacedCircle
 
 _INF = math.inf
@@ -103,16 +104,21 @@ class _Profile:
         return [xs for xs in self.starts if lo < xs < hi]
 
 
-def _append_affine_abs(pieces, A: float, B: float, lo: float, hi: float) -> None:
-    """Emit |A*x + B| on (lo, hi) as one or two pure affine pieces."""
+def _append_affine_abs(pieces, A: float, B: float, lo: float, hi: float, h: float = 0.0) -> None:
+    """Emit |A*x + B| + h on (lo, hi) as one or two pure affine pieces;
+    a sloped offset gets h only where h is nonzero, so that -0.0 keeps
+    its sign."""
     if hi <= lo:
         return
     if A == 0.0:
-        pieces.append((lo, hi, _AFFINE, 0.0, abs(B)))
+        pieces.append((lo, hi, _AFFINE, 0.0, abs(B) + h))
         return
     sA = math.copysign(1.0, A)
-    right = (_AFFINE, abs(A), sA * B)
-    left = (_AFFINE, -abs(A), -sA * B)
+    rb, lb = sA * B, -sA * B
+    if h != 0.0:
+        rb, lb = rb + h, lb + h
+    right = (_AFFINE, abs(A), rb)
+    left = (_AFFINE, -abs(A), lb)
     xz = -B / A
     if xz <= lo:
         pieces.append((lo, hi) + right)
@@ -122,12 +128,14 @@ def _append_affine_abs(pieces, A: float, B: float, lo: float, hi: float) -> None
         pieces.extend(((lo, xz) + left, (xz, hi) + right))
 
 
-def _append_cone(pieces, c: float, h: float, lo: float, hi: float) -> None:
-    """Emit lp(x - c, h) on (lo, hi); a degenerate cone becomes affine."""
+def _append_cone(pieces, c: float, h: float, lo: float, hi: float, p: float) -> None:
+    """Emit lp(x - c, h) on (lo, hi). A degenerate cone, and every cone
+    at p = 1, where it is |x - c| + h, becomes affine pieces split at
+    the apex."""
     if hi <= lo:
         return
-    if h == 0.0:
-        _append_affine_abs(pieces, 1.0, -c, lo, hi)
+    if h == 0.0 or p == 1.0:
+        _append_affine_abs(pieces, 1.0, -c, lo, hi, h)
         return
     pieces.append((lo, hi, _CONE, c, h))
 
@@ -159,22 +167,6 @@ def _regime_boundary(ex: float, ey: float, U: float, V: float, p: float) -> floa
     return ex - math.copysign(root * abs(ey), kappa_sign)
 
 
-def _split_p1_cones(pieces):
-    out = []
-    for lo, hi, kind, u, v in pieces:
-        if kind == _CONE:
-            if lo < u < hi:
-                out.append((lo, u, _AFFINE, -1.0, u + v))
-                out.append((u, hi, _AFFINE, 1.0, v - u))
-            elif u >= hi:
-                out.append((lo, hi, _AFFINE, -1.0, u + v))
-            else:
-                out.append((lo, hi, _AFFINE, 1.0, v - u))
-        else:
-            out.append((lo, hi, kind, u, v))
-    return out
-
-
 def _build_profile(seg: Segment, p: float) -> _Profile:
     ax, ay = seg.a.x, seg.a.y
     bx, by = seg.b.x, seg.b.y
@@ -185,7 +177,7 @@ def _build_profile(seg: Segment, p: float) -> _Profile:
     pieces = []
     if U == 0.0:
         hmin = 0.0 if ay * by <= 0.0 else min(abs(ay), abs(by))
-        _append_cone(pieces, ax, hmin, -_INF, _INF)
+        _append_cone(pieces, ax, hmin, -_INF, _INF, p)
     else:
         # distance to the supporting line: |V x - (U ay - V ax)| over the
         # dual norm of (V, U), which is the max norm at p = 1
@@ -201,15 +193,12 @@ def _build_profile(seg: Segment, p: float) -> _Profile:
         w2 = _regime_boundary(bx, by, U, V, p)
         if w1 > w2:
             w1 = w2 = 0.5 * (w1 + w2)
-        _append_cone(pieces, ax, abs(ay), -_INF, w1)
+        _append_cone(pieces, ax, abs(ay), -_INF, w1, p)
         _append_affine_abs(pieces, A, B, w1, w2)
-        _append_cone(pieces, bx, abs(by), w2, _INF)
+        _append_cone(pieces, bx, abs(by), w2, _INF, p)
         if not pieces:
             # both boundaries collapsed to infinities of the same side
-            _append_cone(pieces, ax, abs(ay), -_INF, _INF)
-    if p == 1.0:
-        # p = 1 cones are themselves piecewise affine: split at the apex
-        pieces = _split_p1_cones(pieces)
+            _append_cone(pieces, ax, abs(ay), -_INF, _INF, p)
     return _Profile(p, pieces, max(abs(ax), abs(ay), abs(bx), abs(by)))
 
 
@@ -725,8 +714,9 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
     to cover [0, L]; the witness of the failure is the center.
 
     segments is a sequence of Segment or an (N, 4) array of rows
-    [ax, ay, bx, by]; either is converted once. The bracket is
-    [0, max(d0, dL) of segments[0]]. One array pass over all rows
+    [ax, ay, bx, by]; either is converted once. The search is
+    intervals.bisect_radius on the bracket [0, max(d0, dL) of
+    segments[0]]. One array pass over all rows
     finds the rows that cannot own any part of the answer
     (_owning_rows), and the search runs on a SegmentArray of the rest,
     at every N; the final radius, the distance from the witness to the
@@ -761,15 +751,6 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
     hi = max(point_segment_distance(Point(0.0, 0.0), s0, norm, tol),
              point_segment_distance(Point(L, 0.0), s0, norm, tol))
     # the covering interval of s0 at radius hi spans [0, L] by convexity
-    hi = hi + max(tol.eps, 1e-12 * hi)
-    lo = 0.0
-    it = 0
-    while hi - lo > tol.eps and it < tol.max_iters:
-        mid = 0.5 * (lo + hi)
-        if gaps(mid)[0]:
-            hi = mid
-        else:
-            lo = mid
-        it += 1
+    lo = bisect_radius(0.0, hi, lambda R: gaps(R)[0], tol)[0]
     witness = gaps(lo)[1]
     return PlacedCircle(witness, nearest(witness))

@@ -13,7 +13,7 @@ from .geometry import NormP, Point, Tolerance, axis_argmin_abscissas, \
     axis_argmin_exact, axis_distances, point_segment_distance, rescored_extreme, \
     segment_columns, segments_from_columns
 from .intervals import Interval, SegmentArray, covering_interval, covering_slack, \
-    intersect_all, intersect_arrays
+    intersect_all, intersect_arrays, least_radius
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,10 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
     segments is a sequence of Segment or an (N, 4) array of rows
     [ax, ay, bx, by]; either is converted once. Feasibility of a radius
     R means the covering intervals of all segments and [0, L] share a
-    point. The radius is bisected between a certified lower bound lo
-    (largest per-segment constrained minimum, returned exactly when
-    already feasible) and the radius hi that works at x = 0.
+    point. The search is intervals.least_radius, between a certified
+    lower bound lo (largest per-segment constrained minimum, returned
+    exactly when already feasible) and the radius hi that works at
+    x = 0; the center is the midpoint of the region at its radius.
 
     From intervals.ARRAY_MIN_SEGMENTS rows on, lo and hi come from array
     kernels over all rows, with their near-ties recomputed by the
@@ -84,7 +85,7 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
                 lo = dmin
         hi = max(point_segment_distance(origin, s, norm, tol) for s in segs)
 
-        def region_at(R: float) -> Interval:
+        def meet(R: float) -> Interval:
             ivs = [covering_interval(s, R, norm) for s in segs]
             ivs.append(domain)
             return intersect_all(ivs)
@@ -101,24 +102,12 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
         far = np.maximum(d0, axis_distances(L, cols, p))
         arr = SegmentArray(cols[_binding_rows(far, lo, scale, p)], norm)
 
-        def region_at(R: float) -> Interval:
+        def meet(R: float) -> Interval:
             return intersect_arrays(*arr.covering(R), domain)
 
-    region = region_at(lo)
-    if not region.is_empty:
-        return PlacedCircle(0.5 * (region.lo + region.hi), lo)
-    # nudge above the exact radius at x = 0 so the bracket is strictly feasible
-    hi = hi + max(tol.eps, 1e-12 * hi)
-    it = 0
-    while hi - lo > tol.eps and it < tol.max_iters:
-        mid = 0.5 * (lo + hi)
-        if region_at(mid).is_empty:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
-    region = region_at(hi)
-    if region.is_empty:
-        hi = hi + 4.0 * tol.eps
-        region = region_at(hi)
-    return PlacedCircle(0.5 * (region.lo + region.hi), hi)
+    def region_at(R: float):
+        iv = meet(R)
+        return None if iv.is_empty else (iv.lo, iv.hi)
+
+    (a, b), R = least_radius(lo, hi, region_at, tol)
+    return PlacedCircle(0.5 * (a + b), R)

@@ -198,8 +198,10 @@ def _enclosing_circle(points, norm: NormP, tol: Tolerance):
     """(cx, radius) of the smallest axis-centered ball covering the
     points, by min_enclosing over point segments in the window
     [min x - max|y|, max x + max|y|], which holds the optimum. The
-    oracle prices its blocks here, so it shares no kernel with the
-    k-cover reconstruction (k_cover._rmin_points)."""
+    oracle prices its blocks here. It shares the search control of
+    intervals.least_radius with the k-cover reconstruction
+    (k_cover._rmin_points) but no region kernel; the grid oracle
+    shares neither."""
     maxy = max(abs(q.y) for q in points)
     xs = [q.x for q in points]
     lo = min(xs) - maxy

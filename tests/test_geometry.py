@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from lineplace import (
@@ -18,6 +20,7 @@ from lineplace import (
 from lineplace._reference import _min_distance_search, distance_argmin_on_axis, \
     equal_distance_point
 from lineplace.errors import NoCrossing
+from lineplace.geometry import axis_argmin_abscissas
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -170,10 +173,27 @@ class TestArgminOnAxis:
         assert abs(x - 4.0) < 1e-12
         assert d == 0.0
 
+    @pytest.mark.parametrize("L", [10.0, 0.0])
+    def test_array_kernel_picks_the_same_abscissa(self, L):
+        # bit for bit, signs of zero included, over level rows, equal |y|
+        # on both sides of the axis, ends on the axis and signed zeros
+        rng = random.Random(f"argmin{L}")
+        rows = []
+        for _ in range(4000):
+            row = [rng.choice((0.0, -0.0, 1.0, -1.0, 10.0)) if rng.random() < 0.3
+                   else rng.uniform(-5.0, 15.0) for _ in range(4)]
+            kind = rng.random()
+            if kind < 0.15:
+                row[3] = row[1]
+            elif kind < 0.3:
+                row[3] = -row[1]
+            rows.append(row)
+        got = axis_argmin_abscissas(np.array(rows), L).tolist()
+        want = [axis_argmin_exact(seg(*row), L, N2, TOL)[0] for row in rows]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
     @pytest.mark.parametrize("strategy", ["candidates", "derivative"])
     def test_strategies_agree(self, strategy):
-        import random
-
         rng = random.Random(11)
         for _ in range(40):
             s = seg(rng.uniform(-5, 15), rng.uniform(-8, 8),

@@ -16,7 +16,8 @@ from lineplace import (
     point_segment_distance,
 )
 from lineplace._reference import _covering_bisect, union_covers
-from lineplace.intervals import SegmentArray, intersect_arrays, union_covers_arrays
+from lineplace.intervals import SegmentArray, bisect_radius, intersect_arrays, least_radius, \
+    union_covers_arrays
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -247,3 +248,61 @@ class TestArrayCombine:
         lo, hi = as_arrays(ivs)
         assert union_covers_arrays(lo, hi, domain) == union_covers(ivs, domain)
         assert intersect_arrays(lo, hi, domain) == intersect_all(ivs + [domain])
+
+
+class Threshold:
+    """A radius search whose radii fit from least on; counts its calls."""
+
+    def __init__(self, least):
+        self.least = least
+        self.calls = 0
+
+    def fits(self, R):
+        self.calls += 1
+        return R >= self.least
+
+    def region_at(self, R):
+        return (0.0, R) if self.fits(R) else None
+
+
+class TestRadiusSearch:
+    def test_lower_bound_that_fits_comes_back_as_is(self):
+        t = Threshold(0.25)
+        assert least_radius(0.5, 9.0, t.region_at, TOL) == ((0.0, 0.5), 0.5)
+        assert t.calls == 1
+
+    def test_stops_once_the_bracket_is_within_eps(self):
+        # the nudged bracket [0, 1.001] is halved 10 times to width <= 1e-3
+        tol = Tolerance(eps=1e-3)
+        t = Threshold(0.3)
+        lo, hi = bisect_radius(0.0, 1.0, t.fits, tol)
+        assert t.calls == 10
+        assert hi - lo <= tol.eps < 2.0 * (hi - lo)
+        assert lo < 0.3 <= hi
+
+    @pytest.mark.parametrize("max_iters", [7, 200])
+    def test_runs_max_iters_when_eps_is_below_the_rounding(self, max_iters):
+        # at radius 1e12 one ulp is 1.2e-4, far above eps = 1e-9, so the
+        # bracket never gets within eps
+        tol = Tolerance(max_iters=max_iters)
+        t = Threshold(1.5e12)
+        lo, hi = bisect_radius(1e12, 2e12, t.fits, tol)
+        assert t.calls == max_iters
+        assert hi - lo > tol.eps
+
+    def test_rechecks_four_eps_higher(self):
+        # no midpoint fits, nor the nudged hi = 1.001 that the search ends
+        # at, so the radius moves up by 4 eps once more
+        tol = Tolerance(eps=1e-3)
+        t = Threshold(1.003)
+        region, R = least_radius(0.0, 1.0, t.region_at, tol)
+        assert R == (1.0 + 1e-3) + 4.0 * 1e-3
+        assert region == (0.0, R)
+        assert t.calls == 1 + 10 + 2
+
+    def test_raises_when_the_recheck_fails_too(self):
+        tol = Tolerance(eps=1e-3)
+        t = Threshold(2.0)
+        with pytest.raises(ValueError, match="circle parameters must be finite"):
+            least_radius(0.0, 1.0, t.region_at, tol)
+        assert t.calls == 1 + 10 + 2

@@ -158,10 +158,26 @@ def test_no_unused_imports():
 
 
 def test_k_cover_reconstructs_on_one_route():
-    # rmin_on_axis runs its own scalar bisection on plain floats; it
-    # reaches neither route of min_enclosing nor the interval objects
+    # rmin_on_axis runs the shared radius search over its own region
+    # kernel on plain floats; it reaches neither route of min_enclosing
+    # nor the interval objects
     names = {parts[-1] for _, parts in _imported_names(SRC / "k_cover.py")}
     assert not names & {"min_enclosing", "covering_interval", "Interval", "SegmentArray"}
+
+
+@pytest.mark.parametrize("module, name", [("one_center.py", "min_enclosing"),
+                                          ("obnoxious.py", "max_empty_binsearch"),
+                                          ("k_cover.py", "_rmin_points")])
+def test_radius_searches_share_one_bisection(module, name):
+    # the bracket nudge, the stop rule and the re-check of a radius
+    # search live in intervals.bisect_radius and least_radius only
+    tree = ast.parse((SRC / module).read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == name)
+    assert not any(isinstance(node, ast.While) for node in ast.walk(fn))
+    called = {node.func.id for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert called & {"bisect_radius", "least_radius"}
 
 
 def test_envelope_build_wraps_once():
