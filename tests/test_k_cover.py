@@ -2,6 +2,7 @@ import json
 import math
 import pathlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -66,8 +67,11 @@ def pair_tolerance(ps, i, j, xc, R, p, eps):
     dF = 8u (|x - xi|^p + |x - xj|^p + |yi|^p + |yj|^p), u = 2^-52.
     F increases with slope s = F'(xc), so every bracket end a route
     keeps lies within dF / s of the root, and its midpoint within
-    dF / s + eps/8 once the bracket is eps/4 wide: centers differ by
-    at most 2 dF / s + eps/4. The radius is 1-Lipschitz in the center
+    dF / s + eps/8 once the bracket is eps/4 wide. The scalar route
+    ends so; the batch's rtsafe ends so when it bisects, and otherwise
+    after a Newton step of at most eps/4, whose error is of the order
+    of the step squared times F''/F', far below eps/8: centers differ
+    by at most 2 dF / s + eps/4. The radius is 1-Lipschitz in the center
     and each route rounds it by a few ulp, so the radii differ by at
     most 2 dF / s + eps/4 + 8u R. Between the points s = p (da^(p-1) +
     db^(p-1)), with da, db the distances to them; outside, the mean
@@ -85,6 +89,23 @@ def pair_tolerance(ps, i, j, xc, R, p, eps):
     else:
         s = p * (p - 1) * min(da ** (p - 2), db ** (p - 2)) * (b.x - a.x)
     return 2 * dF / s + eps / 4 + 8 * U * R
+
+
+def taxicab_tolerance(ps, i, j, eps):
+    """Bound on |batch - scalar| for one pair's center and radius at p = 1.
+
+    The batch takes the closed form c = (xi + xj + t) / 2 with t =
+    |yj| - |yi|, within u (|xi| + |xj| + |t|) of the exact root of
+    2x - xi - xj = t, u = 2^-52. The scalar route bisects the same
+    F(x) = |x - xi| - |x - xj| on [xi, xj] to a bracket eps/4 wide, so
+    its midpoint lies within eps/8 of the root of its float F; that F
+    is within 2u |xj - xi| of 2x - xi - xj, and the slope 2 halves it.
+    So the centers differ by at most the returned eps/8 + 4u (|xi| +
+    |xj| + |yi| + |yj|). The radius |c - xi| + |yi| is 1-Lipschitz in
+    c and each route rounds it twice, which adds 4u R for the radii.
+    """
+    a, b = ps.pts[i], ps.pts[j]
+    return eps / 8 + 4 * U * (abs(a.x) + abs(b.x) + abs(a.y) + abs(b.y))
 
 
 def batch_pair_circles(ps, norm, tol):
@@ -198,7 +219,12 @@ class TestCandidateLists:
 
 
 class TestPairCirclesBatch:
-    """k_cover._pair_circles against two_point_circle, pair by pair."""
+    """k_cover._pair_circles against two_point_circle, pair by pair.
+
+    The scalar kernel bisects at every p != 2, while the batch takes the
+    closed form at p = 1 and rtsafe at other p, so the two agree within
+    the bounds derived in taxicab_tolerance and pair_tolerance.
+    """
 
     SPECIAL = {
         # i == j, equal abscissas with equal and with different |y|
@@ -219,8 +245,12 @@ class TestPairCirclesBatch:
                 seen_fail += 1
                 continue
             assert ok, (i, j)
-            if norm.p in (1.0, 2.0) or ps.pts[i].x == ps.pts[j].x:
+            if norm.p == 2.0 or ps.pts[i].x == ps.pts[j].x:
                 assert (xc, R) == want, (i, j)
+            elif norm.p == 1.0:
+                bound = taxicab_tolerance(ps, i, j, TOL.eps)
+                assert abs(xc - want[0]) <= bound, (i, j)
+                assert abs(R - want[1]) <= bound + 4 * U * R, (i, j)
             else:
                 assert abs(R - want[1]) <= pair_tolerance(ps, i, j, *want, norm.p, TOL.eps), (i, j)
         return seen_fail
@@ -265,13 +295,97 @@ class TestPairCirclesBatch:
             for cl in build_lists_naive(ps, norm, TOL):
                 assert all(math.isfinite(radius) for _, radius in cl)
 
-    def test_overflowing_power_raises(self):
-        # where Python's ** raises OverflowError, the batch raises too
+    def test_taxicab_closed_form_is_exact(self):
+        # at p = 1 the center of an inner pair is (xi + xj + t) / 2 with
+        # t = |yj| - |yi|: three operations, each rounded by a factor
+        # within 2^-53 of 1, and an exact halving. So it lies within
+        # 2^-54 (|xi + xj| + |t| + |fl(xi + xj) + fl(t)|) of the exact
+        # rational value
+        rng = random.Random("closed form")
+        inner = 0
+        for regime in ("nearline", "spread", "grid"):
+            ps = random_pset(rng, 25, regime)
+            for i, j, xc, R, ok in batch_pair_circles(ps, N1, TOL):
+                a, b = ps.pts[i], ps.pts[j]
+                t = abs(b.y) - abs(a.y)
+                if a.x == b.x or not -(b.x - a.x) < t < b.x - a.x:
+                    continue
+                inner += 1
+                assert ok
+                s = Fraction(a.x) + Fraction(b.x)
+                exact_t = abs(Fraction(b.y)) - abs(Fraction(a.y))
+                rounded = Fraction(a.x + b.x) + Fraction(t)
+                err = abs(Fraction(xc) - (s + exact_t) / 2)
+                assert err <= Fraction(2) ** -54 * (abs(s) + abs(exact_t) + abs(rounded))
+                assert R == abs(xc - a.x) + abs(a.y)
+        assert inner > 300
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("case", ["near-equal", "far"])
+    def test_no_pair_reaches_the_cap(self, case, p, monkeypatch):
+        # centers up to 1e10 away, where an ulp of the center exceeds
+        # eps/4: every pair stops before 64 steps of widening or rtsafe,
+        # so a cap of 64 gives the same circles as the default 200
+        if case == "near-equal":
+            ps = pset(*self.SPECIAL[case])
+        else:
+            rng = random.Random("far centers")
+            pairs = [(round(rng.uniform(-100, 100), 6), round(rng.uniform(-100, 100), 6))
+                     for _ in range(40)]
+            # abscissas 1e-6 apart whose |y| differ by tens
+            pairs += [(x + 1e-6, rng.choice((-1, 1)) * rng.uniform(50, 100)) for x, _ in pairs[::8]]
+            ps = pset(*pairs)
+        running = []
+        step = k_cover._rtsafe_step
+
+        def counted(act, x, *args):
+            running.append(len(x) if act is None else len(act))
+            return step(act, x, *args)
+
+        monkeypatch.setattr(k_cover, "_rtsafe_step", counted)
+        want = list(batch_pair_circles(ps, NormP(p), TOL))
+        # the last step leaves no pair running
+        assert len(running) < 64
+        if case == "far":
+            # Newton steps keep the mean number of steps per pair small
+            assert sum(running) < 8 * running[0]
+            if p == 1.5:
+                assert max(abs(xc) for _, _, xc, _, _ in want) > 1e7
+        assert list(batch_pair_circles(ps, NormP(p), Tolerance(max_iters=64))) == want
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 300.0])
+    def test_subnormal_pairs_keep_a_finite_scale(self, p):
+        # the scale that brings these pairs near 1 exceeds the float
+        # range, so it stops at 2^1021
+        ps = pset((1e-320, 2e-315), (3e-318, -1e-310), (5e-300, 1.5e-300))
+        got = build_lists_naive(ps, NormP(p), TOL)
+        assert lists_as_runs(got) == lists_as_runs(build_lists_loop(ps, NormP(p), TOL))
+        assert all(math.isfinite(radius) for cl in got for _, radius in cl)
+
+    def test_far_pair_circles_do_not_overflow(self):
+        # Python's ** overflows in the scalar loop's widening; the batch
+        # runs each pair on its own power-of-two scale and finds every
+        # circle the loop finds, and a center for the far pairs too
         ps = pset((-16, -3.73e16), (-16, 0), (-10, 0), (-6, -94.8), (1.2e-246, -16))
+        norm = NormP(5.998)
         with pytest.raises(OverflowError):
-            build_lists_loop(ps, NormP(5.998), TOL)
-        with pytest.raises(FloatingPointError):
-            build_lists_naive(ps, NormP(5.998), TOL)
+            build_lists_loop(ps, norm, TOL)
+        for i, j, xc, R, ok in batch_pair_circles(ps, norm, TOL):
+            if (i, j) == (0, 1):  # one abscissa, |y| differ
+                assert not ok
+                continue
+            assert ok and math.isfinite(R), (i, j)
+            try:
+                want = two_point_circle(ps, i, j, norm, TOL)
+            except OverflowError:
+                assert i == 0
+                continue
+            if i == j:
+                assert (xc, R) == want
+            else:
+                assert abs(R - want[1]) <= pair_tolerance(ps, i, j, *want, norm.p, TOL.eps), (i, j)
+        lists = build_lists_naive(ps, norm, TOL)
+        assert all(math.isfinite(radius) for cl in lists for _, radius in cl)
 
 
 class TestListsAgainstLoop:
@@ -280,11 +394,22 @@ class TestListsAgainstLoop:
     @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize("regime", ["nearline", "spread", "grid"])
     def test_identical_lists(self, regime, p):
+        # bit for bit at p = 2; at p = 1 the batch's closed-form centers
+        # differ from the loop's bisection, so the runs are the same and
+        # each radius within taxicab_tolerance of the pair it came from
         rng = random.Random(f"lists{regime}{p}")
         for n in (1, 2, 7, 30):
             ps = random_pset(rng, n, regime)
-            assert (lists_as_tuples(build_lists_naive(ps, NormP(p), TOL))
-                    == lists_as_tuples(build_lists_loop(ps, NormP(p), TOL)))
+            got = build_lists_naive(ps, NormP(p), TOL)
+            want = build_lists_loop(ps, NormP(p), TOL)
+            if p == 2.0:
+                assert lists_as_tuples(got) == lists_as_tuples(want)
+                continue
+            assert lists_as_runs(got) == lists_as_runs(want)
+            bound = TOL.eps / 8 + 16 * U * max(abs(c) for q in ps.pts for c in (q.x, q.y))
+            for cl, wl in zip(got, want):
+                for (_, r), (_, w) in zip(cl, wl):
+                    assert abs(r - w) <= bound + 4 * U * w
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("regime", ["nearline", "spread", "grid"])
