@@ -243,7 +243,7 @@ def axis_distances(x, cols: np.ndarray, p: float) -> np.ndarray:
             # the one candidate of _stationary_params and its sign test
             k = np.abs(uy / ux)
             c = k ** (1.0 / (p - 1.0))
-            sab = -np.sign(ux * uy)
+            sab = -(np.sign(ux) * np.sign(uy))
             m = sab * c
             den = ux - m * uy
             t = (A - m * B) / den

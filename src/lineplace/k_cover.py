@@ -6,17 +6,22 @@ style DP over candidate runs. Candidates are generated from circles
 through one or two points: build_lists_naive computes all O(N^2) pair
 circles at once over numpy arrays (in closed form at p = 1 and p = 2,
 and by a lockstep safeguarded Newton iteration, rtsafe, on each pair's
-own power-of-two scale at other p) and grows their runs with work in
-proportion to the run lengths; a plane sweep builds the same lists at
-p = 2. Both hand their runs to one grouping (_group_lists), and a list
-is the same plain data whichever builds it: for each right end r, a
-tuple of (left, radius) pairs in ascending left, one per run left..r,
-at the smallest radius found for it. The DP makes N column
-relaxations; each relaxes all K rows at once by suffix minima in
-O(K·N) array work, so it does O(K·N^2) work in all. The circle of
-each chosen run comes from the one-center bisection specialised to
-points (_rmin_points): the radius search that every solver shares,
-intervals.least_radius, over a region kernel on plain floats.
+own power-of-two scale at other p). A pair's center is also the
+threshold beyond which a circle through one of its points covers the
+other, so O(N^2) certified thresholds (_certified_thresholds) let
+O(N^2 log N) searches jump every run past the points it surely covers,
+and exact coverage tests grow the runs only over the points that are
+left, about one per pair on the benchmark's point sets. A plane sweep
+builds the same lists at p = 2. Both hand their runs to one grouping
+(_group_lists), and a list is the same plain data whichever builds it:
+for each right end r, a tuple of (left, radius) pairs in ascending
+left, one per run left..r, at the smallest radius found for it. The DP
+makes N column relaxations; each relaxes all K rows at once by suffix
+minima in O(K·N) array work, so it does O(K·N^2) work in all. The
+circle of each chosen run comes from the one-center bisection
+specialised to points (_rmin_points): the radius search that every
+solver shares, intervals.least_radius, over a region kernel on plain
+floats.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ from .intervals import _halfwidth, least_radius
 from .one_center import PlacedCircle
 
 _INF = math.inf
+_U = 2.0 ** -53
+_TINY = 2.0 ** -1074
+_SLICE = 4096  # pairs per slice of _certified_thresholds
 
 
 @dataclass(frozen=True)
@@ -86,22 +94,34 @@ def _cover_slack(R: float, eps: float) -> float:
     return eps * max(1.0, R)
 
 
-def _power_gap(x, a, b, t, p: float):
+def _power_gap(x, a, b, t, p: float, size: bool = False):
     """F(x) - t and F'(x) for F(x) = |x - a|^p - |x - b|^p, from one
     power per side: |d|^(p-1), then times |d|. Works in place on its
-    own temporaries, so that a call on all pairs allocates little."""
+    own temporaries, so that a call on all pairs allocates little. With
+    size, also returns |x - a|^p + |x - b|^p as computed, which bounds
+    the rounding of F (_certified_thresholds)."""
     da, db = x - a, x - b
     f, g = np.abs(da), np.abs(db)
     ma, mb = f ** (p - 1.0), g ** (p - 1.0)
     f *= ma
     g *= mb
+    total = f + g if size else None
     f -= g
     f -= t
     np.copysign(ma, da, out=ma)
     np.copysign(mb, db, out=mb)
     ma -= mb
     ma *= p
-    return f, ma
+    return (f, ma, total) if size else (f, ma)
+
+
+def _pair_scale(xi, yi, xj, yj):
+    """Each pair's own power-of-two scale: it brings the pair's largest
+    |xj - xi|, |yi|, |yj| into [1/2, 1) (below it for subnormal pairs, so
+    that the scale stays finite). Scaling is then exact, and powers of
+    the scaled coordinates stay in range."""
+    m = np.maximum(xj - xi, np.maximum(np.abs(yi), np.abs(yj)))
+    return np.ldexp(1.0, -np.maximum(np.frexp(m)[1], -1021))
 
 
 def _rtsafe_pairs(a, b, t, lo, hi, s, quarter: float, p: float, max_iters: int):
@@ -226,12 +246,7 @@ def _pair_circles(X, Y, I, J, p: float, tol: Tolerance):
             c = np.where(target == span, xj,
                          np.where(target == -span, xi, 0.5 * (xi + xj + target)))
         else:
-            # each pair on its own power-of-two scale, its largest
-            # |xj - xi|, |yi|, |yj| in [1/2, 1) (below it for subnormal
-            # pairs, so that the scale stays finite): exact, and the
-            # powers stay in range
-            m = np.maximum(xj - xi, np.maximum(np.abs(yi), np.abs(yj)))
-            s = np.ldexp(1.0, -np.maximum(np.frexp(m)[1], -1021))
+            s = _pair_scale(xi, yi, xj, yj)
             a, b = xi * s, xj * s
             with np.errstate(over="raise", invalid="raise"):
                 target = np.abs(yj * s) ** p - np.abs(yi * s) ** p
@@ -264,12 +279,146 @@ def _pair_circles(X, Y, I, J, p: float, tol: Tolerance):
     return xc, R, ok & np.isfinite(R)
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _expand_runs(X, Y, I, J, xc, R, p: float, eps: float):
-    """Grow each pair circle's run from its smaller index both ways.
+def _certified_thresholds(X, Y, I, J, xc, p: float, eps: float):
+    """Certified coverage thresholds of the pairs I <= J (none for i == j).
 
-    All pairs step in lockstep, and each tests only the next point
-    beyond its run, so the work is proportional to the run lengths.
+    For points i < k, a center c on the axis is at least as near to k as
+    to i exactly when F(c) = |c - xi|^p - |c - xk|^p >= |yk|^p - |yi|^p.
+    F is nondecreasing for every p >= 1, so if that holds at t, every
+    circle through i centered at c >= t covers k, and if the reverse
+    inequality holds at t', every circle through k centered at c <= t'
+    covers i. Returns (right, left) in the order of I: right = t, or inf
+    where none is certified, and left = -t', or inf, so that both read
+    "+-c >= threshold". The exact test of _expand_runs passes wherever
+    that exact inequality does: the slack eps * max(1, R) exceeds the
+    test's rounding, below 2^-47 R at every p (a distance and R each err
+    by about 20 u, u = 2^-53), as long as eps >= 2^-40; for smaller eps
+    nothing is certified.
+
+    Each pair is evaluated on its own power-of-two scale s (_pair_scale,
+    as in _pair_circles; exact, but for subnormal results), with a =
+    xi s, b = xk s and the target |yk s|^p - |yi s|^p.
+
+    Bound. Let e = expm1(p u) >= p u. On the scaled data, _power_gap at
+    T forms each |T - a|^p as |d|^(p-1) |d|: the rounding of d = T - a,
+    a factor within 1 +- u, becomes one within 1 +- e in |d|^p, the
+    power function adds at most 4 ulps (8 u) and the product u. The
+    target's powers err by 8 u, and each of the three subtractions by u
+    times at most S, the sum of the four powers. So F(T) - target is
+    computed within (e + 12 u) S. Subnormal results add at most (p + 5)
+    2^-1074 per power: a scaled input off by 2^-1075 moves |d|^p by p
+    2^-1074 while |d| <= 1, and an underflowing power errs by 4 ulps.
+    The bound 8 (e + 12 u) S + 8 (p + 5) 2^-1074, with S as computed,
+    covers that with room, and once e >= 1/4 it exceeds |F(T) - target|
+    <= S (1 + 3 u) itself, so nothing is certified; a non-finite value
+    is never certified either.
+
+    Margin. The center c is a root of F - target only up to the rounding
+    above (closed forms) or rtsafe's eps/4. One evaluation at c gives
+    f = F(c) - target, F'(c) and the bound B there; the threshold is c
+    moved by the Newton step to F - target = +-2 B, or c itself where f
+    clears B already (F' = 0 on ties and p = 1 plateaus), which leaves
+    about B of room over the bound at the moved point. One more
+    evaluation there keeps it only if the computed sign clears that
+    point's bound. Pairs whose root is ill-conditioned (F' tiny against
+    S, as for far centers of nearly equal abscissas) fail that check,
+    so their points are left to the exact test.
+    """
+    right = np.full(len(I), _INF)
+    left = np.full(len(I), _INF)
+    if eps >= 2.0 ** -40:
+        # slice by slice, so that the temporaries stay small
+        for lo in range(0, len(I), _SLICE):
+            part = slice(lo, lo + _SLICE)
+            right[part], left[part] = _certify(X, Y, I[part], J[part], xc[part], p)
+    return right, left
+
+
+@np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore")
+def _certify(X, Y, I, J, xc, p: float):
+    """_certified_thresholds of the pairs I, J with centers xc."""
+    xi, yi, xj, yj = X[I], Y[I], X[J], Y[J]
+    s = _pair_scale(xi, yi, xj, yj)
+    a, b = xi * s, xj * s
+    pj, pi = np.abs(yj * s) ** p, np.abs(yi * s) ** p
+    target = pj - pi
+    rel = 8.0 * (math.expm1(p * _U) + 12.0 * _U)
+    # the part of the bound that does not depend on x
+    floor = rel * (pj + pi) + 8.0 * (p + 5.0) * _TINY
+    c = xc * s
+    f, df, size = _power_gap(c, a, b, target, p, size=True)
+    bound = rel * size + floor
+    out = []
+    for sign in (1.0, -1.0):
+        step = np.where(sign * f > bound, 0.0, (sign * 2.0 * bound - f) / df)
+        t = (c + step) / s
+        ft, _, size = _power_gap(t * s, a, b, target, p, size=True)
+        out.append(np.where(sign * ft > rel * size + floor, sign * t, _INF))
+    return out
+
+
+def _running_max(group, values):
+    """Running maximum of values that restarts wherever group changes;
+    group is nondecreasing. numpy orders complex numbers by real part,
+    then imaginary part, so one accumulate over group + i*values does
+    every group at once."""
+    z = np.empty(len(values), dtype=complex)
+    z.real, z.imag = group, values
+    return np.maximum.accumulate(z, out=z).imag
+
+
+def _jump_ends(I, xc, right_thr, left_thr, n: int):
+    """Both ends of every run after its certified jump.
+
+    I holds each circle's own point, ascending, and xc its center;
+    right_thr and left_thr are _certified_thresholds over the pairs of
+    np.triu_indices(n). Along row i (pairs (i, k), k = i + 1, ...) the
+    running maximum of right_thr is the least center that covers every
+    point up to k, so one searchsorted per row moves the right end of
+    each circle through i past every point that it certifiably covers.
+    The left end does the same along column i (pairs (k, i), k = i - 1
+    down to 0) with left_thr and -xc. Rows and columns are gathered
+    from the triu-ordered arrays, so no N x N array is formed.
+    """
+    tri = np.arange(n + 1)
+    first = tri * n - tri * (tri - 1) // 2  # triu position of pair (i, i)
+    # pairs (i, k), k > i, row by row: all but the diagonal
+    by_row = _running_max(np.repeat(tri[:-1], n - 1 - tri[:-1]),
+                          np.delete(right_thr, first[:-1]))
+    row_start = (first - tri).tolist()
+    # pairs (k, j), k < j, column j = n - 1 down to 1, each from k = j - 1
+    # down to 0; column j starts at col_start[j]
+    col, k = (a[::-1] for a in np.tril_indices(n, -1))
+    # their triu positions first[k] + col - k, with few temporaries
+    at = first[k]
+    at += col
+    at -= k
+    del k
+    by_col = _running_max(-col, left_thr[at])
+    del at
+    col_start = (len(col) - tri * (tri + 1) // 2).tolist()
+    bounds = np.searchsorted(I, tri).tolist()
+    ahead = np.empty_like(I)
+    behind = np.empty_like(I)
+    neg = -xc
+    for i in range(n):
+        lo, hi = bounds[i], bounds[i + 1]
+        ahead[lo:hi] = by_row[row_start[i]:row_start[i + 1]].searchsorted(xc[lo:hi], "right")
+        behind[lo:hi] = by_col[col_start[i]:col_start[i] + i].searchsorted(neg[lo:hi], "right")
+    return I - behind, I + ahead
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _expand_runs(X, Y, I, J, xc, R, p: float, eps: float, left, right):
+    """Grow each pair circle's run from the ends left..right both ways.
+
+    The ends start at the pair's smaller index, or beyond it where
+    _jump_ends has certified the points between. All pairs step in
+    lockstep, and each tests only the next point beyond its run, so the
+    work is proportional to the points added here, plus one failing
+    test per end: with the jumps, O(N^2) tests in all on the
+    benchmark's point sets, where most runs pass only their pair's far
+    point exactly. left and right are updated in place and returned.
     """
     n = len(X)
     slack = eps * np.maximum(1.0, R)  # _cover_slack
@@ -284,16 +433,15 @@ def _expand_runs(X, Y, I, J, xc, R, p: float, eps: float):
 
         def cov(k, a):
             return _np_lp(X[k] - xc[a], Y[k], p) <= reach[a]
-    left = I.copy()
-    right = I.copy()
     for end, step, stop in ((left, -1, 0), (right, 1, n - 1)):
         act = np.flatnonzero(end != stop)
         while len(act):
             act = act[cov(end[act] + step, act)]
             end[act] += step
             act = act[end[act] != stop]
-    # every point of a run was tested on the way out except the pair's
-    # own point i, so a run that reached the far point j needs only that
+    # every point of a run was tested on the way out, or certified to
+    # pass, except the pair's own point i, so a run that reached the far
+    # point j needs only that
     far = np.flatnonzero(right >= J)
     assert cov(I[far], far).all()
     return left, right
@@ -336,8 +484,14 @@ def build_lists_naive(pts: PointSet, norm: NormP, tol: Tolerance):
     sign bracket, falling back to bisection) on each pair's own
     power-of-two scale, which stops even where a center's ulp exceeds
     eps/4: in fewer than 64 steps on the benchmark's point sets, about
-    5 on average (_pair_circles). The expansion then costs the sum of
-    the run lengths, O(N^3) only when most runs span most points.
+    5 on average (_pair_circles). The expansion then takes O(N^2)
+    certification (_certified_thresholds), O(N^2 log N) searches that
+    jump each run past every point it certifiably covers (_jump_ends),
+    and the exact coverage tests of the points left (_expand_runs):
+    about one per pair on the benchmark's point sets, where stepping
+    every point takes 39 per pair near the line and 13 spread. A jump
+    passes only points that the exact test passes, so the lists are
+    those of stepping point by point, bit for bit.
     """
     P = pts.pts
     n = len(P)
@@ -348,8 +502,11 @@ def build_lists_naive(pts: PointSet, norm: NormP, tol: Tolerance):
     Y = np.array([q.y for q in P], dtype=float)
     I, J = np.triu_indices(n)
     xc, R, ok = _pair_circles(X, Y, I, J, p, tol)
+    thresholds = _certified_thresholds(X, Y, I, J, xc, p, tol.eps)
     I, J, xc, R = I[ok], J[ok], xc[ok], R[ok]
-    left, right = _expand_runs(X, Y, I, J, xc, R, p, tol.eps)
+    left, right = _jump_ends(I, xc, *thresholds, n)
+    del thresholds  # not held while the runs grow and group
+    left, right = _expand_runs(X, Y, I, J, xc, R, p, tol.eps, left, right)
     return _group_lists(right, left, R, np.abs(Y))
 
 

@@ -20,7 +20,7 @@ from lineplace import (
 from lineplace._reference import _min_distance_search, distance_argmin_on_axis, \
     equal_distance_point
 from lineplace.errors import NoCrossing
-from lineplace.geometry import axis_argmin_abscissas
+from lineplace.geometry import axis_argmin_abscissas, axis_distances, segment_columns
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -136,6 +136,21 @@ class TestPointSegmentDistance:
         d = point_segment_distance(Point(tiny, 1e-310), seg(0.0, 0.0, 2 * tiny, 0.0),
                                    N2, TOL)
         assert d == 1e-310
+
+
+class TestAxisDistances:
+    @pytest.mark.parametrize("scale", [1e-170, 1e-150, 1.0])
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_stationary_sign_survives_underflow(self, p, scale):
+        # near 1e-170 the product ux * uy underflows to 0; the sign of
+        # the stationary candidate comes from the two signs instead, so
+        # the estimate stays within a few ulp of the scalar distance
+        s = seg(0.0, 1.0 * scale, 2.0 * scale, -0.5 * scale)
+        cols = segment_columns([s])
+        for x in np.linspace(-1.0, 3.0, 41) * scale:
+            est = float(axis_distances(float(x), cols, p)[0])
+            exact = point_segment_distance(Point(float(x), 0.0), s, NormP(p), TOL)
+            assert abs(est - exact) <= 4 * math.ulp(exact), (x, est, exact)
 
 
 class TestOxIntersection:

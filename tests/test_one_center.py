@@ -109,3 +109,27 @@ class TestArrayRoute:
             for c in got.values():
                 assert 0.0 <= c.cx <= 10.0
                 assert farthest(segments, c.cx, norm) <= c.radius + 1e-7
+
+    def test_routes_agree_at_scale_1e_170(self, monkeypatch):
+        # 30 spread segments near 1e-170, 40 draws at each p: the array
+        # route's distance estimates keep the sign of their stationary
+        # candidate though ux * uy underflows there, so its bounds are
+        # the scalar route's and the radii agree. One draw still
+        # differs: SegmentArray.covering finds no region at the radius
+        # that the scalar covering intervals accept, and the bisection,
+        # whose eps is absolute, ends near eps (CHANGES.md FOUND)
+        sc = 1e-170
+        differ = []
+        for p in (1.5, 3.0):
+            for draw in range(40):
+                rng = random.Random(draw)
+                segments = [seg(*(rng.uniform(-100, 100) * sc for _ in range(4)))
+                            for _ in range(30)]
+                got = {}
+                for route, threshold in (("array", 1), ("scalar", 10**9)):
+                    monkeypatch.setattr(intervals, "ARRAY_MIN_SEGMENTS", threshold)
+                    got[route] = min_enclosing(segments, 10 * sc, NormP(p), TOL)
+                want = got["scalar"].radius
+                if abs(got["array"].radius - want) > 1e-12 * want:
+                    differ.append((p, draw))
+        assert differ == [(3.0, 35)]
