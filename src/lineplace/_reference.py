@@ -290,11 +290,10 @@ def two_point_circle(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance)
     one pair; k_cover.build_lists_naive computes all pairs at once by
     the same steps (_pair_circles).
     """
-    P = pts.pts
-    if not 0 <= i <= j < len(P):
+    if not 0 <= i <= j < len(pts):
         raise ValueError("need 0 <= i <= j < len(points)")
-    xi, yi = P[i].x, P[i].y
-    xj, yj = P[j].x, P[j].y
+    xi, yi = pts.xy[i].tolist()
+    xj, yj = pts.xy[j].tolist()
     p = norm.p
     if i == j:
         return xi, abs(yi)
@@ -361,10 +360,10 @@ def _finalize_lists(lists, pts: PointSet):
     k_cover.build_lists_naive, grouped here by a dict per list instead
     of its sort over all runs (k_cover._group_lists).
     """
-    P = pts.pts
+    Y = pts.xy[:, 1].tolist()
     out = []
     for r, cand in enumerate(lists):
-        best = {r: abs(P[r].y)}
+        best = {r: abs(Y[r])}
         for left, rad in cand:
             if not math.isfinite(rad):
                 continue
@@ -383,13 +382,11 @@ def build_lists_loop(pts: PointSet, norm: NormP, tol: Tolerance):
     join the list of the run's right end. Reference for
     k_cover.build_lists_naive, one two_point_circle call per pair.
     """
-    P = pts.pts
-    n = len(P)
+    n = len(pts)
     if n == 0:
         raise EmptyInput("need at least one point")
     p = norm.p
-    X = [q.x for q in P]
-    Y = [q.y for q in P]
+    X, Y = pts.xy.T.tolist()
     lists = [[] for _ in range(n)]
     for i in range(n):
         for j in range(i, n):

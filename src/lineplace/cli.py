@@ -35,16 +35,15 @@ _PROBLEMS = ("one-center", "obnoxious-center", "k-cover")
 class InstanceFile:
     """Parsed, validated instance.
 
-    segments is an (N, 4) array of rows [x1, y1, x2, y2] and points an
-    (N, 2) array of rows [x, y]; the table the problem does not use has
-    no rows.
+    table holds the segments as an (N, 4) array of rows [x1, y1, x2, y2]
+    for the two center problems, or the points as an (N, 2) array of
+    rows [x, y] for k-cover.
     """
 
     problem: str
     norm: NormP
     constraint: Segment
-    segments: np.ndarray
-    points: np.ndarray
+    table: np.ndarray
     k: object
     agg: AggSpec
 
@@ -128,14 +127,12 @@ def parse_instance(doc) -> InstanceFile:
     _want(ca != cb, "constraint", "endpoints must differ")
     constraint = Segment(ca, cb)
 
-    segments = np.empty((0, 4))
-    points = np.empty((0, 2))
     k = None
     agg = AggSpec()
     if problem in ("one-center", "obnoxious-center"):
-        segments = _table(doc.get("segments"), "segments", 4)
+        table = _table(doc.get("segments"), "segments", 4)
     else:
-        points = _table(doc.get("points"), "points", 2)
+        table = _table(doc.get("points"), "points", 2)
         kraw = doc.get("k")
         if kraw is not None:
             _want(isinstance(kraw, int) and not isinstance(kraw, bool) and kraw >= 1,
@@ -146,28 +143,25 @@ def parse_instance(doc) -> InstanceFile:
         akind = doc.get("agg", "sum")
         _want(akind in ("sum", "max"), "agg", "must be 'sum' or 'max'")
         agg = AggSpec(aq, akind)
-    return InstanceFile(problem, norm, constraint, segments, points, k, agg)
+    return InstanceFile(problem, norm, constraint, table, k, agg)
 
 
 def _axis_instance(inst: InstanceFile):
     """The axis frame, and the instance's table moved into it.
 
-    Returns (frame, segments, points): segments as an (N, 4) array for
-    the two center problems, points as a tuple of Point for k-cover.
+    Returns (frame, table): the segments' (N, 4) or the points' (N, 2)
+    array in the axis frame, in one operation whatever the problem.
     """
     frame = transform_to_axis(inst.constraint, inst.norm)
-    if inst.problem == "k-cover":
-        return frame, None, tuple(Point(x, y)
-                                  for x, y in frame.forward_columns(inst.points).tolist())
-    return frame, frame.forward_columns(inst.segments), None
+    return frame, frame.forward_columns(inst.table)
 
 
 def _solve_payload(inst: InstanceFile, args) -> dict:
     tol = Tolerance(eps=args.eps, max_iters=args.max_iters)
-    frame, segs, pts = _axis_instance(inst)
+    frame, table = _axis_instance(inst)
     t0 = time.perf_counter()
     if inst.problem == "one-center":
-        c = min_enclosing(segs, frame.L, inst.norm, tol)
+        c = min_enclosing(table, frame.L, inst.norm, tol)
         center = frame.inverse_point(Point(c.cx, 0.0))
         payload = {
             "problem": inst.problem,
@@ -180,9 +174,9 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
         }
     elif inst.problem == "obnoxious-center":
         if args.method == "binsearch":
-            best = max_empty_binsearch(segs, frame.L, inst.norm, tol)
+            best = max_empty_binsearch(table, frame.L, inst.norm, tol)
         else:
-            best = max_empty_envelope(segs, frame.L, inst.norm, tol, args.split)
+            best = max_empty_envelope(table, frame.L, inst.norm, tol, args.split)
         cx, radius = best.cx, best.radius
         center = frame.inverse_point(Point(cx, 0.0))
         payload = {
@@ -196,7 +190,7 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
             "objective": radius,
         }
     else:
-        sol = dp_solve(PointSet(pts), inst.k, inst.norm, tol, inst.agg, lists=args.lists)
+        sol = dp_solve(PointSet(table), inst.k, inst.norm, tol, inst.agg, lists=args.lists)
         circles = []
         for run, c in zip(sol.intervals, sol.circles):
             center = frame.inverse_point(Point(c.cx, 0.0))
@@ -213,8 +207,7 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
             "objective": sol.objective,
         }
     if args.verify:
-        payload["verify"] = cross_check(inst, args, tol, frame.L, segs, pts,
-                                        payload["objective"])
+        payload["verify"] = cross_check(inst, args, tol, frame.L, table, payload["objective"])
     payload["wall_time_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
     return payload
 
@@ -241,8 +234,8 @@ def _ball_svg(cx: float, cy: float, r: float, p: float, color: str) -> str:
 
 
 def render_svg(inst: InstanceFile, payload: dict) -> str:
-    segments = inst.segments.tolist()
-    points = inst.points.tolist()
+    rows = inst.table.tolist()
+    segments, points = ([], rows) if inst.problem == "k-cover" else (rows, [])
     xs = [inst.constraint.a.x, inst.constraint.b.x]
     ys = [inst.constraint.a.y, inst.constraint.b.y]
     for x1, y1, x2, y2 in segments:

@@ -44,21 +44,29 @@ _TINY = 2.0 ** -1074
 _SLICE = 4096  # pairs per slice of _certified_thresholds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """Demand points, sorted by (x, y) on construction.
-
-    All indices used by the solvers refer to this sorted order.
+    """Demand points as a read-only (N, 2) float64 array xy of rows
+    [x, y], sorted by (x, y) with a stable np.lexsort: rows with equal
+    keys (duplicates, 0.0 and -0.0) keep their input order, as in a
+    sort by that key. A sequence of Point is read once, as
+    geometry.segment_columns reads Segments. All indices used by the
+    solvers refer to this sorted order.
     """
 
-    pts: tuple
+    xy: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pts",
-                           tuple(sorted(self.pts, key=lambda q: (q.x, q.y))))
+        xy = self.xy
+        if not isinstance(xy, np.ndarray):
+            xy = [(q.x, q.y) for q in xy]
+        xy = np.asarray(xy, dtype=np.float64).reshape(-1, 2)
+        xy = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
+        xy.flags.writeable = False
+        object.__setattr__(self, "xy", xy)
 
     def __len__(self) -> int:
-        return len(self.pts)
+        return len(self.xy)
 
 
 @dataclass(frozen=True)
@@ -83,15 +91,21 @@ class CoverSolution:
     objective: float
 
 
+_SLACK_FLOOR = 2.0 ** -40  # the least eps of _cover_slack
+
+
 def _cover_slack(R: float, eps: float) -> float:
     """How far beyond radius R a point still counts as covered.
 
     Follows R's scale: a pair circle through two points whose abscissas
     almost coincide has a huge radius, and rounding in its center and
     radius then exceeds any absolute slack, so that the circle would
-    miss its own points.
+    miss its own points. eps is floored at 2^-40, which exceeds that
+    rounding, so that a pair circle covers its own points at any eps;
+    at eps >= 2^-40 the floor changes nothing.
     """
-    return eps * max(1.0, R)
+    # a conditional, not max(): the sweep calls this once per event
+    return (eps if eps > _SLACK_FLOOR else _SLACK_FLOOR) * max(1.0, R)
 
 
 def _power_gap(x, a, b, t, p: float, size: bool = False):
@@ -279,7 +293,7 @@ def _pair_circles(X, Y, I, J, p: float, tol: Tolerance):
     return xc, R, ok & np.isfinite(R)
 
 
-def _certified_thresholds(X, Y, I, J, xc, p: float, eps: float):
+def _certified_thresholds(X, Y, I, J, xc, p: float):
     """Certified coverage thresholds of the pairs I <= J (none for i == j).
 
     For points i < k, a center c on the axis is at least as near to k as
@@ -290,10 +304,9 @@ def _certified_thresholds(X, Y, I, J, xc, p: float, eps: float):
     covers i. Returns (right, left) in the order of I: right = t, or inf
     where none is certified, and left = -t', or inf, so that both read
     "+-c >= threshold". The exact test of _expand_runs passes wherever
-    that exact inequality does: the slack eps * max(1, R) exceeds the
-    test's rounding, below 2^-47 R at every p (a distance and R each err
-    by about 20 u, u = 2^-53), as long as eps >= 2^-40; for smaller eps
-    nothing is certified.
+    that exact inequality does: the slack max(eps, 2^-40) max(1, R)
+    (_cover_slack) exceeds the test's rounding, below 2^-47 R at every p
+    (a distance and R each err by about 20 u, u = 2^-53), whatever eps.
 
     Each pair is evaluated on its own power-of-two scale s (_pair_scale,
     as in _pair_circles; exact, but for subnormal results), with a =
@@ -324,13 +337,12 @@ def _certified_thresholds(X, Y, I, J, xc, p: float, eps: float):
     S, as for far centers of nearly equal abscissas) fail that check,
     so their points are left to the exact test.
     """
-    right = np.full(len(I), _INF)
-    left = np.full(len(I), _INF)
-    if eps >= 2.0 ** -40:
-        # slice by slice, so that the temporaries stay small
-        for lo in range(0, len(I), _SLICE):
-            part = slice(lo, lo + _SLICE)
-            right[part], left[part] = _certify(X, Y, I[part], J[part], xc[part], p)
+    right = np.empty(len(I))
+    left = np.empty(len(I))
+    # slice by slice, so that the temporaries stay small
+    for lo in range(0, len(I), _SLICE):
+        part = slice(lo, lo + _SLICE)
+        right[part], left[part] = _certify(X, Y, I[part], J[part], xc[part], p)
     return right, left
 
 
@@ -421,7 +433,7 @@ def _expand_runs(X, Y, I, J, xc, R, p: float, eps: float, left, right):
     point exactly. left and right are updated in place and returned.
     """
     n = len(X)
-    slack = eps * np.maximum(1.0, R)  # _cover_slack
+    slack = max(eps, _SLACK_FLOOR) * np.maximum(1.0, R)  # _cover_slack
     if p == 2.0:
         thr = (R + slack) * (R + slack)
 
@@ -493,16 +505,15 @@ def build_lists_naive(pts: PointSet, norm: NormP, tol: Tolerance):
     passes only points that the exact test passes, so the lists are
     those of stepping point by point, bit for bit.
     """
-    P = pts.pts
-    n = len(P)
+    n = len(pts)
     if n == 0:
         raise EmptyInput("need at least one point")
     p = norm.p
-    X = np.array([q.x for q in P], dtype=float)
-    Y = np.array([q.y for q in P], dtype=float)
+    # contiguous columns: the pair kernels gather from them by index
+    X, Y = pts.xy.T.copy()
     I, J = np.triu_indices(n)
     xc, R, ok = _pair_circles(X, Y, I, J, p, tol)
-    thresholds = _certified_thresholds(X, Y, I, J, xc, p, tol.eps)
+    thresholds = _certified_thresholds(X, Y, I, J, xc, p)
     I, J, xc, R = I[ok], J[ok], xc[ok], R[ok]
     left, right = _jump_ends(I, xc, *thresholds, n)
     del thresholds  # not held while the runs grow and group
@@ -646,12 +657,10 @@ def build_lists_sweep(pts: PointSet, norm: NormP, tol: Tolerance):
     """
     if norm.p != 2.0:
         raise UnsupportedNorm("the sweep builder requires p = 2")
-    P = pts.pts
-    n = len(P)
+    n = len(pts)
     if n == 0:
         raise EmptyInput("need at least one point")
-    X = [q.x for q in P]
-    Y = [q.y for q in P]
+    X, Y = pts.xy.T.tolist()
     sugg = {}
     _sweep_pass(X, Y, tol.eps, False, n, sugg)
     Xm = [-X[n - 1 - k] for k in range(n)]
@@ -669,19 +678,19 @@ def build_lists_sweep(pts: PointSet, norm: NormP, tol: Tolerance):
                 / (2.0 * (X[j] - X[i]))
             radii.append(math.hypot(xc - X[i], Y[i]))
     return _group_lists(np.array(rights, dtype=np.intp), np.array(lefts, dtype=np.intp),
-                        np.array(radii, dtype=float), np.abs(np.array(Y, dtype=float)))
+                        np.array(radii, dtype=float), np.abs(pts.xy[:, 1]))
 
 
 def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
     """Smallest axis-centered ball covering points i..j; returns (cx, r)."""
-    P = pts.pts
-    if not 0 <= i <= j < len(P):
+    if not 0 <= i <= j < len(pts):
         raise ValueError("need 0 <= i <= j < len(points)")
-    return _rmin_points(P[i:j + 1], norm, tol)
+    return _rmin_points(pts.xy[i:j + 1], norm, tol)
 
 
-def _rmin_points(points, norm: NormP, tol: Tolerance):
-    """Smallest ball centered anywhere on the axis covering the points.
+def _rmin_points(xy, norm: NormP, tol: Tolerance):
+    """Smallest ball centered anywhere on the axis covering the points,
+    the rows [x, y] of the array xy.
 
     The center is not held to any stretch [0, L]: it ranges over the
     whole line. A center left or right of every point gets nearer to
@@ -698,8 +707,8 @@ def _rmin_points(points, norm: NormP, tol: Tolerance):
     that it takes below intervals.ARRAY_MIN_SEGMENTS segments.
     """
     p = norm.p
-    ys = [abs(q.y) for q in points]
-    xs = [q.x for q in points]
+    xs, ys = xy.T.tolist()
+    ys = [abs(y) for y in ys]
     maxy = max(ys)
     shift, end = min(xs) - maxy, max(xs) + maxy
     if end <= shift:

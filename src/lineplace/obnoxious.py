@@ -25,10 +25,10 @@ import numpy as np
 
 from .errors import EmptyInput
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, axis_argmin_abscissas, \
-    axis_argmin_exact, axis_distances, point_segment_distance, rescored_extreme, \
-    segment_columns, segments_from_columns
-from .intervals import Interval, SegmentArray, bisect_radius, covering_slack, \
-    union_covers_arrays
+    axis_distances, point_segment_distance, rescored_extreme, segment_columns, \
+    segments_from_columns
+from .intervals import Interval, SegmentArray, bisect_radius, covering_interval, \
+    covering_slack, union_covers_arrays
 from .one_center import PlacedCircle
 
 _INF = math.inf
@@ -573,13 +573,18 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     split="halves" merges recursively; split="one-off" folds segments
     into the running envelope one at a time. Both produce the same
     envelope up to root refinement tolerance. One table of constrained
-    minimisers (axis_argmin_exact, once per segment) serves both
-    splits: it places the split of every single-segment envelope and
-    the kept breakpoints of every compaction. The fold skips segments
-    whose least distance over the domain already exceeds the envelope
-    peak, and contests only the x range where the newcomer can win:
-    outside it the horizontal gap to the segment's x extent (a lower
-    bound on the distance in every norm here) beats the peak.
+    minimisers (axis_argmin_abscissas, one array pass over all
+    segments) serves both splits: it places the split of every
+    single-segment envelope and the kept breakpoints of every
+    compaction. A newcomer of the fold can only beat envelope values,
+    which are at most the envelope's peak, so the fold contests only
+    the abscissas within the peak of it: its covering interval
+    (intervals.covering_interval) at R = (peak + c) / (1 - eta), (eta,
+    c) = covering_slack(peak), clipped to [0, L]. That computed
+    interval holds the exact one at peak, by the margin that
+    _owning_rows takes. A newcomer whose window is empty is skipped;
+    where no bound is claimed (eta >= 1, or R not finite) the fold
+    contests all of [0, L].
 
     Every merge settles a cell of two owners without root finding when
     one profile lies above the other by a margin derived from the
@@ -596,8 +601,8 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
         raise ValueError("L must be finite and nonnegative")
     if split not in ("halves", "one-off"):
         raise ValueError(f"unknown split {split!r}")
-    argmins = [axis_argmin_exact(s, L, norm, tol) for s in segs]
-    xmins = [xm for xm, _ in argmins]
+    cols = segment_columns(segs)
+    xmins = axis_argmin_abscissas(cols, L).tolist()
     cache = {}
 
     def base(i: int) -> list:
@@ -614,31 +619,18 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
         # a fold needs a window of positive width, so L = 0 merges too
         env = build(0, n)
     else:
+        scale = max(float(np.abs(cols).max()), L)
         env = base(0)
         peak = _envelope_peak(env, segs, norm, tol)
         accepted = 0
         for i in range(1, n):
-            if argmins[i][1] > peak:
-                continue
-            # the newcomer can only beat values <= peak, so only the
-            # x range of its portion within peak of the axis, padded
-            # by peak, can change ownership
-            ax, ay = segs[i].a.x, segs[i].a.y
-            bx, by = segs[i].b.x, segs[i].b.y
-            if ay == by:
-                u1, u2 = min(ax, bx), max(ax, bx)
-            else:
-                ta = (peak - ay) / (by - ay)
-                tb = (-peak - ay) / (by - ay)
-                t1 = max(0.0, min(ta, tb))
-                t2 = min(1.0, max(ta, tb))
-                if t1 > t2:
-                    continue
-                xa = ax + t1 * (bx - ax)
-                xb = ax + t2 * (bx - ax)
-                u1, u2 = (xa, xb) if xa <= xb else (xb, xa)
-            lo_x = max(u1 - peak, 0.0)
-            hi_x = min(u2 + peak, L)
+            # the newcomer can only beat values <= peak
+            eta, c = covering_slack(peak, scale, norm.p)
+            R = (peak + c) / (1.0 - eta) if eta < 1.0 else _INF
+            lo_x, hi_x = 0.0, L
+            if math.isfinite(R):
+                window = covering_interval(segs[i], R, norm)
+                lo_x, hi_x = max(window.lo, 0.0), min(window.hi, L)
             if lo_x > hi_x:
                 continue
             env = _fold_one(env, base(i), lo_x, hi_x, segs, xmins, norm, tol, cache)

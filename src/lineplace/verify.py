@@ -196,19 +196,19 @@ def enumerate_partitions(n: int, kmax: int):
 
 def _enclosing_circle(points, norm: NormP, tol: Tolerance):
     """(cx, radius) of the smallest axis-centered ball covering the
-    points, by min_enclosing over point segments in the window
-    [min x - max|y|, max x + max|y|], which holds the optimum. The
-    oracle prices its blocks here. It shares the search control of
+    points, pairs (x, y) of floats, by min_enclosing over point
+    segments in the window [min x - max|y|, max x + max|y|], which
+    holds the optimum. The oracle prices its blocks here. It shares the search control of
     intervals.least_radius with the k-cover reconstruction
     (k_cover._rmin_points) but no region kernel; the grid oracle
     shares neither."""
-    maxy = max(abs(q.y) for q in points)
-    xs = [q.x for q in points]
+    maxy = max(abs(y) for _, y in points)
+    xs = [x for x, _ in points]
     lo = min(xs) - maxy
     hi = max(xs) + maxy
     if hi <= lo:
         lo, hi = min(xs), max(xs)
-    segs = [Segment(Point(q.x - lo, q.y), Point(q.x - lo, q.y)) for q in points]
+    segs = [Segment(Point(x - lo, y), Point(x - lo, y)) for x, y in points]
     c = min_enclosing(segs, hi - lo, norm, tol)
     return c.cx + lo, c.radius
 
@@ -220,8 +220,8 @@ def set_partition_oracle(pts: PointSet, K, norm: NormP, tol: Tolerance,
     Block cost is the smallest axis-centered ball radius to the power
     q; blocks need not be contiguous. Guarded to tiny sizes.
     """
-    P = pts.pts
-    n = len(P)
+    rows = pts.xy.tolist()
+    n = len(rows)
     if n == 0:
         raise EmptyInput("need at least one point")
     if n > 10:
@@ -237,7 +237,7 @@ def set_partition_oracle(pts: PointSet, K, norm: NormP, tol: Tolerance,
         key = tuple(idx)
         got = memo.get(key)
         if got is None:
-            got = _enclosing_circle([P[k] for k in idx], norm, tol)[1] ** q
+            got = _enclosing_circle([rows[k] for k in idx], norm, tol)[1] ** q
             memo[key] = got
         return got
 
@@ -268,29 +268,30 @@ def _compare(kind: str, key: str, other_route, value: float, tolerance: float) -
             "ok": delta <= tolerance}
 
 
-def cross_check(inst, args, tol: Tolerance, L: float, segs, pts, objective: float) -> dict:
+def cross_check(inst, args, tol: Tolerance, L: float, table, objective: float) -> dict:
     """The verify block of a solve's result.
 
     inst is the parsed instance and args the solve's options (method,
-    split, lists); segs and pts are the instance's segments or points
-    in the axis frame of length L, as the solvers took them, and
-    objective the solve's objective.
+    split, lists); table is the instance's table in the axis frame of
+    length L (cli._axis_instance): segments as (N, 4) rows [ax, ay, bx,
+    by] or points as (N, 2) rows [x, y], as the solvers took it; and
+    objective is the solve's objective.
     """
     norm = inst.norm
     if inst.problem == "one-center":
         grid = GridSpec(_GRID_STEP, Interval(0.0, L))
         return _compare("grid", "grid_radius",
-                        lambda: grid_one_center(segments_from_columns(segs), grid, norm).radius,
+                        lambda: grid_one_center(segments_from_columns(table), grid, norm).radius,
                         objective, _GRID_TOL)
     if inst.problem == "obnoxious-center":
         if args.method == "binsearch":
             return _compare("envelope", "other_radius",
-                            lambda: max_empty_envelope(segs, L, norm, tol, args.split).radius,
+                            lambda: max_empty_envelope(table, L, norm, tol, args.split).radius,
                             objective, 2.0 * tol.eps)
         return _compare("binsearch", "other_radius",
-                        lambda: max_empty_binsearch(segs, L, norm, tol).radius,
+                        lambda: max_empty_binsearch(table, L, norm, tol).radius,
                         objective, 2.0 * tol.eps)
-    ps = PointSet(pts)
+    ps = PointSet(table)
     if norm.p == 2.0:
         other = "sweep" if args.lists == "naive" else "naive"
         return _compare(f"lists:{other}", "other_objective",

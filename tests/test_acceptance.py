@@ -250,7 +250,7 @@ def test_criterion_5_k_cover_matches_oracles():
             # capture the defeating instance before failing
             ARTIFACTS.mkdir(exist_ok=True)
             (ARTIFACTS / "k_cover_violation.json").write_text(json.dumps({
-                "points": [[q.x, q.y] for q in pts.pts],
+                "points": pts.xy.tolist(),
                 "k": K,
                 "q": agg.q,
                 "agg": agg.kind,
@@ -262,7 +262,7 @@ def test_criterion_5_k_cover_matches_oracles():
         assert abs(a.objective - o.objective) <= 1e-6, (
             f"trial {trial}: dp {a.objective} vs oracle {o.objective}")
         if on_axis:
-            xs = [q.x for q in pts.pts]
+            xs = pts.xy[:, 0].tolist()
             ref = _half_span_dp(xs, K, agg.q, agg.kind)
             assert abs(a.objective - ref) <= 1e-6, (
                 f"trial {trial}: dp {a.objective} vs half-span {ref}")
@@ -277,7 +277,7 @@ def test_criterion_5_k_cover_matches_oracles():
         val = 0.0
         for blk in blocks:
             lo, hi = min(blk), max(blk)
-            sub = PointSet(tuple(pts.pts[i] for i in blk))
+            sub = PointSet(pts.xy[list(blk)])
             val += rmin_on_axis(sub, 0, len(blk) - 1, norm, TOL)[1]
         noncontig = any(b[-1] - b[0] + 1 != len(b) for b in blocks)
         if noncontig and (best is None or val < best):
@@ -286,7 +286,7 @@ def test_criterion_5_k_cover_matches_oracles():
     assert abs(best - sol.objective) <= 1e-6
     ARTIFACTS.mkdir(exist_ok=True)
     (ARTIFACTS / "contiguity_counterexample.json").write_text(json.dumps({
-        "points": [[q.x, q.y] for q in pts.pts],
+        "points": pts.xy.tolist(),
         "k": 2,
         "agg": {"q": 1.0, "kind": "sum"},
         "noncontiguous_optimal_partition": [list(b) for b in best_blocks],

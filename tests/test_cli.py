@@ -9,12 +9,18 @@ import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lineplace.cli import main, parse_instance
 from lineplace.errors import SchemaError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# 22 points at the origin and two more; below eps = 2^-40 its pair
+# circles once failed to cover their own points
+_TINY_EPS_COVER = {"problem": "k-cover", "p": 2, "constraint": [0, 0, 10, 0],
+                   "points": [[0, 0]] * 22 + [[0, 20], [18, 0]],
+                   "k": None, "q": 1, "agg": "sum"}
 
 
 def run_cli(argv):
@@ -293,6 +299,21 @@ class TestRobustness:
         assert code == 0
         assert json.loads(out)["result"]["verify"]["ok"] is True
 
+    @pytest.mark.parametrize("eps", ["1e-18", "1e-300"])
+    @pytest.mark.parametrize("lists", ["naive", "sweep"])
+    def test_k_cover_at_tiny_eps(self, tmp_path, lists, eps):
+        # at eps below 2^-40 the coverage slack once fell below the
+        # rounding of the exact coverage test, so that a pair circle
+        # missed its own point and the run expansion failed an assert
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(_TINY_EPS_COVER))
+        code, out = run_cli(["solve", "--in", str(path), "--lists", lists,
+                             "--eps", eps, "--verify"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["objective"] == 20.0
+        assert result["verify"]["ok"] is True
+
     def test_non_finite_pair_circle(self, tmp_path):
         # the pair circle of these points has a NaN center: with two
         # runs both builders solve, with one no cover is finite
@@ -547,6 +568,8 @@ _flags = st.lists(st.one_of(
 
 
 @given(doc=st.one_of(_instances(), _json), flags=_flags)
+@example(doc=_TINY_EPS_COVER, flags=[("--eps", "1e-300")]).via(
+    "a pair circle missed its own point below eps = 2^-40")
 @settings(max_examples=200, deadline=None)
 def test_fuzz_solve_exits_with_a_documented_code(doc, flags):
     with tempfile.TemporaryDirectory() as tmp:

@@ -38,6 +38,11 @@ def pset(*pairs):
     return PointSet(tuple(Point(x, y) for x, y in pairs))
 
 
+def point(ps, i):
+    """Point i of the sorted set, as a Point of plain floats."""
+    return Point(*ps.xy[i].tolist())
+
+
 def lists_as_tuples(lists):
     return [tuple((left, radius) for left, radius in cl) for cl in lists]
 
@@ -83,7 +88,7 @@ def pair_tolerance(ps, i, j, xc, R, p, eps):
     is s ~ p (p - 1) R^(p-2) |xj - xi| against dF ~ u R^p, so the
     relative bound grows like u R / |xj - xi|.
     """
-    a, b = ps.pts[i], ps.pts[j]
+    a, b = point(ps, i), point(ps, j)
     da, db = abs(xc - a.x), abs(xc - b.x)
     dF = 8 * U * (da ** p + db ** p + abs(a.y) ** p + abs(b.y) ** p)
     if a.x <= xc <= b.x:
@@ -106,13 +111,12 @@ def taxicab_tolerance(ps, i, j, eps):
     |xj| + |yi| + |yj|). The radius |c - xi| + |yi| is 1-Lipschitz in
     c and each route rounds it twice, which adds 4u R for the radii.
     """
-    a, b = ps.pts[i], ps.pts[j]
+    a, b = point(ps, i), point(ps, j)
     return eps / 8 + 4 * U * (abs(a.x) + abs(b.x) + abs(a.y) + abs(b.y))
 
 
 def batch_pair_circles(ps, norm, tol):
-    X = np.array([q.x for q in ps.pts])
-    Y = np.array([q.y for q in ps.pts])
+    X, Y = ps.xy.T.copy()
     I, J = np.triu_indices(len(ps))
     xc, R, ok = k_cover._pair_circles(X, Y, I, J, norm.p, tol)
     return zip(I.tolist(), J.tolist(), xc.tolist(), R.tolist(), ok.tolist())
@@ -121,8 +125,28 @@ def batch_pair_circles(ps, norm, tol):
 class TestPointSet:
     def test_sorted_on_construction(self):
         ps = pset((5, 1), (1, 2), (1, -3))
-        assert [(q.x, q.y) for q in ps.pts] == [(1, -3), (1, 2), (5, 1)]
+        assert ps.xy.tolist() == [[1, -3], [1, 2], [5, 1]]
         assert len(ps) == 3
+
+    def test_order_is_that_of_a_key_sort(self):
+        # the stable lexsort keeps rows with equal keys in input order,
+        # as a sort by the key (x, y) does: 0.0 and -0.0 compare equal,
+        # and duplicates stay as they came
+        rng = random.Random("point order")
+        for _ in range(50):
+            pairs = [(rng.choice((0.0, -0.0, 1.0, -1.0)), rng.choice((0.0, -0.0, 2.0)))
+                     for _ in range(12)]
+            want = sorted(pairs, key=lambda q: (q[0], q[1]))
+            for ps in (pset(*pairs), PointSet(np.array(pairs))):
+                assert [tuple(map(float.hex, row)) for row in ps.xy.tolist()] == \
+                    [tuple(map(float.hex, q)) for q in want]
+
+    def test_table_is_read_only(self):
+        ps = PointSet(np.array([[2.0, 1.0], [0.0, 3.0]]))
+        assert ps.xy.shape == (2, 2) and ps.xy.dtype == np.float64
+        with pytest.raises(ValueError):
+            ps.xy[0, 0] = 5.0
+        assert PointSet(()).xy.shape == (0, 2)
 
 
 class TestAggSpec:
@@ -162,8 +186,8 @@ class TestTwoPointCircle:
     def test_general_norm_equidistant(self, norm):
         ps = pset((0, 2), (5, 3))
         cx, r = two_point_circle(ps, 0, 1, norm, TOL)
-        d0 = lp_distance(Point(cx, 0.0), ps.pts[0], norm)
-        d1 = lp_distance(Point(cx, 0.0), ps.pts[1], norm)
+        d0 = lp_distance(Point(cx, 0.0), point(ps, 0), norm)
+        d1 = lp_distance(Point(cx, 0.0), point(ps, 1), norm)
         assert abs(d0 - d1) < 1e-7
         assert abs(r - d0) < 1e-7
 
@@ -247,7 +271,7 @@ class TestPairCirclesBatch:
                 seen_fail += 1
                 continue
             assert ok, (i, j)
-            if norm.p == 2.0 or ps.pts[i].x == ps.pts[j].x:
+            if norm.p == 2.0 or ps.xy[i, 0] == ps.xy[j, 0]:
                 assert (xc, R) == want, (i, j)
             elif norm.p == 1.0:
                 bound = taxicab_tolerance(ps, i, j, TOL.eps)
@@ -308,7 +332,7 @@ class TestPairCirclesBatch:
         for regime in ("nearline", "spread", "grid"):
             ps = random_pset(rng, 25, regime)
             for i, j, xc, R, ok in batch_pair_circles(ps, N1, TOL):
-                a, b = ps.pts[i], ps.pts[j]
+                a, b = point(ps, i), point(ps, j)
                 t = abs(b.y) - abs(a.y)
                 if a.x == b.x or not -(b.x - a.x) < t < b.x - a.x:
                     continue
@@ -408,7 +432,7 @@ class TestListsAgainstLoop:
                 assert lists_as_tuples(got) == lists_as_tuples(want)
                 continue
             assert lists_as_runs(got) == lists_as_runs(want)
-            bound = TOL.eps / 8 + 16 * U * max(abs(c) for q in ps.pts for c in (q.x, q.y))
+            bound = TOL.eps / 8 + 16 * U * float(np.abs(ps.xy).max())
             for cl, wl in zip(got, want):
                 for (_, r), (_, w) in zip(cl, wl):
                     assert abs(r - w) <= bound + 4 * U * w
@@ -447,19 +471,18 @@ def bench_like_pset(rng, n, regime):
                   for _ in range(n)))
 
 
-def runs_three_ways(ps, p):
+def runs_three_ways(ps, p, tol=TOL):
     """The pair circles' runs (left and right ends) after the certified
     jump, after the exact steps that follow it, and by exact steps alone
     from each pair's own point."""
-    X = np.array([q.x for q in ps.pts])
-    Y = np.array([q.y for q in ps.pts])
+    X, Y = ps.xy.T.copy()
     I, J = np.triu_indices(len(ps))
-    xc, R, ok = k_cover._pair_circles(X, Y, I, J, p, TOL)
-    right_thr, left_thr = k_cover._certified_thresholds(X, Y, I, J, xc, p, TOL.eps)
+    xc, R, ok = k_cover._pair_circles(X, Y, I, J, p, tol)
+    right_thr, left_thr = k_cover._certified_thresholds(X, Y, I, J, xc, p)
     I, J, xc, R = I[ok], J[ok], xc[ok], R[ok]
     jumped = k_cover._jump_ends(I, xc, right_thr, left_thr, len(ps))
-    final = k_cover._expand_runs(X, Y, I, J, xc, R, p, TOL.eps, *(e.copy() for e in jumped))
-    stepped = k_cover._expand_runs(X, Y, I, J, xc, R, p, TOL.eps, I.copy(), I.copy())
+    final = k_cover._expand_runs(X, Y, I, J, xc, R, p, tol.eps, *(e.copy() for e in jumped))
+    stepped = k_cover._expand_runs(X, Y, I, J, xc, R, p, tol.eps, I.copy(), I.copy())
     return jumped, final, stepped
 
 
@@ -478,16 +501,22 @@ class TestCertifiedJumps:
         "near-equal": tuple(far_center_pairs(random.Random("adversarial"), 24)),
     }
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e-170, 1e150])
+    # eps = 1e-300 lies far below the exact coverage test's rounding,
+    # where only the slack's floor of 2^-40 keeps a pair circle's own
+    # points covered
+    @pytest.mark.parametrize("scale, eps", [
+        pytest.param(scale, eps, id=str(scale) if eps == TOL.eps else f"{scale}-eps{eps}")
+        for eps in (TOL.eps, 1e-300) for scale in (1.0, 1e-300, 1e-170, 1e150)])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 300.0])
     @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
-    def test_jumped_runs_equal_the_loop(self, case, p, scale):
+    def test_jumped_runs_equal_the_loop(self, case, p, scale, eps):
         ps = pset(*((x * scale, y * scale) for x, y in self.ADVERSARIAL[case]))
         norm = NormP(p)
+        tol = Tolerance(eps=eps)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = build_lists_naive(ps, norm, TOL)
-            _, final, stepped = runs_three_ways(ps, p)
+            got = build_lists_naive(ps, norm, tol)
+            _, final, stepped = runs_three_ways(ps, p, tol)
         # the same circles grown point by point reach the same ends
         assert all((a == b).all() for a, b in zip(final, stepped))
         if case == "near-equal" and p not in (1.0, 2.0):
@@ -495,7 +524,7 @@ class TestCertifiedJumps:
             # centers differ by far more than eps, so their runs may too
             return
         try:
-            want = build_lists_loop(ps, norm, TOL)
+            want = build_lists_loop(ps, norm, tol)
         except OverflowError:
             # Python's ** overflows in the loop's widening at large p or
             # scale (test_far_pair_circles_do_not_overflow); the
@@ -503,20 +532,6 @@ class TestCertifiedJumps:
             assert p >= 3.0
             return
         assert lists_as_runs(got) == lists_as_runs(want)
-
-    def test_small_eps_certifies_nothing(self):
-        # below eps = 2^-40 the slack need not cover the exact test's
-        # rounding, so every point is left to that test
-        tol = Tolerance(eps=1e-13)
-        ps = random_pset(random.Random("small eps"), 30, "nearline")
-        X = np.array([q.x for q in ps.pts])
-        Y = np.array([q.y for q in ps.pts])
-        I, J = np.triu_indices(len(ps))
-        xc, _, _ = k_cover._pair_circles(X, Y, I, J, 2.0, tol)
-        for thr in k_cover._certified_thresholds(X, Y, I, J, xc, 2.0, tol.eps):
-            assert np.isinf(thr).all()
-        assert lists_as_tuples(build_lists_naive(ps, N2, tol)) == lists_as_tuples(
-            build_lists_loop(ps, N2, tol))
 
     @pytest.mark.parametrize("regime, n, p, most", [
         ("nearline", 150, 1.0, 4), ("nearline", 150, 1.5, 4), ("nearline", 150, 2.0, 4),
@@ -554,11 +569,10 @@ class TestCertifiedJumps:
             ps = random_pset(rng, 25, case)
         else:
             ps = bench_like_pset(rng, 25, case)
-        X = np.array([q.x for q in ps.pts])
-        Y = np.array([q.y for q in ps.pts])
+        X, Y = ps.xy.T.copy()
         I, J = np.triu_indices(len(ps))
         xc, _, _ = k_cover._pair_circles(X, Y, I, J, p, TOL)
-        right_thr, left_thr = k_cover._certified_thresholds(X, Y, I, J, xc, p, TOL.eps)
+        right_thr, left_thr = k_cover._certified_thresholds(X, Y, I, J, xc, p)
         D = decimal.Context(prec=60)
         e = D.create_decimal(p)
 
@@ -584,7 +598,7 @@ class TestCertifiedJumps:
 
 def enclosing_route(ps, i, j, norm):
     """rmin_on_axis by min_enclosing over the point segments of run i..j."""
-    return _enclosing_circle(ps.pts[i:j + 1], norm, TOL)
+    return _enclosing_circle(ps.xy[i:j + 1].tolist(), norm, TOL)
 
 
 def bits(pair):
@@ -894,7 +908,7 @@ class TestSetPartitionOracle:
         def block_cost(idx):
             key = tuple(sorted(idx))
             if key not in memo:
-                pts = [ps.pts[i] for i in key]
+                pts = [point(ps, i) for i in key]
                 maxy = max(abs(q.y) for q in pts)
                 xs = [q.x for q in pts]
                 lo, hi = min(xs) - maxy, max(xs) + maxy
@@ -920,7 +934,7 @@ class TestSetPartitionOracle:
 
         ARTIFACTS.mkdir(exist_ok=True)
         record = {
-            "points": [[q.x, q.y] for q in ps.pts],
+            "points": ps.xy.tolist(),
             "k": 2,
             "agg": {"q": 1.0, "kind": "sum"},
             "objective": best,

@@ -1,9 +1,12 @@
+import io
+import json
 import math
 import random
+from contextlib import redirect_stdout
 
 import pytest
 
-from lineplace import obnoxious
+from lineplace import geometry, obnoxious
 from lineplace import (
     EmptyInput,
     EnvelopePiece,
@@ -19,6 +22,8 @@ from lineplace import (
 )
 from lineplace._reference import base_envelope, compact, envelope_value, equal_distance_point, \
     merge_lower_envelopes
+from lineplace.cli import main
+from lineplace.geometry import segment_columns
 from lineplace.obnoxious import _AFFINE, _build_profile
 
 TOL = Tolerance()
@@ -225,18 +230,25 @@ class TestMinimiserTable:
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])
     def test_one_argmin_per_segment(self, split, norm, monkeypatch):
+        # one array pass over all segments gives the whole table; no
+        # scalar argmin runs inside the build
         calls = []
-        real = obnoxious.axis_argmin_exact
+        real = obnoxious.axis_argmin_abscissas
 
-        def counting(*args):
-            calls.append(args[0])
-            return real(*args)
+        def counting(cols, L):
+            calls.append(cols.copy())
+            return real(cols, L)
 
-        monkeypatch.setattr(obnoxious, "axis_argmin_exact", counting)
+        def scalar(*args):
+            raise AssertionError("the envelope build called axis_argmin_exact")
+
+        monkeypatch.setattr(obnoxious, "axis_argmin_abscissas", counting)
+        monkeypatch.setattr(geometry, "axis_argmin_exact", scalar)
         segs = random_segments(random.Random(41), 40)
         compute_lower_envelope(segs, 10.0, norm, TOL, split=split)
-        assert len(calls) == len(segs)
-        assert {id(s) for s in calls} == {id(s) for s in segs}
+        assert not hasattr(obnoxious, "axis_argmin_exact")
+        assert len(calls) == 1
+        assert (calls[0] == segment_columns(segs)).all()
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])
@@ -249,6 +261,106 @@ class TestMinimiserTable:
         got = largest_empty_from_envelope(env, segs, norm, TOL)
         assert (got.cx, got.radius) == (0.0, 1.0)
         assert got == max_empty_binsearch(segs, 0.0, norm, TOL)
+
+
+def _touching(rng, x0, r):
+    """A segment whose nearest point to (x0, 0) lies at r in every L_p,
+    exactly where x0 +- r rounds to no error: it starts at (x0 +- r, 0)
+    or (x0, +-r) and leaves (x0, 0) in both coordinates, by quarters."""
+    d, e = rng.randint(0, 24) / 4, rng.randint(-24, 24) / 4
+    return rng.choice((seg(x0 + r, 0.0, x0 + r + d, e), seg(x0 - r, 0.0, x0 - r - d, e),
+                       seg(x0, r, x0 + e, r + d), seg(x0, -r, x0 + e, -r - d)))
+
+
+class TestFoldWindow:
+    """The one-off fold contests only the newcomer's covering interval
+    at a radius just above the envelope's peak; contesting all of
+    [0, L] for every newcomer gives the same envelope, bit for bit."""
+
+    @staticmethod
+    def contest_all(segs, L, norm):
+        # covering_slack claiming no bound makes every window [0, L]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(obnoxious, "covering_slack", lambda *args: (math.inf, math.inf))
+            return compute_lower_envelope(segs, L, norm, TOL, split="one-off")
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_newcomers_at_exactly_the_peak(self, p):
+        # the first segment alone sets the fold's peak h: a level one
+        # at height h, where every abscissa of [0, L] is an argmax, or a
+        # point on the axis, whose argmax is an end. Every newcomer's
+        # nearest point to an argmax lies at exactly h from it, so its
+        # window ends there, where it ties the envelope
+        rng = random.Random(f"fold window {p}")
+        norm, L = NormP(p), 10.0
+        for trial in range(40):
+            if trial % 2:
+                h = rng.randint(1, 16) / 4
+                segs = [seg(-20.0, h, 30.0, h)]
+                argmaxes = [rng.randint(0, 40) / 4 for _ in range(12)]
+            else:
+                c = rng.randint(0, 40) / 4
+                h = max(c, L - c)
+                segs = [pt(c, 0.0)]
+                argmaxes = [0.0 if c >= L - c else L] * 12
+            segs += [_touching(rng, x0, h) for x0 in argmaxes]
+            halves = compute_lower_envelope(segs, L, norm, TOL, split="halves")
+            one_off = compute_lower_envelope(segs, L, norm, TOL, split="one-off")
+            check_tiling(one_off, L)
+            assert one_off == self.contest_all(segs, L, norm), trial
+            # the splits agree as criterion 3 requires: the same owners,
+            # breakpoints within the root refinement tolerance
+            assert [pc.seg_index for pc in halves.pieces] == \
+                [pc.seg_index for pc in one_off.pieces], trial
+            assert all(abs(u.b - v.b) <= TOL.eps
+                       for u, v in zip(halves.pieces, one_off.pieces)), trial
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_windows_change_no_bit(self, p):
+        # newcomers at the peak (up to the rounding of x* +- peak) from
+        # the argmax x* of the envelope of 33 random segments, the peak
+        # the fold refreshes to once it has accepted 32 newcomers. There
+        # the envelope has many pieces, so a window that ends short of
+        # the exact covering interval at the peak leaves out cells the
+        # newcomer wins (a radius of peak (1 - 1e-12) changes 7 of these
+        # 80 envelopes)
+        rng = random.Random(f"window bits {p}")
+        norm, L = NormP(p), 10.0
+        for trial in range(20):
+            segs = random_segments(rng, 33, span=3.0)
+            env = compute_lower_envelope(segs, L, norm, TOL, split="one-off")
+            top = largest_empty_from_envelope(env, segs, norm, TOL)
+            segs += [_touching(rng, top.cx, top.radius) for _ in range(12)]
+            one_off = compute_lower_envelope(segs, L, norm, TOL, split="one-off")
+            assert one_off == self.contest_all(segs, L, norm), trial
+
+    @pytest.mark.parametrize("p, want", [
+        (1.0, (0, "0x1.37645a919e282p+995")),
+        (1.5, (0, "0x1.36e7b1930fc10p+995")),
+        (2.0, (3, "ValueError")),
+        (3.0, (0, "0x1.36e444a9665f1p+995"))])
+    def test_one_off_solve_near_1e300(self, p, want, tmp_path):
+        # covering_slack claims no bound at this scale, so the fold
+        # contests all of [0, L]; the solve exits with the code and the
+        # radius (or the error) it gave with the hand-built window
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "problem": "obnoxious-center", "p": p, "constraint": [0, 0, 1e300, 0],
+            "segments": [[-8.375333314944607e299, -7.842016392780372e294,
+                          -6.572665339832966e299, 3.7292578879228924e296],
+                         [8.795959788966634e299, 3.0939054382359757e296,
+                          4.066444125146898e299, -6.5443474838477e296]]}))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            code = main(["solve", "--in", str(path), "--method", "envelope",
+                         "--split", "one-off"])
+        doc = json.loads(out.getvalue())
+        if code == 0:
+            got = (code, doc["result"]["radius"].hex())
+            assert doc["result"]["center_x"] == 0.0
+        else:
+            got = (code, doc["error"]["name"])
+        assert got == want
 
 
 def _differing_cells(e1, e2):

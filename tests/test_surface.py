@@ -195,3 +195,28 @@ def test_envelope_build_wraps_once():
     final = build.body[-1]
     assert isinstance(final, ast.Return)
     assert wraps(tree) == wraps(final) == ["EnvelopePiece", "LowerEnvelope"]
+
+
+def _called_names(node):
+    """Names of the functions and classes called anywhere under node."""
+    for call in ast.walk(node):
+        if isinstance(call, ast.Call):
+            func = call.func
+            if isinstance(func, ast.Name):
+                yield func.id
+            elif isinstance(func, ast.Attribute):
+                yield func.attr
+
+
+def test_points_travel_as_one_table():
+    # the points go from the CLI's frame transform to the DP as one
+    # sorted (N, 2) array: k_cover builds no Point, and _axis_instance
+    # moves every problem's table in one operation, with no branch
+    k_cover = ast.parse((SRC / "k_cover.py").read_text())
+    assert "Point" not in set(_called_names(k_cover))
+    cli = ast.parse((SRC / "cli.py").read_text())
+    fn = next(node for node in cli.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_axis_instance")
+    assert "Point" not in set(_called_names(fn))
+    assert not any(isinstance(node, (ast.If, ast.IfExp, ast.Match)) for node in ast.walk(fn))
+    assert "problem" not in {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
