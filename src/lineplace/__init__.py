@@ -28,10 +28,8 @@ from .geometry import (
     Point,
     Segment,
     Tolerance,
-    axis_argmin_exact,
     lp_distance,
     point_segment_distance,
-    segment_ox_intersection,
     transform_to_axis,
 )
 from .intervals import Interval, covering_interval, intersect_all
@@ -72,7 +70,6 @@ __all__ = [
     "SolverError",
     "Tolerance",
     "UnsupportedNorm",
-    "axis_argmin_exact",
     "build_lists_naive",
     "compute_lower_envelope",
     "covering_interval",
@@ -84,6 +81,5 @@ __all__ = [
     "min_enclosing",
     "point_segment_distance",
     "rmin_on_axis",
-    "segment_ox_intersection",
     "transform_to_axis",
 ]

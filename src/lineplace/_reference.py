@@ -4,8 +4,10 @@ Each function here reaches a result of the production code by an
 independent method (bisection, golden-section search, candidate
 evaluation, plain loops where the solver works on arrays or range
 minima), so the tests can compare the two: among them the scalar
-union cover of covering intervals, which no solver runs, and a
-dict-based grouping of candidate runs into k-cover lists. Beside them
+union cover of covering intervals, which no solver runs, the
+one-segment constrained argmin and axis crossing, where the solvers
+read one array table, and a dict-based grouping of candidate runs into
+k-cover lists. Beside them
 sit the one-at-a-time entry points that only the tests call: the
 scalar pair circle, the single-segment envelope, and the merge and
 compaction of two envelopes. Not exported, and no solver module
@@ -18,12 +20,13 @@ import math
 from bisect import bisect_right
 
 from .errors import EmptyInput, NoBisectorRoot, NoCrossing
-from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, axis_argmin_exact, \
-    point_segment_distance, segment_ox_intersection
+from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, point_segment_distance, \
+    segment_columns
 from .intervals import Interval
 from .k_cover import AggSpec, CoverSolution, PointSet, _cover_slack, _no_finite_cover, \
     rmin_on_axis
-from .obnoxious import EnvelopePiece, LowerEnvelope, _compact_pieces, _merge_raw, _split_at
+from .obnoxious import EnvelopePiece, LowerEnvelope, _build_profile, _compact_pieces, \
+    _merge_raw, _split_at
 from .one_center import PlacedCircle
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -65,11 +68,61 @@ def _min_distance_search(q: Point, s: Segment, norm: NormP, tol: Tolerance) -> f
     return min(f(lo), fc, fd, f(hi))
 
 
+def segment_ox_intersection(s: Segment):
+    """Where s meets the horizontal axis.
+
+    Returns (x, collinear) or None. A segment lying on the axis reports
+    its leftmost x with collinear=True; touching an endpoint counts.
+    """
+    ya, yb = s.a.y, s.b.y
+    if ya == 0.0 and yb == 0.0:
+        return min(s.a.x, s.b.x), True
+    if ya == 0.0:
+        return s.a.x, False
+    if yb == 0.0:
+        return s.b.x, False
+    if (ya > 0.0) == (yb > 0.0):
+        return None
+    t = ya / (ya - yb)
+    return s.a.x + t * (s.b.x - s.a.x), False
+
+
+def axis_argmin_exact(s: Segment, L: float, norm: NormP, tol: Tolerance):
+    """Closed-form constrained argmin, one segment at a time.
+
+    Returns (xmin, dmin); exact. The unconstrained minimisers, the rule
+    of geometry.axis_argmin_abscissas, are the x-range of a level
+    segment, else an end on the axis, the axis crossing, or the end
+    with the smaller |y|; they are clamped to [0, L] with ties at the
+    smallest x. Reference for axis_argmin_abscissas, which must pick
+    the same abscissa bit for bit; the tests compare it with
+    distance_argmin_on_axis.
+    """
+    xa, ya, xb, yb = s.a.x, s.a.y, s.b.x, s.b.y
+    if ya == yb:
+        plo, phi = min(xa, xb), max(xa, xb)
+    elif ya == 0.0:
+        plo = phi = xa
+    elif yb == 0.0:
+        plo = phi = xb
+    elif (ya > 0.0) != (yb > 0.0):
+        plo = phi = xa + ya / (ya - yb) * (xb - xa)
+    else:
+        plo = phi = xa if abs(ya) < abs(yb) else xb
+    if phi < 0.0:
+        x = 0.0
+    elif plo > L:
+        x = L
+    else:
+        x = max(0.0, plo)
+    return x, point_segment_distance(Point(x, 0.0), s, norm, tol)
+
+
 def distance_argmin_on_axis(s: Segment, L: float, norm: NormP, tol: Tolerance,
                             strategy: str = "candidates"):
     """Minimise x -> distance((x,0), s) over [0, L].
 
-    Returns (xmin, dmin); reference for geometry.axis_argmin_exact. The
+    Returns (xmin, dmin); reference for axis_argmin_exact. The
     profile is convex, so the minimiser is the clamp of the
     unconstrained plateau; ties resolve to the smallest x. Two
     strategies are provided and must agree on the minimum value: direct
@@ -267,7 +320,9 @@ def compact(le: LowerEnvelope, segments, norm: NormP, tol: Tolerance) -> LowerEn
 def merge_lower_envelopes(e1: LowerEnvelope, e2: LowerEnvelope, segments,
                           norm: NormP, tol: Tolerance) -> LowerEnvelope:
     """Pointwise minimum of two envelopes over the same [0, L]."""
-    return compact(_wrap(_merge_raw(_spans(e1), _spans(e2), segments, norm, tol, {})),
+    profiles = [_build_profile(ax, ay, bx, by, norm.p)
+                for ax, ay, bx, by in segment_columns(segments).tolist()]
+    return compact(_wrap(_merge_raw(_spans(e1), _spans(e2), profiles, tol)),
                    segments, norm, tol)
 
 

@@ -258,8 +258,17 @@ def axis_distances(x, cols: np.ndarray, p: float) -> np.ndarray:
 
 
 def axis_argmin_abscissas(cols: np.ndarray, L: float) -> np.ndarray:
-    """The abscissa axis_argmin_exact picks, for every row at once, with
-    the same sign of zero."""
+    """The constrained minimiser over [0, L] of every row's distance
+    profile along the axis, in one array pass.
+
+    The unconstrained minimisers are the x-range of a level row, else an
+    end on the axis, the axis crossing, or the end with the smaller |y|;
+    they are clamped to [0, L] with ties at the smallest x, and a clamp
+    to the left end gives +0.0. The solvers take the minimum distances
+    from point_segment_distance at these abscissas (rescored_extreme).
+    The tests compare the table with the scalar
+    _reference.axis_argmin_exact, bit for bit.
+    """
     xa, ya, xb, yb = cols[:, 0], cols[:, 1], cols[:, 2], cols[:, 3]
     with np.errstate(all="ignore"):
         # the unconstrained minimiser of a row that is not level
@@ -274,17 +283,20 @@ def axis_argmin_abscissas(cols: np.ndarray, L: float) -> np.ndarray:
         return np.where(phi < 0.0, 0.0, np.where(plo > L, L, np.where(plo > 0.0, plo, 0.0)))
 
 
-def rescored_extreme(approx: np.ndarray, exact, cols: np.ndarray, scale: float,
-                     largest: bool, initial=None):
-    """max (largest) or min of exact(segment) over the rows of cols, exactly.
+def rescored_extreme(approx: np.ndarray, x, cols: np.ndarray, norm: NormP, tol: Tolerance,
+                     scale: float, largest: bool, initial=None):
+    """max (largest) or min over the rows of cols of point_segment_distance
+    from (x, 0) to the row, exactly.
 
-    approx holds array estimates of exact at every row, within a few
-    ulp of the value. exact is evaluated, on the row as a Segment, only
-    at the rows whose estimate lies within 2^-30 (|extreme| + scale)
-    (plus the smallest normal number) of the extreme estimate, at the rows whose estimate is not finite, and
-    at row 0, then folded in row order as Python's max() and min() fold
-    (a NaN first wins, a NaN later is skipped), starting from initial
-    when given. So the result is that of folding exact over all rows.
+    x is one abscissa or one per row, as axis_distances takes it, and
+    approx holds the estimates of those distances at every row, within
+    a few ulp of the value (axis_distances). The exact distance is
+    computed only at the rows whose estimate lies within
+    2^-30 (|extreme| + scale) + 2^-1022 of the extreme estimate, at the
+    rows whose estimate is not finite, and at row 0, then folded in row
+    order as Python's max() and min() fold (a NaN first wins, a NaN
+    later is skipped), starting from initial when given. So the result
+    is that of folding point_segment_distance over all rows.
     """
     finite = np.isfinite(approx)
     rows = ~finite
@@ -295,9 +307,10 @@ def rescored_extreme(approx: np.ndarray, exact, cols: np.ndarray, scale: float,
         rows |= approx >= ext - tie if largest else approx <= ext + tie
     if initial is None:
         rows[0] = True
+    xs = np.broadcast_to(x, rows.shape)[rows].tolist()
     best = initial
-    for s in segments_from_columns(cols[rows]):
-        v = exact(s)
+    for xv, s in zip(xs, segments_from_columns(cols[rows])):
+        v = point_segment_distance(Point(xv, 0.0), s, norm, tol)
         if best is None or (v > best if largest else v < best):
             best = v
     return best
@@ -374,51 +387,3 @@ def transform_to_axis(constraint: Segment, norm: NormP) -> AxisFrame:
         raise NonIsometricRotation(
             f"constraint is not axis-parallel and p={norm.p} is not rotation-invariant")
     return AxisFrame(origin=constraint.a, rows=rows, L=L)
-
-
-def segment_ox_intersection(s: Segment):
-    """Where s meets the horizontal axis.
-
-    Returns (x, collinear) or None. A segment lying on the axis reports
-    its leftmost x with collinear=True; touching an endpoint counts.
-    """
-    ya, yb = s.a.y, s.b.y
-    if ya == 0.0 and yb == 0.0:
-        return min(s.a.x, s.b.x), True
-    if ya == 0.0:
-        return s.a.x, False
-    if yb == 0.0:
-        return s.b.x, False
-    if (ya > 0.0) == (yb > 0.0):
-        return None
-    t = ya / (ya - yb)
-    return s.a.x + t * (s.b.x - s.a.x), False
-
-
-def axis_argmin_exact(s: Segment, L: float, norm: NormP, tol: Tolerance):
-    """Closed-form constrained argmin used internally by the solvers.
-
-    Returns (xmin, dmin); exact. The unconstrained minimisers, the rule
-    of axis_argmin_abscissas, are the x-range of a level segment, else
-    an end on the axis, the axis crossing, or the end with the smaller
-    |y|; they are clamped to [0, L] with ties at the smallest x. The
-    tests compare it with _reference.distance_argmin_on_axis.
-    """
-    xa, ya, xb, yb = s.a.x, s.a.y, s.b.x, s.b.y
-    if ya == yb:
-        plo, phi = min(xa, xb), max(xa, xb)
-    elif ya == 0.0:
-        plo = phi = xa
-    elif yb == 0.0:
-        plo = phi = xb
-    elif (ya > 0.0) != (yb > 0.0):
-        plo = phi = xa + ya / (ya - yb) * (xb - xa)
-    else:
-        plo = phi = xa if abs(ya) < abs(yb) else xb
-    if phi < 0.0:
-        x = 0.0
-    elif plo > L:
-        x = L
-    else:
-        x = max(0.0, plo)
-    return x, point_segment_distance(Point(x, 0.0), s, norm, tol)

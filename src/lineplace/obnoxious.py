@@ -24,7 +24,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import EmptyInput
-from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, axis_argmin_abscissas, \
+from .geometry import NormP, Point, Tolerance, _lp_pair, axis_argmin_abscissas, \
     axis_distances, point_segment_distance, rescored_extreme, segment_columns, \
     segments_from_columns
 from .intervals import Interval, SegmentArray, bisect_radius, covering_interval, \
@@ -167,9 +167,8 @@ def _regime_boundary(ex: float, ey: float, U: float, V: float, p: float) -> floa
     return ex - math.copysign(root * abs(ey), kappa_sign)
 
 
-def _build_profile(seg: Segment, p: float) -> _Profile:
-    ax, ay = seg.a.x, seg.a.y
-    bx, by = seg.b.x, seg.b.y
+def _build_profile(ax: float, ay: float, bx: float, by: float, p: float) -> _Profile:
+    """The profile of the segment from (ax, ay) to (bx, by)."""
     if bx < ax:
         ax, ay, bx, by = bx, by, ax, ay
     U = bx - ax
@@ -200,13 +199,6 @@ def _build_profile(seg: Segment, p: float) -> _Profile:
             # both boundaries collapsed to infinities of the same side
             _append_cone(pieces, ax, abs(ay), -_INF, _INF, p)
     return _Profile(p, pieces, max(abs(ax), abs(ay), abs(bx), abs(by)))
-
-
-def _get_profile(cache, segments, idx: int, p: float):
-    prof = cache.get(idx)
-    if prof is None:
-        prof = cache[idx] = _build_profile(segments[idx], p)
-    return prof
 
 
 # -- per-cell crossing analysis ----------------------------------------
@@ -489,13 +481,13 @@ def _compact_pieces(pieces, xmins, tol: Tolerance) -> list:
     return out
 
 
-def _merge_raw(e1, e2, segments, norm: NormP, tol: Tolerance, _cache) -> list:
+def _merge_raw(e1, e2, profiles, tol: Tolerance) -> list:
     """Cellwise minimum of two envelopes over the same span, uncompacted.
 
-    A cell whose two owners differ goes to the owner _dominant names, or
-    else to _resolve_cell.
+    profiles holds the _Profile of every segment, by index. A cell
+    whose two owners differ goes to the owner _dominant names, or else
+    to _resolve_cell.
     """
-    p = norm.p
     bounds = sorted({x for a, b, _ in e1 for x in (a, b)} | {x for a, b, _ in e2 for x in (a, b)})
     i1 = i2 = 0
     n1, n2 = len(e1) - 1, len(e2) - 1
@@ -512,8 +504,7 @@ def _merge_raw(e1, e2, segments, norm: NormP, tol: Tolerance, _cache) -> list:
         if oi == oj:
             raw.append((u, v, oi))
             continue
-        prof_i = _cache.get(oi) or _get_profile(_cache, segments, oi, p)
-        prof_j = _cache.get(oj) or _get_profile(_cache, segments, oj, p)
+        prof_i, prof_j = profiles[oi], profiles[oj]
         owner = _dominant(u, v, oi, oj, prof_i, prof_j)
         if owner is not None:
             raw.append((u, v, owner))
@@ -523,28 +514,29 @@ def _merge_raw(e1, e2, segments, norm: NormP, tol: Tolerance, _cache) -> list:
         # a one-point span (L = 0): the nearer owner, ties to the lower index
         x = e1[0][0]
         owner = min((e1[0][2], e2[0][2]),
-                    key=lambda s: (_get_profile(_cache, segments, s, p).value(x), s))
+                    key=lambda s: (profiles[s].value(x), s))
         raw = [(x, x, owner)]
     return raw
 
 
-def _envelope_peak(env, segments, norm: NormP, tol: Tolerance) -> float:
+def _envelope_peak(env, cols: np.ndarray, norm: NormP, tol: Tolerance, scale: float) -> float:
     """Exact maximum of the envelope value over its span.
 
     Each piece's distance profile is convex, so the maximum of the
-    pointwise minimum sits at a piece boundary or a domain end.
+    pointwise minimum sits at a piece boundary or a domain end. The
+    distances at both ends of every piece, from its owner's row of
+    cols, come from one axis_distances pass, and rescored_extreme makes
+    the result that of folding point_segment_distance over them in
+    order from 0.
     """
-    peak = 0.0
-    for a, b, s in env:
-        for x in (a, b):
-            d = point_segment_distance(Point(x, 0.0), segments[s], norm, tol)
-            if d > peak:
-                peak = d
-    return peak
+    ends = np.array(env)
+    xs = ends[:, :2].ravel()
+    rows = cols[ends[:, 2].astype(np.intp).repeat(2)]
+    return rescored_extreme(axis_distances(xs, rows, norm.p), xs, rows, norm, tol, scale,
+                            largest=True, initial=0.0)
 
 
-def _fold_one(env, base, lo_x: float, hi_x: float,
-              segments, xmins, norm: NormP, tol: Tolerance, cache) -> list:
+def _fold_one(env, base, lo_x: float, hi_x: float, profiles, xmins, tol: Tolerance) -> list:
     """Merge a single-segment envelope into env inside [lo_x, hi_x] only.
 
     The caller guarantees the new segment strictly loses outside the
@@ -560,7 +552,7 @@ def _fold_one(env, base, lo_x: float, hi_x: float,
     span_a, span_b = env[ilo][0], env[ihi][1]
     clipped = [(max(a, span_a), min(b, span_b), s)
                for a, b, s in base if b > span_a and a < span_b]
-    raw = _merge_raw(env[ilo:ihi + 1], clipped, segments, norm, tol, cache)
+    raw = _merge_raw(env[ilo:ihi + 1], clipped, profiles, tol)
     head, tail = max(ilo - 2, 0), min(ihi + 3, m)
     fused = _compact_pieces(env[head:ilo] + raw + env[ihi + 1:tail], xmins, tol)
     return env[:head] + fused + env[tail:]
@@ -572,16 +564,22 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
 
     split="halves" merges recursively; split="one-off" folds segments
     into the running envelope one at a time. Both produce the same
-    envelope up to root refinement tolerance. One table of constrained
-    minimisers (axis_argmin_abscissas, one array pass over all
-    segments) serves both splits: it places the split of every
-    single-segment envelope and the kept breakpoints of every
-    compaction. A newcomer of the fold can only beat envelope values,
-    which are at most the envelope's peak, so the fold contests only
-    the abscissas within the peak of it: its covering interval
-    (intervals.covering_interval) at R = (peak + c) / (1 - eta), (eta,
-    c) = covering_slack(peak), clipped to [0, L]. That computed
-    interval holds the exact one at peak, by the margin that
+    envelope up to root refinement tolerance. segments is a sequence of
+    Segment or an (N, 4) array of rows [ax, ay, bx, by]; either is
+    converted once. Two tables, both read from the rows, serve both
+    splits: one distance profile per segment (_build_profile), which
+    every merge reads, and the constrained minimisers
+    (axis_argmin_abscissas, one array pass over all segments), which
+    place the split of every single-segment envelope and the kept
+    breakpoints of every compaction.
+
+    A newcomer of the fold can only beat envelope values, which are at
+    most the envelope's peak (_envelope_peak, one array pass over the
+    piece ends), so the fold contests only the abscissas within the
+    peak of it: its covering interval (intervals.covering_interval, the
+    one use of Segment objects in the build) at R = (peak + c) /
+    (1 - eta), (eta, c) = covering_slack(peak), clipped to [0, L]. That
+    computed interval holds the exact one at peak, by the margin that
     _owning_rows takes. A newcomer whose window is empty is skipped;
     where no bound is claimed (eta >= 1, or R not finite) the fold
     contests all of [0, L].
@@ -593,17 +591,17 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     seg_index) tuples and wraps only the final envelope in
     EnvelopePiece and LowerEnvelope.
     """
-    segs = list(segments)
-    n = len(segs)
+    cols = segment_columns(segments)
+    n = len(cols)
     if n == 0:
         raise EmptyInput("need at least one segment")
     if L < 0.0 or not math.isfinite(L):
         raise ValueError("L must be finite and nonnegative")
     if split not in ("halves", "one-off"):
         raise ValueError(f"unknown split {split!r}")
-    cols = segment_columns(segs)
+    p = norm.p
+    profiles = [_build_profile(ax, ay, bx, by, p) for ax, ay, bx, by in cols.tolist()]
     xmins = axis_argmin_abscissas(cols, L).tolist()
-    cache = {}
 
     def base(i: int) -> list:
         return _split_at(i, xmins[i], L, tol)
@@ -612,20 +610,21 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
         if hi - lo == 1:
             return base(lo)
         mid = (lo + hi) // 2
-        raw = _merge_raw(build(lo, mid), build(mid, hi), segs, norm, tol, cache)
+        raw = _merge_raw(build(lo, mid), build(mid, hi), profiles, tol)
         return _compact_pieces(raw, xmins, tol)
 
     if split == "halves" or L == 0.0:
         # a fold needs a window of positive width, so L = 0 merges too
         env = build(0, n)
     else:
+        segs = segments_from_columns(cols)
         scale = max(float(np.abs(cols).max()), L)
         env = base(0)
-        peak = _envelope_peak(env, segs, norm, tol)
+        peak = _envelope_peak(env, cols, norm, tol, scale)
         accepted = 0
         for i in range(1, n):
             # the newcomer can only beat values <= peak
-            eta, c = covering_slack(peak, scale, norm.p)
+            eta, c = covering_slack(peak, scale, p)
             R = (peak + c) / (1.0 - eta) if eta < 1.0 else _INF
             lo_x, hi_x = 0.0, L
             if math.isfinite(R):
@@ -633,10 +632,10 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
                 lo_x, hi_x = max(window.lo, 0.0), min(window.hi, L)
             if lo_x > hi_x:
                 continue
-            env = _fold_one(env, base(i), lo_x, hi_x, segs, xmins, norm, tol, cache)
+            env = _fold_one(env, base(i), lo_x, hi_x, profiles, xmins, tol)
             accepted += 1
             if accepted % 32 == 0:
-                peak = _envelope_peak(env, segs, norm, tol)
+                peak = _envelope_peak(env, cols, norm, tol, scale)
     assert env[0][0] == 0.0 and env[-1][1] == L
     assert all(env[k][1] == env[k + 1][0] for k in range(len(env) - 1))
     return LowerEnvelope(tuple(EnvelopePiece(a, b, s) for a, b, s in env))
@@ -669,11 +668,11 @@ def max_empty_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     """The envelope route: build the lower envelope, then maximise it.
 
     segments is an (N, 4) array of rows [ax, ay, bx, by]; the envelope
-    works on the Segment objects built from it.
+    is built from it, and the maximum is taken on the Segment objects
+    built from it.
     """
-    segs = segments_from_columns(segments)
-    env = compute_lower_envelope(segs, L, norm, tol, split=split)
-    return largest_empty_from_envelope(env, segs, norm, tol)
+    env = compute_lower_envelope(segments, L, norm, tol, split=split)
+    return largest_empty_from_envelope(env, segments_from_columns(segments), norm, tol)
 
 
 def _owning_rows(far: np.ndarray, dmin: np.ndarray, scale: float, p: float) -> np.ndarray:
@@ -732,10 +731,8 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
         return union_covers_arrays(*arr.covering(R), domain)
 
     def nearest(x: float) -> float:
-        q = Point(x, 0.0)
-        return rescored_extreme(axis_distances(x, cols, p),
-                                lambda s: point_segment_distance(q, s, norm, tol),
-                                cols, scale, largest=False)
+        return rescored_extreme(axis_distances(x, cols, p), x, cols, norm, tol, scale,
+                                largest=False)
 
     if gaps(0.0)[0]:
         return PlacedCircle(0.0, 0.0)

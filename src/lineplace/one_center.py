@@ -9,9 +9,8 @@ import numpy as np
 
 from . import intervals
 from .errors import EmptyInput
-from .geometry import NormP, Point, Tolerance, axis_argmin_abscissas, \
-    axis_argmin_exact, axis_distances, point_segment_distance, rescored_extreme, \
-    segment_columns, segments_from_columns
+from .geometry import NormP, Point, Tolerance, axis_argmin_abscissas, axis_distances, \
+    point_segment_distance, rescored_extreme, segment_columns, segments_from_columns
 from .intervals import Interval, SegmentArray, covering_interval, covering_slack, \
     intersect_all, intersect_arrays, least_radius
 
@@ -61,10 +60,13 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
     exactly when already feasible) and the radius hi that works at
     x = 0; the center is the midpoint of the region at its radius.
 
-    From intervals.ARRAY_MIN_SEGMENTS rows on, lo and hi come from array
-    kernels over all rows, with their near-ties recomputed by the
-    scalar axis_argmin_exact and point_segment_distance so that both
-    keep their exact bits; the rows that cannot bind at any R >= lo
+    Both routes take each segment's constrained minimiser from one
+    axis_argmin_abscissas pass, and lo is the largest exact
+    point_segment_distance at those abscissas. From
+    intervals.ARRAY_MIN_SEGMENTS rows on, lo and hi come from array
+    kernels over all rows, with their near-ties recomputed by
+    point_segment_distance (rescored_extreme) so that both keep their
+    exact bits; the rows that cannot bind at any R >= lo
     (_binding_rows) are then dropped, and the bisection runs on a
     SegmentArray of the rest, with the same answer bit for bit. Below
     it the scalar kernels run over every segment.
@@ -75,14 +77,12 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
     if L < 0.0 or not math.isfinite(L):
         raise ValueError("L must be finite and nonnegative")
     domain = Interval(0.0, L)
-    origin = Point(0.0, 0.0)
+    xm = axis_argmin_abscissas(cols, L)
     if len(cols) < intervals.ARRAY_MIN_SEGMENTS:
         segs = segments_from_columns(cols)
-        lo = 0.0
-        for s in segs:
-            dmin = axis_argmin_exact(s, L, norm, tol)[1]
-            if dmin > lo:
-                lo = dmin
+        lo = max(0.0, *(point_segment_distance(Point(x, 0.0), s, norm, tol)
+                        for x, s in zip(xm.tolist(), segs)))
+        origin = Point(0.0, 0.0)
         hi = max(point_segment_distance(origin, s, norm, tol) for s in segs)
 
         def meet(R: float) -> Interval:
@@ -93,12 +93,9 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
         p = norm.p
         scale = max(float(np.abs(cols).max()), L)
         d0 = axis_distances(0.0, cols, p)
-        lo = rescored_extreme(
-            axis_distances(axis_argmin_abscissas(cols, L), cols, p),
-            lambda s: axis_argmin_exact(s, L, norm, tol)[1],
-            cols, scale, largest=True, initial=0.0)
-        hi = rescored_extreme(d0, lambda s: point_segment_distance(origin, s, norm, tol),
-                              cols, scale, largest=True)
+        lo = rescored_extreme(axis_distances(xm, cols, p), xm, cols, norm, tol, scale,
+                              largest=True, initial=0.0)
+        hi = rescored_extreme(d0, 0.0, cols, norm, tol, scale, largest=True)
         far = np.maximum(d0, axis_distances(L, cols, p))
         arr = SegmentArray(cols[_binding_rows(far, lo, scale, p)], norm)
 

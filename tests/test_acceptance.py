@@ -25,7 +25,6 @@ from lineplace import (
     PointSet,
     Segment,
     Tolerance,
-    axis_argmin_exact,
     build_lists_naive,
     compute_lower_envelope,
     covering_interval,
@@ -36,7 +35,7 @@ from lineplace import (
     point_segment_distance,
     rmin_on_axis,
 )
-from lineplace._reference import compact, envelope_value
+from lineplace._reference import axis_argmin_exact, compact, envelope_value
 from lineplace.cli import main as cli_main
 from lineplace.k_cover import build_lists_sweep
 from lineplace.verify import GridSpec, enumerate_partitions, grid_obnoxious_center, \

@@ -11,16 +11,15 @@ from lineplace import (
     Point,
     Segment,
     Tolerance,
-    axis_argmin_exact,
     lp_distance,
     point_segment_distance,
-    segment_ox_intersection,
     transform_to_axis,
 )
-from lineplace._reference import _min_distance_search, distance_argmin_on_axis, \
-    equal_distance_point
+from lineplace._reference import _min_distance_search, axis_argmin_exact, \
+    distance_argmin_on_axis, equal_distance_point, segment_ox_intersection
 from lineplace.errors import NoCrossing
-from lineplace.geometry import axis_argmin_abscissas, axis_distances, segment_columns
+from lineplace.geometry import axis_argmin_abscissas, axis_distances, rescored_extreme, \
+    segment_columns
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -151,6 +150,52 @@ class TestAxisDistances:
             est = float(axis_distances(float(x), cols, p)[0])
             exact = point_segment_distance(Point(float(x), 0.0), s, NormP(p), TOL)
             assert abs(est - exact) <= 4 * math.ulp(exact), (x, est, exact)
+
+
+def folded_distances(x, cols, norm, largest, initial):
+    """Python's max()/min() fold of point_segment_distance over the rows."""
+    xs = np.broadcast_to(x, len(cols)).tolist()
+    best = initial
+    for xv, row in zip(xs, cols.tolist()):
+        v = point_segment_distance(Point(xv, 0.0), seg(*row), norm, TOL)
+        if best is None or (v > best if largest else v < best):
+            best = v
+    return best
+
+
+class TestRescoredExtreme:
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e300])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_equals_the_fold_over_every_row(self, p, scale):
+        # near-ties, duplicate rows, estimates a few ulp off and rows
+        # whose estimate is not finite (injected, or coordinates whose
+        # differences overflow)
+        norm = NormP(p)
+        rng = random.Random(f"rescored{p}{scale}")
+        for draw in range(12):
+            n = rng.randint(1, 30)
+            cols = np.array([[rng.uniform(-10, 10) * scale for _ in range(4)]
+                             for _ in range(n)])
+            if n > 3:
+                cols[rng.randrange(n)] = cols[rng.randrange(n)]
+                for k in (1, 2, 3):
+                    cols[rng.randrange(n)] = cols[rng.randrange(n)] * (1.0 + k * 2.0 ** -52)
+            if scale == 1e300 and draw % 3 == 0:
+                cols[rng.randrange(n)] = [-1.7e308, 1.7e308, 1.5e308, -1e308]
+            xs = np.array([rng.uniform(-5, 15) * scale for _ in range(n)])
+            for x in (float(xs[0]), xs):
+                approx = axis_distances(x, cols, p)
+                approx *= 1.0 + np.array([rng.randint(-3, 3) for _ in range(n)]) * 2.0 ** -53
+                if draw % 2:
+                    approx[rng.randrange(n)] = rng.choice((math.inf, -math.inf, math.nan))
+                finite = approx[np.isfinite(approx)]
+                middle = float(np.median(finite)) if len(finite) else 1.0
+                for largest in (True, False):
+                    for initial in (None, 0.0, middle):
+                        got = rescored_extreme(approx, x, cols, norm, TOL, 10.0 * scale,
+                                               largest=largest, initial=initial)
+                        want = folded_distances(x, cols, norm, largest, initial)
+                        assert got.hex() == want.hex(), (draw, largest, initial, got, want)
 
 
 class TestOxIntersection:

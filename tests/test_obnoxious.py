@@ -4,6 +4,7 @@ import math
 import random
 from contextlib import redirect_stdout
 
+import numpy as np
 import pytest
 
 from lineplace import geometry, obnoxious
@@ -207,7 +208,7 @@ class TestP1Profile:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_affine_pieces_match_distance_and_tile(self, name):
         s = self.CASES[name]
-        pieces = _build_profile(s, 1.0).pieces
+        pieces = _build_profile(s.a.x, s.a.y, s.b.x, s.b.y, 1.0).pieces
         assert pieces[0][0] == -math.inf and pieces[-1][1] == math.inf
         for prev, cur in zip(pieces, pieces[1:]):
             assert prev[1] == cur[0]
@@ -224,6 +225,14 @@ class TestP1Profile:
             for x in probes:
                 want = point_segment_distance(Point(x, 0.0), s, N1, TOL)
                 assert abs(A * x + B - want) <= 1e-12 * max(1.0, want), (x, A, B)
+
+
+def off_by_ulps(rng):
+    """geometry.axis_distances with every estimate moved by up to 3 ulp."""
+    def estimates(x, cols, p):
+        d = geometry.axis_distances(x, cols, p)
+        return d * (1.0 + np.array([rng.randint(-3, 3) for _ in d]) * 2.0 ** -53)
+    return estimates
 
 
 class TestMinimiserTable:
@@ -243,12 +252,62 @@ class TestMinimiserTable:
             raise AssertionError("the envelope build called axis_argmin_exact")
 
         monkeypatch.setattr(obnoxious, "axis_argmin_abscissas", counting)
-        monkeypatch.setattr(geometry, "axis_argmin_exact", scalar)
         segs = random_segments(random.Random(41), 40)
         compute_lower_envelope(segs, 10.0, norm, TOL, split=split)
         assert not hasattr(obnoxious, "axis_argmin_exact")
         assert len(calls) == 1
         assert (calls[0] == segment_columns(segs)).all()
+
+    @pytest.mark.parametrize("split", ["halves", "one-off"])
+    @pytest.mark.parametrize("norm", [N1, N2, N3])
+    def test_one_profile_per_segment(self, split, norm, monkeypatch):
+        # the profiles are one table read from the rows, built once per
+        # segment, also for the far newcomer that the fold skips
+        built, folded = [], []
+        real_build, real_fold = obnoxious._build_profile, obnoxious._fold_one
+
+        def counting_build(*args):
+            built.append(list(args[:4]))
+            return real_build(*args)
+
+        def counting_fold(*args):
+            folded.append(args)
+            return real_fold(*args)
+
+        monkeypatch.setattr(obnoxious, "_build_profile", counting_build)
+        monkeypatch.setattr(obnoxious, "_fold_one", counting_fold)
+        segs = random_segments(random.Random(43), 20, span=2.0) + [seg(4, 80, 6, 81)]
+        compute_lower_envelope(segs, 10.0, norm, TOL, split=split)
+        assert built == segment_columns(segs).tolist()
+        if split == "one-off":
+            assert len(folded) < len(segs) - 1
+
+    @pytest.mark.parametrize("split", ["halves", "one-off"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e300])
+    def test_peak_is_the_scalar_fold(self, split, p, scale, monkeypatch):
+        # one axis_distances pass with rescoring gives the bits of the
+        # fold of point_segment_distance over every piece end in order,
+        # also when the estimates are a few ulp off
+        norm, tol = NormP(p), Tolerance(eps=1e-9 * scale)
+        rng = random.Random(f"peak {p} {scale}")
+        for _ in range(4):
+            segs = [seg(*(v * scale for v in (rng.uniform(0, 100), rng.uniform(-2, 2),
+                                              rng.uniform(0, 100), rng.uniform(-2, 2))))
+                    for _ in range(40)]
+            le = compute_lower_envelope(segs, 100.0 * scale, norm, tol, split=split)
+            env = [(pc.a, pc.b, pc.seg_index) for pc in le.pieces]
+            want = 0.0
+            for a, b, s in env:
+                for x in (a, b):
+                    d = point_segment_distance(Point(x, 0.0), segs[s], norm, tol)
+                    if d > want:
+                        want = d
+            with monkeypatch.context() as m:
+                m.setattr(obnoxious, "axis_distances", off_by_ulps(rng))
+                got = obnoxious._envelope_peak(env, segment_columns(segs), norm, tol,
+                                               100.0 * scale)
+            assert got.hex() == want.hex()
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])

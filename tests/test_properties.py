@@ -11,7 +11,6 @@ from lineplace import (
     Point,
     Segment,
     Tolerance,
-    axis_argmin_exact,
     compute_lower_envelope,
     covering_interval,
     lp_distance,
@@ -22,7 +21,8 @@ from lineplace import (
     point_segment_distance,
     transform_to_axis,
 )
-from lineplace._reference import distance_argmin_on_axis, equal_distance_point
+from lineplace._reference import axis_argmin_exact, distance_argmin_on_axis, \
+    equal_distance_point
 from lineplace.errors import NoCrossing, SolverError
 from lineplace.intervals import union_covers_arrays
 from lineplace.obnoxious import _build_profile
@@ -100,7 +100,7 @@ def test_covering_interval_membership(s, radius, p):
 def test_profile_matches_distance(s, p, x):
     # the envelope machinery rests on these per-segment profiles
     norm = NormP(p)
-    prof = _build_profile(s, p)
+    prof = _build_profile(s.a.x, s.a.y, s.b.x, s.b.y, p)
     got = prof.value(x)
     want = point_segment_distance(Point(x, 0.0), s, norm, TOL)
     assert abs(got - want) <= 1e-8 * max(1.0, want)

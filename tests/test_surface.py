@@ -17,6 +17,7 @@ REFERENCE_ROUTES = {
     "_covering_bisect",
     "_finalize_lists",
     "_min_distance_search",
+    "axis_argmin_exact",
     "base_envelope",
     "build_lists_loop",
     "compact",
@@ -26,6 +27,7 @@ REFERENCE_ROUTES = {
     "envelope_value",
     "merge_lower_envelopes",
     "relax_scan",
+    "segment_ox_intersection",
     "two_point_circle",
     "union_covers",
 }

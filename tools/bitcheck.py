@@ -1,0 +1,125 @@
+"""Compare the outputs of two source checkouts on the benchmark's requests.
+
+    python3 tools/bitcheck.py BASE CHANGE [--workload NAME ...] [--seed N ...]
+                              [--size full|tiny]
+
+BASE and CHANGE are roots of two source checkouts of lineplace (each
+with its src/ directory). For every workload and seed the instance
+pool is written once by bench/workloads.write_pool of this checkout,
+into a temporary directory. Each checkout then runs every request of
+those rounds in-process through its own lineplace.cli.main, in one
+subprocess per checkout, as bench/run.py sends them. The tool prints
+every request whose exit code, error or output differs between the
+two, ignoring the wall_time_ms field, then a summary line; it exits 1
+when any request differs and 0 otherwise. By default it checks every
+workload at seeds 201-203, at full size.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import subprocess
+import sys
+import tempfile
+import traceback
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import SIZES, WORKLOADS, write_pool  # noqa: E402
+
+
+def run_requests(src: str, argvs: list) -> list:
+    """(exit code, stdout, error) of every argv through cli.main of src."""
+    sys.path.insert(0, src)
+    import lineplace.cli
+
+    if Path(lineplace.cli.__file__).resolve().parent != Path(src).resolve() / "lineplace":
+        raise RuntimeError(f"imported lineplace from {lineplace.cli.__file__}")
+    out = []
+    for argv in argvs:
+        buf = io.StringIO()
+        rc, error = None, None
+        try:
+            with contextlib.redirect_stdout(buf):
+                rc = lineplace.cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code if isinstance(exc.code, int) else 1
+        except Exception:
+            error = traceback.format_exc(limit=-1).strip().splitlines()[-1]
+        out.append((rc, buf.getvalue(), error))
+    return out
+
+
+def _drop_wall_time(obj):
+    if isinstance(obj, dict):
+        return {k: _drop_wall_time(v) for k, v in obj.items() if k != "wall_time_ms"}
+    if isinstance(obj, list):
+        return [_drop_wall_time(v) for v in obj]
+    return obj
+
+
+def comparable(text: str):
+    """The output with every wall_time_ms field removed; as is if not JSON."""
+    try:
+        return _drop_wall_time(json.loads(text))
+    except ValueError:
+        return text
+
+
+def run_checkout(root: Path, argvs: list) -> list:
+    src = root / "src"
+    if not (src / "lineplace" / "cli.py").is_file():
+        raise SystemExit(f"no lineplace sources under {src}")
+    proc = subprocess.run([sys.executable, __file__, "--worker", str(src)],
+                          input=json.dumps(argvs), capture_output=True, text=True,
+                          check=False)
+    if proc.returncode != 0:
+        raise SystemExit(f"{root}: worker failed\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", type=Path, nargs="?")
+    ap.add_argument("change", type=Path, nargs="?")
+    ap.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    ap.add_argument("--seed", nargs="+", type=int, default=[201, 202, 203])
+    ap.add_argument("--size", choices=sorted(SIZES), default="full")
+    ap.add_argument("--worker", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.worker:
+        json.dump(run_requests(args.worker, json.load(sys.stdin)), sys.stdout)
+        return 0
+    if args.base is None or args.change is None:
+        ap.error("BASE and CHANGE are required")
+    with tempfile.TemporaryDirectory(prefix="bitcheck-") as tmp:
+        labels, argvs = [], []
+        for workload in args.workload:
+            for seed in args.seed:
+                pool = Path(tmp) / f"{workload}-{seed}"
+                pool.mkdir()
+                requests, _ = write_pool(workload, seed, args.size, pool)
+                labels += [f"{workload} seed={seed} {r.label}" for r in requests]
+                argvs += [r.argv for r in requests]
+        base = run_checkout(args.base, argvs)
+        change = run_checkout(args.change, argvs)
+    differ = 0
+    for label, (rc0, out0, err0), (rc1, out1, err1) in zip(labels, base, change):
+        if rc0 != rc1 or err0 != err1 or comparable(out0) != comparable(out1):
+            differ += 1
+            print(f"DIFFERS {label}: exit {rc0} -> {rc1}")
+            for side, rc, out, err in (("base", rc0, out0, err0), ("change", rc1, out1, err1)):
+                shown = err if err is not None else json.dumps(comparable(out), sort_keys=True)
+                print(f"  {side}: {shown[:400]}")
+    print(f"{differ} of {len(labels)} requests differ "
+          f"({', '.join(args.workload)}; seeds {', '.join(map(str, args.seed))}; {args.size})")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
