@@ -6,12 +6,12 @@ evaluation, plain loops where the solver works on arrays or range
 minima), so the tests can compare the two: among them the scalar
 union cover of covering intervals, which no solver runs, the
 one-segment constrained argmin and axis crossing, where the solvers
-read one array table, and a dict-based grouping of candidate runs into
-k-cover lists. Beside them
-sit the one-at-a-time entry points that only the tests call: the
-scalar pair circle, the single-segment envelope, and the merge and
-compaction of two envelopes. Not exported, and no solver module
-imports it.
+read one array table, a dict-based grouping of candidate runs into
+k-cover lists, and the bisected circle of a k-cover run, which the
+solver reads off its pair circles. Beside them sit the one-at-a-time
+entry points that only the tests call: the scalar pair circle, the
+single-segment envelope, and the merge and compaction of two
+envelopes. Not exported, and no solver module imports it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from bisect import bisect_right
 from .errors import EmptyInput, NoBisectorRoot, NoCrossing
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, point_segment_distance, \
     segment_columns
-from .intervals import Interval
+from .intervals import Interval, _halfwidth, least_radius
 from .k_cover import AggSpec, CoverSolution, PointSet, _cover_slack, _no_finite_cover, \
     rmin_on_axis
 from .obnoxious import EnvelopePiece, LowerEnvelope, _build_profile, _compact_pieces, \
@@ -471,6 +471,63 @@ def build_lists_loop(pts: PointSet, norm: NormP, tol: Tolerance):
             assert right < j or all(cov(k) for k in range(left, right + 1))
             lists[right].append((left, R))
     return _finalize_lists(lists, pts)
+
+
+def _rmin_points(xy, norm: NormP, tol: Tolerance):
+    """Smallest ball centered anywhere on the axis covering the points,
+    the rows [x, y] of the array xy, by bisection. Reference for
+    k_cover._run_circle, which rmin_on_axis and dp_solve take.
+
+    The center is not held to any stretch [0, L]: it ranges over the
+    whole line. A center left or right of every point gets nearer to
+    all of them by moving toward them, so the optimum lies in
+    [min x, max x]. The search is min_enclosing's, the shared
+    intervals.least_radius, over the window [min x - max|y|,
+    max x + max|y|] shifted to [0, L], with a region kernel on plain
+    floats. Each point's nearest abscissa lies in the window, at
+    distance |y|, so the lower bound is max|y|; at every radius R
+    tried, R >= |y|, a point covers the abscissas within
+    intervals._halfwidth of its own, as covering_interval gives for a
+    point segment, and the window clips their intersection. The center
+    and radius are min_enclosing's bit for bit on the scalar route
+    that it takes below intervals.ARRAY_MIN_SEGMENTS segments.
+    """
+    p = norm.p
+    xs, ys = xy.T.tolist()
+    ys = [abs(y) for y in ys]
+    maxy = max(ys)
+    shift, end = min(xs) - maxy, max(xs) + maxy
+    if end <= shift:
+        shift, end = min(xs), max(xs)
+    L = end - shift
+    xs = [x - shift for x in xs]
+    if not math.isfinite(L):
+        # a shifted abscissa or L beyond the float range, with the
+        # errors that Point and min_enclosing raise for them
+        raise ValueError("point coordinates must be finite" if not math.isfinite(max(xs))
+                         else "L must be finite and nonnegative")
+
+    def region_at(R: float):
+        """(lo, hi) where the points' covering intervals and [0, L]
+        meet at radius R, or None where they do not."""
+        if not math.isfinite(R):
+            raise ValueError("radius must be finite and nonnegative")
+        lo, hi = -math.inf, math.inf
+        for x, y in zip(xs, ys):
+            h = _halfwidth(R, y, p)
+            if x - h > lo:
+                lo = x - h
+            if x + h < hi:
+                hi = x + h
+        if 0.0 > lo:
+            lo = 0.0
+        if L < hi:
+            hi = L
+        return None if lo > hi else (lo, hi)
+
+    hi = max(_lp_pair(x, y, p) for x, y in zip(xs, ys))
+    (a, b), R = least_radius(maxy, hi, region_at, tol)
+    return 0.5 * (a + b) + shift, R
 
 
 def relax_scan(row_prev, j: int, lefts, weights, is_sum: bool):

@@ -17,9 +17,8 @@ loop, and it runs covering_interval and intersect_all over every
 segment. The scalar union cover, _reference.union_covers, is the
 reference that union_covers_arrays is tested against.
 
-Both bisections, and the k-cover circle of each chosen run, are one
-radius search: bisect_radius, which the enclosing ones reach through
-least_radius.
+Both bisections are one radius search: bisect_radius, which the
+enclosing one reaches through least_radius.
 """
 
 from __future__ import annotations

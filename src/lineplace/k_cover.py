@@ -18,10 +18,9 @@ for each right end r, a tuple of (left, radius) pairs in ascending
 left, one per run left..r, at the smallest radius found for it. The DP
 makes N column relaxations; each relaxes all K rows at once by suffix
 minima in O(K·N) array work, so it does O(K·N^2) work in all. The
-circle of each chosen run comes from the one-center bisection
-specialised to points (_rmin_points): the radius search that every
-solver shares, intervals.least_radius, over a region kernel on plain
-floats.
+circle of each chosen run comes from the same pair circles, by Helly's
+theorem on the line (_run_circle): no radius search runs after the
+lists.
 """
 
 from __future__ import annotations
@@ -34,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, UnsupportedNorm
-from .geometry import NormP, Tolerance, _lp_pair, _np_lp
-from .intervals import _halfwidth, least_radius
+from .geometry import NormP, Tolerance, _np_lp
+from .intervals import _halfwidth
 from .one_center import PlacedCircle
 
 _INF = math.inf
@@ -505,20 +504,36 @@ def build_lists_naive(pts: PointSet, norm: NormP, tol: Tolerance):
     passes only points that the exact test passes, so the lists are
     those of stepping point by point, bit for bit.
     """
-    n = len(pts)
-    if n == 0:
+    if len(pts) == 0:
         raise EmptyInput("need at least one point")
-    p = norm.p
-    # contiguous columns: the pair kernels gather from them by index
-    X, Y = pts.xy.T.copy()
-    I, J = np.triu_indices(n)
+    return _naive_lists(pts.xy, norm.p, tol)[0]
+
+
+def _pair_table(xy, p: float, tol: Tolerance):
+    """(X, Y, I, J, xc, R, ok, binding): the abscissas and ordinates of
+    the sorted points xy, as contiguous columns, the pair circles
+    (_pair_circles) of all pairs I <= J in np.triu_indices(n) order, and
+    each pair's share of the radius of a run that holds it (_run_circle):
+    R where its center lies in [X[I], X[J]], else 0. A radius that is
+    not finite is kept, so that no run over its pair passes it silently.
+    """
+    X, Y = xy.T.copy()
+    I, J = np.triu_indices(len(xy))
     xc, R, ok = _pair_circles(X, Y, I, J, p, tol)
+    binding = np.where((ok & (X[I] <= xc) & (xc <= X[J])) | ~np.isfinite(R), R, 0.0)
+    return X, Y, I, J, xc, R, ok, binding
+
+
+def _naive_lists(xy, p: float, tol: Tolerance):
+    """build_lists_naive over the sorted points xy, and the binding
+    radii of its _pair_table, which dp_solve keeps for its circles."""
+    X, Y, I, J, xc, R, ok, binding = _pair_table(xy, p, tol)
     thresholds = _certified_thresholds(X, Y, I, J, xc, p)
     I, J, xc, R = I[ok], J[ok], xc[ok], R[ok]
-    left, right = _jump_ends(I, xc, *thresholds, n)
+    left, right = _jump_ends(I, xc, *thresholds, len(X))
     del thresholds  # not held while the runs grow and group
     left, right = _expand_runs(X, Y, I, J, xc, R, p, tol.eps, left, right)
-    return _group_lists(right, left, R, np.abs(Y))
+    return _group_lists(right, left, R, np.abs(Y)), binding
 
 
 def _sweep_pass(X, Y, eps: float, mirrored: bool, n: int, sugg) -> None:
@@ -682,66 +697,40 @@ def build_lists_sweep(pts: PointSet, norm: NormP, tol: Tolerance):
 
 
 def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
-    """Smallest axis-centered ball covering points i..j; returns (cx, r)."""
+    """Smallest axis-centered ball covering points i..j; returns (cx, r),
+    from the run's own _pair_table."""
     if not 0 <= i <= j < len(pts):
         raise ValueError("need 0 <= i <= j < len(points)")
-    return _rmin_points(pts.xy[i:j + 1], norm, tol)
+    xy = pts.xy[i:j + 1]
+    return _run_circle(xy, _pair_table(xy, norm.p, tol)[-1], norm.p)
 
 
-def _rmin_points(xy, norm: NormP, tol: Tolerance):
+def _run_circle(xy, binding, p: float):
     """Smallest ball centered anywhere on the axis covering the points,
-    the rows [x, y] of the array xy.
+    the rows [x, y] of xy, from the binding radii of all their pairs.
 
-    The center is not held to any stretch [0, L]: it ranges over the
-    whole line. A center left or right of every point gets nearer to
-    all of them by moving toward them, so the optimum lies in
-    [min x, max x]. The search is min_enclosing's, the shared
-    intervals.least_radius, over the window [min x - max|y|,
-    max x + max|y|] shifted to [0, L], with a region kernel on plain
-    floats. Each point's nearest abscissa lies in the window, at
-    distance |y|, so the lower bound is max|y|; at every radius R
-    tried, R >= |y|, a point covers the abscissas within
-    intervals._halfwidth of its own, as covering_interval gives for a
-    point segment, and the window clips their intersection. The center
-    and radius are min_enclosing's bit for bit on the scalar route
-    that it takes below intervals.ARRAY_MIN_SEGMENTS segments.
+    Each distance f_k(c) = (|c - x_k|^p + |y_k|^p)^(1/p) is convex, so
+    the centers within R of a point form an interval, and by Helly's
+    theorem on the line these meet iff every two do. So the least
+    radius is the largest min_c max(f_i, f_j) over pairs: |y_i| for i =
+    j, and for i < j the pair circle's radius where its center lies in
+    [x_i, x_j]; elsewhere f_i - f_j keeps one sign there, and the larger
+    |y| alone sets it. It is as exact as the pair radii (closed forms at
+    p = 1 and 2). The center is the midpoint where the intervals meet
+    at that radius (intervals._halfwidth). A radius that is not finite
+    raises the ValueError of PlacedCircle.
     """
-    p = norm.p
-    xs, ys = xy.T.tolist()
-    ys = [abs(y) for y in ys]
-    maxy = max(ys)
-    shift, end = min(xs) - maxy, max(xs) + maxy
-    if end <= shift:
-        shift, end = min(xs), max(xs)
-    L = end - shift
-    xs = [x - shift for x in xs]
-    if not math.isfinite(L):
-        # a shifted abscissa or L beyond the float range, with the
-        # errors that Point and min_enclosing raise for them
-        raise ValueError("point coordinates must be finite" if not math.isfinite(max(xs))
-                         else "L must be finite and nonnegative")
-
-    def region_at(R: float):
-        """(lo, hi) where the points' covering intervals and [0, L]
-        meet at radius R, or None where they do not."""
-        if not math.isfinite(R):
-            raise ValueError("radius must be finite and nonnegative")
-        lo, hi = -_INF, _INF
-        for x, y in zip(xs, ys):
-            h = _halfwidth(R, y, p)
-            if x - h > lo:
-                lo = x - h
-            if x + h < hi:
-                hi = x + h
-        if 0.0 > lo:
-            lo = 0.0
-        if L < hi:
-            hi = L
-        return None if lo > hi else (lo, hi)
-
-    hi = max(_lp_pair(x, y, p) for x, y in zip(xs, ys))
-    (a, b), R = least_radius(maxy, hi, region_at, tol)
-    return 0.5 * (a + b) + shift, R
+    r = float(binding.max())
+    if not r < _INF:
+        raise ValueError("circle parameters must be finite")
+    lo, hi = -_INF, _INF
+    for x, y in xy.tolist():
+        h = _halfwidth(r, y, p)
+        if x - h > lo:
+            lo = x - h
+        if x + h < hi:
+            hi = x + h
+    return 0.5 * (lo + hi), r
 
 
 @np.errstate(over="ignore")  # m + w overflows to inf, as Python floats do
@@ -801,11 +790,12 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     Centers range over the whole axis, the line through the constraint;
     no stretch [0, L] bounds them, and none is taken.
 
-    Cost: the lists (see build_lists_naive and build_lists_sweep), then
-    N column relaxations, each of which relaxes all K rows (one row for
-    K = None) at once in O(K·N) array work (see _relax), so O(K·N^2)
-    in all; the break of a cell is recovered only along the chosen
-    path (_break); then one rmin_on_axis per chosen run.
+    Cost: the pair table and the lists (see _pair_table,
+    build_lists_naive and build_lists_sweep), then N column relaxations,
+    each of which relaxes all K rows (one row for K = None) at once in
+    O(K·N) array work (see _relax), so O(K·N^2) in all; the break of a
+    cell is recovered only along the chosen path (_break); then each
+    chosen run's circle from a slice of the pair table (_run_circle).
     """
     n = len(pts)
     if n == 0:
@@ -814,12 +804,18 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
         raise ValueError("K must be None or an integer >= 1")
     if K is not None:
         K = min(K, n)
+    p = norm.p
     if lists == "naive":
-        cls = build_lists_naive(pts, norm, tol)
+        cls, pair_binding = _naive_lists(pts.xy, p, tol)
     elif lists == "sweep":
         cls = build_lists_sweep(pts, norm, tol)
+        pair_binding = _pair_table(pts.xy, p, tol)[-1]
     else:
         raise ValueError(f"unknown lists {lists!r}")
+    # binding[i, j], i <= j, is pair (i, j)'s share of a run's radius
+    binding = np.zeros((n, n))
+    binding[np.triu_indices(n)] = pair_binding
+    del pair_binding
     q = agg.q
     is_sum = agg.kind == "sum"
 
@@ -850,7 +846,8 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     circles = []
     weights = []
     for left, right in runs:
-        cx, rad = rmin_on_axis(pts, left, right, norm, tol)
+        run = slice(left, right + 1)
+        cx, rad = _run_circle(pts.xy[run], binding[run, run], p)
         circles.append(PlacedCircle(cx, rad))
         weights.append(rad ** q)
     objective = math.fsum(weights) if is_sum else max(weights)

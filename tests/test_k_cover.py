@@ -23,7 +23,8 @@ from lineplace import (
     rmin_on_axis,
 )
 from lineplace import intervals, k_cover
-from lineplace._reference import build_lists_loop, dp_scan, relax_scan, two_point_circle
+from lineplace._reference import _rmin_points, build_lists_loop, dp_scan, relax_scan, \
+    two_point_circle
 from lineplace.errors import NoBisectorRoot, TooLarge
 from lineplace.k_cover import build_lists_sweep
 from lineplace.verify import _enclosing_circle, enumerate_partitions, set_partition_oracle
@@ -597,7 +598,7 @@ class TestCertifiedJumps:
 
 
 def enclosing_route(ps, i, j, norm):
-    """rmin_on_axis by min_enclosing over the point segments of run i..j."""
+    """The circle of run i..j by min_enclosing over its point segments."""
     return _enclosing_circle(ps.xy[i:j + 1].tolist(), norm, TOL)
 
 
@@ -616,6 +617,25 @@ def kernel_psets(rng, n):
     yield pset(*((x0, 0.0) for _ in range(n)))
 
 
+def reference_route(ps, i, j, norm):
+    """The circle of run i..j by the bisecting reference."""
+    return _rmin_points(ps.xy[i:j + 1], norm, TOL)
+
+
+def rounding_scale(ps, i, j, r):
+    """The magnitude that the rounding of a run's circle scales with:
+    its radius and its points' coordinates."""
+    return max(r, float(np.abs(ps.xy[i:j + 1]).max()))
+
+
+def helly_runs(rng, sizes=(1, 2, 5, 23, 60)):
+    """(PointSet, i, j): a whole and an inner run of random point sets."""
+    for n in sizes:
+        for ps in list(kernel_psets(rng, n)) + [random_pset(rng, n, "grid")]:
+            yield ps, 0, n - 1
+            yield ps, n // 3, n - 1 - n // 4
+
+
 class TestRminOnAxis:
     def test_single(self):
         cx, r = rmin_on_axis(pset((2, 5)), 0, 0, N2, TOL)
@@ -629,39 +649,194 @@ class TestRminOnAxis:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_bits_of_the_scalar_enclosing_route(self, monkeypatch, p):
-        # the kernel is min_enclosing's scalar bisection on plain
-        # floats; at p = 1 and 2 the array route from 24 segments on
-        # gives the same bits too, at other p its powers may differ
+        # the bisecting reference is min_enclosing's scalar bisection on
+        # plain floats, bit for bit (at p = 1 and 2 the array route from
+        # 24 segments on too; at other p its powers may differ), and
+        # rmin_on_axis lies in that bisection's final bracket: the
+        # reference reports its upper end hi, with hi - lo <= eps and
+        # nothing below lo feasible. Both routes round each distance and
+        # interval end by a few ulps of the run's scale.
         norm = NormP(p)
         rng = random.Random(f"rmin{p}")
         for n in (1, 2, 5, 23, 24, 60, 200):
             for ps in kernel_psets(rng, n):
                 runs = [(0, n - 1), (n // 3, n - 1 - n // 4)]
-                got = [bits(rmin_on_axis(ps, i, j, norm, TOL)) for i, j in runs]
+                want = [reference_route(ps, i, j, norm) for i, j in runs]
                 if p in (1.0, 2.0):
-                    assert got == [bits(enclosing_route(ps, i, j, norm)) for i, j in runs]
+                    assert ([bits(c) for c in want]
+                            == [bits(enclosing_route(ps, i, j, norm)) for i, j in runs])
                 with monkeypatch.context() as m:
                     m.setattr(intervals, "ARRAY_MIN_SEGMENTS", 10**9)
-                    assert got == [bits(enclosing_route(ps, i, j, norm)) for i, j in runs]
+                    assert ([bits(c) for c in want]
+                            == [bits(enclosing_route(ps, i, j, norm)) for i, j in runs])
+                for (i, j), (_, r_ref) in zip(runs, want):
+                    r = rmin_on_axis(ps, i, j, norm, TOL)[1]
+                    slack = 16 * U * rounding_scale(ps, i, j, r_ref)
+                    assert r_ref - TOL.eps - slack <= r <= r_ref + slack, (n, i, j)
 
     def test_signed_zero_abscissas(self):
         # -0.0 and 0.0 on the axis: the bits of the center follow
-        # min_enclosing's, signs of zero included
-        for pairs in (((0.0, 0.0), (-0.0, 0.0)), ((-0.0, 0.0), (0.0, 0.0)),
-                      ((0.0, 0.0), (-0.0, 0.0), (5.0, 0.0))):
+        # min_enclosing's, signs of zero included; the radius is half
+        # the span, exactly
+        for pairs, radius in ((((0.0, 0.0), (-0.0, 0.0)), 0.0),
+                              (((-0.0, 0.0), (0.0, 0.0)), 0.0),
+                              (((0.0, 0.0), (-0.0, 0.0), (5.0, 0.0)), 2.5)):
             ps = pset(*pairs)
             for p in (1.0, 2.0, 3.0):
                 n = len(ps) - 1
-                assert (bits(rmin_on_axis(ps, 0, n, NormP(p), TOL))
-                        == bits(enclosing_route(ps, 0, n, NormP(p))))
+                cx, r = rmin_on_axis(ps, 0, n, NormP(p), TOL)
+                assert float.hex(cx) == float.hex(enclosing_route(ps, 0, n, NormP(p))[0])
+                assert r == radius
 
     def test_window_beyond_the_float_range(self):
-        # the shifted window overflows; the errors are those of the
-        # Point and min_enclosing inputs they replace
-        with pytest.raises(ValueError, match="point coordinates must be finite"):
-            rmin_on_axis(pset((-1e308, 0.0), (1e308, 0.0)), 0, 1, N1, TOL)
-        with pytest.raises(ValueError, match="L must be finite"):
+        # the span 2e308 overflows, but at p = 1 it only enters the
+        # plateau test, and the closed-form center 0 and radius 1e308
+        # are exact; at p = 2 the closed form overflows, and the circle
+        # raises PlacedCircle's error
+        assert rmin_on_axis(pset((-1e308, 0.0), (1e308, 0.0)), 0, 1, N1, TOL) == (0.0, 1e308)
+        with pytest.raises(ValueError, match="circle parameters must be finite"):
             rmin_on_axis(pset((0.0, 1e308), (1.0, 1.7e308)), 0, 1, N2, TOL)
+
+
+def exact_binding(a, b, p):
+    """min over centers c of max(f_a(c), f_b(c)) for two points of
+    Fractions: the value itself at p = 1, its square at p = 2."""
+    (xi, yi), (xj, yj) = sorted((a, b))
+    yi, yj = abs(yi), abs(yj)
+    if p == 1.0:
+        span, target = xj - xi, yj - yi
+        if -span <= target <= span:
+            return max(yi, yj, (span + yi + yj) / 2)
+        return max(yi, yj)
+    if xi == xj:
+        return max(yi * yi, yj * yj)
+    c = (xj * xj + yj * yj - xi * xi - yi * yi) / (2 * (xj - xi))
+    if xi <= c <= xj:
+        return max(yi * yi, yj * yj, (c - xi) ** 2 + yi * yi)
+    return max(yi * yi, yj * yj)
+
+
+def pair_rounding(a, b, p, R):
+    """Bound on |float pair radius - exact minimax| of two points at p = 1
+    or 2 (u = 2^-52, each operation within u of its result).
+
+    p = 1: c = (xi + xj + |yj| - |yi|) / 2 takes three roundings, so it
+    lies within dc = 2u (|xi| + |xj| + |yi| + |yj|) of the root. p = 2:
+    the numerator xj^2 + yj^2 - xi^2 - yi^2 errs by at most 4u S, S the
+    sum of the four squares, and the division and 2 (xj - xi) by 2u |c|,
+    so dc = 4u S / (2 |xj - xi|) + 2u |c|. The radius (|c - xi| + |yi|, or
+    hypot) is 1-Lipschitz in c and rounded twice more, within dc + 2u R;
+    a center within dc of an end of [xi, xj] may be taken in or left out
+    by rounding, where the pair's exact minimax lies within dc of
+    max(|yi|, |yj|). Twice dc + 2u R covers both. Equal abscissas and
+    i = j are exact.
+    """
+    (xi, yi), (xj, yj) = sorted((a, b))
+    if xi == xj:
+        return 0.0
+    if p == 1.0:
+        dc = 2 * U * (abs(xi) + abs(xj) + abs(yi) + abs(yj))
+    else:
+        c = (xj * xj + yj * yj - xi * xi - yi * yi) / (2 * (xj - xi))
+        dc = 4 * U * (xi * xi + xj * xj + yi * yi + yj * yj) / (2 * abs(xj - xi)) + 2 * U * abs(c)
+    return 2 * (dc + 2 * U * R)
+
+
+class TestHellyReduction:
+    """The circle of a run from its pair circles (k_cover._run_circle)."""
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_radius_is_the_exact_maximum(self, p):
+        # the exact least radius is the largest exact pair minimax
+        # (Fractions; at p = 2 of the squares, with a 60-digit square
+        # root); the float radius is the largest float pair radius, so
+        # the two differ by at most the larger pair_rounding of the two
+        # pairs where the maxima are taken
+        rng = random.Random(f"helly exact {p}")
+        ctx = decimal.Context(prec=60)
+        for ps, i, j in helly_runs(rng, sizes=(1, 2, 5, 23)):
+            cx, r = rmin_on_axis(ps, i, j, NormP(p), TOL)
+            rows = ps.xy[i:j + 1].tolist()
+            exact = [[Fraction(v) for v in row] for row in rows]
+            _, Y, I, J, *_, binding = k_cover._pair_table(ps.xy[i:j + 1], p, TOL)
+            pairs = list(zip(I.tolist(), J.tolist()))
+            ex = [exact_binding(exact[a], exact[b], p) for a, b in pairs]
+            # each pair's float minimax: its own and its points' pinned circles
+            fl = np.maximum(binding, np.maximum(abs(Y[I]), abs(Y[J])))
+            assert r == fl.max()
+            bound = max(pair_rounding(rows[a], rows[b], p, r)
+                        for a, b in (pairs[int(np.argmax(fl))], pairs[int(np.argmax(ex))]))
+            want = max(ex)
+            if p == 1.0:
+                assert abs(Fraction(r) - want) <= Fraction(bound), (i, j)
+            else:
+                root = ctx.sqrt(ctx.divide(decimal.Decimal(want.numerator),
+                                           decimal.Decimal(want.denominator)))
+                assert abs(decimal.Decimal(r) - root) <= decimal.Decimal(bound) + ctx.power(10, -50)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_every_point_is_covered(self, p):
+        # the center is the midpoint of the intersection [lo, hi] of the
+        # points' intervals at the radius (intervals._halfwidth); a point
+        # whose interval holds it is covered up to rounding, and where
+        # rounding leaves lo > hi no point lies farther than (lo - hi) / 2
+        # outside its interval, where a distance grows at slope <= 1. The
+        # excess stays within the slack with which the lists count a
+        # point as covered at any eps, 2^-40 max(1, R) (_cover_slack)
+        norm = NormP(p)
+        rng = random.Random(f"helly cover {p}")
+        for ps, i, j in helly_runs(rng):
+            cx, r = rmin_on_axis(ps, i, j, norm, TOL)
+            rows = ps.xy[i:j + 1].tolist()
+            ends = [(x - h, x + h) for x, y in rows for h in [intervals._halfwidth(r, y, p)]]
+            lo, hi = max(e[0] for e in ends), min(e[1] for e in ends)
+            assert cx == 0.5 * (lo + hi)
+            gap = max(0.0, lo - hi) / 2
+            for x, y in rows:
+                d = lp_distance(Point(x, y), Point(cx, 0.0), norm)
+                assert d <= r + gap + 16 * U * rounding_scale(ps, i, j, r), (i, j, x, y)
+                assert d <= r + k_cover._cover_slack(r, 0.0), (i, j, x, y)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_table_slices_equal_the_standalone_route(self, p):
+        # dp_solve reads a run's pair radii off the one table of all
+        # pairs; rmin_on_axis computes the run's own. Each pair circle
+        # is computed alone (the lockstep iterations never mix pairs),
+        # so the two give the same bits
+        norm = NormP(p)
+        rng = random.Random(f"helly slices {p}")
+        for n, regime in ((23, "nearline"), (30, "spread"), (12, "grid")):
+            ps = random_pset(rng, n, regime)
+            binding = np.zeros((n, n))
+            binding[np.triu_indices(n)] = k_cover._naive_lists(ps.xy, p, TOL)[1]
+            for _ in range(40):
+                i, j = sorted(rng.randrange(n) for _ in range(2))
+                run = slice(i, j + 1)
+                got = k_cover._run_circle(ps.xy[run], binding[run, run], p)
+                assert bits(got) == bits(rmin_on_axis(ps, i, j, norm, TOL)), (i, j)
+            lists = ["naive", "sweep"] if p == 2.0 else ["naive"]
+            for K, how in ((1, "sum"), (3, "max"), (None, "sum")):
+                for name in lists:
+                    sol = dp_solve(ps, K, norm, TOL, AggSpec(1.0, how), lists=name)
+                    assert ([bits((c.cx, c.radius)) for c in sol.circles]
+                            == [bits(rmin_on_axis(ps, i, j, norm, TOL)) for i, j in sol.intervals])
+
+    @pytest.mark.parametrize("lists, p", [("naive", 1.0), ("naive", 1.5), ("naive", 2.0),
+                                          ("sweep", 2.0)])
+    def test_one_pair_table_per_solve(self, monkeypatch, lists, p):
+        # the naive lists and the circles share one pass of _pair_circles
+        # over all pairs; the sweep builds its lists without it
+        calls = []
+        real = k_cover._pair_circles
+
+        def counting(X, Y, I, J, *args):
+            calls.append(len(I))
+            return real(X, Y, I, J, *args)
+
+        monkeypatch.setattr(k_cover, "_pair_circles", counting)
+        ps = random_pset(random.Random(f"one table {lists}{p}"), 30, "nearline")
+        dp_solve(ps, 4, NormP(p), TOL, AggSpec(), lists=lists)
+        assert calls == [30 * 31 // 2]
 
 
 class TestDpSolve:
@@ -887,7 +1062,8 @@ class TestSetPartitionOracle:
         def broken(*args):
             raise AssertionError("the oracle reached the k-cover kernel")
 
-        monkeypatch.setattr(k_cover, "_rmin_points", broken)
+        monkeypatch.setattr(k_cover, "_pair_circles", broken)
+        monkeypatch.setattr(k_cover, "_run_circle", broken)
         monkeypatch.setattr(k_cover, "rmin_on_axis", broken)
         inst = json.loads((GOLDEN / "inst_10.json").read_text())
         out = json.loads((GOLDEN / "out_10.json").read_text())

@@ -248,9 +248,6 @@ class TestMinimiserTable:
             calls.append(cols.copy())
             return real(cols, L)
 
-        def scalar(*args):
-            raise AssertionError("the envelope build called axis_argmin_exact")
-
         monkeypatch.setattr(obnoxious, "axis_argmin_abscissas", counting)
         segs = random_segments(random.Random(41), 40)
         compute_lower_envelope(segs, 10.0, norm, TOL, split=split)

@@ -9,6 +9,7 @@ from lineplace import (
     Interval,
     NormP,
     Point,
+    PointSet,
     Segment,
     Tolerance,
     compute_lower_envelope,
@@ -19,6 +20,7 @@ from lineplace import (
     obnoxious,
     one_center,
     point_segment_distance,
+    rmin_on_axis,
     transform_to_axis,
 )
 from lineplace._reference import axis_argmin_exact, distance_argmin_on_axis, \
@@ -293,3 +295,25 @@ def test_dominance_never_changes_an_envelope(split, p, inst):
         m.setattr(obnoxious, "_dominant", _never_dominant)
         resolved = _envelope_outcome(segs, L, p, split)
     assert settled == resolved
+
+
+# -- the k-cover circle of a run scales with its points ----------------
+
+# nonzero magnitudes in [1e-6, 1e6], so that 2^-200 and 2^200 times a
+# coordinate, or its square at p = 2, stay normal floats
+_scalable = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(1e-6, 1e6).flatmap(lambda v: st.sampled_from([v, -v])))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("k", [200, -200])
+@given(pairs=st.lists(st.tuples(_scalable, _scalable), min_size=1, max_size=12))
+@settings(deadline=None)
+def test_run_circle_commutes_with_power_of_two_scaling(p, k, pairs):
+    # scaling by 2^k is exact, and at p = 1 and 2 the pair circles are
+    # closed forms, so the circle of the run scales bit for bit
+    xy = np.array(pairs)
+    n = len(pairs)
+    cx, r = rmin_on_axis(PointSet(xy), 0, n - 1, NormP(p), TOL)
+    sx, sr = rmin_on_axis(PointSet(np.ldexp(xy, k)), 0, n - 1, NormP(p), TOL)
+    assert (sx.hex(), sr.hex()) == (math.ldexp(cx, k).hex(), math.ldexp(r, k).hex())

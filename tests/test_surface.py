@@ -17,6 +17,7 @@ REFERENCE_ROUTES = {
     "_covering_bisect",
     "_finalize_lists",
     "_min_distance_search",
+    "_rmin_points",
     "axis_argmin_exact",
     "base_envelope",
     "build_lists_loop",
@@ -160,16 +161,17 @@ def test_no_unused_imports():
 
 
 def test_k_cover_reconstructs_on_one_route():
-    # rmin_on_axis runs the shared radius search over its own region
-    # kernel on plain floats; it reaches neither route of min_enclosing
-    # nor the interval objects
+    # the circles of k-cover runs come from the pair circles (Helly's
+    # theorem, k_cover._run_circle); they reach neither route of
+    # min_enclosing, nor the interval objects, nor a radius search
     names = {parts[-1] for _, parts in _imported_names(SRC / "k_cover.py")}
-    assert not names & {"min_enclosing", "covering_interval", "Interval", "SegmentArray"}
+    assert not names & {"min_enclosing", "covering_interval", "Interval", "SegmentArray",
+                        "least_radius", "bisect_radius"}
 
 
 @pytest.mark.parametrize("module, name", [("one_center.py", "min_enclosing"),
                                           ("obnoxious.py", "max_empty_binsearch"),
-                                          ("k_cover.py", "_rmin_points")])
+                                          ("_reference.py", "_rmin_points")])
 def test_radius_searches_share_one_bisection(module, name):
     # the bracket nudge, the stop rule and the re-check of a radius
     # search live in intervals.bisect_radius and least_radius only
