@@ -37,7 +37,6 @@ from .k_cover import (
     AggSpec,
     CoverSolution,
     PointSet,
-    build_lists_naive,
     dp_solve,
     rmin_on_axis,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "SolverError",
     "Tolerance",
     "UnsupportedNorm",
-    "build_lists_naive",
     "compute_lower_envelope",
     "covering_interval",
     "dp_solve",

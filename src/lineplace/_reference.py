@@ -342,8 +342,8 @@ def two_point_circle(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance)
     abscissas admit a center only when the |y| match. For p = 1 the
     distance difference plateaus, so a center may not exist either;
     the nonexistent cases raise NoBisectorRoot. The scalar kernel of
-    one pair; k_cover.build_lists_naive computes all pairs at once by
-    the same steps (_pair_circles).
+    one pair; k_cover._pair_circles computes all pairs at once by the
+    same steps.
     """
     if not 0 <= i <= j < len(pts):
         raise ValueError("need 0 <= i <= j < len(points)")
@@ -412,7 +412,7 @@ def _finalize_lists(lists, pts: PointSet):
     point r. Radii that are not finite are dropped: coordinates near
     the float range give pair circles of radius inf or NaN, which the
     DP never chooses. Returns the lists in the format of
-    k_cover.build_lists_naive, grouped here by a dict per list instead
+    k_cover.build_lists_sweep, grouped here by a dict per list instead
     of its sort over all runs (k_cover._group_lists).
     """
     Y = pts.xy[:, 1].tolist()
@@ -434,8 +434,8 @@ def build_lists_loop(pts: PointSet, norm: NormP, tol: Tolerance):
 
     Each pair circle is expanded from its smaller index in both
     directions while points stay covered; the resulting run and radius
-    join the list of the run's right end. Reference for
-    k_cover.build_lists_naive, one two_point_circle call per pair.
+    join the list of the run's right end. One two_point_circle call per
+    pair; at p = 2 the lists of k_cover.build_lists_sweep, bit for bit.
     """
     n = len(pts)
     if n == 0:
@@ -535,7 +535,8 @@ def relax_scan(row_prev, j: int, lefts, weights, is_sum: bool):
 
     Scans every candidate of list j - 1 (left ends lefts, weights
     radius ** q) and every break inside its run; the first strictly
-    smaller value wins. Reference for k_cover._relax and k_cover._break.
+    smaller value wins. Reference for k_cover._best_breaks over the
+    weights of k_cover._list_weights.
     """
     best, bl = math.inf, None
     for cand_left, w in zip(lefts, weights):
@@ -552,7 +553,9 @@ def relax_scan(row_prev, j: int, lefts, weights, is_sum: bool):
 def dp_scan(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec, cls) -> CoverSolution:
     """k_cover.dp_solve over the candidate lists cls, one relax_scan per
     DP cell, row after row. Reference for the column relaxation of
-    dp_solve; the circles of the chosen runs come from rmin_on_axis.
+    dp_solve, which gives the same solution over the same lists (its
+    "sweep" lists, or the exact radius table as lists for "naive");
+    the circles of the chosen runs come from rmin_on_axis.
     """
     n = len(pts)
     if n == 0:

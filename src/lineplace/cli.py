@@ -411,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--split", choices=("halves", "one-off"), default="halves",
                     help="envelope merge order")
     ps.add_argument("--lists", choices=("naive", "sweep"), default="naive",
-                    help="k-cover candidate builder")
+                    help="k-cover run weights: exact run radii (naive) or the "
+                         "sweep's candidate lists (sweep, p = 2 only)")
     ps.add_argument("--eps", type=_positive_finite, default=1e-9)
     ps.add_argument("--max-iters", type=_positive_int, default=200)
     ps.add_argument("--verify", action="store_true",

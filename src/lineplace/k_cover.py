@@ -1,26 +1,21 @@
 """Cover points by at most K balls centered on the axis.
 
 An optimal solution may be chosen so that each ball covers an index
-run of the x-sorted points, so the problem reduces to a shortest-path
-style DP over candidate runs. Candidates are generated from circles
-through one or two points: build_lists_naive computes all O(N^2) pair
-circles at once over numpy arrays (in closed form at p = 1 and p = 2,
-and by a lockstep safeguarded Newton iteration, rtsafe, on each pair's
-own power-of-two scale at other p). A pair's center is also the
-threshold beyond which a circle through one of its points covers the
-other, so O(N^2) certified thresholds (_certified_thresholds) let
-O(N^2 log N) searches jump every run past the points it surely covers,
-and exact coverage tests grow the runs only over the points that are
-left, about one per pair on the benchmark's point sets. A plane sweep
-builds the same lists at p = 2. Both hand their runs to one grouping
-(_group_lists), and a list is the same plain data whichever builds it:
-for each right end r, a tuple of (left, radius) pairs in ascending
-left, one per run left..r, at the smallest radius found for it. The DP
-makes N column relaxations; each relaxes all K rows at once by suffix
-minima in O(K·N) array work, so it does O(K·N^2) work in all. The
-circle of each chosen run comes from the same pair circles, by Helly's
-theorem on the line (_run_circle): no radius search runs after the
-lists.
+run of the x-sorted points, so the problem reduces to a DP over the
+runs. By Helly's theorem on the line, the least radius of a run is the
+largest minimax radius of its pairs (_run_radii): the circles through
+one or two points, all O(N^2) of them computed at once over numpy
+arrays (in closed form at p = 1 and p = 2, and by a lockstep
+safeguarded Newton iteration, rtsafe, on each pair's own power-of-two
+scale at other p). A 2-D running maximum of those pair radii gives the
+exact radius of every run in O(N^2), and the DP relaxes every break of
+every column against that table in O(K·N^2): it minimises the
+objective that it reports, and the circle of each chosen run is read
+off the same table (_run_circle), with no radius search. A plane sweep
+builds candidate lists of slack-grown pair circles at p = 2
+(build_lists_sweep); a list is plain data, for each right end r a
+tuple of (left, radius) pairs in ascending left, and the DP can take
+its run weights from those lists instead (_list_weights).
 """
 
 from __future__ import annotations
@@ -38,9 +33,6 @@ from .intervals import _halfwidth
 from .one_center import PlacedCircle
 
 _INF = math.inf
-_U = 2.0 ** -53
-_TINY = 2.0 ** -1074
-_SLICE = 4096  # pairs per slice of _certified_thresholds
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,25 +99,22 @@ def _cover_slack(R: float, eps: float) -> float:
     return (eps if eps > _SLACK_FLOOR else _SLACK_FLOOR) * max(1.0, R)
 
 
-def _power_gap(x, a, b, t, p: float, size: bool = False):
+def _power_gap(x, a, b, t, p: float):
     """F(x) - t and F'(x) for F(x) = |x - a|^p - |x - b|^p, from one
     power per side: |d|^(p-1), then times |d|. Works in place on its
-    own temporaries, so that a call on all pairs allocates little. With
-    size, also returns |x - a|^p + |x - b|^p as computed, which bounds
-    the rounding of F (_certified_thresholds)."""
+    own temporaries, so that a call on all pairs allocates little."""
     da, db = x - a, x - b
     f, g = np.abs(da), np.abs(db)
     ma, mb = f ** (p - 1.0), g ** (p - 1.0)
     f *= ma
     g *= mb
-    total = f + g if size else None
     f -= g
     f -= t
     np.copysign(ma, da, out=ma)
     np.copysign(mb, db, out=mb)
     ma -= mb
     ma *= p
-    return (f, ma, total) if size else (f, ma)
+    return f, ma
 
 
 def _pair_scale(xi, yi, xj, yj):
@@ -292,170 +281,33 @@ def _pair_circles(X, Y, I, J, p: float, tol: Tolerance):
     return xc, R, ok & np.isfinite(R)
 
 
-def _certified_thresholds(X, Y, I, J, xc, p: float):
-    """Certified coverage thresholds of the pairs I <= J (none for i == j).
+def _run_radii(xy, p: float, tol: Tolerance):
+    """The least radius of every run of the sorted points xy, as an
+    N x N table: entry [l, r], l <= r, is the radius of the smallest
+    ball centered on the axis that covers points l..r. Entries below
+    the diagonal are 0 and never read.
 
-    For points i < k, a center c on the axis is at least as near to k as
-    to i exactly when F(c) = |c - xi|^p - |c - xk|^p >= |yk|^p - |yi|^p.
-    F is nondecreasing for every p >= 1, so if that holds at t, every
-    circle through i centered at c >= t covers k, and if the reverse
-    inequality holds at t', every circle through k centered at c <= t'
-    covers i. Returns (right, left) in the order of I: right = t, or inf
-    where none is certified, and left = -t', or inf, so that both read
-    "+-c >= threshold". The exact test of _expand_runs passes wherever
-    that exact inequality does: the slack max(eps, 2^-40) max(1, R)
-    (_cover_slack) exceeds the test's rounding, below 2^-47 R at every p
-    (a distance and R each err by about 20 u, u = 2^-53), whatever eps.
-
-    Each pair is evaluated on its own power-of-two scale s (_pair_scale,
-    as in _pair_circles; exact, but for subnormal results), with a =
-    xi s, b = xk s and the target |yk s|^p - |yi s|^p.
-
-    Bound. Let e = expm1(p u) >= p u. On the scaled data, _power_gap at
-    T forms each |T - a|^p as |d|^(p-1) |d|: the rounding of d = T - a,
-    a factor within 1 +- u, becomes one within 1 +- e in |d|^p, the
-    power function adds at most 4 ulps (8 u) and the product u. The
-    target's powers err by 8 u, and each of the three subtractions by u
-    times at most S, the sum of the four powers. So F(T) - target is
-    computed within (e + 12 u) S. Subnormal results add at most (p + 5)
-    2^-1074 per power: a scaled input off by 2^-1075 moves |d|^p by p
-    2^-1074 while |d| <= 1, and an underflowing power errs by 4 ulps.
-    The bound 8 (e + 12 u) S + 8 (p + 5) 2^-1074, with S as computed,
-    covers that with room, and once e >= 1/4 it exceeds |F(T) - target|
-    <= S (1 + 3 u) itself, so nothing is certified; a non-finite value
-    is never certified either.
-
-    Margin. The center c is a root of F - target only up to the rounding
-    above (closed forms) or rtsafe's eps/4. One evaluation at c gives
-    f = F(c) - target, F'(c) and the bound B there; the threshold is c
-    moved by the Newton step to F - target = +-2 B, or c itself where f
-    clears B already (F' = 0 on ties and p = 1 plateaus), which leaves
-    about B of room over the bound at the moved point. One more
-    evaluation there keeps it only if the computed sign clears that
-    point's bound. Pairs whose root is ill-conditioned (F' tiny against
-    S, as for far centers of nearly equal abscissas) fail that check,
-    so their points are left to the exact test.
+    Each distance f_k(c) = (|c - x_k|^p + |y_k|^p)^(1/p) is convex, so
+    the centers within R of a point form an interval, and by Helly's
+    theorem on the line these meet iff every two do. So the least
+    radius of a run is the largest min_c max(f_i, f_j) over its pairs:
+    |y_i| for i = j, and for i < j the pair circle's radius
+    (_pair_circles) where its center lies in [x_i, x_j]; elsewhere
+    f_i - f_j keeps one sign there, and the larger |y| alone sets it.
+    A pair radius that is not finite counts as inf, so that no run
+    over the pair passes it silently. The table is the running maximum
+    of these binding radii along each row toward larger r, then up
+    each column toward smaller l: O(N^2) after the pair circles, and
+    as exact as the pair radii (closed forms at p = 1 and 2).
     """
-    right = np.empty(len(I))
-    left = np.empty(len(I))
-    # slice by slice, so that the temporaries stay small
-    for lo in range(0, len(I), _SLICE):
-        part = slice(lo, lo + _SLICE)
-        right[part], left[part] = _certify(X, Y, I[part], J[part], xc[part], p)
-    return right, left
-
-
-@np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore")
-def _certify(X, Y, I, J, xc, p: float):
-    """_certified_thresholds of the pairs I, J with centers xc."""
-    xi, yi, xj, yj = X[I], Y[I], X[J], Y[J]
-    s = _pair_scale(xi, yi, xj, yj)
-    a, b = xi * s, xj * s
-    pj, pi = np.abs(yj * s) ** p, np.abs(yi * s) ** p
-    target = pj - pi
-    rel = 8.0 * (math.expm1(p * _U) + 12.0 * _U)
-    # the part of the bound that does not depend on x
-    floor = rel * (pj + pi) + 8.0 * (p + 5.0) * _TINY
-    c = xc * s
-    f, df, size = _power_gap(c, a, b, target, p, size=True)
-    bound = rel * size + floor
-    out = []
-    for sign in (1.0, -1.0):
-        step = np.where(sign * f > bound, 0.0, (sign * 2.0 * bound - f) / df)
-        t = (c + step) / s
-        ft, _, size = _power_gap(t * s, a, b, target, p, size=True)
-        out.append(np.where(sign * ft > rel * size + floor, sign * t, _INF))
-    return out
-
-
-def _running_max(group, values):
-    """Running maximum of values that restarts wherever group changes;
-    group is nondecreasing. numpy orders complex numbers by real part,
-    then imaginary part, so one accumulate over group + i*values does
-    every group at once."""
-    z = np.empty(len(values), dtype=complex)
-    z.real, z.imag = group, values
-    return np.maximum.accumulate(z, out=z).imag
-
-
-def _jump_ends(I, xc, right_thr, left_thr, n: int):
-    """Both ends of every run after its certified jump.
-
-    I holds each circle's own point, ascending, and xc its center;
-    right_thr and left_thr are _certified_thresholds over the pairs of
-    np.triu_indices(n). Along row i (pairs (i, k), k = i + 1, ...) the
-    running maximum of right_thr is the least center that covers every
-    point up to k, so one searchsorted per row moves the right end of
-    each circle through i past every point that it certifiably covers.
-    The left end does the same along column i (pairs (k, i), k = i - 1
-    down to 0) with left_thr and -xc. Rows and columns are gathered
-    from the triu-ordered arrays, so no N x N array is formed.
-    """
-    tri = np.arange(n + 1)
-    first = tri * n - tri * (tri - 1) // 2  # triu position of pair (i, i)
-    # pairs (i, k), k > i, row by row: all but the diagonal
-    by_row = _running_max(np.repeat(tri[:-1], n - 1 - tri[:-1]),
-                          np.delete(right_thr, first[:-1]))
-    row_start = (first - tri).tolist()
-    # pairs (k, j), k < j, column j = n - 1 down to 1, each from k = j - 1
-    # down to 0; column j starts at col_start[j]
-    col, k = (a[::-1] for a in np.tril_indices(n, -1))
-    # their triu positions first[k] + col - k, with few temporaries
-    at = first[k]
-    at += col
-    at -= k
-    del k
-    by_col = _running_max(-col, left_thr[at])
-    del at
-    col_start = (len(col) - tri * (tri + 1) // 2).tolist()
-    bounds = np.searchsorted(I, tri).tolist()
-    ahead = np.empty_like(I)
-    behind = np.empty_like(I)
-    neg = -xc
-    for i in range(n):
-        lo, hi = bounds[i], bounds[i + 1]
-        ahead[lo:hi] = by_row[row_start[i]:row_start[i + 1]].searchsorted(xc[lo:hi], "right")
-        behind[lo:hi] = by_col[col_start[i]:col_start[i] + i].searchsorted(neg[lo:hi], "right")
-    return I - behind, I + ahead
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _expand_runs(X, Y, I, J, xc, R, p: float, eps: float, left, right):
-    """Grow each pair circle's run from the ends left..right both ways.
-
-    The ends start at the pair's smaller index, or beyond it where
-    _jump_ends has certified the points between. All pairs step in
-    lockstep, and each tests only the next point beyond its run, so the
-    work is proportional to the points added here, plus one failing
-    test per end: with the jumps, O(N^2) tests in all on the
-    benchmark's point sets, where most runs pass only their pair's far
-    point exactly. left and right are updated in place and returned.
-    """
-    n = len(X)
-    slack = max(eps, _SLACK_FLOOR) * np.maximum(1.0, R)  # _cover_slack
-    if p == 2.0:
-        thr = (R + slack) * (R + slack)
-
-        def cov(k, a):
-            dx = X[k] - xc[a]
-            return dx * dx + Y[k] * Y[k] <= thr[a]
-    else:
-        reach = R + slack
-
-        def cov(k, a):
-            return _np_lp(X[k] - xc[a], Y[k], p) <= reach[a]
-    for end, step, stop in ((left, -1, 0), (right, 1, n - 1)):
-        act = np.flatnonzero(end != stop)
-        while len(act):
-            act = act[cov(end[act] + step, act)]
-            end[act] += step
-            act = act[end[act] != stop]
-    # every point of a run was tested on the way out, or certified to
-    # pass, except the pair's own point i, so a run that reached the far
-    # point j needs only that
-    far = np.flatnonzero(right >= J)
-    assert cov(I[far], far).all()
-    return left, right
+    n = len(xy)
+    X, Y = xy.T.copy()
+    I, J = np.triu_indices(n)
+    xc, R, ok = _pair_circles(X, Y, I, J, p, tol)
+    binding = np.zeros((n, n))
+    binding[I, J] = np.where(np.isfinite(R), np.where(ok & (X[I] <= xc) & (xc <= X[J]), R, 0.0),
+                             _INF)
+    return np.maximum.accumulate(np.maximum.accumulate(binding, axis=1)[::-1], axis=0)[::-1]
 
 
 def _group_lists(right, left, rad, absy):
@@ -481,59 +333,6 @@ def _group_lists(right, left, rad, absy):
     lefts = lefts.tolist()
     bounds = np.searchsorted(rights, np.arange(n + 1)).tolist()
     return tuple(tuple(zip(lefts[a:b], radii[a:b])) for a, b in zip(bounds, bounds[1:]))
-
-
-def build_lists_naive(pts: PointSet, norm: NormP, tol: Tolerance):
-    """Candidate lists by direct enumeration of all point pairs.
-
-    Each pair circle is expanded from its smaller index in both
-    directions while points stay covered; the resulting run and radius
-    join the list of the run's right end, and each (right, left) group
-    keeps its smallest radius (_group_lists). All O(N^2) pair circles
-    are computed at once over numpy arrays: in closed form at p = 1 and
-    p = 2, and at other p by a lockstep rtsafe (Newton steps inside a
-    sign bracket, falling back to bisection) on each pair's own
-    power-of-two scale, which stops even where a center's ulp exceeds
-    eps/4: in fewer than 64 steps on the benchmark's point sets, about
-    5 on average (_pair_circles). The expansion then takes O(N^2)
-    certification (_certified_thresholds), O(N^2 log N) searches that
-    jump each run past every point it certifiably covers (_jump_ends),
-    and the exact coverage tests of the points left (_expand_runs):
-    about one per pair on the benchmark's point sets, where stepping
-    every point takes 39 per pair near the line and 13 spread. A jump
-    passes only points that the exact test passes, so the lists are
-    those of stepping point by point, bit for bit.
-    """
-    if len(pts) == 0:
-        raise EmptyInput("need at least one point")
-    return _naive_lists(pts.xy, norm.p, tol)[0]
-
-
-def _pair_table(xy, p: float, tol: Tolerance):
-    """(X, Y, I, J, xc, R, ok, binding): the abscissas and ordinates of
-    the sorted points xy, as contiguous columns, the pair circles
-    (_pair_circles) of all pairs I <= J in np.triu_indices(n) order, and
-    each pair's share of the radius of a run that holds it (_run_circle):
-    R where its center lies in [X[I], X[J]], else 0. A radius that is
-    not finite is kept, so that no run over its pair passes it silently.
-    """
-    X, Y = xy.T.copy()
-    I, J = np.triu_indices(len(xy))
-    xc, R, ok = _pair_circles(X, Y, I, J, p, tol)
-    binding = np.where((ok & (X[I] <= xc) & (xc <= X[J])) | ~np.isfinite(R), R, 0.0)
-    return X, Y, I, J, xc, R, ok, binding
-
-
-def _naive_lists(xy, p: float, tol: Tolerance):
-    """build_lists_naive over the sorted points xy, and the binding
-    radii of its _pair_table, which dp_solve keeps for its circles."""
-    X, Y, I, J, xc, R, ok, binding = _pair_table(xy, p, tol)
-    thresholds = _certified_thresholds(X, Y, I, J, xc, p)
-    I, J, xc, R = I[ok], J[ok], xc[ok], R[ok]
-    left, right = _jump_ends(I, xc, *thresholds, len(X))
-    del thresholds  # not held while the runs grow and group
-    left, right = _expand_runs(X, Y, I, J, xc, R, p, tol.eps, left, right)
-    return _group_lists(right, left, R, np.abs(Y)), binding
 
 
 def _sweep_pass(X, Y, eps: float, mirrored: bool, n: int, sugg) -> None:
@@ -667,8 +466,9 @@ def build_lists_sweep(pts: PointSet, norm: NormP, tol: Tolerance):
 
     Each pass sees the points on its side of a pair event and suggests
     how far the pair circle's run extends toward that side; merging
-    the passes reproduces the naive expansion exactly. The runs are
-    grouped as build_lists_naive groups its own (_group_lists).
+    the passes reproduces the expansion of every pair circle point by
+    point (_reference.build_lists_loop) exactly. The runs are grouped
+    by _group_lists.
     """
     if norm.p != 2.0:
         raise UnsupportedNorm("the sweep builder requires p = 2")
@@ -698,29 +498,21 @@ def build_lists_sweep(pts: PointSet, norm: NormP, tol: Tolerance):
 
 def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
     """Smallest axis-centered ball covering points i..j; returns (cx, r),
-    from the run's own _pair_table."""
+    from the run's own radius table (_run_radii)."""
     if not 0 <= i <= j < len(pts):
         raise ValueError("need 0 <= i <= j < len(points)")
     xy = pts.xy[i:j + 1]
-    return _run_circle(xy, _pair_table(xy, norm.p, tol)[-1], norm.p)
+    return _run_circle(xy, _run_radii(xy, norm.p, tol)[0, -1], norm.p)
 
 
-def _run_circle(xy, binding, p: float):
-    """Smallest ball centered anywhere on the axis covering the points,
-    the rows [x, y] of xy, from the binding radii of all their pairs.
-
-    Each distance f_k(c) = (|c - x_k|^p + |y_k|^p)^(1/p) is convex, so
-    the centers within R of a point form an interval, and by Helly's
-    theorem on the line these meet iff every two do. So the least
-    radius is the largest min_c max(f_i, f_j) over pairs: |y_i| for i =
-    j, and for i < j the pair circle's radius where its center lies in
-    [x_i, x_j]; elsewhere f_i - f_j keeps one sign there, and the larger
-    |y| alone sets it. It is as exact as the pair radii (closed forms at
-    p = 1 and 2). The center is the midpoint where the intervals meet
-    at that radius (intervals._halfwidth). A radius that is not finite
-    raises the ValueError of PlacedCircle.
+def _run_circle(xy, r, p: float):
+    """(center, radius) of the smallest ball centered on the axis that
+    covers the points, the rows [x, y] of xy, given their least radius
+    r (_run_radii). The center is the midpoint of the intersection of
+    the points' intervals at that radius (intervals._halfwidth). A
+    radius that is not finite raises the ValueError of PlacedCircle.
     """
-    r = float(binding.max())
+    r = float(r)
     if not r < _INF:
         raise ValueError("circle parameters must be finite")
     lo, hi = -_INF, _INF
@@ -733,38 +525,30 @@ def _run_circle(xy, binding, p: float):
     return 0.5 * (lo + hi), r
 
 
-@np.errstate(over="ignore")  # m + w overflows to inf, as Python floats do
-def _relax(prev, j: int, lefts, weights, is_sum: bool):
-    """Best value and candidate of a last run ending at point j - 1,
-    for every row of prev at once.
-
-    lefts are the left ends of list j - 1's candidates, ascending, and
-    weights their radius ** q, both numpy arrays; prev holds one
-    previous DP row per row to relax, of which only prev[:, :j] is
-    read. The nested scan over every candidate and break
-    (_reference.relax_scan) keeps the first (candidate, break) in scan
-    order with the smallest value. Rounding is monotone, so over its
-    breaks a candidate's smallest value is its value at the range
-    minimum m of prev[r, left:j], m + w or max(m, w): one backward pass
-    of suffix minima along each row prices every candidate, and argmin
-    picks the first of the cheapest. Returns (best, cand), arrays over
-    the rows; _break recovers the scan's break of a row.
-    """
-    suffix_min = np.minimum.accumulate(prev[:, lefts[0]:j][:, ::-1], axis=1)
-    m = suffix_min[:, j - 1 - lefts]
-    vals = m + weights if is_sum else np.maximum(m, weights)
-    return vals.min(axis=1), vals.argmin(axis=1)
+def _list_weights(cls, q: float):
+    """The weight of every last run b..r over the candidate lists cls, as
+    an N x N table: the least radius ** q (Python's **) of list r's
+    candidates with left <= b, since a candidate's circle covers every
+    sub-run with its right end. A b below every left of list r weighs
+    inf; entries b > r are never read."""
+    n = len(cls)
+    weights = np.full(n * n, _INF)
+    at = [left * n + r for r, cl in enumerate(cls) for left, _ in cl]
+    weights[at] = [radius ** q for cl in cls for _, radius in cl]
+    return np.minimum.accumulate(weights.reshape(n, n), axis=0)
 
 
-@np.errstate(over="ignore")
-def _break(row_prev, j: int, left: int, w: float, best: float, is_sum: bool) -> int:
-    """The break the scan keeps for a candidate run left..j-1 of weight w
-    whose best value is best: the first prev whose value equals it,
-    even where prev + w rounds two different prev to the same sum.
-    """
-    run = row_prev[left:j]
-    hit = (run + w if is_sum else np.maximum(run, w)) == best
-    return left + int(np.argmax(hit))
+@np.errstate(over="ignore")  # prev + w overflows to inf, as Python floats do
+def _best_breaks(prev, w, is_sum: bool):
+    """Best value and break of a last run ending at point j - 1, for
+    every row of prev at once: prev holds one previous DP row per row,
+    its columns 0..j-1, and w[b] is the weight of the run b..j-1. The
+    value of break b is prev[b] + w[b] or max(prev[b], w[b]); the first
+    break of the smallest value wins. Returns (best, break), arrays over
+    the rows."""
+    vals = prev + w if is_sum else np.maximum(prev, w)
+    brk = vals.argmin(axis=1)
+    return vals[np.arange(len(vals)), brk], brk
 
 
 def _no_finite_cover() -> OverflowError:
@@ -777,78 +561,70 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
              lists: str = "naive") -> CoverSolution:
     """Optimal cover of the points by at most K runs (K=None: unlimited).
 
-    The DP scans candidate runs ending at each point. A candidate may
-    be entered at any break inside its run: its circle covers every
-    sub-run with the same right end, and some optimal partition has
-    every block's circle stopping exactly at the block's right end, so
-    this break relaxation is both sound and complete. Unused budget is
-    free because zero points always cost zero, and a budget beyond n
-    runs changes nothing, so K is clamped to n. Circles are re-derived
-    for the chosen runs, so the reported objective reflects the tight
-    per-run radii.
+    Some optimal cover serves contiguous runs of the x-sorted points, so
+    the DP relaxes the last run b..j-1 of every prefix 0..j-1 over each
+    break b. Unused budget is free because zero points always cost
+    zero, and a budget beyond n runs changes nothing, so K is clamped
+    to n.
 
     Centers range over the whole axis, the line through the constraint;
     no stretch [0, L] bounds them, and none is taken.
 
-    Cost: the pair table and the lists (see _pair_table,
-    build_lists_naive and build_lists_sweep), then N column relaxations,
-    each of which relaxes all K rows (one row for K = None) at once in
-    O(K·N) array work (see _relax), so O(K·N^2) in all; the break of a
-    cell is recovered only along the chosen path (_break); then each
-    chosen run's circle from a slice of the pair table (_run_circle).
+    The weight of a run comes from the lists chosen by name. "naive" is
+    the exact table of run radii (_run_radii) to the power q, so the DP
+    minimises the objective it reports. "sweep" takes the candidate
+    lists of build_lists_sweep (_list_weights): their radii are those
+    of pair circles grown with a coverage slack, so a run's weight may
+    lie below its exact radius by that slack. Either way the circles
+    reported are the exact ones of the chosen runs (_run_circle), and
+    the objective is their fsum or max.
+
+    Cost: O(N^2) pair circles and the O(N^2) radius table (plus the
+    sweep, for its lists), then N column relaxations, each of which
+    relaxes all K rows (one row for K = None) at once in O(K·N) array
+    work (_best_breaks), so O(K·N^2) in all.
     """
     n = len(pts)
     if n == 0:
         raise EmptyInput("need at least one point")
     if K is not None and not (isinstance(K, int) and K >= 1):
         raise ValueError("K must be None or an integer >= 1")
+    if lists not in ("naive", "sweep"):
+        raise ValueError(f"unknown lists {lists!r}")
     if K is not None:
         K = min(K, n)
-    p = norm.p
-    if lists == "naive":
-        cls, pair_binding = _naive_lists(pts.xy, p, tol)
-    elif lists == "sweep":
-        cls = build_lists_sweep(pts, norm, tol)
-        pair_binding = _pair_table(pts.xy, p, tol)[-1]
-    else:
-        raise ValueError(f"unknown lists {lists!r}")
-    # binding[i, j], i <= j, is pair (i, j)'s share of a run's radius
-    binding = np.zeros((n, n))
-    binding[np.triu_indices(n)] = pair_binding
-    del pair_binding
-    q = agg.q
+    p, q = norm.p, agg.q
     is_sum = agg.kind == "sum"
-
-    cand_lefts = [np.array([left for left, _ in cl]) for cl in cls]
-    cand_weights = [np.array([radius ** q for _, radius in cl]) for cl in cls]
+    radius = _run_radii(pts.xy, p, tol)
+    if lists == "naive":
+        with np.errstate(over="ignore"):
+            weights = radius ** q
+    else:
+        weights = _list_weights(build_lists_sweep(pts, norm, tol), q)
+    # row j - 1 holds the weights of the runs b..j-1, b < j
+    weights = np.ascontiguousarray(weights.T)
 
     # row k relaxes from row k - 1; with K = None the one row relaxes
-    # from itself, which is sound because _relax reads only columns < j
+    # from itself, which is sound because column j reads only columns < j
     rows, back = (1, 0) if K is None else (K, 1)
     opt = np.full((rows + 1, n + 1), _INF)
-    cand = np.zeros((rows + 1, n + 1), dtype=np.intp)
+    brk = np.zeros((rows + 1, n + 1), dtype=np.intp)
     opt[:, 0] = 0.0
     for j in range(1, n + 1):
-        opt[1:, j], cand[1:, j] = _relax(opt[1 - back:rows + 1 - back], j, cand_lefts[j - 1],
-                                         cand_weights[j - 1], is_sum)
-    if opt[rows][n] == _INF:
+        opt[1:, j], brk[1:, j] = _best_breaks(opt[1 - back:rows + 1 - back, :j],
+                                              weights[j - 1, :j], is_sum)
+    if opt[rows, n] == _INF:
         raise _no_finite_cover()
     runs = []
     k, j = rows, n
     while j > 0:
-        c = cand[k][j]
-        left = _break(opt[k - back], j, int(cand_lefts[j - 1][c]), cand_weights[j - 1][c],
-                      opt[k][j], is_sum)
+        left = int(brk[k, j])
         runs.append((left, j - 1))
         j = left
         k -= back
     runs.reverse()
-    circles = []
-    weights = []
-    for left, right in runs:
-        run = slice(left, right + 1)
-        cx, rad = _run_circle(pts.xy[run], binding[run, run], p)
-        circles.append(PlacedCircle(cx, rad))
-        weights.append(rad ** q)
-    objective = math.fsum(weights) if is_sum else max(weights)
+    circles = [PlacedCircle(*_run_circle(pts.xy[left:right + 1], radius[left, right], p))
+               for left, right in runs]
+    powers = [c.radius ** q for c in circles]
+    objective = math.fsum(powers) if is_sum else max(powers)
     return CoverSolution(tuple(runs), tuple(circles), objective)

@@ -3,8 +3,8 @@ only the CLI imports it.
 
 cross_check runs a second route to a solve's objective and reports the
 gap: a grid scan for the one-center, the other solver route for the
-largest empty circle, and for k-cover the other list builder at p = 2,
-else an exhaustive minimum over all partitions of the points. The grid
+largest empty circle, and for k-cover the other run weights at p = 2
+(the exact run table or the sweep's lists), else an exhaustive minimum over all partitions of the points. The grid
 distances come from numpy code (geometry._np_lp) that shares nothing
 with the exact scalar routines: the closed-form projection at p = 2,
 else a golden-section search over the segment parameter, all abscissas

@@ -332,6 +332,27 @@ class TestRobustness:
         assert code == 3
         assert json.loads(out)["error"]["name"] == "OverflowError"
 
+    def test_pair_circle_beyond_the_closed_form_range(self, tmp_path):
+        # at p = 2 the closed-form pair center overflows beyond about
+        # 1.3e154, so the runs over such a pair have no finite radius:
+        # the one run that k = 1 allows fails with the structured error,
+        # and without a budget the DP takes runs around it
+        path = tmp_path / "inst.json"
+        inst = {"problem": "k-cover", "p": 2, "constraint": [0, 0, 1, 0],
+                "points": [[0, 1e160], [5e159, 0], [6e159, 0]], "k": 1, "agg": "sum", "q": 1}
+        path.write_text(json.dumps(inst))
+        code, out = run_cli(["solve", "--in", str(path)])
+        assert code == 3
+        assert json.loads(out) == {"ok": False, "error": {
+            "name": "OverflowError",
+            "detail": "no cover by the allowed runs has a finite objective"}}
+        path.write_text(json.dumps(dict(inst, k=None)))
+        code, out = run_cli(["solve", "--in", str(path)])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["objective"] == 1e160
+        assert [c["run"] for c in result["circles"]] == [[0, 0], [1, 1], [2, 2]]
+
     @pytest.mark.parametrize("method", ["binsearch", "envelope"])
     def test_segments_shorter_than_the_squared_length_range(self, tmp_path, method):
         # at coordinate scale 1e-170 the p = 2 projection's squared

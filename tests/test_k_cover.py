@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import json
 import math
 import pathlib
@@ -17,7 +18,6 @@ from lineplace import (
     PointSet,
     Tolerance,
     UnsupportedNorm,
-    build_lists_naive,
     dp_solve,
     lp_distance,
     rmin_on_axis,
@@ -46,10 +46,6 @@ def point(ps, i):
 
 def lists_as_tuples(lists):
     return [tuple((left, radius) for left, radius in cl) for cl in lists]
-
-
-def lists_as_runs(lists):
-    return [tuple(left for left, _ in cl) for cl in lists]
 
 
 def random_pset(rng, n, regime):
@@ -194,12 +190,15 @@ class TestTwoPointCircle:
 
 
 class TestCandidateLists:
+    """The candidate lists of the sweep, and of the naive enumeration
+    that grows one pair circle at a time (_reference.build_lists_loop)."""
+
     def test_pair_circle_expands(self):
-        lists = build_lists_naive(pset((0, 0), (1, 0), (10, 0)), N2, TOL)
+        lists = build_lists_sweep(pset((0, 0), (1, 0), (10, 0)), N2, TOL)
         assert (0, 0.5) in [(left, radius) for left, radius in lists[1]]
 
     def test_diagonal_always_present(self):
-        lists = build_lists_naive(pset((0, 3), (5, 1)), N2, TOL)
+        lists = build_lists_sweep(pset((0, 3), (5, 1)), N2, TOL)
         for r, cl in enumerate(lists):
             assert any(left == r for left, _ in cl)
 
@@ -207,16 +206,16 @@ class TestCandidateLists:
         rng = random.Random(4)
         ps = pset(*((rng.uniform(-20, 20), rng.uniform(-20, 20))
                     for _ in range(12)))
-        for cl in build_lists_naive(ps, N2, TOL):
+        for cl in build_lists_sweep(ps, N2, TOL):
             lefts = [left for left, _ in cl]
             assert lefts == sorted(lefts)
             assert len(set(lefts)) == len(lefts)
 
     def test_lists_hold_plain_pairs(self):
-        # every builder gives, per right end, (left, radius) pairs of a
-        # Python int and float, the format dp_solve reads
+        # both builders give, per right end, (left, radius) pairs of a
+        # Python int and float, the format that dp_solve weighs
         ps = pset((0, 1), (0, -1), (2, 3), (5, 0.5), (6, 2))
-        for build in (build_lists_naive, build_lists_sweep, build_lists_loop):
+        for build in (build_lists_sweep, build_lists_loop):
             lists = build(ps, N2, TOL)
             assert isinstance(lists, tuple) and len(lists) == len(ps)
             for cl in lists:
@@ -234,13 +233,13 @@ class TestCandidateLists:
         rng = random.Random(n)
         ps = pset(*((round(rng.uniform(-50, 50), 3), round(rng.uniform(-50, 50), 3))
                     for _ in range(n)))
-        a = lists_as_tuples(build_lists_naive(ps, N2, TOL))
+        a = lists_as_tuples(build_lists_loop(ps, N2, TOL))
         b = lists_as_tuples(build_lists_sweep(ps, N2, TOL))
         assert a == b
 
     def test_sweep_matches_naive_with_duplicates(self):
         ps = pset((1, 2), (1, 2), (1, -2), (4, 0), (4, 1), (7, 2))
-        a = lists_as_tuples(build_lists_naive(ps, N2, TOL))
+        a = lists_as_tuples(build_lists_loop(ps, N2, TOL))
         b = lists_as_tuples(build_lists_sweep(ps, N2, TOL))
         assert a == b
 
@@ -310,17 +309,20 @@ class TestPairCirclesBatch:
 
     def test_huge_coordinates_give_no_inf(self):
         # pair circles of coordinates near the float range overflow to
-        # inf or NaN at p = 2, as in Python floats; none reaches a list
+        # inf or NaN at p = 2, as in Python floats; none reaches a list,
+        # and the runs over them get radius inf in the run table
         ps = pset((-2.019955896797132e+200, 0.0), (-9.864074220590215e+151, 0.0),
                   (1.7602215165300773e+241, 1.0), (1.2662318830438603e+282, 0.0))
         assert two_point_circle(ps, 1, 3, N2, TOL)[1] == math.inf
         assert math.isnan(two_point_circle(ps, 0, 3, N2, TOL)[1])
         want = lists_as_tuples(build_lists_loop(ps, N2, TOL))
-        assert lists_as_tuples(build_lists_naive(ps, N2, TOL)) == want
         assert lists_as_tuples(build_lists_sweep(ps, N2, TOL)) == want
         for norm in (N1, N2):
-            for cl in build_lists_naive(ps, norm, TOL):
+            for cl in build_lists_loop(ps, norm, TOL):
                 assert all(math.isfinite(radius) for _, radius in cl)
+        radius = k_cover._run_radii(ps.xy, 2.0, TOL)
+        assert radius[0, 3] == radius[1, 3] == math.inf
+        assert np.isfinite(np.diag(radius)).all()
 
     def test_taxicab_closed_form_is_exact(self):
         # at p = 1 the center of an inner pair is (xi + xj + t) / 2 with
@@ -383,11 +385,14 @@ class TestPairCirclesBatch:
     @pytest.mark.parametrize("p", [1.5, 3.0, 300.0])
     def test_subnormal_pairs_keep_a_finite_scale(self, p):
         # the scale that brings these pairs near 1 exceeds the float
-        # range, so it stops at 2^1021
+        # range, so it stops at 2^1021; every pair circle and every run
+        # radius stays finite
         ps = pset((1e-320, 2e-315), (3e-318, -1e-310), (5e-300, 1.5e-300))
-        got = build_lists_naive(ps, NormP(p), TOL)
-        assert lists_as_runs(got) == lists_as_runs(build_lists_loop(ps, NormP(p), TOL))
-        assert all(math.isfinite(radius) for cl in got for _, radius in cl)
+        assert all(ok and math.isfinite(R) for *_, R, ok in batch_pair_circles(ps, NormP(p), TOL))
+        radius = k_cover._run_radii(ps.xy, p, TOL)
+        assert np.isfinite(radius).all()
+        sol = dp_solve(ps, None, NormP(p), TOL, AggSpec())
+        assert all(math.isfinite(c.radius) for c in sol.circles)
 
     def test_far_pair_circles_do_not_overflow(self):
         # Python's ** overflows in the scalar loop's widening; the batch
@@ -411,46 +416,79 @@ class TestPairCirclesBatch:
                 assert (xc, R) == want
             else:
                 assert abs(R - want[1]) <= pair_tolerance(ps, i, j, *want, norm.p, TOL.eps), (i, j)
-        lists = build_lists_naive(ps, norm, TOL)
-        assert all(math.isfinite(radius) for cl in lists for _, radius in cl)
+        assert np.isfinite(k_cover._run_radii(ps.xy, norm.p, TOL)).all()
+
+
+def list_cover(cls):
+    """cover[l, r], l <= r: the least radius of a candidate of the lists
+    cls whose run holds l..r, a run left..right with left <= l and
+    right >= r; inf where none does."""
+    n = len(cls)
+    cover = np.full((n, n), math.inf)
+    for r, cl in enumerate(cls):
+        for left, radius in cl:
+            cover[left, r] = radius
+    cover = np.minimum.accumulate(cover, axis=0)
+    return np.minimum.accumulate(cover[:, ::-1], axis=1)[:, ::-1]
 
 
 class TestListsAgainstLoop:
-    """build_lists_naive against the per-pair loop of lineplace._reference."""
+    """The run table (k_cover._run_radii) against the candidate lists of
+    the per-pair loop of lineplace._reference.
+
+    A candidate is a pair circle grown over the points that it covers
+    within the slack of _cover_slack, so the least radius of a run that
+    it holds is at most its radius plus that slack; twice the slack
+    also covers the rounding of the coverage test and of the table.
+    Conversely the circle of a run's binding pair, whose radius is the
+    table's entry, holds the whole run by Helly's theorem, so a
+    candidate of that radius holds it. So the least candidate radius
+    over a run lies within the slack below the table's entry, and no
+    further above it than the two routes' pair radii differ.
+    """
+
+    def _compare(self, ps, p, above):
+        iu = np.triu_indices(len(ps))
+        radius = k_cover._run_radii(ps.xy, p, TOL)[iu]
+        cover = list_cover(build_lists_loop(ps, NormP(p), TOL))[iu]
+        assert (cover <= radius + above).all()
+        slack = max(TOL.eps, 2.0 ** -40) * np.maximum(1.0, cover)
+        assert (radius <= cover + 2 * slack + above).all()
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize("regime", ["nearline", "spread", "grid"])
     def test_identical_lists(self, regime, p):
-        # bit for bit at p = 2; at p = 1 the batch's closed-form centers
-        # differ from the loop's bisection, so the runs are the same and
-        # each radius within taxicab_tolerance of the pair it came from
+        # at p = 2 both routes take the same closed-form pair circles,
+        # bit for bit, so no candidate lies above the table; at p = 1
+        # the loop bisects where the table takes the closed form, within
+        # taxicab_tolerance of each other
         rng = random.Random(f"lists{regime}{p}")
         for n in (1, 2, 7, 30):
             ps = random_pset(rng, n, regime)
-            got = build_lists_naive(ps, NormP(p), TOL)
-            want = build_lists_loop(ps, NormP(p), TOL)
-            if p == 2.0:
-                assert lists_as_tuples(got) == lists_as_tuples(want)
-                continue
-            assert lists_as_runs(got) == lists_as_runs(want)
-            bound = TOL.eps / 8 + 16 * U * float(np.abs(ps.xy).max())
-            for cl, wl in zip(got, want):
-                for (_, r), (_, w) in zip(cl, wl):
-                    assert abs(r - w) <= bound + 4 * U * w
+            above = 0.0
+            if p == 1.0:
+                radius = k_cover._run_radii(ps.xy, p, TOL)[np.triu_indices(n)]
+                above = TOL.eps / 8 + 16 * U * float(np.abs(ps.xy).max()) + 4 * U * radius
+            self._compare(ps, p, above)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("regime", ["nearline", "spread", "grid"])
     def test_identical_runs(self, regime, p):
+        # the loop bisects where the table takes rtsafe; a run's entry
+        # is the radius of a pair whose center lies between its points,
+        # and there the two routes differ within pair_tolerance
         rng = random.Random(f"runs{regime}{p}")
+        norm = NormP(p)
         for n in (1, 2, 7, 30):
             ps = random_pset(rng, n, regime)
-            assert (lists_as_runs(build_lists_naive(ps, NormP(p), TOL))
-                    == lists_as_runs(build_lists_loop(ps, NormP(p), TOL)))
+            above = max([pair_tolerance(ps, i, j, *two_point_circle(ps, i, j, norm, TOL), p, TOL.eps)
+                         for i, j, xc, _, ok in batch_pair_circles(ps, norm, TOL)
+                         if ok and ps.xy[i, 0] <= xc <= ps.xy[j, 0] and ps.xy[i, 0] < ps.xy[j, 0]],
+                        default=0.0)
+            self._compare(ps, p, above)
 
     def test_near_equal_abscissas(self):
-        ps = pset((0.447712, 96.415328), (0.447713, 54.104628), (3, 1))
-        assert (lists_as_tuples(build_lists_naive(ps, N2, TOL))
-                == lists_as_tuples(build_lists_loop(ps, N2, TOL)))
+        self._compare(pset((0.447712, 96.415328), (0.447713, 54.104628), (3, 1)), 2.0, 0.0)
 
 
 def far_center_pairs(rng, n):
@@ -462,107 +500,171 @@ def far_center_pairs(rng, n):
     return pairs + [(x + 1e-6, rng.choice((-1, 1)) * rng.uniform(50, 100)) for x, _ in pairs[::8]]
 
 
+def nearline_pairs(rng, n):
+    """n points near the line as the benchmark draws them: x in [0, 100],
+    |y| <= 2, rounded to 6 decimals."""
+    return tuple((round(rng.uniform(0, 100), 6), round(rng.uniform(-2, 2), 6)) for _ in range(n))
+
+
 def bench_like_pset(rng, n, regime):
     """Points as the benchmark draws them: spread over [-100, 100]^2, or
-    near the line (x in [0, 100], |y| <= 2), rounded to 6 decimals."""
+    near the line (nearline_pairs)."""
     if regime == "spread":
         return pset(*((round(rng.uniform(-100, 100), 6), round(rng.uniform(-100, 100), 6))
                       for _ in range(n)))
-    return pset(*((round(rng.uniform(0, 100), 6), round(rng.uniform(-2, 2), 6))
-                  for _ in range(n)))
+    return pset(*nearline_pairs(rng, n))
 
 
-def runs_three_ways(ps, p, tol=TOL):
-    """The pair circles' runs (left and right ends) after the certified
-    jump, after the exact steps that follow it, and by exact steps alone
-    from each pair's own point."""
-    X, Y = ps.xy.T.copy()
-    I, J = np.triu_indices(len(ps))
-    xc, R, ok = k_cover._pair_circles(X, Y, I, J, p, tol)
-    right_thr, left_thr = k_cover._certified_thresholds(X, Y, I, J, xc, p)
-    I, J, xc, R = I[ok], J[ok], xc[ok], R[ok]
-    jumped = k_cover._jump_ends(I, xc, right_thr, left_thr, len(ps))
-    final = k_cover._expand_runs(X, Y, I, J, xc, R, p, tol.eps, *(e.copy() for e in jumped))
-    stepped = k_cover._expand_runs(X, Y, I, J, xc, R, p, tol.eps, I.copy(), I.copy())
-    return jumped, final, stepped
+def contiguous_optimum(ps, K, norm, tol, agg):
+    """The least objective over every split of the points into at most
+    K contiguous runs (K = None: any number), each run priced at its
+    rmin_on_axis radius ** q and the prices aggregated by fsum or max;
+    inf where every split overflows. Enumerates all 2^(n-1) splits."""
+    n = len(ps)
+    price = {}
+
+    def cost(i, j):
+        if (i, j) not in price:
+            try:
+                price[i, j] = rmin_on_axis(ps, i, j, norm, tol)[1] ** agg.q
+            except (ValueError, OverflowError):  # a radius beyond the float range
+                price[i, j] = math.inf
+        return price[i, j]
+
+    best = math.inf
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        if K is not None and sum(cuts) >= K:
+            continue
+        ends = [k for k, cut in enumerate(cuts) if cut] + [n - 1]
+        weights = [cost(i, j) for i, j in zip([0] + [e + 1 for e in ends[:-1]], ends)]
+        try:
+            value = math.fsum(weights) if agg.kind == "sum" else max(weights)
+        except OverflowError:
+            value = math.inf
+        best = min(best, value)
+    return best
+
+
+def dp_rounding(n):
+    """Relative bound on how far dp_solve's objective may lie above the
+    contiguous optimum over n points, u = 2^-53.
+
+    Both price a split by the same run radii (the table's entry is
+    rmin_on_axis's radius, bit for bit), and the DP reports the fsum or
+    max of its own split, so its objective is never below the optimum.
+    It chooses that split by another value, though. For the sum the DP
+    adds the m <= n weights in sequence, within g = (m - 1) u / (1 -
+    (m - 1) u) of their exact sum, where fsum rounds once: its split's
+    fsum is at most (1 + u)^2 (1 + g) / (1 - g) times the optimum,
+    below 1 + (2 n + 2) u for n <= 10. For the max of radius^2 the DP
+    weighs numpy's square, the report Python's **, each within an ulp
+    of the exact square: (1 + 2 u)^2 at most. 4 n u covers both.
+    """
+    return 4 * n * 2.0 ** -53
+
+
+def bench_relaxation(radius, K):
+    """The runs of the plain recursion over the table radius, K rows of
+    the sum of radii, each cell taking its first least break."""
+    n = len(radius)
+    W = radius.tolist()
+    prev = [0.0] + [math.inf] * n
+    parents = []
+    for _ in range(K):
+        cur, par = [0.0] + [math.inf] * n, [None] * (n + 1)
+        for j in range(1, n + 1):
+            for b in range(j):
+                v = prev[b] + W[b][j - 1]
+                if v < cur[j]:
+                    cur[j], par[j] = v, b
+        parents.append(par)
+        prev = cur
+    runs, j = [], n
+    for par in reversed(parents):
+        if j == 0:
+            break
+        runs.append((par[j], j - 1))
+        j = par[j]
+    return tuple(reversed(runs))
 
 
 class TestCertifiedJumps:
-    """The runs grown by certified jumps against runs grown point by point.
-
-    A jump must only pass points that the exact coverage test would
-    pass, so the runs, and with them the lists, keep their bits.
+    """Extreme inputs for the DP over the run table: duplicates on a
+    grid, p = 1 plateaus, far pair centers and points near the line, at
+    coordinate scales from 1e-300 to 1e150 and eps down to 1e-300; and
+    sets of the benchmark's sizes. (The class and test names come from
+    an earlier list builder, which was tested on the same inputs; they
+    are kept so that the test ids stay stable.)
     """
 
     ADVERSARIAL = {
         # duplicates, equal abscissas with equal and with different |y|
-        "grid": tuple((float(x), float(y)) for x in range(4) for y in (-2, -1, 1, 1, 2, 3))
-        + ((1.0, 0.0), (2.5, -1.0)),
+        "grid": ((0.0, -2.0), (0.0, 2.0), (0.0, 1.0), (1.0, 1.0), (1.0, 1.0), (1.0, -1.0),
+                 (1.0, 0.0), (2.0, 3.0), (2.5, -1.0), (3.0, -2.0)),
         "plateau": TestPairCirclesBatch.SPECIAL["plateau"] + ((1, 8), (5, 0.5), (6, -4)),
-        "near-equal": tuple(far_center_pairs(random.Random("adversarial"), 24)),
+        "near-equal": tuple(far_center_pairs(random.Random("adversarial"), 8)),
+        "nearline": nearline_pairs(random.Random("adversarial nearline"), 10),
     }
 
-    # eps = 1e-300 lies far below the exact coverage test's rounding,
-    # where only the slack's floor of 2^-40 keeps a pair circle's own
-    # points covered
+    # eps = 1e-300 lies far below every rounding, where rtsafe stops only
+    # once its bracket ends are adjacent floats
     @pytest.mark.parametrize("scale, eps", [
         pytest.param(scale, eps, id=str(scale) if eps == TOL.eps else f"{scale}-eps{eps}")
         for eps in (TOL.eps, 1e-300) for scale in (1.0, 1e-300, 1e-170, 1e150)])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 300.0])
     @pytest.mark.parametrize("case", sorted(ADVERSARIAL))
     def test_jumped_runs_equal_the_loop(self, case, p, scale, eps):
+        # the DP reaches the optimum of every split into at most K
+        # contiguous runs (contiguous_optimum), within dp_rounding, for
+        # K = 1, 3 and None, the sum of radii and the max of squares;
+        # where every split overflows it raises OverflowError
         ps = pset(*((x * scale, y * scale) for x, y in self.ADVERSARIAL[case]))
-        norm = NormP(p)
-        tol = Tolerance(eps=eps)
+        norm, tol, n = NormP(p), Tolerance(eps=eps), len(ps)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = build_lists_naive(ps, norm, tol)
-            _, final, stepped = runs_three_ways(ps, p, tol)
-        # the same circles grown point by point reach the same ends
-        assert all((a == b).all() for a, b in zip(final, stepped))
-        if case == "near-equal" and p not in (1.0, 2.0):
-            # the loop bisects where the batch takes rtsafe, and their far
-            # centers differ by far more than eps, so their runs may too
-            return
-        try:
-            want = build_lists_loop(ps, norm, tol)
-        except OverflowError:
-            # Python's ** overflows in the loop's widening at large p or
-            # scale (test_far_pair_circles_do_not_overflow); the
-            # comparison above stands for it there
-            assert p >= 3.0
-            return
-        assert lists_as_runs(got) == lists_as_runs(want)
+            for K in (1, 3, None):
+                for agg in (AggSpec(1.0, "sum"), AggSpec(2.0, "max")):
+                    want = contiguous_optimum(ps, K, norm, tol, agg)
+                    if want == math.inf:
+                        with pytest.raises(OverflowError):
+                            dp_solve(ps, K, norm, tol, agg)
+                        continue
+                    sol = dp_solve(ps, K, norm, tol, agg)
+                    assert K is None or len(sol.intervals) <= K
+                    assert want <= sol.objective <= want * (1 + dp_rounding(n)) + n * 2.0 ** -1074, \
+                        (K, agg)
 
     @pytest.mark.parametrize("regime, n, p, most", [
         ("nearline", 150, 1.0, 4), ("nearline", 150, 1.5, 4), ("nearline", 150, 2.0, 4),
         ("spread", 260, 1.5, 2), ("spread", 260, 2.0, 2)])
     def test_few_exact_steps_are_left(self, regime, n, p, most):
-        # bench-like sets: point by point the runs take about 39 steps
-        # per pair near the line and 13 spread; after the jump only the
-        # points that no threshold certifies are stepped, mostly the
-        # pair's own far point, whose center is its threshold's root
-        ps = bench_like_pset(random.Random(f"steps {regime}"), n, regime)
-        (jl, jr), (fl, fr), (sl, sr) = runs_three_ways(ps, p)
-        assert (fl == sl).all() and (fr == sr).all()
-        pairs = len(jl)
-        left = ((fr - jr).sum() + (jl - fl).sum()) / pairs
-        assert left < most
-        assert ((sr - sl).sum()) / pairs > 4 * most
+        # sets of the benchmark's sizes, with a budget of most runs: the
+        # table's entries are the standalone circles of its runs, bit for
+        # bit, and the vectorised relaxation of dp_solve chooses the runs
+        # of the plain recursion over the same table (bench_relaxation)
+        rng = random.Random(f"steps {regime}")
+        ps = bench_like_pset(rng, n, regime)
+        norm = NormP(p)
+        radius = k_cover._run_radii(ps.xy, p, TOL)
+        for _ in range(10):
+            i, j = sorted(rng.randrange(n) for _ in range(2))
+            got = k_cover._run_circle(ps.xy[i:j + 1], radius[i, j], p)
+            assert bits(got) == bits(rmin_on_axis(ps, i, j, norm, TOL)), (i, j)
+        sol = dp_solve(ps, most, norm, TOL, AggSpec(1.0, "sum"))
+        assert sol.intervals == bench_relaxation(radius, most)
+        assert sol.objective == math.fsum(radius[i, j] for i, j in sol.intervals)
 
     @pytest.mark.parametrize("case, p", [("far", 1.5), ("far", 3.0), ("grid", 1.0),
                                          ("grid", 300.0), ("nearline", 30.0),
                                          ("nearline", 300.0)])
     def test_certified_thresholds_hold_exactly(self, case, p):
-        # every certified threshold t of a pair i < k holds exactly:
-        # |t - xi|^p - |t - xk|^p >= |yk|^p - |yi|^p for the right one,
-        # <= for the left one, checked in 60-digit decimal arithmetic,
-        # far beyond the float rounding that the certificate bounds, so
-        # no pair certifies a point that its circles miss. "far" holds
+        # every entry R of the run table is the run's least radius within
+        # s = eps max(1, R), the slack with which the lists count a point
+        # as covered (_cover_slack): at R + s the points' intervals of
+        # centers meet, and at R - s they do not, checked in 60-digit
+        # decimal arithmetic, far beyond the float rounding. "far" holds
         # pairs whose centers lie far away (abscissas 1e-6 apart, |y|
-        # tens apart); at large p the Newton nudge alone falls short on
-        # some grid and near-line pairs, and the confirming evaluation
-        # must drop those
+        # tens apart); at large p the powers span hundreds of decades
         rng = random.Random(f"certified {case}")
         if case == "far":
             ps = pset(*far_center_pairs(rng, 24))
@@ -570,31 +672,28 @@ class TestCertifiedJumps:
             ps = random_pset(rng, 25, case)
         else:
             ps = bench_like_pset(rng, 25, case)
-        X, Y = ps.xy.T.copy()
-        I, J = np.triu_indices(len(ps))
-        xc, _, _ = k_cover._pair_circles(X, Y, I, J, p, TOL)
-        right_thr, left_thr = k_cover._certified_thresholds(X, Y, I, J, xc, p)
+        n = len(ps)
+        radius = k_cover._run_radii(ps.xy, p, TOL)
         D = decimal.Context(prec=60)
         e = D.create_decimal(p)
+        X = [D.create_decimal(x) for x in ps.xy[:, 0].tolist()]
+        Y = [abs(D.create_decimal(y)) for y in ps.xy[:, 1].tolist()]
+        Yp = [D.power(y, e) for y in Y]
 
-        def gap(t, i, k):
-            # F(t) - target of the pair (i, k), in decimal
-            t = D.create_decimal(t)
-            xi, yi, xk, yk = (D.create_decimal(float(v)) for v in (X[i], Y[i], X[k], Y[k]))
-            return (D.power(abs(t - xi), e) - D.power(abs(t - xk), e)
-                    - D.power(abs(yk), e) + D.power(abs(yi), e))
+        def meet(i, j, R):
+            # whether the centers within R of every point of i..j meet
+            if R < max(Y[i:j + 1]):
+                return False
+            h = [D.power(D.power(R, e) - Yp[k], 1 / e) for k in range(i, j + 1)]
+            return max(x - w for x, w in zip(X[i:j + 1], h)) <= min(
+                x + w for x, w in zip(X[i:j + 1], h))
 
-        certified = 0
-        for n, (i, k) in enumerate(zip(I.tolist(), J.tolist())):
-            if i == k:
-                continue
-            if math.isfinite(right_thr[n]):
-                certified += 1
-                assert gap(float(right_thr[n]), i, k) >= 0, (i, k)
-            if math.isfinite(left_thr[n]):
-                certified += 1
-                assert gap(-float(left_thr[n]), i, k) <= 0, (i, k)
-        assert certified > len(I) // 2
+        for i in range(n):
+            for j in range(i, n):
+                r = float(radius[i, j])
+                R, s = D.create_decimal(r), D.create_decimal(k_cover._cover_slack(r, TOL.eps))
+                assert meet(i, j, R + s), (i, j)
+                assert R < s or not meet(i, j, R - s), (i, j)
 
 
 def enclosing_route(ps, i, j, norm):
@@ -716,6 +815,16 @@ def exact_binding(a, b, p):
     return max(yi * yi, yj * yj)
 
 
+def pair_binding(xy, p):
+    """(Y, I, J, binding) of the sorted points xy: the ordinates, the
+    pairs I <= J, and each pair's share of a run's radius: its circle's
+    radius where its center lies between its points, else 0."""
+    X, Y = xy.T.copy()
+    I, J = np.triu_indices(len(xy))
+    xc, R, ok = k_cover._pair_circles(X, Y, I, J, p, TOL)
+    return Y, I, J, np.where(ok & (X[I] <= xc) & (xc <= X[J]), R, 0.0)
+
+
 def pair_rounding(a, b, p, R):
     """Bound on |float pair radius - exact minimax| of two points at p = 1
     or 2 (u = 2^-52, each operation within u of its result).
@@ -758,7 +867,7 @@ class TestHellyReduction:
             cx, r = rmin_on_axis(ps, i, j, NormP(p), TOL)
             rows = ps.xy[i:j + 1].tolist()
             exact = [[Fraction(v) for v in row] for row in rows]
-            _, Y, I, J, *_, binding = k_cover._pair_table(ps.xy[i:j + 1], p, TOL)
+            Y, I, J, binding = pair_binding(ps.xy[i:j + 1], p)
             pairs = list(zip(I.tolist(), J.tolist()))
             ex = [exact_binding(exact[a], exact[b], p) for a, b in pairs]
             # each pair's float minimax: its own and its points' pinned circles
@@ -799,20 +908,18 @@ class TestHellyReduction:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_table_slices_equal_the_standalone_route(self, p):
-        # dp_solve reads a run's pair radii off the one table of all
-        # pairs; rmin_on_axis computes the run's own. Each pair circle
-        # is computed alone (the lockstep iterations never mix pairs),
-        # so the two give the same bits
+        # dp_solve reads a run's radius off the one table of all runs;
+        # rmin_on_axis computes the run's own. Each pair circle is
+        # computed alone (the lockstep iterations never mix pairs), and
+        # a maximum is exact, so the two give the same bits
         norm = NormP(p)
         rng = random.Random(f"helly slices {p}")
         for n, regime in ((23, "nearline"), (30, "spread"), (12, "grid")):
             ps = random_pset(rng, n, regime)
-            binding = np.zeros((n, n))
-            binding[np.triu_indices(n)] = k_cover._naive_lists(ps.xy, p, TOL)[1]
+            radius = k_cover._run_radii(ps.xy, p, TOL)
             for _ in range(40):
                 i, j = sorted(rng.randrange(n) for _ in range(2))
-                run = slice(i, j + 1)
-                got = k_cover._run_circle(ps.xy[run], binding[run, run], p)
+                got = k_cover._run_circle(ps.xy[i:j + 1], radius[i, j], p)
                 assert bits(got) == bits(rmin_on_axis(ps, i, j, norm, TOL)), (i, j)
             lists = ["naive", "sweep"] if p == 2.0 else ["naive"]
             for K, how in ((1, "sum"), (3, "max"), (None, "sum")):
@@ -824,8 +931,9 @@ class TestHellyReduction:
     @pytest.mark.parametrize("lists, p", [("naive", 1.0), ("naive", 1.5), ("naive", 2.0),
                                           ("sweep", 2.0)])
     def test_one_pair_table_per_solve(self, monkeypatch, lists, p):
-        # the naive lists and the circles share one pass of _pair_circles
-        # over all pairs; the sweep builds its lists without it
+        # the naive weights and the circles share one pass of
+        # _pair_circles over all pairs; the sweep builds its lists
+        # without it
         calls = []
         real = k_cover._pair_circles
 
@@ -923,19 +1031,17 @@ class TestDpSolve:
 
 
 class TestRelax:
-    """k_cover._relax, all rows at once, and k_cover._break against the
-    nested scan of lineplace._reference, row by row."""
+    """k_cover._best_breaks, all rows at once over the weights of one
+    list (k_cover._list_weights), against the nested scan of
+    lineplace._reference, row by row."""
 
     def _both(self, rows, j, cands, q, is_sum):
         lefts = [left for left, _ in cands]
         weights = [radius ** q for _, radius in cands]
-        best, cand = k_cover._relax(np.array(rows), j, np.array(lefts), np.array(weights),
-                                    is_sum)
-        got = []
-        for row, b, c in zip(rows, best.tolist(), cand.tolist()):
-            brk = None if b == math.inf else k_cover._break(np.array(row), j, lefts[c],
-                                                           weights[c], b, is_sum)
-            got.append((b, brk))
+        # list j - 1 holds cands; the lists before it are not read
+        w = k_cover._list_weights(((),) * (j - 1) + (tuple(cands),), q)[:j, j - 1]
+        best, brk = k_cover._best_breaks(np.array(rows)[:, :j], w, is_sum)
+        got = [(b, None if b == math.inf else k) for b, k in zip(best.tolist(), brk.tolist())]
         return got, [relax_scan(row, j, lefts, weights, is_sum) for row in rows]
 
     @pytest.mark.parametrize("kind", ["sum", "max"])
@@ -962,7 +1068,7 @@ class TestRelax:
     def test_rounding_tie_keeps_the_first_break(self):
         # prev one ulp apart, the smaller one later: with w = 1e6 both
         # sums round to 1000001.0, and the scan keeps the first break,
-        # not the range minimum's
+        # not the one of the least prev
         row = [math.nextafter(1.0, 2.0), 1.0]
         got, want = self._both([row], 2, [(0, 1e6)], 1.0, True)
         assert got == want == [(1000001.0, 0)]
@@ -988,18 +1094,41 @@ def budget(K, n):
     return {"n": n, "n+2": n + 2}.get(K, K)
 
 
+def table_lists(ps, norm, tol=TOL):
+    """The run table (k_cover._run_radii) as candidate lists: list r
+    holds (l, the least radius of run l..r) for every l <= r."""
+    radius = k_cover._run_radii(ps.xy, norm.p, tol).tolist()
+    return tuple(tuple((left, radius[left][r]) for left in range(r + 1)) for r in range(len(ps)))
+
+
 class TestDpAgainstScan:
-    """dp_solve against the per-cell scan of lineplace._reference."""
+    """dp_solve against the per-cell scan of lineplace._reference.
+
+    The naive route weighs every run by its least radius, so the scan
+    runs over the table as lists (table_lists): a candidate entered at
+    a break inside its run then weighs no less than the run from that
+    break. The sweep route runs over the sweep's lists, which are the
+    loop's at p = 2, bit for bit.
+    """
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize("K", [1, 3, "n", "n+2", None])
     def test_loops_give_the_same_solution(self, K, p):
+        # the loop's lists are slack-grown pair circles, whose runs the
+        # scan prices at their least radii as the DP does: the naive
+        # route minimises that objective, so it never reports more
         rng = random.Random(f"dp{K}{p}")
+        norm = NormP(p)
         for n, regime, q, kind in ((9, "nearline", 1.0, "sum"), (14, "spread", 2.0, "max"),
                                    (12, "grid", 1.0, "max"), (25, "nearline", 2.0, "sum")):
             ps, agg, k = random_pset(rng, n, regime), AggSpec(q, kind), budget(K, n)
-            want = dp_scan(ps, k, NormP(p), TOL, agg, build_lists_loop(ps, NormP(p), TOL))
-            assert dp_solve(ps, k, NormP(p), TOL, agg) == want
+            got = dp_solve(ps, k, norm, TOL, agg)
+            assert got == dp_scan(ps, k, norm, TOL, agg, table_lists(ps, norm))
+            loop = dp_scan(ps, k, norm, TOL, agg, build_lists_loop(ps, norm, TOL))
+            assert got.objective <= loop.objective * (1 + dp_rounding(n))
+            if p == 2.0:
+                sweep = dp_scan(ps, k, norm, TOL, agg, build_lists_sweep(ps, norm, TOL))
+                assert dp_solve(ps, k, norm, TOL, agg, lists="sweep") == sweep == loop
 
     @pytest.mark.parametrize("lists", ["naive", "sweep"])
     def test_non_finite_pair_circle(self, lists):
@@ -1020,12 +1149,10 @@ class TestDpAgainstScan:
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("K", [1, 3, "n", "n+2", None])
     def test_scan_relax_gives_the_same_solution(self, K, p):
-        # lists at p != 1, 2 may differ from the loop's in the last
-        # bits of their radii, so the scan runs on the solver's lists
         rng = random.Random(f"dpq{K}{p}")
         for n, regime in ((9, "nearline"), (14, "spread"), (12, "grid")):
             ps, k = random_pset(rng, n, regime), budget(K, n)
-            cls = build_lists_naive(ps, NormP(p), TOL)
+            cls = table_lists(ps, NormP(p))
             for agg in (AggSpec(1.0, "sum"), AggSpec(2.0, "max")):
                 want = dp_scan(ps, k, NormP(p), TOL, agg, cls)
                 assert dp_solve(ps, k, NormP(p), TOL, agg) == want

@@ -224,3 +224,36 @@ def test_points_travel_as_one_table():
     assert "Point" not in set(_called_names(fn))
     assert not any(isinstance(node, (ast.If, ast.IfExp, ast.Match)) for node in ast.walk(fn))
     assert "problem" not in {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+
+
+# the candidate-list machinery that the exact run table replaced in
+# k_cover: the naive builder, its coverage certificates and run
+# growth, and the suffix-minimum relaxation with its break recovery
+GONE_FROM_K_COVER = {
+    "build_lists_naive", "_naive_lists", "_certified_thresholds", "_certify", "_running_max",
+    "_jump_ends", "_expand_runs", "_relax", "_break", "_SLICE", "_U", "_TINY",
+}
+
+
+def _bound_names(tree):
+    """Every name that a module defines, assigns or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+
+
+def test_k_cover_dp_reads_the_run_table():
+    # both list routes weigh their runs through one DP over the run
+    # table; the naive route builds no candidate lists
+    tree = ast.parse((SRC / "k_cover.py").read_text())
+    assert not GONE_FROM_K_COVER & set(_bound_names(tree))
+    assert "build_lists_naive" not in lineplace.__all__
+    assert not hasattr(lineplace, "build_lists_naive")
+    gap = next(node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_power_gap")
+    assert [arg.arg for arg in gap.args.args] == ["x", "a", "b", "t", "p"]

@@ -10,9 +10,10 @@ into a temporary directory. Each checkout then runs every request of
 those rounds in-process through its own lineplace.cli.main, in one
 subprocess per checkout, as bench/run.py sends them. The tool prints
 every request whose exit code, error or output differs between the
-two, ignoring the wall_time_ms field, then a summary line; it exits 1
-when any request differs and 0 otherwise. By default it checks every
-workload at seeds 201-203, at full size.
+two, ignoring the wall_time_ms field, with the keys of the result
+object that differ (for example circles but not objective), then a
+summary line; it exits 1 when any request differs and 0 otherwise.
+By default it checks every workload at seeds 201-203, at full size.
 """
 
 from __future__ import annotations
@@ -71,6 +72,19 @@ def comparable(text: str):
         return text
 
 
+def differing_keys(a, b) -> list:
+    """The keys whose values differ between two outputs: those of their
+    result objects, or of the outputs themselves where either has no
+    result object; [] where either is not a JSON object."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return []
+    if isinstance(a.get("result"), dict) and isinstance(b.get("result"), dict):
+        a, b = a["result"], b["result"]
+    missing = object()
+    return sorted(key for key in a.keys() | b.keys()
+                  if a.get(key, missing) != b.get(key, missing))
+
+
 def run_checkout(root: Path, argvs: list) -> list:
     src = root / "src"
     if not (src / "lineplace" / "cli.py").is_file():
@@ -113,6 +127,9 @@ def main(argv=None) -> int:
         if rc0 != rc1 or err0 != err1 or comparable(out0) != comparable(out1):
             differ += 1
             print(f"DIFFERS {label}: exit {rc0} -> {rc1}")
+            keys = differing_keys(comparable(out0), comparable(out1))
+            if keys:
+                print(f"  keys: {', '.join(keys)}")
             for side, rc, out, err in (("base", rc0, out0, err0), ("change", rc1, out1, err1)):
                 shown = err if err is not None else json.dumps(comparable(out), sort_keys=True)
                 print(f"  {side}: {shown[:400]}")
