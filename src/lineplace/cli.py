@@ -207,7 +207,7 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
             "objective": sol.objective,
         }
     if args.verify:
-        payload["verify"] = cross_check(inst, args, tol, frame.L, table, payload["objective"])
+        payload["verify"] = cross_check(inst, args, tol, frame.L, table, payload)
     payload["wall_time_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
     return payload
 

@@ -505,16 +505,19 @@ def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
     return _run_circle(xy, _run_radii(xy, norm.p, tol)[0, -1], norm.p)
 
 
-def _run_circle(xy, r, p: float):
-    """(center, radius) of the smallest ball centered on the axis that
-    covers the points, the rows [x, y] of xy, given their least radius
-    r (_run_radii). The center is the midpoint of the intersection of
-    the points' intervals at that radius (intervals._halfwidth). A
-    radius that is not finite raises the ValueError of PlacedCircle.
-    """
-    r = float(r)
-    if not r < _INF:
-        raise ValueError("circle parameters must be finite")
+def _center_slack(xy, r: float) -> float:
+    """How far rounding may leave a point of the run xy outside radius r
+    from the midpoint of _meeting: the coverage-slack floor grown with
+    the run's abscissas, 2^-40 max(1, r, |x|). A pair circle's center
+    rounds at the scale of its abscissas, not of r: at p = 2 the
+    closed form through (97.992753, -0.274142) and (99.000195,
+    -0.658268) leaves a point 1.4e-12 outside r = 0.73."""
+    return _SLACK_FLOOR * max(1.0, r, float(np.abs(xy[:, 0]).max()))
+
+
+def _meeting(xy, r: float, p: float):
+    """(lo, hi) of the intersection of the points' intervals at radius r
+    (intervals._halfwidth); they meet where lo <= hi."""
     lo, hi = -_INF, _INF
     for x, y in xy.tolist():
         h = _halfwidth(r, y, p)
@@ -522,6 +525,54 @@ def _run_circle(xy, r, p: float):
             lo = x - h
         if x + h < hi:
             hi = x + h
+    return lo, hi
+
+
+def _meets(xy, r: float, p: float) -> bool:
+    lo, hi = _meeting(xy, r, p)
+    return lo <= hi
+
+
+def _run_circle(xy, r, p: float):
+    """(center, radius) of the smallest ball centered on the axis that
+    covers the points, the rows [x, y] of xy, given their least radius
+    r (_run_radii). The center is the midpoint of the intersection of
+    the points' intervals at that radius (_meeting). A radius that is
+    not finite raises the ValueError of PlacedCircle.
+
+    At large p a point's interval widens steeply just above its |y|,
+    so at an r equal to the largest |y| to the last bit that point's
+    interval has width 0 while one float more gives it a wide one; the
+    intervals may then cross, and their midpoint can miss a point far.
+    Where the midpoint leaves a point outside r by more than
+    _center_slack, the center comes from the intervals at the least
+    float radius >= r at which they meet, found by doubling a step of
+    ulps and then bisecting; the radius stays r.
+    """
+    r = float(r)
+    if not r < _INF:
+        raise ValueError("circle parameters must be finite")
+    lo, hi = _meeting(xy, r, p)
+    center = 0.5 * (lo + hi)
+    miss = _np_lp(xy[:, 0] - center, xy[:, 1], p).max() - r
+    if not miss > _center_slack(xy, r):
+        return center, r
+    below, step = r, math.ulp(r)
+    above = r + step
+    while math.isfinite(above) and not _meets(xy, above, p):
+        below, step = above, 2.0 * step
+        above = r + step
+    if not math.isfinite(above):
+        return center, r
+    while True:
+        mid = 0.5 * (below + above)
+        if not below < mid < above:
+            break
+        if _meets(xy, mid, p):
+            above = mid
+        else:
+            below = mid
+    lo, hi = _meeting(xy, above, p)
     return 0.5 * (lo + hi), r
 
 

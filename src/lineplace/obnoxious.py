@@ -8,10 +8,12 @@ merges; each merge resolves ownership exactly by decomposing every
 profile into convex cone and affine pieces, so cells where two
 profiles cross twice (which defeats endpoint-sign tests) are handled.
 A cell where one profile lies above the other by more than a margin
-derived from the profiles' evaluation rounding is settled before any
-root finding (_dominant), with the same piece the resolution gives.
-The build carries pieces as (a, b, seg_index) tuples and wraps only
-the final envelope in EnvelopePiece and LowerEnvelope.
+derived from the profiles' evaluation rounding (_margin) is settled
+before any root finding (_dominant), with the same piece the
+resolution gives; the one-off fold settles whole window pieces that
+way in one array pass. The build carries pieces as (a, b, seg_index)
+tuples and wraps only the final envelope in EnvelopePiece and
+LowerEnvelope.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numpy as np
 
 from .errors import EmptyInput
 from .geometry import NormP, Point, Tolerance, _lp_pair, axis_argmin_abscissas, \
-    axis_distances, point_segment_distance, rescored_extreme, segment_columns, \
-    segments_from_columns
+    _np_lp, axis_distances, near_extreme, point_segment_distance, rescored_extreme, \
+    segment_columns, segments_from_columns
 from .intervals import Interval, SegmentArray, bisect_radius, covering_interval, \
     covering_slack, union_covers_arrays
 from .one_center import PlacedCircle
@@ -398,18 +400,14 @@ def _extent(prof: _Profile, u: float, v: float):
         k += 1
 
 
-def _dominant(u: float, v: float, i: int, j: int, prof_i: _Profile, prof_j: _Profile):
-    """Owner of the whole cell [u, v] when one profile clears the other.
+def _margin(mag: float):
+    """2^-44 mag: the margin by which one profile must clear another for
+    a cell or a fold's window piece to be settled without root finding,
+    given the largest coordinate magnitude mag of the segments and the
+    cell. None outside (2^-200, 2^200), where no bound is claimed.
 
-    When j's least value over the cell (_extent) exceeds i's greatest by
-    more than the margin, every midpoint that _resolve_cell compares
-    goes to i, so it would return [(u, v, i)]: this returns i instead,
-    and the merge emits that piece bit for bit, without root finding.
-    The same holds with i and j swapped. Otherwise, or outside the
-    window, it returns None.
-
-    Margin. Let M be the largest coordinate magnitude of both segments
-    and v, so |x| <= M on the cell, and r = 2^-53 the unit roundoff.
+    Proof. Let M >= mag bound |x| on the cell and every coordinate of
+    both segments, and r = 2^-53 the unit roundoff.
     - Every stored piece has |A| <= 1 and |c|, h <= M, and |B| <= 4 M:
       B = (U ay - V ax) / nrm with U, |V| <= mx <= nrm, and a rounded
       product is at most twice the exact one, in the subnormal range
@@ -419,22 +417,52 @@ def _dominant(u: float, v: float, i: int, j: int, prof_i: _Profile, prof_j: _Pro
       power amplifies the relative error of its base by p, the 1/p root
       of a sum >= 1 divides it back); A x + B by r (M + 5 M).
       Underflow adds a few 2^-1074, far below r M while M > 2^-200.
-    - A midpoint m lies in the part [a, b] of one piece of each
-      profile, and the exact piece is convex there, so its exact value
-      at m lies between the exact least and greatest of the piece on
-      [a, b], each within e of the computed ones that _extent takes:
-      i's computed value at m is below greatest_i + 2 e and j's above
-      least_j - 2 e. The rounded difference least_j - greatest_i errs
-      by at most 12 r M.
-    A margin of 4 e + 12 r M = 108 r M suffices; 2^-44 M = 512 r M
-    leaves room. Outside (2^-200, 2^200) products of coordinates can
-    underflow or overflow (near 1e300, U ay - V ax overflows and the
-    profile gets NaN and inf pieces), so no bound is claimed.
+    - np.power and np.hypot may round differently from ** and
+      math.hypot. Allowing each of the powers of _np_lp 4 ulps, the
+      same count gives 11 ulps of 3 M, so an array evaluation is off by
+      at most e' = 2 e.
+    - A point m that _resolve_cell compares lies in the part [a, b] of
+      one piece of each profile, and the exact piece is convex there,
+      so its exact value at m lies between the exact least and
+      greatest of the piece on [a, b]. The computed greatest, taken
+      over parts that cover the cell, or over a superset of it (the
+      fold's cached greatest of a whole envelope piece), only grows:
+      the lower profile's computed value at m is below greatest + 2 e.
+      The computed least, taken over parts covering the cell or a
+      superset, only shrinks: the upper profile's computed value at m
+      is above least - e - e' (least - 2 e when it is scalar).
+    - The rounded difference least - greatest errs by at most 12 r M.
+    So a difference above 3 e + e' + 12 r M = 132 r M decides every
+    comparison (108 r M for two scalar extents); 2^-44 M = 512 r M
+    leaves room. The fold reads the newcomer's least piece by piece
+    and not at its constrained minimiser: the distance is 1-Lipschitz
+    in x, so a minimiser off by d moves the distance by at most d, but
+    the stored pieces follow the distance only up to the rounding of
+    the regime boundaries, which 1/(p - 1) amplifies near p = 1; the
+    bound above needs no such term. Outside (2^-200, 2^200) products
+    of coordinates can underflow or overflow (near 1e300, U ay - V ax
+    overflows and the profile gets NaN and inf pieces), so no bound is
+    claimed.
     """
-    mag = max(prof_i.mag, prof_j.mag, v)
     if not 2.0 ** -200 < mag < 2.0 ** 200:
         return None
-    margin = mag * 2.0 ** -44
+    return mag * 2.0 ** -44
+
+
+def _dominant(u: float, v: float, i: int, j: int, prof_i: _Profile, prof_j: _Profile):
+    """Owner of the whole cell [u, v] when one profile clears the other.
+
+    When j's least value over the cell (_extent) exceeds i's greatest by
+    more than _margin of the segments and v, every midpoint that
+    _resolve_cell compares goes to i (see _margin), so it would return
+    [(u, v, i)]: this returns i instead, and the merge emits that piece
+    bit for bit, without root finding. The same holds with i and j
+    swapped. Otherwise, or where _margin claims no bound, it returns
+    None.
+    """
+    margin = _margin(max(prof_i.mag, prof_j.mag, v))
+    if margin is None:
+        return None
     least_i, greatest_i = _extent(prof_i, u, v)
     least_j, greatest_j = _extent(prof_j, u, v)
     if least_j - greatest_i > margin:
@@ -442,6 +470,30 @@ def _dominant(u: float, v: float, i: int, j: int, prof_i: _Profile, prof_j: _Pro
     if least_i - greatest_j > margin:
         return j
     return None
+
+
+def _least_on(prof: _Profile, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least value of prof's pieces over every [a[k], b[k]] at once, as
+    _extent takes it.
+
+    Where one piece serves all of (a[k], b[k]) (piece_at), its least
+    there is a cone's value at its apex clamped into [a[k], b[k]], or
+    an affine piece's smaller end value, from one array pass; the few
+    spans that hold a knot of prof take _extent's least.
+    """
+    starts = np.array(prof.starts)
+    # the first piece also serves every x below its start (piece_at)
+    starts[0] = -_INF
+    k = starts.searchsorted(a, side="right") - 1
+    _, ends, kind, c, h = np.array(prof.pieces)[k].T
+    with np.errstate(all="ignore"):
+        least = np.minimum(c * a, c * b) + h
+        cone = kind == _CONE
+        if cone.any():
+            least = np.where(cone, _np_lp(np.clip(c, a, b) - c, h, prof.p), least)
+    for w in np.flatnonzero(b > ends).tolist():
+        least[w] = _extent(prof, float(a[w]), float(b[w]))[0]
+    return least
 
 
 # -- envelope assembly --------------------------------------------------
@@ -536,26 +588,62 @@ def _envelope_peak(env, cols: np.ndarray, norm: NormP, tol: Tolerance, scale: fl
                             largest=True, initial=0.0)
 
 
-def _fold_one(env, base, lo_x: float, hi_x: float, profiles, xmins, tol: Tolerance) -> list:
+def _fold_one(env, tops, base, lo_x: float, hi_x: float, profiles, xmins, margin,
+              tol: Tolerance):
     """Merge a single-segment envelope into env inside [lo_x, hi_x] only.
 
     The caller guarantees the new segment strictly loses outside the
-    window, so pieces there are spliced through untouched. Compaction
-    runs on the rewritten slice plus two flanking pieces on each side,
-    which bounds how far same-owner fusion can propagate.
+    window, so pieces there are spliced through untouched. tops holds
+    the greatest value of each piece's owner over the piece (_extent).
+    A window piece is settled when the newcomer's least over it
+    (_least_on, one array pass over the window) exceeds its top by more
+    than margin: every comparison in the piece goes to its owner
+    (_margin), so _dominant names the owner or no one, _resolve_cell
+    gives the owner every cell, and the merge would emit the piece
+    again. The newcomer's minimiser breakpoint may split a piece; a
+    split that compaction keeps (the owner's own minimiser is there)
+    or that leaves a sliver leaves the piece unsettled. Only the
+    stretch from the first to the last unsettled piece is merged, and
+    compaction runs on it plus two flanking pieces on each side, which
+    bounds how far same-owner fusion can propagate; the pieces it
+    emits get a fresh top. A fold that settles every piece returns env
+    and tops as they are, and margin None settles none. Returns the
+    new (env, tops).
     """
     m = len(env)
     ilo = bisect_right(env, lo_x, key=itemgetter(1))
     ilo = min(ilo, m - 1)
     ihi = bisect_left(env, hi_x, key=itemgetter(0)) - 1
     ihi = min(max(ihi, ilo), m - 1)
+    if margin is not None:
+        window = env[ilo:ihi + 1]
+        w = len(window)
+        least = _least_on(profiles[base[0][2]], np.fromiter(map(itemgetter(0), window), float, w),
+                          np.fromiter(map(itemgetter(1), window), float, w))
+        unsettled = ~(least - np.fromiter(tops[ilo:ihi + 1], float, w) > margin)
+        sliver = 0.5 * tol.eps
+        for _, x, _ in base[:-1]:
+            k = bisect_left(window, x, key=itemgetter(1))
+            if k < w:
+                a, b, s = window[k]
+                if a < x < b and (xmins[s] == x or x - a <= sliver or b - x <= sliver):
+                    unsettled[k] = True
+        at = np.flatnonzero(unsettled)
+        if not len(at):
+            return env, tops
+        ilo, ihi = ilo + int(at[0]), ilo + int(at[-1])
     span_a, span_b = env[ilo][0], env[ihi][1]
     clipped = [(max(a, span_a), min(b, span_b), s)
                for a, b, s in base if b > span_a and a < span_b]
     raw = _merge_raw(env[ilo:ihi + 1], clipped, profiles, tol)
     head, tail = max(ilo - 2, 0), min(ihi + 3, m)
     fused = _compact_pieces(env[head:ilo] + raw + env[ihi + 1:tail], xmins, tol)
-    return env[:head] + fused + env[tail:]
+    # a piece's top depends on the piece alone, so a flank that comes
+    # out as it went in keeps its top
+    kept = dict(zip(env[head:ilo] + env[ihi + 1:tail], tops[head:ilo] + tops[ihi + 1:tail]))
+    fresh = [kept[pc] if pc in kept else _extent(profiles[pc[2]], pc[0], pc[1])[1]
+             for pc in fused]
+    return env[:head] + fused + env[tail:], tops[:head] + fresh + tops[tail:]
 
 
 def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
@@ -586,8 +674,16 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
 
     Every merge settles a cell of two owners without root finding when
     one profile lies above the other by a margin derived from the
-    profiles' evaluation rounding (_dominant), which gives the same
-    pieces as resolving it. The build carries pieces as (a, b,
+    profiles' evaluation rounding (_margin, _dominant), which gives the
+    same pieces as resolving it. The fold settles its window the same
+    way, all at once (_fold_one): its running envelope carries the
+    greatest value of each piece's owner over the piece, and the
+    newcomer's least over every window piece comes from one array pass
+    (_least_on), against one margin for the solve, _margin of the
+    largest coordinate magnitude and L. A settled piece costs one array
+    element; only the stretch from the first to the last unsettled
+    piece is merged, and a newcomer that settles every piece leaves
+    the envelope as it is. The build carries pieces as (a, b,
     seg_index) tuples and wraps only the final envelope in
     EnvelopePiece and LowerEnvelope.
     """
@@ -619,7 +715,9 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     else:
         segs = segments_from_columns(cols)
         scale = max(float(np.abs(cols).max()), L)
+        margin = _margin(scale)
         env = base(0)
+        tops = [_extent(profiles[0], a, b)[1] for a, b, _ in env]
         peak = _envelope_peak(env, cols, norm, tol, scale)
         accepted = 0
         for i in range(1, n):
@@ -632,7 +730,8 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
                 lo_x, hi_x = max(window.lo, 0.0), min(window.hi, L)
             if lo_x > hi_x:
                 continue
-            env = _fold_one(env, base(i), lo_x, hi_x, profiles, xmins, tol)
+            env, tops = _fold_one(env, tops, base(i), lo_x, hi_x, profiles, xmins, margin,
+                                  tol)
             accepted += 1
             if accepted % 32 == 0:
                 peak = _envelope_peak(env, cols, norm, tol, scale)
@@ -646,17 +745,37 @@ def largest_empty_from_envelope(le: LowerEnvelope, segments, norm: NormP,
     """Maximise the envelope; the max sits at a piece boundary.
 
     Every piece is convex, so local maxima of the pointwise minimum can
-    only occur where ownership changes or at the domain ends. Ties
-    resolve to the smallest abscissa.
+    only occur where ownership changes or at the domain ends. The value
+    at a piece end is the least point_segment_distance to the owners of
+    the pieces that end or start there, and the result is that of
+    folding these values over the ends in ascending order with a strict
+    >: ties resolve to the smallest abscissa, and a NaN at the first
+    end, from overflowed coordinates, is kept for PlacedCircle to
+    reject. segments is a sequence of Segment or an (N, 4) array of rows
+    [ax, ay, bx, by]. The distances at every piece end to its owner come
+    from one axis_distances pass, and only the first end and the ends
+    whose least estimate lies in near_extreme's band of the largest are
+    recomputed, from Segment objects of their owners alone.
     """
-    owners = {}
-    for pc in le.pieces:
-        owners.setdefault(pc.a, set()).add(pc.seg_index)
-        owners.setdefault(pc.b, set()).add(pc.seg_index)
+    cols = segment_columns(segments)
+    pieces = np.array([(pc.a, pc.b, pc.seg_index) for pc in le.pieces])
+    xs = pieces[:, :2].ravel()
+    owners = pieces[:, 2].astype(np.intp).repeat(2)
+    ends, first, at = np.unique(xs, return_index=True, return_inverse=True)
+    approx = np.full(len(ends), _INF)
+    with np.errstate(invalid="ignore"):
+        # a NaN estimate stays NaN, and near_extreme recomputes it
+        np.minimum.at(approx, at, axis_distances(xs, cols[owners], norm.p))
+    scale = max(float(np.abs(cols[owners]).max()), float(np.abs(ends).max()))
+    near = near_extreme(approx, scale, largest=True)
+    near[0] = True
     best_x, best = None, -_INF
-    for x in sorted(owners):
-        val = min(point_segment_distance(Point(x, 0.0), segments[s], norm, tol)
-                  for s in owners[x])
+    for u in np.flatnonzero(near).tolist():
+        x = float(xs[first[u]])
+        # the owners in piece order, as a set built in that order
+        own = set(owners[at == u].tolist())
+        val = min(point_segment_distance(Point(x, 0.0), segments_from_columns(cols[s:s + 1])[0],
+                                         norm, tol) for s in own)
         # a NaN from overflowed coordinates is kept, for PlacedCircle to reject
         if best_x is None or val > best:
             best_x, best = x, val
@@ -665,14 +784,10 @@ def largest_empty_from_envelope(le: LowerEnvelope, segments, norm: NormP,
 
 def max_empty_envelope(segments, L: float, norm: NormP, tol: Tolerance,
                        split: str) -> PlacedCircle:
-    """The envelope route: build the lower envelope, then maximise it.
-
-    segments is an (N, 4) array of rows [ax, ay, bx, by]; the envelope
-    is built from it, and the maximum is taken on the Segment objects
-    built from it.
-    """
+    """The envelope route: build the lower envelope of the (N, 4) rows
+    [ax, ay, bx, by] of segments, then maximise it."""
     env = compute_lower_envelope(segments, L, norm, tol, split=split)
-    return largest_empty_from_envelope(env, segments_from_columns(segments), norm, tol)
+    return largest_empty_from_envelope(env, segments, norm, tol)
 
 
 def _owning_rows(far: np.ndarray, dmin: np.ndarray, scale: float, p: float) -> np.ndarray:

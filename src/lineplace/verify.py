@@ -4,13 +4,15 @@ only the CLI imports it.
 cross_check runs a second route to a solve's objective and reports the
 gap: a grid scan for the one-center, the other solver route for the
 largest empty circle, and for k-cover the other run weights at p = 2
-(the exact run table or the sweep's lists), else an exhaustive minimum over all partitions of the points. The grid
-distances come from numpy code (geometry._np_lp) that shares nothing
-with the exact scalar routines: the closed-form projection at p = 2,
-else a golden-section search over the segment parameter, all abscissas
-of a chunk in lockstep with one evaluation a step. The grid and the
-partition oracle refuse inputs beyond their caps with TooLarge, which
-the report turns into "ok": null.
+(the exact run table or the sweep's lists), else an exhaustive minimum
+over all partitions of the points; a k-cover is also checked to cover
+every point by its run's circle. The grid distances come from numpy
+code (geometry._np_lp) that shares nothing with the exact scalar
+routines: the closed-form projection at p = 2, else a golden-section
+search over the segment parameter, all abscissas of a chunk in
+lockstep with one evaluation a step. The grid and the partition oracle
+refuse inputs beyond their caps with TooLarge, which the report turns
+into "ok": null (false when a point is not covered).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import EmptyInput, TooLarge
 from .geometry import NormP, Point, Segment, Tolerance, _np_lp, segments_from_columns
 from .intervals import Interval
-from .k_cover import AggSpec, PointSet, dp_solve
+from .k_cover import AggSpec, PointSet, _center_slack, _cover_slack, dp_solve
 from .obnoxious import max_empty_binsearch, max_empty_envelope
 from .one_center import PlacedCircle, min_enclosing
 
@@ -256,28 +258,46 @@ def set_partition_oracle(pts: PointSet, K, norm: NormP, tol: Tolerance,
 # -- the report ---------------------------------------------------------
 
 
-def _compare(kind: str, key: str, other_route, value: float, tolerance: float) -> dict:
-    """Run other_route and report its value under key, against value."""
+def _compare(kind: str, key: str, other_route, value: float, tolerance: float,
+             covered: bool = True) -> dict:
+    """Run other_route and report its value under key, against value;
+    ok also needs covered."""
     try:
         other = other_route()
     except TooLarge as exc:
         # the solve stands; only its cross-check is out of reach
-        return {"kind": kind, "ok": None, "reason": str(exc)}
+        return {"kind": kind, "ok": None if covered else False, "reason": str(exc)}
     delta = abs(other - value)
     return {"kind": kind, key: other, "delta": delta, "tolerance": tolerance,
-            "ok": delta <= tolerance}
+            "ok": delta <= tolerance and covered}
 
 
-def cross_check(inst, args, tol: Tolerance, L: float, table, objective: float) -> dict:
+def _covers(ps: PointSet, circles, p: float, eps: float) -> bool:
+    """Whether every point lies within its run's circle, up to the larger
+    of k_cover's coverage slack, max(eps, 2^-40) max(1, R), and the
+    rounding its circles allow, 2^-40 max(1, R, |x|) (_center_slack)."""
+    for c in circles:
+        left, right = c["run"]
+        xy = ps.xy[left:right + 1]
+        R = c["radius"]
+        slack = max(_cover_slack(R, eps), _center_slack(xy, R))
+        if (_np_lp(xy[:, 0] - c["center_x"], xy[:, 1], p) > R + slack).any():
+            return False
+    return True
+
+
+def cross_check(inst, args, tol: Tolerance, L: float, table, result: dict) -> dict:
     """The verify block of a solve's result.
 
     inst is the parsed instance and args the solve's options (method,
     split, lists); table is the instance's table in the axis frame of
     length L (cli._axis_instance): segments as (N, 4) rows [ax, ay, bx,
     by] or points as (N, 2) rows [x, y], as the solvers took it; and
-    objective is the solve's objective.
+    result is the solve's result object. A k-cover check is also not ok
+    when a point lies outside its run's circle (_covers).
     """
     norm = inst.norm
+    objective = result["objective"]
     if inst.problem == "one-center":
         grid = GridSpec(_GRID_STEP, Interval(0.0, L))
         return _compare("grid", "grid_radius",
@@ -292,11 +312,12 @@ def cross_check(inst, args, tol: Tolerance, L: float, table, objective: float) -
                         lambda: max_empty_binsearch(table, L, norm, tol).radius,
                         objective, 2.0 * tol.eps)
     ps = PointSet(table)
+    covered = _covers(ps, result["circles"], norm.p, tol.eps)
     if norm.p == 2.0:
         other = "sweep" if args.lists == "naive" else "naive"
         return _compare(f"lists:{other}", "other_objective",
                         lambda: dp_solve(ps, inst.k, norm, tol, inst.agg, lists=other).objective,
-                        objective, _OBJECTIVE_TOL)
+                        objective, _OBJECTIVE_TOL, covered)
     return _compare("set-partition", "other_objective",
                     lambda: set_partition_oracle(ps, inst.k, norm, tol, inst.agg).objective,
-                    objective, _OBJECTIVE_TOL)
+                    objective, _OBJECTIVE_TOL, covered)

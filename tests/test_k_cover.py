@@ -23,6 +23,7 @@ from lineplace import (
     rmin_on_axis,
 )
 from lineplace import intervals, k_cover
+from lineplace.cli import main
 from lineplace._reference import _rmin_points, build_lists_loop, dp_scan, relax_scan, \
     two_point_circle
 from lineplace.errors import NoBisectorRoot, TooLarge
@@ -905,6 +906,46 @@ class TestHellyReduction:
                 d = lp_distance(Point(x, y), Point(cx, 0.0), norm)
                 assert d <= r + gap + 16 * U * rounding_scale(ps, i, j, r), (i, j, x, y)
                 assert d <= r + k_cover._cover_slack(r, 0.0), (i, j, x, y)
+
+    LARGE_P = [[68.534549, 1.270405], [69.533712, 1.946048], [71.904772, 1.461635]]
+
+    def test_large_p_center_covers_the_run(self):
+        # at p = 30 the run's radius is the middle point's |y| to the last
+        # bit, where that point's interval has width 0 and the others
+        # cross it; the intervals meet one float higher, and the center
+        # comes from there, with the radius unchanged
+        ps = PointSet(np.array(self.LARGE_P))
+        norm = NormP(30.0)
+        radius = k_cover._run_radii(ps.xy, 30.0, TOL)
+        cx, r = k_cover._run_circle(ps.xy, radius[0, 2], 30.0)
+        assert r == 1.946048
+        for x, y in self.LARGE_P:
+            assert lp_distance(Point(x, y), Point(cx, 0.0), norm) <= r + k_cover._cover_slack(r, 0.0)
+        assert (cx, r) == rmin_on_axis(ps, 0, 2, norm, TOL)
+
+    def test_verify_checks_coverage(self, tmp_path, monkeypatch, capsys):
+        # --verify compared objectives only; a circle that misses a point
+        # of its run now makes it not ok, with the same fields
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"problem": "k-cover", "p": 30.0, "k": 1, "q": 1.0,
+                                    "agg": "sum", "constraint": [0, 0, 100, 0],
+                                    "points": self.LARGE_P}))
+
+        def verify_block():
+            assert main(["solve", "--in", str(path), "--verify"]) == 0
+            return json.loads(capsys.readouterr().out)["result"]["verify"]
+
+        good = verify_block()
+        assert good["ok"] is True
+
+        def midpoint(xy, r, p):
+            lo, hi = k_cover._meeting(xy, float(r), p)
+            return 0.5 * (lo + hi), float(r)
+
+        monkeypatch.setattr(k_cover, "_run_circle", midpoint)
+        bad = verify_block()
+        assert bad["ok"] is False
+        assert bad.keys() == good.keys() and bad["delta"] == good["delta"]
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_table_slices_equal_the_standalone_route(self, p):

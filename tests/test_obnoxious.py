@@ -307,6 +307,45 @@ class TestMinimiserTable:
             assert got.hex() == want.hex()
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e300])
+    def test_extraction_is_the_scalar_fold(self, split, p, scale, monkeypatch):
+        # one axis_distances pass with rescoring gives the bits of the
+        # scalar extraction: at every piece end, in ascending order, the
+        # least point_segment_distance to the owners there, kept on a
+        # strict >. A level segment makes many ends tie, where the
+        # smallest abscissa wins; rows and Segment objects agree
+        norm, tol = NormP(p), Tolerance(eps=1e-9 * scale)
+        rng = random.Random(f"extract {p} {scale}")
+        for trial in range(4):
+            segs = [seg(*(v * scale for v in (rng.uniform(0, 100), rng.uniform(-2, 2),
+                                              rng.uniform(0, 100), rng.uniform(-2, 2))))
+                    for _ in range(40)]
+            if trial % 2:
+                segs.append(seg(-20.0 * scale, 0.5 * scale, 120.0 * scale, 0.5 * scale))
+            le = compute_lower_envelope(segs, 100.0 * scale, norm, tol, split=split)
+            owners = {}
+            for pc in le.pieces:
+                owners.setdefault(pc.a, set()).add(pc.seg_index)
+                owners.setdefault(pc.b, set()).add(pc.seg_index)
+            want_x, want = None, -math.inf
+            for x in sorted(owners):
+                val = min(point_segment_distance(Point(x, 0.0), segs[s], norm, tol)
+                          for s in owners[x])
+                if want_x is None or val > want:
+                    want_x, want = x, val
+            with monkeypatch.context() as m:
+                m.setattr(obnoxious, "axis_distances", off_by_ulps(rng))
+                if math.isnan(want):
+                    with pytest.raises(ValueError):
+                        largest_empty_from_envelope(le, segs, norm, tol)
+                    continue
+                got = largest_empty_from_envelope(le, segs, norm, tol)
+                rows = largest_empty_from_envelope(le, segment_columns(segs), norm, tol)
+            assert (got.cx.hex(), got.radius.hex()) == (want_x.hex(), want.hex())
+            assert rows == got
+
+    @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])
     def test_one_point_domain(self, split, norm):
         # at L = 0 the envelope is one zero-width piece owned by the
@@ -430,6 +469,55 @@ def _differing_cells(e1, e2):
 
 
 class TestDominance:
+    @staticmethod
+    def count_cells(segs, norm, split, monkeypatch):
+        """(contested, resolved): the differing cells of every merge plus
+        the window pieces that the one-off fold settles without a merge,
+        and the cells that reach _resolve_cell."""
+        differing, windows, merged, resolved = [], [], [], []
+        real_merge, real_resolve = obnoxious._merge_raw, obnoxious._resolve_cell
+        real_least = obnoxious._least_on
+
+        def counting_merge(e1, e2, *args):
+            differing.append(_differing_cells(e1, e2))
+            merged.append(len(e1))
+            return real_merge(e1, e2, *args)
+
+        def counting_resolve(*args):
+            resolved.append(args[:2])
+            return real_resolve(*args)
+
+        def counting_least(prof, a, b):
+            windows.append(len(a))
+            return real_least(prof, a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(obnoxious, "_merge_raw", counting_merge)
+            m.setattr(obnoxious, "_resolve_cell", counting_resolve)
+            m.setattr(obnoxious, "_least_on", counting_least)
+            compute_lower_envelope(segs, 100.0, norm, TOL, split=split)
+        # a fold that settles pieces merges only the stretch between its
+        # first and last unsettled piece (every merge of one-off is a
+        # fold's, and halves settles no window)
+        settled = sum(windows) - sum(merged) if windows else 0
+        return sum(differing) + settled, len(resolved)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 30.0])
+    def test_window_least_is_the_extent_least(self, p):
+        # the fold's array pass gives every window piece the least that
+        # _extent takes over it, up to the array evaluation's ulps, far
+        # inside the margin: spans inside one piece, across knots, and
+        # around the apex of a cone
+        rng = random.Random(f"window least {p}")
+        for _ in range(60):
+            ax, bx = rng.uniform(0, 100), rng.uniform(0, 100)
+            prof = _build_profile(ax, rng.uniform(-3, 3), bx, rng.uniform(-3, 3), p)
+            cuts = sorted({0.0, 100.0, ax, bx, *(rng.uniform(0, 100) for _ in range(30))})
+            a, b = np.array(cuts[:-1]), np.array(cuts[1:])
+            got = obnoxious._least_on(prof, a, b)
+            want = [obnoxious._extent(prof, u, v)[0] for u, v in zip(cuts, cuts[1:])]
+            assert np.abs(got - want).max() <= 2.0 ** -50 * 100.0
+
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])
     def test_most_cells_skip_root_finding(self, split, norm, monkeypatch):
@@ -437,25 +525,17 @@ class TestDominance:
         # _resolve_cell and change no answer; the counts show it. Here
         # halves resolves about 40 % of these cells (most of them hold a
         # crossing) and one-off about 5 %
-        differing, resolved = [], []
-        real_merge, real_resolve = obnoxious._merge_raw, obnoxious._resolve_cell
-
-        def counting_merge(e1, e2, *args):
-            differing.append(_differing_cells(e1, e2))
-            return real_merge(e1, e2, *args)
-
-        def counting_resolve(*args):
-            resolved.append(args[:2])
-            return real_resolve(*args)
-
-        monkeypatch.setattr(obnoxious, "_merge_raw", counting_merge)
-        monkeypatch.setattr(obnoxious, "_resolve_cell", counting_resolve)
         rng = random.Random(8)
         segs = [seg(rng.uniform(0, 100), rng.uniform(-2, 2), rng.uniform(0, 100), rng.uniform(-2, 2))
                 for _ in range(200)]
-        compute_lower_envelope(segs, 100.0, norm, TOL, split=split)
-        assert sum(differing) > 1000
-        assert len(resolved) < 0.5 * sum(differing)
+        contested, resolved = self.count_cells(segs, norm, split, monkeypatch)
+        assert contested > 1000
+        assert resolved < 0.5 * contested
+        if split == "one-off":
+            # settling whole window pieces sends no more cells to root
+            # finding than the same build without any margin
+            monkeypatch.setattr(obnoxious, "_margin", lambda mag: None)
+            assert resolved <= self.count_cells(segs, norm, split, monkeypatch)[1]
 
 
 class TestOwnershipBoundaries:

@@ -262,7 +262,7 @@ def _envelope_outcome(segs, L, p, split):
     return [(pc.a.hex(), pc.b.hex(), pc.seg_index) for pc in env.pieces]
 
 
-def _never_dominant(*args):
+def _no_margin(mag):
     return None
 
 
@@ -270,6 +270,21 @@ _PINNED_OVERFLOW = (np.array([[-8.375333314944607e299, -7.842016392780372e294,
                                -6.572665339832966e299, 3.7292578879228924e296],
                               [8.795959788966634e299, 3.0939054382359757e296,
                                4.066444125146898e299, -6.5443474838477e296]]), 1e300)
+
+
+# at p = 1 the one-off fold meets a newcomer (row 9) whose constrained
+# minimiser 5.0 is that of the owner (row 3) of a piece it would settle,
+# where the merge keeps a breakpoint
+_SHARED_MINIMISER = (np.array([[5.0, 2.0, -3.5, -5.0], [5.0, 2.5, 12.0, -5.0],
+                               [5.0, 2.0, -1.0, -3.75], [5.0, -0.5, 5.0, -2.25],
+                               [6.5, -3.0, -2.0, -4.75], [0.5, 2.5, -8.0, 3.0],
+                               [0.5, 2.25, -1.5, 3.75], [5.0, 2.5, -1.0, -4.0],
+                               [5.0, 2.5, -3.0, -4.0], [5.0, -2.5, 9.5, -3.75]]), 10.0)
+
+# at p = 2 the fold settles all six pieces of one newcomer's window
+_SETTLED_WINDOW = (np.array([[0.0, 3.0, 1.0, 3.5], [9.5, -0.25, 18.5, -1.0],
+                             [3.5, 2.5, 12.0, -3.75], [7.0, 1.0, 0.5, 3.5],
+                             [9.5, -2.5, 7.5, -3.25]]), 10.0)
 
 
 def _nearline(n, seed):
@@ -280,19 +295,23 @@ def _nearline(n, seed):
 
 @pytest.mark.parametrize("split", ["halves", "one-off"])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-# 1e-70, 1e70 and 1e300 lie outside (2^-200, 2^200), where _dominant
-# claims no margin; 1.0 is listed twice to weight the scales inside
+# 1e-70, 1e70 and 1e300 lie outside (2^-200, 2^200), where _margin
+# claims no bound; 1.0 is listed twice to weight the scales inside
 @given(inst=_row_instances(st.integers(1, 120),
                            [1.0, 1e-6, 1e6, 1.0, 1e-70, 1e70, 1e300], vertical=True))
 @example(inst=_PINNED_OVERFLOW).via("coordinates near 1e300 overflow the profile")
 @example(inst=_nearline(240, 9)).via("many cells where two profiles nearly touch")
+@example(inst=_SHARED_MINIMISER).via("a newcomer with an owner's constrained minimiser")
+@example(inst=_SETTLED_WINDOW).via("a newcomer whose whole window is settled")
 @settings(deadline=None)
 def test_dominance_never_changes_an_envelope(split, p, inst):
+    # no margin settles neither a merge's cells (_dominant) nor a fold's
+    # window pieces, so every contested cell is resolved
     cols, L = inst
     segs = [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in cols.tolist()]
     settled = _envelope_outcome(segs, L, p, split)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(obnoxious, "_dominant", _never_dominant)
+        m.setattr(obnoxious, "_margin", _no_margin)
         resolved = _envelope_outcome(segs, L, p, split)
     assert settled == resolved
 

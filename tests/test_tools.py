@@ -1,0 +1,18 @@
+"""tools/bitcheck.py, run on this checkout against itself."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_bitcheck_finds_no_difference_against_itself():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bitcheck.py"), str(ROOT), str(ROOT),
+                           "--workload", "segments-nearline", "--seed", "201", "--size", "tiny"],
+                          capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    summary = proc.stdout.strip().splitlines()[-1]
+    assert re.match(r"0 of [1-9][0-9]* requests differ \(segments-nearline; seeds 201; tiny\)$",
+                    summary), summary
