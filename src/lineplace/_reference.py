@@ -341,9 +341,12 @@ def two_point_circle(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance)
     For i == j this is the smallest ball pinned at the point. Equal
     abscissas admit a center only when the |y| match. For p = 1 the
     distance difference plateaus, so a center may not exist either;
-    the nonexistent cases raise NoBisectorRoot. The scalar kernel of
-    one pair; k_cover._pair_circles computes all pairs at once by the
-    same steps.
+    the nonexistent cases raise NoBisectorRoot. At other p the bracket
+    [x_i, x_j] widens by doubling steps toward a center outside it,
+    where Python's ** may overflow, then bisects to eps/4. The scalar
+    kernel of one pair, for the tests: k_cover._binding_radii takes the
+    same closed forms at p = 2 and solves only the pairs whose center
+    lies in [x_i, x_j], within that span, and binds the others at 0.
     """
     if not 0 <= i <= j < len(pts):
         raise ValueError("need 0 <= i <= j < len(points)")

@@ -4,18 +4,21 @@ An optimal solution may be chosen so that each ball covers an index
 run of the x-sorted points, so the problem reduces to a DP over the
 runs. By Helly's theorem on the line, the least radius of a run is the
 largest minimax radius of its pairs (_run_radii): the circles through
-one or two points, all O(N^2) of them computed at once over numpy
-arrays (in closed form at p = 1 and p = 2, and by a lockstep
-safeguarded Newton iteration, rtsafe, on each pair's own power-of-two
-scale at other p). A 2-D running maximum of those pair radii gives the
-exact radius of every run in O(N^2), and the DP relaxes every break of
-every column against that table in O(K·N^2): it minimises the
-objective that it reports, and the circle of each chosen run is read
-off the same table (_run_circle), with no radius search. A plane sweep
-builds candidate lists of slack-grown pair circles at p = 2
-(build_lists_sweep); a list is plain data, for each right end r a
-tuple of (left, radius) pairs in ascending left, and the DP can take
-its run weights from those lists instead (_list_weights).
+one point, and through two points whose equidistant center lies
+between them (_binding_radii). All O(N^2) pairs are tested at once over
+numpy arrays: in closed form at p = 1 and p = 2, and at other p by
+the signs at each pair's two ends, after which a lockstep safeguarded
+Newton iteration, rtsafe, solves the pairs inside within their own
+span, each on its own power-of-two scale. A 2-D running maximum of
+those binding radii gives the exact radius of every run in O(N^2), and
+the DP relaxes every break of every column against that table in
+O(K·N^2): it minimises the objective that it reports, and the circle
+of each chosen run is read off the same table (_run_circle), with no
+radius search. A plane sweep builds candidate lists of slack-grown
+pair circles at p = 2 (build_lists_sweep); a list is plain data, for
+each right end r a tuple of (left, radius) pairs in ascending left,
+and the DP can take its run weights from those lists instead
+(_list_weights).
 """
 
 from __future__ import annotations
@@ -89,11 +92,15 @@ def _cover_slack(R: float, eps: float) -> float:
     """How far beyond radius R a point still counts as covered.
 
     Follows R's scale: a pair circle through two points whose abscissas
-    almost coincide has a huge radius, and rounding in its center and
-    radius then exceeds any absolute slack, so that the circle would
-    miss its own points. eps is floored at 2^-40, which exceeds that
-    rounding, so that a pair circle covers its own points at any eps;
-    at eps >= 2^-40 the floor changes nothing.
+    almost coincide has a huge radius, and rounding in its radius then
+    exceeds any absolute slack, so that the circle would miss its own
+    points. eps is floored at 2^-40, above the rounding of the coverage
+    test (under 2^-47 R), so that the slack does not vanish at tiny eps;
+    at eps >= 2^-40 the floor changes nothing. The floor follows R, not
+    the points' abscissas, and a pair circle's center rounds at the
+    scale of its abscissas: at p = 2 the closed-form center of a pair
+    near x = 98 with R = 0.73 leaves a point 1.4e-12 outside R, above
+    2^-40 max(1, R). That rounding is what _center_slack covers.
     """
     # a conditional, not max(): the sweep calls this once per event
     return (eps if eps > _SLACK_FLOOR else _SLACK_FLOOR) * max(1.0, R)
@@ -126,22 +133,24 @@ def _pair_scale(xi, yi, xj, yj):
     return np.ldexp(1.0, -np.maximum(np.frexp(m)[1], -1021))
 
 
-def _rtsafe_pairs(a, b, t, lo, hi, s, quarter: float, p: float, max_iters: int):
-    """Root of F - t in [lo, hi] for every pair at once, by the bracketed
+def _rtsafe_pairs(a, b, t, s, quarter: float, p: float, max_iters: int):
+    """Root of F - t in [a, b] for every pair at once, by the bracketed
     Newton iteration rtsafe (Numerical Recipes, section 9.4).
 
-    F (see _power_gap) increases, so F(lo) <= t <= F(hi) brackets the
-    root, and each evaluation moves one end of the bracket. A Newton
-    step is taken when it lands in the closed bracket and is at most
-    half the step before the last one; otherwise the bracket is halved.
-    A pair stops at an exact root, at a Newton step of at most
-    quarter, at the bisection of a bracket at most quarter wide (whose
-    midpoint lies within quarter / 2 of the root, as a plain bisection
-    to that width gives), or once its iterate stops moving: a Newton
-    step that rounds to no step, or a bracket whose ends are adjacent
-    floats. The pairs are scaled by s, so a pair's tolerance is
-    quarter * s. Returns the iterates.
+    F (see _power_gap) increases, and the caller passes only pairs with
+    F(a) <= t <= F(b), so [a, b] brackets the root; each evaluation
+    moves one end of the bracket [lo, hi]. A Newton step is taken when
+    it lands in the closed bracket and is at most half the step before
+    the last one; otherwise the bracket is halved. A pair stops at an
+    exact root, at a Newton step of at most quarter, at the bisection
+    of a bracket at most quarter wide (whose midpoint lies within
+    quarter / 2 of the root, as a plain bisection to that width gives),
+    or once its iterate stops moving: a Newton step that rounds to no
+    step, or a bracket whose ends are adjacent floats. The pairs are
+    scaled by s, so a pair's tolerance is quarter * s. Returns the
+    iterates.
     """
+    lo, hi = a.copy(), b.copy()
     x = 0.5 * (lo + hi)
     dx = hi - lo
     dxold = dx.copy()
@@ -191,94 +200,78 @@ def _rtsafe_step(act, x, a, b, t, lo, hi, dx, dxold, s, quarter: float, p: float
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _pair_circles(X, Y, I, J, p: float, tol: Tolerance):
-    """Center on the axis equidistant from points I[k] <= J[k], and the
-    radius, for every pair at once.
+def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
+    """Each pair's share of the least radius of a run that holds both its
+    points, for the points I[k] <= J[k] of the sorted abscissas X and
+    ordinates Y, all pairs at once:
 
-    X, Y are the sorted abscissas and ordinates. Returns (xc, R, ok).
-    For i == j the circle is the smallest ball pinned at the point.
-    Equal abscissas admit a center only when the |y| match, and at
-    p = 1 the distance difference plateaus, so a center may not exist
-    either; ok is False there, and where the radius is not finite (a
-    pair circle of coordinates near the float range, which the DP could
-    never choose). Between the plateaus the p = 1 difference is 2x - xi
-    - xj, so the center is the closed form (xi + xj + |yj| - |yi|) / 2;
-    p = 2 takes its closed-form center and math.hypot. Other p solve
-    F(x) = |x - xi|^p - |x - xj|^p = |yj|^p - |yi|^p, F increasing, on
-    each pair's own power-of-two scale: its largest |xj - xi|, |yi|,
-    |yj| brought into [1/2, 1), which is exact and keeps the powers in
-    range even for a point far from the axis; the center is scaled
-    back. The bracket [xi, xj] widens by doubling steps until it holds
-    the root (or until x - xi and x - xj round alike, where F is 0),
-    then rtsafe (_rtsafe_pairs) runs on all pairs in lockstep to eps/4.
-    Its accepted Newton steps at least halve every second step and its
-    other steps halve the bracket, so a pair stops within about twice
-    the steps of a bisection to the same width, or sooner where the
-    bracket ends become adjacent floats: a center whose ulp exceeds
-    eps/4 stops there. On the benchmark's point sets no pair takes 64
-    steps or more, against the default cap of 200. The scalar kernel
-    of one pair, which the tests compare against, is
+    - |y_i| for i == j, the ball pinned at the point;
+    - 0 for equal abscissas, and for a pair whose equidistant center
+      lies outside [x_i, x_j]: there f_i - f_j keeps one sign on the
+      span, so the larger |y| alone sets the pair's minimax, and the
+      diagonal holds it;
+    - the pair circle's radius where its center lies inside;
+    - inf where the center or that radius is not finite (coordinates
+      near the float range), so that no run over the pair passes it
+      silently.
+
+    F(x) = |x - x_i|^p - |x - x_j|^p increases, so the center, the root
+    of F(x) = t with t = |y_j|^p - |y_i|^p, lies in [x_i, x_j] iff
+    F(x_i) <= t <= F(x_j), and only those pairs are solved. At p = 1, F
+    is -span at x_i and +span at x_j, and between them 2x - x_i - x_j,
+    so the center is the closed form (x_i + x_j + t) / 2; p = 2 takes its
+    closed-form center for every pair and math.hypot for those inside.
+    Both closed forms keep the test x_i <= c <= x_j on the computed
+    center. Other p test the two signs of _power_gap at the pair's ends
+    on its own power-of-two scale (_pair_scale: exact, and the powers
+    do not overflow even for a point far from the axis), then run rtsafe
+    (_rtsafe_pairs) on all inside pairs in lockstep to eps/4 within
+    their own [x_i, x_j]; the center is scaled back. Its accepted
+    Newton steps at least halve every second step and its other steps
+    halve the bracket, so a pair stops within about twice the steps of
+    a bisection to the same width, or sooner where the bracket ends
+    become adjacent floats. On the benchmark's point sets the lockstep
+    takes at most 6 steps, against the default cap of 200. The scalar
+    kernel of one pair, which the tests compare against, is
     _reference.two_point_circle: it bisects at every p != 2, so the
-    values of p = 2, of i == j, of equal abscissas and of the p = 1
-    plateaus equal its bit for bit, and the others agree within its
-    eps/8 bracket and the rounding of F. The powers run under
-    np.errstate(over="raise", invalid="raise"), so no inf - inf steers
-    a search. Other arithmetic overflows to inf, silently, as Python
-    float arithmetic does.
+    values of p = 2 and of i == j equal its bit for bit, and the others
+    agree within its eps/8 bracket and the rounding of F. The powers
+    run under np.errstate(over="raise", invalid="raise"), so no inf -
+    inf steers a search. Other arithmetic overflows to inf, silently,
+    as Python float arithmetic does.
     """
-    xi, yi, xj, yj = X[I], Y[I], X[J], Y[J]
-    ok = np.ones(len(I), dtype=bool)
-    # i == j is the pinned ball; equal abscissas need equal |y|
-    tie = (I != J) & (xi == xj)
-    ok[tie] = yi[tie] * yi[tie] == yj[tie] * yj[tie]
-    g = np.flatnonzero(xi != xj)
-    xi, yi, xj, yj = xi[g], yi[g], xj[g], yj[g]
+    binding = np.where(I == J, np.abs(Y[I]), 0.0)
+    g = np.flatnonzero(X[I] != X[J])
+    xi, yi, xj, yj = X[I[g]], Y[I[g]], X[J[g]], Y[J[g]]
     if p == 2.0:
         c = (xj * xj + yj * yj - xi * xi - yi * yi) / (2.0 * (xj - xi))
-        r = np.fromiter(map(math.hypot, (c - xi).tolist(), yi.tolist()),
-                        dtype=float, count=len(g))
     else:
         if p == 1.0:
-            # |x - xi| - |x - xj| is 2x - xi - xj on [xi, xj] and
-            # plateaus at -span and +span outside, where the center is
-            # the plateau's end
-            target = np.abs(yj) - np.abs(yi)
-            span = xj - xi
-            ok[g[(target > span) | (target < -span)]] = False
-            c = np.where(target == span, xj,
-                         np.where(target == -span, xi, 0.5 * (xi + xj + target)))
+            target, span = np.abs(yj) - np.abs(yi), xj - xi
+            h = np.flatnonzero(np.abs(target) <= span)
+            target, span, a, b = target[h], span[h], xi[h], xj[h]
+            c = np.where(target == span, b, np.where(target == -span, a, 0.5 * (a + b + target)))
         else:
             s = _pair_scale(xi, yi, xj, yj)
             a, b = xi * s, xj * s
             with np.errstate(over="raise", invalid="raise"):
                 target = np.abs(yj * s) ** p - np.abs(yi * s) ** p
-                # only the scaled pairs stay live during the search
-                del xi, yi, xj, yj
-                lo, hi = a.copy(), b.copy()
-                # widen lo while F(lo) > target and hi while F(hi) <
-                # target, doubling the step; F is evaluated once more at
-                # the cap, as the scalar loop's `F(lo) > target and it <
-                # max_iters` does. Where x - xi and x - xj round alike F
-                # is 0 there and beyond, so widening cannot change its sign
-                for x, sign, outside in ((lo, -1.0, np.greater), (hi, 1.0, np.less)):
-                    act = np.flatnonzero(outside(_power_gap(x, a, b, target, p)[0], 0.0))
-                    step = np.maximum(1.0, b[act] - a[act])
-                    for _ in range(tol.max_iters):
-                        if not len(act):
-                            break
-                        x[act] += sign * step
-                        step *= 2.0
-                        xa = x[act]
-                        gap = _power_gap(xa, a[act], b[act], target[act], p)[0]
-                        keep = outside(gap, 0.0) & (xa - a[act] != xa - b[act])
-                        act, step = act[keep], step[keep]
-                c = _rtsafe_pairs(a, b, target, lo, hi, s, tol.eps / 4.0, p, tol.max_iters)
+                h = np.flatnonzero((_power_gap(a, a, b, target, p)[0] <= 0.0)
+                                   & (_power_gap(b, a, b, target, p)[0] >= 0.0))
+                s = s[h]
+                c = _rtsafe_pairs(a[h], b[h], target[h], s, tol.eps / 4.0, p, tol.max_iters)
             c /= s
-            xi, yi = X[I[g]], Y[I[g]]
-        r = _np_lp(c - xi, yi, p)
-    xc, R = X[I], np.abs(Y[I])
-    xc[g], R[g] = c, r
-    return xc, R, ok & np.isfinite(R)
+        g, xi, yi, xj = g[h], xi[h], yi[h], xj[h]
+    inside = (xi <= c) & (c <= xj)
+    d, y = c[inside] - xi[inside], yi[inside]
+    if p == 2.0:
+        r = np.fromiter(map(math.hypot, d.tolist(), y.tolist()), dtype=float, count=len(d))
+    else:
+        r = _np_lp(d, y, p)
+    share = np.where(np.isfinite(c), 0.0, _INF)
+    share[inside] = np.where(np.isfinite(r), r, _INF)
+    binding[g] = share
+    return binding
 
 
 def _run_radii(xy, p: float, tol: Tolerance):
@@ -290,23 +283,18 @@ def _run_radii(xy, p: float, tol: Tolerance):
     Each distance f_k(c) = (|c - x_k|^p + |y_k|^p)^(1/p) is convex, so
     the centers within R of a point form an interval, and by Helly's
     theorem on the line these meet iff every two do. So the least
-    radius of a run is the largest min_c max(f_i, f_j) over its pairs:
-    |y_i| for i = j, and for i < j the pair circle's radius
-    (_pair_circles) where its center lies in [x_i, x_j]; elsewhere
-    f_i - f_j keeps one sign there, and the larger |y| alone sets it.
-    A pair radius that is not finite counts as inf, so that no run
-    over the pair passes it silently. The table is the running maximum
-    of these binding radii along each row toward larger r, then up
-    each column toward smaller l: O(N^2) after the pair circles, and
-    as exact as the pair radii (closed forms at p = 1 and 2).
+    radius of a run is the largest min_c max(f_i, f_j) over its pairs,
+    which is the largest of its pairs' binding radii (_binding_radii)
+    and its points' |y|. The table is the running maximum of the
+    binding radii along each row toward larger r, then up each column
+    toward smaller l: O(N^2) after the pair circles, and as exact as
+    the pair radii (closed forms at p = 1 and 2).
     """
     n = len(xy)
     X, Y = xy.T.copy()
     I, J = np.triu_indices(n)
-    xc, R, ok = _pair_circles(X, Y, I, J, p, tol)
     binding = np.zeros((n, n))
-    binding[I, J] = np.where(np.isfinite(R), np.where(ok & (X[I] <= xc) & (xc <= X[J]), R, 0.0),
-                             _INF)
+    binding[I, J] = _binding_radii(X, Y, I, J, p, tol)
     return np.maximum.accumulate(np.maximum.accumulate(binding, axis=1)[::-1], axis=0)[::-1]
 
 
@@ -508,11 +496,13 @@ def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
 def _center_slack(xy, r: float) -> float:
     """How far rounding may leave a point of the run xy outside radius r
     from the midpoint of _meeting: the coverage-slack floor grown with
-    the run's abscissas, 2^-40 max(1, r, |x|). A pair circle's center
+    the run's abscissas, 2^-40 max(r, |x|). A pair circle's center
     rounds at the scale of its abscissas, not of r: at p = 2 the
     closed form through (97.992753, -0.274142) and (99.000195,
-    -0.658268) leaves a point 1.4e-12 outside r = 0.73."""
-    return _SLACK_FLOOR * max(1.0, r, float(np.abs(xy[:, 0]).max()))
+    -0.658268) leaves a point 1.4e-12 outside r = 0.73. No absolute
+    term, so that a run and its power-of-two scaling take the same
+    branch of _run_circle."""
+    return _SLACK_FLOOR * max(r, float(np.abs(xy[:, 0]).max()))
 
 
 def _meeting(xy, r: float, p: float):

@@ -275,7 +275,7 @@ def _compare(kind: str, key: str, other_route, value: float, tolerance: float,
 def _covers(ps: PointSet, circles, p: float, eps: float) -> bool:
     """Whether every point lies within its run's circle, up to the larger
     of k_cover's coverage slack, max(eps, 2^-40) max(1, R), and the
-    rounding its circles allow, 2^-40 max(1, R, |x|) (_center_slack)."""
+    rounding its circles allow, 2^-40 max(R, |x|) (_center_slack)."""
     for c in circles:
         left, right = c["run"]
         xy = ps.xy[left:right + 1]

@@ -299,6 +299,23 @@ class TestRobustness:
         assert code == 0
         assert json.loads(out)["result"]["verify"]["ok"] is True
 
+    def test_k_cover_at_p1000(self, tmp_path):
+        # the pair's center lies far beyond the second point, and a
+        # bracket widened toward it overflowed |x - a|^p: the pair binds
+        # at 0, so the second point's |y| is the radius
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "problem": "k-cover", "p": 1000.0, "k": 1, "q": 1.0, "agg": "sum",
+            "constraint": [0, 0, 100, 0],
+            "points": [[30.28288, 0.017589], [88.119303, 62.936732]]}))
+        code, out = run_cli(["solve", "--in", str(path), "--verify"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        (circle,) = result["circles"]
+        assert (circle["center_x"], circle["radius"]) == (88.119303, 62.936732)
+        assert result["verify"]["kind"] == "set-partition"
+        assert result["verify"]["ok"] is True
+
     @pytest.mark.parametrize("eps", ["1e-18", "1e-300"])
     @pytest.mark.parametrize("lists", ["naive", "sweep"])
     def test_k_cover_at_tiny_eps(self, tmp_path, lists, eps):

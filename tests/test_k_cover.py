@@ -113,11 +113,56 @@ def taxicab_tolerance(ps, i, j, eps):
     return eps / 8 + 4 * U * (abs(a.x) + abs(b.x) + abs(a.y) + abs(b.y))
 
 
-def batch_pair_circles(ps, norm, tol):
+def batch_binding(ps, norm, tol):
+    """(i, j, binding radius) of every pair i <= j of the sorted set."""
     X, Y = ps.xy.T.copy()
     I, J = np.triu_indices(len(ps))
-    xc, R, ok = k_cover._pair_circles(X, Y, I, J, norm.p, tol)
-    return zip(I.tolist(), J.tolist(), xc.tolist(), R.tolist(), ok.tolist())
+    binding = k_cover._binding_radii(X, Y, I, J, norm.p, tol)
+    return zip(I.tolist(), J.tolist(), binding.tolist())
+
+
+def reference_tolerance(ps, i, j, want, p, eps):
+    """How far the batch's pair radius, and its center, may lie from the
+    scalar reference want = (center, radius): bit for bit at p = 2,
+    taxicab_tolerance at p = 1, pair_tolerance at other p (which also
+    bounds the centers' difference, 2 dF / s + eps/4)."""
+    if p == 2.0:
+        return 0.0
+    if p == 1.0:
+        return taxicab_tolerance(ps, i, j, eps)
+    return pair_tolerance(ps, i, j, *want, p, eps)
+
+
+def check_binding(ps, i, j, binding, want, p, eps):
+    """One pair's binding radius against the scalar reference want =
+    (center, radius) of two_point_circle, None where it raises
+    NoBisectorRoot: 0 where that has no center or where its center
+    lies outside [xi, xj] by more than reference_tolerance, the
+    reference's radius within that tolerance (inf where it is not
+    finite) where its center lies inside by more; within the tolerance
+    of an end, either."""
+    xi, xj = ps.xy[i, 0], ps.xy[j, 0]
+    if i == j:
+        assert binding == want[1]
+        return
+    if want is None or xi == xj:
+        assert binding == 0.0
+        return
+    xc, R = want
+    if not math.isfinite(xc):
+        assert binding == math.inf
+        return
+    bound = reference_tolerance(ps, i, j, want, p, eps)
+    if not math.isfinite(R):
+        near = binding == math.inf
+    else:
+        near = abs(binding - R) <= bound + (4 * U * R if p == 1.0 else 0.0)
+    if xi + bound <= xc <= xj - bound:
+        assert near, (i, j, binding, want)
+    elif not xi - bound <= xc <= xj + bound:
+        assert binding == 0.0, (i, j, binding, want)
+    else:
+        assert binding == 0.0 or near, (i, j, binding, want)
 
 
 class TestPointSet:
@@ -246,11 +291,12 @@ class TestCandidateLists:
 
 
 class TestPairCirclesBatch:
-    """k_cover._pair_circles against two_point_circle, pair by pair.
+    """k_cover._binding_radii against two_point_circle, pair by pair.
 
     The scalar kernel bisects at every p != 2, while the batch takes the
     closed form at p = 1 and rtsafe at other p, so the two agree within
-    the bounds derived in taxicab_tolerance and pair_tolerance.
+    the bounds derived in taxicab_tolerance and pair_tolerance
+    (check_binding).
     """
 
     SPECIAL = {
@@ -264,22 +310,13 @@ class TestPairCirclesBatch:
 
     def _compare(self, ps, norm):
         seen_fail = 0
-        for i, j, xc, R, ok in batch_pair_circles(ps, norm, TOL):
+        for i, j, binding in batch_binding(ps, norm, TOL):
             try:
                 want = two_point_circle(ps, i, j, norm, TOL)
             except NoBisectorRoot:
-                assert not ok, (i, j)
+                want = None
                 seen_fail += 1
-                continue
-            assert ok, (i, j)
-            if norm.p == 2.0 or ps.xy[i, 0] == ps.xy[j, 0]:
-                assert (xc, R) == want, (i, j)
-            elif norm.p == 1.0:
-                bound = taxicab_tolerance(ps, i, j, TOL.eps)
-                assert abs(xc - want[0]) <= bound, (i, j)
-                assert abs(R - want[1]) <= bound + 4 * U * R, (i, j)
-            else:
-                assert abs(R - want[1]) <= pair_tolerance(ps, i, j, *want, norm.p, TOL.eps), (i, j)
+            check_binding(ps, i, j, binding, want, norm.p, TOL.eps)
         return seen_fail
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -293,7 +330,7 @@ class TestPairCirclesBatch:
             assert fails >= 1
 
     def test_plateau_cases_occur(self):
-        # the "plateau" points hold each p = 1 case the batch must mask
+        # the "plateau" points hold each p = 1 case of the sign test
         ps = pset(*self.SPECIAL["plateau"])
         assert two_point_circle(ps, 0, 1, N1, TOL) == (2.0, 3.0)  # target = +span
         assert two_point_circle(ps, 4, 5, N1, TOL) == (6.0, 4.0)  # target = -span
@@ -330,32 +367,33 @@ class TestPairCirclesBatch:
         # t = |yj| - |yi|: three operations, each rounded by a factor
         # within 2^-53 of 1, and an exact halving. So it lies within
         # 2^-54 (|xi + xj| + |t| + |fl(xi + xj) + fl(t)|) of the exact
-        # rational value
+        # rational value. The binding radius is |xc - xi| + |yi| at that
+        # center where it lies in [xi, xj], else 0
         rng = random.Random("closed form")
         inner = 0
         for regime in ("nearline", "spread", "grid"):
             ps = random_pset(rng, 25, regime)
-            for i, j, xc, R, ok in batch_pair_circles(ps, N1, TOL):
+            for i, j, R in batch_binding(ps, N1, TOL):
                 a, b = point(ps, i), point(ps, j)
                 t = abs(b.y) - abs(a.y)
                 if a.x == b.x or not -(b.x - a.x) < t < b.x - a.x:
                     continue
                 inner += 1
-                assert ok
+                xc = 0.5 * (a.x + b.x + t)
+                assert R == (abs(xc - a.x) + abs(a.y) if a.x <= xc <= b.x else 0.0)
                 s = Fraction(a.x) + Fraction(b.x)
                 exact_t = abs(Fraction(b.y)) - abs(Fraction(a.y))
                 rounded = Fraction(a.x + b.x) + Fraction(t)
                 err = abs(Fraction(xc) - (s + exact_t) / 2)
                 assert err <= Fraction(2) ** -54 * (abs(s) + abs(exact_t) + abs(rounded))
-                assert R == abs(xc - a.x) + abs(a.y)
         assert inner > 300
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("case", ["near-equal", "far"])
     def test_no_pair_reaches_the_cap(self, case, p, monkeypatch):
-        # centers up to 1e10 away, where an ulp of the center exceeds
-        # eps/4: every pair stops before 64 steps of widening or rtsafe,
-        # so a cap of 64 gives the same circles as the default 200
+        # pairs whose centers lie up to 1e10 away are not searched, and
+        # every searched pair stops before 64 steps of rtsafe, so a cap
+        # of 64 gives the same binding radii as the default 200
         if case == "near-equal":
             ps = pset(*self.SPECIAL[case])
         else:
@@ -373,15 +411,35 @@ class TestPairCirclesBatch:
             return step(act, x, *args)
 
         monkeypatch.setattr(k_cover, "_rtsafe_step", counted)
-        want = list(batch_pair_circles(ps, NormP(p), TOL))
+        want = list(batch_binding(ps, NormP(p), TOL))
         # the last step leaves no pair running
         assert len(running) < 64
         if case == "far":
             # Newton steps keep the mean number of steps per pair small
             assert sum(running) < 8 * running[0]
-            if p == 1.5:
-                assert max(abs(xc) for _, _, xc, _, _ in want) > 1e7
-        assert list(batch_pair_circles(ps, NormP(p), Tolerance(max_iters=64))) == want
+        assert list(batch_binding(ps, NormP(p), Tolerance(max_iters=64))) == want
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 300.0])
+    @pytest.mark.parametrize("case", ["nearline", "spread", "far"])
+    def test_search_stays_in_the_span(self, case, p, monkeypatch):
+        # F is evaluated only inside each pair's own [a, b]: at its two
+        # ends for the sign test, then by rtsafe on the pairs whose
+        # center lies inside. "far" holds pairs whose centers lie up to
+        # 1e10 away, which a bracket widened toward them would reach
+        rng = random.Random(f"span {case}{p}")
+        ps = pset(*far_center_pairs(rng, 24)) if case == "far" else random_pset(rng, 30, case)
+        calls = []
+        real = k_cover._power_gap
+
+        def checked(x, a, b, t, p):
+            assert ((a <= x) & (x <= b)).all()
+            calls.append(len(x))
+            return real(x, a, b, t, p)
+
+        monkeypatch.setattr(k_cover, "_power_gap", checked)
+        dp_solve(ps, 3, NormP(p), TOL, AggSpec())
+        # the two ends of every pair with a span, then rtsafe
+        assert len(calls) > 2 and calls[0] == calls[1] > calls[2] > 0
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 300.0])
     def test_subnormal_pairs_keep_a_finite_scale(self, p):
@@ -389,7 +447,7 @@ class TestPairCirclesBatch:
         # range, so it stops at 2^1021; every pair circle and every run
         # radius stays finite
         ps = pset((1e-320, 2e-315), (3e-318, -1e-310), (5e-300, 1.5e-300))
-        assert all(ok and math.isfinite(R) for *_, R, ok in batch_pair_circles(ps, NormP(p), TOL))
+        assert all(math.isfinite(R) for *_, R in batch_binding(ps, NormP(p), TOL))
         radius = k_cover._run_radii(ps.xy, p, TOL)
         assert np.isfinite(radius).all()
         sol = dp_solve(ps, None, NormP(p), TOL, AggSpec())
@@ -397,26 +455,24 @@ class TestPairCirclesBatch:
 
     def test_far_pair_circles_do_not_overflow(self):
         # Python's ** overflows in the scalar loop's widening; the batch
-        # runs each pair on its own power-of-two scale and finds every
-        # circle the loop finds, and a center for the far pairs too
+        # runs each pair on its own power-of-two scale and binds every
+        # pair as the loop's circles do. The pairs of point 0, |y| =
+        # 3.73e16, have their centers far left of the span, where the
+        # loop overflows: they bind at 0
         ps = pset((-16, -3.73e16), (-16, 0), (-10, 0), (-6, -94.8), (1.2e-246, -16))
         norm = NormP(5.998)
         with pytest.raises(OverflowError):
             build_lists_loop(ps, norm, TOL)
-        for i, j, xc, R, ok in batch_pair_circles(ps, norm, TOL):
-            if (i, j) == (0, 1):  # one abscissa, |y| differ
-                assert not ok
-                continue
-            assert ok and math.isfinite(R), (i, j)
+        for i, j, R in batch_binding(ps, norm, TOL):
+            assert math.isfinite(R), (i, j)
             try:
                 want = two_point_circle(ps, i, j, norm, TOL)
             except OverflowError:
-                assert i == 0
+                assert i == 0 and j > 0 and R == 0.0, (i, j)
                 continue
-            if i == j:
-                assert (xc, R) == want
-            else:
-                assert abs(R - want[1]) <= pair_tolerance(ps, i, j, *want, norm.p, TOL.eps), (i, j)
+            except NoBisectorRoot:  # (0, 1): one abscissa, |y| differ
+                want = None
+            check_binding(ps, i, j, R, want, norm.p, TOL.eps)
         assert np.isfinite(k_cover._run_radii(ps.xy, norm.p, TOL)).all()
 
 
@@ -483,8 +539,7 @@ class TestListsAgainstLoop:
         for n in (1, 2, 7, 30):
             ps = random_pset(rng, n, regime)
             above = max([pair_tolerance(ps, i, j, *two_point_circle(ps, i, j, norm, TOL), p, TOL.eps)
-                         for i, j, xc, _, ok in batch_pair_circles(ps, norm, TOL)
-                         if ok and ps.xy[i, 0] <= xc <= ps.xy[j, 0] and ps.xy[i, 0] < ps.xy[j, 0]],
+                         for i, j, binding in batch_binding(ps, norm, TOL) if i < j and binding > 0],
                         default=0.0)
             self._compare(ps, p, above)
 
@@ -818,12 +873,12 @@ def exact_binding(a, b, p):
 
 def pair_binding(xy, p):
     """(Y, I, J, binding) of the sorted points xy: the ordinates, the
-    pairs I <= J, and each pair's share of a run's radius: its circle's
-    radius where its center lies between its points, else 0."""
+    pairs I <= J, and each pair's share of a run's radius
+    (k_cover._binding_radii): its circle's radius where its center lies
+    between its points, |y| on the diagonal, else 0."""
     X, Y = xy.T.copy()
     I, J = np.triu_indices(len(xy))
-    xc, R, ok = k_cover._pair_circles(X, Y, I, J, p, TOL)
-    return Y, I, J, np.where(ok & (X[I] <= xc) & (xc <= X[J]), R, 0.0)
+    return Y, I, J, k_cover._binding_radii(X, Y, I, J, p, TOL)
 
 
 def pair_rounding(a, b, p, R):
@@ -973,16 +1028,16 @@ class TestHellyReduction:
                                           ("sweep", 2.0)])
     def test_one_pair_table_per_solve(self, monkeypatch, lists, p):
         # the naive weights and the circles share one pass of
-        # _pair_circles over all pairs; the sweep builds its lists
+        # _binding_radii over all pairs; the sweep builds its lists
         # without it
         calls = []
-        real = k_cover._pair_circles
+        real = k_cover._binding_radii
 
         def counting(X, Y, I, J, *args):
             calls.append(len(I))
             return real(X, Y, I, J, *args)
 
-        monkeypatch.setattr(k_cover, "_pair_circles", counting)
+        monkeypatch.setattr(k_cover, "_binding_radii", counting)
         ps = random_pset(random.Random(f"one table {lists}{p}"), 30, "nearline")
         dp_solve(ps, 4, NormP(p), TOL, AggSpec(), lists=lists)
         assert calls == [30 * 31 // 2]
@@ -1230,7 +1285,7 @@ class TestSetPartitionOracle:
         def broken(*args):
             raise AssertionError("the oracle reached the k-cover kernel")
 
-        monkeypatch.setattr(k_cover, "_pair_circles", broken)
+        monkeypatch.setattr(k_cover, "_binding_radii", broken)
         monkeypatch.setattr(k_cover, "_run_circle", broken)
         monkeypatch.setattr(k_cover, "rmin_on_axis", broken)
         inst = json.loads((GOLDEN / "inst_10.json").read_text())

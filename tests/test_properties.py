@@ -327,6 +327,7 @@ _scalable = st.one_of(st.sampled_from([0.0, -0.0]),
 @pytest.mark.parametrize("p", [1.0, 2.0])
 @pytest.mark.parametrize("k", [200, -200])
 @given(pairs=st.lists(st.tuples(_scalable, _scalable), min_size=1, max_size=12))
+@example(pairs=[(0.0, 2.0), (1067.0, 1067.0)]).via("an absolute center slack broke the scaling")
 @settings(deadline=None)
 def test_run_circle_commutes_with_power_of_two_scaling(p, k, pairs):
     # scaling by 2^k is exact, and at p = 1 and 2 the pair circles are

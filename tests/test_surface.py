@@ -228,10 +228,11 @@ def test_points_travel_as_one_table():
 
 # the candidate-list machinery that the exact run table replaced in
 # k_cover: the naive builder, its coverage certificates and run
-# growth, and the suffix-minimum relaxation with its break recovery
+# growth, and the suffix-minimum relaxation with its break recovery;
+# and the pair-circle table that the binding radii replaced
 GONE_FROM_K_COVER = {
     "build_lists_naive", "_naive_lists", "_certified_thresholds", "_certify", "_running_max",
-    "_jump_ends", "_expand_runs", "_relax", "_break", "_SLICE", "_U", "_TINY",
+    "_jump_ends", "_expand_runs", "_relax", "_break", "_SLICE", "_U", "_TINY", "_pair_circles",
 }
 
 

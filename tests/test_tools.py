@@ -16,3 +16,14 @@ def test_bitcheck_finds_no_difference_against_itself():
     summary = proc.stdout.strip().splitlines()[-1]
     assert re.match(r"0 of [1-9][0-9]* requests differ \(segments-nearline; seeds 201; tiny\)$",
                     summary), summary
+
+
+def test_repeated_workload_flags_add_up():
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "bitcheck.py"), str(ROOT), str(ROOT),
+                           "--workload", "points-nearline", "--workload", "points-spread",
+                           "--seed", "201", "--size", "tiny"],
+                          capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    summary = proc.stdout.strip().splitlines()[-1]
+    assert re.match(r"0 of [1-9][0-9]* requests differ "
+                    r"\(points-nearline, points-spread; seeds 201; tiny\)$", summary), summary

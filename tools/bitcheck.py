@@ -14,6 +14,7 @@ two, ignoring the wall_time_ms field, with the keys of the result
 object that differ (for example circles but not objective), then a
 summary line; it exits 1 when any request differs and 0 otherwise.
 By default it checks every workload at seeds 201-203, at full size.
+--workload and --seed may be repeated; their values add up.
 """
 
 from __future__ import annotations
@@ -101,11 +102,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", type=Path, nargs="?")
     ap.add_argument("change", type=Path, nargs="?")
-    ap.add_argument("--workload", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    ap.add_argument("--seed", nargs="+", type=int, default=[201, 202, 203])
+    # "extend" appends to a list default, so the defaults come after parsing
+    ap.add_argument("--workload", nargs="+", action="extend", choices=WORKLOADS)
+    ap.add_argument("--seed", nargs="+", action="extend", type=int)
     ap.add_argument("--size", choices=sorted(SIZES), default="full")
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
+    args.workload = args.workload or list(WORKLOADS)
+    args.seed = args.seed or [201, 202, 203]
     if args.worker:
         json.dump(run_requests(args.worker, json.load(sys.stdin)), sys.stdout)
         return 0
