@@ -415,8 +415,9 @@ def _finalize_lists(lists, pts: PointSet):
     point r. Radii that are not finite are dropped: coordinates near
     the float range give pair circles of radius inf or NaN, which the
     DP never chooses. Returns the lists in the format of
-    k_cover.build_lists_sweep, grouped here by a dict per list instead
-    of its sort over all runs (k_cover._group_lists).
+    k_cover.build_lists_sweep, grouped here by a dict per list; that
+    builder groups its runs by one sort over all of them
+    (k_cover._group_lists).
     """
     Y = pts.xy[:, 1].tolist()
     out = []
@@ -438,7 +439,10 @@ def build_lists_loop(pts: PointSet, norm: NormP, tol: Tolerance):
     Each pair circle is expanded from its smaller index in both
     directions while points stay covered; the resulting run and radius
     join the list of the run's right end. One two_point_circle call per
-    pair; at p = 2 the lists of k_cover.build_lists_sweep, bit for bit.
+    pair, and O(N) coverage tests per circle: O(N^3) Python steps. At
+    p = 2 k_cover.build_lists_sweep grows the same circles with the same
+    float operations, one anchor point at a time over arrays, so its
+    lists equal these bit for bit.
     """
     n = len(pts)
     if n == 0:

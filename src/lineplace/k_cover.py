@@ -14,18 +14,17 @@ those binding radii gives the exact radius of every run in O(N^2), and
 the DP relaxes every break of every column against that table in
 O(K·N^2): it minimises the objective that it reports, and the circle
 of each chosen run is read off the same table (_run_circle), with no
-radius search. A plane sweep builds candidate lists of slack-grown
-pair circles at p = 2 (build_lists_sweep); a list is plain data, for
-each right end r a tuple of (left, radius) pairs in ascending left,
-and the DP can take its run weights from those lists instead
-(_list_weights).
+radius search. At p = 2, build_lists_sweep builds candidate lists of
+slack-grown pair circles, one anchor point at a time over arrays; a
+list is plain data, for each right end r a tuple of (left, radius)
+pairs in ascending left, and the DP can take its run weights from
+those lists instead (_list_weights).
 """
 
 from __future__ import annotations
 
-import heapq
+import itertools
 import math
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,7 +101,6 @@ def _cover_slack(R: float, eps: float) -> float:
     near x = 98 with R = 0.73 leaves a point 1.4e-12 outside R, above
     2^-40 max(1, R). That rounding is what _center_slack covers.
     """
-    # a conditional, not max(): the sweep calls this once per event
     return (eps if eps > _SLACK_FLOOR else _SLACK_FLOOR) * max(1.0, R)
 
 
@@ -323,165 +321,58 @@ def _group_lists(right, left, rad, absy):
     return tuple(tuple(zip(lefts[a:b], radii[a:b])) for a, b in zip(bounds, bounds[1:]))
 
 
-def _sweep_pass(X, Y, eps: float, mirrored: bool, n: int, sugg) -> None:
-    """One directional pass; X, Y are already mirrored when asked.
-
-    Maintains the points seen so far ordered by current squared
-    distance to the sweep position, plus suffix index-sets for
-    uncovered-neighbour queries. Event types: 1 swap of adjacent
-    ranks, 2 point insertion (also queries its pinned circle), 3 pair
-    circle query.
-    """
-    events = []
-    seq = 0
-    for k in range(n):
-        events.append((X[k], 2, seq, k, -1))
-        seq += 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            if X[i] == X[j]:
-                if Y[i] * Y[i] == Y[j] * Y[j]:
-                    events.append((X[i], 3, seq, i, j))
-                    seq += 1
-                continue
-            xc = (X[j] * X[j] + Y[j] * Y[j] - X[i] * X[i] - Y[i] * Y[i]) \
-                / (2.0 * (X[j] - X[i]))
-            events.append((xc, 3, seq, i, j))
-            seq += 1
-    heapq.heapify(events)
-
-    order = []
-    rank = {}
-    bt = [[]]
-
-    def d2(k: int, x: float) -> float:
-        dx = x - X[k]
-        return dx * dx + Y[k] * Y[k]
-
-    def enqueue_swap(pos: int, xnow: float) -> None:
-        nonlocal seq
-        if pos < 0 or pos + 1 >= len(order):
-            return
-        a, b = order[pos], order[pos + 1]
-        if X[a] == X[b]:
-            return
-        xs = (X[b] * X[b] + Y[b] * Y[b] - X[a] * X[a] - Y[a] * Y[a]) \
-            / (2.0 * (X[b] - X[a]))
-        if xs > xnow:
-            heapq.heappush(events, (xs, 1, seq, a, b))
-            seq += 1
-
-    def record(i: int, j: int, xc: float) -> None:
-        # anchor = the point whose ORIGINAL index is the smaller one
-        anchor = i if not mirrored else j
-        if i == j:
-            R = abs(Y[i])
-        elif X[i] == X[j]:
-            R = abs(Y[anchor])
-        else:
-            R = math.hypot(xc - X[anchor], Y[anchor])
-        slack = _cover_slack(R, eps)
-        thr = (R + slack) * (R + slack)
-        lo, hi = 0, len(order)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if d2(order[mid], xc) <= thr:
-                lo = mid + 1
-            else:
-                hi = mid
-        unc = bt[lo]
-        ip = bisect_left(unc, anchor)
-        pred = unc[ip - 1] if ip > 0 else None
-        iq = bisect_right(unc, anchor)
-        succ = unc[iq] if iq < len(unc) else None
-        if not mirrored:
-            key = (i, j)
-            pl = pred + 1 if pred is not None else None
-            pr = succ - 1 if succ is not None else None
-        else:
-            key = (n - 1 - j, n - 1 - i)
-            pl = (n - 1 - succ) + 1 if succ is not None else None
-            pr = (n - 1 - pred) - 1 if pred is not None else None
-        entry = sugg.setdefault(key, [None, None])
-        if pl is not None:
-            entry[0] = pl if entry[0] is None else max(entry[0], pl)
-        if pr is not None:
-            entry[1] = pr if entry[1] is None else min(entry[1], pr)
-
-    while events:
-        x, typ, _s, a, b = heapq.heappop(events)
-        if typ == 1:
-            ra = rank.get(a)
-            if ra is None or ra + 1 >= len(order) or order[ra + 1] != b:
-                continue
-            order[ra], order[ra + 1] = b, a
-            rank[a] = ra + 1
-            rank[b] = ra
-            lst = bt[ra + 1]
-            del lst[bisect_left(lst, b)]
-            insort(lst, a)
-            enqueue_swap(ra - 1, x)
-            enqueue_swap(ra + 1, x)
-        elif typ == 2:
-            k = a
-            key = (d2(k, x), k)
-            lo, hi = 0, len(order)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                ko = order[mid]
-                if (d2(ko, x), ko) < key:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            pos = lo
-            order.insert(pos, k)
-            rank.clear()
-            rank.update((kid, idx) for idx, kid in enumerate(order))
-            suffix = bt[pos][:]
-            insort(suffix, k)
-            bt.insert(pos, suffix)
-            for kk in range(pos):
-                insort(bt[kk], k)
-            enqueue_swap(pos - 1, x)
-            enqueue_swap(pos, x)
-            record(k, k, x)
-        else:
-            record(a, b, x)
-
-
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def build_lists_sweep(pts: PointSet, norm: NormP, tol: Tolerance):
-    """Candidate lists via two mirrored distance-order sweeps (p = 2).
+    """Candidate lists at p = 2: every pair circle grown over the sorted
+    points, one anchor point at a time.
 
-    Each pass sees the points on its side of a pair event and suggests
-    how far the pair circle's run extends toward that side; merging
-    the passes reproduces the expansion of every pair circle point by
-    point (_reference.build_lists_loop) exactly. The runs are grouped
-    by _group_lists.
+    For each anchor i it takes the pairs (i, j), j >= i, that have a
+    circle at once: the closed-form center (the anchor's abscissa for
+    j == i and for an equal abscissa with equal |y|; an equal abscissa
+    with other |y| has none), the radius by math.hypot from the anchor,
+    and the coverage threshold (R + slack)^2 with the slack of
+    _cover_slack. Every point is tested against every such circle with
+    the operations of _reference._covered_p2, in its order, and a run
+    reaches from the anchor to the first uncovered point on each side,
+    as _reference.build_lists_loop grows it point by point: its lists
+    bit for bit. The runs are grouped by _group_lists.
+
+    Cost: O(N^3) array work, and O(N^2) memory per anchor. Arithmetic
+    that overflows gives inf or NaN, as Python floats do; such radii
+    never reach a list.
     """
     if norm.p != 2.0:
         raise UnsupportedNorm("the sweep builder requires p = 2")
     n = len(pts)
     if n == 0:
         raise EmptyInput("need at least one point")
-    X, Y = pts.xy.T.tolist()
-    sugg = {}
-    _sweep_pass(X, Y, tol.eps, False, n, sugg)
-    Xm = [-X[n - 1 - k] for k in range(n)]
-    Ym = [Y[n - 1 - k] for k in range(n)]
-    _sweep_pass(Xm, Ym, tol.eps, True, n, sugg)
-
+    X, Y = pts.xy.T
+    yy = Y * Y
+    e = tol.eps if tol.eps > _SLACK_FLOOR else _SLACK_FLOOR
     rights, lefts, radii = [], [], []
-    for (i, j), (pl, pr) in sugg.items():
-        lefts.append(pl if pl is not None else 0)
-        rights.append(pr if pr is not None else n - 1)
-        if i == j or X[i] == X[j]:
-            radii.append(abs(Y[i]))
-        else:
-            xc = (X[j] * X[j] + Y[j] * Y[j] - X[i] * X[i] - Y[i] * Y[i]) \
-                / (2.0 * (X[j] - X[i]))
-            radii.append(math.hypot(xc - X[i], Y[i]))
-    return _group_lists(np.array(rights, dtype=np.intp), np.array(lefts, dtype=np.intp),
-                        np.array(radii, dtype=float), np.abs(pts.xy[:, 1]))
+    for i in range(n):
+        xi, yi = X[i], Y[i]
+        xj, yj = X[i:], Y[i:]
+        same = xj == xi
+        # the closed form divides by zero at equal abscissas; np.where
+        # drops those entries
+        xc = np.where(same, xi, (xj * xj + yj * yj - xi * xi - yi * yi) / (2.0 * (xj - xi)))
+        xc = xc[~same | (yy[i:] == yi * yi)]
+        R = np.fromiter(map(math.hypot, (xc - xi).tolist(), itertools.repeat(float(yi))),
+                        dtype=float, count=len(xc))
+        reach = R + e * np.maximum(1.0, R)
+        d = X - xc[:, None]
+        d *= d
+        d += yy
+        # covered[:, k + 1] tells whether point k is covered, framed by
+        # an uncovered column at each end
+        covered = np.zeros((len(xc), n + 2), dtype=bool)
+        np.less_equal(d, (reach * reach)[:, None], out=covered[:, 1:-1])
+        rights.append(i + covered[:, i + 2:].argmin(axis=1))
+        lefts.append(i - covered[:, i::-1].argmin(axis=1))
+        radii.append(R)
+    return _group_lists(np.concatenate(rights), np.concatenate(lefts),
+                        np.concatenate(radii), np.abs(Y))
 
 
 def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
@@ -620,10 +511,11 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     reported are the exact ones of the chosen runs (_run_circle), and
     the objective is their fsum or max.
 
-    Cost: O(N^2) pair circles and the O(N^2) radius table (plus the
-    sweep, for its lists), then N column relaxations, each of which
-    relaxes all K rows (one row for K = None) at once in O(K·N) array
-    work (_best_breaks), so O(K·N^2) in all.
+    Cost: O(N^2) pair circles and the O(N^2) radius table (for "sweep"
+    also its lists: O(N^3) array work, O(N^2) memory per anchor point),
+    then N column relaxations, each of which relaxes all K rows (one row
+    for K = None) at once in O(K·N) array work (_best_breaks), so
+    O(K·N^2) in all besides the lists.
     """
     n = len(pts)
     if n == 0:

@@ -256,6 +256,21 @@ class TestRobustness:
             objectives.append(result["objective"])
         assert abs(objectives[0] - objectives[1]) <= 1e-6
 
+    def test_sweep_lists_on_tied_distances(self, tmp_path):
+        # (0, -1) and (1, 1) tie in distance along the axis; a kinetic
+        # sweep once listed their pair circle, radius 1.118..., for the run
+        # of all three points, though (2, 0) lies 1.5 from its center, and
+        # the DP took that run: objective 1.25, verify false, exit 0
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "problem": "k-cover", "p": 2, "constraint": [0, 0, 10, 0],
+            "points": [[0, -1], [1, 1], [2, 0]], "k": 2, "q": 1, "agg": "sum"}))
+        code, out = run_cli(["solve", "--in", str(path), "--lists", "sweep", "--verify"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["objective"] == 1.118033988749895
+        assert result["verify"]["ok"] is True
+
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     def test_envelope_at_p400(self, tmp_path, split):
         # |ey|^(p-1) overflowed in the envelope's regime boundaries

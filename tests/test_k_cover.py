@@ -4,11 +4,13 @@ import json
 import math
 import pathlib
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lineplace import (
     AggSpec,
@@ -235,6 +237,16 @@ class TestTwoPointCircle:
         assert abs(r - d0) < 1e-7
 
 
+# tie-heavy points: a small integer grid (duplicates, equal abscissas,
+# equal |y|), one-decimal points, and points at scale 1e-3
+_GRID_POINT = st.tuples(st.integers(0, 5), st.integers(-3, 3)).map(
+    lambda t: (float(t[0]), float(t[1])))
+_ONE_DECIMAL_POINT = st.tuples(st.integers(-50, 50), st.integers(-50, 50)).map(
+    lambda t: (t[0] / 10, t[1] / 10))
+_MILLI_POINT = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(
+    lambda t: (t[0] * 1e-3, t[1] * 1e-3))
+
+
 class TestCandidateLists:
     """The candidate lists of the sweep, and of the naive enumeration
     that grows one pair circle at a time (_reference.build_lists_loop)."""
@@ -288,6 +300,31 @@ class TestCandidateLists:
         a = lists_as_tuples(build_lists_loop(ps, N2, TOL))
         b = lists_as_tuples(build_lists_sweep(ps, N2, TOL))
         assert a == b
+
+    @given(pairs=st.one_of(st.lists(_GRID_POINT, min_size=1, max_size=14),
+                           st.lists(_ONE_DECIMAL_POINT, min_size=1, max_size=14),
+                           st.lists(_MILLI_POINT, min_size=1, max_size=14)))
+    @example(pairs=[(0.0, -1.0), (1.0, 1.0), (2.0, 0.0)]).via(
+        "a pair circle listed for a run past a point it misses")
+    def test_sweep_matches_naive_on_ties(self, pairs):
+        # ties in distance, abscissa and |y|, which 3-decimal random
+        # floats almost never draw
+        ps = pset(*pairs)
+        assert build_lists_sweep(ps, N2, TOL) == build_lists_loop(ps, N2, TOL)
+
+    def test_sweep_memory_stays_quadratic(self):
+        # per-anchor temporaries are O(N^2); one N x N x N float array
+        # would be N / 16 times the bound
+        rng = random.Random(300)
+        n = 300
+        ps = pset(*((rng.uniform(0, 100), rng.uniform(-2, 2)) for _ in range(n)))
+        tracemalloc.start()
+        try:
+            build_lists_sweep(ps, N2, TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n * n * 8
 
 
 class TestPairCirclesBatch:

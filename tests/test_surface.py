@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 import pathlib
 
 import pytest
@@ -229,10 +230,12 @@ def test_points_travel_as_one_table():
 # the candidate-list machinery that the exact run table replaced in
 # k_cover: the naive builder, its coverage certificates and run
 # growth, and the suffix-minimum relaxation with its break recovery;
-# and the pair-circle table that the binding radii replaced
+# the pair-circle table that the binding radii replaced; and the
+# kinetic sweep pass that the per-anchor array expansion replaced
 GONE_FROM_K_COVER = {
     "build_lists_naive", "_naive_lists", "_certified_thresholds", "_certify", "_running_max",
     "_jump_ends", "_expand_runs", "_relax", "_break", "_SLICE", "_U", "_TINY", "_pair_circles",
+    "_sweep_pass",
 }
 
 
@@ -258,3 +261,20 @@ def test_k_cover_dp_reads_the_run_table():
     gap = next(node for node in tree.body
                if isinstance(node, ast.FunctionDef) and node.name == "_power_gap")
     assert [arg.arg for arg in gap.args.args] == ["x", "a", "b", "t", "p"]
+
+
+def test_k_cover_sweep_lists_keep_their_surface():
+    # the p = 2 lists grow every pair circle over arrays, one anchor
+    # point at a time: no event heap and no sorted index sets
+    tree = ast.parse((SRC / "k_cover.py").read_text())
+    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
+    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not {"heapq", "bisect", "insort"} & (set(_bound_names(tree)) | modules)
+    build = lineplace.k_cover.build_lists_sweep
+    assert list(inspect.signature(build).parameters) == ["pts", "norm", "tol"]
+    pts = lineplace.PointSet((lineplace.Point(0.0, 1.0), lineplace.Point(2.0, 2.0)))
+    with pytest.raises(lineplace.UnsupportedNorm):
+        build(pts, lineplace.NormP(3.0), lineplace.Tolerance())
+    with pytest.raises(lineplace.EmptyInput):
+        build(lineplace.PointSet(()), lineplace.NormP(2.0), lineplace.Tolerance())
