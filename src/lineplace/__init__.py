@@ -38,7 +38,6 @@ from .k_cover import (
     CoverSolution,
     PointSet,
     dp_solve,
-    rmin_on_axis,
 )
 from .obnoxious import (
     EnvelopePiece,
@@ -78,6 +77,5 @@ __all__ = [
     "max_empty_binsearch",
     "min_enclosing",
     "point_segment_distance",
-    "rmin_on_axis",
     "transform_to_axis",
 ]

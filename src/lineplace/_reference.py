@@ -10,8 +10,9 @@ read one array table, a dict-based grouping of candidate runs into
 k-cover lists, and the bisected circle of a k-cover run, which the
 solver reads off its pair circles. Beside them sit the one-at-a-time
 entry points that only the tests call: the scalar pair circle, the
-single-segment envelope, and the merge and compaction of two
-envelopes. Not exported, and no solver module imports it.
+circle of one k-cover run, the single-segment envelope, and the merge
+and compaction of two envelopes. Not exported, and no solver module
+imports it.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, point_segment_
     segment_columns
 from .intervals import Interval, _halfwidth, least_radius
 from .k_cover import AggSpec, CoverSolution, PointSet, _cover_slack, _no_finite_cover, \
-    rmin_on_axis
+    _run_circle, _run_radii
 from .obnoxious import EnvelopePiece, LowerEnvelope, _build_profile, _compact_pieces, \
-    _merge_raw, _split_at
+    _merge_raw
 from .one_center import PlacedCircle
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -296,25 +297,20 @@ def _wrap(spans) -> LowerEnvelope:
     return LowerEnvelope(tuple(EnvelopePiece(a, b, s) for a, b, s in spans))
 
 
-def base_envelope(seg_index: int, seg: Segment, L: float, norm: NormP,
-                  tol: Tolerance) -> LowerEnvelope:
-    """Single-segment envelope, split at the constrained minimiser."""
-    return _wrap(_split_at(seg_index, axis_argmin_exact(seg, L, norm, tol)[0], L, tol))
+def base_envelope(seg_index: int, L: float) -> LowerEnvelope:
+    """Single-segment envelope: the one piece [0, L]."""
+    return _wrap([(0.0, L, seg_index)])
 
 
-def compact(le: LowerEnvelope, segments, norm: NormP, tol: Tolerance) -> LowerEnvelope:
+def compact(le: LowerEnvelope, tol: Tolerance) -> LowerEnvelope:
     """Fuse same-owner neighbours and absorb sub-resolution pieces.
 
-    A shared endpoint that exactly equals the owner's constrained
-    minimiser is kept as a breakpoint. Pieces narrower than half of
-    tol.eps fold into a neighbour, since boundary roots are only
-    refined to a quarter of tol.eps. A fully degenerate envelope
-    (L = 0) keeps one zero-width piece. Idempotent.
+    Every piece of the result is a maximal ownership run. Pieces
+    narrower than half of tol.eps fold into a neighbour, since boundary
+    roots are only refined to a quarter of tol.eps. A fully degenerate
+    envelope (L = 0) keeps one zero-width piece. Idempotent.
     """
-    L = le.pieces[-1].b
-    xmins = {s: axis_argmin_exact(segments[s], L, norm, tol)[0]
-             for s in {pc.seg_index for pc in le.pieces}}
-    return _wrap(_compact_pieces(_spans(le), xmins, tol))
+    return _wrap(_compact_pieces(_spans(le), tol))
 
 
 def merge_lower_envelopes(e1: LowerEnvelope, e2: LowerEnvelope, segments,
@@ -322,8 +318,7 @@ def merge_lower_envelopes(e1: LowerEnvelope, e2: LowerEnvelope, segments,
     """Pointwise minimum of two envelopes over the same [0, L]."""
     profiles = [_build_profile(ax, ay, bx, by, norm.p)
                 for ax, ay, bx, by in segment_columns(segments).tolist()]
-    return compact(_wrap(_merge_raw(_spans(e1), _spans(e2), profiles, tol)),
-                   segments, norm, tol)
+    return compact(_wrap(_merge_raw(_spans(e1), _spans(e2), profiles, tol)), tol)
 
 
 def envelope_value(le: LowerEnvelope, segments, x: float, norm: NormP, tol: Tolerance) -> float:
@@ -478,6 +473,16 @@ def build_lists_loop(pts: PointSet, norm: NormP, tol: Tolerance):
             assert right < j or all(cov(k) for k in range(left, right + 1))
             lists[right].append((left, R))
     return _finalize_lists(lists, pts)
+
+
+def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
+    """Smallest axis-centered ball covering points i..j; returns (cx, r),
+    from the run's own radius table (k_cover._run_radii), as dp_solve
+    reads the circles of its chosen runs."""
+    if not 0 <= i <= j < len(pts):
+        raise ValueError("need 0 <= i <= j < len(points)")
+    xy = pts.xy[i:j + 1]
+    return _run_circle(xy, _run_radii(xy, norm.p, tol)[0, -1], norm.p)
 
 
 def _rmin_points(xy, norm: NormP, tol: Tolerance):

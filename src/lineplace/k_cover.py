@@ -375,15 +375,6 @@ def build_lists_sweep(pts: PointSet, norm: NormP, tol: Tolerance):
                         np.concatenate(radii), np.abs(Y))
 
 
-def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
-    """Smallest axis-centered ball covering points i..j; returns (cx, r),
-    from the run's own radius table (_run_radii)."""
-    if not 0 <= i <= j < len(pts):
-        raise ValueError("need 0 <= i <= j < len(points)")
-    xy = pts.xy[i:j + 1]
-    return _run_circle(xy, _run_radii(xy, norm.p, tol)[0, -1], norm.p)
-
-
 def _center_slack(xy, r: float) -> float:
     """How far rounding may leave a point of the run xy outside radius r
     from the midpoint of _meeting: the coverage-slack floor grown with

@@ -503,33 +503,25 @@ def _least_on(prof: _Profile, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 # final one in EnvelopePiece and LowerEnvelope.
 
 
-def _split_at(seg_index: int, xm: float, L: float, tol: Tolerance) -> list:
-    return _compact_pieces([(0.0, xm, seg_index), (xm, L, seg_index)], {seg_index: xm}, tol)
-
-
-def _compact_pieces(pieces, xmins, tol: Tolerance) -> list:
-    # xmins maps (dict) or indexes (list) every owner to its constrained
-    # minimiser. Pieces narrower than half of tol.eps are merge order
-    # noise, not certified ownership; absorbing them keeps both build
-    # orders on the same piece list
+def _compact_pieces(pieces, tol: Tolerance) -> list:
+    # Pieces narrower than half of tol.eps are merge order noise, not
+    # certified ownership: each folds into the next kept piece (the
+    # last kept one reaches the end), which keeps both build orders on
+    # the same piece list. Same-owner neighbours fuse, so every piece
+    # is a maximal ownership run
     sliver = 0.5 * tol.eps
     keep = [pc for pc in pieces if pc[1] - pc[0] > sliver]
     if not keep:
         return [(pieces[0][0], pieces[-1][1], pieces[0][2])]
-    spans = []
+    out = []
     cursor = pieces[0][0]
     for _, b, s in keep:
-        spans.append((cursor, b, s))
-        cursor = b
-    la, _, ls = spans[-1]
-    spans[-1] = (la, pieces[-1][1], ls)
-    out = [spans[0]]
-    for a, b, s in spans[1:]:
-        pa, pb, ps = out[-1]
-        if s == ps and pb != xmins[s]:
-            out[-1] = (pa, b, ps)
+        if out and out[-1][2] == s:
+            out[-1] = (out[-1][0], b, s)
         else:
-            out.append((a, b, s))
+            out.append((cursor, b, s))
+        cursor = b
+    out[-1] = (out[-1][0], pieces[-1][1], out[-1][2])
     return out
 
 
@@ -588,9 +580,9 @@ def _envelope_peak(env, cols: np.ndarray, norm: NormP, tol: Tolerance, scale: fl
                             largest=True, initial=0.0)
 
 
-def _fold_one(env, tops, base, lo_x: float, hi_x: float, profiles, xmins, margin,
-              tol: Tolerance):
-    """Merge a single-segment envelope into env inside [lo_x, hi_x] only.
+def _fold_one(env, tops, i: int, lo_x: float, hi_x: float, profiles, margin, tol: Tolerance):
+    """Merge segment i, whose own envelope is one piece, into env inside
+    [lo_x, hi_x] only.
 
     The caller guarantees the new segment strictly loses outside the
     window, so pieces there are spliced through untouched. tops holds
@@ -600,15 +592,12 @@ def _fold_one(env, tops, base, lo_x: float, hi_x: float, profiles, xmins, margin
     than margin: every comparison in the piece goes to its owner
     (_margin), so _dominant names the owner or no one, _resolve_cell
     gives the owner every cell, and the merge would emit the piece
-    again. The newcomer's minimiser breakpoint may split a piece; a
-    split that compaction keeps (the owner's own minimiser is there)
-    or that leaves a sliver leaves the piece unsettled. Only the
-    stretch from the first to the last unsettled piece is merged, and
-    compaction runs on it plus two flanking pieces on each side, which
-    bounds how far same-owner fusion can propagate; the pieces it
-    emits get a fresh top. A fold that settles every piece returns env
-    and tops as they are, and margin None settles none. Returns the
-    new (env, tops).
+    again. Only the stretch from the first to the last unsettled piece
+    is merged, and compaction runs on it plus two flanking pieces on
+    each side, which bounds how far same-owner fusion can propagate;
+    the pieces it emits get a fresh top. A fold that settles every
+    piece returns env and tops as they are, and margin None settles
+    none. Returns the new (env, tops).
     """
     m = len(env)
     ilo = bisect_right(env, lo_x, key=itemgetter(1))
@@ -618,26 +607,15 @@ def _fold_one(env, tops, base, lo_x: float, hi_x: float, profiles, xmins, margin
     if margin is not None:
         window = env[ilo:ihi + 1]
         w = len(window)
-        least = _least_on(profiles[base[0][2]], np.fromiter(map(itemgetter(0), window), float, w),
+        least = _least_on(profiles[i], np.fromiter(map(itemgetter(0), window), float, w),
                           np.fromiter(map(itemgetter(1), window), float, w))
-        unsettled = ~(least - np.fromiter(tops[ilo:ihi + 1], float, w) > margin)
-        sliver = 0.5 * tol.eps
-        for _, x, _ in base[:-1]:
-            k = bisect_left(window, x, key=itemgetter(1))
-            if k < w:
-                a, b, s = window[k]
-                if a < x < b and (xmins[s] == x or x - a <= sliver or b - x <= sliver):
-                    unsettled[k] = True
-        at = np.flatnonzero(unsettled)
+        at = np.flatnonzero(~(least - np.fromiter(tops[ilo:ihi + 1], float, w) > margin))
         if not len(at):
             return env, tops
         ilo, ihi = ilo + int(at[0]), ilo + int(at[-1])
-    span_a, span_b = env[ilo][0], env[ihi][1]
-    clipped = [(max(a, span_a), min(b, span_b), s)
-               for a, b, s in base if b > span_a and a < span_b]
-    raw = _merge_raw(env[ilo:ihi + 1], clipped, profiles, tol)
+    raw = _merge_raw(env[ilo:ihi + 1], [(env[ilo][0], env[ihi][1], i)], profiles, tol)
     head, tail = max(ilo - 2, 0), min(ihi + 3, m)
-    fused = _compact_pieces(env[head:ilo] + raw + env[ihi + 1:tail], xmins, tol)
+    fused = _compact_pieces(env[head:ilo] + raw + env[ihi + 1:tail], tol)
     # a piece's top depends on the piece alone, so a flank that comes
     # out as it went in keeps its top
     kept = dict(zip(env[head:ilo] + env[ihi + 1:tail], tops[head:ilo] + tops[ihi + 1:tail]))
@@ -654,12 +632,13 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     into the running envelope one at a time. Both produce the same
     envelope up to root refinement tolerance. segments is a sequence of
     Segment or an (N, 4) array of rows [ax, ay, bx, by]; either is
-    converted once. Two tables, both read from the rows, serve both
-    splits: one distance profile per segment (_build_profile), which
-    every merge reads, and the constrained minimisers
-    (axis_argmin_abscissas, one array pass over all segments), which
-    place the split of every single-segment envelope and the kept
-    breakpoints of every compaction.
+    converted once into one distance profile per segment
+    (_build_profile), which every merge reads. A single segment's
+    envelope is the one piece (0, L, i), and every compaction fuses
+    same-owner neighbours, so the pieces are maximal ownership runs:
+    no two neighbours share an owner. The envelope's maximum lies where
+    ownership changes or at 0 or L, never inside one owner's run, since
+    each profile is convex.
 
     A newcomer of the fold can only beat envelope values, which are at
     most the envelope's peak (_envelope_peak, one array pass over the
@@ -697,17 +676,12 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
         raise ValueError(f"unknown split {split!r}")
     p = norm.p
     profiles = [_build_profile(ax, ay, bx, by, p) for ax, ay, bx, by in cols.tolist()]
-    xmins = axis_argmin_abscissas(cols, L).tolist()
-
-    def base(i: int) -> list:
-        return _split_at(i, xmins[i], L, tol)
 
     def build(lo: int, hi: int) -> list:
         if hi - lo == 1:
-            return base(lo)
+            return [(0.0, L, lo)]
         mid = (lo + hi) // 2
-        raw = _merge_raw(build(lo, mid), build(mid, hi), profiles, tol)
-        return _compact_pieces(raw, xmins, tol)
+        return _compact_pieces(_merge_raw(build(lo, mid), build(mid, hi), profiles, tol), tol)
 
     if split == "halves" or L == 0.0:
         # a fold needs a window of positive width, so L = 0 merges too
@@ -716,8 +690,8 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
         segs = segments_from_columns(cols)
         scale = max(float(np.abs(cols).max()), L)
         margin = _margin(scale)
-        env = base(0)
-        tops = [_extent(profiles[0], a, b)[1] for a, b, _ in env]
+        env = [(0.0, L, 0)]
+        tops = [_extent(profiles[0], 0.0, L)[1]]
         peak = _envelope_peak(env, cols, norm, tol, scale)
         accepted = 0
         for i in range(1, n):
@@ -730,8 +704,7 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
                 lo_x, hi_x = max(window.lo, 0.0), min(window.hi, L)
             if lo_x > hi_x:
                 continue
-            env, tops = _fold_one(env, tops, base(i), lo_x, hi_x, profiles, xmins, margin,
-                                  tol)
+            env, tops = _fold_one(env, tops, i, lo_x, hi_x, profiles, margin, tol)
             accepted += 1
             if accepted % 32 == 0:
                 peak = _envelope_peak(env, cols, norm, tol, scale)

@@ -32,9 +32,8 @@ from lineplace import (
     max_empty_binsearch,
     min_enclosing,
     point_segment_distance,
-    rmin_on_axis,
 )
-from lineplace._reference import axis_argmin_exact, build_lists_loop, compact, envelope_value
+from lineplace._reference import build_lists_loop, compact, envelope_value, rmin_on_axis
 from lineplace.cli import main as cli_main
 from lineplace.k_cover import build_lists_sweep
 from lineplace.verify import GridSpec, enumerate_partitions, grid_obnoxious_center, \
@@ -189,16 +188,14 @@ def test_criterion_4_envelope_structure():
             assert abs(got - want) <= TOL.eps, (
                 f"trial {trial}: envelope {got} vs min distance {want} at {x}")
         # compaction idempotence
-        again = compact(env, segs, norm, TOL)
+        again = compact(env, TOL)
         assert again.pieces == env.pieces
-        # same-owner boundaries survive only at the owner's own minimum
+        # no two neighbouring pieces share an owner
         for prev, cur in zip(pieces, pieces[1:]):
-            if prev.seg_index == cur.seg_index:
-                xm, _ = axis_argmin_exact(segs[prev.seg_index], L, norm, TOL)
-                assert prev.b == xm
+            assert prev.seg_index != cur.seg_index, f"trial {trial}: owner {cur.seg_index} twice"
     dt = time.perf_counter() - t0
     print(f"criterion 4 PASS: 100 envelopes tiled, minimal at 1000 samples, "
-          f"compaction idempotent, argmin splits guarded, {dt:.1f}s")
+          f"compaction idempotent, no same-owner neighbours, {dt:.1f}s")
     assert dt < 30.0
 
 

@@ -22,12 +22,11 @@ from lineplace import (
     UnsupportedNorm,
     dp_solve,
     lp_distance,
-    rmin_on_axis,
 )
 from lineplace import intervals, k_cover
 from lineplace.cli import main
 from lineplace._reference import _rmin_points, build_lists_loop, dp_scan, relax_scan, \
-    two_point_circle
+    rmin_on_axis, two_point_circle
 from lineplace.errors import NoBisectorRoot, TooLarge
 from lineplace.k_cover import build_lists_sweep
 from lineplace.verify import _enclosing_circle, enumerate_partitions, set_partition_oracle
@@ -1324,7 +1323,6 @@ class TestSetPartitionOracle:
 
         monkeypatch.setattr(k_cover, "_binding_radii", broken)
         monkeypatch.setattr(k_cover, "_run_circle", broken)
-        monkeypatch.setattr(k_cover, "rmin_on_axis", broken)
         inst = json.loads((GOLDEN / "inst_10.json").read_text())
         out = json.loads((GOLDEN / "out_10.json").read_text())
         ps = pset(*inst["points"])

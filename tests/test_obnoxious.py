@@ -7,7 +7,7 @@ from contextlib import redirect_stdout
 import numpy as np
 import pytest
 
-from lineplace import geometry, obnoxious
+from lineplace import _reference, geometry, obnoxious
 from lineplace import (
     EmptyInput,
     EnvelopePiece,
@@ -73,12 +73,6 @@ class TestPieces:
         with pytest.raises(ValueError):
             LowerEnvelope(())
 
-    def test_base_envelope_splits_at_argmin(self):
-        env = base_envelope(0, seg(2, 1, 2, 5), 10.0, N2, TOL)
-        assert len(env.pieces) == 2
-        assert env.pieces[0].b == 2.0
-        check_tiling(env, 10.0)
-
 
 class TestEnvelopeThreePoints:
     def test_breakpoints(self):
@@ -121,7 +115,7 @@ class TestEnvelopeStructure:
             env = compute_lower_envelope(segs, 10.0, norm, TOL)
             check_tiling(env, 10.0)
             check_minimal(env, segs, norm, samples=120, rng=rng)
-            again = compact(env, segs, norm, TOL)
+            again = compact(env, TOL)
             assert again.pieces == env.pieces
 
     def test_halves_vs_one_off(self):
@@ -170,8 +164,8 @@ class TestEnvelopeStructure:
 
     def test_merge_of_bases_matches_direct(self):
         segs = [pt(1, 2), seg(6, 1, 9, 4)]
-        e0 = base_envelope(0, segs[0], 10.0, N2, TOL)
-        e1 = base_envelope(1, segs[1], 10.0, N2, TOL)
+        e0 = base_envelope(0, 10.0)
+        e1 = base_envelope(1, 10.0)
         merged = merge_lower_envelopes(e0, e1, segs, N2, TOL)
         direct = compute_lower_envelope(segs, 10.0, N2, TOL)
         assert merged.pieces == direct.pieces
@@ -239,21 +233,26 @@ class TestMinimiserTable:
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])
     def test_one_argmin_per_segment(self, split, norm, monkeypatch):
-        # one array pass over all segments gives the whole table; no
-        # scalar argmin runs inside the build
+        # the envelope's pieces are ownership runs, so the build reads
+        # no constrained minimiser: neither the array table nor the
+        # scalar argmin runs inside it
         calls = []
-        real = obnoxious.axis_argmin_abscissas
 
-        def counting(cols, L):
-            calls.append(cols.copy())
-            return real(cols, L)
+        def counting(name, real):
+            def wrapped(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapped
 
-        monkeypatch.setattr(obnoxious, "axis_argmin_abscissas", counting)
+        for module in (obnoxious, geometry):
+            monkeypatch.setattr(module, "axis_argmin_abscissas",
+                                counting("axis_argmin_abscissas", module.axis_argmin_abscissas))
+        monkeypatch.setattr(_reference, "axis_argmin_exact",
+                            counting("axis_argmin_exact", _reference.axis_argmin_exact))
         segs = random_segments(random.Random(41), 40)
         compute_lower_envelope(segs, 10.0, norm, TOL, split=split)
         assert not hasattr(obnoxious, "axis_argmin_exact")
-        assert len(calls) == 1
-        assert (calls[0] == segment_columns(segs)).all()
+        assert calls == []
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])
@@ -367,6 +366,18 @@ def _touching(rng, x0, r):
                        seg(x0, r, x0 + e, r + d), seg(x0, -r, x0 + e, -r - d)))
 
 
+# four segments of a p = 1 envelope of 33 random near-line segments and
+# 12 newcomers at its peak from its argmax 0.2804492773928118, the last
+# two among them. That argmax is segment 2's constrained minimiser, and
+# a split build that breaks its piece there disagrees with one that
+# does not
+_PEAK_SPLIT = [seg(0.47247701074652504, 0.3125855843296721, -1.11661344336532, -2.2741593585806745),
+               seg(4.947095075403439, -1.3906484927496412, -0.24281555212085326,
+                   -0.3489828848436298),
+               seg(0.2804492773928118, 0.0, -5.719550722607188, 0.25),
+               seg(0.2804492773928118, 0.0, -3.719550722607188, -2.0)]
+
+
 class TestFoldWindow:
     """The one-off fold contests only the newcomer's covering interval
     at a radius just above the envelope's peak; contesting all of
@@ -385,20 +396,22 @@ class TestFoldWindow:
         # at height h, where every abscissa of [0, L] is an argmax, or a
         # point on the axis, whose argmax is an end. Every newcomer's
         # nearest point to an argmax lies at exactly h from it, so its
-        # window ends there, where it ties the envelope
+        # window ends there, where it ties the envelope. The last input
+        # is _PEAK_SPLIT
         rng = random.Random(f"fold window {p}")
         norm, L = NormP(p), 10.0
-        for trial in range(40):
-            if trial % 2:
+        for trial in range(41):
+            if trial == 40:
+                segs = _PEAK_SPLIT
+            elif trial % 2:
                 h = rng.randint(1, 16) / 4
-                segs = [seg(-20.0, h, 30.0, h)]
                 argmaxes = [rng.randint(0, 40) / 4 for _ in range(12)]
+                segs = [seg(-20.0, h, 30.0, h)] + [_touching(rng, x0, h) for x0 in argmaxes]
             else:
                 c = rng.randint(0, 40) / 4
                 h = max(c, L - c)
-                segs = [pt(c, 0.0)]
-                argmaxes = [0.0 if c >= L - c else L] * 12
-            segs += [_touching(rng, x0, h) for x0 in argmaxes]
+                segs = [pt(c, 0.0)] + [_touching(rng, 0.0 if c >= L - c else L, h)
+                                       for _ in range(12)]
             halves = compute_lower_envelope(segs, L, norm, TOL, split="halves")
             one_off = compute_lower_envelope(segs, L, norm, TOL, split="one-off")
             check_tiling(one_off, L)
@@ -551,12 +564,9 @@ class TestOwnershipBoundaries:
         checked = 0
         for _ in range(200):
             segs = random_segments(rng, 2)
-            env = merge_lower_envelopes(base_envelope(0, segs[0], 10.0, norm, TOL),
-                                        base_envelope(1, segs[1], 10.0, norm, TOL),
+            env = merge_lower_envelopes(base_envelope(0, 10.0), base_envelope(1, 10.0),
                                         segs, norm, TOL)
             for left, right in zip(env.pieces, env.pieces[1:]):
-                if left.seg_index == right.seg_index:
-                    continue
                 x = left.b
                 s1, s2 = segs[left.seg_index], segs[right.seg_index]
                 d1 = point_segment_distance(Point(x, 0.0), s1, norm, TOL)

@@ -20,11 +20,10 @@ from lineplace import (
     obnoxious,
     one_center,
     point_segment_distance,
-    rmin_on_axis,
     transform_to_axis,
 )
 from lineplace._reference import axis_argmin_exact, distance_argmin_on_axis, \
-    equal_distance_point
+    equal_distance_point, rmin_on_axis
 from lineplace.errors import NoCrossing, SolverError
 from lineplace.intervals import union_covers_arrays
 from lineplace.obnoxious import _build_profile
@@ -273,8 +272,9 @@ _PINNED_OVERFLOW = (np.array([[-8.375333314944607e299, -7.842016392780372e294,
 
 
 # at p = 1 the one-off fold meets a newcomer (row 9) whose constrained
-# minimiser 5.0 is that of the owner (row 3) of a piece it would settle,
-# where the merge keeps a breakpoint
+# minimiser 5.0 is that of the owner (row 3) of a piece it would settle.
+# The envelope keeps no breakpoint at a minimiser, so that piece is
+# settled or merged like any other
 _SHARED_MINIMISER = (np.array([[5.0, 2.0, -3.5, -5.0], [5.0, 2.5, 12.0, -5.0],
                                [5.0, 2.0, -1.0, -3.75], [5.0, -0.5, 5.0, -2.25],
                                [6.5, -3.0, -2.0, -4.75], [0.5, 2.5, -8.0, 3.0],

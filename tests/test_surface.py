@@ -29,6 +29,7 @@ REFERENCE_ROUTES = {
     "envelope_value",
     "merge_lower_envelopes",
     "relax_scan",
+    "rmin_on_axis",
     "segment_ox_intersection",
     "two_point_circle",
     "union_covers",
@@ -50,6 +51,7 @@ UNEXPORTED = {
     "merge_lower_envelopes",
     "base_envelope",
     "two_point_circle",
+    "rmin_on_axis",
     "NoBisectorRoot",
     "TooLarge",
 }

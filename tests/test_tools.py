@@ -27,3 +27,20 @@ def test_repeated_workload_flags_add_up():
     summary = proc.stdout.strip().splitlines()[-1]
     assert re.match(r"0 of [1-9][0-9]* requests differ "
                     r"\(points-nearline, points-spread; seeds 201; tiny\)$", summary), summary
+
+
+def test_objective_shift_sizes_the_drift():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from bitcheck import objective_shift
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    out = {"ok": True, "result": {"objective": 2.5, "radius": 2.5}}
+    moved = {"ok": True, "result": {"objective": 2.5 + 2.0 ** -30, "radius": 2.5}}
+    assert objective_shift(out, moved) == 2.0 ** -30
+    assert objective_shift(moved, out) == 2.0 ** -30
+    assert objective_shift(out, out) == 0.0
+    failed = {"ok": False, "error": {"name": "SchemaError"}}
+    assert objective_shift(out, failed) is None
+    assert objective_shift("not json", out) is None
+    assert objective_shift(out, {"ok": True, "result": {"objective": None}}) is None

@@ -11,8 +11,9 @@ those rounds in-process through its own lineplace.cli.main, in one
 subprocess per checkout, as bench/run.py sends them. The tool prints
 every request whose exit code, error or output differs between the
 two, ignoring the wall_time_ms field, with the keys of the result
-object that differ (for example circles but not objective), then a
-summary line; it exits 1 when any request differs and 0 otherwise.
+object that differ (for example circles but not objective) and, where
+both outputs have an objective, how far it moved, then a summary
+line; it exits 1 when any request differs and 0 otherwise.
 By default it checks every workload at seeds 201-203, at full size.
 --workload and --seed may be repeated; their values add up.
 """
@@ -86,6 +87,15 @@ def differing_keys(a, b) -> list:
                   if a.get(key, missing) != b.get(key, missing))
 
 
+def objective_shift(a, b):
+    """|objective of b - objective of a| from their result objects, or
+    None where either output has no numeric objective."""
+    try:
+        return abs(b["result"]["objective"] - a["result"]["objective"])
+    except (KeyError, TypeError):
+        return None
+
+
 def run_checkout(root: Path, argvs: list) -> list:
     src = root / "src"
     if not (src / "lineplace" / "cli.py").is_file():
@@ -134,6 +144,9 @@ def main(argv=None) -> int:
             keys = differing_keys(comparable(out0), comparable(out1))
             if keys:
                 print(f"  keys: {', '.join(keys)}")
+            shift = objective_shift(comparable(out0), comparable(out1))
+            if shift is not None:
+                print(f"  |delta objective|: {shift:.3g}")
             for side, rc, out, err in (("base", rc0, out0, err0), ("change", rc1, out1, err1)):
                 shown = err if err is not None else json.dumps(comparable(out), sort_keys=True)
                 print(f"  {side}: {shown[:400]}")
