@@ -5,6 +5,7 @@ independent method (bisection, golden-section search, candidate
 evaluation, plain loops where the solver works on arrays or range
 minima), so the tests can compare the two: among them the scalar
 union cover of covering intervals, which no solver runs, the
+bisection that asks about one midpoint at a time, the
 one-segment constrained argmin and axis crossing, where the solvers
 read one array table, a dict-based grouping of candidate runs into
 k-cover lists, and the bisected circle of a k-cover run, which the
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+
+import numpy as np
 
 from .errors import EmptyInput, NoBisectorRoot, NoCrossing
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, point_segment_distance, \
@@ -254,6 +257,27 @@ def _covering_bisect(s: Segment, R: float, norm: NormP, tol: Tolerance) -> Inter
     u = lo0 if d(lo0) <= R else boundary(lo0, xm, True)
     v = hi0 if d(hi0) <= R else boundary(xm, hi0, False)
     return Interval(u, v)
+
+
+def bisect_sequential(lo: float, hi: float, fits, tol: Tolerance):
+    """Bisect [lo, hi] at the sign of fits(R), one midpoint at a time;
+    returns the final (lo, hi). Reference for intervals.bisect_radius,
+    which asks about many midpoints a pass and must end at the same
+    bracket after as many steps as this loop takes.
+
+    hi is first nudged up by max(eps, 1e-12 hi). The loop stops once
+    hi - lo <= tol.eps or after tol.max_iters steps.
+    """
+    hi = hi + max(tol.eps, 1e-12 * hi)
+    it = 0
+    while hi - lo > tol.eps and it < tol.max_iters:
+        mid = 0.5 * (lo + hi)
+        if fits(mid):
+            hi = mid
+        else:
+            lo = mid
+        it += 1
+    return lo, hi
 
 
 def union_covers(intervals, domain: Interval):
@@ -519,9 +543,11 @@ def _rmin_points(xy, norm: NormP, tol: Tolerance):
         raise ValueError("point coordinates must be finite" if not math.isfinite(max(xs))
                          else "L must be finite and nonnegative")
 
-    def region_at(R: float):
-        """(lo, hi) where the points' covering intervals and [0, L]
-        meet at radius R, or None where they do not."""
+    def region_at(radii):
+        """Arrays of the one (lo, hi) where the points' covering
+        intervals and [0, L] meet at the one radius of radii; lo > hi
+        where they do not."""
+        (R,) = radii.tolist()
         if not math.isfinite(R):
             raise ValueError("radius must be finite and nonnegative")
         lo, hi = -math.inf, math.inf
@@ -535,7 +561,7 @@ def _rmin_points(xy, norm: NormP, tol: Tolerance):
             lo = 0.0
         if L < hi:
             hi = L
-        return None if lo > hi else (lo, hi)
+        return np.array([lo]), np.array([hi])
 
     hi = max(_lp_pair(x, y, p) for x, y in zip(xs, ys))
     (a, b), R = least_radius(maxy, hi, region_at, tol)

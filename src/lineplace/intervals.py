@@ -6,19 +6,26 @@ Distance to a segment is convex in x, so this set is a closed interval
 (possibly empty). Solvers combine these intervals by intersection
 (enclosing problems) or union (empty-ball problems).
 
-Both radius bisections evaluate covering intervals at every step, with
-SegmentArray over the rows that survive their pruning (covering_slack
-bounds how far the array kernel may stray, which is what makes that
-pruning exact). The largest-empty-ball search does so at every N and
-combines the intervals by union_covers_arrays. The enclosing search
-does so from ARRAY_MIN_SEGMENTS segments on and intersects them by
-intersect_arrays; below that the per-call cost of numpy outweighs the
-loop, and it runs covering_interval and intersect_all over every
-segment. The scalar union cover, _reference.union_covers, is the
-reference that union_covers_arrays is tested against.
+Both radius searches are one bisection, bisect_radius, which the
+enclosing one reaches through least_radius. A pass of it asks its
+predicate about an array of radii at once: every midpoint of the next
+few levels, and the path below them toward a guess from the margins
+seen so far. It then walks the levels from the answers, each decision
+from the answer at that exact midpoint, so the bracket and the level
+count are those of halving one midpoint at a time, bit for bit
+(_reference.bisect_sequential); a wrong guess costs time only.
 
-Both bisections are one radius search: bisect_radius, which the
-enclosing one reaches through least_radius.
+The predicates evaluate covering intervals with SegmentArray over the
+rows that survive their pruning (covering_slack bounds how far the
+array kernel may stray, which is what makes that pruning exact), one
+row of intervals per radius. The largest-empty-ball search does so at
+every N and combines each row by union_covers_rows. The enclosing
+search does so from ARRAY_MIN_SEGMENTS segments on and intersects each
+row by intersect_rows; below that the per-call cost of numpy outweighs
+the loop, and it asks about one radius a pass, running
+covering_interval and intersect_all over every segment. The scalar
+union cover, _reference.union_covers, is the reference that the row
+union is tested against.
 """
 
 from __future__ import annotations
@@ -173,12 +180,21 @@ def intersect_all(intervals) -> Interval:
 # route at every N.
 ARRAY_MIN_SEGMENTS = 24
 
+# Radii one pass of bisect_radius asks its predicate about, at most.
+MAX_RADII = 64
+
+# (radius, segment) cells of one covering pass. On a 2-vCPU Xeon VM
+# with numpy 2.4.6 a pass costs about 0.15 ms plus 0.2 us a cell, and
+# on the segments-spread instances of bench/ the largest-empty-ball
+# search took least time in all at 1024, within 4 % from 768 to 1536.
+PASS_CELLS = 1024
+
 
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
 def covering_slack(R: float, scale: float, p: float):
-    """(eta, c) with SegmentArray.covering(R) between exact intervals.
+    """(eta, c) with SegmentArray.covering at R between exact intervals.
 
     For every row whose coordinates, like L, are at most scale in
     magnitude, the computed covering interval at R contains the exact
@@ -232,12 +248,18 @@ class SegmentArray:
     over the rows they keep after pruning, so its per-row ystar ratio,
     a scalar call per row, is paid for those rows only.
 
-    covering(R) evaluates, for every segment at once, the candidates of
-    the scalar kernel: the ends tA, tB of the reachable parameter range,
-    the axis crossing t0 and the two points where |qy| = ystar, masked
-    where the scalar kernel branches. Parameters and abscissas come out
-    bit for bit as in the scalar kernel; the powers in the halfwidth may
-    differ from Python's in the last ulp.
+    covering(radii) evaluates, for every radius and segment at once, the
+    candidates of the scalar kernel: the ends tA, tB of the reachable
+    parameter range, the axis crossing t0 and the two points where
+    |qy| = ystar, masked where the scalar kernel branches. Parameters and
+    abscissas come out bit for bit as in the scalar kernel; the powers in
+    the halfwidth may differ from Python's in the last ulp. Each radius
+    gets its own row of elementwise operations, so a row is that of a
+    call with its radius alone, bit for bit.
+
+    radii_per_pass is how many radii one bisection pass asks covering
+    about: as many as keep the pass within PASS_CELLS (radius, segment)
+    cells, at most MAX_RADII and at least one.
     """
 
     def __init__(self, segments, norm: NormP):
@@ -260,23 +282,27 @@ class SegmentArray:
             self.star = np.array([_ystar_ratio(ux, uy, p) if ux != 0.0 and uy != 0.0
                                   else math.nan
                                   for ux, uy in zip(self.ux.tolist(), self.uy.tolist())])
+        self.radii_per_pass = max(1, min(MAX_RADII, PASS_CELLS // max(len(coords), 1)))
 
-    def covering(self, R: float):
-        """Arrays (lo, hi) of the covering intervals at radius R.
+    def covering(self, radii):
+        """Arrays (lo, hi) of the covering intervals at each radius of the
+        1-D array radii, of shape (len(radii), segments).
 
         Empty intervals are (+inf, -inf), as Interval.empty().
         """
-        if R < 0.0 or not math.isfinite(R):
+        R = np.asarray(radii, dtype=float)
+        if R.ndim != 1 or not (np.all(R >= 0.0) and np.all(np.isfinite(R))):
             raise ValueError("radius must be finite and nonnegative")
+        R = R[:, None]
         p, ay, uy = self.p, self.ay, self.uy
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             t1 = (-R - ay) / self.uy_div
             t2 = (R - ay) / self.uy_div
             tA = np.where(self.flat, 0.0, np.maximum(np.minimum(t1, t2), 0.0))
             tB = np.where(self.flat, 1.0, np.minimum(np.maximum(t1, t2), 1.0))
             reachable = np.where(self.flat, np.abs(ay) <= R, tA <= tB)
-            cands = [tA, tB, self.t0]
-            if self.star is not None and R > 0.0:
+            cands = [tA, tB, np.broadcast_to(self.t0, tA.shape)]
+            if self.star is not None:
                 ystar = R * self.star
                 cands += [(ystar - ay) / self.uy_div, (-ystar - ay) / self.uy_div]
             t = np.stack(cands)
@@ -284,104 +310,248 @@ class SegmentArray:
             ok[:2] = reachable
             ok[2:] = (tA < t[2:]) & (t[2:] < tB)
             y = np.abs(ay + t * uy)
-            if R == 0.0:
-                ok &= y == 0.0
-                h = 0.0
-            else:
-                base = 1.0 - (y / R) ** p
-                ok &= base >= -1e-9
-                h = R * np.maximum(base, 0.0) ** (1.0 / p)
+            base = 1.0 - (y / R) ** p
+            fits = base >= -1e-9
+            h = R * np.maximum(base, 0.0) ** (1.0 / p)
+            zero = R == 0.0
+            if zero.any():
+                # R = 0 admits only the heights 0, with halfwidth 0; its
+                # ystar candidates equal tA = tB and fail the range test
+                fits = np.where(zero, y == 0.0, fits)
+                h = np.where(zero, 0.0, h)
+            ok &= fits
             x = self.ax + t * self.ux
             lo = np.where(ok, x - h, math.inf).min(axis=0)
             hi = np.where(ok, x + h, -math.inf).max(axis=0)
         return lo, hi
 
 
-def intersect_arrays(lo, hi, domain: Interval) -> Interval:
-    """intersect_all of the intervals [lo[i], hi[i]] and domain."""
-    a = max(float(lo.max()), domain.lo)
-    b = min(float(hi.min()), domain.hi)
-    if a > b:
-        return Interval.empty()
-    return Interval(a, b)
+def intersect_rows(lo, hi, domain: Interval):
+    """Row by row, intersect_all of the intervals [lo[k, i], hi[k, i]]
+    and domain: arrays (a, b) over the rows, empty where a > b.
+
+    The bounds are those of intersect_all bit for bit. A NaN bound
+    raises the ValueError that an Interval with that bound raises.
+    """
+    a = lo.max(axis=1)
+    b = hi.min(axis=1)
+    # max(a, domain.lo) and min(b, domain.hi) as Python's max and min
+    a = np.where(domain.lo > a, domain.lo, a)
+    b = np.where(domain.hi < b, domain.hi, b)
+    if np.isnan(a).any() or np.isnan(b).any():
+        raise ValueError("interval bounds must not be NaN")
+    return a, b
+
+
+def union_covers_rows(lo, hi, domain: Interval):
+    """Row by row, whether the intervals [lo[k, i], hi[k, i]] cover
+    domain; else a witness, and how wide the widest gap is.
+
+    Returns arrays over the rows: covered; the witness, NaN where
+    covered; and the width of the widest stretch of domain that no
+    interval of the row contains, 0 where covered. A gap at the start
+    has witness domain.lo itself, interior and trailing gaps their
+    midpoint.
+
+    The scalar scan of the reference, _reference.union_covers, visits
+    the intervals sorted by (lo, hi), skipping empty ones and ones
+    ending before domain.lo; it reports the first visit whose lo lies
+    beyond its reach, the running maximum of hi from domain.lo, and
+    the reach then. Here lo and hi are sorted apart. The k-th smallest
+    lo starts a gap exactly when it exceeds domain.lo and the k
+    smallest hi: every interval before it in the scan then ends before
+    it, and every other interval ends after it. So the reach at a gap
+    is the largest of domain.lo and those k his, the value of the
+    scan, and no answer depends on how ties are ordered. Skipped
+    intervals sort last as (+inf, +inf); a lo of +inf past the end
+    starts the trailing gap.
+    """
+    m, n = lo.shape
+    if domain.is_empty:
+        return np.ones(m, dtype=bool), np.full(m, math.nan), np.zeros(m)
+    keep = (lo <= hi) & (hi >= domain.lo)
+    ends = np.full((m, 1), math.inf)
+    starts = np.concatenate((np.sort(np.where(keep, lo, math.inf), axis=1), ends), axis=1)
+    before = np.concatenate((-ends, np.sort(np.where(keep, hi, math.inf), axis=1)), axis=1)
+    # reach[k, i] is the scan's reach before the i-th smallest lo where that starts a gap
+    reach = np.maximum(before, domain.lo)
+    gap = starts > reach
+    g = gap.argmax(axis=1)
+    rows = np.arange(m)
+    reach_g = reach[rows, g]
+    covered = ~gap.any(axis=1) | ((g > 0) & (reach_g >= domain.hi))
+    # a gap ends at the next lo, or at domain.hi if sooner
+    end = np.where(starts < domain.hi, starts, domain.hi)
+    witness = np.where(g == 0, domain.lo, 0.5 * (reach_g + end[rows, g]))
+    witness[covered] = math.nan
+    width = np.where(gap, end - reach, 0.0).max(axis=1)
+    width[covered] = 0.0
+    return covered, witness, width
 
 
 def union_covers_arrays(lo, hi, domain: Interval):
     """Whether the intervals [lo[i], hi[i]] cover domain; else a witness.
 
     Returns (True, None) or (False, x) with x a point of domain no
-    interval contains. A gap at the start reports domain.lo itself,
-    interior and trailing gaps report the gap midpoint.
-
-    The scalar scan of the reference, _reference.union_covers, visits
-    the intervals sorted by (lo, hi), skipping empty ones and ones
-    ending before domain.lo. Its reach before each visit is a running
-    maximum of hi, so the first gap and the first visit that reaches
-    domain.hi are found by comparisons on arrays, and the witness is
-    computed from the same values as in the scan.
+    interval contains: union_covers_rows on the one row.
     """
-    if domain.is_empty:
-        return True, None
-    keep = (lo <= hi) & (hi >= domain.lo)
-    lo, hi = lo[keep], hi[keep]
-    if len(lo) == 0:
-        return False, domain.lo
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    # reach[i] is the scan's reach before visiting interval i
-    reach = np.maximum.accumulate(np.concatenate(([domain.lo], hi)))
-    gap = lo > reach[:-1]
-    done = reach[1:] >= domain.hi
-    g = int(gap.argmax()) if gap.any() else len(lo)
-    c = int(done.argmax()) if done.any() else len(lo)
-    if c < g:
-        return True, None
-    if g == 0:
-        return False, domain.lo
-    if g == len(lo):
-        return False, 0.5 * (float(reach[-1]) + domain.hi)
-    gap_end = float(lo[g]) if lo[g] < domain.hi else domain.hi
-    return False, 0.5 * (float(reach[g]) + gap_end)
+    covered, witness, _ = union_covers_rows(np.asarray(lo)[None], np.asarray(hi)[None], domain)
+    return (True, None) if covered[0] else (False, float(witness[0]))
 
 
-def bisect_radius(lo: float, hi: float, fits, tol: Tolerance):
+def bisect_radius(lo: float, hi: float, fits, tol: Tolerance, per_pass: int = 1):
     """Bisect [lo, hi] at the sign of fits, monotone in R, with lo
-    infeasible and hi feasible; returns the final (lo, hi).
+    infeasible and hi feasible; returns the final (lo, hi) and the
+    number of levels walked.
 
     hi is first nudged up by max(eps, 1e-12 hi), so that a bound
     computed exactly at the boundary is strictly feasible. The search
-    stops once hi - lo <= tol.eps or after tol.max_iters steps.
+    stops once hi - lo <= tol.eps or after tol.max_iters levels. Its
+    (lo, hi) and level count are those of the loop that halves the
+    bracket one midpoint at a time (_reference.bisect_sequential), bit
+    for bit.
+
+    fits(radii) takes a 1-D array of radii and returns two arrays over
+    them: whether each fits, and a margin that is positive where it
+    does not fit and falls through 0 at the boundary (NaN or inf where
+    unknown). fits must depend on each radius alone. A pass asks it
+    about up to per_pass radii (1 to MAX_RADII), the current midpoint
+    first (_pass_radii): every midpoint of the next levels, and below
+    them the path to the zero of the secant of the margins
+    (_secant_zero). The walk then halves the bracket from the answers,
+    taking each decision only from the answer at that exact midpoint,
+    and the next pass starts where it met a midpoint not asked about.
+    A wrong guess costs time only; each pass walks at least the levels
+    of its full tree. A pass whose predicate raises ValueError or
+    ArithmeticError, as the kernels do at NaN bounds or radii beyond
+    the float range, is asked again about its first radius alone, so
+    that the error surfaces at the midpoint where the loop meets it.
     """
     hi = hi + max(tol.eps, 1e-12 * hi)
-    it = 0
-    while hi - lo > tol.eps and it < tol.max_iters:
-        mid = 0.5 * (lo + hi)
-        if fits(mid):
-            hi = mid
-        else:
-            lo = mid
-        it += 1
-    return lo, hi
+    eps, cap = tol.eps, tol.max_iters
+    per_pass = max(1, min(per_pass, MAX_RADII))
+    seen = {}
+    known_r, known_m = np.empty(0), np.empty(0)
+    levels = 0
+    while hi - lo > eps and levels < cap:
+        guess = _secant_zero(known_r, known_m, lo, hi) if per_pass > 1 else None
+        radii = _pass_radii(lo, hi, eps, cap - levels, per_pass, guess, seen)
+        try:
+            ok, margin = fits(np.array(radii))
+        except (ValueError, ArithmeticError):
+            if len(radii) == 1:
+                raise
+            radii = radii[:1]
+            ok, margin = fits(np.array(radii))
+        ok = ok.tolist()
+        seen.update(zip(radii, ok))
+        if per_pass > 1:
+            known = np.isfinite(margin)
+            known_r = np.concatenate((known_r, np.array(radii)[known]))
+            known_m = np.concatenate((known_m, margin[known]))
+        # the current midpoint is decided from its own answer, even NaN
+        mid, fit = radii[0], ok[0]
+        while True:
+            if fit:
+                hi = mid
+            else:
+                lo = mid
+            levels += 1
+            if not (hi - lo > eps and levels < cap):
+                break
+            mid = 0.5 * (lo + hi)
+            fit = seen.get(mid)
+            if fit is None:
+                break
+    return lo, hi, levels
 
 
-def least_radius(lo: float, hi: float, region_at, tol: Tolerance):
-    """Least radius R of an enclosing search; returns (region_at(R), R).
-
-    region_at(R) is the region of centers, (a, b) or None where empty.
-    R is lo, a certified lower bound, when it fits, else the final hi
-    of bisect_radius from the feasible hi. Its region is empty only if
-    the untried nudged hi fails too: then R moves up 4 eps once, and
-    if that fails as well this raises the ValueError that PlacedCircle
-    raises for the NaN center of an empty region.
+def _pass_radii(lo: float, hi: float, eps: float, left: int, per_pass: int, guess, seen):
+    """The midpoints of one pass from the bracket (lo, hi), its own
+    midpoint first: every node of the next b levels, then the nodes
+    below them on the path that decides fits(R) as R >= guess, up to
+    per_pass radii. b is the most levels whose 2^b - 1 nodes fit in
+    per_pass radii, or in a quarter of them where there is a guess. Nodes
+    where the walk would stop, after left levels or at a bracket within
+    eps, and radii in seen are left out.
     """
-    region = region_at(lo)
-    if region is not None:
-        return region, lo
-    hi = bisect_radius(lo, hi, lambda R: region_at(R) is not None, tol)[1]
-    region = region_at(hi)
-    if region is None:
+    b = ((per_pass if guess is None else per_pass // 4) + 1).bit_length() - 1
+    radii = []
+    level = [(lo, hi)]
+    for _ in range(min(b, left)):
+        below = []
+        for a, c in level:
+            if c - a > eps:
+                m = 0.5 * (a + c)
+                radii.append(m)
+                below += [(a, m), (m, c)]
+        level = below
+    if guess is not None:
+        a, c = lo, hi
+        depth = 0
+        while c - a > eps and depth < left and len(radii) < per_pass:
+            m = 0.5 * (a + c)
+            if depth >= b:
+                radii.append(m)
+            if m >= guess:
+                c = m
+            else:
+                a = m
+            depth += 1
+    return [r for r in dict.fromkeys(radii) if r not in seen]
+
+
+def _secant_zero(radii, margins, lo: float, hi: float):
+    """Where the secant through the two radii nearest the middle of
+    (lo, hi), among those with a finite margin, crosses 0; None where
+    there are fewer than two, or the secant has no finite zero."""
+    if len(radii) < 2:
+        return None
+    i, j = np.argpartition(np.abs(radii - 0.5 * (lo + hi)), 1)[:2].tolist()
+    r1, m1, r2, m2 = float(radii[i]), float(margins[i]), float(radii[j]), float(margins[j])
+    if m1 == m2:
+        return None
+    z = r1 - m1 * (r2 - r1) / (m2 - m1)
+    return z if math.isfinite(z) else None
+
+
+def least_radius(lo: float, hi: float, region_at, tol: Tolerance, per_pass: int = 1):
+    """Least radius R of an enclosing search; returns ((a, b), R), the
+    region of centers at R.
+
+    region_at(radii) takes a 1-D array of radii and returns arrays
+    (a, b) of the regions of centers at them, empty where a > b. R is
+    lo, a certified lower bound, when it fits, else the final hi of
+    bisect_radius from the feasible hi, with per_pass radii a pass and
+    the margin a - b; the region of a radius asked about is kept, not
+    asked for again. Its region is empty only if the untried nudged hi
+    fails too: then R moves up 4 eps once, and if that fails as well
+    this raises the ValueError that PlacedCircle raises for the NaN
+    center of an empty region.
+    """
+    regions = {}
+
+    def region(R: float):
+        if R not in regions:
+            (a,), (b,) = region_at(np.array([R]))
+            regions[R] = float(a), float(b)
+        a, b = regions[R]
+        return None if a > b else (a, b)
+
+    def fits(radii):
+        a, b = region_at(radii)
+        regions.update(zip(radii.tolist(), zip(a.tolist(), b.tolist())))
+        with np.errstate(invalid="ignore", over="ignore"):
+            return ~(a > b), a - b
+
+    got = region(lo)
+    if got is not None:
+        return got, lo
+    hi = bisect_radius(lo, hi, fits, tol, per_pass)[1]
+    got = region(hi)
+    if got is None:
         hi = hi + 4.0 * tol.eps
-        region = region_at(hi)
-        if region is None:
+        got = region(hi)
+        if got is None:
             raise ValueError("circle parameters must be finite")
-    return region, hi
+    return got, hi

@@ -30,7 +30,7 @@ from .geometry import NormP, Point, Tolerance, _lp_pair, axis_argmin_abscissas, 
     _np_lp, axis_distances, near_extreme, point_segment_distance, rescored_extreme, \
     segment_columns, segments_from_columns
 from .intervals import Interval, SegmentArray, bisect_radius, covering_interval, \
-    covering_slack, union_covers_arrays
+    covering_slack, union_covers_rows
 from .one_center import PlacedCircle
 
 _INF = math.inf
@@ -763,8 +763,9 @@ def max_empty_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     return largest_empty_from_envelope(env, segments, norm, tol)
 
 
-def _owning_rows(far: np.ndarray, dmin: np.ndarray, scale: float, p: float) -> np.ndarray:
-    """Mask of the rows that may decide whether [0, L] is covered.
+def _owning_rows(far: np.ndarray, dmin: np.ndarray, scale: float, p: float):
+    """Mask of the rows that may decide whether [0, L] is covered, and
+    the radius R_s from which the union of the kept rows covers it.
 
     far is max(d0, dL) per row and dmin its constrained minimum over
     [0, L]. H = min(far) is attained by a row s* whose covering interval
@@ -775,17 +776,18 @@ def _owning_rows(far: np.ndarray, dmin: np.ndarray, scale: float, p: float) -> n
     R + e(R) < R_s + e(R_s) that misses [0, L] (that half of the bound
     holds at every R > 0 and grows with R), so its computed one at R
     lies wholly before 0 or wholly beyond L, which changes neither the
-    answer of union_covers_arrays nor its witness. Such rows are
+    answer of union_covers_rows nor its witness. Such rows are
     dropped; s* stays, so the kept set is never empty. The bracket of
     the search still comes from segments[0], so the midpoints are the
-    same as without pruning.
+    same as without pruning. Where covering_slack claims no bound, every
+    row stays and R_s is inf.
     """
     H = float(far.min())
     eta, c = covering_slack(H, scale, p)
     if not eta < 1.0:
-        return np.ones(len(far), dtype=bool)
+        return np.ones(len(far), dtype=bool), math.inf
     R_s = (H + 2.0 * c) / (1.0 - eta)
-    return ~(dmin > R_s * (1.0 + eta) + 2.0 * c)
+    return ~(dmin > R_s * (1.0 + eta) + 2.0 * c), R_s
 
 
 def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCircle:
@@ -795,13 +797,18 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
     segments is a sequence of Segment or an (N, 4) array of rows
     [ax, ay, bx, by]; either is converted once. The search is
     intervals.bisect_radius on the bracket [0, max(d0, dL) of
-    segments[0]]. One array pass over all rows
-    finds the rows that cannot own any part of the answer
-    (_owning_rows), and the search runs on a SegmentArray of the rest,
-    at every N; the final radius, the distance from the witness to the
-    nearest segment, comes from an array kernel over all rows with its
-    near-ties recomputed by point_segment_distance, so every bit is
-    that of the search over all rows.
+    segments[0]]. One array pass over all rows finds the rows that
+    cannot own any part of the answer, and the radius R_s from which
+    the union covers [0, L] (_owning_rows); the search runs on a
+    SegmentArray of the rest, at every N. A pass of it takes the union
+    of the covering intervals at up to SegmentArray.radii_per_pass
+    radii at once (union_covers_rows), answers covered unasked at every
+    radius from R_s on, and guesses the path below its tree from the
+    widest gap, known only where the union does not cover. The final
+    radius, the distance from the witness to the nearest segment, comes
+    from an array kernel over all rows with its near-ties recomputed by
+    point_segment_distance, so every bit is that of the search over
+    all rows.
     """
     cols = segment_columns(segments)
     if not len(cols):
@@ -813,21 +820,35 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
     scale = max(float(np.abs(cols).max()), L)
     far = np.maximum(axis_distances(0.0, cols, p), axis_distances(L, cols, p))
     dmin = axis_distances(axis_argmin_abscissas(cols, L), cols, p)
-    arr = SegmentArray(cols[_owning_rows(far, dmin, scale, p)], norm)
+    keep, R_s = _owning_rows(far, dmin, scale, p)
+    arr = SegmentArray(cols[keep], norm)
 
-    def gaps(R: float):
-        return union_covers_arrays(*arr.covering(R), domain)
+    witnesses = {}
+
+    def covered(radii):
+        """Whether the union covers [0, L] at each radius, and the
+        widest gap where not; radii from R_s on are covered unasked.
+        Keeps the witness of every radius asked about."""
+        ok = np.ones(len(radii), dtype=bool)
+        margin = np.full(len(radii), math.nan)
+        ask = radii < R_s
+        if ask.any():
+            ok[ask], witness, width = union_covers_rows(*arr.covering(radii[ask]), domain)
+            margin[ask] = np.where(ok[ask], math.nan, width)
+            witnesses.update(zip(radii[ask].tolist(), witness.tolist()))
+        return ok, margin
 
     def nearest(x: float) -> float:
         return rescored_extreme(axis_distances(x, cols, p), x, cols, norm, tol, scale,
                                 largest=False)
 
-    if gaps(0.0)[0]:
+    if covered(np.array([0.0]))[0][0]:
         return PlacedCircle(0.0, 0.0)
     s0 = segments_from_columns(cols[:1])[0]
     hi = max(point_segment_distance(Point(0.0, 0.0), s0, norm, tol),
              point_segment_distance(Point(L, 0.0), s0, norm, tol))
-    # the covering interval of s0 at radius hi spans [0, L] by convexity
-    lo = bisect_radius(0.0, hi, lambda R: gaps(R)[0], tol)[0]
-    witness = gaps(lo)[1]
+    # the covering interval of s0 at radius hi spans [0, L] by convexity;
+    # lo is 0 or a radius asked about that left a gap
+    lo = bisect_radius(0.0, hi, covered, tol, arr.radii_per_pass)[0]
+    witness = witnesses[lo]
     return PlacedCircle(witness, nearest(witness))

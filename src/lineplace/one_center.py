@@ -12,7 +12,7 @@ from .errors import EmptyInput
 from .geometry import NormP, Point, Tolerance, axis_argmin_abscissas, axis_distances, \
     point_segment_distance, rescored_extreme, segment_columns, segments_from_columns
 from .intervals import Interval, SegmentArray, covering_interval, covering_slack, \
-    intersect_all, intersect_arrays, least_radius
+    intersect_all, intersect_rows, least_radius
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,12 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
     point_segment_distance (rescored_extreme) so that both keep their
     exact bits; the rows that cannot bind at any R >= lo
     (_binding_rows) are then dropped, and the bisection runs on a
-    SegmentArray of the rest, with the same answer bit for bit. Below
-    it the scalar kernels run over every segment.
+    SegmentArray of the rest, with the same answer bit for bit. A pass
+    of it intersects the covering intervals at up to
+    SegmentArray.radii_per_pass radii at once (intersect_rows), and
+    guesses the path below its tree from the margin a - b of the
+    regions (a, b) it has seen. Below it the scalar kernels run over
+    every segment, one radius a pass.
     """
     cols = segment_columns(segments)
     if not len(cols):
@@ -85,10 +89,14 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
         origin = Point(0.0, 0.0)
         hi = max(point_segment_distance(origin, s, norm, tol) for s in segs)
 
-        def meet(R: float) -> Interval:
+        per_pass = 1
+
+        def region_at(radii):
+            (R,) = radii.tolist()
             ivs = [covering_interval(s, R, norm) for s in segs]
             ivs.append(domain)
-            return intersect_all(ivs)
+            iv = intersect_all(ivs)
+            return np.array([iv.lo]), np.array([iv.hi])
     else:
         p = norm.p
         scale = max(float(np.abs(cols).max()), L)
@@ -98,13 +106,10 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
         hi = rescored_extreme(d0, 0.0, cols, norm, tol, scale, largest=True)
         far = np.maximum(d0, axis_distances(L, cols, p))
         arr = SegmentArray(cols[_binding_rows(far, lo, scale, p)], norm)
+        per_pass = arr.radii_per_pass
 
-        def meet(R: float) -> Interval:
-            return intersect_arrays(*arr.covering(R), domain)
+        def region_at(radii):
+            return intersect_rows(*arr.covering(radii), domain)
 
-    def region_at(R: float):
-        iv = meet(R)
-        return None if iv.is_empty else (iv.lo, iv.hi)
-
-    (a, b), R = least_radius(lo, hi, region_at, tol)
+    (a, b), R = least_radius(lo, hi, region_at, tol, per_pass)
     return PlacedCircle(0.5 * (a + b), R)

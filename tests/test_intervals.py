@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lineplace import (
     Interval,
@@ -15,9 +15,9 @@ from lineplace import (
     intersect_all,
     point_segment_distance,
 )
-from lineplace._reference import _covering_bisect, union_covers
-from lineplace.intervals import SegmentArray, bisect_radius, intersect_arrays, least_radius, \
-    union_covers_arrays
+from lineplace._reference import _covering_bisect, bisect_sequential, union_covers
+from lineplace.intervals import MAX_RADII, SegmentArray, bisect_radius, intersect_rows, \
+    least_radius, union_covers_arrays, union_covers_rows
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -187,13 +187,30 @@ def kernel_tolerance(x, R, p):
     return 8 * math.ulp(max(abs(x), R)) + R * 2.0 ** (-49.0 / p)
 
 
+def bits(a):
+    """The bytes of a float array, every NaN as the one np.nan: which
+    NaN an overflowed row gets depends on the loop numpy runs."""
+    a = np.asarray(a, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+# rows [ax, ay, bx, by] whose differences overflow to inf, or whose
+# products with a segment parameter do
+huge = st.sampled_from([1.7e308, -1.7e308, 9e307, -9e307, 1e300, 0.0, 3.0])
+overflowing = st.lists(huge, min_size=4, max_size=4)
+rows = st.lists(st.one_of(
+    segment.map(lambda s: [s.a.x, s.a.y, s.b.x, s.b.y]), overflowing), min_size=1, max_size=12)
+radii = st.lists(st.one_of(radius, st.sampled_from([1e300, 1.7e308, 1.278e-195])),
+                 min_size=1, max_size=9)
+
+
 class TestSegmentArray:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @given(segs=st.lists(segment, min_size=1, max_size=12), R=radius)
     @example(segs=[seg(0.0, -16.0, 0.0, 35.5)], R=1.278e-195)
     def test_covering_matches_scalar(self, p, segs, R):
         norm = NormP(p)
-        lo, hi = SegmentArray(segs, norm).covering(R)
+        (lo,), (hi,) = SegmentArray(segs, norm).covering(np.array([R]))
         for k, s in enumerate(segs):
             ref = covering_interval(s, R, norm)
             if ref.is_empty:
@@ -202,12 +219,28 @@ class TestSegmentArray:
             assert abs(lo[k] - ref.lo) <= kernel_tolerance(ref.lo, R, p)
             assert abs(hi[k] - ref.hi) <= kernel_tolerance(ref.hi, R, p)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @given(cols=rows, rs=radii)
+    @example(cols=[[0.0, 1.0, 5.0, 1.0], [2.0, -1.0, 2.0, 1.0]], rs=[0.0, 1.0, 0.0, 2.5])
+    @example(cols=[[-1.7e308, 3.0, 1.7e308, -9e307]], rs=[0.0, 1e300, 3.0, 1.7e308])
+    def test_rows_equal_one_radius_calls(self, p, cols, rs):
+        # flat rows, R = 0, p = 1 (no ystar candidates) and rows that
+        # overflow: each row of a call with many radii is that of a
+        # call with its radius alone, bit for bit
+        arr = SegmentArray(np.array(cols), NormP(p))
+        lo, hi = arr.covering(np.array(rs))
+        assert lo.shape == hi.shape == (len(rs), len(cols))
+        for k, R in enumerate(rs):
+            (lo1,), (hi1,) = arr.covering(np.array([R]))
+            assert bits(lo[k]) == bits(lo1) and bits(hi[k]) == bits(hi1)
+
     def test_rejects_bad_radius(self):
         arr = SegmentArray([seg(0, 1, 1, 1)], N2)
+        for bad in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                arr.covering(np.array([1.0, bad]))
         with pytest.raises(ValueError):
-            arr.covering(-1.0)
-        with pytest.raises(ValueError):
-            arr.covering(math.nan)
+            arr.covering(np.array([[1.0]]))
 
 
 def as_arrays(ivs):
@@ -231,13 +264,30 @@ COMBINE_CASES = {
 }
 
 
+def widest_gap(ivs, domain):
+    """Width of the widest stretch of domain no interval contains, by a
+    plain scan over the intervals sorted by lo; 0 where none."""
+    reach, widest = domain.lo, 0.0
+    for iv in sorted((iv for iv in ivs if not iv.is_empty and iv.hi >= domain.lo),
+                     key=lambda iv: (iv.lo, iv.hi)):
+        if iv.lo > reach:
+            widest = max(widest, min(iv.lo, domain.hi) - reach)
+        reach = max(reach, iv.hi)
+    return max(widest, domain.hi - reach)
+
+
+def intersect_row(lo, hi, domain):
+    (a,), (b,) = intersect_rows(lo[None], hi[None], domain)
+    return Interval.empty() if a > b else Interval(a, b)
+
+
 class TestArrayCombine:
     @pytest.mark.parametrize("case", sorted(COMBINE_CASES))
     def test_cases_equal_scalar(self, case):
         ivs, domain = COMBINE_CASES[case]
         lo, hi = as_arrays(ivs)
         assert union_covers_arrays(lo, hi, domain) == union_covers(ivs, domain)
-        assert intersect_arrays(lo, hi, domain) == intersect_all(ivs + [domain])
+        assert intersect_row(lo, hi, domain) == intersect_all(ivs + [domain])
 
     @given(st.lists(st.one_of(st.just(E), st.builds(
                lambda a, w: Interval(a, a + w),
@@ -247,22 +297,56 @@ class TestArrayCombine:
         domain = Interval(0.0, L)
         lo, hi = as_arrays(ivs)
         assert union_covers_arrays(lo, hi, domain) == union_covers(ivs, domain)
-        assert intersect_arrays(lo, hi, domain) == intersect_all(ivs + [domain])
+        assert intersect_row(lo, hi, domain) == intersect_all(ivs + [domain])
+
+    # rows of one width, as the intervals of one segment set at several
+    # radii; small integers tie on lo often, and E pads the shorter rows
+    @given(st.lists(st.lists(st.one_of(st.just(E), st.builds(
+               lambda a, w: Interval(a, a + w),
+               st.integers(-4, 12).map(float), st.integers(0, 6).map(float))),
+               min_size=0, max_size=7), min_size=1, max_size=6),
+           st.sampled_from([0.0, 5.0, 10.0]))
+    @example([[Interval(0, 2), Interval(0, 5), Interval(5, 10)], [E, E], []], 10.0)
+    def test_rows_equal_one_row_calls(self, table, L):
+        domain = Interval(0.0, L)
+        width = max(len(row) for row in table)
+        table = [row + [E] * (width - len(row)) for row in table]
+        lo = np.array([as_arrays(row)[0] for row in table]).reshape(len(table), width)
+        hi = np.array([as_arrays(row)[1] for row in table]).reshape(len(table), width)
+        covered, witness, gap = union_covers_rows(lo, hi, domain)
+        for k, ivs in enumerate(table):
+            got = (True, None) if covered[k] else (False, float(witness[k]))
+            assert got == union_covers_arrays(lo[k], hi[k], domain) == union_covers(ivs, domain)
+            assert gap[k] == (0.0 if covered[k] else widest_gap(ivs, domain))
+        if width:
+            for k, (a, b) in enumerate(zip(*intersect_rows(lo, hi, domain))):
+                iv = Interval.empty() if a > b else Interval(a, b)
+                assert iv == intersect_all(table[k] + [domain])
+
+    def test_nan_bound_raises_as_an_interval_does(self):
+        lo, hi = np.array([[0.0, math.nan]]), np.array([[5.0, 3.0]])
+        with pytest.raises(ValueError, match="interval bounds must not be NaN"):
+            intersect_rows(lo, hi, Interval(0.0, 10.0))
 
 
 class Threshold:
-    """A radius search whose radii fit from least on; counts its calls."""
+    """A radius search whose radii fit from least on; counts its calls,
+    each of which asks about one radius at a time."""
 
     def __init__(self, least):
         self.least = least
         self.calls = 0
+        self.asked = []
 
-    def fits(self, R):
+    def fits(self, radii):
+        (R,) = radii.tolist()
         self.calls += 1
-        return R >= self.least
+        self.asked.append(R)
+        return radii >= self.least, self.least - radii
 
-    def region_at(self, R):
-        return (0.0, R) if self.fits(R) else None
+    def region_at(self, radii):
+        ok, _ = self.fits(radii)
+        return np.where(ok, 0.0, math.inf), np.where(ok, radii, -math.inf)
 
 
 class TestRadiusSearch:
@@ -275,19 +359,21 @@ class TestRadiusSearch:
         # the nudged bracket [0, 1.001] is halved 10 times to width <= 1e-3
         tol = Tolerance(eps=1e-3)
         t = Threshold(0.3)
-        lo, hi = bisect_radius(0.0, 1.0, t.fits, tol)
-        assert t.calls == 10
+        lo, hi, levels = bisect_radius(0.0, 1.0, t.fits, tol)
+        assert t.calls == levels == 10
         assert hi - lo <= tol.eps < 2.0 * (hi - lo)
         assert lo < 0.3 <= hi
 
     @pytest.mark.parametrize("max_iters", [7, 200])
     def test_runs_max_iters_when_eps_is_below_the_rounding(self, max_iters):
         # at radius 1e12 one ulp is 1.2e-4, far above eps = 1e-9, so the
-        # bracket never gets within eps
+        # bracket never gets within eps. Once it is an ulp wide its
+        # midpoint repeats, and a radius asked about once is not asked again
         tol = Tolerance(max_iters=max_iters)
         t = Threshold(1.5e12)
-        lo, hi = bisect_radius(1e12, 2e12, t.fits, tol)
-        assert t.calls == max_iters
+        lo, hi, levels = bisect_radius(1e12, 2e12, t.fits, tol)
+        assert levels == max_iters
+        assert t.calls == len(set(t.asked)) <= max_iters
         assert hi - lo > tol.eps
 
     def test_rechecks_four_eps_higher(self):
@@ -306,3 +392,128 @@ class TestRadiusSearch:
         with pytest.raises(ValueError, match="circle parameters must be finite"):
             least_radius(0.0, 1.0, t.region_at, tol)
         assert t.calls == 1 + 10 + 2
+
+
+def _scramble(R):
+    """A pseudo-random bit of the float R: fits(R) that is not monotone."""
+    return bool((hash(R.hex()) ^ (hash(R.hex()) >> 17)) & 1) if math.isfinite(R) else True
+
+
+# margin(R, t): what the predicate reports besides fits, around a
+# threshold t; the bisection must end where the loop does whatever it is
+MARGINS = {
+    "exact": lambda R, t: t - R,
+    "one-sided": lambda R, t: t - R if R < t else math.nan,
+    "wrong way": lambda R, t: R - t,
+    "curved": lambda R, t: (t - R) * (1.0 + abs(t - R)),
+    "NaN": lambda R, t: math.nan,
+    "inf": lambda R, t: math.inf if R < t else -math.inf,
+    "constant": lambda R, t: 1.0,
+    "zero": lambda R, t: 0.0,
+}
+
+FITS = {
+    "threshold": lambda R, t: R >= t,
+    "scrambled": lambda R, t: _scramble(R),
+    "two bands": lambda R, t: R >= t or (t / 4.0 <= R < t / 2.0),
+}
+
+
+class Predicate:
+    """fits over arrays from a scalar rule; records the radii of each call."""
+
+    def __init__(self, fits, margin, t):
+        self.rule, self.margin, self.t = fits, margin, t
+        self.passes = []
+
+    def scalar(self, R):
+        return self.rule(R, self.t)
+
+    def __call__(self, radii):
+        rs = radii.tolist()
+        self.passes.append(rs)
+        return (np.array([self.scalar(R) for R in rs], dtype=bool),
+                np.array([self.margin(R, self.t) for R in rs], dtype=float))
+
+
+@st.composite
+def searches(draw):
+    """(lo, hi, threshold, tol) over brackets from 1e-300 to 1e300."""
+    scale = draw(st.sampled_from([1e-300, 1e-9, 1.0, 1e12, 1e300]))
+    lo = draw(st.sampled_from([0.0, 1.0, 1.5])) * scale
+    hi = lo + draw(st.floats(0.0, 4.0)) * scale
+    t = lo + draw(st.floats(-0.5, 4.5)) * scale
+    eps = draw(st.sampled_from([1e-9, 1e-3, scale * 1e-6, 5e-324]))
+    max_iters = draw(st.sampled_from([1, 7, 40, 200]))
+    return lo, hi, t, Tolerance(eps=eps if eps > 0.0 else 5e-324, max_iters=max_iters)
+
+
+class TestBisectionPasses:
+    @given(search=searches(), fits=st.sampled_from(sorted(FITS)),
+           margin=st.sampled_from(sorted(MARGINS)), per_pass=st.sampled_from([1, 2, 3, 8, 64]))
+    @example(search=(1e12, 2e12, 1.5e12, Tolerance()), fits="threshold", margin="exact",
+             per_pass=64).via("midpoints repeat once the bracket is an ulp wide")
+    @example(search=(0.0, 1e300, 3e299, Tolerance(max_iters=200)), fits="threshold",
+             margin="one-sided", per_pass=64)
+    @example(search=(1e-300, 3e-300, 2e-300, Tolerance(eps=5e-324)), fits="threshold",
+             margin="curved", per_pass=64)
+    @settings(deadline=None)
+    def test_same_bracket_and_levels_as_the_loop(self, search, fits, margin, per_pass):
+        lo, hi, t, tol = search
+        pred = Predicate(FITS[fits], MARGINS[margin], t)
+        steps = []
+
+        def scalar(R):
+            steps.append(R)
+            return pred.scalar(R)
+
+        want = bisect_sequential(lo, hi, scalar, tol)
+        got_lo, got_hi, levels = bisect_radius(lo, hi, pred, tol, per_pass)
+        assert (got_lo.hex(), got_hi.hex()) == (want[0].hex(), want[1].hex())
+        assert levels == len(steps)
+        assert all(1 <= len(rs) <= min(per_pass, MAX_RADII) for rs in pred.passes)
+        # every midpoint the loop decides was asked about, none twice
+        asked = [R for rs in pred.passes for R in rs]
+        assert len(asked) == len(set(asked)) and set(steps) <= set(asked)
+
+    @given(search=searches(), fits=st.sampled_from(sorted(FITS)))
+    @settings(deadline=None)
+    def test_a_wrong_margin_costs_passes_only(self, search, fits):
+        # at 64 radii the tree of each pass holds its first 4 levels
+        # whatever the guess (6 before the first guess), so a margin that
+        # always points the wrong way walks at least 4 levels a pass
+        lo, hi, t, tol = search
+        pred = Predicate(FITS[fits], MARGINS["wrong way"], t)
+        _, _, levels = bisect_radius(lo, hi, pred, tol, 64)
+        assert len(pred.passes) <= math.ceil(levels / 4)
+
+    def test_a_good_margin_settles_a_search_in_few_passes(self):
+        pred = Predicate(FITS["threshold"], MARGINS["curved"], 0.3183098861837907)
+        _, _, levels = bisect_radius(0.0, 1.0, pred, TOL, 64)
+        assert levels == 30 and len(pred.passes) <= 3
+
+    def test_passes_cap_at_max_radii(self):
+        pred = Predicate(FITS["threshold"], MARGINS["exact"], 0.3)
+        bisect_radius(0.0, 1.0, pred, TOL, 10 ** 6)
+        # the first pass has no guess yet: the 63 nodes of 6 levels
+        assert len(pred.passes[0]) == 63
+        assert max(len(rs) for rs in pred.passes) <= MAX_RADII
+
+    @pytest.mark.parametrize("bound, raises", [(0.9, False), (0.2, True)])
+    def test_an_error_surfaces_where_the_loop_meets_it(self, bound, raises):
+        # fits raises above bound: the loop for threshold 0.3 asks about
+        # radii up to 0.5 and never above 0.9, but passes ask about more
+        def rule(R, t):
+            if R > bound:
+                raise ValueError(f"no radius above {bound}")
+            return R >= t
+
+        pred = Predicate(rule, MARGINS["exact"], 0.3)
+        if raises:
+            with pytest.raises(ValueError, match="no radius above 0.2"):
+                bisect_sequential(0.0, 1.0, pred.scalar, TOL)
+            with pytest.raises(ValueError, match="no radius above 0.2"):
+                bisect_radius(0.0, 1.0, pred, TOL, 64)
+        else:
+            want = bisect_sequential(0.0, 1.0, pred.scalar, TOL)
+            assert bisect_radius(0.0, 1.0, pred, TOL, 64)[:2] == want

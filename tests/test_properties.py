@@ -232,6 +232,11 @@ def _all_rows(far, *args):
     return np.ones(len(far), dtype=bool)
 
 
+def _all_rows_every_radius(far, *args):
+    # no row dropped, and no radius answered covered unasked (R_s = inf)
+    return _all_rows(far), math.inf
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 @given(inst=_row_instances(st.integers(24, 200), [1e-6, 1.0, 1e6]))
 @settings(deadline=None)
@@ -243,7 +248,7 @@ def test_pruning_never_changes_an_answer(p, inst):
               _bits(max_empty_binsearch(segs, L, norm, TOL))]
     with pytest.MonkeyPatch.context() as m:
         m.setattr(one_center, "_binding_rows", _all_rows)
-        m.setattr(obnoxious, "_owning_rows", _all_rows)
+        m.setattr(obnoxious, "_owning_rows", _all_rows_every_radius)
         full = [_bits(min_enclosing(segs, L, norm, TOL)),
                 _bits(max_empty_binsearch(segs, L, norm, TOL))]
     assert pruned == full

@@ -21,6 +21,7 @@ REFERENCE_ROUTES = {
     "_rmin_points",
     "axis_argmin_exact",
     "base_envelope",
+    "bisect_sequential",
     "build_lists_loop",
     "compact",
     "distance_argmin_on_axis",
