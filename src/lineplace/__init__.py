@@ -32,7 +32,7 @@ from .geometry import (
     point_segment_distance,
     transform_to_axis,
 )
-from .intervals import Interval, covering_interval, intersect_all
+from .intervals import Interval
 from .k_cover import (
     AggSpec,
     CoverSolution,
@@ -69,9 +69,7 @@ __all__ = [
     "Tolerance",
     "UnsupportedNorm",
     "compute_lower_envelope",
-    "covering_interval",
     "dp_solve",
-    "intersect_all",
     "largest_empty_from_envelope",
     "lp_distance",
     "max_empty_binsearch",

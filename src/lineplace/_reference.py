@@ -4,12 +4,13 @@ Each function here reaches a result of the production code by an
 independent method (bisection, golden-section search, candidate
 evaluation, plain loops where the solver works on arrays or range
 minima), so the tests can compare the two: among them the scalar
-union cover of covering intervals, which no solver runs, the
-bisection that asks about one midpoint at a time, the
-one-segment constrained argmin and axis crossing, where the solvers
-read one array table, a dict-based grouping of candidate runs into
-k-cover lists, and the bisected circle of a k-cover run, which the
-solver reads off its pair circles. Beside them sit the one-at-a-time
+covering interval, its intersection and union cover and the
+one-center search over them, where the solvers run one array kernel,
+the bisection that asks about one midpoint at a time, the one-segment
+constrained argmin and axis crossing, where the solvers read one
+array table, a dict-based grouping of candidate runs into k-cover
+lists, and the bisected circle of a k-cover run, which the solver
+reads off its pair circles. Beside them sit the one-at-a-time
 entry points that only the tests call: the scalar pair circle, the
 circle of one k-cover run, the single-segment envelope, and the merge
 and compaction of two envelopes. Not exported, and no solver module
@@ -24,9 +25,9 @@ from bisect import bisect_right
 import numpy as np
 
 from .errors import EmptyInput, NoBisectorRoot, NoCrossing
-from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, point_segment_distance, \
-    segment_columns
-from .intervals import Interval, _halfwidth, least_radius
+from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, axis_argmin_abscissas, \
+    point_segment_distance, segment_columns, segments_from_columns
+from .intervals import Interval, _halfwidth, _ystar_ratio, least_radius
 from .k_cover import AggSpec, CoverSolution, PointSet, _cover_slack, _no_finite_cover, \
     _run_circle, _run_radii
 from .obnoxious import EnvelopePiece, LowerEnvelope, _build_profile, _compact_pieces, \
@@ -226,10 +227,107 @@ def _profile_min_unclamped(s: Segment):
     return min(s.a.x, s.b.x), abs(ya)
 
 
+def covering_interval(s: Segment, R: float, norm: NormP) -> Interval:
+    """All x on the axis with distance((x,0), s) <= R.
+
+    The scalar kernel, one segment and one radius a call: reference for
+    intervals.SegmentArray.covering, which evaluates the same candidates
+    over arrays. The result is not clipped to [0, L]. The bounds are
+    the extremes of qx(t) -+ halfwidth(qy(t)) over closed-form candidate
+    parameters t; the tests also cross-check them against the boundary
+    bisection _covering_bisect.
+    """
+    if R < 0.0 or not math.isfinite(R):
+        raise ValueError("radius must be finite and nonnegative")
+    p = norm.p
+    ax, ay = s.a.x, s.a.y
+    ux, uy = s.b.x - ax, s.b.y - ay
+    # segment parameters t whose point can be reached at all: |qy(t)| <= R
+    if uy == 0.0:
+        if abs(ay) > R:
+            return Interval.empty()
+        tA, tB = 0.0, 1.0
+    else:
+        t1 = (-R - ay) / uy
+        t2 = (R - ay) / uy
+        tA = max(min(t1, t2), 0.0)
+        tB = min(max(t1, t2), 1.0)
+        if tA > tB:
+            return Interval.empty()
+    cands = [tA, tB]
+    if uy != 0.0:
+        t0 = -ay / uy
+        if tA < t0 < tB:
+            cands.append(t0)
+    # interior extrema of qx(t) -+ halfwidth(qy(t)) exist only for p > 1
+    # and occur where |qy| equals ystar below (balance of slopes)
+    if p > 1.0 and ux != 0.0 and uy != 0.0 and R > 0.0:
+        ystar = R * _ystar_ratio(ux, uy, p)
+        for ys in (ystar, -ystar):
+            t = (ys - ay) / uy
+            if tA < t < tB:
+                cands.append(t)
+    lo, hi = math.inf, -math.inf
+    for t in cands:
+        h = _halfwidth(R, ay + t * uy, p)
+        if h is None:
+            continue
+        x = ax + t * ux
+        if x - h < lo:
+            lo = x - h
+        if x + h > hi:
+            hi = x + h
+    if lo > hi:
+        return Interval.empty()
+    return Interval(lo, hi)
+
+
+def intersect_all(intervals) -> Interval:
+    """Intersection of one or more intervals. Reference for
+    intervals.intersect_rows, row by row."""
+    items = list(intervals)
+    if not items:
+        raise ValueError("need at least one interval")
+    lo = max(iv.lo for iv in items)
+    hi = min(iv.hi for iv in items)
+    if lo > hi:
+        return Interval.empty()
+    return Interval(lo, hi)
+
+
+def min_enclosing_scalar(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCircle:
+    """one_center.min_enclosing by the scalar kernels, one radius a
+    pass: covering_interval and intersect_all over every segment, with
+    no rows pruned. Reference for min_enclosing's array route. The
+    search is the same intervals.least_radius between the same bounds:
+    lo the largest point_segment_distance at the constrained minimisers
+    of axis_argmin_abscissas, hi the largest at x = 0.
+    """
+    cols = segment_columns(segments)
+    if not len(cols):
+        raise EmptyInput("need at least one segment")
+    if L < 0.0 or not math.isfinite(L):
+        raise ValueError("L must be finite and nonnegative")
+    domain = Interval(0.0, L)
+    segs = segments_from_columns(cols)
+    xm = axis_argmin_abscissas(cols, L)
+    lo = max(0.0, *(point_segment_distance(Point(x, 0.0), s, norm, tol)
+                    for x, s in zip(xm.tolist(), segs)))
+    hi = max(point_segment_distance(Point(0.0, 0.0), s, norm, tol) for s in segs)
+
+    def region_at(radii):
+        (R,) = radii.tolist()
+        iv = intersect_all([covering_interval(s, R, norm) for s in segs] + [domain])
+        return np.array([iv.lo]), np.array([iv.hi])
+
+    (a, b), R = least_radius(lo, hi, region_at, tol)
+    return PlacedCircle(0.5 * (a + b), R)
+
+
 def _covering_bisect(s: Segment, R: float, norm: NormP, tol: Tolerance) -> Interval:
     """Covering interval by bisecting each boundary of the convex profile.
 
-    Reference for intervals.covering_interval.
+    Reference for covering_interval.
     """
     def d(x: float) -> float:
         return point_segment_distance(Point(x, 0.0), s, norm, tol)
@@ -286,7 +384,7 @@ def union_covers(intervals, domain: Interval):
     Returns (True, None) or (False, x) with x a point of domain no
     interval contains. A gap at the start reports domain.lo itself,
     interior and trailing gaps report the gap midpoint. Reference for
-    intervals.union_covers_arrays, one interval at a time.
+    intervals.union_covers_rows, one interval at a time.
     """
     if domain.is_empty:
         return True, None
@@ -525,8 +623,11 @@ def _rmin_points(xy, norm: NormP, tol: Tolerance):
     tried, R >= |y|, a point covers the abscissas within
     intervals._halfwidth of its own, as covering_interval gives for a
     point segment, and the window clips their intersection. The center
-    and radius are min_enclosing's bit for bit on the scalar route
-    that it takes below intervals.ARRAY_MIN_SEGMENTS segments.
+    and radius are bit for bit those of min_enclosing_scalar on the
+    run's point segments in the same window. min_enclosing's array
+    kernel takes its powers from numpy, which may round them 1 ulp
+    apart from Python's at p != 1 (at p = 2, its square root against
+    pow), so its bits can differ there.
     """
     p = norm.p
     xs, ys = xy.T.tolist()

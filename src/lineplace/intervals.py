@@ -15,27 +15,26 @@ from the answer at that exact midpoint, so the bracket and the level
 count are those of halving one midpoint at a time, bit for bit
 (_reference.bisect_sequential); a wrong guess costs time only.
 
-The predicates evaluate covering intervals with SegmentArray over the
-rows that survive their pruning (covering_slack bounds how far the
-array kernel may stray, which is what makes that pruning exact), one
-row of intervals per radius. The largest-empty-ball search does so at
-every N and combines each row by union_covers_rows. The enclosing
-search does so from ARRAY_MIN_SEGMENTS segments on and intersects each
-row by intersect_rows; below that the per-call cost of numpy outweighs
-the loop, and it asks about one radius a pass, running
-covering_interval and intersect_all over every segment. The scalar
-union cover, _reference.union_covers, is the reference that the row
-union is tested against.
+Every covering interval that a solver uses comes from one kernel,
+SegmentArray.covering, one row of intervals per radius (covering_slack
+bounds how far it may stray, which is what makes the solvers' pruning
+exact). The largest-empty-ball search combines each row by
+union_covers_rows, the enclosing search by intersect_rows, and the
+one-off envelope fold reads its windows off a row. The scalar kernel
+_reference.covering_interval and the scalar combinations
+_reference.intersect_all and _reference.union_covers are the
+references that these are tested against.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import NormP, Segment, Tolerance, segment_columns
+from .geometry import NormP, Tolerance, segment_columns
 
 
 @dataclass(frozen=True)
@@ -106,80 +105,6 @@ def _ystar_ratio(ux: float, uy: float, p: float) -> float:
     return ratio ** (1.0 / p)
 
 
-def covering_interval(s: Segment, R: float, norm: NormP) -> Interval:
-    """All x on the axis with distance((x,0), s) <= R.
-
-    The result is not clipped to [0, L]; callers intersect with the
-    feasible range themselves. The bounds are the extremes of
-    qx(t) -+ halfwidth(qy(t)) over closed-form candidate parameters t;
-    the tests cross-check them against the boundary bisection
-    _reference._covering_bisect.
-    """
-    if R < 0.0 or not math.isfinite(R):
-        raise ValueError("radius must be finite and nonnegative")
-    p = norm.p
-    ax, ay = s.a.x, s.a.y
-    ux, uy = s.b.x - ax, s.b.y - ay
-    # segment parameters t whose point can be reached at all: |qy(t)| <= R
-    if uy == 0.0:
-        if abs(ay) > R:
-            return Interval.empty()
-        tA, tB = 0.0, 1.0
-    else:
-        t1 = (-R - ay) / uy
-        t2 = (R - ay) / uy
-        tA = max(min(t1, t2), 0.0)
-        tB = min(max(t1, t2), 1.0)
-        if tA > tB:
-            return Interval.empty()
-    cands = [tA, tB]
-    if uy != 0.0:
-        t0 = -ay / uy
-        if tA < t0 < tB:
-            cands.append(t0)
-    # interior extrema of qx(t) -+ halfwidth(qy(t)) exist only for p > 1
-    # and occur where |qy| equals ystar below (balance of slopes)
-    if p > 1.0 and ux != 0.0 and uy != 0.0 and R > 0.0:
-        ystar = R * _ystar_ratio(ux, uy, p)
-        for ys in (ystar, -ystar):
-            t = (ys - ay) / uy
-            if tA < t < tB:
-                cands.append(t)
-    lo, hi = math.inf, -math.inf
-    for t in cands:
-        h = _halfwidth(R, ay + t * uy, p)
-        if h is None:
-            continue
-        x = ax + t * ux
-        if x - h < lo:
-            lo = x - h
-        if x + h > hi:
-            hi = x + h
-    if lo > hi:
-        return Interval.empty()
-    return Interval(lo, hi)
-
-
-def intersect_all(intervals) -> Interval:
-    """Intersection of one or more intervals."""
-    items = list(intervals)
-    if not items:
-        raise ValueError("need at least one interval")
-    lo = max(iv.lo for iv in items)
-    hi = min(iv.hi for iv in items)
-    if lo > hi:
-        return Interval.empty()
-    return Interval(lo, hi)
-
-
-# Segment count from which min_enclosing uses SegmentArray: the fixed
-# cost of its numpy calls per step outweighs the scalar loop below it.
-# On a 2-vCPU Xeon VM with numpy 2.4.6 the two routes break even near
-# 20 segments; at 12 the array route takes 1.4-2.8 times as long as the
-# loop, at 32 about half as long. max_empty_binsearch takes the array
-# route at every N.
-ARRAY_MIN_SEGMENTS = 24
-
 # Radii one pass of bisect_radius asks its predicate about, at most.
 MAX_RADII = 64
 
@@ -246,14 +171,16 @@ class SegmentArray:
     Built from an (N, 4) array of rows [ax, ay, bx, by] or from Segment
     objects (geometry.segment_columns). The radius bisections build it
     over the rows they keep after pruning, so its per-row ystar ratio,
-    a scalar call per row, is paid for those rows only.
+    a scalar call per row, is paid for those rows only; the one-off
+    envelope fold builds it once over all rows and slices it.
 
     covering(radii) evaluates, for every radius and segment at once, the
-    candidates of the scalar kernel: the ends tA, tB of the reachable
-    parameter range, the axis crossing t0 and the two points where
-    |qy| = ystar, masked where the scalar kernel branches. Parameters and
-    abscissas come out bit for bit as in the scalar kernel; the powers in
-    the halfwidth may differ from Python's in the last ulp. Each radius
+    candidates of the scalar reference _reference.covering_interval: the
+    ends tA, tB of the reachable parameter range, the axis crossing t0
+    and the two points where |qy| = ystar, masked where the scalar
+    kernel branches. Parameters and abscissas come out bit for bit as
+    in the scalar kernel; the powers in the halfwidth may differ from
+    Python's in the last ulp. Each radius
     gets its own row of elementwise operations, so a row is that of a
     call with its radius alone, bit for bit.
 
@@ -282,7 +209,20 @@ class SegmentArray:
             self.star = np.array([_ystar_ratio(ux, uy, p) if ux != 0.0 and uy != 0.0
                                   else math.nan
                                   for ux, uy in zip(self.ux.tolist(), self.uy.tolist())])
-        self.radii_per_pass = max(1, min(MAX_RADII, PASS_CELLS // max(len(coords), 1)))
+
+    @property
+    def radii_per_pass(self) -> int:
+        return max(1, min(MAX_RADII, PASS_CELLS // max(len(self.ax), 1)))
+
+    def __getitem__(self, rows: slice) -> "SegmentArray":
+        """The segments of the slice rows, over views of these columns;
+        their covering intervals are these rows' bit for bit."""
+        sub = copy.copy(self)
+        for name in ("ax", "ay", "ux", "uy", "flat", "uy_div", "t0"):
+            setattr(sub, name, getattr(self, name)[rows])
+        if self.star is not None:
+            sub.star = self.star[rows]
+        return sub
 
     def covering(self, radii):
         """Arrays (lo, hi) of the covering intervals at each radius of the
@@ -327,10 +267,11 @@ class SegmentArray:
 
 
 def intersect_rows(lo, hi, domain: Interval):
-    """Row by row, intersect_all of the intervals [lo[k, i], hi[k, i]]
+    """Row by row, the intersection of the intervals [lo[k, i], hi[k, i]]
     and domain: arrays (a, b) over the rows, empty where a > b.
 
-    The bounds are those of intersect_all bit for bit. A NaN bound
+    The bounds are those of the scalar reference
+    _reference.intersect_all bit for bit. A NaN bound
     raises the ValueError that an Interval with that bound raises.
     """
     a = lo.max(axis=1)
@@ -387,16 +328,6 @@ def union_covers_rows(lo, hi, domain: Interval):
     width = np.where(gap, end - reach, 0.0).max(axis=1)
     width[covered] = 0.0
     return covered, witness, width
-
-
-def union_covers_arrays(lo, hi, domain: Interval):
-    """Whether the intervals [lo[i], hi[i]] cover domain; else a witness.
-
-    Returns (True, None) or (False, x) with x a point of domain no
-    interval contains: union_covers_rows on the one row.
-    """
-    covered, witness, _ = union_covers_rows(np.asarray(lo)[None], np.asarray(hi)[None], domain)
-    return (True, None) if covered[0] else (False, float(witness[0]))
 
 
 def bisect_radius(lo: float, hi: float, fits, tol: Tolerance, per_pass: int = 1):

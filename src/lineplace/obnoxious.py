@@ -29,8 +29,8 @@ from .errors import EmptyInput
 from .geometry import NormP, Point, Tolerance, _lp_pair, axis_argmin_abscissas, \
     _np_lp, axis_distances, near_extreme, point_segment_distance, rescored_extreme, \
     segment_columns, segments_from_columns
-from .intervals import Interval, SegmentArray, bisect_radius, covering_interval, \
-    covering_slack, union_covers_rows
+from .intervals import PASS_CELLS, Interval, SegmentArray, bisect_radius, covering_slack, \
+    union_covers_rows
 from .one_center import PlacedCircle
 
 _INF = math.inf
@@ -624,6 +624,23 @@ def _fold_one(env, tops, i: int, lo_x: float, hi_x: float, profiles, margin, tol
     return env[:head] + fused + env[tail:], tops[:head] + fresh + tops[tail:]
 
 
+def _fold_windows(arr: SegmentArray, peak: float, scale: float, L: float):
+    """The windows of newcomers of the fold under the envelope peak
+    peak: lists (lo, hi) over the rows of arr, each row's covering
+    interval at R = (peak + c) / (1 - eta), (eta, c) =
+    covering_slack(peak), clipped to [0, L], from one
+    SegmentArray.covering call; a window is empty where lo > hi. Where
+    no bound is claimed (eta >= 1, or R not finite) every window is all
+    of [0, L].
+    """
+    eta, c = covering_slack(peak, scale, arr.p)
+    R = (peak + c) / (1.0 - eta) if eta < 1.0 else _INF
+    if not math.isfinite(R):
+        return [0.0] * len(arr.ax), [L] * len(arr.ax)
+    (lo,), (hi,) = arr.covering(np.array([R]))
+    return np.maximum(lo, 0.0).tolist(), np.minimum(hi, L).tolist()
+
+
 def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
                            split: str = "halves") -> LowerEnvelope:
     """Lower envelope of all segment profiles over [0, L].
@@ -643,13 +660,18 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     A newcomer of the fold can only beat envelope values, which are at
     most the envelope's peak (_envelope_peak, one array pass over the
     piece ends), so the fold contests only the abscissas within the
-    peak of it: its covering interval (intervals.covering_interval, the
-    one use of Segment objects in the build) at R = (peak + c) /
-    (1 - eta), (eta, c) = covering_slack(peak), clipped to [0, L]. That
-    computed interval holds the exact one at peak, by the margin that
-    _owning_rows takes. A newcomer whose window is empty is skipped;
-    where no bound is claimed (eta >= 1, or R not finite) the fold
-    contests all of [0, L].
+    peak of it: its covering interval at R = (peak + c) / (1 - eta),
+    (eta, c) = covering_slack(peak), clipped to [0, L]. That computed
+    interval holds the exact one at peak, by the margin that
+    _owning_rows takes. The peak is refreshed at the start and after
+    every 32 accepted newcomers. The windows come from the kernel that
+    covering_slack bounds, SegmentArray.covering (_fold_windows): one
+    call after each refresh for the next PASS_CELLS newcomers, and one
+    more for each further PASS_CELLS that pass before the next refresh;
+    R is the same between refreshes, so these are the windows at the
+    current peak. A newcomer whose window is empty is skipped; where no
+    bound is claimed (eta >= 1, or R not finite) the fold contests all
+    of [0, L].
 
     Every merge settles a cell of two owners without root finding when
     one profile lies above the other by a margin derived from the
@@ -687,27 +709,27 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
         # a fold needs a window of positive width, so L = 0 merges too
         env = build(0, n)
     else:
-        segs = segments_from_columns(cols)
+        arr = SegmentArray(cols, norm)
         scale = max(float(np.abs(cols).max()), L)
         margin = _margin(scale)
         env = [(0.0, L, 0)]
         tops = [_extent(profiles[0], 0.0, L)[1]]
         peak = _envelope_peak(env, cols, norm, tol, scale)
         accepted = 0
+        # rows first..stop-1 have their windows at the current peak
+        stop = 1
         for i in range(1, n):
-            # the newcomer can only beat values <= peak
-            eta, c = covering_slack(peak, scale, p)
-            R = (peak + c) / (1.0 - eta) if eta < 1.0 else _INF
-            lo_x, hi_x = 0.0, L
-            if math.isfinite(R):
-                window = covering_interval(segs[i], R, norm)
-                lo_x, hi_x = max(window.lo, 0.0), min(window.hi, L)
+            if i == stop:
+                first, stop = i, min(i + PASS_CELLS, n)
+                lo_w, hi_w = _fold_windows(arr[first:stop], peak, scale, L)
+            lo_x, hi_x = lo_w[i - first], hi_w[i - first]
             if lo_x > hi_x:
                 continue
             env, tops = _fold_one(env, tops, i, lo_x, hi_x, profiles, margin, tol)
             accepted += 1
             if accepted % 32 == 0:
                 peak = _envelope_peak(env, cols, norm, tol, scale)
+                stop = i + 1
     assert env[0][0] == 0.0 and env[-1][1] == L
     assert all(env[k][1] == env[k + 1][0] for k in range(len(env) - 1))
     return LowerEnvelope(tuple(EnvelopePiece(a, b, s) for a, b, s in env))

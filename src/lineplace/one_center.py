@@ -1,4 +1,8 @@
-"""Smallest enclosing ball of segments with center restricted to [0, L]."""
+"""Smallest enclosing ball of segments with center restricted to [0, L].
+
+min_enclosing bisects the radius over the covering intervals of
+intervals.SegmentArray, at every number of segments.
+"""
 
 from __future__ import annotations
 
@@ -7,12 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import intervals
 from .errors import EmptyInput
-from .geometry import NormP, Point, Tolerance, axis_argmin_abscissas, axis_distances, \
-    point_segment_distance, rescored_extreme, segment_columns, segments_from_columns
-from .intervals import Interval, SegmentArray, covering_interval, covering_slack, \
-    intersect_all, intersect_rows, least_radius
+from .geometry import NormP, Tolerance, axis_argmin_abscissas, axis_distances, \
+    rescored_extreme, segment_columns
+from .intervals import Interval, SegmentArray, covering_slack, intersect_rows, least_radius
 
 
 @dataclass(frozen=True)
@@ -60,20 +62,18 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
     exactly when already feasible) and the radius hi that works at
     x = 0; the center is the midpoint of the region at its radius.
 
-    Both routes take each segment's constrained minimiser from one
-    axis_argmin_abscissas pass, and lo is the largest exact
-    point_segment_distance at those abscissas. From
-    intervals.ARRAY_MIN_SEGMENTS rows on, lo and hi come from array
-    kernels over all rows, with their near-ties recomputed by
-    point_segment_distance (rescored_extreme) so that both keep their
-    exact bits; the rows that cannot bind at any R >= lo
-    (_binding_rows) are then dropped, and the bisection runs on a
-    SegmentArray of the rest, with the same answer bit for bit. A pass
-    of it intersects the covering intervals at up to
+    Each segment's constrained minimiser comes from one
+    axis_argmin_abscissas pass; lo and hi come from array kernels over
+    all rows, with their near-ties recomputed by point_segment_distance
+    (rescored_extreme) so that both keep their exact bits. The rows that
+    cannot bind at any R >= lo (_binding_rows) are then dropped, and the
+    bisection runs on a SegmentArray of the rest, with the same answer
+    bit for bit. A pass of it intersects the covering intervals at up to
     SegmentArray.radii_per_pass radii at once (intersect_rows), and
     guesses the path below its tree from the margin a - b of the
-    regions (a, b) it has seen. Below it the scalar kernels run over
-    every segment, one radius a pass.
+    regions (a, b) it has seen. This one route serves every N; the
+    scalar route that the tests compare it with is
+    _reference.min_enclosing_scalar.
     """
     cols = segment_columns(segments)
     if not len(cols):
@@ -82,34 +82,17 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
         raise ValueError("L must be finite and nonnegative")
     domain = Interval(0.0, L)
     xm = axis_argmin_abscissas(cols, L)
-    if len(cols) < intervals.ARRAY_MIN_SEGMENTS:
-        segs = segments_from_columns(cols)
-        lo = max(0.0, *(point_segment_distance(Point(x, 0.0), s, norm, tol)
-                        for x, s in zip(xm.tolist(), segs)))
-        origin = Point(0.0, 0.0)
-        hi = max(point_segment_distance(origin, s, norm, tol) for s in segs)
+    p = norm.p
+    scale = max(float(np.abs(cols).max()), L)
+    d0 = axis_distances(0.0, cols, p)
+    lo = rescored_extreme(axis_distances(xm, cols, p), xm, cols, norm, tol, scale,
+                          largest=True, initial=0.0)
+    hi = rescored_extreme(d0, 0.0, cols, norm, tol, scale, largest=True)
+    far = np.maximum(d0, axis_distances(L, cols, p))
+    arr = SegmentArray(cols[_binding_rows(far, lo, scale, p)], norm)
 
-        per_pass = 1
+    def region_at(radii):
+        return intersect_rows(*arr.covering(radii), domain)
 
-        def region_at(radii):
-            (R,) = radii.tolist()
-            ivs = [covering_interval(s, R, norm) for s in segs]
-            ivs.append(domain)
-            iv = intersect_all(ivs)
-            return np.array([iv.lo]), np.array([iv.hi])
-    else:
-        p = norm.p
-        scale = max(float(np.abs(cols).max()), L)
-        d0 = axis_distances(0.0, cols, p)
-        lo = rescored_extreme(axis_distances(xm, cols, p), xm, cols, norm, tol, scale,
-                              largest=True, initial=0.0)
-        hi = rescored_extreme(d0, 0.0, cols, norm, tol, scale, largest=True)
-        far = np.maximum(d0, axis_distances(L, cols, p))
-        arr = SegmentArray(cols[_binding_rows(far, lo, scale, p)], norm)
-        per_pass = arr.radii_per_pass
-
-        def region_at(radii):
-            return intersect_rows(*arr.covering(radii), domain)
-
-    (a, b), R = least_radius(lo, hi, region_at, tol, per_pass)
+    (a, b), R = least_radius(lo, hi, region_at, tol, arr.radii_per_pass)
     return PlacedCircle(0.5 * (a + b), R)

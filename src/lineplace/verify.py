@@ -200,10 +200,12 @@ def _enclosing_circle(points, norm: NormP, tol: Tolerance):
     """(cx, radius) of the smallest axis-centered ball covering the
     points, pairs (x, y) of floats, by min_enclosing over point
     segments in the window [min x - max|y|, max x + max|y|], which
-    holds the optimum. The oracle prices its blocks here. It shares
-    nothing with the k-cover circles (k_cover._run_circle, from pair
-    circles), and with their bisecting reference (_reference._rmin_points)
-    only intervals.least_radius; the grid oracle shares neither."""
+    holds the optimum. The oracle prices its blocks here, on the
+    covering intervals of intervals.SegmentArray, as every
+    min_enclosing does. It shares nothing with the k-cover circles
+    (k_cover._run_circle, from pair circles), and with their bisecting
+    reference (_reference._rmin_points, on scalar halfwidths) only
+    intervals.least_radius; the grid oracle shares neither."""
     maxy = max(abs(y) for _, y in points)
     xs = [x for x, _ in points]
     lo = min(xs) - maxy

@@ -26,15 +26,16 @@ from lineplace import (
     Segment,
     Tolerance,
     compute_lower_envelope,
-    covering_interval,
     dp_solve,
     largest_empty_from_envelope,
     max_empty_binsearch,
     min_enclosing,
     point_segment_distance,
 )
-from lineplace._reference import build_lists_loop, compact, envelope_value, rmin_on_axis
+from lineplace._reference import build_lists_loop, compact, covering_interval, \
+    envelope_value, rmin_on_axis
 from lineplace.cli import main as cli_main
+from lineplace.intervals import SegmentArray
 from lineplace.k_cover import build_lists_sweep
 from lineplace.verify import GridSpec, enumerate_partitions, grid_obnoxious_center, \
     grid_one_center, segment_distances, set_partition_oracle
@@ -60,6 +61,8 @@ def rand_instance(rng, n):
 
 
 def test_criterion_1_covering_interval_against_grid():
+    # the kernel the solvers run (SegmentArray.covering) and the scalar
+    # reference, each against the same grid
     t0 = time.perf_counter()
     rng = random.Random(101)
     xs = np.linspace(0.0, L, 1000)
@@ -68,27 +71,32 @@ def test_criterion_1_covering_interval_against_grid():
         norm = NORMS[float(1 + trial % 3)]
         s = rand_segment(rng)
         R = rng.uniform(0.0, 8.0)
-        iv = covering_interval(s, R, norm)
+        (lo,), (hi,) = SegmentArray([s], norm).covering(np.array([R]))
         d = segment_distances(xs, s, norm)
         in_grid = d <= R
-        if iv.is_empty:
-            in_iv = np.zeros_like(in_grid)
-            near_edge = np.zeros_like(in_grid)
-        else:
-            in_iv = (xs >= iv.lo) & (xs <= iv.hi)
-            near_edge = (np.abs(xs - iv.lo) <= 2e-3) | (np.abs(xs - iv.hi) <= 2e-3)
-        disagree = in_grid != in_iv
-        tolerable = near_edge | (np.abs(d - R) <= 2e-3)
-        bad = disagree & ~tolerable
-        assert not bad.any(), (
-            f"trial {trial}: {int(bad.sum())} grid points disagree, "
-            f"first at x={xs[bad.argmax()]}")
-        checked += len(xs)
+        for kernel, iv in (("array", Interval.empty() if lo[0] > hi[0]
+                            else Interval(lo[0], hi[0])),
+                           ("scalar", covering_interval(s, R, norm))):
+            if iv.is_empty:
+                in_iv = np.zeros_like(in_grid)
+                near_edge = np.zeros_like(in_grid)
+            else:
+                in_iv = (xs >= iv.lo) & (xs <= iv.hi)
+                near_edge = (np.abs(xs - iv.lo) <= 2e-3) | (np.abs(xs - iv.hi) <= 2e-3)
+            disagree = in_grid != in_iv
+            tolerable = near_edge | (np.abs(d - R) <= 2e-3)
+            bad = disagree & ~tolerable
+            assert not bad.any(), (
+                f"trial {trial}, {kernel} kernel: {int(bad.sum())} grid points disagree, "
+                f"first at x={xs[bad.argmax()]}")
+            checked += len(xs)
 
-    iv = covering_interval(Segment(Point(0, 0), Point(0, 5)), 2.0, NORMS[2.0])
-    assert abs(iv.lo - (-2.0)) <= 2e-3 and abs(iv.hi - 2.0) <= 2e-3
+    vertical = Segment(Point(0, 0), Point(0, 5))
+    (lo,), (hi,) = SegmentArray([vertical], NORMS[2.0]).covering(np.array([2.0]))
+    for iv in (Interval(lo[0], hi[0]), covering_interval(vertical, 2.0, NORMS[2.0])):
+        assert abs(iv.lo - (-2.0)) <= 2e-3 and abs(iv.hi - 2.0) <= 2e-3
     dt = time.perf_counter() - t0
-    print(f"criterion 1 PASS: 500 covering intervals vs {checked} grid "
+    print(f"criterion 1 PASS: 500 covering intervals by each kernel vs {checked} grid "
           f"memberships within 2e-3, vertical regression ok, {dt:.1f}s")
     assert dt < 10.0
 

@@ -403,8 +403,8 @@ class TestRobustness:
     @pytest.mark.parametrize("problem", ["one-center", "obnoxious-center"])
     def test_array_route_near_the_float_range(self, tmp_path, problem):
         # differences of these coordinates overflow; the array route must
-        # take them to inf silently, as the scalar route's Python floats
-        # do, and not warn (the test settings make a RuntimeWarning an error)
+        # take them to inf silently, as Python floats do, and not warn
+        # (the test settings make a RuntimeWarning an error)
         rng = random.Random(7)
         segs = [[rng.choice([-1.0, 1.0]) * rng.random() * 1.7e308 for _ in range(4)]
                 for _ in range(30)]

@@ -11,13 +11,12 @@ from lineplace import (
     Point,
     Segment,
     Tolerance,
-    covering_interval,
-    intersect_all,
     point_segment_distance,
 )
-from lineplace._reference import _covering_bisect, bisect_sequential, union_covers
+from lineplace._reference import _covering_bisect, bisect_sequential, covering_interval, \
+    intersect_all, union_covers
 from lineplace.intervals import MAX_RADII, SegmentArray, bisect_radius, intersect_rows, \
-    least_radius, union_covers_arrays, union_covers_rows
+    least_radius, union_covers_rows
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -234,6 +233,18 @@ class TestSegmentArray:
             (lo1,), (hi1,) = arr.covering(np.array([R]))
             assert bits(lo[k]) == bits(lo1) and bits(hi[k]) == bits(hi1)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @given(cols=rows, rs=radii, a=st.integers(0, 12), b=st.integers(0, 12))
+    def test_slices_equal_their_rows(self, p, cols, rs, a, b):
+        # a slice covers its rows as the whole array does, bit for bit,
+        # and asks radii_per_pass of its own size
+        arr = SegmentArray(np.array(cols), NormP(p))
+        lo, hi = arr.covering(np.array(rs))
+        sub = arr[a:b]
+        lo1, hi1 = sub.covering(np.array(rs))
+        assert bits(lo1) == bits(lo[:, a:b]) and bits(hi1) == bits(hi[:, a:b])
+        assert sub.radii_per_pass == SegmentArray(np.array(cols)[a:b], NormP(p)).radii_per_pass
+
     def test_rejects_bad_radius(self):
         arr = SegmentArray([seg(0, 1, 1, 1)], N2)
         for bad in (-1.0, math.nan, math.inf):
@@ -276,6 +287,14 @@ def widest_gap(ivs, domain):
     return max(widest, domain.hi - reach)
 
 
+def union_cover_row(lo, hi, domain):
+    """union_covers_rows on the one row lo, hi, as union_covers answers:
+    (True, None) or (False, witness)."""
+    (covered,), (witness,), _ = union_covers_rows(np.asarray(lo)[None], np.asarray(hi)[None],
+                                                  domain)
+    return (True, None) if covered else (False, float(witness))
+
+
 def intersect_row(lo, hi, domain):
     (a,), (b,) = intersect_rows(lo[None], hi[None], domain)
     return Interval.empty() if a > b else Interval(a, b)
@@ -286,7 +305,7 @@ class TestArrayCombine:
     def test_cases_equal_scalar(self, case):
         ivs, domain = COMBINE_CASES[case]
         lo, hi = as_arrays(ivs)
-        assert union_covers_arrays(lo, hi, domain) == union_covers(ivs, domain)
+        assert union_cover_row(lo, hi, domain) == union_covers(ivs, domain)
         assert intersect_row(lo, hi, domain) == intersect_all(ivs + [domain])
 
     @given(st.lists(st.one_of(st.just(E), st.builds(
@@ -296,7 +315,7 @@ class TestArrayCombine:
     def test_random_equal_scalar(self, ivs, L):
         domain = Interval(0.0, L)
         lo, hi = as_arrays(ivs)
-        assert union_covers_arrays(lo, hi, domain) == union_covers(ivs, domain)
+        assert union_cover_row(lo, hi, domain) == union_covers(ivs, domain)
         assert intersect_row(lo, hi, domain) == intersect_all(ivs + [domain])
 
     # rows of one width, as the intervals of one segment set at several
@@ -316,7 +335,7 @@ class TestArrayCombine:
         covered, witness, gap = union_covers_rows(lo, hi, domain)
         for k, ivs in enumerate(table):
             got = (True, None) if covered[k] else (False, float(witness[k]))
-            assert got == union_covers_arrays(lo[k], hi[k], domain) == union_covers(ivs, domain)
+            assert got == union_cover_row(lo[k], hi[k], domain) == union_covers(ivs, domain)
             assert gap[k] == (0.0 if covered[k] else widest_gap(ivs, domain))
         if width:
             for k, (a, b) in enumerate(zip(*intersect_rows(lo, hi, domain))):

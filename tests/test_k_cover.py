@@ -23,10 +23,10 @@ from lineplace import (
     dp_solve,
     lp_distance,
 )
-from lineplace import intervals, k_cover
+from lineplace import intervals, k_cover, verify
 from lineplace.cli import main
-from lineplace._reference import _rmin_points, build_lists_loop, dp_scan, relax_scan, \
-    rmin_on_axis, two_point_circle
+from lineplace._reference import _rmin_points, build_lists_loop, dp_scan, min_enclosing_scalar, \
+    relax_scan, rmin_on_axis, two_point_circle
 from lineplace.errors import NoBisectorRoot, TooLarge
 from lineplace.k_cover import build_lists_sweep
 from lineplace.verify import _enclosing_circle, enumerate_partitions, set_partition_oracle
@@ -793,6 +793,14 @@ def enclosing_route(ps, i, j, norm):
     return _enclosing_circle(ps.xy[i:j + 1].tolist(), norm, TOL)
 
 
+def scalar_enclosing_route(ps, i, j, norm):
+    """enclosing_route by min_enclosing's scalar reference route, over
+    the same window."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "min_enclosing", min_enclosing_scalar)
+        return enclosing_route(ps, i, j, norm)
+
+
 def bits(pair):
     return tuple(float.hex(v) for v in pair)
 
@@ -839,11 +847,12 @@ class TestRminOnAxis:
         assert abs(r - 3.0) < 1e-9
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    def test_bits_of_the_scalar_enclosing_route(self, monkeypatch, p):
-        # the bisecting reference is min_enclosing's scalar bisection on
-        # plain floats, bit for bit (at p = 1 and 2 the array route from
-        # 24 segments on too; at other p its powers may differ), and
-        # rmin_on_axis lies in that bisection's final bracket: the
+    def test_bits_of_the_scalar_enclosing_route(self, p):
+        # the bisecting reference is min_enclosing's scalar reference
+        # route on plain floats, bit for bit (on these draws at p = 1
+        # and 2 the array route too, at every size; elsewhere numpy's
+        # powers may round 1 ulp apart from Python's), and rmin_on_axis
+        # lies in that bisection's final bracket: the
         # reference reports its upper end hi, with hi - lo <= eps and
         # nothing below lo feasible. Both routes round each distance and
         # interval end by a few ulps of the run's scale.
@@ -856,10 +865,8 @@ class TestRminOnAxis:
                 if p in (1.0, 2.0):
                     assert ([bits(c) for c in want]
                             == [bits(enclosing_route(ps, i, j, norm)) for i, j in runs])
-                with monkeypatch.context() as m:
-                    m.setattr(intervals, "ARRAY_MIN_SEGMENTS", 10**9)
-                    assert ([bits(c) for c in want]
-                            == [bits(enclosing_route(ps, i, j, norm)) for i, j in runs])
+                assert ([bits(c) for c in want]
+                        == [bits(scalar_enclosing_route(ps, i, j, norm)) for i, j in runs])
                 for (i, j), (_, r_ref) in zip(runs, want):
                     r = rmin_on_axis(ps, i, j, norm, TOL)[1]
                     slack = 16 * U * rounding_scale(ps, i, j, r_ref)

@@ -25,6 +25,7 @@ from lineplace._reference import base_envelope, compact, envelope_value, equal_d
     merge_lower_envelopes
 from lineplace.cli import main
 from lineplace.geometry import segment_columns
+from lineplace.intervals import PASS_CELLS
 from lineplace.obnoxious import _AFFINE, _build_profile
 
 TOL = Tolerance()
@@ -442,6 +443,52 @@ class TestFoldWindow:
             one_off = compute_lower_envelope(segs, L, norm, TOL, split="one-off")
             assert one_off == self.contest_all(segs, L, norm), trial
 
+    @pytest.mark.parametrize("p, far", [(1.0, 0), (1.5, 0), (2.0, 0), (3.0, 0),
+                                        (2.0, 2 * PASS_CELLS + 100)])
+    def test_windows_come_from_the_array_kernel(self, p, far, monkeypatch):
+        # the windows come from SegmentArray.covering at one radius a
+        # call: PASS_CELLS newcomers from the first on, and from the one
+        # after each refresh of the peak, every 32 accepted newcomers;
+        # the scalar covering_interval is never called. Far segments,
+        # whose windows are empty, make the fold pass PASS_CELLS
+        # newcomers without a refresh
+        rows, folded = [], []
+        real_covering, real_fold = obnoxious.SegmentArray.covering, obnoxious._fold_one
+
+        def counting_covering(arr, radii):
+            assert len(radii) == 1
+            rows.append(len(arr.ax))
+            return real_covering(arr, radii)
+
+        def counting_fold(*args):
+            folded.append(args[2])
+            return real_fold(*args)
+
+        def scalar(*args):
+            raise AssertionError("the fold called the scalar covering_interval")
+
+        monkeypatch.setattr(obnoxious.SegmentArray, "covering", counting_covering)
+        monkeypatch.setattr(obnoxious, "_fold_one", counting_fold)
+        monkeypatch.setattr(_reference, "covering_interval", scalar, raising=False)
+        monkeypatch.setattr(obnoxious, "covering_interval", scalar, raising=False)
+        rng = random.Random(f"fold calls {p}")
+        segs = random_segments(rng, 150, span=2.0)
+        segs += [seg(s.a.x, s.a.y + 500, s.b.x, s.b.y + 500) for s in random_segments(rng, far)]
+        n = len(segs)
+        compute_lower_envelope(segs, 10.0, NormP(p), TOL, split="one-off")
+        assert len(folded) >= 64
+        refreshed, want, stop = set(folded[31::32]), [], 1
+        for i in range(1, n):
+            if i == stop:
+                stop = min(i + PASS_CELLS, n)
+                want.append(stop - i)
+            if i in refreshed:
+                stop = i + 1
+        assert rows == want
+        # one call a refresh, and more where PASS_CELLS newcomers pass without one
+        assert (len(rows) > 1 + len(folded) // 32) if far else \
+            (len(rows) == 1 + len(folded) // 32)
+
     @pytest.mark.parametrize("p, want", [
         (1.0, (0, "0x1.37645a919e282p+995")),
         (1.5, (0, "0x1.36e7b1930fc10p+995")),
@@ -620,8 +667,8 @@ class TestMaxEmpty:
 class TestArrayRoute:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_routes_agree_across_crossover(self, p):
-        # the search runs on SegmentArray at every N, below the
-        # min_enclosing crossover of 24 segments too
+        # the search runs on SegmentArray at every N, from the
+        # smallest instances on
         norm = NormP(p)
         rng = random.Random(round(p * 1000) + 1)
         for n in (5, 23, 24, 150):

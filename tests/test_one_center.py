@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from lineplace import intervals
 from lineplace import (
     EmptyInput,
     NormP,
@@ -11,10 +10,10 @@ from lineplace import (
     Point,
     Segment,
     Tolerance,
-    covering_interval,
     min_enclosing,
     point_segment_distance,
 )
+from lineplace._reference import covering_interval, min_enclosing_scalar
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -88,29 +87,38 @@ class TestMinEnclosing:
                 assert not feasible
 
 
+def bits(c):
+    return float.hex(c.cx), float.hex(c.radius)
+
+
 class TestArrayRoute:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-    def test_routes_agree_across_crossover(self, p, monkeypatch):
+    def test_routes_agree_across_crossover(self, p):
+        # min_enclosing's array route against the scalar reference at
+        # every size, from the smallest: the same search over the same
+        # bounds, and on these draws the same bits at p = 1 and 2 (the
+        # powers are exact at p = 1; at p = 2 numpy's square root and
+        # Python's pow can round 1 ulp apart, so other draws may move a
+        # center by an ulp)
         norm = NormP(p)
         rng = random.Random(round(p * 1000))
-        cut = intervals.ARRAY_MIN_SEGMENTS
-        for n in (5, cut - 1, cut, 150):
+        for n in (2, 3, 5, 12, 23, 24, 150):
             segments = [seg(rng.uniform(-30, 40), rng.uniform(-20, 20),
                             rng.uniform(-30, 40), rng.uniform(-20, 20))
                         for _ in range(n - n // 3)]
             # the point segments k-cover reconstruction passes
             segments += [pt(rng.uniform(-30, 40), rng.uniform(-20, 20))
                          for _ in range(n // 3)]
-            got = {}
-            for route, threshold in (("array", 1), ("scalar", 10**9)):
-                monkeypatch.setattr(intervals, "ARRAY_MIN_SEGMENTS", threshold)
-                got[route] = min_enclosing(segments, 10.0, norm, TOL)
+            got = {"array": min_enclosing(segments, 10.0, norm, TOL),
+                   "scalar": min_enclosing_scalar(segments, 10.0, norm, TOL)}
             assert abs(got["array"].radius - got["scalar"].radius) <= 2 * TOL.eps
+            if p in (1.0, 2.0):
+                assert bits(got["array"]) == bits(got["scalar"]), n
             for c in got.values():
                 assert 0.0 <= c.cx <= 10.0
                 assert farthest(segments, c.cx, norm) <= c.radius + 1e-7
 
-    def test_routes_agree_at_scale_1e_170(self, monkeypatch):
+    def test_routes_agree_at_scale_1e_170(self):
         # 30 spread segments near 1e-170, 40 draws at each p: the array
         # route's distance estimates keep the sign of their stationary
         # candidate though ux * uy underflows there, so its bounds are
@@ -125,11 +133,8 @@ class TestArrayRoute:
                 rng = random.Random(draw)
                 segments = [seg(*(rng.uniform(-100, 100) * sc for _ in range(4)))
                             for _ in range(30)]
-                got = {}
-                for route, threshold in (("array", 1), ("scalar", 10**9)):
-                    monkeypatch.setattr(intervals, "ARRAY_MIN_SEGMENTS", threshold)
-                    got[route] = min_enclosing(segments, 10 * sc, NormP(p), TOL)
-                want = got["scalar"].radius
-                if abs(got["array"].radius - want) > 1e-12 * want:
+                got = min_enclosing(segments, 10 * sc, NormP(p), TOL)
+                want = min_enclosing_scalar(segments, 10 * sc, NormP(p), TOL).radius
+                if abs(got.radius - want) > 1e-12 * want:
                     differ.append((p, draw))
         assert differ == [(3.0, 35)]

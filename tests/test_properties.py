@@ -13,7 +13,6 @@ from lineplace import (
     Segment,
     Tolerance,
     compute_lower_envelope,
-    covering_interval,
     lp_distance,
     max_empty_binsearch,
     min_enclosing,
@@ -22,10 +21,10 @@ from lineplace import (
     point_segment_distance,
     transform_to_axis,
 )
-from lineplace._reference import axis_argmin_exact, distance_argmin_on_axis, \
-    equal_distance_point, rmin_on_axis
+from lineplace._reference import axis_argmin_exact, covering_interval, \
+    distance_argmin_on_axis, equal_distance_point, rmin_on_axis
 from lineplace.errors import NoCrossing, SolverError
-from lineplace.intervals import union_covers_arrays
+from lineplace.intervals import SegmentArray, union_covers_rows
 from lineplace.obnoxious import _build_profile
 
 TOL = Tolerance()
@@ -80,21 +79,24 @@ def test_distance_to_own_point_is_zero(s, t, p):
 @given(segments(small), st.floats(0.0, 12.0), norm_p)
 @settings(max_examples=60)
 def test_covering_interval_membership(s, radius, p):
+    # the kernel the solvers run, and the scalar reference
     norm = NormP(p)
-    iv = covering_interval(s, radius, norm)
-    if iv.is_empty:
-        for x in (-3.0, 2.0, 5.0, 8.0, 13.0):
+    (lo,), (hi,) = SegmentArray([s], norm).covering(np.array([radius]))
+    for iv in (Interval.empty() if lo[0] > hi[0] else Interval(lo[0], hi[0]),
+               covering_interval(s, radius, norm)):
+        if iv.is_empty:
+            for x in (-3.0, 2.0, 5.0, 8.0, 13.0):
+                d = point_segment_distance(Point(x, 0.0), s, norm, TOL)
+                assert d >= radius - 1e-6
+            continue
+        span = max(iv.hi - iv.lo, 1.0)
+        for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+            x = iv.lo + frac * (iv.hi - iv.lo)
             d = point_segment_distance(Point(x, 0.0), s, norm, TOL)
-            assert d >= radius - 1e-6
-        return
-    span = max(iv.hi - iv.lo, 1.0)
-    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-        x = iv.lo + frac * (iv.hi - iv.lo)
-        d = point_segment_distance(Point(x, 0.0), s, norm, TOL)
-        assert d <= radius + 1e-6 * max(1.0, radius)
-    for x in (iv.lo - 0.01 * span, iv.hi + 0.01 * span):
-        d = point_segment_distance(Point(x, 0.0), s, norm, TOL)
-        assert d >= radius - 1e-6 * max(1.0, radius)
+            assert d <= radius + 1e-6 * max(1.0, radius)
+        for x in (iv.lo - 0.01 * span, iv.hi + 0.01 * span):
+            d = point_segment_distance(Point(x, 0.0), s, norm, TOL)
+            assert d >= radius - 1e-6 * max(1.0, radius)
 
 
 @given(segments(small), norm_p, st.floats(-20.0, 20.0))
@@ -152,9 +154,9 @@ def test_union_covers_witness_is_uncovered(raw):
     domain = Interval(0.0, 10.0)
     lo = np.array([iv.lo for iv in ivs], dtype=float)
     hi = np.array([iv.hi for iv in ivs], dtype=float)
-    ok, witness = union_covers_arrays(lo, hi, domain)
+    (ok,), (witness,), _ = union_covers_rows(lo[None], hi[None], domain)
     if ok:
-        assert witness is None
+        assert math.isnan(witness)
         return
     assert domain.contains(witness)
     assert all(not iv.contains(witness) for iv in ivs)

@@ -24,11 +24,14 @@ REFERENCE_ROUTES = {
     "bisect_sequential",
     "build_lists_loop",
     "compact",
+    "covering_interval",
     "distance_argmin_on_axis",
     "dp_scan",
     "equal_distance_point",
     "envelope_value",
+    "intersect_all",
     "merge_lower_envelopes",
+    "min_enclosing_scalar",
     "relax_scan",
     "rmin_on_axis",
     "segment_ox_intersection",
@@ -53,6 +56,8 @@ UNEXPORTED = {
     "base_envelope",
     "two_point_circle",
     "rmin_on_axis",
+    "covering_interval",
+    "intersect_all",
     "NoBisectorRoot",
     "TooLarge",
 }
@@ -175,7 +180,8 @@ def test_k_cover_reconstructs_on_one_route():
 
 @pytest.mark.parametrize("module, name", [("one_center.py", "min_enclosing"),
                                           ("obnoxious.py", "max_empty_binsearch"),
-                                          ("_reference.py", "_rmin_points")])
+                                          ("_reference.py", "_rmin_points"),
+                                          ("_reference.py", "min_enclosing_scalar")])
 def test_radius_searches_share_one_bisection(module, name):
     # the bracket nudge, the stop rule and the re-check of a radius
     # search live in intervals.bisect_radius and least_radius only
@@ -281,3 +287,21 @@ def test_k_cover_sweep_lists_keep_their_surface():
         build(pts, lineplace.NormP(3.0), lineplace.Tolerance())
     with pytest.raises(lineplace.EmptyInput):
         build(lineplace.PointSet(()), lineplace.NormP(2.0), lineplace.Tolerance())
+
+
+# the second covering-interval route that min_enclosing took below a
+# segment count, and the one-row wrapper of union_covers_rows: no module
+# binds or reads them any more
+GONE_FROM_INTERVALS = {"ARRAY_MIN_SEGMENTS", "union_covers_arrays"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_one_covering_kernel(path):
+    # SegmentArray.covering is the only covering-interval kernel that a
+    # solver runs; the scalar kernel and its intersection are references
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set(_bound_names(tree)) | {node.attr for node in ast.walk(tree)
+                                       if isinstance(node, ast.Attribute)}
+    assert not GONE_FROM_INTERVALS & names
+    if path.name != "_reference.py":
+        assert not {"covering_interval", "intersect_all"} & names
