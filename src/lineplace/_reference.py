@@ -9,29 +9,33 @@ one-center search over them, where the solvers run one array kernel,
 the bisection that asks about one midpoint at a time, the one-segment
 constrained argmin and axis crossing, where the solvers read one
 array table, a dict-based grouping of candidate runs into k-cover
-lists, and the bisected circle of a k-cover run, which the solver
-reads off its pair circles. Beside them sit the one-at-a-time
-entry points that only the tests call: the scalar pair circle, the
-circle of one k-cover run, the single-segment envelope, and the merge
-and compaction of two envelopes. Not exported, and no solver module
-imports it.
+lists, the bisected circle of a k-cover run, which the solver reads
+off its pair circles, and the one-off fold of the lower envelope,
+which adds the segments one at a time where the solver merges halves.
+Beside them sit the one-at-a-time entry points that only the tests
+call: the scalar pair circle, the circle of one k-cover run, the
+single-segment envelope, and the merge and compaction of two
+envelopes. Not exported, and no solver module imports it.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import EmptyInput, NoBisectorRoot, NoCrossing
-from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, axis_argmin_abscissas, \
-    point_segment_distance, segment_columns, segments_from_columns
-from .intervals import Interval, _halfwidth, _ystar_ratio, least_radius
+from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _np_lp, \
+    axis_argmin_abscissas, axis_distances, point_segment_distance, rescored_extreme, \
+    segment_columns, segments_from_columns
+from .intervals import PASS_CELLS, Interval, SegmentArray, _halfwidth, _ystar_ratio, \
+    covering_slack, least_radius
 from .k_cover import AggSpec, CoverSolution, PointSet, _cover_slack, _no_finite_cover, \
     _run_circle, _run_radii
-from .obnoxious import EnvelopePiece, LowerEnvelope, _build_profile, _compact_pieces, \
-    _merge_raw
+from .obnoxious import _CONE, EnvelopePiece, LowerEnvelope, _build_profile, _compact_pieces, \
+    _extent, _margin, _merge_raw, _Profile, compute_lower_envelope
 from .one_center import PlacedCircle
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -450,6 +454,169 @@ def envelope_value(le: LowerEnvelope, segments, x: float, norm: NormP, tol: Tole
     if i < 0:
         i = 0
     return point_segment_distance(Point(x, 0.0), segments[le.pieces[i].seg_index], norm, tol)
+
+
+def _least_on(prof: _Profile, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Least value of prof's pieces over every [a[k], b[k]] at once, as
+    _extent takes it.
+
+    Where one piece serves all of (a[k], b[k]) (piece_at), its least
+    there is a cone's value at its apex clamped into [a[k], b[k]], or
+    an affine piece's smaller end value, from one array pass; the few
+    spans that hold a knot of prof take _extent's least.
+    """
+    starts = np.array(prof.starts)
+    # the first piece also serves every x below its start (piece_at)
+    starts[0] = -math.inf
+    k = starts.searchsorted(a, side="right") - 1
+    _, ends, kind, c, h = np.array(prof.pieces)[k].T
+    with np.errstate(all="ignore"):
+        least = np.minimum(c * a, c * b) + h
+        cone = kind == _CONE
+        if cone.any():
+            least = np.where(cone, _np_lp(np.clip(c, a, b) - c, h, prof.p), least)
+    for w in np.flatnonzero(b > ends).tolist():
+        least[w] = _extent(prof, float(a[w]), float(b[w]))[0]
+    return least
+
+
+def _envelope_peak(env, cols: np.ndarray, norm: NormP, tol: Tolerance, scale: float) -> float:
+    """Exact maximum of the envelope value over its span.
+
+    Each piece's distance profile is convex, so the maximum of the
+    pointwise minimum sits at a piece boundary or a domain end. The
+    distances at both ends of every piece, from its owner's row of
+    cols, come from one axis_distances pass, and rescored_extreme makes
+    the result that of folding point_segment_distance over them in
+    order from 0.
+    """
+    ends = np.array(env)
+    xs = ends[:, :2].ravel()
+    rows = cols[ends[:, 2].astype(np.intp).repeat(2)]
+    return rescored_extreme(axis_distances(xs, rows, norm.p), xs, rows, norm, tol, scale,
+                            largest=True, initial=0.0)
+
+
+def _fold_one(env, tops, i: int, lo_x: float, hi_x: float, profiles, margin, tol: Tolerance):
+    """Merge segment i, whose own envelope is one piece, into env inside
+    [lo_x, hi_x] only.
+
+    The caller guarantees the new segment strictly loses outside the
+    window, so pieces there are spliced through untouched. tops holds
+    the greatest value of each piece's owner over the piece (_extent).
+    A window piece is settled when the newcomer's least over it
+    (_least_on, one array pass over the window) exceeds its top by more
+    than margin: every comparison in the piece goes to its owner
+    (_margin), so _dominant names the owner or no one, _resolve_cell
+    gives the owner every cell, and the merge would emit the piece
+    again. Only the stretch from the first to the last unsettled piece
+    is merged, and compaction runs on it plus two flanking pieces on
+    each side, which bounds how far same-owner fusion can propagate;
+    the pieces it emits get a fresh top. A fold that settles every
+    piece returns env and tops as they are, and margin None settles
+    none. Returns the new (env, tops).
+    """
+    m = len(env)
+    ilo = bisect_right(env, lo_x, key=itemgetter(1))
+    ilo = min(ilo, m - 1)
+    ihi = bisect_left(env, hi_x, key=itemgetter(0)) - 1
+    ihi = min(max(ihi, ilo), m - 1)
+    if margin is not None:
+        window = env[ilo:ihi + 1]
+        w = len(window)
+        least = _least_on(profiles[i], np.fromiter(map(itemgetter(0), window), float, w),
+                          np.fromiter(map(itemgetter(1), window), float, w))
+        at = np.flatnonzero(~(least - np.fromiter(tops[ilo:ihi + 1], float, w) > margin))
+        if not len(at):
+            return env, tops
+        ilo, ihi = ilo + int(at[0]), ilo + int(at[-1])
+    raw = _merge_raw(env[ilo:ihi + 1], [(env[ilo][0], env[ihi][1], i)], profiles, tol)
+    head, tail = max(ilo - 2, 0), min(ihi + 3, m)
+    fused = _compact_pieces(env[head:ilo] + raw + env[ihi + 1:tail], tol)
+    # a piece's top depends on the piece alone, so a flank that comes
+    # out as it went in keeps its top
+    kept = dict(zip(env[head:ilo] + env[ihi + 1:tail], tops[head:ilo] + tops[ihi + 1:tail]))
+    fresh = [kept[pc] if pc in kept else _extent(profiles[pc[2]], pc[0], pc[1])[1]
+             for pc in fused]
+    return env[:head] + fused + env[tail:], tops[:head] + fresh + tops[tail:]
+
+
+def _fold_windows(arr: SegmentArray, peak: float, scale: float, L: float):
+    """The windows of newcomers of the fold under the envelope peak
+    peak: lists (lo, hi) over the rows of arr, each row's covering
+    interval at R = (peak + c) / (1 - eta), (eta, c) =
+    covering_slack(peak), clipped to [0, L], from one
+    SegmentArray.covering call; a window is empty where lo > hi. Where
+    no bound is claimed (eta >= 1, or R not finite) every window is all
+    of [0, L].
+    """
+    eta, c = covering_slack(peak, scale, arr.p)
+    R = (peak + c) / (1.0 - eta) if eta < 1.0 else math.inf
+    if not math.isfinite(R):
+        return [0.0] * len(arr.ax), [L] * len(arr.ax)
+    (lo,), (hi,) = arr.covering(np.array([R]))
+    return np.maximum(lo, 0.0).tolist(), np.minimum(hi, L).tolist()
+
+
+def envelope_one_off(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEnvelope:
+    """The lower envelope of obnoxious.compute_lower_envelope, by folding
+    the segments into the running envelope one at a time instead of
+    merging halves: the same envelope up to root refinement tolerance.
+
+    A newcomer can only beat envelope values, which are at most the
+    envelope's peak (_envelope_peak, one array pass over the piece
+    ends), so the fold contests only the abscissas within the peak of
+    it: its covering interval at R = (peak + c) / (1 - eta), (eta, c) =
+    covering_slack(peak), clipped to [0, L]. That computed interval
+    holds the exact one at peak, by the margin that
+    obnoxious._owning_rows takes. The peak is refreshed at the start
+    and after every 32 accepted newcomers. The windows come from the
+    kernel that covering_slack bounds (_fold_windows): one
+    SegmentArray over the next PASS_CELLS newcomers after each refresh,
+    and one more for each further PASS_CELLS that pass before the next
+    refresh; R is the same between refreshes, so these are the windows
+    at the current peak. A newcomer whose window is empty is skipped;
+    where no bound is claimed (eta >= 1, or R not finite) the fold
+    contests all of [0, L].
+
+    The fold settles its window the way obnoxious._dominant settles a
+    cell, all at once (_fold_one): its running envelope carries the
+    greatest value of each piece's owner over the piece, and the
+    newcomer's least over every window piece comes from one array pass
+    (_least_on), against one margin for the solve, obnoxious._margin of
+    the largest coordinate magnitude and L. A settled piece costs one
+    array element; only the stretch from the first to the last
+    unsettled piece is merged, and a newcomer that settles every piece
+    leaves the envelope as it is. A fold needs a window of positive
+    width, so at L = 0 compute_lower_envelope builds the envelope; it
+    also raises what an empty input or a bad L raises.
+    """
+    cols = segment_columns(segments)
+    n = len(cols)
+    if not (0.0 < L < math.inf and n):
+        return compute_lower_envelope(cols, L, norm, tol)
+    profiles = [_build_profile(ax, ay, bx, by, norm.p) for ax, ay, bx, by in cols.tolist()]
+    scale = max(float(np.abs(cols).max()), L)
+    margin = _margin(scale)
+    env = [(0.0, L, 0)]
+    tops = [_extent(profiles[0], 0.0, L)[1]]
+    peak = _envelope_peak(env, cols, norm, tol, scale)
+    accepted = 0
+    # rows first..stop-1 have their windows at the current peak
+    stop = 1
+    for i in range(1, n):
+        if i == stop:
+            first, stop = i, min(i + PASS_CELLS, n)
+            lo_w, hi_w = _fold_windows(SegmentArray(cols[first:stop], norm), peak, scale, L)
+        lo_x, hi_x = lo_w[i - first], hi_w[i - first]
+        if lo_x > hi_x:
+            continue
+        env, tops = _fold_one(env, tops, i, lo_x, hi_x, profiles, margin, tol)
+        accepted += 1
+        if accepted % 32 == 0:
+            peak = _envelope_peak(env, cols, norm, tol, scale)
+            stop = i + 1
+    return _wrap(env)
 
 
 def two_point_circle(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):

@@ -176,13 +176,13 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
         if args.method == "binsearch":
             best = max_empty_binsearch(table, frame.L, inst.norm, tol)
         else:
-            best = max_empty_envelope(table, frame.L, inst.norm, tol, args.split)
+            best = max_empty_envelope(table, frame.L, inst.norm, tol)
         cx, radius = best.cx, best.radius
         center = frame.inverse_point(Point(cx, 0.0))
         payload = {
             "problem": inst.problem,
             "method": args.method,
-            "split": args.split if args.method == "envelope" else None,
+            "split": "halves" if args.method == "envelope" else None,
             "eps": tol.eps,
             "center_x": cx,
             "center": [center.x, center.y],
@@ -409,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--method", choices=("binsearch", "envelope"),
                     default="binsearch", help="obnoxious solver")
     ps.add_argument("--split", choices=("halves", "one-off"), default="halves",
-                    help="envelope merge order")
+                    help="accepted and ignored: the envelope route always merges "
+                         "halves; removed with the benchmark change of ROADMAP item 2")
     ps.add_argument("--lists", choices=("naive", "sweep"), default="naive",
                     help="k-cover run weights: exact run radii (naive) or the "
                          "sweep's candidate lists (sweep, p = 2 only)")

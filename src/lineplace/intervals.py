@@ -19,16 +19,14 @@ Every covering interval that a solver uses comes from one kernel,
 SegmentArray.covering, one row of intervals per radius (covering_slack
 bounds how far it may stray, which is what makes the solvers' pruning
 exact). The largest-empty-ball search combines each row by
-union_covers_rows, the enclosing search by intersect_rows, and the
-one-off envelope fold reads its windows off a row. The scalar kernel
-_reference.covering_interval and the scalar combinations
-_reference.intersect_all and _reference.union_covers are the
-references that these are tested against.
+union_covers_rows and the enclosing search by intersect_rows. The
+scalar kernel _reference.covering_interval and the scalar
+combinations _reference.intersect_all and _reference.union_covers are
+the references that these are tested against.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -171,8 +169,7 @@ class SegmentArray:
     Built from an (N, 4) array of rows [ax, ay, bx, by] or from Segment
     objects (geometry.segment_columns). The radius bisections build it
     over the rows they keep after pruning, so its per-row ystar ratio,
-    a scalar call per row, is paid for those rows only; the one-off
-    envelope fold builds it once over all rows and slices it.
+    a scalar call per row, is paid for those rows only.
 
     covering(radii) evaluates, for every radius and segment at once, the
     candidates of the scalar reference _reference.covering_interval: the
@@ -213,16 +210,6 @@ class SegmentArray:
     @property
     def radii_per_pass(self) -> int:
         return max(1, min(MAX_RADII, PASS_CELLS // max(len(self.ax), 1)))
-
-    def __getitem__(self, rows: slice) -> "SegmentArray":
-        """The segments of the slice rows, over views of these columns;
-        their covering intervals are these rows' bit for bit."""
-        sub = copy.copy(self)
-        for name in ("ax", "ay", "ux", "uy", "flat", "uy_div", "t0"):
-            setattr(sub, name, getattr(self, name)[rows])
-        if self.star is not None:
-            sub.star = self.star[rows]
-        return sub
 
     def covering(self, radii):
         """Arrays (lo, hi) of the covering intervals at each radius of the

@@ -405,6 +405,14 @@ def _meets(xy, r: float, p: float) -> bool:
     return lo <= hi
 
 
+def _midpoint(lo: float, hi: float) -> float:
+    """0.5 (lo + hi), or 0.5 lo + 0.5 hi where the sum overflows: ends
+    near the float maximum keep a finite midpoint, and every other pair
+    keeps the bits of 0.5 (lo + hi)."""
+    mid = 0.5 * (lo + hi)
+    return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
+
+
 def _run_circle(xy, r, p: float):
     """(center, radius) of the smallest ball centered on the axis that
     covers the points, the rows [x, y] of xy, given their least radius
@@ -425,7 +433,7 @@ def _run_circle(xy, r, p: float):
     if not r < _INF:
         raise ValueError("circle parameters must be finite")
     lo, hi = _meeting(xy, r, p)
-    center = 0.5 * (lo + hi)
+    center = _midpoint(lo, hi)
     miss = _np_lp(xy[:, 0] - center, xy[:, 1], p).max() - r
     if not miss > _center_slack(xy, r):
         return center, r
@@ -445,7 +453,7 @@ def _run_circle(xy, r, p: float):
         else:
             below = mid
     lo, hi = _meeting(xy, above, p)
-    return 0.5 * (lo + hi), r
+    return _midpoint(lo, hi), r
 
 
 def _list_weights(cls, q: float):

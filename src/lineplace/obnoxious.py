@@ -3,33 +3,33 @@
 The objective max over x of min over segments of distance((x,0), s) is
 solved two independent ways: a radius binary search over covering
 intervals, and an explicit lower envelope of the per-segment distance
-profiles along the axis. The envelope is built by divide and conquer
-merges; each merge resolves ownership exactly by decomposing every
-profile into convex cone and affine pieces, so cells where two
-profiles cross twice (which defeats endpoint-sign tests) are handled.
-A cell where one profile lies above the other by more than a margin
-derived from the profiles' evaluation rounding (_margin) is settled
-before any root finding (_dominant), with the same piece the
-resolution gives; the one-off fold settles whole window pieces that
-way in one array pass. The build carries pieces as (a, b, seg_index)
-tuples and wraps only the final envelope in EnvelopePiece and
-LowerEnvelope.
+profiles along the axis. The envelope is built by one route, divide
+and conquer merges of the two halves of the segments; each merge
+resolves ownership exactly by decomposing every profile into convex
+cone and affine pieces, so cells where two profiles cross twice (which
+defeats endpoint-sign tests) are handled. A cell where one profile lies
+above the other by more than a margin derived from the profiles'
+evaluation rounding (_margin) is settled before any root finding
+(_dominant), with the same piece the resolution gives. The build
+carries pieces as (a, b, seg_index) tuples and wraps only the final
+envelope in EnvelopePiece and LowerEnvelope. The one-off fold, which
+adds the segments to the running envelope one at a time, is the test
+reference _reference.envelope_one_off.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import EmptyInput
 from .geometry import NormP, Point, Tolerance, _lp_pair, axis_argmin_abscissas, \
-    _np_lp, axis_distances, near_extreme, point_segment_distance, rescored_extreme, \
+    axis_distances, near_extreme, point_segment_distance, rescored_extreme, \
     segment_columns, segments_from_columns
-from .intervals import PASS_CELLS, Interval, SegmentArray, bisect_radius, covering_slack, \
+from .intervals import Interval, SegmentArray, bisect_radius, covering_slack, \
     union_covers_rows
 from .one_center import PlacedCircle
 
@@ -402,9 +402,11 @@ def _extent(prof: _Profile, u: float, v: float):
 
 def _margin(mag: float):
     """2^-44 mag: the margin by which one profile must clear another for
-    a cell or a fold's window piece to be settled without root finding,
-    given the largest coordinate magnitude mag of the segments and the
-    cell. None outside (2^-200, 2^200), where no bound is claimed.
+    a cell to be settled without root finding, given the largest
+    coordinate magnitude mag of the segments and the cell; the
+    reference fold (_reference.envelope_one_off) settles its window
+    pieces by the same margin. None outside (2^-200, 2^200), where no
+    bound is claimed.
 
     Proof. Let M >= mag bound |x| on the cell and every coordinate of
     both segments, and r = 2^-53 the unit roundoff.
@@ -426,23 +428,24 @@ def _margin(mag: float):
       so its exact value at m lies between the exact least and
       greatest of the piece on [a, b]. The computed greatest, taken
       over parts that cover the cell, or over a superset of it (the
-      fold's cached greatest of a whole envelope piece), only grows:
-      the lower profile's computed value at m is below greatest + 2 e.
+      reference fold's cached greatest of a whole envelope piece),
+      only grows: the lower profile's computed value at m is below
+      greatest + 2 e.
       The computed least, taken over parts covering the cell or a
       superset, only shrinks: the upper profile's computed value at m
       is above least - e - e' (least - 2 e when it is scalar).
     - The rounded difference least - greatest errs by at most 12 r M.
     So a difference above 3 e + e' + 12 r M = 132 r M decides every
     comparison (108 r M for two scalar extents); 2^-44 M = 512 r M
-    leaves room. The fold reads the newcomer's least piece by piece
-    and not at its constrained minimiser: the distance is 1-Lipschitz
-    in x, so a minimiser off by d moves the distance by at most d, but
-    the stored pieces follow the distance only up to the rounding of
-    the regime boundaries, which 1/(p - 1) amplifies near p = 1; the
-    bound above needs no such term. Outside (2^-200, 2^200) products
-    of coordinates can underflow or overflow (near 1e300, U ay - V ax
-    overflows and the profile gets NaN and inf pieces), so no bound is
-    claimed.
+    leaves room. The reference fold reads the newcomer's least piece
+    by piece and not at its constrained minimiser: the distance is
+    1-Lipschitz in x, so a minimiser off by d moves the distance by at
+    most d, but the stored pieces follow the distance only up to the
+    rounding of the regime boundaries, which 1/(p - 1) amplifies near
+    p = 1; the bound above needs no such term. Outside (2^-200, 2^200)
+    products of coordinates can underflow or overflow (near 1e300,
+    U ay - V ax overflows and the profile gets NaN and inf pieces), so
+    no bound is claimed.
     """
     if not 2.0 ** -200 < mag < 2.0 ** 200:
         return None
@@ -470,30 +473,6 @@ def _dominant(u: float, v: float, i: int, j: int, prof_i: _Profile, prof_j: _Pro
     if least_i - greatest_j > margin:
         return j
     return None
-
-
-def _least_on(prof: _Profile, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least value of prof's pieces over every [a[k], b[k]] at once, as
-    _extent takes it.
-
-    Where one piece serves all of (a[k], b[k]) (piece_at), its least
-    there is a cone's value at its apex clamped into [a[k], b[k]], or
-    an affine piece's smaller end value, from one array pass; the few
-    spans that hold a knot of prof take _extent's least.
-    """
-    starts = np.array(prof.starts)
-    # the first piece also serves every x below its start (piece_at)
-    starts[0] = -_INF
-    k = starts.searchsorted(a, side="right") - 1
-    _, ends, kind, c, h = np.array(prof.pieces)[k].T
-    with np.errstate(all="ignore"):
-        least = np.minimum(c * a, c * b) + h
-        cone = kind == _CONE
-        if cone.any():
-            least = np.where(cone, _np_lp(np.clip(c, a, b) - c, h, prof.p), least)
-    for w in np.flatnonzero(b > ends).tolist():
-        least[w] = _extent(prof, float(a[w]), float(b[w]))[0]
-    return least
 
 
 # -- envelope assembly --------------------------------------------------
@@ -563,130 +542,30 @@ def _merge_raw(e1, e2, profiles, tol: Tolerance) -> list:
     return raw
 
 
-def _envelope_peak(env, cols: np.ndarray, norm: NormP, tol: Tolerance, scale: float) -> float:
-    """Exact maximum of the envelope value over its span.
-
-    Each piece's distance profile is convex, so the maximum of the
-    pointwise minimum sits at a piece boundary or a domain end. The
-    distances at both ends of every piece, from its owner's row of
-    cols, come from one axis_distances pass, and rescored_extreme makes
-    the result that of folding point_segment_distance over them in
-    order from 0.
-    """
-    ends = np.array(env)
-    xs = ends[:, :2].ravel()
-    rows = cols[ends[:, 2].astype(np.intp).repeat(2)]
-    return rescored_extreme(axis_distances(xs, rows, norm.p), xs, rows, norm, tol, scale,
-                            largest=True, initial=0.0)
-
-
-def _fold_one(env, tops, i: int, lo_x: float, hi_x: float, profiles, margin, tol: Tolerance):
-    """Merge segment i, whose own envelope is one piece, into env inside
-    [lo_x, hi_x] only.
-
-    The caller guarantees the new segment strictly loses outside the
-    window, so pieces there are spliced through untouched. tops holds
-    the greatest value of each piece's owner over the piece (_extent).
-    A window piece is settled when the newcomer's least over it
-    (_least_on, one array pass over the window) exceeds its top by more
-    than margin: every comparison in the piece goes to its owner
-    (_margin), so _dominant names the owner or no one, _resolve_cell
-    gives the owner every cell, and the merge would emit the piece
-    again. Only the stretch from the first to the last unsettled piece
-    is merged, and compaction runs on it plus two flanking pieces on
-    each side, which bounds how far same-owner fusion can propagate;
-    the pieces it emits get a fresh top. A fold that settles every
-    piece returns env and tops as they are, and margin None settles
-    none. Returns the new (env, tops).
-    """
-    m = len(env)
-    ilo = bisect_right(env, lo_x, key=itemgetter(1))
-    ilo = min(ilo, m - 1)
-    ihi = bisect_left(env, hi_x, key=itemgetter(0)) - 1
-    ihi = min(max(ihi, ilo), m - 1)
-    if margin is not None:
-        window = env[ilo:ihi + 1]
-        w = len(window)
-        least = _least_on(profiles[i], np.fromiter(map(itemgetter(0), window), float, w),
-                          np.fromiter(map(itemgetter(1), window), float, w))
-        at = np.flatnonzero(~(least - np.fromiter(tops[ilo:ihi + 1], float, w) > margin))
-        if not len(at):
-            return env, tops
-        ilo, ihi = ilo + int(at[0]), ilo + int(at[-1])
-    raw = _merge_raw(env[ilo:ihi + 1], [(env[ilo][0], env[ihi][1], i)], profiles, tol)
-    head, tail = max(ilo - 2, 0), min(ihi + 3, m)
-    fused = _compact_pieces(env[head:ilo] + raw + env[ihi + 1:tail], tol)
-    # a piece's top depends on the piece alone, so a flank that comes
-    # out as it went in keeps its top
-    kept = dict(zip(env[head:ilo] + env[ihi + 1:tail], tops[head:ilo] + tops[ihi + 1:tail]))
-    fresh = [kept[pc] if pc in kept else _extent(profiles[pc[2]], pc[0], pc[1])[1]
-             for pc in fused]
-    return env[:head] + fused + env[tail:], tops[:head] + fresh + tops[tail:]
-
-
-def _fold_windows(arr: SegmentArray, peak: float, scale: float, L: float):
-    """The windows of newcomers of the fold under the envelope peak
-    peak: lists (lo, hi) over the rows of arr, each row's covering
-    interval at R = (peak + c) / (1 - eta), (eta, c) =
-    covering_slack(peak), clipped to [0, L], from one
-    SegmentArray.covering call; a window is empty where lo > hi. Where
-    no bound is claimed (eta >= 1, or R not finite) every window is all
-    of [0, L].
-    """
-    eta, c = covering_slack(peak, scale, arr.p)
-    R = (peak + c) / (1.0 - eta) if eta < 1.0 else _INF
-    if not math.isfinite(R):
-        return [0.0] * len(arr.ax), [L] * len(arr.ax)
-    (lo,), (hi,) = arr.covering(np.array([R]))
-    return np.maximum(lo, 0.0).tolist(), np.minimum(hi, L).tolist()
-
-
 def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
                            split: str = "halves") -> LowerEnvelope:
-    """Lower envelope of all segment profiles over [0, L].
+    """Lower envelope of all segment profiles over [0, L], by merging the
+    envelopes of the two halves of the segments recursively.
 
-    split="halves" merges recursively; split="one-off" folds segments
-    into the running envelope one at a time. Both produce the same
-    envelope up to root refinement tolerance. segments is a sequence of
-    Segment or an (N, 4) array of rows [ax, ay, bx, by]; either is
-    converted once into one distance profile per segment
-    (_build_profile), which every merge reads. A single segment's
-    envelope is the one piece (0, L, i), and every compaction fuses
-    same-owner neighbours, so the pieces are maximal ownership runs:
-    no two neighbours share an owner. The envelope's maximum lies where
-    ownership changes or at 0 or L, never inside one owner's run, since
-    each profile is convex.
+    segments is a sequence of Segment or an (N, 4) array of rows [ax,
+    ay, bx, by]; either is converted once into one distance profile per
+    segment (_build_profile), which every merge reads. A single
+    segment's envelope is the one piece (0, L, i), and every compaction
+    fuses same-owner neighbours, so the pieces are maximal ownership
+    runs: no two neighbours share an owner. The envelope's maximum lies
+    where ownership changes or at 0 or L, never inside one owner's run,
+    since each profile is convex. Every merge settles a cell of two
+    owners without root finding when one profile lies above the other
+    by a margin derived from the profiles' evaluation rounding
+    (_margin, _dominant), which gives the same pieces as resolving it.
+    The build carries pieces as (a, b, seg_index) tuples and wraps only
+    the final envelope in EnvelopePiece and LowerEnvelope.
 
-    A newcomer of the fold can only beat envelope values, which are at
-    most the envelope's peak (_envelope_peak, one array pass over the
-    piece ends), so the fold contests only the abscissas within the
-    peak of it: its covering interval at R = (peak + c) / (1 - eta),
-    (eta, c) = covering_slack(peak), clipped to [0, L]. That computed
-    interval holds the exact one at peak, by the margin that
-    _owning_rows takes. The peak is refreshed at the start and after
-    every 32 accepted newcomers. The windows come from the kernel that
-    covering_slack bounds, SegmentArray.covering (_fold_windows): one
-    call after each refresh for the next PASS_CELLS newcomers, and one
-    more for each further PASS_CELLS that pass before the next refresh;
-    R is the same between refreshes, so these are the windows at the
-    current peak. A newcomer whose window is empty is skipped; where no
-    bound is claimed (eta >= 1, or R not finite) the fold contests all
-    of [0, L].
-
-    Every merge settles a cell of two owners without root finding when
-    one profile lies above the other by a margin derived from the
-    profiles' evaluation rounding (_margin, _dominant), which gives the
-    same pieces as resolving it. The fold settles its window the same
-    way, all at once (_fold_one): its running envelope carries the
-    greatest value of each piece's owner over the piece, and the
-    newcomer's least over every window piece comes from one array pass
-    (_least_on), against one margin for the solve, _margin of the
-    largest coordinate magnitude and L. A settled piece costs one array
-    element; only the stretch from the first to the last unsettled
-    piece is merged, and a newcomer that settles every piece leaves
-    the envelope as it is. The build carries pieces as (a, b,
-    seg_index) tuples and wraps only the final envelope in
-    EnvelopePiece and LowerEnvelope.
+    split selects nothing: "halves" and "one-off" both build by halves,
+    and any other value raises ValueError. It stays only for the
+    callers under bench/ that still pass it, and goes with them in the
+    benchmark change of ROADMAP item 2. The one-off fold is the test
+    reference _reference.envelope_one_off.
     """
     cols = segment_columns(segments)
     n = len(cols)
@@ -705,31 +584,7 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
         mid = (lo + hi) // 2
         return _compact_pieces(_merge_raw(build(lo, mid), build(mid, hi), profiles, tol), tol)
 
-    if split == "halves" or L == 0.0:
-        # a fold needs a window of positive width, so L = 0 merges too
-        env = build(0, n)
-    else:
-        arr = SegmentArray(cols, norm)
-        scale = max(float(np.abs(cols).max()), L)
-        margin = _margin(scale)
-        env = [(0.0, L, 0)]
-        tops = [_extent(profiles[0], 0.0, L)[1]]
-        peak = _envelope_peak(env, cols, norm, tol, scale)
-        accepted = 0
-        # rows first..stop-1 have their windows at the current peak
-        stop = 1
-        for i in range(1, n):
-            if i == stop:
-                first, stop = i, min(i + PASS_CELLS, n)
-                lo_w, hi_w = _fold_windows(arr[first:stop], peak, scale, L)
-            lo_x, hi_x = lo_w[i - first], hi_w[i - first]
-            if lo_x > hi_x:
-                continue
-            env, tops = _fold_one(env, tops, i, lo_x, hi_x, profiles, margin, tol)
-            accepted += 1
-            if accepted % 32 == 0:
-                peak = _envelope_peak(env, cols, norm, tol, scale)
-                stop = i + 1
+    env = build(0, n)
     assert env[0][0] == 0.0 and env[-1][1] == L
     assert all(env[k][1] == env[k + 1][0] for k in range(len(env) - 1))
     return LowerEnvelope(tuple(EnvelopePiece(a, b, s) for a, b, s in env))
@@ -777,11 +632,10 @@ def largest_empty_from_envelope(le: LowerEnvelope, segments, norm: NormP,
     return PlacedCircle(best_x, best)
 
 
-def max_empty_envelope(segments, L: float, norm: NormP, tol: Tolerance,
-                       split: str) -> PlacedCircle:
+def max_empty_envelope(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCircle:
     """The envelope route: build the lower envelope of the (N, 4) rows
     [ax, ay, bx, by] of segments, then maximise it."""
-    env = compute_lower_envelope(segments, L, norm, tol, split=split)
+    env = compute_lower_envelope(segments, L, norm, tol)
     return largest_empty_from_envelope(env, segments, norm, tol)
 
 

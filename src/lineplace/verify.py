@@ -292,7 +292,7 @@ def cross_check(inst, args, tol: Tolerance, L: float, table, result: dict) -> di
     """The verify block of a solve's result.
 
     inst is the parsed instance and args the solve's options (method,
-    split, lists); table is the instance's table in the axis frame of
+    lists); table is the instance's table in the axis frame of
     length L (cli._axis_instance): segments as (N, 4) rows [ax, ay, bx,
     by] or points as (N, 2) rows [x, y], as the solvers took it; and
     result is the solve's result object. A k-cover check is also not ok
@@ -308,7 +308,7 @@ def cross_check(inst, args, tol: Tolerance, L: float, table, result: dict) -> di
     if inst.problem == "obnoxious-center":
         if args.method == "binsearch":
             return _compare("envelope", "other_radius",
-                            lambda: max_empty_envelope(table, L, norm, tol, args.split).radius,
+                            lambda: max_empty_envelope(table, L, norm, tol).radius,
                             objective, 2.0 * tol.eps)
         return _compare("binsearch", "other_radius",
                         lambda: max_empty_binsearch(table, L, norm, tol).radius,

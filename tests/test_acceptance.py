@@ -33,7 +33,7 @@ from lineplace import (
     point_segment_distance,
 )
 from lineplace._reference import build_lists_loop, compact, covering_interval, \
-    envelope_value, rmin_on_axis
+    envelope_one_off, envelope_value, rmin_on_axis
 from lineplace.cli import main as cli_main
 from lineplace.intervals import SegmentArray
 from lineplace.k_cover import build_lists_sweep
@@ -147,11 +147,12 @@ def test_criterion_3_obnoxious_routes_agree():
         n = rng.randint(1, 12) if trial % 2 == 0 else rng.randint(13, 50)
         segs = rand_instance(rng, n)
         c_bin = max_empty_binsearch(segs, L, norm, TOL)
-        env_h = compute_lower_envelope(segs, L, norm, TOL, split="halves")
+        env_h = compute_lower_envelope(segs, L, norm, TOL)
         c_env = largest_empty_from_envelope(env_h, segs, norm, TOL)
         assert abs(c_bin.radius - c_env.radius) <= 2e-9, (
             f"trial {trial}: binsearch {c_bin.radius} vs envelope {c_env.radius}")
-        env_o = compute_lower_envelope(segs, L, norm, TOL, split="one-off")
+        # the halves build against the one-off fold of the reference
+        env_o = envelope_one_off(segs, L, norm, TOL)
         c_off = largest_empty_from_envelope(env_o, segs, norm, TOL)
         assert abs(c_env.radius - c_off.radius) <= 1e-9
         bh = [p.b for p in env_h.pieces[:-1]]
@@ -167,7 +168,8 @@ def test_criterion_3_obnoxious_routes_agree():
             grid_checked += 1
     dt = time.perf_counter() - t0
     print(f"criterion 3 PASS: 200 instances, |binsearch-envelope| <= 2e-9, "
-          f"splits equal, {grid_checked} grid checks within 2e-3, {dt:.1f}s")
+          f"halves and reference fold equal, {grid_checked} grid checks within 2e-3, "
+          f"{dt:.1f}s")
     assert dt < 120.0
 
 
@@ -333,10 +335,11 @@ def test_criterion_7_large_envelope_both_splits():
                     Point(rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0)))
             for _ in range(100000)]
     t0 = time.perf_counter()
-    env_h = compute_lower_envelope(segs, L, norm, TOL, split="halves")
+    env_h = compute_lower_envelope(segs, L, norm, TOL)
     t_halves = time.perf_counter() - t0
     t0 = time.perf_counter()
-    env_o = compute_lower_envelope(segs, L, norm, TOL, split="one-off")
+    # the one-off fold of the reference, against the production halves build
+    env_o = envelope_one_off(segs, L, norm, TOL)
     t_oneoff = time.perf_counter() - t0
     assert len(env_h.pieces) == len(env_o.pieces)
     assert [p.seg_index for p in env_h.pieces] == \

@@ -11,7 +11,9 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lineplace.cli import main, parse_instance
+from lineplace import Tolerance, largest_empty_from_envelope
+from lineplace._reference import envelope_one_off
+from lineplace.cli import _axis_instance, main, parse_instance
 from lineplace.errors import SchemaError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -21,6 +23,10 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 _TINY_EPS_COVER = {"problem": "k-cover", "p": 2, "constraint": [0, 0, 10, 0],
                    "points": [[0, 0]] * 22 + [[0, 20], [18, 0]],
                    "k": None, "q": 1, "agg": "sum"}
+
+# one point so far out that the two ends of its interval sum to inf
+_FAR_POINT_COVER = {"problem": "k-cover", "p": 3.0, "constraint": [0, 0, 1.0, 0],
+                    "points": [[8.98846567431158e+307, 0]], "k": None, "q": 1.0, "agg": "sum"}
 
 
 def run_cli(argv):
@@ -273,7 +279,9 @@ class TestRobustness:
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     def test_envelope_at_p400(self, tmp_path, split):
-        # |ey|^(p-1) overflowed in the envelope's regime boundaries
+        # |ey|^(p-1) overflowed in the envelope's regime boundaries. The
+        # solve builds by halves whatever --split says, so the one-off
+        # case checks the reference fold on the same rows as well
         path = tmp_path / "inst.json"
         run_cli(["gen", "--problem", "obnoxious-center", "--p", "400",
                  "--out", str(path)])
@@ -284,6 +292,36 @@ class TestRobustness:
         assert verify["kind"] == "binsearch"
         assert verify["ok"] is True
         assert verify["delta"] <= 2 * 1e-9
+        if split == "one-off":
+            inst = parse_instance(json.loads(path.read_text()))
+            frame, table = _axis_instance(inst)
+            env = envelope_one_off(table, frame.L, inst.norm, Tolerance())
+            fold = largest_empty_from_envelope(env, table, inst.norm, Tolerance())
+            assert abs(fold.radius - verify["other_radius"]) <= 2 * 1e-9
+
+    def test_far_point_cover(self, tmp_path):
+        # the point is its own circle, radius 0; the ends of its interval
+        # are near the float maximum, where their sum overflowed
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(_FAR_POINT_COVER))
+        code, out = run_cli(["solve", "--in", str(path)])
+        assert code == 0
+        (circle,) = json.loads(out)["result"]["circles"]
+        assert (circle["center_x"], circle["radius"]) == (8.98846567431158e+307, 0.0)
+
+    def test_split_selects_nothing(self, tmp_path):
+        # --split is accepted but both values build by halves, which the
+        # result reports; the output is that of --split halves
+        path = tmp_path / "inst.json"
+        run_cli(["gen", "--problem", "obnoxious-center", "--n", "40", "--seed", "3",
+                 "--out", str(path)])
+        outs = {}
+        for split in ("one-off", "halves"):
+            code, outs[split] = run_cli(["solve", "--in", str(path), "--method", "envelope",
+                                         "--split", split])
+            assert code == 0
+        assert json.loads(outs["one-off"])["result"]["split"] == "halves"
+        assert canonical(outs["one-off"]) == canonical(outs["halves"])
 
     def test_pair_circle_far_from_the_line_solves(self, tmp_path):
         # |x - xi|^p overflowed while a pair circle's bracket widened;
@@ -623,6 +661,7 @@ _flags = st.lists(st.one_of(
 @given(doc=st.one_of(_instances(), _json), flags=_flags)
 @example(doc=_TINY_EPS_COVER, flags=[("--eps", "1e-300")]).via(
     "a pair circle missed its own point below eps = 2^-40")
+@example(doc=_FAR_POINT_COVER, flags=[]).via("the midpoint of a run's interval overflowed")
 @settings(max_examples=200, deadline=None)
 def test_fuzz_solve_exits_with_a_documented_code(doc, flags):
     with tempfile.TemporaryDirectory() as tmp:

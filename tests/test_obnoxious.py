@@ -1,8 +1,5 @@
-import io
-import json
 import math
 import random
-from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
@@ -21,11 +18,10 @@ from lineplace import (
     max_empty_binsearch,
     point_segment_distance,
 )
-from lineplace._reference import base_envelope, compact, envelope_value, equal_distance_point, \
-    merge_lower_envelopes
-from lineplace.cli import main
+from lineplace._reference import base_envelope, compact, envelope_one_off, envelope_value, \
+    equal_distance_point, merge_lower_envelopes
 from lineplace.geometry import segment_columns
-from lineplace.intervals import PASS_CELLS
+from lineplace.intervals import PASS_CELLS, SegmentArray
 from lineplace.obnoxious import _AFFINE, _build_profile
 
 TOL = Tolerance()
@@ -44,6 +40,10 @@ def random_segments(rng, n, span=12.0):
     return [seg(rng.uniform(-4, 14), rng.uniform(-span, span),
                 rng.uniform(-4, 14), rng.uniform(-span, span))
             for _ in range(n)]
+
+
+# the production build, and the one-off fold that tests compare with it
+BUILDS = {"halves": compute_lower_envelope, "one-off": envelope_one_off}
 
 
 def check_tiling(env, L):
@@ -123,8 +123,8 @@ class TestEnvelopeStructure:
         rng = random.Random(99)
         for _ in range(10):
             segs = random_segments(rng, rng.randint(2, 10))
-            e1 = compute_lower_envelope(segs, 10.0, N2, TOL, split="halves")
-            e2 = compute_lower_envelope(segs, 10.0, N2, TOL, split="one-off")
+            e1 = compute_lower_envelope(segs, 10.0, N2, TOL)
+            e2 = envelope_one_off(segs, 10.0, N2, TOL)
             c1 = largest_empty_from_envelope(e1, segs, N2, TOL)
             c2 = largest_empty_from_envelope(e2, segs, N2, TOL)
             assert abs(c1.radius - c2.radius) < 1e-9
@@ -155,8 +155,8 @@ class TestEnvelopeStructure:
         for _ in range(rng.randint(0, 4)):
             segs.append(segs[rng.randrange(len(segs))])
         for norm in (N1, N2, N3):
-            e1 = compute_lower_envelope(segs, 10.0, norm, TOL, split="halves")
-            e2 = compute_lower_envelope(segs, 10.0, norm, TOL, split="one-off")
+            e1 = compute_lower_envelope(segs, 10.0, norm, TOL)
+            e2 = envelope_one_off(segs, 10.0, norm, TOL)
             assert [p.seg_index for p in e1.pieces] == \
                    [p.seg_index for p in e2.pieces]
             for u, v in zip(e1.pieces, e2.pieces):
@@ -245,13 +245,13 @@ class TestMinimiserTable:
                 return real(*args)
             return wrapped
 
-        for module in (obnoxious, geometry):
+        for module in (obnoxious, geometry, _reference):
             monkeypatch.setattr(module, "axis_argmin_abscissas",
                                 counting("axis_argmin_abscissas", module.axis_argmin_abscissas))
         monkeypatch.setattr(_reference, "axis_argmin_exact",
                             counting("axis_argmin_exact", _reference.axis_argmin_exact))
         segs = random_segments(random.Random(41), 40)
-        compute_lower_envelope(segs, 10.0, norm, TOL, split=split)
+        BUILDS[split](segs, 10.0, norm, TOL)
         assert not hasattr(obnoxious, "axis_argmin_exact")
         assert calls == []
 
@@ -261,7 +261,7 @@ class TestMinimiserTable:
         # the profiles are one table read from the rows, built once per
         # segment, also for the far newcomer that the fold skips
         built, folded = [], []
-        real_build, real_fold = obnoxious._build_profile, obnoxious._fold_one
+        real_build, real_fold = obnoxious._build_profile, _reference._fold_one
 
         def counting_build(*args):
             built.append(list(args[:4]))
@@ -271,13 +271,16 @@ class TestMinimiserTable:
             folded.append(args)
             return real_fold(*args)
 
-        monkeypatch.setattr(obnoxious, "_build_profile", counting_build)
-        monkeypatch.setattr(obnoxious, "_fold_one", counting_fold)
+        for module in (obnoxious, _reference):
+            monkeypatch.setattr(module, "_build_profile", counting_build)
+        monkeypatch.setattr(_reference, "_fold_one", counting_fold)
         segs = random_segments(random.Random(43), 20, span=2.0) + [seg(4, 80, 6, 81)]
-        compute_lower_envelope(segs, 10.0, norm, TOL, split=split)
+        BUILDS[split](segs, 10.0, norm, TOL)
         assert built == segment_columns(segs).tolist()
         if split == "one-off":
             assert len(folded) < len(segs) - 1
+        else:
+            assert folded == []
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -292,7 +295,7 @@ class TestMinimiserTable:
             segs = [seg(*(v * scale for v in (rng.uniform(0, 100), rng.uniform(-2, 2),
                                               rng.uniform(0, 100), rng.uniform(-2, 2))))
                     for _ in range(40)]
-            le = compute_lower_envelope(segs, 100.0 * scale, norm, tol, split=split)
+            le = BUILDS[split](segs, 100.0 * scale, norm, tol)
             env = [(pc.a, pc.b, pc.seg_index) for pc in le.pieces]
             want = 0.0
             for a, b, s in env:
@@ -301,9 +304,9 @@ class TestMinimiserTable:
                     if d > want:
                         want = d
             with monkeypatch.context() as m:
-                m.setattr(obnoxious, "axis_distances", off_by_ulps(rng))
-                got = obnoxious._envelope_peak(env, segment_columns(segs), norm, tol,
-                                               100.0 * scale)
+                m.setattr(_reference, "axis_distances", off_by_ulps(rng))
+                got = _reference._envelope_peak(env, segment_columns(segs), norm, tol,
+                                                100.0 * scale)
             assert got.hex() == want.hex()
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
@@ -323,7 +326,7 @@ class TestMinimiserTable:
                     for _ in range(40)]
             if trial % 2:
                 segs.append(seg(-20.0 * scale, 0.5 * scale, 120.0 * scale, 0.5 * scale))
-            le = compute_lower_envelope(segs, 100.0 * scale, norm, tol, split=split)
+            le = BUILDS[split](segs, 100.0 * scale, norm, tol)
             owners = {}
             for pc in le.pieces:
                 owners.setdefault(pc.a, set()).add(pc.seg_index)
@@ -351,11 +354,48 @@ class TestMinimiserTable:
         # at L = 0 the envelope is one zero-width piece owned by the
         # nearest segment, not by the lowest index
         segs = [seg(0, 5, 1, 5), seg(-2, 3, 4, 3), seg(0, 1, 1, 1), pt(0, -1)]
-        env = compute_lower_envelope(segs, 0.0, norm, TOL, split=split)
+        env = BUILDS[split](segs, 0.0, norm, TOL)
         assert [(pc.a, pc.b, pc.seg_index) for pc in env.pieces] == [(0.0, 0.0, 2)]
         got = largest_empty_from_envelope(env, segs, norm, TOL)
         assert (got.cx, got.radius) == (0.0, 1.0)
         assert got == max_empty_binsearch(segs, 0.0, norm, TOL)
+
+
+class TestSplitSelectsNothing:
+    """split is accepted for old callers but selects nothing: both values
+    run the one production build, merging halves."""
+
+    @pytest.mark.parametrize("norm", [N1, N2, N3])
+    def test_one_off_is_the_halves_build(self, norm, monkeypatch):
+        # the same merges in the same order and the same bits, and no
+        # fold: neither the reference fold nor the covering kernel that
+        # gave the fold its windows is reached
+        def no_fold(*args):
+            raise AssertionError("split='one-off' reached a fold")
+
+        monkeypatch.setattr(SegmentArray, "covering", no_fold)
+        for name in ("envelope_one_off", "_fold_one", "_fold_windows"):
+            monkeypatch.setattr(_reference, name, no_fold, raising=False)
+        real_merge = obnoxious._merge_raw
+        segs = random_segments(random.Random(f"alias {norm.p}"), 60, span=2.0)
+        merges, envelopes = {}, {}
+        for split in ("one-off", "halves"):
+            merges[split] = []
+
+            def recording(e1, e2, *args, log=merges[split]):
+                log.append((list(e1), list(e2)))
+                return real_merge(e1, e2, *args)
+
+            with monkeypatch.context() as m:
+                m.setattr(obnoxious, "_merge_raw", recording)
+                env = compute_lower_envelope(segs, 10.0, norm, TOL, split=split)
+            envelopes[split] = [(pc.a.hex(), pc.b.hex(), pc.seg_index) for pc in env.pieces]
+        assert len(merges["halves"]) == len(segs) - 1
+        assert merges["one-off"] == merges["halves"]
+        assert envelopes["one-off"] == envelopes["halves"]
+        # an unknown value is still rejected
+        with pytest.raises(ValueError, match="unknown split"):
+            compute_lower_envelope(segs, 10.0, norm, TOL, split="thirds")
 
 
 def _touching(rng, x0, r):
@@ -388,8 +428,8 @@ class TestFoldWindow:
     def contest_all(segs, L, norm):
         # covering_slack claiming no bound makes every window [0, L]
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(obnoxious, "covering_slack", lambda *args: (math.inf, math.inf))
-            return compute_lower_envelope(segs, L, norm, TOL, split="one-off")
+            m.setattr(_reference, "covering_slack", lambda *args: (math.inf, math.inf))
+            return envelope_one_off(segs, L, norm, TOL)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_newcomers_at_exactly_the_peak(self, p):
@@ -413,8 +453,8 @@ class TestFoldWindow:
                 h = max(c, L - c)
                 segs = [pt(c, 0.0)] + [_touching(rng, 0.0 if c >= L - c else L, h)
                                        for _ in range(12)]
-            halves = compute_lower_envelope(segs, L, norm, TOL, split="halves")
-            one_off = compute_lower_envelope(segs, L, norm, TOL, split="one-off")
+            halves = compute_lower_envelope(segs, L, norm, TOL)
+            one_off = envelope_one_off(segs, L, norm, TOL)
             check_tiling(one_off, L)
             assert one_off == self.contest_all(segs, L, norm), trial
             # the splits agree as criterion 3 requires: the same owners,
@@ -437,10 +477,10 @@ class TestFoldWindow:
         norm, L = NormP(p), 10.0
         for trial in range(20):
             segs = random_segments(rng, 33, span=3.0)
-            env = compute_lower_envelope(segs, L, norm, TOL, split="one-off")
+            env = envelope_one_off(segs, L, norm, TOL)
             top = largest_empty_from_envelope(env, segs, norm, TOL)
             segs += [_touching(rng, top.cx, top.radius) for _ in range(12)]
-            one_off = compute_lower_envelope(segs, L, norm, TOL, split="one-off")
+            one_off = envelope_one_off(segs, L, norm, TOL)
             assert one_off == self.contest_all(segs, L, norm), trial
 
     @pytest.mark.parametrize("p, far", [(1.0, 0), (1.5, 0), (2.0, 0), (3.0, 0),
@@ -453,7 +493,7 @@ class TestFoldWindow:
         # whose windows are empty, make the fold pass PASS_CELLS
         # newcomers without a refresh
         rows, folded = [], []
-        real_covering, real_fold = obnoxious.SegmentArray.covering, obnoxious._fold_one
+        real_covering, real_fold = SegmentArray.covering, _reference._fold_one
 
         def counting_covering(arr, radii):
             assert len(radii) == 1
@@ -467,15 +507,14 @@ class TestFoldWindow:
         def scalar(*args):
             raise AssertionError("the fold called the scalar covering_interval")
 
-        monkeypatch.setattr(obnoxious.SegmentArray, "covering", counting_covering)
-        monkeypatch.setattr(obnoxious, "_fold_one", counting_fold)
-        monkeypatch.setattr(_reference, "covering_interval", scalar, raising=False)
-        monkeypatch.setattr(obnoxious, "covering_interval", scalar, raising=False)
+        monkeypatch.setattr(SegmentArray, "covering", counting_covering)
+        monkeypatch.setattr(_reference, "_fold_one", counting_fold)
+        monkeypatch.setattr(_reference, "covering_interval", scalar)
         rng = random.Random(f"fold calls {p}")
         segs = random_segments(rng, 150, span=2.0)
         segs += [seg(s.a.x, s.a.y + 500, s.b.x, s.b.y + 500) for s in random_segments(rng, far)]
         n = len(segs)
-        compute_lower_envelope(segs, 10.0, NormP(p), TOL, split="one-off")
+        envelope_one_off(segs, 10.0, NormP(p), TOL)
         assert len(folded) >= 64
         refreshed, want, stop = set(folded[31::32]), [], 1
         for i in range(1, n):
@@ -494,27 +533,25 @@ class TestFoldWindow:
         (1.5, (0, "0x1.36e7b1930fc10p+995")),
         (2.0, (3, "ValueError")),
         (3.0, (0, "0x1.36e444a9665f1p+995"))])
-    def test_one_off_solve_near_1e300(self, p, want, tmp_path):
+    def test_one_off_solve_near_1e300(self, p, want):
         # covering_slack claims no bound at this scale, so the fold
-        # contests all of [0, L]; the solve exits with the code and the
-        # radius (or the error) it gave with the hand-built window
-        path = tmp_path / "inst.json"
-        path.write_text(json.dumps({
-            "problem": "obnoxious-center", "p": p, "constraint": [0, 0, 1e300, 0],
-            "segments": [[-8.375333314944607e299, -7.842016392780372e294,
+        # contests all of [0, L]; its answer has the radius (or raises
+        # the error, which a solve exits 3 with) that it gave with the
+        # hand-built window. The rows lie in the axis frame of the
+        # constraint [0, 0, 1e300, 0]
+        rows = np.array([[-8.375333314944607e299, -7.842016392780372e294,
                           -6.572665339832966e299, 3.7292578879228924e296],
                          [8.795959788966634e299, 3.0939054382359757e296,
-                          4.066444125146898e299, -6.5443474838477e296]]}))
-        out = io.StringIO()
-        with redirect_stdout(out):
-            code = main(["solve", "--in", str(path), "--method", "envelope",
-                         "--split", "one-off"])
-        doc = json.loads(out.getvalue())
-        if code == 0:
-            got = (code, doc["result"]["radius"].hex())
-            assert doc["result"]["center_x"] == 0.0
+                          4.066444125146898e299, -6.5443474838477e296]])
+        norm = NormP(p)
+        try:
+            env = envelope_one_off(rows, 1e300, norm, TOL)
+            c = largest_empty_from_envelope(env, rows, norm, TOL)
+        except ValueError as exc:
+            got = (3, type(exc).__name__)
         else:
-            got = (code, doc["error"]["name"])
+            got = (0, c.radius.hex())
+            assert c.cx == 0.0
         assert got == want
 
 
@@ -536,7 +573,7 @@ class TestDominance:
         and the cells that reach _resolve_cell."""
         differing, windows, merged, resolved = [], [], [], []
         real_merge, real_resolve = obnoxious._merge_raw, obnoxious._resolve_cell
-        real_least = obnoxious._least_on
+        real_least = _reference._least_on
 
         def counting_merge(e1, e2, *args):
             differing.append(_differing_cells(e1, e2))
@@ -552,10 +589,11 @@ class TestDominance:
             return real_least(prof, a, b)
 
         with monkeypatch.context() as m:
-            m.setattr(obnoxious, "_merge_raw", counting_merge)
+            for module in (obnoxious, _reference):
+                m.setattr(module, "_merge_raw", counting_merge)
             m.setattr(obnoxious, "_resolve_cell", counting_resolve)
-            m.setattr(obnoxious, "_least_on", counting_least)
-            compute_lower_envelope(segs, 100.0, norm, TOL, split=split)
+            m.setattr(_reference, "_least_on", counting_least)
+            BUILDS[split](segs, 100.0, norm, TOL)
         # a fold that settles pieces merges only the stretch between its
         # first and last unsettled piece (every merge of one-off is a
         # fold's, and halves settles no window)
@@ -574,7 +612,7 @@ class TestDominance:
             prof = _build_profile(ax, rng.uniform(-3, 3), bx, rng.uniform(-3, 3), p)
             cuts = sorted({0.0, 100.0, ax, bx, *(rng.uniform(0, 100) for _ in range(30))})
             a, b = np.array(cuts[:-1]), np.array(cuts[1:])
-            got = obnoxious._least_on(prof, a, b)
+            got = _reference._least_on(prof, a, b)
             want = [obnoxious._extent(prof, u, v)[0] for u, v in zip(cuts, cuts[1:])]
             assert np.abs(got - want).max() <= 2.0 ** -50 * 100.0
 
@@ -594,7 +632,8 @@ class TestDominance:
         if split == "one-off":
             # settling whole window pieces sends no more cells to root
             # finding than the same build without any margin
-            monkeypatch.setattr(obnoxious, "_margin", lambda mag: None)
+            for module in (obnoxious, _reference):
+                monkeypatch.setattr(module, "_margin", lambda mag: None)
             assert resolved <= self.count_cells(segs, norm, split, monkeypatch)[1]
 
 

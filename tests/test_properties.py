@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from lineplace import (
+    _reference,
     Interval,
     NormP,
     Point,
@@ -22,7 +23,7 @@ from lineplace import (
     transform_to_axis,
 )
 from lineplace._reference import axis_argmin_exact, covering_interval, \
-    distance_argmin_on_axis, equal_distance_point, rmin_on_axis
+    distance_argmin_on_axis, envelope_one_off, equal_distance_point, rmin_on_axis
 from lineplace.errors import NoCrossing, SolverError
 from lineplace.intervals import SegmentArray, union_covers_rows
 from lineplace.obnoxious import _build_profile
@@ -259,10 +260,14 @@ def test_pruning_never_changes_an_answer(p, inst):
 
 # -- settling cells by dominance never changes an envelope piece -------
 
+# the production build, and the one-off fold of the reference
+_BUILDS = {"halves": compute_lower_envelope, "one-off": envelope_one_off}
+
+
 def _envelope_outcome(segs, L, p, split):
     """Pieces as exact bits, or the error the build stops with."""
     try:
-        env = compute_lower_envelope(segs, L, NormP(p), TOL, split=split)
+        env = _BUILDS[split](segs, L, NormP(p), TOL)
     except (SolverError, ArithmeticError, ValueError) as exc:  # what a solve exits 3 with
         return type(exc).__name__, str(exc)
     return [(pc.a.hex(), pc.b.hex(), pc.seg_index) for pc in env.pieces]
@@ -318,7 +323,8 @@ def test_dominance_never_changes_an_envelope(split, p, inst):
     segs = [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in cols.tolist()]
     settled = _envelope_outcome(segs, L, p, split)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(obnoxious, "_margin", _no_margin)
+        for module in (obnoxious, _reference):
+            m.setattr(module, "_margin", _no_margin)
         resolved = _envelope_outcome(segs, L, p, split)
     assert settled == resolved
 

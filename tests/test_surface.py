@@ -16,7 +16,11 @@ PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
 # kept for the tests in lineplace._reference
 REFERENCE_ROUTES = {
     "_covering_bisect",
+    "_envelope_peak",
     "_finalize_lists",
+    "_fold_one",
+    "_fold_windows",
+    "_least_on",
     "_min_distance_search",
     "_rmin_points",
     "axis_argmin_exact",
@@ -27,6 +31,7 @@ REFERENCE_ROUTES = {
     "covering_interval",
     "distance_argmin_on_axis",
     "dp_scan",
+    "envelope_one_off",
     "equal_distance_point",
     "envelope_value",
     "intersect_all",
@@ -305,3 +310,20 @@ def test_one_covering_kernel(path):
     assert not GONE_FROM_INTERVALS & names
     if path.name != "_reference.py":
         assert not {"covering_interval", "intersect_all"} & names
+
+
+def test_one_envelope_build():
+    # the one-off fold is a reference (REFERENCE_ROUTES holds its
+    # functions, which no solver module defines or imports); the
+    # SegmentArray slicing that only the fold used is gone, and no
+    # production module makes a shallow copy
+    intervals = ast.parse((SRC / "intervals.py").read_text())
+    array = next(node for node in intervals.body
+                 if isinstance(node, ast.ClassDef) and node.name == "SegmentArray")
+    assert "__getitem__" not in {node.name for node in array.body
+                                 if isinstance(node, ast.FunctionDef)}
+    assert not hasattr(lineplace.intervals.SegmentArray, "__getitem__")
+    for path in _solver_modules():
+        names = set(_bound_names(ast.parse(path.read_text(), filename=str(path))))
+        assert not {"_fold_one", "_fold_windows", "_envelope_peak", "_least_on",
+                    "envelope_one_off", "copy"} & names, path.name
