@@ -20,7 +20,6 @@ from .errors import (
     NonIsometricRotation,
     SchemaError,
     SolverError,
-    UnsupportedNorm,
 )
 from .geometry import (
     AxisFrame,
@@ -67,7 +66,6 @@ __all__ = [
     "Segment",
     "SolverError",
     "Tolerance",
-    "UnsupportedNorm",
     "compute_lower_envelope",
     "dp_solve",
     "largest_empty_from_envelope",

@@ -32,7 +32,7 @@ from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _np_lp, \
     segment_columns, segments_from_columns
 from .intervals import PASS_CELLS, Interval, SegmentArray, _halfwidth, _ystar_ratio, \
     covering_slack, least_radius
-from .k_cover import AggSpec, CoverSolution, PointSet, _cover_slack, _no_finite_cover, \
+from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _no_finite_cover, \
     _run_circle, _run_radii
 from .obnoxious import _CONE, EnvelopePiece, LowerEnvelope, _build_profile, _compact_pieces, \
     _extent, _margin, _merge_raw, _Profile, compute_lower_envelope
@@ -699,9 +699,9 @@ def _finalize_lists(lists, pts: PointSet):
     point r. Radii that are not finite are dropped: coordinates near
     the float range give pair circles of radius inf or NaN, which the
     DP never chooses. Returns the lists in the format of
-    k_cover.build_lists_sweep, grouped here by a dict per list; that
+    verify.build_lists_sweep, grouped here by a dict per list; that
     builder groups its runs by one sort over all of them
-    (k_cover._group_lists).
+    (verify._group_lists).
     """
     Y = pts.xy[:, 1].tolist()
     out = []
@@ -723,15 +723,18 @@ def build_lists_loop(pts: PointSet, norm: NormP, tol: Tolerance):
     Each pair circle is expanded from its smaller index in both
     directions while points stay covered; the resulting run and radius
     join the list of the run's right end. One two_point_circle call per
-    pair, and O(N) coverage tests per circle: O(N^3) Python steps. At
-    p = 2 k_cover.build_lists_sweep grows the same circles with the same
-    float operations, one anchor point at a time over arrays, so its
-    lists equal these bit for bit.
+    pair, and O(N) coverage tests per circle: O(N^3) Python steps. A
+    point counts as covered within the slack of verify._cover_slack,
+    written out here, since within the package only the CLI imports
+    verify. At p = 2 verify.build_lists_sweep grows the same circles
+    with the same float operations, one anchor point at a time over
+    arrays, so its lists equal these bit for bit.
     """
     n = len(pts)
     if n == 0:
         raise EmptyInput("need at least one point")
     p = norm.p
+    e = tol.eps if tol.eps > _SLACK_FLOOR else _SLACK_FLOOR
     X, Y = pts.xy.T.tolist()
     lists = [[] for _ in range(n)]
     for i in range(n):
@@ -740,7 +743,7 @@ def build_lists_loop(pts: PointSet, norm: NormP, tol: Tolerance):
                 xc, R = two_point_circle(pts, i, j, norm, tol)
             except NoBisectorRoot:
                 continue
-            slack = _cover_slack(R, tol.eps)
+            slack = e * max(1.0, R)
             if p == 2.0:
                 thr = (R + slack) * (R + slack)
 
@@ -842,7 +845,7 @@ def relax_scan(row_prev, j: int, lefts, weights, is_sum: bool):
     Scans every candidate of list j - 1 (left ends lefts, weights
     radius ** q) and every break inside its run; the first strictly
     smaller value wins. Reference for k_cover._best_breaks over the
-    weights of k_cover._list_weights.
+    weights of verify._list_weights.
     """
     best, bl = math.inf, None
     for cand_left, w in zip(lefts, weights):
@@ -857,11 +860,12 @@ def relax_scan(row_prev, j: int, lefts, weights, is_sum: bool):
 
 
 def dp_scan(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec, cls) -> CoverSolution:
-    """k_cover.dp_solve over the candidate lists cls, one relax_scan per
+    """The k-cover DP over the candidate lists cls, one relax_scan per
     DP cell, row after row. Reference for the column relaxation of
-    dp_solve, which gives the same solution over the same lists (its
-    "sweep" lists, or the exact radius table as lists for "naive");
-    the circles of the chosen runs come from rmin_on_axis.
+    k_cover._cover, which gives the same solution over the same lists:
+    those of verify.build_lists_sweep in verify.dp_solve_sweep, or the
+    exact radius table as lists in k_cover.dp_solve. The circles of the
+    chosen runs come from rmin_on_axis.
     """
     n = len(pts)
     if n == 0:

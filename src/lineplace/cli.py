@@ -190,7 +190,7 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
             "objective": radius,
         }
     else:
-        sol = dp_solve(PointSet(table), inst.k, inst.norm, tol, inst.agg, lists=args.lists)
+        sol = dp_solve(PointSet(table), inst.k, inst.norm, tol, inst.agg)
         circles = []
         for run, c in zip(sol.intervals, sol.circles):
             center = frame.inverse_point(Point(c.cx, 0.0))
@@ -198,7 +198,7 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
                             "center": [center.x, center.y], "radius": c.radius})
         payload = {
             "problem": inst.problem,
-            "lists": args.lists,
+            "lists": "naive",
             "eps": tol.eps,
             "k": inst.k,
             "q": inst.agg.q,
@@ -412,8 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accepted and ignored: the envelope route always merges "
                          "halves; removed with the benchmark change of ROADMAP item 2")
     ps.add_argument("--lists", choices=("naive", "sweep"), default="naive",
-                    help="k-cover run weights: exact run radii (naive) or the "
-                         "sweep's candidate lists (sweep, p = 2 only)")
+                    help="accepted and ignored: k-cover always weighs runs by the "
+                         "exact run radii; removed with the benchmark change of "
+                         "ROADMAP item 2")
     ps.add_argument("--eps", type=_positive_finite, default=1e-9)
     ps.add_argument("--max-iters", type=_positive_int, default=200)
     ps.add_argument("--verify", action="store_true",

@@ -37,10 +37,6 @@ class NoBisectorRoot(SolverError):
     """
 
 
-class UnsupportedNorm(SolverError):
-    """The requested algorithm variant is not available for this norm."""
-
-
 class TooLarge(SolverError):
     """An exhaustive oracle was asked to enumerate beyond its caps.
 

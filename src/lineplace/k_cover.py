@@ -12,24 +12,22 @@ Newton iteration, rtsafe, solves the pairs inside within their own
 span, each on its own power-of-two scale. A 2-D running maximum of
 those binding radii gives the exact radius of every run in O(N^2), and
 the DP relaxes every break of every column against that table in
-O(K·N^2): it minimises the objective that it reports, and the circle
-of each chosen run is read off the same table (_run_circle), with no
-radius search. At p = 2, build_lists_sweep builds candidate lists of
-slack-grown pair circles, one anchor point at a time over arrays; a
-list is plain data, for each right end r a tuple of (left, radius)
-pairs in ascending left, and the DP can take its run weights from
-those lists instead (_list_weights).
+O(K·N^2) (_cover): it minimises the objective that it reports, and
+the circle of each chosen run is read off the same table (_run_circle),
+with no radius search. The run table is the only run weight that a
+solve takes; the p = 2 candidate lists of slack-grown pair circles,
+which _cover can weigh runs by instead, are the second route of
+`lineplace solve --verify` (lineplace.verify).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput, UnsupportedNorm
+from .errors import EmptyInput
 from .geometry import NormP, Tolerance, _np_lp
 from .intervals import _halfwidth
 from .one_center import PlacedCircle
@@ -84,24 +82,7 @@ class CoverSolution:
     objective: float
 
 
-_SLACK_FLOOR = 2.0 ** -40  # the least eps of _cover_slack
-
-
-def _cover_slack(R: float, eps: float) -> float:
-    """How far beyond radius R a point still counts as covered.
-
-    Follows R's scale: a pair circle through two points whose abscissas
-    almost coincide has a huge radius, and rounding in its radius then
-    exceeds any absolute slack, so that the circle would miss its own
-    points. eps is floored at 2^-40, above the rounding of the coverage
-    test (under 2^-47 R), so that the slack does not vanish at tiny eps;
-    at eps >= 2^-40 the floor changes nothing. The floor follows R, not
-    the points' abscissas, and a pair circle's center rounds at the
-    scale of its abscissas: at p = 2 the closed-form center of a pair
-    near x = 98 with R = 0.73 leaves a point 1.4e-12 outside R, above
-    2^-40 max(1, R). That rounding is what _center_slack covers.
-    """
-    return (eps if eps > _SLACK_FLOOR else _SLACK_FLOOR) * max(1.0, R)
+_SLACK_FLOOR = 2.0 ** -40  # see _center_slack, and verify._cover_slack
 
 
 def _power_gap(x, a, b, t, p: float):
@@ -296,85 +277,6 @@ def _run_radii(xy, p: float, tol: Tolerance):
     return np.maximum.accumulate(np.maximum.accumulate(binding, axis=1)[::-1], axis=0)[::-1]
 
 
-def _group_lists(right, left, rad, absy):
-    """The candidate lists of the runs left..right at radius rad.
-
-    right, left and rad are parallel arrays, one entry per circle found;
-    absy holds |y| of the sorted points. Adds the pinned single-point
-    circle of every point (the run k..k at radius |y_k|), drops radii
-    that are not finite (pair circles of coordinates near the float
-    range, which the DP could never choose) and keeps the smallest
-    radius of each (right, left). Returns, for each right end, a tuple
-    of (left, radius) pairs in ascending left.
-    """
-    n = len(absy)
-    fin = np.isfinite(rad)
-    key = np.concatenate((right[fin] * n + left[fin], np.arange(n) * (n + 1)))
-    rad = np.concatenate((rad[fin], absy))
-    order = np.argsort(key)
-    key, rad = key[order], rad[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    rights, lefts = np.divmod(key[first], n)
-    radii = np.minimum.reduceat(rad, first).tolist()
-    lefts = lefts.tolist()
-    bounds = np.searchsorted(rights, np.arange(n + 1)).tolist()
-    return tuple(tuple(zip(lefts[a:b], radii[a:b])) for a, b in zip(bounds, bounds[1:]))
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def build_lists_sweep(pts: PointSet, norm: NormP, tol: Tolerance):
-    """Candidate lists at p = 2: every pair circle grown over the sorted
-    points, one anchor point at a time.
-
-    For each anchor i it takes the pairs (i, j), j >= i, that have a
-    circle at once: the closed-form center (the anchor's abscissa for
-    j == i and for an equal abscissa with equal |y|; an equal abscissa
-    with other |y| has none), the radius by math.hypot from the anchor,
-    and the coverage threshold (R + slack)^2 with the slack of
-    _cover_slack. Every point is tested against every such circle with
-    the operations of _reference._covered_p2, in its order, and a run
-    reaches from the anchor to the first uncovered point on each side,
-    as _reference.build_lists_loop grows it point by point: its lists
-    bit for bit. The runs are grouped by _group_lists.
-
-    Cost: O(N^3) array work, and O(N^2) memory per anchor. Arithmetic
-    that overflows gives inf or NaN, as Python floats do; such radii
-    never reach a list.
-    """
-    if norm.p != 2.0:
-        raise UnsupportedNorm("the sweep builder requires p = 2")
-    n = len(pts)
-    if n == 0:
-        raise EmptyInput("need at least one point")
-    X, Y = pts.xy.T
-    yy = Y * Y
-    e = tol.eps if tol.eps > _SLACK_FLOOR else _SLACK_FLOOR
-    rights, lefts, radii = [], [], []
-    for i in range(n):
-        xi, yi = X[i], Y[i]
-        xj, yj = X[i:], Y[i:]
-        same = xj == xi
-        # the closed form divides by zero at equal abscissas; np.where
-        # drops those entries
-        xc = np.where(same, xi, (xj * xj + yj * yj - xi * xi - yi * yi) / (2.0 * (xj - xi)))
-        xc = xc[~same | (yy[i:] == yi * yi)]
-        R = np.fromiter(map(math.hypot, (xc - xi).tolist(), itertools.repeat(float(yi))),
-                        dtype=float, count=len(xc))
-        reach = R + e * np.maximum(1.0, R)
-        d = X - xc[:, None]
-        d *= d
-        d += yy
-        # covered[:, k + 1] tells whether point k is covered, framed by
-        # an uncovered column at each end
-        covered = np.zeros((len(xc), n + 2), dtype=bool)
-        np.less_equal(d, (reach * reach)[:, None], out=covered[:, 1:-1])
-        rights.append(i + covered[:, i + 2:].argmin(axis=1))
-        lefts.append(i - covered[:, i::-1].argmin(axis=1))
-        radii.append(R)
-    return _group_lists(np.concatenate(rights), np.concatenate(lefts),
-                        np.concatenate(radii), np.abs(Y))
-
-
 def _center_slack(xy, r: float) -> float:
     """How far rounding may leave a point of the run xy outside radius r
     from the midpoint of _meeting: the coverage-slack floor grown with
@@ -456,19 +358,6 @@ def _run_circle(xy, r, p: float):
     return _midpoint(lo, hi), r
 
 
-def _list_weights(cls, q: float):
-    """The weight of every last run b..r over the candidate lists cls, as
-    an N x N table: the least radius ** q (Python's **) of list r's
-    candidates with left <= b, since a candidate's circle covers every
-    sub-run with its right end. A b below every left of list r weighs
-    inf; entries b > r are never read."""
-    n = len(cls)
-    weights = np.full(n * n, _INF)
-    at = [left * n + r for r, cl in enumerate(cls) for left, _ in cl]
-    weights[at] = [radius ** q for cl in cls for _, radius in cl]
-    return np.minimum.accumulate(weights.reshape(n, n), axis=0)
-
-
 @np.errstate(over="ignore")  # prev + w overflows to inf, as Python floats do
 def _best_breaks(prev, w, is_sum: bool):
     """Best value and break of a last run ending at point j - 1, for
@@ -488,51 +377,26 @@ def _no_finite_cover() -> OverflowError:
     return OverflowError("no cover by the allowed runs has a finite objective")
 
 
-def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
-             lists: str = "naive") -> CoverSolution:
-    """Optimal cover of the points by at most K runs (K=None: unlimited).
+def _cover(xy, K, radius, weights, p: float, agg: AggSpec) -> CoverSolution:
+    """Optimal cover of the sorted points xy by at most K runs (K=None:
+    unlimited, else an integer >= 1), each run b..r weighing
+    weights[b, r], as an N x N table whose entries b > r are never read.
 
     Some optimal cover serves contiguous runs of the x-sorted points, so
     the DP relaxes the last run b..j-1 of every prefix 0..j-1 over each
-    break b. Unused budget is free because zero points always cost
-    zero, and a budget beyond n runs changes nothing, so K is clamped
-    to n.
-
-    Centers range over the whole axis, the line through the constraint;
-    no stretch [0, L] bounds them, and none is taken.
-
-    The weight of a run comes from the lists chosen by name. "naive" is
-    the exact table of run radii (_run_radii) to the power q, so the DP
-    minimises the objective it reports. "sweep" takes the candidate
-    lists of build_lists_sweep (_list_weights): their radii are those
-    of pair circles grown with a coverage slack, so a run's weight may
-    lie below its exact radius by that slack. Either way the circles
-    reported are the exact ones of the chosen runs (_run_circle), and
-    the objective is their fsum or max.
-
-    Cost: O(N^2) pair circles and the O(N^2) radius table (for "sweep"
-    also its lists: O(N^3) array work, O(N^2) memory per anchor point),
-    then N column relaxations, each of which relaxes all K rows (one row
-    for K = None) at once in O(K·N) array work (_best_breaks), so
-    O(K·N^2) in all besides the lists.
+    break b, one column at a time: each column relaxes all K rows (one
+    row for K = None) at once in O(K·N) array work (_best_breaks), so
+    O(K·N^2) in all. Unused budget is free because zero points always
+    cost zero, and a budget beyond n runs changes nothing, so K is
+    clamped to n. The circles reported are the exact ones of the chosen
+    runs, read off the run table radius (_run_circle), and the
+    objective is the fsum or max of their radius ** q.
     """
-    n = len(pts)
-    if n == 0:
-        raise EmptyInput("need at least one point")
-    if K is not None and not (isinstance(K, int) and K >= 1):
-        raise ValueError("K must be None or an integer >= 1")
-    if lists not in ("naive", "sweep"):
-        raise ValueError(f"unknown lists {lists!r}")
+    n = len(xy)
     if K is not None:
         K = min(K, n)
-    p, q = norm.p, agg.q
+    q = agg.q
     is_sum = agg.kind == "sum"
-    radius = _run_radii(pts.xy, p, tol)
-    if lists == "naive":
-        with np.errstate(over="ignore"):
-            weights = radius ** q
-    else:
-        weights = _list_weights(build_lists_sweep(pts, norm, tol), q)
     # row j - 1 holds the weights of the runs b..j-1, b < j
     weights = np.ascontiguousarray(weights.T)
 
@@ -555,8 +419,40 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
         j = left
         k -= back
     runs.reverse()
-    circles = [PlacedCircle(*_run_circle(pts.xy[left:right + 1], radius[left, right], p))
+    circles = [PlacedCircle(*_run_circle(xy[left:right + 1], radius[left, right], p))
                for left, right in runs]
     powers = [c.radius ** q for c in circles]
     objective = math.fsum(powers) if is_sum else max(powers)
     return CoverSolution(tuple(runs), tuple(circles), objective)
+
+
+def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
+             lists: str = "naive") -> CoverSolution:
+    """Optimal cover of the points by at most K runs (K=None: unlimited).
+
+    Centers range over the whole axis, the line through the constraint;
+    no stretch [0, L] bounds them, and none is taken.
+
+    Every run weighs its least radius (_run_radii) to the power q, so
+    the DP (_cover) minimises the objective it reports.
+
+    lists selects nothing: "naive" and "sweep" both weigh runs by the
+    run table, and any other value raises ValueError. It stays only for
+    the callers under bench/ that still pass it, and goes with them in
+    the benchmark change of ROADMAP item 2. The p = 2 sweep lists weigh
+    the runs of the --verify cross-check (verify.dp_solve_sweep).
+
+    Cost: O(N^2) pair circles and the O(N^2) radius table, then the DP's
+    O(K·N^2).
+    """
+    n = len(pts)
+    if n == 0:
+        raise EmptyInput("need at least one point")
+    if K is not None and not (isinstance(K, int) and K >= 1):
+        raise ValueError("K must be None or an integer >= 1")
+    if lists not in ("naive", "sweep"):
+        raise ValueError(f"unknown lists {lists!r}")
+    radius = _run_radii(pts.xy, norm.p, tol)
+    with np.errstate(over="ignore"):
+        weights = radius ** agg.q
+    return _cover(pts.xy, K, radius, weights, norm.p, agg)

@@ -3,10 +3,11 @@ only the CLI imports it.
 
 cross_check runs a second route to a solve's objective and reports the
 gap: a grid scan for the one-center, the other solver route for the
-largest empty circle, and for k-cover the other run weights at p = 2
-(the exact run table or the sweep's lists), else an exhaustive minimum
-over all partitions of the points; a k-cover is also checked to cover
-every point by its run's circle. The grid distances come from numpy
+largest empty circle, and for k-cover at p = 2 the DP over the runs of
+the sweep's candidate lists (dp_solve_sweep) where the solve weighs
+runs by the exact run table, else an exhaustive minimum over all
+partitions of the points; a k-cover is also checked to cover every
+point by its run's circle. The grid distances come from numpy
 code (geometry._np_lp) that shares nothing with the exact scalar
 routines: the closed-form projection at p = 2, else a golden-section
 search over the segment parameter, all abscissas of a chunk in
@@ -17,6 +18,7 @@ into "ok": null (false when a point is not covered).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +27,8 @@ import numpy as np
 from .errors import EmptyInput, TooLarge
 from .geometry import NormP, Point, Segment, Tolerance, _np_lp, segments_from_columns
 from .intervals import Interval
-from .k_cover import AggSpec, PointSet, _center_slack, _cover_slack, dp_solve
+from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _center_slack, _cover, \
+    _run_radii
 from .obnoxious import max_empty_binsearch, max_empty_envelope
 from .one_center import PlacedCircle, min_enclosing
 
@@ -257,6 +260,136 @@ def set_partition_oracle(pts: PointSet, K, norm: NormP, tol: Tolerance,
     return OraclePartition(best, best_blocks, contiguous)
 
 
+# -- the p = 2 sweep lists ----------------------------------------------
+
+
+def _cover_slack(R: float, eps: float) -> float:
+    """How far beyond radius R a point still counts as covered.
+
+    Follows R's scale: a pair circle through two points whose abscissas
+    almost coincide has a huge radius, and rounding in its radius then
+    exceeds any absolute slack, so that the circle would miss its own
+    points. eps is floored at 2^-40, above the rounding of the coverage
+    test (under 2^-47 R), so that the slack does not vanish at tiny eps;
+    at eps >= 2^-40 the floor changes nothing. The floor follows R, not
+    the points' abscissas, and a pair circle's center rounds at the
+    scale of its abscissas: at p = 2 the closed-form center of a pair
+    near x = 98 with R = 0.73 leaves a point 1.4e-12 outside R, above
+    2^-40 max(1, R). That rounding is what k_cover._center_slack
+    covers.
+    """
+    return (eps if eps > _SLACK_FLOOR else _SLACK_FLOOR) * max(1.0, R)
+
+
+def _group_lists(right, left, rad, absy):
+    """The candidate lists of the runs left..right at radius rad.
+
+    right, left and rad are parallel arrays, one entry per circle found;
+    absy holds |y| of the sorted points. Adds the pinned single-point
+    circle of every point (the run k..k at radius |y_k|), drops radii
+    that are not finite (pair circles of coordinates near the float
+    range, which the DP could never choose) and keeps the smallest
+    radius of each (right, left). Returns, for each right end, a tuple
+    of (left, radius) pairs in ascending left.
+    """
+    n = len(absy)
+    fin = np.isfinite(rad)
+    key = np.concatenate((right[fin] * n + left[fin], np.arange(n) * (n + 1)))
+    rad = np.concatenate((rad[fin], absy))
+    order = np.argsort(key)
+    key, rad = key[order], rad[order]
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    rights, lefts = np.divmod(key[first], n)
+    radii = np.minimum.reduceat(rad, first).tolist()
+    lefts = lefts.tolist()
+    bounds = np.searchsorted(rights, np.arange(n + 1)).tolist()
+    return tuple(tuple(zip(lefts[a:b], radii[a:b])) for a, b in zip(bounds, bounds[1:]))
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def build_lists_sweep(pts: PointSet, norm: NormP, tol: Tolerance):
+    """Candidate lists at p = 2: every pair circle grown over the sorted
+    points, one anchor point at a time.
+
+    For each anchor i it takes the pairs (i, j), j >= i, that have a
+    circle at once: the closed-form center (the anchor's abscissa for
+    j == i and for an equal abscissa with equal |y|; an equal abscissa
+    with other |y| has none), the radius by math.hypot from the anchor,
+    and the coverage threshold (R + slack)^2 with the slack of
+    _cover_slack. Every point is tested against every such circle with
+    the operations of _reference._covered_p2, in its order, and a run
+    reaches from the anchor to the first uncovered point on each side,
+    as _reference.build_lists_loop grows it point by point: its lists
+    bit for bit. The runs are grouped by _group_lists.
+
+    Cost: O(N^3) array work, and O(N^2) memory per anchor. Arithmetic
+    that overflows gives inf or NaN, as Python floats do; such radii
+    never reach a list.
+    """
+    if norm.p != 2.0:
+        raise ValueError("the sweep builder requires p = 2")
+    n = len(pts)
+    if n == 0:
+        raise EmptyInput("need at least one point")
+    X, Y = pts.xy.T
+    yy = Y * Y
+    e = tol.eps if tol.eps > _SLACK_FLOOR else _SLACK_FLOOR
+    rights, lefts, radii = [], [], []
+    for i in range(n):
+        xi, yi = X[i], Y[i]
+        xj, yj = X[i:], Y[i:]
+        same = xj == xi
+        # the closed form divides by zero at equal abscissas; np.where
+        # drops those entries
+        xc = np.where(same, xi, (xj * xj + yj * yj - xi * xi - yi * yi) / (2.0 * (xj - xi)))
+        xc = xc[~same | (yy[i:] == yi * yi)]
+        R = np.fromiter(map(math.hypot, (xc - xi).tolist(), itertools.repeat(float(yi))),
+                        dtype=float, count=len(xc))
+        reach = R + e * np.maximum(1.0, R)
+        d = X - xc[:, None]
+        d *= d
+        d += yy
+        # covered[:, k + 1] tells whether point k is covered, framed by
+        # an uncovered column at each end
+        covered = np.zeros((len(xc), n + 2), dtype=bool)
+        np.less_equal(d, (reach * reach)[:, None], out=covered[:, 1:-1])
+        rights.append(i + covered[:, i + 2:].argmin(axis=1))
+        lefts.append(i - covered[:, i::-1].argmin(axis=1))
+        radii.append(R)
+    return _group_lists(np.concatenate(rights), np.concatenate(lefts),
+                        np.concatenate(radii), np.abs(Y))
+
+
+def _list_weights(cls, q: float):
+    """The weight of every last run b..r over the candidate lists cls, as
+    an N x N table: the least radius ** q (Python's **) of list r's
+    candidates with left <= b, since a candidate's circle covers every
+    sub-run with its right end. A b below every left of list r weighs
+    inf; entries b > r are never read."""
+    n = len(cls)
+    weights = np.full(n * n, math.inf)
+    at = [left * n + r for r, cl in enumerate(cls) for left, _ in cl]
+    weights[at] = [radius ** q for cl in cls for _, radius in cl]
+    return np.minimum.accumulate(weights.reshape(n, n), axis=0)
+
+
+def dp_solve_sweep(pts: PointSet, K, norm: NormP, tol: Tolerance,
+                   agg: AggSpec) -> CoverSolution:
+    """k_cover.dp_solve with every run weighed by the sweep's lists at
+    p = 2 (build_lists_sweep, _list_weights) instead of the run table:
+    the same DP (k_cover._cover), and the same circles, the exact ones
+    of the chosen runs. A list radius is a pair circle grown with a
+    coverage slack, so a run's weight may lie below its exact radius
+    by that slack, and the lists reach the runs of a circle by coverage
+    tests rather than by Helly's theorem. K is None or an integer >= 1.
+
+    Cost: the lists' O(N^3) array work and O(N^2) memory per anchor
+    point, besides those of dp_solve.
+    """
+    weights = _list_weights(build_lists_sweep(pts, norm, tol), agg.q)
+    return _cover(pts.xy, K, _run_radii(pts.xy, norm.p, tol), weights, norm.p, agg)
+
+
 # -- the report ---------------------------------------------------------
 
 
@@ -276,8 +409,9 @@ def _compare(kind: str, key: str, other_route, value: float, tolerance: float,
 
 def _covers(ps: PointSet, circles, p: float, eps: float) -> bool:
     """Whether every point lies within its run's circle, up to the larger
-    of k_cover's coverage slack, max(eps, 2^-40) max(1, R), and the
-    rounding its circles allow, 2^-40 max(R, |x|) (_center_slack)."""
+    of the sweep's coverage slack, max(eps, 2^-40) max(1, R)
+    (_cover_slack), and the rounding that k_cover's circles allow,
+    2^-40 max(R, |x|) (k_cover._center_slack)."""
     for c in circles:
         left, right = c["run"]
         xy = ps.xy[left:right + 1]
@@ -291,8 +425,8 @@ def _covers(ps: PointSet, circles, p: float, eps: float) -> bool:
 def cross_check(inst, args, tol: Tolerance, L: float, table, result: dict) -> dict:
     """The verify block of a solve's result.
 
-    inst is the parsed instance and args the solve's options (method,
-    lists); table is the instance's table in the axis frame of
+    inst is the parsed instance and args the solve's options (method);
+    table is the instance's table in the axis frame of
     length L (cli._axis_instance): segments as (N, 4) rows [ax, ay, bx,
     by] or points as (N, 2) rows [x, y], as the solvers took it; and
     result is the solve's result object. A k-cover check is also not ok
@@ -316,9 +450,8 @@ def cross_check(inst, args, tol: Tolerance, L: float, table, result: dict) -> di
     ps = PointSet(table)
     covered = _covers(ps, result["circles"], norm.p, tol.eps)
     if norm.p == 2.0:
-        other = "sweep" if args.lists == "naive" else "naive"
-        return _compare(f"lists:{other}", "other_objective",
-                        lambda: dp_solve(ps, inst.k, norm, tol, inst.agg, lists=other).objective,
+        return _compare("lists:sweep", "other_objective",
+                        lambda: dp_solve_sweep(ps, inst.k, norm, tol, inst.agg).objective,
                         objective, _OBJECTIVE_TOL, covered)
     return _compare("set-partition", "other_objective",
                     lambda: set_partition_oracle(ps, inst.k, norm, tol, inst.agg).objective,

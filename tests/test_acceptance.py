@@ -36,9 +36,8 @@ from lineplace._reference import build_lists_loop, compact, covering_interval, \
     envelope_one_off, envelope_value, rmin_on_axis
 from lineplace.cli import main as cli_main
 from lineplace.intervals import SegmentArray
-from lineplace.k_cover import build_lists_sweep
-from lineplace.verify import GridSpec, enumerate_partitions, grid_obnoxious_center, \
-    grid_one_center, segment_distances, set_partition_oracle
+from lineplace.verify import GridSpec, build_lists_sweep, dp_solve_sweep, enumerate_partitions, \
+    grid_obnoxious_center, grid_one_center, segment_distances, set_partition_oracle
 
 TOL = Tolerance()
 NORMS = {1.0: NormP(1.0), 2.0: NormP(2.0), 3.0: NormP(3.0)}
@@ -247,8 +246,8 @@ def test_criterion_5_k_cover_matches_oracles():
             Point(round(rng.uniform(-20.0, 20.0), 3),
                   0.0 if on_axis else round(rng.uniform(-20.0, 20.0), 3))
             for _ in range(n)))
-        a = dp_solve(pts, K, norm, TOL, agg, lists="naive")
-        b = dp_solve(pts, K, norm, TOL, agg, lists="sweep")
+        a = dp_solve(pts, K, norm, TOL, agg)
+        b = dp_solve_sweep(pts, K, norm, TOL, agg)
         o = set_partition_oracle(pts, K, norm, TOL, agg)
         if abs(a.objective - b.objective) > 1e-6 or \
                 abs(a.objective - o.objective) > 1e-6:

@@ -266,7 +266,8 @@ class TestRobustness:
         # (0, -1) and (1, 1) tie in distance along the axis; a kinetic
         # sweep once listed their pair circle, radius 1.118..., for the run
         # of all three points, though (2, 0) lies 1.5 from its center, and
-        # the DP took that run: objective 1.25, verify false, exit 0
+        # the DP took that run: objective 1.25, verify false, exit 0. The
+        # sweep's lists now weigh the runs of the --verify route
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({
             "problem": "k-cover", "p": 2, "constraint": [0, 0, 10, 0],
@@ -275,6 +276,8 @@ class TestRobustness:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["objective"] == 1.118033988749895
+        assert result["verify"]["kind"] == "lists:sweep"
+        assert result["verify"]["other_objective"] == 1.118033988749895
         assert result["verify"]["ok"] is True
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
@@ -322,6 +325,30 @@ class TestRobustness:
             assert code == 0
         assert json.loads(outs["one-off"])["result"]["split"] == "halves"
         assert canonical(outs["one-off"]) == canonical(outs["halves"])
+
+    @pytest.mark.parametrize("inst", [
+        # near the line, k = None, max, q = 2: weighed by the sweep's lists
+        # the DP chose three circles, by the run table two of the same max
+        {"problem": "k-cover", "p": 2, "constraint": [0, 0, 10, 0],
+         "points": [[2.82, -0.75], [3.64, -0.13], [2.86, 0.16], [2.75, -0.03]],
+         "k": None, "q": 2, "agg": "max"},
+        # p = 3, where the sweep's lists do not exist: --lists sweep
+        # exited 3 with UnsupportedNorm
+        {"problem": "k-cover", "p": 3, "constraint": [0, 0, 10, 0],
+         "points": [[0, 1], [2, 2], [5, 0.5], [9, -1.5]], "k": 2, "q": 1, "agg": "sum"},
+    ], ids=["nearline-p2", "p3"])
+    def test_lists_select_nothing(self, tmp_path, inst):
+        # --lists is accepted but both values weigh runs by the run
+        # table, which the result reports; the output is that of
+        # --lists naive
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(inst))
+        outs = {}
+        for lists in ("sweep", "naive"):
+            code, outs[lists] = run_cli(["solve", "--in", str(path), "--lists", lists])
+            assert code == 0
+        assert json.loads(outs["sweep"])["result"]["lists"] == "naive"
+        assert canonical(outs["sweep"]) == canonical(outs["naive"])
 
     def test_pair_circle_far_from_the_line_solves(self, tmp_path):
         # |x - xi|^p overflowed while a pair circle's bracket widened;

@@ -19,7 +19,6 @@ from lineplace import (
     Point,
     PointSet,
     Tolerance,
-    UnsupportedNorm,
     dp_solve,
     lp_distance,
 )
@@ -28,8 +27,8 @@ from lineplace.cli import main
 from lineplace._reference import _rmin_points, build_lists_loop, dp_scan, min_enclosing_scalar, \
     relax_scan, rmin_on_axis, two_point_circle
 from lineplace.errors import NoBisectorRoot, TooLarge
-from lineplace.k_cover import build_lists_sweep
-from lineplace.verify import _enclosing_circle, enumerate_partitions, set_partition_oracle
+from lineplace.verify import _enclosing_circle, build_lists_sweep, dp_solve_sweep, \
+    enumerate_partitions, set_partition_oracle
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -282,7 +281,7 @@ class TestCandidateLists:
                     assert type(pair[0]) is int and type(pair[1]) is float
 
     def test_sweep_requires_euclidean(self):
-        with pytest.raises(UnsupportedNorm):
+        with pytest.raises(ValueError, match="requires p = 2"):
             build_lists_sweep(pset((0, 1), (2, 2)), N3, TOL)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 25])
@@ -783,7 +782,7 @@ class TestCertifiedJumps:
         for i in range(n):
             for j in range(i, n):
                 r = float(radius[i, j])
-                R, s = D.create_decimal(r), D.create_decimal(k_cover._cover_slack(r, TOL.eps))
+                R, s = D.create_decimal(r), D.create_decimal(verify._cover_slack(r, TOL.eps))
                 assert meet(i, j, R + s), (i, j)
                 assert R < s or not meet(i, j, R - s), (i, j)
 
@@ -1003,7 +1002,7 @@ class TestHellyReduction:
             for x, y in rows:
                 d = lp_distance(Point(x, y), Point(cx, 0.0), norm)
                 assert d <= r + gap + 16 * U * rounding_scale(ps, i, j, r), (i, j, x, y)
-                assert d <= r + k_cover._cover_slack(r, 0.0), (i, j, x, y)
+                assert d <= r + verify._cover_slack(r, 0.0), (i, j, x, y)
 
     LARGE_P = [[68.534549, 1.270405], [69.533712, 1.946048], [71.904772, 1.461635]]
 
@@ -1018,7 +1017,7 @@ class TestHellyReduction:
         cx, r = k_cover._run_circle(ps.xy, radius[0, 2], 30.0)
         assert r == 1.946048
         for x, y in self.LARGE_P:
-            assert lp_distance(Point(x, y), Point(cx, 0.0), norm) <= r + k_cover._cover_slack(r, 0.0)
+            assert lp_distance(Point(x, y), Point(cx, 0.0), norm) <= r + verify._cover_slack(r, 0.0)
         assert (cx, r) == rmin_on_axis(ps, 0, 2, norm, TOL)
 
     def test_verify_checks_coverage(self, tmp_path, monkeypatch, capsys):
@@ -1060,10 +1059,10 @@ class TestHellyReduction:
                 i, j = sorted(rng.randrange(n) for _ in range(2))
                 got = k_cover._run_circle(ps.xy[i:j + 1], radius[i, j], p)
                 assert bits(got) == bits(rmin_on_axis(ps, i, j, norm, TOL)), (i, j)
-            lists = ["naive", "sweep"] if p == 2.0 else ["naive"]
+            routes = [dp_solve, dp_solve_sweep] if p == 2.0 else [dp_solve]
             for K, how in ((1, "sum"), (3, "max"), (None, "sum")):
-                for name in lists:
-                    sol = dp_solve(ps, K, norm, TOL, AggSpec(1.0, how), lists=name)
+                for route in routes:
+                    sol = route(ps, K, norm, TOL, AggSpec(1.0, how))
                     assert ([bits((c.cx, c.radius)) for c in sol.circles]
                             == [bits(rmin_on_axis(ps, i, j, norm, TOL)) for i, j in sol.intervals])
 
@@ -1071,8 +1070,8 @@ class TestHellyReduction:
                                           ("sweep", 2.0)])
     def test_one_pair_table_per_solve(self, monkeypatch, lists, p):
         # the naive weights and the circles share one pass of
-        # _binding_radii over all pairs; the sweep builds its lists
-        # without it
+        # _binding_radii over all pairs; the sweep route of --verify
+        # builds its lists without it and reads its circles off that pass
         calls = []
         real = k_cover._binding_radii
 
@@ -1082,7 +1081,8 @@ class TestHellyReduction:
 
         monkeypatch.setattr(k_cover, "_binding_radii", counting)
         ps = random_pset(random.Random(f"one table {lists}{p}"), 30, "nearline")
-        dp_solve(ps, 4, NormP(p), TOL, AggSpec(), lists=lists)
+        route = dp_solve if lists == "naive" else dp_solve_sweep
+        route(ps, 4, NormP(p), TOL, AggSpec())
         assert calls == [30 * 31 // 2]
 
 
@@ -1131,6 +1131,18 @@ class TestDpSolve:
         with pytest.raises(ValueError):
             dp_solve(pset((0, 1)), 0, N2, TOL, AggSpec())
 
+    @pytest.mark.parametrize("norm", [N2, N3])
+    def test_lists_select_nothing(self, norm):
+        # both values weigh the runs by the run table, at every p; the
+        # sweep's lists chose other circles of the same max here
+        ps = pset((2.82, -0.75), (3.64, -0.13), (2.86, 0.16), (2.75, -0.03))
+        agg = AggSpec(2.0, "max")
+        want = dp_solve(ps, None, norm, TOL, agg)
+        assert dp_solve(ps, None, norm, TOL, agg, lists="naive") == want
+        assert dp_solve(ps, None, norm, TOL, agg, lists="sweep") == want
+        with pytest.raises(ValueError, match="unknown lists"):
+            dp_solve(ps, None, norm, TOL, agg, lists="dense")
+
     def test_break_inside_wide_candidate(self):
         # the minimax optimum needs a block strictly inside a wider
         # candidate run; a transition pinned to candidate left ends
@@ -1151,8 +1163,8 @@ class TestDpSolve:
                          round(rng.uniform(-20, 20), 3)) for _ in range(n)))
             K = rng.randint(1, 3)
             agg = AggSpec(rng.choice([1.0, 2.0]), kind)
-            a = dp_solve(ps, K, N2, TOL, agg, lists="naive")
-            b = dp_solve(ps, K, N2, TOL, agg, lists="sweep")
+            a = dp_solve(ps, K, N2, TOL, agg)
+            b = dp_solve_sweep(ps, K, N2, TOL, agg)
             o = set_partition_oracle(ps, K, N2, TOL, agg)
             assert abs(a.objective - b.objective) <= 1e-9
             assert abs(a.objective - o.objective) <= 1e-6
@@ -1171,14 +1183,14 @@ class TestDpSolve:
 
 class TestRelax:
     """k_cover._best_breaks, all rows at once over the weights of one
-    list (k_cover._list_weights), against the nested scan of
+    list (verify._list_weights), against the nested scan of
     lineplace._reference, row by row."""
 
     def _both(self, rows, j, cands, q, is_sum):
         lefts = [left for left, _ in cands]
         weights = [radius ** q for _, radius in cands]
         # list j - 1 holds cands; the lists before it are not read
-        w = k_cover._list_weights(((),) * (j - 1) + (tuple(cands),), q)[:j, j - 1]
+        w = verify._list_weights(((),) * (j - 1) + (tuple(cands),), q)[:j, j - 1]
         best, brk = k_cover._best_breaks(np.array(rows)[:, :j], w, is_sum)
         got = [(b, None if b == math.inf else k) for b, k in zip(best.tolist(), brk.tolist())]
         return got, [relax_scan(row, j, lefts, weights, is_sum) for row in rows]
@@ -1246,8 +1258,9 @@ class TestDpAgainstScan:
     The naive route weighs every run by its least radius, so the scan
     runs over the table as lists (table_lists): a candidate entered at
     a break inside its run then weighs no less than the run from that
-    break. The sweep route runs over the sweep's lists, which are the
-    loop's at p = 2, bit for bit.
+    break. The sweep route of --verify (verify.dp_solve_sweep) runs the
+    same DP over the sweep's lists, which are the loop's at p = 2, bit
+    for bit.
     """
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -1267,19 +1280,21 @@ class TestDpAgainstScan:
             assert got.objective <= loop.objective * (1 + dp_rounding(n))
             if p == 2.0:
                 sweep = dp_scan(ps, k, norm, TOL, agg, build_lists_sweep(ps, norm, TOL))
-                assert dp_solve(ps, k, norm, TOL, agg, lists="sweep") == sweep == loop
+                assert dp_solve_sweep(ps, k, norm, TOL, agg) == sweep == loop
 
     @pytest.mark.parametrize("lists", ["naive", "sweep"])
     def test_non_finite_pair_circle(self, lists):
         # the pair circle of points near the float range has a NaN
-        # center; the loops skip it, and so must the DP
+        # center; the loops skip it, and so must the DP over the run
+        # table and over the sweep's lists
         ps = pset((1e200, 1), (2e200, 1))
         agg = AggSpec(1.0, "sum")
-        got = [dp_solve(ps, K, N2, TOL, agg, lists) for K in (2, None)]
+        route = dp_solve if lists == "naive" else dp_solve_sweep
+        got = [route(ps, K, N2, TOL, agg) for K in (2, None)]
         assert got[0] == got[1]
         assert got[0].intervals == ((0, 0), (1, 1))
         with pytest.raises(OverflowError):
-            dp_solve(ps, 1, N2, TOL, agg, lists)
+            route(ps, 1, N2, TOL, agg)
         cls = build_lists_loop(ps, N2, TOL)
         assert [dp_scan(ps, K, N2, TOL, agg, cls) for K in (2, None)] == got
         with pytest.raises(OverflowError):

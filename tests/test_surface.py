@@ -8,6 +8,7 @@ import pathlib
 import pytest
 
 import lineplace
+from lineplace import verify
 
 SRC = pathlib.Path(lineplace.__file__).parent
 PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
@@ -244,12 +245,15 @@ def test_points_travel_as_one_table():
 # the candidate-list machinery that the exact run table replaced in
 # k_cover: the naive builder, its coverage certificates and run
 # growth, and the suffix-minimum relaxation with its break recovery;
-# the pair-circle table that the binding radii replaced; and the
-# kinetic sweep pass that the per-anchor array expansion replaced
+# the pair-circle table that the binding radii replaced; the kinetic
+# sweep pass that the per-anchor array expansion replaced; and the p = 2
+# sweep lists with their grouping, weights, slack, imports and error,
+# which moved to lineplace.verify as the second route of --verify
 GONE_FROM_K_COVER = {
     "build_lists_naive", "_naive_lists", "_certified_thresholds", "_certify", "_running_max",
     "_jump_ends", "_expand_runs", "_relax", "_break", "_SLICE", "_U", "_TINY", "_pair_circles",
-    "_sweep_pass",
+    "_sweep_pass", "build_lists_sweep", "_group_lists", "_list_weights", "_cover_slack",
+    "UnsupportedNorm", "itertools",
 }
 
 
@@ -266,29 +270,41 @@ def _bound_names(tree):
 
 
 def test_k_cover_dp_reads_the_run_table():
-    # both list routes weigh their runs through one DP over the run
-    # table; the naive route builds no candidate lists
+    # a solve weighs its runs by the run table alone and builds no
+    # candidate lists; lists= only rejects unknown values, and the DP
+    # takes its weight table with no word of which caller it serves
     tree = ast.parse((SRC / "k_cover.py").read_text())
     assert not GONE_FROM_K_COVER & set(_bound_names(tree))
-    assert "build_lists_naive" not in lineplace.__all__
-    assert not hasattr(lineplace, "build_lists_naive")
+    for name in ("build_lists_naive", "UnsupportedNorm"):
+        assert name not in lineplace.__all__
+        assert not hasattr(lineplace, name)
+    assert not hasattr(lineplace.errors, "UnsupportedNorm")
+    fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for node in ast.walk(fns["dp_solve"]):
+        if isinstance(node, (ast.If, ast.IfExp)) and "lists" in {
+                name.id for name in ast.walk(node.test) if isinstance(name, ast.Name)}:
+            assert isinstance(node, ast.If) and not node.orelse
+            assert [type(stmt) for stmt in node.body] == [ast.Raise]
+    assert [arg.arg for arg in fns["_cover"].args.args] == ["xy", "K", "radius", "weights",
+                                                             "p", "agg"]
     gap = next(node for node in tree.body
                if isinstance(node, ast.FunctionDef) and node.name == "_power_gap")
     assert [arg.arg for arg in gap.args.args] == ["x", "a", "b", "t", "p"]
 
 
 def test_k_cover_sweep_lists_keep_their_surface():
-    # the p = 2 lists grow every pair circle over arrays, one anchor
-    # point at a time: no event heap and no sorted index sets
-    tree = ast.parse((SRC / "k_cover.py").read_text())
+    # the p = 2 lists of the --verify cross-check grow every pair circle
+    # over arrays, one anchor point at a time: no event heap and no
+    # sorted index sets
+    tree = ast.parse((SRC / "verify.py").read_text())
     modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                for alias in node.names}
     modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not {"heapq", "bisect", "insort"} & (set(_bound_names(tree)) | modules)
-    build = lineplace.k_cover.build_lists_sweep
+    build = verify.build_lists_sweep
     assert list(inspect.signature(build).parameters) == ["pts", "norm", "tol"]
     pts = lineplace.PointSet((lineplace.Point(0.0, 1.0), lineplace.Point(2.0, 2.0)))
-    with pytest.raises(lineplace.UnsupportedNorm):
+    with pytest.raises(ValueError, match="requires p = 2"):
         build(pts, lineplace.NormP(3.0), lineplace.Tolerance())
     with pytest.raises(lineplace.EmptyInput):
         build(lineplace.PointSet(()), lineplace.NormP(2.0), lineplace.Tolerance())
