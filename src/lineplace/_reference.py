@@ -861,11 +861,13 @@ def relax_scan(row_prev, j: int, lefts, weights, is_sum: bool):
 
 def dp_scan(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec, cls) -> CoverSolution:
     """The k-cover DP over the candidate lists cls, one relax_scan per
-    DP cell, row after row. Reference for the column relaxation of
-    k_cover._cover, which gives the same solution over the same lists:
-    those of verify.build_lists_sweep in verify.dp_solve_sweep, or the
-    exact radius table as lists in k_cover.dp_solve. The circles of the
-    chosen runs come from rmin_on_axis.
+    DP cell, row after row. Reference for the relaxation of
+    k_cover._cover (a whole budget row per array pass for an integer K,
+    one cell at a time for K = None), which gives the same solution over
+    the same lists: those of verify.build_lists_sweep in
+    verify.dp_solve_sweep, or the exact radius table as lists in
+    k_cover.dp_solve. The circles of the chosen runs come from
+    rmin_on_axis.
     """
     n = len(pts)
     if n == 0:

@@ -410,11 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
                     default="binsearch", help="obnoxious solver")
     ps.add_argument("--split", choices=("halves", "one-off"), default="halves",
                     help="accepted and ignored: the envelope route always merges "
-                         "halves; removed with the benchmark change of ROADMAP item 2")
+                         "halves; removed with the benchmark change of ROADMAP item 1b")
     ps.add_argument("--lists", choices=("naive", "sweep"), default="naive",
                     help="accepted and ignored: k-cover always weighs runs by the "
                          "exact run radii; removed with the benchmark change of "
-                         "ROADMAP item 2")
+                         "ROADMAP item 1b")
     ps.add_argument("--eps", type=_positive_finite, default=1e-9)
     ps.add_argument("--max-iters", type=_positive_int, default=200)
     ps.add_argument("--verify", action="store_true",

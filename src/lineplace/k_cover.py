@@ -11,9 +11,11 @@ the signs at each pair's two ends, after which a lockstep safeguarded
 Newton iteration, rtsafe, solves the pairs inside within their own
 span, each on its own power-of-two scale. A 2-D running maximum of
 those binding radii gives the exact radius of every run in O(N^2), and
-the DP relaxes every break of every column against that table in
-O(K·N^2) (_cover): it minimises the objective that it reports, and
-the circle of each chosen run is read off the same table (_run_circle),
+the DP relaxes every break of every column against that table (_cover):
+for an integer K in K array passes of O(N^2), one per budget row, each
+holding one more N x N array of values, and for K = None in N
+relaxations of its one row. It minimises the objective that it reports, and the
+circle of each chosen run is read off the same table (_run_circle),
 with no radius search. The run table is the only run weight that a
 solve takes; the p = 2 candidate lists of slack-grown pair circles,
 which _cover can weigh runs by instead, are the second route of
@@ -358,14 +360,15 @@ def _run_circle(xy, r, p: float):
     return _midpoint(lo, hi), r
 
 
-@np.errstate(over="ignore")  # prev + w overflows to inf, as Python floats do
 def _best_breaks(prev, w, is_sum: bool):
-    """Best value and break of a last run ending at point j - 1, for
-    every row of prev at once: prev holds one previous DP row per row,
-    its columns 0..j-1, and w[b] is the weight of the run b..j-1. The
-    value of break b is prev[b] + w[b] or max(prev[b], w[b]); the first
-    break of the smallest value wins. Returns (best, break), arrays over
-    the rows."""
+    """Best value and break of the last run of a block of DP cells at
+    once: prev is the previous DP row over the breaks b, and row i of w
+    holds the weight w[i, b] of cell i's last run from break b (inf
+    where the cell has no run from b). The value of break b is
+    prev[b] + w[i, b] or max(prev[b], w[i, b]); the first break of the
+    smallest value wins. Returns (best, break), arrays over the rows of
+    w. prev + w overflows to inf, as Python floats do, so callers run it
+    under np.errstate(over="ignore")."""
     vals = prev + w if is_sum else np.maximum(prev, w)
     brk = vals.argmin(axis=1)
     return vals[np.arange(len(vals)), brk], brk
@@ -384,31 +387,43 @@ def _cover(xy, K, radius, weights, p: float, agg: AggSpec) -> CoverSolution:
 
     Some optimal cover serves contiguous runs of the x-sorted points, so
     the DP relaxes the last run b..j-1 of every prefix 0..j-1 over each
-    break b, one column at a time: each column relaxes all K rows (one
-    row for K = None) at once in O(K·N) array work (_best_breaks), so
-    O(K·N^2) in all. Unused budget is free because zero points always
-    cost zero, and a budget beyond n runs changes nothing, so K is
-    clamped to n. The circles reported are the exact ones of the chosen
-    runs, read off the run table radius (_run_circle), and the
-    objective is the fsum or max of their radius ** q.
+    break b (_best_breaks). For an integer K each budget row k relaxes
+    from row k - 1 for all N columns in one pass of O(N^2) array work,
+    K passes in all; with K = None the one row relaxes from itself, one
+    column at a time, in N relaxations of one row. Either way the DP is
+    O(K·N^2). It reads the weights through a transposed copy with inf
+    at the breaks b >= j, and for an integer K each pass holds one more
+    N x N float64 array, of the row's values. Unused budget is free
+    because zero points always cost zero, and a budget beyond n runs
+    changes nothing, so K is clamped to n. The circles reported are the
+    exact ones of the chosen runs, read off the run table radius
+    (_run_circle), and the objective is the fsum or max of their
+    radius ** q.
     """
     n = len(xy)
     if K is not None:
         K = min(K, n)
     q = agg.q
     is_sum = agg.kind == "sum"
-    # row j - 1 holds the weights of the runs b..j-1, b < j
-    weights = np.ascontiguousarray(weights.T)
+    # row j - 1 holds the weights of the runs b..j-1, b < j, and inf at
+    # b >= j, where the caller's table may hold any value
+    last = weights.T.copy()
+    np.copyto(last, _INF, where=~np.tri(n, dtype=bool))
 
-    # row k relaxes from row k - 1; with K = None the one row relaxes
-    # from itself, which is sound because column j reads only columns < j
     rows, back = (1, 0) if K is None else (K, 1)
     opt = np.full((rows + 1, n + 1), _INF)
     brk = np.zeros((rows + 1, n + 1), dtype=np.intp)
     opt[:, 0] = 0.0
-    for j in range(1, n + 1):
-        opt[1:, j], brk[1:, j] = _best_breaks(opt[1 - back:rows + 1 - back, :j],
-                                              weights[j - 1, :j], is_sum)
+    with np.errstate(over="ignore"):
+        if K is None:
+            # the one row relaxes from itself, which is sound because
+            # column j reads only columns < j
+            for j in range(1, n + 1):
+                opt[1, j:j + 1], brk[1, j:j + 1] = _best_breaks(opt[1, :j], last[j - 1:j, :j],
+                                                                is_sum)
+        else:
+            for k in range(1, K + 1):
+                opt[k, 1:], brk[k, 1:] = _best_breaks(opt[k - 1, :n], last, is_sum)
     if opt[rows, n] == _INF:
         raise _no_finite_cover()
     runs = []
@@ -439,11 +454,12 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     lists selects nothing: "naive" and "sweep" both weigh runs by the
     run table, and any other value raises ValueError. It stays only for
     the callers under bench/ that still pass it, and goes with them in
-    the benchmark change of ROADMAP item 2. The p = 2 sweep lists weigh
+    the benchmark change of ROADMAP item 1b. The p = 2 sweep lists weigh
     the runs of the --verify cross-check (verify.dp_solve_sweep).
 
     Cost: O(N^2) pair circles and the O(N^2) radius table, then the DP's
-    O(K·N^2).
+    O(K·N^2): for an integer K, K array passes of O(N^2), each holding
+    one more N x N float64 array; for K = None, N relaxations of one row.
     """
     n = len(pts)
     if n == 0:

@@ -564,7 +564,7 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     split selects nothing: "halves" and "one-off" both build by halves,
     and any other value raises ValueError. It stays only for the
     callers under bench/ that still pass it, and goes with them in the
-    benchmark change of ROADMAP item 2. The one-off fold is the test
+    benchmark change of ROADMAP item 1b. The one-off fold is the test
     reference _reference.envelope_one_off.
     """
     cols = segment_columns(segments)

@@ -1182,61 +1182,72 @@ class TestDpSolve:
 
 
 class TestRelax:
-    """k_cover._best_breaks, all rows at once over the weights of one
-    list (verify._list_weights), against the nested scan of
-    lineplace._reference, row by row."""
+    """k_cover._best_breaks, one previous DP row against a block of
+    weight rows at once, against the nested scan of lineplace._reference,
+    cell by cell. Each cell is a column j and the candidate list of its
+    last runs; its weight row is that list's (verify._list_weights) with
+    inf at the breaks b >= j, as k_cover._cover masks them."""
 
-    def _both(self, rows, j, cands, q, is_sum):
-        lefts = [left for left, _ in cands]
-        weights = [radius ** q for _, radius in cands]
-        # list j - 1 holds cands; the lists before it are not read
-        w = verify._list_weights(((),) * (j - 1) + (tuple(cands),), q)[:j, j - 1]
-        best, brk = k_cover._best_breaks(np.array(rows)[:, :j], w, is_sum)
+    def _both(self, prev, cells, q, is_sum):
+        rows = []
+        for j, cands in cells:
+            # list j - 1 holds cands; the lists before it are not read
+            w = verify._list_weights(((),) * (j - 1) + (tuple(cands),), q)[:, j - 1]
+            rows.append(np.concatenate([w[:j], np.full(len(prev) - j, math.inf)]))
+        # the DP's np.errstate: prev + w overflows to inf, as Python floats do
+        with np.errstate(over="ignore"):
+            best, brk = k_cover._best_breaks(np.array(prev), np.array(rows), is_sum)
         got = [(b, None if b == math.inf else k) for b, k in zip(best.tolist(), brk.tolist())]
-        return got, [relax_scan(row, j, lefts, weights, is_sum) for row in rows]
+        want = [relax_scan(prev, j, [left for left, _ in cands],
+                           [radius ** q for _, radius in cands], is_sum)
+                for j, cands in cells]
+        return got, want
 
     @pytest.mark.parametrize("kind", ["sum", "max"])
     def test_random_rows(self, kind):
         rng = random.Random(kind)
         for _ in range(400):
-            j = rng.randint(1, 12)
-            # columns from j on are not read
-            width = j + rng.randint(0, 2)
-            rows = [[rng.choice([math.inf, float(rng.randint(0, 4)), rng.uniform(0, 4)])
-                     for _ in range(width)]
-                    for _ in range(rng.randint(1, 4))]
-            lefts = sorted(rng.sample(range(j), rng.randint(1, j)))
-            cands = [(left, rng.choice([0.0, 1.0, rng.uniform(0, 3)])) for left in lefts]
+            width = rng.randint(1, 12)
+            prev = [rng.choice([math.inf, float(rng.randint(0, 4)), rng.uniform(0, 4)])
+                    for _ in range(width)]
+            cells = []
+            for _ in range(rng.randint(1, 4)):
+                # the cell's breaks from j on weigh inf (_both)
+                j = rng.randint(1, width)
+                lefts = sorted(rng.sample(range(j), rng.randint(1, j)))
+                cells.append((j, [(left, rng.choice([0.0, 1.0, rng.uniform(0, 3)]))
+                                  for left in lefts]))
             q = rng.choice([1.0, 2.0])
-            got, want = self._both(rows, j, cands, q, kind == "sum")
+            got, want = self._both(prev, cells, q, kind == "sum")
             assert got == want
 
     def test_all_inf(self):
         for is_sum in (True, False):
-            got, want = self._both([[math.inf] * 3], 3, [(0, 1.0), (2, 0.5)], 1.0, is_sum)
+            got, want = self._both([math.inf] * 3, [(3, [(0, 1.0), (2, 0.5)])], 1.0, is_sum)
             assert got == want == [(math.inf, None)]
 
     def test_rounding_tie_keeps_the_first_break(self):
         # prev one ulp apart, the smaller one later: with w = 1e6 both
         # sums round to 1000001.0, and the scan keeps the first break,
         # not the one of the least prev
-        row = [math.nextafter(1.0, 2.0), 1.0]
-        got, want = self._both([row], 2, [(0, 1e6)], 1.0, True)
+        prev = [math.nextafter(1.0, 2.0), 1.0]
+        got, want = self._both(prev, [(2, [(0, 1e6)])], 1.0, True)
         assert got == want == [(1000001.0, 0)]
 
     def test_overflow_is_inf(self):
         # prev + w beyond the float range is inf, as in Python floats
-        got, want = self._both([[1e308, 1.0]], 2, [(0, 1e308)], 1.0, True)
+        got, want = self._both([1e308, 1.0], [(2, [(0, 1e308)])], 1.0, True)
         assert got == want == [(1e308, 1)]
 
     def test_rows_choose_different_candidates(self):
-        # the wide candidate is cheapest from row 0's only finite prev,
-        # the narrow one from row 1, and row 2 can enter only the wide
-        # one, at a break inside it
-        rows = [[0.0, math.inf, math.inf], [math.inf, 0.0, 0.0], [math.inf, 1.0, math.inf]]
-        for is_sum, want_rows in ((True, [(5.0, 0), (1.0, 2), (6.0, 1)]),
-                                  (False, [(5.0, 0), (1.0, 2), (5.0, 1)])):
-            got, want = self._both(rows, 3, [(0, 5.0), (2, 1.0)], 1.0, is_sum)
+        # from one previous row: cell 0 takes its narrow candidate, cell 1
+        # (for the sum) its only candidate at a break inside it, cell 2
+        # the one break it has, and cell 3 a candidate that starts late
+        prev = [4.0, 0.0, 1.0]
+        cells = [(3, [(0, 5.0), (2, 1.0)]), (3, [(0, 5.0)]), (1, [(0, 2.0)]), (2, [(1, 3.0)])]
+        for is_sum, want_rows in ((True, [(2.0, 2), (5.0, 1), (6.0, 0), (3.0, 1)]),
+                                  (False, [(1.0, 2), (5.0, 0), (4.0, 0), (3.0, 1)])):
+            got, want = self._both(prev, cells, 1.0, is_sum)
             assert got == want == want_rows
 
 
@@ -1310,6 +1321,77 @@ class TestDpAgainstScan:
             for agg in (AggSpec(1.0, "sum"), AggSpec(2.0, "max")):
                 want = dp_scan(ps, k, NormP(p), TOL, agg, cls)
                 assert dp_solve(ps, k, NormP(p), TOL, agg) == want
+
+
+    @pytest.mark.parametrize("K", [1, 3, "n", "n+2", None])
+    def test_one_relaxation_per_budget_row(self, monkeypatch, K):
+        # an integer K relaxes each budget row for all n columns in one
+        # call, min(K, n) calls in all; K = None relaxes its one row
+        # column by column, n calls of one weight row each
+        calls = []
+        real = k_cover._best_breaks
+
+        def counting(prev, w, is_sum):
+            calls.append(w.shape)
+            return real(prev, w, is_sum)
+
+        monkeypatch.setattr(k_cover, "_best_breaks", counting)
+        rng = random.Random(f"relax calls {K}")
+        for n, regime in ((1, "nearline"), (2, "grid"), (9, "nearline"), (14, "spread")):
+            ps, k = random_pset(rng, n, regime), budget(K, n)
+            agg = AggSpec(2.0, "sum")
+            for route, cls in ((dp_solve, table_lists(ps, N2)),
+                               (dp_solve_sweep, build_lists_sweep(ps, N2, TOL))):
+                calls.clear()
+                got = route(ps, k, N2, TOL, agg)
+                if k is None:
+                    assert calls == [(1, j) for j in range(1, n + 1)]
+                else:
+                    assert calls == [(n, n)] * min(k, n)
+                assert got == dp_scan(ps, k, N2, TOL, agg, cls)
+
+    @pytest.mark.parametrize("kind", ["sum", "max"])
+    @pytest.mark.parametrize("K", [1, 3, "n", "n+2", None])
+    def test_entries_below_the_diagonal_are_not_read(self, K, kind):
+        # _cover masks the breaks b > r of the weight table, so any
+        # finite value there gives the solution of an inf-filled table.
+        # A value >= 0 there cannot win: the prefix before such a break
+        # holds more points, so it alone costs no less than the optimum
+        # (ties keep the first break). Only a negative value under the
+        # sum shows a read; grid points tie often
+        rng = random.Random(f"below {K}{kind}")
+        agg = AggSpec(2.0, kind)
+        for n, regime in ((12, "grid"), (15, "grid"), (11, "nearline")):
+            ps, k = random_pset(rng, n, regime), budget(K, n)
+            radius = k_cover._run_radii(ps.xy, 2.0, TOL)
+            below = np.tril_indices(n, -1)
+            weights = radius ** agg.q
+            weights[below] = math.inf
+            want = k_cover._cover(ps.xy, k, radius, weights, 2.0, agg)
+            # what _list_weights leaves below the diagonal: the running
+            # minimum of the lists' weights down each column
+            listed = verify._list_weights(build_lists_sweep(ps, N2, TOL), agg.q)[below]
+            drawn = np.array([rng.uniform(-4, 4) for _ in listed])
+            for fill in (0.0, drawn, listed):
+                weights[below] = fill
+                assert k_cover._cover(ps.xy, k, radius, weights, 2.0, agg) == want
+
+    def test_dp_memory_stays_quadratic(self):
+        # one relaxation pass holds an N x N table of values beside the
+        # masked weights; a K x N x N temporary would be K / 3 times
+        # the bound
+        rng = random.Random(1000)
+        n, K = 1000, 5
+        ps = pset(*((rng.uniform(0, 100), rng.uniform(-2, 2)) for _ in range(n)))
+        radius = k_cover._run_radii(ps.xy, 2.0, TOL)
+        weights = radius ** 1.0
+        tracemalloc.start()
+        try:
+            k_cover._cover(ps.xy, K, radius, weights, 2.0, AggSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * n * 8
 
 
 class TestEnumeratePartitions:
