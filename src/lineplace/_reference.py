@@ -4,7 +4,8 @@ Each function here reaches a result of the production code by an
 independent method (bisection, golden-section search, candidate
 evaluation, plain loops where the solver works on arrays or range
 minima), so the tests can compare the two: among them the scalar
-covering interval, its intersection and union cover and the
+covering interval with its halfwidth and ystar rules, where the array
+kernel takes numpy's powers, its intersection and union cover and the
 one-center search over them, where the solvers run one array kernel,
 the bisection that asks about one midpoint at a time, the one-segment
 constrained argmin and axis crossing, where the solvers read one
@@ -30,8 +31,7 @@ from .errors import EmptyInput, NoBisectorRoot, NoCrossing
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _np_lp, \
     axis_argmin_abscissas, axis_distances, point_segment_distance, rescored_extreme, \
     segment_columns, segments_from_columns
-from .intervals import PASS_CELLS, Interval, SegmentArray, _halfwidth, _ystar_ratio, \
-    covering_slack, least_radius
+from .intervals import PASS_CELLS, Interval, SegmentArray, covering_slack, least_radius
 from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _no_finite_cover, \
     _run_circle, _run_radii
 from .obnoxious import _CONE, EnvelopePiece, LowerEnvelope, _build_profile, _compact_pieces, \
@@ -231,15 +231,58 @@ def _profile_min_unclamped(s: Segment):
     return min(s.a.x, s.b.x), abs(ya)
 
 
+def _halfwidth(R: float, y: float, p: float):
+    """Half-extent in x of the radius-R ball test against height y.
+
+    Returns the largest h with lp(h, y) <= R, or None when |y| > R.
+    A slightly negative base only arises from rounding at |y| = R and
+    is clamped to the boundary. The scalar rule of covering_interval and
+    _rmin_points: reference for the halfwidth of SegmentArray.covering,
+    which admits the same bases, and, where R >= |y|, for the strict
+    halfwidth of k_cover._meeting, which takes the same operations.
+    """
+    y = abs(y)
+    if R == 0.0:
+        return 0.0 if y == 0.0 else None
+    ratio = y / R
+    # the array kernel's rule base >= -1e-9, decided before the power
+    # can overflow: ratio > 1 + 1e-9 gives ratio ** p > 1 + 1e-9
+    if ratio > 1.0 + 1e-9:
+        return None
+    base = 1.0 - ratio ** p
+    if base < 0.0:
+        if base < -1e-9:
+            return None
+        base = 0.0
+    return R * base ** (1.0 / p)
+
+
+def _ystar_ratio(ux: float, uy: float, p: float) -> float:
+    """ystar / R: where the slopes of qx and of the halfwidth balance.
+
+    Needs p > 1 and ux, uy nonzero; independent of the radius. The
+    scalar rule of covering_interval: reference for SegmentArray.star,
+    which takes numpy's powers.
+    """
+    try:
+        mu = (abs(ux) / abs(uy)) ** (p / (p - 1.0))
+    except OverflowError:
+        mu = math.inf
+    ratio = 1.0 if math.isinf(mu) else mu / (1.0 + mu)
+    return ratio ** (1.0 / p)
+
+
 def covering_interval(s: Segment, R: float, norm: NormP) -> Interval:
     """All x on the axis with distance((x,0), s) <= R.
 
     The scalar kernel, one segment and one radius a call: reference for
     intervals.SegmentArray.covering, which evaluates the same candidates
-    over arrays. The result is not clipped to [0, L]. The bounds are
-    the extremes of qx(t) -+ halfwidth(qy(t)) over closed-form candidate
-    parameters t; the tests also cross-check them against the boundary
-    bisection _covering_bisect.
+    over arrays with numpy's powers and matches this kernel within
+    rounding. The result is not clipped to [0, L]. The bounds are the
+    extremes of qx(t) -+ _halfwidth(qy(t)) over closed-form candidate
+    parameters t, with the ystar candidates from _ystar_ratio; the tests
+    also cross-check them against the boundary bisection
+    _covering_bisect.
     """
     if R < 0.0 or not math.isfinite(R):
         raise ValueError("radius must be finite and nonnegative")
@@ -465,10 +508,7 @@ def _least_on(prof: _Profile, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     an affine piece's smaller end value, from one array pass; the few
     spans that hold a knot of prof take _extent's least.
     """
-    starts = np.array(prof.starts)
-    # the first piece also serves every x below its start (piece_at)
-    starts[0] = -math.inf
-    k = starts.searchsorted(a, side="right") - 1
+    k = np.array(prof.starts).searchsorted(a, side="right") - 1
     _, ends, kind, c, h = np.array(prof.pieces)[k].T
     with np.errstate(all="ignore"):
         least = np.minimum(c * a, c * b) + h
@@ -790,14 +830,16 @@ def _rmin_points(xy, norm: NormP, tol: Tolerance):
     max x + max|y|] shifted to [0, L], with a region kernel on plain
     floats. Each point's nearest abscissa lies in the window, at
     distance |y|, so the lower bound is max|y|; at every radius R
-    tried, R >= |y|, a point covers the abscissas within
-    intervals._halfwidth of its own, as covering_interval gives for a
-    point segment, and the window clips their intersection. The center
-    and radius are bit for bit those of min_enclosing_scalar on the
-    run's point segments in the same window. min_enclosing's array
-    kernel takes its powers from numpy, which may round them 1 ulp
-    apart from Python's at p != 1 (at p = 2, its square root against
-    pow), so its bits can differ there.
+    tried, R >= |y|, a point covers the abscissas within _halfwidth of
+    its own, as covering_interval gives for a point segment, and the
+    window clips their intersection. The center and radius are bit for
+    bit those of min_enclosing_scalar on the run's point segments in
+    the same window. min_enclosing's array kernel takes its powers from
+    numpy, which may round them 1 ulp apart from Python's at p != 1 (at
+    p = 2, its square root against pow), so its bits can differ there.
+    _run_circle's intervals (k_cover._meeting) take the operations of
+    _halfwidth at its radius, which it reads off the run table, so the
+    radii of the two agree within the bisection's eps.
     """
     p = norm.p
     xs, ys = xy.T.tolist()

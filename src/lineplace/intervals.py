@@ -20,9 +20,12 @@ SegmentArray.covering, one row of intervals per radius (covering_slack
 bounds how far it may stray, which is what makes the solvers' pruning
 exact). The largest-empty-ball search combines each row by
 union_covers_rows and the enclosing search by intersect_rows. The
-scalar kernel _reference.covering_interval and the scalar
-combinations _reference.intersect_all and _reference.union_covers are
-the references that these are tested against.
+scalar kernel _reference.covering_interval, with its halfwidth and
+ystar rules, and the scalar combinations _reference.intersect_all and
+_reference.union_covers are the references that these are tested
+against. The kernel takes numpy's powers, so it matches the scalar
+kernel within rounding, not bit for bit; the combinations match
+theirs bit for bit.
 """
 
 from __future__ import annotations
@@ -65,42 +68,6 @@ class Interval:
 
     def contains(self, x: float, slack: float = 0.0) -> bool:
         return (not self.is_empty) and self.lo - slack <= x <= self.hi + slack
-
-
-def _halfwidth(R: float, y: float, p: float):
-    """Half-extent in x of the radius-R ball test against height y.
-
-    Returns the largest h with lp(h, y) <= R, or None when |y| > R.
-    A slightly negative base only arises from rounding at |y| = R and
-    is clamped to the boundary.
-    """
-    y = abs(y)
-    if R == 0.0:
-        return 0.0 if y == 0.0 else None
-    ratio = y / R
-    # the array kernel's rule base >= -1e-9, decided before the power
-    # can overflow: ratio > 1 + 1e-9 gives ratio ** p > 1 + 1e-9
-    if ratio > 1.0 + 1e-9:
-        return None
-    base = 1.0 - ratio ** p
-    if base < 0.0:
-        if base < -1e-9:
-            return None
-        base = 0.0
-    return R * base ** (1.0 / p)
-
-
-def _ystar_ratio(ux: float, uy: float, p: float) -> float:
-    """ystar / R: where the slopes of qx and of the halfwidth balance.
-
-    Needs p > 1 and ux, uy nonzero; independent of the radius.
-    """
-    try:
-        mu = (abs(ux) / abs(uy)) ** (p / (p - 1.0))
-    except OverflowError:
-        mu = math.inf
-    ratio = 1.0 if math.isinf(mu) else mu / (1.0 + mu)
-    return ratio ** (1.0 / p)
 
 
 # Radii one pass of bisect_radius asks its predicate about, at most.
@@ -167,19 +134,20 @@ class SegmentArray:
     """Segments as float64 columns ax, ay, ux, uy, for one norm.
 
     Built from an (N, 4) array of rows [ax, ay, bx, by] or from Segment
-    objects (geometry.segment_columns). The radius bisections build it
-    over the rows they keep after pruning, so its per-row ystar ratio,
-    a scalar call per row, is paid for those rows only.
+    objects (geometry.segment_columns), with each row's ystar ratio
+    (star) from one array pass. The radius bisections build it over the
+    rows they keep after pruning.
 
     covering(radii) evaluates, for every radius and segment at once, the
     candidates of the scalar reference _reference.covering_interval: the
     ends tA, tB of the reachable parameter range, the axis crossing t0
     and the two points where |qy| = ystar, masked where the scalar
-    kernel branches. Parameters and abscissas come out bit for bit as
-    in the scalar kernel; the powers in the halfwidth may differ from
-    Python's in the last ulp. Each radius
-    gets its own row of elementwise operations, so a row is that of a
-    call with its radius alone, bit for bit.
+    kernel branches. It takes numpy's powers, in star and in the
+    halfwidth, where the scalar kernel takes Python's, so it matches
+    that kernel within rounding: tA, tB and t0 come out bit for bit,
+    and the ystar parameters and the halfwidths may differ in the last
+    ulps. Each radius gets its own row of elementwise operations, so a
+    row is that of a call with its radius alone, bit for bit.
 
     radii_per_pass is how many radii one bisection pass asks covering
     about: as many as keep the pass within PASS_CELLS (radius, segment)
@@ -193,19 +161,23 @@ class SegmentArray:
         self.ax, self.ay = coords[:, 0], coords[:, 1]
         # coordinates near the float range overflow here as Python floats
         # do in the scalar kernel, to inf without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             self.ux = coords[:, 2] - self.ax
             self.uy = coords[:, 3] - self.ay
             self.flat = self.uy == 0.0
             # flat rows divide by 1 instead of 0 and are masked afterwards
             self.uy_div = np.where(self.flat, 1.0, self.uy)
             self.t0 = np.where(self.flat, np.nan, -self.ay / self.uy_div)
-        # radius-independent ystar / R; NaN fails every range test below
-        self.star = None
-        if p > 1.0:
-            self.star = np.array([_ystar_ratio(ux, uy, p) if ux != 0.0 and uy != 0.0
-                                  else math.nan
-                                  for ux, uy in zip(self.ux.tolist(), self.uy.tolist())])
+            # radius-independent ystar / R, where the slopes of qx and of
+            # the halfwidth balance: (mu / (1 + mu))^(1/p) with mu =
+            # |ux / uy|^(p/(p-1)), and 1 where mu overflows; NaN where ux
+            # or uy is 0, which fails every range test below
+            self.star = None
+            if p > 1.0:
+                mu = (np.abs(self.ux) / np.abs(self.uy)) ** (p / (p - 1.0))
+                star = np.where(np.isinf(mu), 1.0, mu / (1.0 + mu)) ** (1.0 / p)
+                star[(self.ux == 0.0) | self.flat] = np.nan
+                self.star = star
 
     @property
     def radii_per_pass(self) -> int:

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import EmptyInput
 from .geometry import NormP, Tolerance, _np_lp
-from .intervals import _halfwidth
 from .one_center import PlacedCircle
 
 _INF = math.inf
@@ -201,25 +200,27 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
     F(x_i) <= t <= F(x_j), and only those pairs are solved. At p = 1, F
     is -span at x_i and +span at x_j, and between them 2x - x_i - x_j,
     so the center is the closed form (x_i + x_j + t) / 2; p = 2 takes its
-    closed-form center for every pair and math.hypot for those inside.
-    Both closed forms keep the test x_i <= c <= x_j on the computed
-    center. Other p test the two signs of _power_gap at the pair's ends
-    on its own power-of-two scale (_pair_scale: exact, and the powers
-    do not overflow even for a point far from the axis), then run rtsafe
-    (_rtsafe_pairs) on all inside pairs in lockstep to eps/4 within
-    their own [x_i, x_j]; the center is scaled back. Its accepted
-    Newton steps at least halve every second step and its other steps
-    halve the bracket, so a pair stops within about twice the steps of
-    a bisection to the same width, or sooner where the bracket ends
-    become adjacent floats. On the benchmark's point sets the lockstep
-    takes at most 6 steps, against the default cap of 200. The scalar
-    kernel of one pair, which the tests compare against, is
-    _reference.two_point_circle: it bisects at every p != 2, so the
-    values of p = 2 and of i == j equal its bit for bit, and the others
-    agree within its eps/8 bracket and the rounding of F. The powers
-    run under np.errstate(over="raise", invalid="raise"), so no inf -
-    inf steers a search. Other arithmetic overflows to inf, silently,
-    as Python float arithmetic does.
+    closed-form center for every pair. Both closed forms keep the test
+    x_i <= c <= x_j on the computed center. Other p test the two signs
+    of _power_gap at the pair's ends on its own power-of-two scale
+    (_pair_scale: exact, and the powers do not overflow even for a point
+    far from the axis), then run rtsafe (_rtsafe_pairs) on all inside
+    pairs in lockstep to eps/4 within their own [x_i, x_j]; the center
+    is scaled back. Its accepted Newton steps at least halve every
+    second step and its other steps halve the bracket, so a pair stops
+    within about twice the steps of a bisection to the same width, or
+    sooner where the bracket ends become adjacent floats. On the
+    benchmark's point sets the lockstep takes at most 6 steps, against
+    the default cap of 200. At every p the radius of a pair inside is
+    _np_lp of c - x_i and y_i. The scalar kernel of one pair, which the
+    tests compare against, is _reference.two_point_circle: it bisects
+    at every p != 2, so the values of i == j and the centers of p = 2
+    equal its bit for bit, the radii of p = 2 agree within rounding
+    (np.hypot against math.hypot), and the others agree within its
+    eps/8 bracket and the rounding of F. The powers run under
+    np.errstate(over="raise", invalid="raise"), so no inf - inf steers a
+    search. Other arithmetic overflows to inf, silently, as Python float
+    arithmetic does.
     """
     binding = np.where(I == J, np.abs(Y[I]), 0.0)
     g = np.flatnonzero(X[I] != X[J])
@@ -244,11 +245,7 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
             c /= s
         g, xi, yi, xj = g[h], xi[h], yi[h], xj[h]
     inside = (xi <= c) & (c <= xj)
-    d, y = c[inside] - xi[inside], yi[inside]
-    if p == 2.0:
-        r = np.fromiter(map(math.hypot, d.tolist(), y.tolist()), dtype=float, count=len(d))
-    else:
-        r = _np_lp(d, y, p)
+    r = _np_lp(c[inside] - xi[inside], yi[inside], p)
     share = np.where(np.isfinite(c), 0.0, _INF)
     share[inside] = np.where(np.isfinite(r), r, _INF)
     binding[g] = share
@@ -292,21 +289,20 @@ def _center_slack(xy, r: float) -> float:
 
 
 def _meeting(xy, r: float, p: float):
-    """(lo, hi) of the intersection of the points' intervals at radius r
-    (intervals._halfwidth); they meet where lo <= hi."""
+    """(lo, hi) of the intersection of the points' intervals at a radius
+    r at least every |y|; they meet where lo <= hi. A point's interval
+    is x -+ r (1 - (|y|/r)^p)^(1/p), and 0 wide at r = 0: the strict
+    halfwidth, which has no slack for |y| above r, since no run radius
+    lies below a |y| of its run."""
     lo, hi = -_INF, _INF
+    inv = 1.0 / p
     for x, y in xy.tolist():
-        h = _halfwidth(r, y, p)
+        h = r * (1.0 - (abs(y) / r) ** p) ** inv if r else 0.0
         if x - h > lo:
             lo = x - h
         if x + h < hi:
             hi = x + h
     return lo, hi
-
-
-def _meets(xy, r: float, p: float) -> bool:
-    lo, hi = _meeting(xy, r, p)
-    return lo <= hi
 
 
 def _midpoint(lo: float, hi: float) -> float:
@@ -342,22 +338,24 @@ def _run_circle(xy, r, p: float):
     if not miss > _center_slack(xy, r):
         return center, r
     below, step = r, math.ulp(r)
-    above = r + step
-    while math.isfinite(above) and not _meets(xy, above, p):
-        below, step = above, 2.0 * step
+    while True:
         above = r + step
-    if not math.isfinite(above):
-        return center, r
+        if not math.isfinite(above):
+            return center, r
+        meet = _meeting(xy, above, p)
+        if meet[0] <= meet[1]:
+            break
+        below, step = above, 2.0 * step
     while True:
         mid = 0.5 * (below + above)
         if not below < mid < above:
             break
-        if _meets(xy, mid, p):
-            above = mid
+        lo, hi = _meeting(xy, mid, p)
+        if lo <= hi:
+            above, meet = mid, (lo, hi)
         else:
             below = mid
-    lo, hi = _meeting(xy, above, p)
-    return _midpoint(lo, hi), r
+    return _midpoint(*meet), r
 
 
 def _best_breaks(prev, w, is_sum: bool):

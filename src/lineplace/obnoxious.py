@@ -74,6 +74,8 @@ class LowerEnvelope:
 # split at the regime boundaries. At p = 1 it takes the p -> 1 limit
 # of each part (the line's dual norm becomes the max norm) and splits
 # the cones |x - c| + h at their apex, so every p = 1 piece is affine.
+# The pieces tile the axis, the first from -inf and the last to +inf,
+# so piece_at finds a piece at every x.
 
 _CONE = 0
 _AFFINE = 1
@@ -91,10 +93,7 @@ class _Profile:
         self.mag = mag
 
     def piece_at(self, x: float):
-        i = bisect_right(self.starts, x) - 1
-        if i < 0:
-            i = 0
-        return self.pieces[i]
+        return self.pieces[bisect_right(self.starts, x) - 1]
 
     def value(self, x: float) -> float:
         xa, xb, kind, u, v = self.piece_at(x)
@@ -293,10 +292,8 @@ def _subcell_roots(prof_i, prof_j, a: float, b: float, p: float, tol: Tolerance)
             return []
         return [_refine_root(psi, a, b, pa > 0.0, eps, tol.max_iters)]
 
-    absA = abs(A)
-    if absA >= 1.0:
-        return sign_change_root()
-    rho = absA ** (p / (p - 1.0))
+    # |A| <= 1, so the power cannot overflow
+    rho = abs(A) ** (p / (p - 1.0))
     if rho >= 1.0:
         return sign_change_root()
     xhat = c + math.copysign(h * (rho / (1.0 - rho)) ** (1.0 / p), A)
@@ -371,8 +368,6 @@ def _extent(prof: _Profile, u: float, v: float):
     lies inside (a, b), where the least is h.
     """
     k = bisect_right(prof.starts, u) - 1
-    if k < 0:
-        k = 0
     ends, pieces, p = prof.ends, prof.pieces, prof.p
     least, greatest = _INF, -_INF
     a = u
@@ -381,10 +376,7 @@ def _extent(prof: _Profile, u: float, v: float):
         b = nxt if nxt < v else v
         _, _, kind, c, h = pieces[k]
         if kind == _CONE:
-            if p == 2.0:
-                fa, fb = math.hypot(a - c, h), math.hypot(b - c, h)
-            else:
-                fa, fb = _lp_pair(a - c, h, p), _lp_pair(b - c, h, p)
+            fa, fb = _lp_pair(a - c, h, p), _lp_pair(b - c, h, p)
             low = h if a < c < b else (fa if c <= a else fb)
         else:
             fa, fb = c * a + h, c * b + h

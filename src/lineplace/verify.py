@@ -96,7 +96,13 @@ def segment_distances(xs: np.ndarray, seg: Segment, norm: NormP) -> np.ndarray:
     if ux == 0.0 and uy == 0.0:
         return _np_lp(xs - ax, np.full_like(xs, ay), p)
     if p == 2.0:
-        t = ((xs - ax) * ux + (0.0 - ay) * uy) / (ux * ux + uy * uy)
+        # the projection on the direction's own power-of-two scale, where
+        # its squares neither underflow nor overflow; the scaling is
+        # exact, so t keeps its bits wherever the unscaled form stays in
+        # range
+        s = math.ldexp(1.0, -max(math.frexp(max(abs(ux), abs(uy)))[1], -1021))
+        vx, vy = ux * s, uy * s
+        t = ((xs - ax) * vx + (0.0 - ay) * vy) / (vx * vx + vy * vy) * s
         t = np.clip(t, 0.0, 1.0)
         return np.hypot(xs - (ax + t * ux), ay + t * uy)
 

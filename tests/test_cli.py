@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import pathlib
 import random
 import sys
@@ -500,6 +501,24 @@ class TestRobustness:
         assert code == 0
         want = json.loads((GOLDEN / case["expected"]).read_text())["result"]["verify"]
         assert json.loads(out)["result"]["verify"] == want
+
+    def test_verify_one_center_at_scale_1e_200(self, tmp_path):
+        # the grid oracle's p = 2 projection squared the segment
+        # directions, which underflowed to 0 at this scale: a NaN radius
+        # and exit 3. ok is not asserted: the grid's tolerance is
+        # absolute, so at this scale it would pass any answer
+        path = tmp_path / "inst.json"
+        run_cli(["gen", "--problem", "one-center", "--n", "50", "--seed", "3",
+                 "--length", "100000", "--out", str(path)])
+        inst = json.loads(path.read_text())
+        inst["constraint"] = [v * 1e-200 for v in inst["constraint"]]
+        inst["segments"] = [[v * 1e-200 for v in seg] for seg in inst["segments"]]
+        path.write_text(json.dumps(inst))
+        code, out = run_cli(["solve", "--in", str(path), "--verify"])
+        assert code == 0
+        verify = json.loads(out)["result"]["verify"]
+        assert verify["kind"] == "grid"
+        assert 0.0 < verify["grid_radius"] < math.inf
 
     @pytest.mark.parametrize("n,k", [(12, None), (6, 5)])
     def test_verify_beyond_oracle_limits(self, tmp_path, n, k):

@@ -13,8 +13,8 @@ from lineplace import (
     Tolerance,
     point_segment_distance,
 )
-from lineplace._reference import _covering_bisect, bisect_sequential, covering_interval, \
-    intersect_all, union_covers
+from lineplace._reference import _covering_bisect, _ystar_ratio, bisect_sequential, \
+    covering_interval, intersect_all, union_covers
 from lineplace.intervals import MAX_RADII, SegmentArray, bisect_radius, intersect_rows, \
     least_radius, union_covers_rows
 
@@ -175,12 +175,15 @@ radius = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=80.0))
 def kernel_tolerance(x, R, p):
     """Largest |array - scalar| allowed for a covering bound x at radius R.
 
-    Both kernels compute the same candidate parameters, heights and
-    abscissas bit for bit. Only u = (|y|/R)^p and v^(1/p), v = 1 - u,
-    go through different pow implementations, each within 2 ulp, so the
-    two v differ by less than 2^-49 and R v^(1/p) by at most
-    R (2^-49)^(1/p), as t -> t^(1/p) is subadditive. That term matters
-    only near v = 0, where the ball barely reaches the segment; 8 ulp of
+    Both kernels compute the same candidate parameters tA, tB and t0,
+    heights and abscissas bit for bit. The ystar ratio, u = (|y|/R)^p
+    and v^(1/p), v = 1 - u, go through different pow implementations,
+    each within 2 ulp, so the two v differ by less than 2^-49 and
+    R v^(1/p) by at most R (2^-49)^(1/p), as t -> t^(1/p) is
+    subadditive. That term matters only near v = 0, where the ball
+    barely reaches the segment. A ystar candidate is a stationary point
+    of its bound, so the few ulps by which the ratio moves it (see
+    STAR_ULPS) move the bound to second order only; 8 ulp of
     max(|x|, R) covers the roundings everywhere else.
     """
     return 8 * math.ulp(max(abs(x), R)) + R * 2.0 ** (-49.0 / p)
@@ -201,6 +204,17 @@ rows = st.lists(st.one_of(
     segment.map(lambda s: [s.a.x, s.a.y, s.b.x, s.b.y]), overflowing), min_size=1, max_size=12)
 radii = st.lists(st.one_of(radius, st.sampled_from([1e300, 1.7e308, 1.278e-195])),
                  min_size=1, max_size=9)
+# segment directions over the whole float range, zeros included
+direction = st.floats(min_value=-1e300, max_value=1e300, allow_nan=False)
+
+# SegmentArray.star against _reference._ystar_ratio: the two compute
+# mu = |ux / uy|^(p/(p-1)), mu / (1 + mu) and its 1/p-th root by the
+# same operations, with numpy's powers against Python's. Each power
+# lies within 1 ulp of exact, the quotient damps a relative error of
+# mu by 1 / (1 + mu), and the root divides one by p; so the stars
+# differ by at most 2 ulps for each power and 1 for each of the two
+# roundings between them.
+STAR_ULPS = 6
 
 
 class TestSegmentArray:
@@ -244,6 +258,29 @@ class TestSegmentArray:
         lo, hi = arr.covering(np.array(rs))
         lo1, hi1 = SegmentArray(np.array(cols)[a:b], NormP(p)).covering(np.array(rs))
         assert bits(lo1) == bits(lo[:, a:b]) and bits(hi1) == bits(hi[:, a:b])
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.0, 3.0, 30.0, 300.0])
+    @given(ux=direction, uy=direction)
+    @example(ux=1e300, uy=1e-300)
+    @example(ux=-1e-300, uy=0.0)
+    @example(ux=0.0, uy=-2.5)
+    @example(ux=-0.0, uy=0.0)
+    def test_star_matches_the_scalar_rule(self, p, ux, uy):
+        # one array pass against _reference._ystar_ratio: NaN where ux or
+        # uy is 0, and 1 where mu overflows, exactly; else within
+        # STAR_ULPS
+        (star,) = SegmentArray(np.array([[0.0, 0.0, ux, uy]]), NormP(p)).star.tolist()
+        if ux == 0.0 or uy == 0.0:
+            assert math.isnan(star)
+            return
+        want = _ystar_ratio(ux, uy, p)
+        try:
+            overflows = (abs(ux) / abs(uy)) ** (p / (p - 1.0)) == math.inf
+        except OverflowError:
+            overflows = True
+        if overflows:
+            assert star == want == 1.0
+        assert abs(star - want) <= STAR_ULPS * math.ulp(want)
 
     def test_rejects_bad_radius(self):
         arr = SegmentArray([seg(0, 1, 1, 1)], N2)

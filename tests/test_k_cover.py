@@ -22,10 +22,10 @@ from lineplace import (
     dp_solve,
     lp_distance,
 )
-from lineplace import intervals, k_cover, verify
+from lineplace import k_cover, verify
 from lineplace.cli import main
-from lineplace._reference import _rmin_points, build_lists_loop, dp_scan, min_enclosing_scalar, \
-    relax_scan, rmin_on_axis, two_point_circle
+from lineplace._reference import _halfwidth, _rmin_points, build_lists_loop, dp_scan, \
+    min_enclosing_scalar, relax_scan, rmin_on_axis, two_point_circle
 from lineplace.errors import NoBisectorRoot, TooLarge
 from lineplace.verify import _enclosing_circle, build_lists_sweep, dp_solve_sweep, \
     enumerate_partitions, set_partition_oracle
@@ -123,7 +123,9 @@ def batch_binding(ps, norm, tol):
 
 def reference_tolerance(ps, i, j, want, p, eps):
     """How far the batch's pair radius, and its center, may lie from the
-    scalar reference want = (center, radius): bit for bit at p = 2,
+    scalar reference want = (center, radius): bit for bit at p = 2 on
+    these draws (the same closed-form center, and np.hypot rounds as
+    math.hypot on them, though the two may be 1 ulp apart elsewhere),
     taxicab_tolerance at p = 1, pair_tolerance at other p (which also
     bounds the centers' difference, 2 dF / s + eps/4)."""
     if p == 2.0:
@@ -551,7 +553,8 @@ class TestListsAgainstLoop:
     @pytest.mark.parametrize("regime", ["nearline", "spread", "grid"])
     def test_identical_lists(self, regime, p):
         # at p = 2 both routes take the same closed-form pair circles,
-        # bit for bit, so no candidate lies above the table; at p = 1
+        # and on these draws np.hypot and math.hypot give their radii
+        # the same bits, so no candidate lies above the table; at p = 1
         # the loop bisects where the table takes the closed form, within
         # taxicab_tolerance of each other
         rng = random.Random(f"lists{regime}{p}")
@@ -984,7 +987,7 @@ class TestHellyReduction:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_every_point_is_covered(self, p):
         # the center is the midpoint of the intersection [lo, hi] of the
-        # points' intervals at the radius (intervals._halfwidth); a point
+        # points' intervals at the radius (_halfwidth); a point
         # whose interval holds it is covered up to rounding, and where
         # rounding leaves lo > hi no point lies farther than (lo - hi) / 2
         # outside its interval, where a distance grows at slope <= 1. The
@@ -995,7 +998,7 @@ class TestHellyReduction:
         for ps, i, j in helly_runs(rng):
             cx, r = rmin_on_axis(ps, i, j, norm, TOL)
             rows = ps.xy[i:j + 1].tolist()
-            ends = [(x - h, x + h) for x, y in rows for h in [intervals._halfwidth(r, y, p)]]
+            ends = [(x - h, x + h) for x, y in rows for h in [_halfwidth(r, y, p)]]
             lo, hi = max(e[0] for e in ends), min(e[1] for e in ends)
             assert cx == 0.5 * (lo + hi)
             gap = max(0.0, lo - hi) / 2
@@ -1003,6 +1006,36 @@ class TestHellyReduction:
                 d = lp_distance(Point(x, y), Point(cx, 0.0), norm)
                 assert d <= r + gap + 16 * U * rounding_scale(ps, i, j, r), (i, j, x, y)
                 assert d <= r + verify._cover_slack(r, 0.0), (i, j, x, y)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 30.0, 300.0])
+    def test_strict_halfwidth_is_the_reference_rule(self, p):
+        # at a radius r >= every |y|, _meeting's strict halfwidth takes
+        # the operations of _reference._halfwidth, whose rejection and
+        # clamp never fire there, so the two folds agree bit for bit:
+        # at r = 0, at |y| = r, at subnormal r, and at random runs
+        def fold(xy, r):
+            lo, hi = -math.inf, math.inf
+            for x, y in xy.tolist():
+                h = _halfwidth(r, y, p)
+                lo, hi = max(lo, x - h), min(hi, x + h)
+            return lo, hi
+
+        rng = random.Random(f"strict halfwidth {p}")
+        tiny = 5e-324
+        runs = [(np.array([[-1.0, 0.0], [0.0, -0.0], [2.0, 0.0]]), 0.0),
+                (np.array([[3.0, 0.0], [3.0, -0.0]]), 0.0)]
+        for _ in range(30):
+            n = rng.randint(1, 8)
+            r = rng.uniform(0.01, 100.0)
+            xy = np.array([[rng.uniform(-50, 50), rng.uniform(-r, r)] for _ in range(n)])
+            xy[rng.randrange(n), 1] = rng.choice([-r, r])
+            runs.append((xy, r))
+            k = rng.choice([1, 3, 1000, 2 ** 40, 2 ** 51])
+            ys = [rng.randint(-k, k) * tiny for _ in range(n - 1)] + [k * tiny]
+            xs = [rng.uniform(-1e-310, 1e-310) for _ in range(n)]
+            runs.append((np.array([xs, ys]).T, k * tiny))
+        for xy, r in runs:
+            assert bits(k_cover._meeting(xy, r, p)) == bits(fold(xy, r)), (xy.tolist(), r)
 
     LARGE_P = [[68.534549, 1.270405], [69.533712, 1.946048], [71.904772, 1.461635]]
 
@@ -1019,6 +1052,34 @@ class TestHellyReduction:
         for x, y in self.LARGE_P:
             assert lp_distance(Point(x, y), Point(cx, 0.0), norm) <= r + verify._cover_slack(r, 0.0)
         assert (cx, r) == rmin_on_axis(ps, 0, 2, norm, TOL)
+
+    # p = 2: point 0's pinned circle and its pair circles with points
+    # 1-3 round to the same largest binding radius, point 0's |y|, and
+    # the first entry of that maximum is the pinned circle
+    BINDING_MISS = [[1.6990599788775098, -1.9059325163268743],
+                    [1.7007081975137266, -1.9059318036596673],
+                    [2.4499773289786004, -1.7517710768213273],
+                    [2.6135225439660337, 1.6722251620799866]]
+
+    def test_center_of_the_binding_entry_misses(self):
+        # the entry that sets a run's radius does not give its center:
+        # here it is point 0's pinned circle, centered at point 0's x,
+        # which leaves point 3 outside by 4.9e-9, beyond _center_slack;
+        # the meeting of the points' intervals covers every point exactly
+        xy = PointSet(np.array(self.BINDING_MISS)).xy
+        X, Y = xy.T.copy()
+        I, J = np.triu_indices(len(xy))
+        binding = k_cover._binding_radii(X, Y, I, J, 2.0, TOL)
+        r = k_cover._run_radii(xy, 2.0, TOL)[0, -1]
+        top = int(np.argmax(binding))
+        assert (I[top], J[top]) == (0, 0) and binding[top] == r
+
+        def excess(cx):
+            return max(lp_distance(Point(x, y), Point(cx, 0.0), N2) for x, y in xy.tolist()) - r
+
+        assert excess(float(xy[0, 0])) > k_cover._center_slack(xy, r)
+        cx, got = k_cover._run_circle(xy, r, 2.0)
+        assert got == r and excess(cx) <= 0.0
 
     def test_verify_checks_coverage(self, tmp_path, monkeypatch, capsys):
         # --verify compared objectives only; a circle that misses a point

@@ -21,9 +21,11 @@ REFERENCE_ROUTES = {
     "_finalize_lists",
     "_fold_one",
     "_fold_windows",
+    "_halfwidth",
     "_least_on",
     "_min_distance_search",
     "_rmin_points",
+    "_ystar_ratio",
     "axis_argmin_exact",
     "base_envelope",
     "bisect_sequential",

@@ -44,3 +44,25 @@ def test_objective_shift_sizes_the_drift():
     assert objective_shift(out, failed) is None
     assert objective_shift("not json", out) is None
     assert objective_shift(out, {"ok": True, "result": {"objective": None}}) is None
+
+
+def test_ulp_shift_names_the_largest_move():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from bitcheck import ulp_shift
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    out = {"ok": True, "result": {"objective": 2.5, "problem": "k-cover",
+                                  "circles": [{"center_x": -0.0, "radius": 1.0, "run": [0, 3]}]}}
+    moved = {"ok": True, "result": {"objective": 2.5, "problem": "k-cover",
+                                    "circles": [{"center_x": -3 * 2.0 ** -1074,
+                                                 "radius": 1.0 + 2.0 ** -52, "run": [0, 3]}]}}
+    assert ulp_shift(out, moved) == ("circles[0].center_x", 3)
+    assert ulp_shift(moved, out) == ("circles[0].center_x", 3)
+    crossed = {"ok": True, "result": {"objective": -2.0 ** -1074, "problem": "k-cover"}}
+    assert ulp_shift({"ok": True, "result": {"objective": 2.0 ** -1074}}, crossed) == (
+        "objective", 2)
+    assert ulp_shift(out, out) is None
+    failed = {"ok": False, "error": {"name": "SchemaError"}}
+    assert ulp_shift(out, failed) is None
+    assert ulp_shift("not json", out) is None

@@ -11,9 +11,10 @@ those rounds in-process through its own lineplace.cli.main, in one
 subprocess per checkout, as bench/run.py sends them. The tool prints
 every request whose exit code, error or output differs between the
 two, ignoring the wall_time_ms field, with the keys of the result
-object that differ (for example circles but not objective) and, where
-both outputs have an objective, how far it moved, then a summary
-line; it exits 1 when any request differs and 0 otherwise.
+object that differ (for example circles but not objective), where
+both outputs have an objective, how far it moved, and the float field
+of the result objects that moved the most ulps, with its key; then a
+summary line. It exits 1 when any request differs and 0 otherwise.
 By default it checks every workload at seeds 201-203, at full size.
 --workload and --seed may be repeated; their values add up.
 """
@@ -24,6 +25,8 @@ import argparse
 import contextlib
 import io
 import json
+import math
+import struct
 import subprocess
 import sys
 import tempfile
@@ -96,6 +99,47 @@ def objective_shift(a, b):
         return None
 
 
+def _numbers(obj, key: str = ""):
+    """(key, value) of every number in obj, keyed by its path, as in
+    circles[0].center_x."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _numbers(v, f"{key}.{k}" if key else k)
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _numbers(v, f"{key}[{i}]")
+    elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        yield key, float(obj)
+
+
+def _ordinal(x: float) -> int:
+    """x's place in the order of the floats, with -0.0 and 0.0 at 0, so
+    that two floats lie |ordinal(a) - ordinal(b)| ulps apart."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def ulp_shift(a, b):
+    """(key, ulps) of the number of the result objects that moved the
+    most ulps between a and b, among the keys both have and the first
+    key on ties; None where neither has a result object with such a
+    number that moved, or one is NaN."""
+    try:
+        old = dict(_numbers(a["result"]))
+        new = dict(_numbers(b["result"]))
+    except (KeyError, TypeError):
+        return None
+    best = None
+    for key, x in old.items():
+        y = new.get(key)
+        if y is None or math.isnan(x) or math.isnan(y):
+            continue
+        ulps = abs(_ordinal(y) - _ordinal(x))
+        if ulps and (best is None or ulps > best[1]):
+            best = (key, ulps)
+    return best
+
+
 def run_checkout(root: Path, argvs: list) -> list:
     src = root / "src"
     if not (src / "lineplace" / "cli.py").is_file():
@@ -147,6 +191,9 @@ def main(argv=None) -> int:
             shift = objective_shift(comparable(out0), comparable(out1))
             if shift is not None:
                 print(f"  |delta objective|: {shift:.3g}")
+            moved = ulp_shift(comparable(out0), comparable(out1))
+            if moved is not None:
+                print(f"  largest float change: {moved[1]} ulps at {moved[0]}")
             for side, rc, out, err in (("base", rc0, out0, err0), ("change", rc1, out1, err1)):
                 shown = err if err is not None else json.dumps(comparable(out), sort_keys=True)
                 print(f"  {side}: {shown[:400]}")
