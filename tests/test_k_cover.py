@@ -121,13 +121,34 @@ def batch_binding(ps, norm, tol):
     return zip(I.tolist(), J.tolist(), binding.tolist())
 
 
+# two points whose p = 2 pair radius np.hypot rounds 1 ulp above
+# math.hypot: 0x1.28b71cd0857e0p+3 against 0x1.28b71cd0857dfp+3
+HYPOT_APART = ((13.552, -1.727), (31.884, 0.966))
+
+
+def hypot_tolerance(R):
+    """Bound on |batch radius - scalar radius| for a p = 2 pair of
+    radius R (a float or an array).
+
+    Both routes take the same closed-form center c, so both radii are
+    the hypot of the same two floats |c - xi| and |yi|: np.hypot in the
+    batch (_np_lp), math.hypot in the scalar route (_lp_pair). Each is
+    within 1 ulp of the exact value: CPython's math.hypot has its error
+    under 1 ulp since 3.10, and np.hypot calls the C library's hypot,
+    within 1 ulp in glibc. So the two lie within 2 ulp of each other,
+    and an ulp of R is at most U R, u = 2^-52, or 2^-1074 where R is
+    subnormal. On 100,000 random draws in [0, 100] x [-2, 2] they
+    differ on about 70, by 1 ulp; HYPOT_APART is one.
+    """
+    return 2 * np.maximum(U * R, 2.0 ** -1074)
+
+
 def reference_tolerance(ps, i, j, want, p, eps):
-    """How far the batch's pair radius, and its center, may lie from the
-    scalar reference want = (center, radius): bit for bit at p = 2 on
-    these draws (the same closed-form center, and np.hypot rounds as
-    math.hypot on them, though the two may be 1 ulp apart elsewhere),
-    taxicab_tolerance at p = 1, pair_tolerance at other p (which also
-    bounds the centers' difference, 2 dF / s + eps/4)."""
+    """How far the batch's pair center, and its radius up to the
+    rounding that check_binding adds, may lie from the scalar reference
+    want = (center, radius): bit for bit at p = 2 (the same closed-form
+    center), taxicab_tolerance at p = 1, pair_tolerance at other p
+    (which also bounds the centers' difference, 2 dF / s + eps/4)."""
     if p == 2.0:
         return 0.0
     if p == 1.0:
@@ -142,7 +163,8 @@ def check_binding(ps, i, j, binding, want, p, eps):
     lies outside [xi, xj] by more than reference_tolerance, the
     reference's radius within that tolerance (inf where it is not
     finite) where its center lies inside by more; within the tolerance
-    of an end, either."""
+    of an end, either. The radius may also differ by its own rounding:
+    4u R at p = 1, and hypot_tolerance at p = 2."""
     xi, xj = ps.xy[i, 0], ps.xy[j, 0]
     if i == j:
         assert binding == want[1]
@@ -158,7 +180,8 @@ def check_binding(ps, i, j, binding, want, p, eps):
     if not math.isfinite(R):
         near = binding == math.inf
     else:
-        near = abs(binding - R) <= bound + (4 * U * R if p == 1.0 else 0.0)
+        rounding = {1.0: 4 * U * R, 2.0: hypot_tolerance(R)}.get(p, 0.0)
+        near = abs(binding - R) <= bound + rounding
     if xi + bound <= xc <= xj - bound:
         assert near, (i, j, binding, want)
     elif not xi - bound <= xc <= xj + bound:
@@ -375,6 +398,16 @@ class TestPairCirclesBatch:
             with pytest.raises(NoBisectorRoot):
                 two_point_circle(ps, i, j, N1, TOL)
 
+    def test_hypots_apart(self):
+        # the p = 2 radii of the two routes differ here, by 1 ulp, and
+        # check_binding admits that within hypot_tolerance
+        ps = pset(*HYPOT_APART)
+        (_, _, binding), = [pair for pair in batch_binding(ps, N2, TOL) if pair[0] < pair[1]]
+        want = two_point_circle(ps, 0, 1, N2, TOL)
+        assert binding != want[1]
+        assert abs(binding - want[1]) <= hypot_tolerance(want[1])
+        check_binding(ps, 0, 1, binding, want, 2.0, TOL.eps)
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("regime", ["nearline", "spread", "grid"])
     def test_random(self, regime, p):
@@ -553,18 +586,28 @@ class TestListsAgainstLoop:
     @pytest.mark.parametrize("regime", ["nearline", "spread", "grid"])
     def test_identical_lists(self, regime, p):
         # at p = 2 both routes take the same closed-form pair circles,
-        # and on these draws np.hypot and math.hypot give their radii
-        # the same bits, so no candidate lies above the table; at p = 1
-        # the loop bisects where the table takes the closed form, within
-        # taxicab_tolerance of each other
+        # whose radii np.hypot and math.hypot round within
+        # hypot_tolerance of each other; at p = 1 the loop bisects where
+        # the table takes the closed form, within taxicab_tolerance of
+        # each other
         rng = random.Random(f"lists{regime}{p}")
         for n in (1, 2, 7, 30):
             ps = random_pset(rng, n, regime)
-            above = 0.0
+            radius = k_cover._run_radii(ps.xy, p, TOL)[np.triu_indices(n)]
             if p == 1.0:
-                radius = k_cover._run_radii(ps.xy, p, TOL)[np.triu_indices(n)]
                 above = TOL.eps / 8 + 16 * U * float(np.abs(ps.xy).max()) + 4 * U * radius
+            else:
+                above = hypot_tolerance(radius)
             self._compare(ps, p, above)
+
+    def test_hypots_apart(self):
+        # the run of both points has the table's radius from np.hypot and
+        # the loop's candidate from math.hypot, 1 ulp apart
+        ps = pset(*HYPOT_APART)
+        radius = k_cover._run_radii(ps.xy, 2.0, TOL)[np.triu_indices(2)]
+        cover = list_cover(build_lists_loop(ps, N2, TOL))[np.triu_indices(2)]
+        assert radius[1] != cover[1]
+        self._compare(ps, 2.0, hypot_tolerance(radius))
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("regime", ["nearline", "spread", "grid"])
@@ -582,7 +625,9 @@ class TestListsAgainstLoop:
             self._compare(ps, p, above)
 
     def test_near_equal_abscissas(self):
-        self._compare(pset((0.447712, 96.415328), (0.447713, 54.104628), (3, 1)), 2.0, 0.0)
+        ps = pset((0.447712, 96.415328), (0.447713, 54.104628), (3, 1))
+        radius = k_cover._run_radii(ps.xy, 2.0, TOL)[np.triu_indices(3)]
+        self._compare(ps, 2.0, hypot_tolerance(radius))
 
 
 def far_center_pairs(rng, n):

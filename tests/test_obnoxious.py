@@ -1,5 +1,11 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +24,11 @@ from lineplace import (
     max_empty_binsearch,
     point_segment_distance,
 )
-from lineplace._reference import base_envelope, compact, envelope_one_off, envelope_value, \
-    equal_distance_point, merge_lower_envelopes
+from lineplace._reference import _build_profile, base_envelope, compact, envelope_one_off, \
+    envelope_value, equal_distance_point, merge_lower_envelopes
 from lineplace.geometry import segment_columns
 from lineplace.intervals import PASS_CELLS, SegmentArray
-from lineplace.obnoxious import _AFFINE, _build_profile
+from lineplace.obnoxious import _AFFINE
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -230,6 +236,29 @@ def off_by_ulps(rng):
     return estimates
 
 
+def same_pieces(table, s, pieces, p):
+    """Whether row s of the piece table holds pieces, the scalar
+    profile: the same kinds, and starts and parameters bit for bit at
+    p = 1 and 2, where the table takes the same operations. At other p
+    numpy's powers may round differently from **: the line's dual norm
+    and a regime boundary's root take one power each, a few ulps apart,
+    so each value lies within 2^-48 of the larger of its own magnitude
+    and the segment's largest coordinate magnitude; an affine piece's
+    offset and its zero follow its norm and slope within that too."""
+    k = int(table.count[s])
+    at = slice(s * obnoxious._SLOTS, s * obnoxious._SLOTS + k)
+    if k != len(pieces) or table.kind[at].tolist() != [pc[2] for pc in pieces]:
+        return False
+    got = np.stack([table.start[s, :k], table.u[at], table.v[at]], axis=1)
+    want = np.array([(pc[0], pc[3], pc[4]) for pc in pieces])
+    if p in (1.0, 2.0):
+        return got.tobytes() == want.tobytes()
+    bound = 2.0 ** -48 * np.maximum(np.abs(want), table.mag[s])
+    with np.errstate(invalid="ignore"):
+        # the first start is -inf in both
+        return bool(np.all((got == want) | (np.abs(got - want) <= bound)))
+
+
 class TestMinimiserTable:
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])
@@ -258,10 +287,13 @@ class TestMinimiserTable:
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])
     def test_one_profile_per_segment(self, split, norm, monkeypatch):
-        # the profiles are one table read from the rows, built once per
-        # segment, also for the far newcomer that the fold skips
-        built, folded = [], []
-        real_build, real_fold = obnoxious._build_profile, _reference._fold_one
+        # the profiles are read from the rows once, also for the far
+        # newcomer that the fold skips: the fold builds one scalar
+        # profile per segment, and the halves build one piece table,
+        # whose every row holds the scalar profile's pieces (same_pieces)
+        built, folded, tables = [], [], []
+        real_build, real_fold = _reference._build_profile, _reference._fold_one
+        real_table = obnoxious._piece_table
 
         def counting_build(*args):
             built.append(list(args[:4]))
@@ -271,16 +303,25 @@ class TestMinimiserTable:
             folded.append(args)
             return real_fold(*args)
 
-        for module in (obnoxious, _reference):
-            monkeypatch.setattr(module, "_build_profile", counting_build)
+        def counting_table(cols, p):
+            tables.append((cols.tolist(), real_table(cols, p)))
+            return tables[-1][1]
+
+        monkeypatch.setattr(_reference, "_build_profile", counting_build)
         monkeypatch.setattr(_reference, "_fold_one", counting_fold)
+        monkeypatch.setattr(obnoxious, "_piece_table", counting_table)
         segs = random_segments(random.Random(43), 20, span=2.0) + [seg(4, 80, 6, 81)]
         BUILDS[split](segs, 10.0, norm, TOL)
-        assert built == segment_columns(segs).tolist()
         if split == "one-off":
+            assert built == segment_columns(segs).tolist()
             assert len(folded) < len(segs) - 1
-        else:
-            assert folded == []
+            assert tables == []
+            return
+        assert built == [] and folded == []
+        [(rows, table)] = tables
+        assert rows == segment_columns(segs).tolist()
+        for s, row in enumerate(rows):
+            assert same_pieces(table, s, real_build(*row, norm.p).pieces, norm.p), s
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -367,35 +408,207 @@ class TestSplitSelectsNothing:
 
     @pytest.mark.parametrize("norm", [N1, N2, N3])
     def test_one_off_is_the_halves_build(self, norm, monkeypatch):
-        # the same merges in the same order and the same bits, and no
-        # fold: neither the reference fold nor the covering kernel that
-        # gave the fold its windows is reached
+        # the same level passes in the same order and the same bits,
+        # and no fold: neither the reference fold nor the covering
+        # kernel that gave the fold its windows is reached
         def no_fold(*args):
             raise AssertionError("split='one-off' reached a fold")
 
         monkeypatch.setattr(SegmentArray, "covering", no_fold)
         for name in ("envelope_one_off", "_fold_one", "_fold_windows"):
             monkeypatch.setattr(_reference, name, no_fold, raising=False)
-        real_merge = obnoxious._merge_raw
+        real_level = obnoxious._merge_level
         segs = random_segments(random.Random(f"alias {norm.p}"), 60, span=2.0)
-        merges, envelopes = {}, {}
+        passes, envelopes = {}, {}
         for split in ("one-off", "halves"):
-            merges[split] = []
+            passes[split] = []
 
-            def recording(e1, e2, *args, log=merges[split]):
-                log.append((list(e1), list(e2)))
-                return real_merge(e1, e2, *args)
+            def recording(pieces, lo, mid, *args, log=passes[split]):
+                log.append(([col.tobytes() for col in pieces], lo.tolist(), mid.tolist()))
+                return real_level(pieces, lo, mid, *args)
 
             with monkeypatch.context() as m:
-                m.setattr(obnoxious, "_merge_raw", recording)
+                m.setattr(obnoxious, "_merge_level", recording)
                 env = compute_lower_envelope(segs, 10.0, norm, TOL, split=split)
             envelopes[split] = [(pc.a.hex(), pc.b.hex(), pc.seg_index) for pc in env.pieces]
-        assert len(merges["halves"]) == len(segs) - 1
-        assert merges["one-off"] == merges["halves"]
+        # one pass per tree height, ceil(log2 60) = 6, and one merge per
+        # inner node of the tree
+        assert len(passes["halves"]) == 6
+        assert sum(len(lo) for _, lo, _ in passes["halves"]) == len(segs) - 1
+        assert passes["one-off"] == passes["halves"]
         assert envelopes["one-off"] == envelopes["halves"]
         # an unknown value is still rejected
         with pytest.raises(ValueError, match="unknown split"):
             compute_lower_envelope(segs, 10.0, norm, TOL, split="thirds")
+
+
+def oracle_rows(rng, n, regime, scale):
+    """n rows near the line y = 0 (|y| <= 2 over [0, 100]) or spread
+    around it, times scale, with duplicate, vertical, zero-length and
+    level segments and segments on the axis mixed in."""
+    rows = []
+    while len(rows) < n:
+        span = 2.0 if regime == "nearline" else 40.0
+        ax, bx = rng.uniform(-10, 110), rng.uniform(-10, 110)
+        ay, by = rng.uniform(-span, span), rng.uniform(-span, span)
+        kind = rng.randrange(8)
+        if kind == 0:
+            bx = ax
+        elif kind == 1:
+            bx, by = ax, ay
+        elif kind == 2:
+            by = ay
+        elif kind == 3:
+            ay = by = 0.0
+        rows.append([ax, ay, bx, by])
+        if kind == 4:
+            rows.append(list(rows[rng.randrange(len(rows))]))
+    return np.array(rows[:n]) * scale
+
+
+class TestSameTree:
+    """The level passes build the envelope that the recursion over the
+    scalar merge builds (_reference.envelope_halves), merge for merge.
+
+    At p = 1 and 2 both take the same operations on the same pieces, so
+    the ends agree bit for bit. At other p numpy's powers may round
+    differently from ** (geometry's rounding rule), so the owners agree
+    and every end agrees within the bound of end_bound."""
+
+    @staticmethod
+    def end_bound(tol, scale):
+        # A knot, a profile's piece start, is one power and a few
+        # roundings from the rows: within 2^-48 M (same_pieces), M the
+        # largest coordinate magnitude and L. A bisected root is the
+        # midpoint of a final bracket no wider than tol.eps / 4, and
+        # both routes' brackets hold the sign change of their own
+        # difference of profiles, which their rounding moves by far less
+        # than 2^-48 M where the crossing is not tangent; an affine
+        # crossing is a quotient of piece parameters that lie within
+        # that of each other
+        return tol.eps / 4.0 + 2.0 ** -48 * scale
+
+    def check(self, rows, L, p, tol):
+        norm = NormP(p)
+        got = compute_lower_envelope(rows, L, norm, tol)
+        want = _reference.envelope_halves(rows, L, norm, tol)
+        assert [pc.seg_index for pc in got.pieces] == [pc.seg_index for pc in want.pieces]
+        if p in (1.0, 2.0):
+            assert got == want
+        else:
+            scale = max(float(np.abs(rows).max()), L)
+            assert all(abs(u.b - v.b) <= self.end_bound(tol, scale)
+                       for u, v in zip(got.pieces, want.pieces))
+        return got
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 1.5, 3.0, 30.0, 400.0])
+    @pytest.mark.parametrize("regime", ["nearline", "spread"])
+    def test_random_draws(self, p, regime):
+        rng = random.Random(f"same tree {regime} {p}")
+        for n in (2, 3, 5, 17, 64, 150, 300):
+            self.check(oracle_rows(rng, n, regime, 1.0), 100.0, p, TOL)
+
+    def test_lockstep_bisection_is_the_scalar_one(self):
+        # on a difference that both evaluate with the same operations,
+        # the lockstep bisection returns the scalar _refine_root's bits:
+        # brackets that stop by width, at a zero midpoint, or at the
+        # iteration cap
+        rng = random.Random("lockstep")
+        a = np.array([rng.uniform(-10, 0) for _ in range(200)] + [0.0, -4.0])
+        b = np.array([rng.uniform(0, 10) for _ in range(200)] + [2.0, 4.0])
+        root = np.array([rng.uniform(-1, 1) for _ in range(200)] + [1.0, 0.0])
+        for eps, max_iters in ((1e-9, 200), (0.3, 200), (1e-9, 7)):
+            for pos in (True, False):
+                sign = 1.0 if pos else -1.0
+                got = obnoxious._bisect_roots(a, b, np.full(len(a), pos),
+                                              lambda x: sign * (root - x) * (x + 20.0),
+                                              eps, max_iters)
+                want = [_reference._refine_root(lambda x: sign * (r - x) * (x + 20.0),
+                                                lo, hi, pos, eps, max_iters)
+                        for lo, hi, r in zip(a.tolist(), b.tolist(), root.tolist())]
+                assert got.tolist() == want
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 30.0])
+    def test_extents_are_the_scalar_extents(self, p):
+        # spans inside one piece, across knots, ending at knots, and
+        # around the apex of a cone: bit for bit at p = 1, where every
+        # piece is affine, within the array evaluation's ulps elsewhere
+        rng = random.Random(f"extents {p}")
+        rows = oracle_rows(rng, 40, "nearline", 1.0)
+        table = obnoxious._piece_table(rows, p)
+        for s, row in enumerate(rows.tolist()):
+            prof = _reference._build_profile(*row, p)
+            knots = [x for x in prof.starts if 0.0 < x < 100.0]
+            cuts = sorted({0.0, 100.0, *knots, *(rng.uniform(0, 100) for _ in range(12))})
+            u, v = np.array(cuts[:-1]), np.array(cuts[1:])
+            got = np.stack(obnoxious._extents(table, np.full(len(u), s), u, v), axis=1)
+            want = np.array([_reference._extent(prof, x, y) for x, y in zip(cuts, cuts[1:])])
+            if p == 1.0:
+                assert got.tobytes() == want.tobytes()
+            else:
+                assert np.abs(got - want).max() <= 2.0 ** -50 * 100.0
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("eps", [0.5, 4.0])
+    def test_coarse_tolerance(self, p, eps):
+        # cuts closer than eps / 8 to the last one kept are dropped one
+        # at a time, and pieces narrower than eps / 2 fold away: at
+        # these eps every draw has such cuts, and most have such pieces
+        rng = random.Random(f"coarse {p} {eps}")
+        for regime in ("nearline", "spread"):
+            for n in (17, 64, 150):
+                self.check(oracle_rows(rng, n, regime, 1.0), 100.0, p, Tolerance(eps=eps))
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("scale", [1e-70, 1e70])
+    def test_scales_without_a_margin(self, p, scale):
+        # beyond (2^-200, 2^200) _margin claims no bound, so no cell is
+        # settled and every contested cell is resolved
+        assert np.isnan(obnoxious._margin(100.0 * scale))
+        rng = random.Random(f"no margin {p} {scale}")
+        for n in (5, 40):
+            self.check(oracle_rows(rng, n, "nearline", scale), 100.0 * scale, p,
+                       Tolerance(eps=1e-9 * scale))
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_one_point_domain(self, p):
+        # at L = 0 every merge keeps the nearer owner, ties to the lower
+        # index: twins and rows at equal distance from the origin tie
+        rng = random.Random(f"one point {p}")
+        for n in (2, 3, 9, 40):
+            rows = oracle_rows(rng, n, "nearline", 1.0)
+            rows[-1] = rows[0]
+            env = self.check(rows, 0.0, p, TOL)
+            assert [(pc.a, pc.b) for pc in env.pieces] == [(0.0, 0.0)]
+        self.check(np.array([[1.0, 2.0, 3.0, 2.0], [-3.0, 2.0, -1.0, 2.0]]), 0.0, p, TOL)
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_single_segment(self, p):
+        for L in (0.0, 10.0):
+            env = self.check(np.array([[1.0, 2.0, 3.0, 4.0]]), L, p, TOL)
+            assert [(pc.a, pc.b, pc.seg_index) for pc in env.pieces] == [(0.0, L, 0)]
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_every_piece_a_sliver(self, p):
+        # the CLI instance at scale 1e-170 with the absolute eps: every
+        # raw piece is narrower than half of eps, so each merge keeps
+        # one piece over [0, L], of its first owner
+        sc = 1e-170
+        rows = np.array([[1.0, 2.0, 1.5, 3.0], [7.0, -1.0, 8.0, -2.0], [4.0, 5.0, 4.0, 6.0]]) * sc
+        env = self.check(rows, 10 * sc, p, TOL)
+        assert len(env.pieces) == 1
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_profiles_near_1e300(self, p):
+        # U ay - V ax overflows: the profiles get NaN and inf pieces
+        # (the instance of test_one_off_solve_near_1e300)
+        rows = np.array([[-8.375333314944607e299, -7.842016392780372e294,
+                          -6.572665339832966e299, 3.7292578879228924e296],
+                         [8.795959788966634e299, 3.0939054382359757e296,
+                          4.066444125146898e299, -6.5443474838477e296]])
+        assert np.isnan(obnoxious._piece_table(rows, p).v).any()
+        for order in (rows, rows[::-1], np.vstack([rows, rows[:1] * 0.5])):
+            self.check(order, 1e300, p, TOL)
 
 
 def _touching(rng, x0, r):
@@ -570,10 +783,12 @@ class TestDominance:
     def count_cells(segs, norm, split, monkeypatch):
         """(contested, resolved): the differing cells of every merge plus
         the window pieces that the one-off fold settles without a merge,
-        and the cells that reach _resolve_cell."""
+        and the cells that reach root finding: _resolve_cell one at a
+        time in the fold, _resolve_cells in a level pass of halves."""
         differing, windows, merged, resolved = [], [], [], []
-        real_merge, real_resolve = obnoxious._merge_raw, obnoxious._resolve_cell
+        real_merge, real_resolve = _reference._merge_raw, _reference._resolve_cell
         real_least = _reference._least_on
+        real_level, real_cells = obnoxious._merge_level, obnoxious._resolve_cells
 
         def counting_merge(e1, e2, *args):
             differing.append(_differing_cells(e1, e2))
@@ -588,11 +803,25 @@ class TestDominance:
             windows.append(len(a))
             return real_least(prof, a, b)
 
+        def counting_level(pieces, lo, mid, *args):
+            # each merge's children, as piece lists, from the pass's input
+            envs = {}
+            for a, b, s, node in zip(*(col.tolist() for col in pieces)):
+                envs.setdefault(node, []).append((a, b, s))
+            for left, right in zip(lo.tolist(), mid.tolist()):
+                differing.append(_differing_cells(sorted(envs[left]), sorted(envs[right])))
+            return real_level(pieces, lo, mid, *args)
+
+        def counting_cells(u, *args):
+            resolved.extend(u.tolist())
+            return real_cells(u, *args)
+
         with monkeypatch.context() as m:
-            for module in (obnoxious, _reference):
-                m.setattr(module, "_merge_raw", counting_merge)
-            m.setattr(obnoxious, "_resolve_cell", counting_resolve)
+            m.setattr(_reference, "_merge_raw", counting_merge)
+            m.setattr(_reference, "_resolve_cell", counting_resolve)
             m.setattr(_reference, "_least_on", counting_least)
+            m.setattr(obnoxious, "_merge_level", counting_level)
+            m.setattr(obnoxious, "_resolve_cells", counting_cells)
             BUILDS[split](segs, 100.0, norm, TOL)
         # a fold that settles pieces merges only the stretch between its
         # first and last unsettled piece (every merge of one-off is a
@@ -613,15 +842,15 @@ class TestDominance:
             cuts = sorted({0.0, 100.0, ax, bx, *(rng.uniform(0, 100) for _ in range(30))})
             a, b = np.array(cuts[:-1]), np.array(cuts[1:])
             got = _reference._least_on(prof, a, b)
-            want = [obnoxious._extent(prof, u, v)[0] for u, v in zip(cuts, cuts[1:])]
+            want = [_reference._extent(prof, u, v)[0] for u, v in zip(cuts, cuts[1:])]
             assert np.abs(got - want).max() <= 2.0 ** -50 * 100.0
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])
     def test_most_cells_skip_root_finding(self, split, norm, monkeypatch):
-        # a margin too wide to ever clear would leave every cell to
-        # _resolve_cell and change no answer; the counts show it. Here
-        # halves resolves about 40 % of these cells (most of them hold a
+        # a margin too wide to ever clear would leave every cell to root
+        # finding and change no answer; the counts show it. Here halves
+        # resolves about 40 % of these cells (most of them hold a
         # crossing) and one-off about 5 %
         rng = random.Random(8)
         segs = [seg(rng.uniform(0, 100), rng.uniform(-2, 2), rng.uniform(0, 100), rng.uniform(-2, 2))
@@ -629,12 +858,17 @@ class TestDominance:
         contested, resolved = self.count_cells(segs, norm, split, monkeypatch)
         assert contested > 1000
         assert resolved < 0.5 * contested
+        # with a margin that claims no bound anywhere
+        for module in (obnoxious, _reference):
+            monkeypatch.setattr(module, "_margin", lambda mag: np.full(np.shape(mag), np.nan))
+        unsettled = self.count_cells(segs, norm, split, monkeypatch)
         if split == "one-off":
             # settling whole window pieces sends no more cells to root
             # finding than the same build without any margin
-            for module in (obnoxious, _reference):
-                monkeypatch.setattr(module, "_margin", lambda mag: None)
-            assert resolved <= self.count_cells(segs, norm, split, monkeypatch)[1]
+            assert resolved <= unsettled[1]
+        else:
+            # the level passes resolve every contested cell, and only those
+            assert unsettled == (contested, contested)
 
 
 class TestOwnershipBoundaries:
@@ -732,3 +966,47 @@ class TestArrayRoute:
             assert 0.0 <= c.cx <= 1e-169
             assert c.radius == min(point_segment_distance(Point(c.cx, 0.0), s, norm, TOL)
                                    for s in tiny)
+
+
+class TestFootprint:
+    def test_criterion_7_build_memory(self):
+        # one build of criterion 7's instance (100,000 spread segments,
+        # p = 2, L = 10) traces below the 99 MiB that the scalar merge
+        # over one _Profile object per segment took
+        rng = random.Random(7)
+        segs = [seg(rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0),
+                    rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0))
+                for _ in range(100000)]
+        tracemalloc.start()
+        try:
+            compute_lower_envelope(segs, 10.0, N2, TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 99 * 2 ** 20
+
+    def test_envelope_solve_leaves_numpy_ma_unloaded(self, tmp_path):
+        # np.unique without return_index or return_inverse loads
+        # numpy.ma (about 1 MiB), which lifts a solve's peak RSS
+        rng = random.Random("numpy.ma")
+        paths = []
+        for p in (1.0, 2.0, 3.0):
+            paths.append(tmp_path / f"p{p:g}.json")
+            paths[-1].write_text(json.dumps({
+                "problem": "obnoxious-center", "p": p, "constraint": [0.0, 0.0, 100.0, 0.0],
+                "segments": oracle_rows(rng, 200, "nearline", 1.0).tolist()}))
+        # --eps 4 makes cuts closer than eps / 8, which a merge drops
+        # one at a time
+        code = ("import contextlib, io, sys\n"
+                "from lineplace.cli import main\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    for path in sys.argv[1:]:\n"
+                "        for eps in ('1e-9', '4'):\n"
+                "            assert main(['solve', '--in', path, '--method', 'envelope',\n"
+                "                         '--eps', eps]) == 0\n"
+                "assert 'numpy.ma' not in sys.modules\n")
+        src = str(Path(obnoxious.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", code, *map(str, paths)],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr

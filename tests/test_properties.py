@@ -22,11 +22,10 @@ from lineplace import (
     point_segment_distance,
     transform_to_axis,
 )
-from lineplace._reference import axis_argmin_exact, covering_interval, \
+from lineplace._reference import _build_profile, axis_argmin_exact, covering_interval, \
     distance_argmin_on_axis, envelope_one_off, equal_distance_point, rmin_on_axis
 from lineplace.errors import NoCrossing, SolverError
 from lineplace.intervals import SegmentArray, union_covers_rows
-from lineplace.obnoxious import _build_profile
 
 TOL = Tolerance()
 
@@ -274,7 +273,8 @@ def _envelope_outcome(segs, L, p, split):
 
 
 def _no_margin(mag):
-    return None
+    """A margin that claims no bound anywhere."""
+    return np.full(np.shape(mag), np.nan)
 
 
 _PINNED_OVERFLOW = (np.array([[-8.375333314944607e299, -7.842016392780372e294,
@@ -317,8 +317,8 @@ def _nearline(n, seed):
 @example(inst=_SETTLED_WINDOW).via("a newcomer whose whole window is settled")
 @settings(deadline=None)
 def test_dominance_never_changes_an_envelope(split, p, inst):
-    # no margin settles neither a merge's cells (_dominant) nor a fold's
-    # window pieces, so every contested cell is resolved
+    # no margin settles neither a level pass's cells (_settle) nor a
+    # fold's window pieces, so every contested cell is resolved
     cols, L = inst
     segs = [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in cols.tolist()]
     settled = _envelope_outcome(segs, L, p, split)

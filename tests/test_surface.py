@@ -16,15 +16,28 @@ PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
 # independent second routes and the entry points only the tests call,
 # kept for the tests in lineplace._reference
 REFERENCE_ROUTES = {
+    "_Profile",
+    "_append_affine_abs",
+    "_append_cone",
+    "_build_profile",
+    "_compact_pieces",
     "_covering_bisect",
+    "_dominant",
     "_envelope_peak",
+    "_extent",
     "_finalize_lists",
     "_fold_one",
     "_fold_windows",
     "_halfwidth",
     "_least_on",
+    "_merge_raw",
     "_min_distance_search",
+    "_quad_roots",
+    "_refine_root",
+    "_regime_boundary",
+    "_resolve_cell",
     "_rmin_points",
+    "_subcell_roots",
     "_ystar_ratio",
     "axis_argmin_exact",
     "base_envelope",
@@ -34,6 +47,7 @@ REFERENCE_ROUTES = {
     "covering_interval",
     "distance_argmin_on_axis",
     "dp_scan",
+    "envelope_halves",
     "envelope_one_off",
     "equal_distance_point",
     "envelope_value",
@@ -269,6 +283,22 @@ def _bound_names(tree):
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
                 yield alias.asname or alias.name.split(".")[0]
+
+
+def test_envelope_merges_by_level_passes():
+    # the scalar merge, one cell at a time over one _Profile object per
+    # segment, and the recursion over it are test references: no
+    # solver module binds their names, and compute_lower_envelope runs
+    # the level passes
+    for path in _solver_modules():
+        names = set(_bound_names(ast.parse(path.read_text(), filename=str(path))))
+        assert not REFERENCE_ROUTES & names, (path.name, REFERENCE_ROUTES & names)
+    tree = ast.parse((SRC / "obnoxious.py").read_text())
+    build = next(fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "compute_lower_envelope")
+    assert {"_piece_table", "_merge_schedule", "_merge_level"} <= set(_called_names(build))
+    assert not any(isinstance(node, ast.FunctionDef)
+                   for node in ast.walk(build) if node is not build)
 
 
 def test_k_cover_dp_reads_the_run_table():
