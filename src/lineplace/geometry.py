@@ -3,8 +3,9 @@
 Everything downstream works in an "axis frame" where the feasible
 center line is the interval [0, L] of the horizontal axis. This module
 provides the norm and tolerance types, exact point-to-segment
-distances, the frame transform, and the closed-form argmin along the
-axis that the solvers build on. Iterative second routes to these
+distances, the frame transform, the closed-form argmin along the
+axis that the solvers build on, and the lockstep root kernel (rtsafe)
+that k-cover's pair centers and the envelope's crossings share. Iterative second routes to these
 quantities live in lineplace._reference, for the tests only.
 """
 
@@ -94,6 +95,136 @@ def _np_lp(dx: np.ndarray, dy: np.ndarray, p: float) -> np.ndarray:
     md = np.where(m > 0.0, m, 1.0)
     s = (dx / md) ** p + (dy / md) ** p
     return m * s ** (1.0 / p)
+
+
+def _rtsafe(fdf, lo, hi, q, max_iters: int):
+    """Root of f in every bracket [lo, hi] at once, by the bracketed
+    Newton iteration rtsafe (Numerical Recipes, section 9.4), in
+    lockstep: one evaluation of the running rows per step.
+
+    fdf(x, act) returns f and f' at x for the rows act (an index array,
+    or None for all rows), oriented so that f increases through the
+    root: the caller passes brackets with f(lo) < 0 <= f(hi), or ends it
+    knows to straddle the root as well. lo and hi are updated in place:
+    each evaluation moves one end, lo where f < 0 and hi elsewhere (f =
+    0 or NaN). A Newton step is taken when it lands in the closed
+    bracket and is at most half the step before the last one;
+    otherwise the bracket is halved, which is also what an f' that
+    underflows to 0 or a NaN f gives. A row stops at an exact root, at
+    a Newton step of at most q (its row of the array q), at the
+    bisection of a bracket at most q wide, or once its iterate stops
+    moving: a Newton step that rounds to no step, or a bracket whose
+    ends are adjacent floats. Returns the iterates and the number of
+    steps taken, at most max_iters.
+
+    How far a returned x lies from the sign change of f: x always lies
+    in its final bracket [lo, hi], whose ends straddle it. A row that
+    stops by bisection lies within q / 2 of both ends; at an exact root
+    x is that root (and hi); after a Newton step of d <= q, x lies
+    within d of its last iterate, one end of [lo, hi], and no bound is
+    claimed toward the other end, since a Newton step may fall short of
+    the root by more than it moved where f bends. A caller that needs a
+    bound there certifies x by evaluating f across it (as
+    _certified_roots does).
+    """
+    x = 0.5 * (lo + hi)
+    dx = hi - lo
+    dxold = dx.copy()
+    act = None
+    steps = 0
+    while steps < max_iters:
+        steps += 1
+        act = _rtsafe_step(fdf, act, x, lo, hi, dx, dxold, q)
+        if not len(act):
+            break
+    return x, steps
+
+
+def _rtsafe_step(fdf, act, x, lo, hi, dx, dxold, q):
+    """One step of _rtsafe for the running rows act (None: all of them),
+    in place; returns the rows still running. Its temporaries span
+    those rows and are freed on return."""
+    if act is None:
+        act = np.arange(len(x))
+        xa = x
+        f, df = fdf(x, None)
+    else:
+        xa = x[act]
+        f, df = fdf(xa, act)
+    below = f < 0.0
+    lo[act[below]] = xa[below]
+    hi[act[~below]] = xa[~below]
+    lo_a, hi_a = lo[act], hi[act]
+    # Newton where (x - hi) f' - f and (x - lo) f' - f share no sign, so
+    # that the step lands in the closed bracket, and where |f / f'| is at
+    # most half the step before the last; an exact root stays put
+    exact = f == 0.0
+    newton = ((((xa - hi_a) * df - f) * ((xa - lo_a) * df - f) <= 0.0)
+              & (np.abs(2.0 * f) <= np.abs(dxold[act] * df)) & ~exact)
+    dxold[act] = dx[act]
+    qa = q[act]
+    step = hi_a - lo_a
+    done = step <= qa
+    step *= 0.5
+    np.divide(f, df, out=step, where=newton)
+    xn = lo_a + step
+    np.subtract(xa, step, out=xn, where=newton)
+    stuck = np.where(newton, xn == xa, (xn == lo_a) | (xn == hi_a))
+    np.less_equal(np.abs(step), qa, out=done, where=newton)
+    np.copyto(xn, xa, where=exact)
+    dx[act] = step
+    x[act] = xn
+    return act[~(done | stuck | exact)]
+
+
+def _certified_roots(fdf, lo, hi, w: float, max_iters: int) -> np.ndarray:
+    """The root of every bracket [lo, hi] of f (fdf oriented as _rtsafe
+    takes it), each within w of a sign change of f: x, with points of
+    [x - w, x + w] on both sides of 0 in _rtsafe's sense (f < 0 against
+    f >= 0 or NaN), or within one ulp of x where w is less.
+
+    _rtsafe runs to w; where the final bracket ends further than w from
+    its iterate x (after a Newton stop, on the side it stepped toward),
+    f is evaluated at x -+ w across it. If that point lies on the root's
+    side, x is certified; else the sign change lies beyond it, which
+    becomes the bracket's end, and _rtsafe resumes on those rows. Every
+    evaluation counts toward max_iters; where the cap ends the search, a
+    root lies inside its final bracket only. The scalar reference,
+    _reference._refine_root, bisects to a bracket of tol.eps / 4 and so
+    stops within tol.eps / 8 of a sign change, the w that
+    obnoxious._crossings passes.
+    """
+    x = np.empty(len(lo))
+    rows = np.arange(len(lo))
+    q = np.full(len(lo), w)
+    left = max_iters
+    while len(rows):
+        def sub(xs, act):
+            return fdf(xs, rows if act is None else rows[act])
+
+        xr, steps = _rtsafe(sub, lo, hi, q[:len(rows)], left)
+        x[rows] = xr
+        left -= steps
+        if not left:
+            break
+        left -= 1
+        below = np.minimum(xr - w, np.nextafter(xr, -math.inf))
+        above = np.maximum(xr + w, np.nextafter(xr, math.inf))
+        need_lo, need_hi = np.flatnonzero(below > lo), np.flatnonzero(above < hi)
+        if not (len(need_lo) or len(need_hi)):
+            break
+        f = sub(np.concatenate((below[need_lo], above[need_hi])),
+                np.concatenate((need_lo, need_hi)))[0]
+        short_lo, short_hi = np.zeros(len(rows), bool), np.zeros(len(rows), bool)
+        short_lo[need_lo[~(f[:len(need_lo)] < 0.0)]] = True
+        short_hi[need_hi[f[len(need_lo):] < 0.0]] = True
+        # a row short on both sides holds a sign change on each; it takes the lower
+        short_hi &= ~short_lo
+        hi[short_lo] = below[short_lo]
+        lo[short_hi] = above[short_hi]
+        again = np.flatnonzero(short_lo | short_hi)
+        rows, lo, hi = rows[again], lo[again], hi[again]
+    return x
 
 
 def lp_distance(a: Point, b: Point, norm: NormP) -> float:

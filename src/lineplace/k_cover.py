@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput
-from .geometry import NormP, Tolerance, _np_lp
+from .geometry import NormP, Tolerance, _np_lp, _rtsafe
 from .one_center import PlacedCircle
 
 _INF = math.inf
@@ -113,72 +113,6 @@ def _pair_scale(xi, yi, xj, yj):
     return np.ldexp(1.0, -np.maximum(np.frexp(m)[1], -1021))
 
 
-def _rtsafe_pairs(a, b, t, s, quarter: float, p: float, max_iters: int):
-    """Root of F - t in [a, b] for every pair at once, by the bracketed
-    Newton iteration rtsafe (Numerical Recipes, section 9.4).
-
-    F (see _power_gap) increases, and the caller passes only pairs with
-    F(a) <= t <= F(b), so [a, b] brackets the root; each evaluation
-    moves one end of the bracket [lo, hi]. A Newton step is taken when
-    it lands in the closed bracket and is at most half the step before
-    the last one; otherwise the bracket is halved. A pair stops at an
-    exact root, at a Newton step of at most quarter, at the bisection
-    of a bracket at most quarter wide (whose midpoint lies within
-    quarter / 2 of the root, as a plain bisection to that width gives),
-    or once its iterate stops moving: a Newton step that rounds to no
-    step, or a bracket whose ends are adjacent floats. The pairs are
-    scaled by s, so a pair's tolerance is quarter * s. Returns the
-    iterates.
-    """
-    lo, hi = a.copy(), b.copy()
-    x = 0.5 * (lo + hi)
-    dx = hi - lo
-    dxold = dx.copy()
-    act = None
-    for _ in range(max_iters):
-        act = _rtsafe_step(act, x, a, b, t, lo, hi, dx, dxold, s, quarter, p)
-        if not len(act):
-            break
-    return x
-
-
-def _rtsafe_step(act, x, a, b, t, lo, hi, dx, dxold, s, quarter: float, p: float):
-    """One step of _rtsafe_pairs for the running pairs act (None: all of
-    them), in place; returns the pairs still running. Its temporaries
-    span those pairs and are freed on return."""
-    if act is None:
-        act = np.arange(len(x))
-        xa = x
-        f, df = _power_gap(x, a, b, t, p)
-    else:
-        xa = x[act]
-        f, df = _power_gap(xa, a[act], b[act], t[act], p)
-    below = f < 0.0
-    lo[act[below]] = xa[below]
-    hi[act[~below]] = xa[~below]
-    lo_a, hi_a = lo[act], hi[act]
-    # Newton where (x - hi) F' - f and (x - lo) F' - f share no sign, so
-    # that the step lands in the closed bracket, and where |f / F'| is at
-    # most half the step before the last; an exact root stays put
-    exact = f == 0.0
-    newton = ((((xa - hi_a) * df - f) * ((xa - lo_a) * df - f) <= 0.0)
-              & (np.abs(2.0 * f) <= np.abs(dxold[act] * df)) & ~exact)
-    dxold[act] = dx[act]
-    q = quarter * s[act]
-    step = hi_a - lo_a
-    done = step <= q
-    step *= 0.5
-    np.divide(f, df, out=step, where=newton)
-    xn = lo_a + step
-    np.subtract(xa, step, out=xn, where=newton)
-    stuck = np.where(newton, xn == xa, (xn == lo_a) | (xn == hi_a))
-    np.less_equal(np.abs(step), q, out=done, where=newton)
-    np.copyto(xn, xa, where=exact)
-    dx[act] = step
-    x[act] = xn
-    return act[~(done | stuck | exact)]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
     """Each pair's share of the least radius of a run that holds both its
@@ -204,9 +138,10 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
     x_i <= c <= x_j on the computed center. Other p test the two signs
     of _power_gap at the pair's ends on its own power-of-two scale
     (_pair_scale: exact, and the powers do not overflow even for a point
-    far from the axis), then run rtsafe (_rtsafe_pairs) on all inside
-    pairs in lockstep to eps/4 within their own [x_i, x_j]; the center
-    is scaled back. Its accepted Newton steps at least halve every
+    far from the axis), then run rtsafe (geometry._rtsafe, the root
+    kernel the envelope shares) on all inside pairs in lockstep, F - t
+    by _power_gap, to the tolerance eps/4 of each pair's own scale
+    within their own [x_i, x_j]; the center is scaled back. Its accepted Newton steps at least halve every
     second step and its other steps halve the bracket, so a pair stops
     within about twice the steps of a bisection to the same width, or
     sooner where the bracket ends become adjacent floats. On the
@@ -240,8 +175,14 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
                 target = np.abs(yj * s) ** p - np.abs(yi * s) ** p
                 h = np.flatnonzero((_power_gap(a, a, b, target, p)[0] <= 0.0)
                                    & (_power_gap(b, a, b, target, p)[0] >= 0.0))
-                s = s[h]
-                c = _rtsafe_pairs(a[h], b[h], target[h], s, tol.eps / 4.0, p, tol.max_iters)
+                s, a, b, target = s[h], a[h], b[h], target[h]
+
+                def gap(x, act):
+                    if act is None:
+                        return _power_gap(x, a, b, target, p)
+                    return _power_gap(x, a[act], b[act], target[act], p)
+
+                c = _rtsafe(gap, a.copy(), b.copy(), tol.eps / 4.0 * s, tol.max_iters)[0]
             c /= s
         g, xi, yi, xj = g[h], xi[h], yi[h], xj[h]
     inside = (xi <= c) & (c <= xj)

@@ -12,8 +12,11 @@ twice (which defeats endpoint-sign tests) are handled. A cell where
 one profile lies above the other by more than a margin derived from
 the profiles' evaluation rounding (_margin) is settled before any root
 finding (_settle), with the same piece the resolution gives. The build
-carries pieces as flat arrays and wraps only the final envelope in
-EnvelopePiece and LowerEnvelope. The scalar merge of two envelopes
+carries pieces as flat arrays, and the solve maximises those arrays;
+only compute_lower_envelope wraps them in EnvelopePiece and
+LowerEnvelope. The crossings at p != 1, 2 come from the lockstep
+rtsafe kernel that k-cover shares (geometry._rtsafe), each root
+certified (geometry._certified_roots). The scalar merge of two envelopes
 one cell at a time, the recursion over it, and the one-off fold, which
 adds the segments to the running envelope one at a time, are the test
 references _reference._merge_raw, _reference.envelope_halves and
@@ -29,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import EmptyInput
-from .geometry import NormP, Point, Tolerance, _np_lp, axis_argmin_abscissas, \
+from .geometry import NormP, Point, Tolerance, _certified_roots, _np_lp, axis_argmin_abscissas, \
     axis_distances, near_extreme, point_segment_distance, rescored_extreme, \
     segment_columns, segments_from_columns
 from .intervals import Interval, SegmentArray, bisect_radius, covering_slack, \
@@ -361,43 +364,27 @@ def _settle(u, v, i, j, table: _PieceTable) -> np.ndarray:
                     np.where(least_i - greatest_j > margin, j, -1))
 
 
-def _lp_minus(c, h, q1, q2, level, p: float):
-    """x -> lp(x - c, h) minus the second profile's piece at x, per row:
-    lp(x - q1, q2) where that is a cone, q1 * x + q2 where it is affine
-    (level). One _np_lp call evaluates both cones."""
-    n = len(c)
-    dy = np.concatenate((h, q2))
+def _lp_minus(c, h, q1, q2, level, sign, p: float):
+    """fdf(x, act) for _rtsafe over rows: sign times lp(x - c, h) minus
+    the second profile's piece at x, lp(x - q1, q2) where that is a cone
+    and q1 * x + q2 where it is affine (level), and its slope, for the
+    rows act (None: all). One _np_lp call evaluates both cones. A cone's
+    slope sign(d) (|d| / lp)^(p-1) has a base of at most 1, since lp >=
+    |d| as evaluated too, so it cannot overflow; where it underflows to
+    0, or lp is not finite, _rtsafe halves instead of stepping."""
 
-    def f(x):
-        vals = _np_lp(np.concatenate((x - c, x - q1)), dy, p)
-        return vals[:n] - np.where(level, q1 * x + q2, vals[n:])
+    def fdf(x, act):
+        rows = (c, h, q1, q2, level, sign)
+        c_, h_, q1_, q2_, level_, sign_ = rows if act is None else (col[act] for col in rows)
+        n = len(x)
+        d = np.concatenate((x - c_, x - q1_))
+        vals = _np_lp(d, np.concatenate((h_, q2_)), p)
+        slope = np.copysign((np.abs(d) / vals) ** (p - 1.0), d)
+        f = vals[:n] - np.where(level_, q1_ * x + q2_, vals[n:])
+        df = slope[:n] - np.where(level_, q1_, slope[n:])
+        return sign_ * f, sign_ * df
 
-    return f
-
-
-def _bisect_roots(a, b, fa_pos, f, eps: float, max_iters: int) -> np.ndarray:
-    """The root of f in every bracket [a, b] whose sign at a is positive
-    where fa_pos, by bisection in lockstep: each stops as the scalar
-    rule stops, at a zero midpoint, or with the midpoint of its bracket
-    once that is no wider than eps or after max_iters halvings. f maps
-    the abscissas of every bracket to values; a stopped bracket keeps
-    its ends."""
-    out = np.full(len(a), np.nan)
-    live = np.ones(len(a), dtype=bool)
-    for _ in range(max_iters):
-        m = 0.5 * (a + b)
-        wide = b - a > eps
-        out = np.where(live & ~wide, m, out)
-        live &= wide
-        if not live.any():
-            return out
-        fm = f(m)
-        zero = fm == 0.0
-        out = np.where(live & zero, m, out)
-        live &= ~zero
-        up = (fm > 0.0) == fa_pos
-        a, b = np.where(live & up, m, a), np.where(live & ~up, m, b)
-    return np.where(live, 0.5 * (a + b), out)
+    return fdf
 
 
 def _quadratic_roots(alpha, beta, gamma):
@@ -425,8 +412,10 @@ def _crossings(table: _PieceTable, i, j, a, b, tol: Tolerance):
     (the p-th power difference of the offsets is strictly monotone);
     cone vs affine differs by a convex function, so up to two roots,
     located from its closed-form interior minimum. At p = 2 the cone
-    crossings are closed forms; at other p they are bisected, all
-    subcells at once (_bisect_roots).
+    crossings are closed forms; at other p they are found by _rtsafe,
+    all subcells at once, each certified within tol.eps / 8 of a sign
+    change of the difference (_certified_roots), as the reference's
+    bisection stops.
     """
     p = table.p
     mid = 0.5 * (a + b)
@@ -458,13 +447,13 @@ def _crossings(table: _PieceTable, i, j, a, b, tol: Tolerance):
             keep(xr, mixed & (a < xr) & (xr < b) & (q1 * xr + q2 >= 0.0))
         return np.concatenate(xs), np.concatenate(subs)
     level = ~both
-    f = _lp_minus(c, h, q1, q2, level, p)
+    f = _lp_minus(c, h, q1, q2, level, np.ones(len(c)), p)
     # the interior minimum of cone - affine, where |A| < 1 (|A| <= 1,
     # so the power cannot overflow)
     rho = np.abs(q1) ** (p / (p - 1.0))
     xhat = c + np.copysign(h * (rho / (1.0 - rho)) ** (1.0 / p), q1)
     inner = mixed & (rho < 1.0) & (a < xhat) & (xhat < b)
-    fa, fb, fm = f(a), f(b), f(xhat)
+    fa, fb, fm = f(a, None)[0], f(b, None)[0], f(xhat, None)[0]
     # a sign change over the whole subcell: the crossing of two cones,
     # or of a cone and an affine without an interior minimum inside
     change = (both & (u1 != u2)) | (mixed & ~inner)
@@ -474,11 +463,11 @@ def _crossings(table: _PieceTable, i, j, a, b, tol: Tolerance):
     rows = np.concatenate((np.flatnonzero(change), np.flatnonzero(left), np.flatnonzero(right)))
     lo = np.concatenate((a[change], a[left], xhat[right]))
     hi = np.concatenate((b[change], xhat[left], b[right]))
-    pos = np.concatenate((fa[change] > 0.0, np.ones(left.sum(), bool), np.zeros(right.sum(), bool)))
-    roots = _bisect_roots(lo, hi, pos, _lp_minus(c[rows], h[rows], q1[rows], q2[rows],
-                                                 level[rows], p),
-                          tol.eps / 4.0, tol.max_iters)
-    xs.append(roots)
+    # oriented to increase through the root: falling where f(lo) > 0
+    sign = np.where(np.concatenate((fa[change] > 0.0, np.ones(left.sum(), bool),
+                                    np.zeros(right.sum(), bool))), -1.0, 1.0)
+    fdf = _lp_minus(c[rows], h[rows], q1[rows], q2[rows], level[rows], sign, p)
+    xs.append(_certified_roots(fdf, lo, hi, tol.eps / 8.0, tol.max_iters))
     subs.append(rows)
     return np.concatenate(xs), np.concatenate(subs)
 
@@ -680,14 +669,14 @@ def _merge_schedule(n: int) -> list:
     return list(zip(np.split(lo, cuts), np.split(mid, cuts)))
 
 
-def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
-                           split: str = "halves") -> LowerEnvelope:
-    """Lower envelope of all segment profiles over [0, L], by merging the
-    envelopes of the two halves of the segments recursively.
+def _envelope_arrays(cols: np.ndarray, L: float, p: float, tol: Tolerance):
+    """Lower envelope of the profiles of the rows [ax, ay, bx, by] of
+    cols over [0, L], as flat arrays (a, b, owner) of its pieces, left
+    to right, by merging the envelopes of the two halves of the
+    segments recursively.
 
-    segments is a sequence of Segment or an (N, 4) array of rows [ax,
-    ay, bx, by]; either is converted once into one piece table of the
-    distance profiles (_piece_table), which every merge reads. A single
+    The rows are converted once into one piece table of the distance
+    profiles (_piece_table), which every merge reads. A single
     segment's envelope is the one piece (0, L, i). The tree splits the
     segments lo..hi-1 at (lo + hi) // 2, and all merges of one node
     height run in one array pass (_merge_level), lowest height first,
@@ -701,29 +690,18 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     maximum lies where ownership changes or at 0 or L, never inside one
     owner's run, since each profile is convex. At L = 0 the envelope is
     the one piece (0, 0) of the segment nearest to the origin, ties to
-    the lower index, decided merge by merge in the same tree. The
-    build carries pieces as flat arrays and wraps only the final
-    envelope in EnvelopePiece and LowerEnvelope. The merge of two
-    envelopes one cell at a time, and the recursion over it, are the
-    test references _reference._merge_raw and
+    the lower index, decided merge by merge in the same tree. The merge
+    of two envelopes one cell at a time, and the recursion over it, are
+    the test references _reference._merge_raw and
     _reference.envelope_halves.
-
-    split selects nothing: "halves" and "one-off" both build by halves,
-    and any other value raises ValueError. It stays only for the
-    callers under bench/ that still pass it, and goes with them in the
-    benchmark change of ROADMAP item 1b. The one-off fold is the test
-    reference _reference.envelope_one_off.
     """
-    cols = segment_columns(segments)
     n = len(cols)
     if n == 0:
         raise EmptyInput("need at least one segment")
     if L < 0.0 or not math.isfinite(L):
         raise ValueError("L must be finite and nonnegative")
-    if split not in ("halves", "one-off"):
-        raise ValueError(f"unknown split {split!r}")
     with np.errstate(all="ignore"):
-        table = _piece_table(cols, norm.p)
+        table = _piece_table(cols, p)
         schedule = _merge_schedule(n)
         if L == 0.0 and n > 1:
             # one point: each merge keeps the nearer owner, ties to the lower index
@@ -734,21 +712,41 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
                 o1, o2 = owner[lo], owner[mid]
                 d1, d2 = d[o1], d[o2]
                 owner[lo] = np.where(np.where(d2 == d1, o2 < o1, d2 < d1), o2, o1)
-            env = [(0.0, 0.0, int(owner[0]))]
-        else:
-            pieces = (np.zeros(n), np.full(n, L), np.arange(n), np.arange(n))
-            for lo, mid in schedule:
-                pieces = _merge_level(pieces, lo, mid, table, L, tol)
-            a, b, owner, _ = pieces
-            env = list(zip(a.tolist(), b.tolist(), owner.tolist()))
-    assert env[0][0] == 0.0 and env[-1][1] == L
-    assert all(env[k][1] == env[k + 1][0] for k in range(len(env) - 1))
-    return LowerEnvelope(tuple(EnvelopePiece(a, b, s) for a, b, s in env))
+            return np.zeros(1), np.zeros(1), owner[:1]
+        pieces = (np.zeros(n), np.full(n, L), np.arange(n), np.arange(n))
+        for lo, mid in schedule:
+            pieces = _merge_level(pieces, lo, mid, table, L, tol)
+    a, b, owner, _ = pieces
+    assert a[0] == 0.0 and b[-1] == L and (b[:-1] == a[1:]).all()
+    return a, b, owner
 
 
-def largest_empty_from_envelope(le: LowerEnvelope, segments, norm: NormP,
-                                tol: Tolerance) -> PlacedCircle:
-    """Maximise the envelope; the max sits at a piece boundary.
+def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
+                           split: str = "halves") -> LowerEnvelope:
+    """Lower envelope of all segment profiles over [0, L], by merging the
+    envelopes of the two halves of the segments recursively
+    (_envelope_arrays), as EnvelopePiece and LowerEnvelope objects.
+
+    segments is a sequence of Segment or an (N, 4) array of rows [ax,
+    ay, bx, by]. The solve (max_empty_envelope) maximises the flat
+    arrays of the build and makes none of these objects.
+
+    split selects nothing: "halves" and "one-off" both build by halves,
+    and any other value raises ValueError. It stays only for the
+    callers under bench/ that still pass it, and goes with them in the
+    benchmark change of ROADMAP item 1b. The one-off fold is the test
+    reference _reference.envelope_one_off.
+    """
+    a, b, owner = _envelope_arrays(segment_columns(segments), L, norm.p, tol)
+    if split not in ("halves", "one-off"):
+        raise ValueError(f"unknown split {split!r}")
+    return LowerEnvelope(tuple(EnvelopePiece(a, b, s)
+                               for a, b, s in zip(a.tolist(), b.tolist(), owner.tolist())))
+
+
+def _largest_empty(a, b, owner, cols: np.ndarray, norm: NormP, tol: Tolerance) -> PlacedCircle:
+    """Maximise the envelope of the pieces (a[k], b[k], owner[k]) of the
+    rows of cols; the max sits at a piece boundary.
 
     Every piece is convex, so local maxima of the pointwise minimum can
     only occur where ownership changes or at the domain ends. The value
@@ -757,16 +755,13 @@ def largest_empty_from_envelope(le: LowerEnvelope, segments, norm: NormP,
     folding these values over the ends in ascending order with a strict
     >: ties resolve to the smallest abscissa, and a NaN at the first
     end, from overflowed coordinates, is kept for PlacedCircle to
-    reject. segments is a sequence of Segment or an (N, 4) array of rows
-    [ax, ay, bx, by]. The distances at every piece end to its owner come
-    from one axis_distances pass, and only the first end and the ends
-    whose least estimate lies in near_extreme's band of the largest are
+    reject. The distances at every piece end to its owner come from one
+    axis_distances pass, and only the first end and the ends whose
+    least estimate lies in near_extreme's band of the largest are
     recomputed, from Segment objects of their owners alone.
     """
-    cols = segment_columns(segments)
-    pieces = np.array([(pc.a, pc.b, pc.seg_index) for pc in le.pieces])
-    xs = pieces[:, :2].ravel()
-    owners = pieces[:, 2].astype(np.intp).repeat(2)
+    xs = np.stack((a, b), axis=1).ravel()
+    owners = np.asarray(owner, dtype=np.intp).repeat(2)
     ends, first, at = np.unique(xs, return_index=True, return_inverse=True)
     approx = np.full(len(ends), _INF)
     with np.errstate(invalid="ignore"):
@@ -788,11 +783,22 @@ def largest_empty_from_envelope(le: LowerEnvelope, segments, norm: NormP,
     return PlacedCircle(best_x, best)
 
 
+def largest_empty_from_envelope(le: LowerEnvelope, segments, norm: NormP,
+                                tol: Tolerance) -> PlacedCircle:
+    """Maximise the envelope le of segments, a sequence of Segment or an
+    (N, 4) array of rows [ax, ay, bx, by] (see _largest_empty)."""
+    pieces = np.array([(pc.a, pc.b, pc.seg_index) for pc in le.pieces])
+    return _largest_empty(pieces[:, 0], pieces[:, 1], pieces[:, 2], segment_columns(segments),
+                          norm, tol)
+
+
 def max_empty_envelope(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCircle:
-    """The envelope route: build the lower envelope of the (N, 4) rows
-    [ax, ay, bx, by] of segments, then maximise it."""
-    env = compute_lower_envelope(segments, L, norm, tol)
-    return largest_empty_from_envelope(env, segments, norm, tol)
+    """The envelope route: build the lower envelope of segments, a
+    sequence of Segment or an (N, 4) array of rows [ax, ay, bx, by], as
+    flat arrays (_envelope_arrays), then maximise them (_largest_empty);
+    no EnvelopePiece is made."""
+    cols = segment_columns(segments)
+    return _largest_empty(*_envelope_arrays(cols, L, norm.p, tol), cols, norm, tol)
 
 
 def _owning_rows(far: np.ndarray, dmin: np.ndarray, scale: float, p: float):

@@ -22,7 +22,7 @@ from lineplace import (
     dp_solve,
     lp_distance,
 )
-from lineplace import k_cover, verify
+from lineplace import geometry, k_cover, verify
 from lineplace.cli import main
 from lineplace._reference import _halfwidth, _rmin_points, build_lists_loop, dp_scan, \
     min_enclosing_scalar, relax_scan, rmin_on_axis, two_point_circle
@@ -462,7 +462,8 @@ class TestPairCirclesBatch:
     @pytest.mark.parametrize("case", ["near-equal", "far"])
     def test_no_pair_reaches_the_cap(self, case, p, monkeypatch):
         # pairs whose centers lie up to 1e10 away are not searched, and
-        # every searched pair stops before 64 steps of rtsafe, so a cap
+        # every searched pair stops before 64 steps of rtsafe (the root
+        # kernel geometry._rtsafe, which the envelope shares), so a cap
         # of 64 gives the same binding radii as the default 200
         if case == "near-equal":
             ps = pset(*self.SPECIAL[case])
@@ -474,13 +475,13 @@ class TestPairCirclesBatch:
             pairs += [(x + 1e-6, rng.choice((-1, 1)) * rng.uniform(50, 100)) for x, _ in pairs[::8]]
             ps = pset(*pairs)
         running = []
-        step = k_cover._rtsafe_step
+        step = geometry._rtsafe_step
 
-        def counted(act, x, *args):
+        def counted(fdf, act, x, *args):
             running.append(len(x) if act is None else len(act))
-            return step(act, x, *args)
+            return step(fdf, act, x, *args)
 
-        monkeypatch.setattr(k_cover, "_rtsafe_step", counted)
+        monkeypatch.setattr(geometry, "_rtsafe_step", counted)
         want = list(batch_binding(ps, NormP(p), TOL))
         # the last step leaves no pair running
         assert len(running) < 64

@@ -471,21 +471,24 @@ class TestSameTree:
     scalar merge builds (_reference.envelope_halves), merge for merge.
 
     At p = 1 and 2 both take the same operations on the same pieces, so
-    the ends agree bit for bit. At other p numpy's powers may round
-    differently from ** (geometry's rounding rule), so the owners agree
-    and every end agrees within the bound of end_bound."""
+    the ends agree bit for bit. At other p the level passes find the
+    crossings by rtsafe where the reference bisects, and numpy's powers
+    may round differently from ** (geometry's rounding rule), so the
+    owners agree and every end agrees within the bound of end_bound."""
 
     @staticmethod
     def end_bound(tol, scale):
         # A knot, a profile's piece start, is one power and a few
         # roundings from the rows: within 2^-48 M (same_pieces), M the
-        # largest coordinate magnitude and L. A bisected root is the
-        # midpoint of a final bracket no wider than tol.eps / 4, and
-        # both routes' brackets hold the sign change of their own
-        # difference of profiles, which their rounding moves by far less
-        # than 2^-48 M where the crossing is not tangent; an affine
-        # crossing is a quotient of piece parameters that lie within
-        # that of each other
+        # largest coordinate magnitude and L. A root at other p lies
+        # within tol.eps / 8 of a sign change of its route's own
+        # difference of profiles: the reference bisects to a final
+        # bracket no wider than tol.eps / 4 and takes its midpoint, and
+        # the level passes certify each rtsafe root across its last step
+        # (_certified_roots). Rounding moves the two routes' sign changes
+        # apart by far less than 2^-48 M where the crossing is not
+        # tangent; an affine crossing is a quotient of piece parameters
+        # that lie within that of each other
         return tol.eps / 4.0 + 2.0 ** -48 * scale
 
     def check(self, rows, L, p, tol):
@@ -508,25 +511,42 @@ class TestSameTree:
         for n in (2, 3, 5, 17, 64, 150, 300):
             self.check(oracle_rows(rng, n, regime, 1.0), 100.0, p, TOL)
 
-    def test_lockstep_bisection_is_the_scalar_one(self):
-        # on a difference that both evaluate with the same operations,
-        # the lockstep bisection returns the scalar _refine_root's bits:
-        # brackets that stop by width, at a zero midpoint, or at the
-        # iteration cap
+    def test_rtsafe_roots_are_certified(self):
+        # the draws that pinned the lockstep bisection, through the
+        # shared kernel as the level passes run it (_certified_roots),
+        # in both orientations: brackets that stop by width, at a zero
+        # midpoint, or at the iteration cap. The sign of (r - x)(x + 20)
+        # is exact on these brackets, so its sign change is r itself
+        # where r lies in the bracket; elsewhere, as for 17 of these
+        # draws, the difference keeps one sign and the root only stays
+        # in its bracket
         rng = random.Random("lockstep")
         a = np.array([rng.uniform(-10, 0) for _ in range(200)] + [0.0, -4.0])
         b = np.array([rng.uniform(0, 10) for _ in range(200)] + [2.0, 4.0])
         root = np.array([rng.uniform(-1, 1) for _ in range(200)] + [1.0, 0.0])
+        held = (a <= root) & (root <= b)
+        assert held.sum() > 150
         for eps, max_iters in ((1e-9, 200), (0.3, 200), (1e-9, 7)):
             for pos in (True, False):
                 sign = 1.0 if pos else -1.0
-                got = obnoxious._bisect_roots(a, b, np.full(len(a), pos),
-                                              lambda x: sign * (root - x) * (x + 20.0),
-                                              eps, max_iters)
-                want = [_reference._refine_root(lambda x: sign * (r - x) * (x + 20.0),
-                                                lo, hi, pos, eps, max_iters)
-                        for lo, hi, r in zip(a.tolist(), b.tolist(), root.tolist())]
-                assert got.tolist() == want
+                # oriented as _crossings orients it: falling where f(a) > 0
+                turn = np.full(len(a), -sign)
+
+                def fdf(x, act):
+                    r, t = (root, turn) if act is None else (root[act], turn[act])
+                    return t * sign * (r - x) * (x + 20.0), t * sign * (r - 2.0 * x - 20.0)
+
+                got = geometry._certified_roots(fdf, a.copy(), b.copy(), eps / 8.0, max_iters)
+                assert ((a <= got) & (got <= b)).all()
+                if max_iters < 200:
+                    continue
+                # the reference bisects a cell's crossings to eps / 4
+                want = np.array([_reference._refine_root(lambda x: sign * (r - x) * (x + 20.0),
+                                                         lo, hi, pos, eps / 4.0, max_iters)
+                                 for lo, hi, r in zip(a.tolist(), b.tolist(), root.tolist())])
+                # the derived bound of _certified_roots, and the reference's eps/8
+                assert np.abs(got - root)[held].max() <= eps / 8.0
+                assert np.abs(got - want)[held].max() <= eps / 4.0
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 30.0])
     def test_extents_are_the_scalar_extents(self, p):
@@ -609,6 +629,187 @@ class TestSameTree:
         assert np.isnan(obnoxious._piece_table(rows, p).v).any()
         for order in (rows, rows[::-1], np.vstack([rows, rows[:1] * 0.5])):
             self.check(order, 1e300, p, TOL)
+
+
+class TestRootKernel:
+    """The envelope's crossings at p != 1, 2 come from the root kernel
+    that k-cover shares (geometry._rtsafe), each certified within w =
+    tol.eps / 8 of a sign change of the difference of profiles
+    (geometry._certified_roots)."""
+
+    W = TOL.eps / 8.0
+
+    @staticmethod
+    def certified(fdf, x, w):
+        # f, as oriented, lies below 0 at or left of x - w and not below
+        # at or right of x + w: a sign change lies within w of x
+        n = len(x)
+        f = fdf(np.concatenate((x - w, x + w)), np.tile(np.arange(n), 2))[0]
+        return (f[:n] < 0.0) & ~(f[n:] < 0.0)
+
+    @staticmethod
+    def cone_affine(p, c, h, A, B, sign):
+        # lp(x - c, h) - (A x + B), oriented by sign
+        n = len(c)
+        return obnoxious._lp_minus(np.asarray(c, float), np.asarray(h, float),
+                                   np.full(n, A), np.full(n, B), np.ones(n, bool),
+                                   np.full(n, sign), p)
+
+    def test_near_tangent_crossings(self):
+        # where f' -> 0 at the root, Newton steps shrink slowly and may
+        # fall short, so the roots rest on their certificates: a triple
+        # root, and an affine 1e-10 above the tangent of a p = 3 cone,
+        # where f' is about 1e-5 at the crossings (closer to tangent,
+        # f moves less over w than its rounding)
+        r = np.array([-0.3, 0.0, 0.123456789, 2.0 / 3.0])
+
+        def cube(x, act):
+            rr = r if act is None else r[act]
+            return (x - rr) ** 3, 3.0 * (x - rr) ** 2
+
+        got = geometry._certified_roots(cube, r - 1.0, r + 0.7, self.W, TOL.max_iters)
+        assert np.abs(got - r).max() <= self.W
+        x0 = np.array([0.7, -0.35, 1.9])
+        lp = (np.abs(x0) ** 3 + 1.0) ** (1.0 / 3.0)
+        A = (np.abs(x0) / lp) ** 2 * np.sign(x0)
+        for k in range(len(x0)):
+            B = lp[k] - A[k] * x0[k] + 1e-10
+            # both crossings, about 1e-5 either side of the tangent point
+            for lo, hi, sign in ((x0[k] - 1.0, x0[k], -1.0), (x0[k], x0[k] + 1.0, 1.0)):
+                fdf = self.cone_affine(3.0, [0.0], [1.0], A[k], B, sign)
+                ends = fdf(np.array([lo, hi]), np.array([0, 0]))[0]
+                assert ends[0] < 0.0 < ends[1]
+                got = geometry._certified_roots(fdf, np.array([lo]), np.array([hi]), self.W,
+                                                 TOL.max_iters)
+                assert lo <= got[0] <= hi and 0.0 < abs(got[0] - x0[k]) < 1e-4
+                assert self.certified(fdf, got, self.W).all()
+
+    @pytest.mark.parametrize("p, apart", [(30.0, 1e-12), (400.0, 1e-3)])
+    def test_underflowed_slopes_halve(self, p, apart, monkeypatch):
+        # two cones lp(x, 1) and lp(x - apart, 1 + apart / 2), the
+        # bracket centred on their apexes: at its midpoint both slopes
+        # (|d| / lp)^(p-1) underflow to 0, so f' is 0 there and the
+        # first step halves the bracket. At p = 30 the apexes must lie
+        # within 7e-12 for that, and then the difference of the cones
+        # is below its rounding near the crossing, so only the bracket
+        # holds the root. A kernel whose f' is 0 everywhere halves at
+        # every step
+        fdf = obnoxious._lp_minus(np.zeros(1), np.ones(1), np.full(1, apart),
+                                  np.full(1, 1.0 + apart / 2.0), np.zeros(1, bool), np.ones(1), p)
+        f, df = fdf(np.zeros(1), None)
+        assert f[0] < 0.0 and df[0] == 0.0
+        widths = []
+        step = geometry._rtsafe_step
+
+        def watched(fdf, act, x, lo, hi, *args):
+            out = step(fdf, act, x, lo, hi, *args)
+            widths.append((hi - lo).tolist())
+            return out
+
+        monkeypatch.setattr(geometry, "_rtsafe_step", watched)
+        lo, hi = np.array([-3.0]), np.array([3.0])
+        got = geometry._certified_roots(fdf, lo, hi, self.W, TOL.max_iters)
+        assert widths[0] == [3.0]
+        assert -3.0 <= got[0] <= 3.0
+        assert p == 30.0 or self.certified(fdf, got, self.W).all()
+        widths.clear()
+        r = np.array([0.3, -2.0, 1e-3])
+        flat = geometry._certified_roots(
+            lambda x, act: (x - (r if act is None else r[act]), np.zeros(len(x))),
+            np.full(3, -3.0), np.full(3, 3.0), self.W, TOL.max_iters)
+        assert np.abs(flat - r).max() <= self.W
+        for before, after in zip(widths, widths[1:]):
+            assert all(abs(v - 0.5 * u) <= 2.0 ** -50 for u, v in zip(before, after))
+        assert len(widths) == math.ceil(math.log2(6.0 / self.W))
+
+    def test_exact_zero_at_a_bracket_end(self):
+        # f(hi) = 0, as _rtsafe's brackets allow: the root is that end,
+        # or within w of it
+        r = np.array([1.0, 0.25, -3.0])
+
+        def line(x, act):
+            rr = r if act is None else r[act]
+            return 2.0 * (x - rr), np.full(len(x), 2.0)
+
+        got = geometry._certified_roots(line, r - np.array([2.0, 0.5, 7.0]), r.copy(), self.W,
+                                         TOL.max_iters)
+        assert (got <= r).all() and np.abs(got - r).max() <= self.W
+
+    @pytest.mark.parametrize("w", [TOL.eps / 8.0, 1e-300])
+    def test_adjacent_float_ends(self, w):
+        # a bracket one ulp wide holds no float between its ends: the
+        # root is one of them, also where w is below an ulp, and it is
+        # certified by the ends themselves, in one evaluation
+        lo = np.array([1.0, -2.0, 1e300])
+        hi = np.nextafter(lo, np.inf)
+        calls = []
+
+        def line(x, act):
+            calls.append(len(x))
+            a, b = (lo, hi) if act is None else (lo[act], hi[act])
+            return 2.0 * (x - a) - (b - a), np.full(len(x), 2.0)
+
+        # the bracket test's product overflows near 1e300, as the level
+        # passes let it (they run under np.errstate(all="ignore"))
+        with np.errstate(over="ignore"):
+            got = geometry._certified_roots(line, lo.copy(), hi.copy(), w, TOL.max_iters)
+        assert ((got == lo) | (got == hi)).all()
+        assert calls == [3]
+
+    def test_nan_rows_leave_the_others_alone(self):
+        # an affine piece with a NaN offset, as the profiles of
+        # coordinates near 1e300 have (test_profiles_near_1e300): its
+        # rows evaluate to NaN, which _rtsafe treats as not below 0, and
+        # end inside their brackets; the other rows keep their bits
+        c = np.array([0.0, 5.0, 0.0, 8.0e299, -1.0])
+        h = np.array([1.0, 2.0, 1.0, 3.0e296, 0.5])
+        B = np.array([2.0, 3.0, np.nan, np.nan, 1.0])
+        lo, hi = np.array([0.0, 5.0, 0.0, 8.0e299, -1.0]), np.array([4.0, 9.0, 4.0, 9.0e299, 2.0])
+        level, sign = np.ones(5, bool), np.ones(5)
+
+        def roots(rows):
+            fdf = obnoxious._lp_minus(c[rows], h[rows], np.zeros(len(rows)), B[rows],
+                                      level[rows], sign[rows], 3.0)
+            with np.errstate(all="ignore"):
+                return geometry._certified_roots(fdf, lo[rows].copy(), hi[rows].copy(), self.W,
+                                                  TOL.max_iters)
+
+        every = roots(np.arange(5))
+        finite = np.array([0, 1, 4])
+        assert every[finite].tobytes() == roots(finite).tobytes()
+        assert ((lo <= every) & (every <= hi)).all()
+        # every evaluation of a NaN row moves hi, so it ends at lo
+        nan = np.array([2, 3])
+        assert (every[nan] - lo[nan] <= np.maximum(self.W, np.spacing(lo[nan]))).all()
+
+    def test_few_steps_near_the_line(self, monkeypatch):
+        # near-line draws at p = 3: every lockstep call stops before the
+        # 40 halvings that bisection takes from a bracket of the
+        # domain's width to w (a root that the rounding of f puts just
+        # beyond an end of its bracket rejects every Newton step and is
+        # bisected), and Newton steps keep the mean number of steps per
+        # root small
+        calls = []
+        step = geometry._rtsafe_step
+        rtsafe = geometry._rtsafe
+
+        def counted(fdf, act, x, *args):
+            calls[-1].append(len(x) if act is None else len(act))
+            return step(fdf, act, x, *args)
+
+        def started(*args):
+            calls.append([])
+            return rtsafe(*args)
+
+        monkeypatch.setattr(geometry, "_rtsafe_step", counted)
+        monkeypatch.setattr(geometry, "_rtsafe", started)
+        rng = random.Random("few steps")
+        for n in (17, 64, 150, 300):
+            compute_lower_envelope(oracle_rows(rng, n, "nearline", 1.0), 100.0, NormP(3.0), TOL)
+        running = [c for c in calls if c]
+        assert len(running) > 10
+        assert max(len(c) for c in running) < 40
+        assert sum(map(sum, running)) < 6 * sum(c[0] for c in running)
 
 
 def _touching(rng, x0, r):

@@ -288,17 +288,21 @@ def _bound_names(tree):
 def test_envelope_merges_by_level_passes():
     # the scalar merge, one cell at a time over one _Profile object per
     # segment, and the recursion over it are test references: no
-    # solver module binds their names, and compute_lower_envelope runs
-    # the level passes
+    # solver module binds their names, and the one build, which both
+    # compute_lower_envelope and the solve call, runs the level passes
     for path in _solver_modules():
         names = set(_bound_names(ast.parse(path.read_text(), filename=str(path))))
         assert not REFERENCE_ROUTES & names, (path.name, REFERENCE_ROUTES & names)
     tree = ast.parse((SRC / "obnoxious.py").read_text())
-    build = next(fn for fn in tree.body
-                 if isinstance(fn, ast.FunctionDef) and fn.name == "compute_lower_envelope")
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    build = fns["_envelope_arrays"]
     assert {"_piece_table", "_merge_schedule", "_merge_level"} <= set(_called_names(build))
     assert not any(isinstance(node, ast.FunctionDef)
                    for node in ast.walk(build) if node is not build)
+    for name in ("compute_lower_envelope", "max_empty_envelope"):
+        assert "_envelope_arrays" in set(_called_names(fns[name])), name
+    # the solve maximises the build's flat arrays, with no piece objects
+    assert "compute_lower_envelope" not in set(_called_names(fns["max_empty_envelope"]))
 
 
 def test_k_cover_dp_reads_the_run_table():

@@ -66,3 +66,21 @@ def test_ulp_shift_names_the_largest_move():
     failed = {"ok": False, "error": {"name": "SchemaError"}}
     assert ulp_shift(out, failed) is None
     assert ulp_shift("not json", out) is None
+
+
+def test_summary_counts_the_differing_requests_of_each_kind():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from bitcheck import summary_line
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    kinds = ["segments-nearline envelope halves p=3"] * 3 + ["segments-nearline envelope halves p=1"] * 2 \
+        + ["points-spread k-cover naive p=1.5 k=5 sum q=1", "segments-nearline envelope halves p=3"]
+    differs = [False, True, False, False, False, True, True]
+    assert summary_line(kinds, differs, ["segments-nearline", "points-spread"], [201, 202], "full") == (
+        "3 of 7 requests differ (segments-nearline, points-spread; seeds 201, 202; full); by kind: "
+        "segments-nearline envelope halves p=3 2 of 4, "
+        "points-spread k-cover naive p=1.5 k=5 sum q=1 1 of 1")
+    # with no difference the line names no kind
+    assert summary_line(kinds, [False] * 7, ["segments-nearline"], [201], "tiny") == (
+        "0 of 7 requests differ (segments-nearline; seeds 201; tiny)")

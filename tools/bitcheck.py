@@ -14,7 +14,8 @@ two, ignoring the wall_time_ms field, with the keys of the result
 object that differ (for example circles but not objective), where
 both outputs have an objective, how far it moved, and the float field
 of the result objects that moved the most ulps, with its key; then a
-summary line. It exits 1 when any request differs and 0 otherwise.
+summary line, which counts the differing requests of every request
+kind (workload and RequestType label) that has any. It exits 1 when any request differs and 0 otherwise.
 By default it checks every workload at seeds 201-203, at full size.
 --workload and --seed may be repeated; their values add up.
 """
@@ -140,6 +141,22 @@ def ulp_shift(a, b):
     return best
 
 
+def summary_line(kinds: list, differs: list, workloads: list, seeds: list, size: str) -> str:
+    """How many requests differ, of how many, over which rounds; then,
+    where any differ, "by kind:" and how many of each kind's requests
+    differ, for every kind with a difference, in the order the kinds
+    were first sent. kinds[i] names request i's workload and request
+    kind, and differs[i] says whether it differs."""
+    counts = {}
+    for kind, differ in zip(kinds, differs):
+        moved, sent = counts.get(kind, (0, 0))
+        counts[kind] = (moved + differ, sent + 1)
+    line = (f"{sum(differs)} of {len(kinds)} requests differ "
+            f"({', '.join(workloads)}; seeds {', '.join(map(str, seeds))}; {size})")
+    moved = [f"{kind} {k} of {n}" for kind, (k, n) in counts.items() if k]
+    return line + (f"; by kind: {', '.join(moved)}" if moved else "")
+
+
 def run_checkout(root: Path, argvs: list) -> list:
     src = root / "src"
     if not (src / "lineplace" / "cli.py").is_file():
@@ -170,20 +187,21 @@ def main(argv=None) -> int:
     if args.base is None or args.change is None:
         ap.error("BASE and CHANGE are required")
     with tempfile.TemporaryDirectory(prefix="bitcheck-") as tmp:
-        labels, argvs = [], []
+        labels, kinds, argvs = [], [], []
         for workload in args.workload:
             for seed in args.seed:
                 pool = Path(tmp) / f"{workload}-{seed}"
                 pool.mkdir()
                 requests, _ = write_pool(workload, seed, args.size, pool)
                 labels += [f"{workload} seed={seed} {r.label}" for r in requests]
+                kinds += [f"{workload} {r.kind}" for r in requests]
                 argvs += [r.argv for r in requests]
         base = run_checkout(args.base, argvs)
         change = run_checkout(args.change, argvs)
-    differ = 0
+    differs = []
     for label, (rc0, out0, err0), (rc1, out1, err1) in zip(labels, base, change):
-        if rc0 != rc1 or err0 != err1 or comparable(out0) != comparable(out1):
-            differ += 1
+        differs.append(rc0 != rc1 or err0 != err1 or comparable(out0) != comparable(out1))
+        if differs[-1]:
             print(f"DIFFERS {label}: exit {rc0} -> {rc1}")
             keys = differing_keys(comparable(out0), comparable(out1))
             if keys:
@@ -197,9 +215,8 @@ def main(argv=None) -> int:
             for side, rc, out, err in (("base", rc0, out0, err0), ("change", rc1, out1, err1)):
                 shown = err if err is not None else json.dumps(comparable(out), sort_keys=True)
                 print(f"  {side}: {shown[:400]}")
-    print(f"{differ} of {len(labels)} requests differ "
-          f"({', '.join(args.workload)}; seeds {', '.join(map(str, args.seed))}; {args.size})")
-    return 1 if differ else 0
+    print(summary_line(kinds, differs, args.workload, args.seed, args.size))
+    return 1 if any(differs) else 0
 
 
 if __name__ == "__main__":
