@@ -37,8 +37,7 @@ from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _np_lp, \
 from .intervals import PASS_CELLS, Interval, SegmentArray, covering_slack, least_radius
 from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _no_finite_cover, \
     _run_circle, _run_radii
-from .obnoxious import _AFFINE, _CONE, EnvelopePiece, LowerEnvelope, _margin, \
-    compute_lower_envelope
+from .obnoxious import _AFFINE, _CONE, EnvelopePiece, LowerEnvelope, compute_lower_envelope
 from .one_center import PlacedCircle
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -750,6 +749,60 @@ def _resolve_cell(u, v, i, j, prof_i, prof_j, tol):
 
 # -- cells settled by dominance -----------------------------------------
 
+def _margin(mag):
+    """2^-44 mag: the margin by which one profile must clear another for
+    a cell of the scalar merge to be settled without root finding
+    (_dominant), given the largest coordinate magnitude mag (a float or
+    an array) of the segments and the cell; the one-off fold
+    (envelope_one_off) settles its window pieces by the same margin.
+    NaN outside (2^-200, 2^200), where no bound is claimed: no
+    difference clears a NaN.
+
+    Proof. Let M >= mag bound |x| on the cell and every coordinate of
+    both segments, and r = 2^-53 the unit roundoff.
+    - Every stored piece has |A| <= 1 and |c|, h <= M, and |B| <= 4 M:
+      B = (U ay - V ax) / nrm with U, |V| <= mx <= nrm, and a rounded
+      product is at most twice the exact one, in the subnormal range
+      too. A p = 1 piece has |B| = |c -+ h| <= 2 M.
+    - Evaluating a piece at x in [u, v] is off by at most e = 24 r M:
+      x - c by 2 r M, then _lp_pair by 6 ulps of a value below 3 M (a
+      power amplifies the relative error of its base by p, the 1/p root
+      of a sum >= 1 divides it back); A x + B by r (M + 5 M).
+      Underflow adds a few 2^-1074, far below r M while M > 2^-200.
+    - np.power and np.hypot may round differently from ** and
+      math.hypot. Allowing each of the powers of _np_lp 4 ulps, the
+      same count gives 11 ulps of 3 M, so an array evaluation (the
+      fold's window least, _least_on) is off by at most e' = 2 e.
+    - A route settles and resolves a cell on the same pieces. A point m
+      that a cell's resolution compares lies in the part [a, b] of one
+      piece of each profile, and the exact piece is convex there, so
+      its exact value at m lies between the exact least and greatest
+      of the piece on [a, b]. The computed greatest, taken over parts
+      that cover the cell, or over a superset of it (the fold's cached
+      greatest of a whole envelope piece), only grows:
+      the lower profile's computed value at m is below greatest + 2 e',
+      one e' for the greatest and one for the value at m (each e where
+      it is scalar). The computed least, taken over parts covering the
+      cell or a superset, only shrinks: the upper profile's computed
+      value at m is above least - 2 e'.
+    - The rounded difference least - greatest errs by at most 12 r M.
+    So a difference above 4 e' + 12 r M = 204 r M decides every
+    comparison, whichever evaluations a route takes (4 e + 12 r M =
+    108 r M where all are scalar); 2^-44 M = 512 r M leaves room. The
+    fold reads the newcomer's least piece by piece and not at its
+    constrained minimiser: the distance is 1-Lipschitz in x, so
+    a minimiser off by d moves the distance by at most d, but the
+    stored pieces follow the distance only up to the rounding of the
+    regime boundaries, which 1/(p - 1) amplifies near p = 1; the bound
+    above needs no such term. Outside (2^-200, 2^200) products of
+    coordinates can underflow or overflow (near 1e300, U ay - V ax
+    overflows and the profile gets NaN and inf pieces), so no bound is
+    claimed.
+    """
+    with np.errstate(invalid="ignore"):
+        return np.where((2.0 ** -200 < mag) & (mag < 2.0 ** 200), mag * 2.0 ** -44, np.nan)
+
+
 def _extent(prof: _Profile, u: float, v: float):
     """(least, greatest) value of prof's pieces over [u, v], as evaluated.
 
@@ -1060,12 +1113,12 @@ def envelope_one_off(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEn
     where no bound is claimed (eta >= 1, or R not finite) the fold
     contests all of [0, L].
 
-    The fold settles its window the way obnoxious._dominant settles a
-    cell, all at once (_fold_one): its running envelope carries the
-    greatest value of each piece's owner over the piece, and the
+    The fold settles its window the way _dominant settles a cell of the
+    scalar merge, all at once (_fold_one): its running envelope carries
+    the greatest value of each piece's owner over the piece, and the
     newcomer's least over every window piece comes from one array pass
-    (_least_on), against one margin for the solve, obnoxious._margin of
-    the largest coordinate magnitude and L. A settled piece costs one
+    (_least_on), against one margin for the solve, _margin of the
+    largest coordinate magnitude and L. A settled piece costs one
     array element; only the stretch from the first to the last
     unsettled piece is merged, and a newcomer that settles every piece
     leaves the envelope as it is. A fold needs a window of positive

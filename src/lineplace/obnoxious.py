@@ -6,21 +6,18 @@ intervals, and an explicit lower envelope of the per-segment distance
 profiles along the axis. The envelope is built by one route, divide
 and conquer merges of the two halves of the segments, all merges of
 one tree height in one array pass over a piece table of the profiles.
-Each merge resolves ownership exactly by decomposing every profile
-into convex cone and affine pieces, so cells where two profiles cross
-twice (which defeats endpoint-sign tests) are handled. A cell where
-one profile lies above the other by more than a margin derived from
-the profiles' evaluation rounding (_margin) is settled before any root
-finding (_settle), with the same piece the resolution gives. The build
-carries pieces as flat arrays, and the solve maximises those arrays;
-only compute_lower_envelope wraps them in EnvelopePiece and
-LowerEnvelope. The crossings at p != 1, 2 come from the lockstep
-rtsafe kernel that k-cover shares (geometry._rtsafe), each root
-certified (geometry._certified_roots). The scalar merge of two envelopes
-one cell at a time, the recursion over it, and the one-off fold, which
-adds the segments to the running envelope one at a time, are the test
-references _reference._merge_raw, _reference.envelope_halves and
-_reference.envelope_one_off.
+Each merge resolves the ownership of every cell of two owners exactly,
+by decomposing every profile into convex cone and affine pieces, so
+cells where two profiles cross twice (which defeats endpoint-sign
+tests) are handled. The build carries pieces as flat arrays, and the
+solve maximises those arrays; only compute_lower_envelope wraps them
+in EnvelopePiece and LowerEnvelope. The crossings at p != 1, 2 come
+from the lockstep rtsafe kernel that k-cover shares
+(geometry._rtsafe), each root certified (geometry._certified_roots).
+The scalar merge of two envelopes one cell at a time, the recursion
+over it, and the one-off fold, which adds the segments to the running
+envelope one at a time, are the test references _reference._merge_raw,
+_reference.envelope_halves and _reference.envelope_one_off.
 """
 
 from __future__ import annotations
@@ -93,19 +90,16 @@ _SLOTS = 6
 class _PieceTable(NamedTuple):
     """The profiles of all segments, as a table padded to _SLOTS pieces
     a segment: row s of start, and slots s * _SLOTS on of the flat
-    columns end, kind, u and v, hold its count[s] pieces left to right,
-    a cone lp(x - u, v) or an affine u * x + v from start to end, the
-    next piece's start (+inf for the last). An unused slot starts at
-    +inf. mag[s] is the largest coordinate magnitude of segment s."""
+    columns kind, u and v, hold its count[s] pieces left to right, a
+    cone lp(x - u, v) or an affine u * x + v from start to the next
+    piece's start (+inf for the last). An unused slot starts at +inf."""
 
     p: float
     start: np.ndarray
-    end: np.ndarray
     kind: np.ndarray
     u: np.ndarray
     v: np.ndarray
     count: np.ndarray
-    mag: np.ndarray
 
 
 def _abs_affine_slots(A, B, lo, hi, h):
@@ -215,14 +209,11 @@ def _piece_table(cols: np.ndarray, p: float) -> _PieceTable:
     # the used slots of every row moved to its front, in order
     count = used.sum(axis=1)
     dest = np.nonzero(used)[0] * _SLOTS + np.cumsum(used, axis=1)[used] - 1
-    start, end = np.full(n * _SLOTS, _INF), np.full(n * _SLOTS, np.nan)
+    start = np.full(n * _SLOTS, _INF)
     kind, u, v = np.zeros(n * _SLOTS, dtype=np.int8), np.zeros(n * _SLOTS), np.zeros(n * _SLOTS)
     for out, col in zip((start, kind, u, v), zip(*slots)):
         out[dest] = np.stack(col, axis=1)[used]
-    end[:-1] = start[1:]
-    end[np.arange(n) * _SLOTS + count - 1] = _INF
-    mag = np.abs(cols).max(axis=1)
-    return _PieceTable(p, start.reshape(n, _SLOTS), end, kind, u, v, count, mag)
+    return _PieceTable(p, start.reshape(n, _SLOTS), kind, u, v, count)
 
 
 def _piece_at(table: _PieceTable, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -243,61 +234,6 @@ def _piece_values(table: _PieceTable, slot: np.ndarray, x: np.ndarray) -> np.nda
     return u * x + v
 
 
-def _margin(mag):
-    """2^-44 mag: the margin by which one profile must clear another for
-    a cell to be settled without root finding, given the largest
-    coordinate magnitude mag (a float or an array) of the segments and
-    the cell; the reference fold (_reference.envelope_one_off) settles
-    its window pieces by the same margin. NaN outside (2^-200, 2^200),
-    where no bound is claimed: no difference clears a NaN.
-
-    Proof. Let M >= mag bound |x| on the cell and every coordinate of
-    both segments, and r = 2^-53 the unit roundoff.
-    - Every stored piece has |A| <= 1 and |c|, h <= M, and |B| <= 4 M:
-      B = (U ay - V ax) / nrm with U, |V| <= mx <= nrm, and a rounded
-      product is at most twice the exact one, in the subnormal range
-      too. A p = 1 piece has |B| = |c -+ h| <= 2 M.
-    - Evaluating a piece at x in [u, v] is off by at most e = 24 r M:
-      x - c by 2 r M, then _lp_pair by 6 ulps of a value below 3 M (a
-      power amplifies the relative error of its base by p, the 1/p root
-      of a sum >= 1 divides it back); A x + B by r (M + 5 M).
-      Underflow adds a few 2^-1074, far below r M while M > 2^-200.
-    - np.power and np.hypot may round differently from ** and
-      math.hypot. Allowing each of the powers of _np_lp 4 ulps, the
-      same count gives 11 ulps of 3 M, so an array evaluation is off by
-      at most e' = 2 e. The pieces of the table (_piece_table) and of
-      _reference._build_profile differ only by such powers, so the
-      bounds above hold for both.
-    - A route settles and resolves a cell on the same pieces. A point m
-      that a cell's resolution compares lies in the part [a, b] of one
-      piece of each profile, and the exact piece is convex there, so
-      its exact value at m lies between the exact least and greatest
-      of the piece on [a, b]. The computed greatest, taken over parts
-      that cover the cell, or over a superset of it (the reference
-      fold's cached greatest of a whole envelope piece), only grows:
-      the lower profile's computed value at m is below greatest + 2 e',
-      one e' for the greatest and one for the value at m (each e where
-      it is scalar). The computed least, taken over parts covering the
-      cell or a superset, only shrinks: the upper profile's computed
-      value at m is above least - 2 e'.
-    - The rounded difference least - greatest errs by at most 12 r M.
-    So a difference above 4 e' + 12 r M = 204 r M decides every
-    comparison, whichever evaluations a route takes (4 e + 12 r M =
-    108 r M where all are scalar); 2^-44 M = 512 r M leaves room. The
-    reference fold reads the newcomer's least piece by piece and not
-    at its constrained minimiser: the distance is 1-Lipschitz in x, so
-    a minimiser off by d moves the distance by at most d, but the
-    stored pieces follow the distance only up to the rounding of the
-    regime boundaries, which 1/(p - 1) amplifies near p = 1; the bound
-    above needs no such term. Outside (2^-200, 2^200) products of
-    coordinates can underflow or overflow (near 1e300, U ay - V ax
-    overflows and the profile gets NaN and inf pieces), so no bound is
-    claimed.
-    """
-    with np.errstate(invalid="ignore"):
-        return np.where((2.0 ** -200 < mag) & (mag < 2.0 ** 200), mag * 2.0 ** -44, np.nan)
-
-
 # -- one tree level of merges per array pass -----------------------------
 #
 # The envelope of segments lo..hi-1 is the cellwise minimum of those of
@@ -305,63 +241,8 @@ def _margin(mag):
 # node height runs in one array pass over flat (a, b, owner, merge)
 # arrays. Its cells are the stretches between consecutive ends of the
 # two children; a cell of one owner is a piece as it is, a cell of two
-# owners goes to the owner _settle names, or else to _resolve_cells.
-# _compact then gives every merge its maximal ownership runs.
-
-
-def _extents(table: _PieceTable, rows: np.ndarray, u: np.ndarray, v: np.ndarray):
-    """(least, greatest) value of each row's pieces over [u, v], as
-    evaluated.
-
-    The part [a, b] of [u, v] on which _piece_at picks a piece is taken
-    whole, from the piece of u on, up to the first piece that ends
-    beyond v (a piece that ends at v is followed by the next, at v
-    alone); the piece, as stored, is convex, so its greatest value sits
-    at a or b, and so does its least, except for a cone whose apex c
-    lies inside (a, b), where the least is h. A NaN value counts for
-    neither.
-    """
-    n = len(rows)
-    least, greatest = np.full(n, _INF), np.full(n, -_INF)
-    at = np.arange(n)
-    slot = _piece_at(table, rows, u)
-    a = u
-    while len(at):
-        nxt = table.end[slot]
-        b = np.where(nxt < v, nxt, v)
-        c, h = table.u[slot], table.v[slot]
-        cone = table.kind[slot] == _CONE
-        ends = _piece_values(table, np.concatenate((slot, slot)), np.concatenate((a, b)))
-        fa, fb = ends[:len(a)], ends[len(a):]
-        low = np.where(fa < fb, fa, fb)
-        low = np.where(cone, np.where((a < c) & (c < b), h, np.where(c <= a, fa, fb)), low)
-        high = np.where(fa > fb, fa, fb)
-        least[at] = np.where(low < least[at], low, least[at])
-        greatest[at] = np.where(high > greatest[at], high, greatest[at])
-        on = ~(nxt > v)
-        at, slot, a, v = at[on], slot[on] + 1, nxt[on], v[on]
-    return least, greatest
-
-
-def _settle(u, v, i, j, table: _PieceTable) -> np.ndarray:
-    """Owner of each whole cell [u, v] of owners i and j where one
-    profile clears the other, else -1.
-
-    When j's least value over the cell (_extents) exceeds i's greatest
-    by more than _margin of the segments and v, every midpoint that
-    _resolve_cells compares goes to i (see _margin), so it would give
-    the one piece (u, v, i): this names i instead, and the merge emits
-    that piece bit for bit, without root finding. The same holds with i
-    and j swapped.
-    """
-    margin = _margin(np.maximum(np.maximum(table.mag[i], table.mag[j]), v))
-    n = len(u)
-    least, greatest = _extents(table, np.concatenate((i, j)), np.concatenate((u, u)),
-                               np.concatenate((v, v)))
-    least_i, least_j = least[:n], least[n:]
-    greatest_i, greatest_j = greatest[:n], greatest[n:]
-    return np.where(least_j - greatest_i > margin, i,
-                    np.where(least_i - greatest_j > margin, j, -1))
+# owners goes to _resolve_cells. _compact then gives every merge its
+# maximal ownership runs.
 
 
 def _lp_minus(c, h, q1, q2, level, sign, p: float):
@@ -618,29 +499,15 @@ def _merge_level(env, lo: np.ndarray, mid: np.ndarray, table: _PieceTable, L: fl
     v = np.where(np.append(g[1:] == g[:-1], False), np.append(u[1:], L), L)
     cells = v > u
     u, v, g, i, j = u[cells], v[cells], g[cells], i[cells], j[cells]
-    cell_owner = i.copy()
-    two = np.flatnonzero(i != j)
-    settled = _settle(u[two], v[two], i[two], j[two], table)
-    cell_owner[two] = settled
-    open_ = two[settled < 0]
-    ra, rb, ro, rc = _resolve_cells(u[open_], v[open_], i[open_], j[open_], table, tol)
-    # the raw pieces in cell order: one per cell, or those its resolution gives
-    per_open = np.bincount(rc, minlength=len(open_))
-    count = np.ones(len(u), dtype=np.intp)
-    count[open_] = per_open
-    dst = np.cumsum(count) - count
-    closed = np.ones(len(u), dtype=bool)
-    closed[open_] = False
-    # a resolved piece goes to its cell's first slot plus its rank in the cell
-    into = dst[open_][rc] + np.arange(len(rc)) - (np.cumsum(per_open) - per_open)[rc]
-    total = int(count.sum())
-    raw_a, raw_b = np.empty(total), np.empty(total)
-    raw_o, raw_g = np.empty(total, dtype=np.intp), np.empty(total, dtype=np.intp)
-    for out, one, resolved in ((raw_a, u, ra), (raw_b, v, rb), (raw_o, cell_owner, ro),
-                               (raw_g, g, g[open_][rc])):
-        out[dst[closed]] = one[closed]
-        out[into] = resolved
-    ca, cb, co, cg = _compact(raw_a, raw_b, raw_o, raw_g, merges, tol)
+    one, two = i == j, i != j
+    ra, rb, ro, rc = _resolve_cells(u[two], v[two], i[two], j[two], table, tol)
+    # the raw pieces in cell order: a cell of one owner as it is, the
+    # others as their resolution gives them, which keeps them in order
+    cell = np.concatenate((np.flatnonzero(one), np.flatnonzero(two)[rc]))
+    order = np.argsort(cell, kind="stable")
+    raw_a, raw_b, raw_o = (np.concatenate((col[one], res))[order]
+                           for col, res in ((u, ra), (v, rb), (i, ro)))
+    ca, cb, co, cg = _compact(raw_a, raw_b, raw_o, g[cell[order]], merges, tol)
     rest = ~joined
     return (np.concatenate((a[rest], ca)), np.concatenate((b[rest], cb)),
             np.concatenate((owner[rest], co)), np.concatenate((node[rest], lo[cg])))
@@ -681,19 +548,16 @@ def _envelope_arrays(cols: np.ndarray, L: float, p: float, tol: Tolerance):
     segments lo..hi-1 at (lo + hi) // 2, and all merges of one node
     height run in one array pass (_merge_level), lowest height first,
     so each merge sees the children that the recursion would give it.
-    Every merge settles a cell of two owners without root finding when
-    one profile lies above the other by a margin derived from the
-    profiles' evaluation rounding (_margin, _settle), which gives the
-    same pieces as resolving it (_resolve_cells), and then fuses
-    same-owner neighbours (_compact), so the pieces are maximal
-    ownership runs: no two neighbours share an owner. The envelope's
-    maximum lies where ownership changes or at 0 or L, never inside one
-    owner's run, since each profile is convex. At L = 0 the envelope is
-    the one piece (0, 0) of the segment nearest to the origin, ties to
-    the lower index, decided merge by merge in the same tree. The merge
-    of two envelopes one cell at a time, and the recursion over it, are
-    the test references _reference._merge_raw and
-    _reference.envelope_halves.
+    Every merge resolves each cell of two owners (_resolve_cells) and
+    then fuses same-owner neighbours (_compact), so the pieces are
+    maximal ownership runs: no two neighbours share an owner. The
+    envelope's maximum lies where ownership changes or at 0 or L,
+    never inside one owner's run, since each profile is convex. At
+    L = 0 the envelope is the one piece (0, 0) of the segment nearest
+    to the origin, ties to the lower index, decided merge by merge in
+    the same tree. The merge of two envelopes one cell at a time, and the
+    recursion over it, are the test references _reference._merge_raw
+    and _reference.envelope_halves.
     """
     n = len(cols)
     if n == 0:
@@ -737,9 +601,9 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     benchmark change of ROADMAP item 1b. The one-off fold is the test
     reference _reference.envelope_one_off.
     """
-    a, b, owner = _envelope_arrays(segment_columns(segments), L, norm.p, tol)
     if split not in ("halves", "one-off"):
         raise ValueError(f"unknown split {split!r}")
+    a, b, owner = _envelope_arrays(segment_columns(segments), L, norm.p, tol)
     return LowerEnvelope(tuple(EnvelopePiece(a, b, s)
                                for a, b, s in zip(a.tolist(), b.tolist(), owner.tolist())))
 

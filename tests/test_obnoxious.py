@@ -236,9 +236,9 @@ def off_by_ulps(rng):
     return estimates
 
 
-def same_pieces(table, s, pieces, p):
-    """Whether row s of the piece table holds pieces, the scalar
-    profile: the same kinds, and starts and parameters bit for bit at
+def same_pieces(table, s, row, pieces, p):
+    """Whether row s of the piece table, built from row [ax, ay, bx,
+    by], holds pieces, the scalar profile: the same kinds, and starts and parameters bit for bit at
     p = 1 and 2, where the table takes the same operations. At other p
     numpy's powers may round differently from **: the line's dual norm
     and a regime boundary's root take one power each, a few ulps apart,
@@ -253,7 +253,7 @@ def same_pieces(table, s, pieces, p):
     want = np.array([(pc[0], pc[3], pc[4]) for pc in pieces])
     if p in (1.0, 2.0):
         return got.tobytes() == want.tobytes()
-    bound = 2.0 ** -48 * np.maximum(np.abs(want), table.mag[s])
+    bound = 2.0 ** -48 * np.maximum(np.abs(want), max(map(abs, row)))
     with np.errstate(invalid="ignore"):
         # the first start is -inf in both
         return bool(np.all((got == want) | (np.abs(got - want) <= bound)))
@@ -321,7 +321,7 @@ class TestMinimiserTable:
         [(rows, table)] = tables
         assert rows == segment_columns(segs).tolist()
         for s, row in enumerate(rows):
-            assert same_pieces(table, s, real_build(*row, norm.p).pieces, norm.p), s
+            assert same_pieces(table, s, row, real_build(*row, norm.p).pieces, norm.p), s
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -441,6 +441,16 @@ class TestSplitSelectsNothing:
         with pytest.raises(ValueError, match="unknown split"):
             compute_lower_envelope(segs, 10.0, norm, TOL, split="thirds")
 
+    def test_unknown_split_raises_before_the_build(self, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("an unknown split reached the build")
+
+        monkeypatch.setattr(obnoxious, "_envelope_arrays", no_build)
+        segs = random_segments(random.Random("unknown split"), 60, span=2.0)
+        for split in ("thirds", "", None):
+            with pytest.raises(ValueError, match="unknown split"):
+                compute_lower_envelope(segs, 10.0, N2, TOL, split=split)
+
 
 def oracle_rows(rng, n, regime, scale):
     """n rows near the line y = 0 (|y| <= 2 over [0, 100]) or spread
@@ -550,23 +560,23 @@ class TestSameTree:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 30.0])
     def test_extents_are_the_scalar_extents(self, p):
-        # spans inside one piece, across knots, ending at knots, and
-        # around the apex of a cone: bit for bit at p = 1, where every
-        # piece is affine, within the array evaluation's ulps elsewhere
+        # the least and greatest that the reference's dominance test
+        # reads (_reference._extent) are those of the scalar profile
+        # over each span, sampled densely and at every knot and cone
+        # apex inside it: spans inside one piece, across knots, ending
+        # at knots, and around the apex of a cone
         rng = random.Random(f"extents {p}")
-        rows = oracle_rows(rng, 40, "nearline", 1.0)
-        table = obnoxious._piece_table(rows, p)
-        for s, row in enumerate(rows.tolist()):
+        for row in oracle_rows(rng, 40, "nearline", 1.0).tolist():
             prof = _reference._build_profile(*row, p)
             knots = [x for x in prof.starts if 0.0 < x < 100.0]
+            apexes = [pc[3] for pc in prof.pieces if pc[2] == obnoxious._CONE]
             cuts = sorted({0.0, 100.0, *knots, *(rng.uniform(0, 100) for _ in range(12))})
-            u, v = np.array(cuts[:-1]), np.array(cuts[1:])
-            got = np.stack(obnoxious._extents(table, np.full(len(u), s), u, v), axis=1)
-            want = np.array([_reference._extent(prof, x, y) for x, y in zip(cuts, cuts[1:])])
-            if p == 1.0:
-                assert got.tobytes() == want.tobytes()
-            else:
-                assert np.abs(got - want).max() <= 2.0 ** -50 * 100.0
+            for u, v in zip(cuts, cuts[1:]):
+                xs = [*np.linspace(u, v, 33).tolist(), *(x for x in knots + apexes if u < x < v)]
+                values = [prof.value(x) for x in xs]
+                got = _reference._extent(prof, u, v)
+                assert abs(got[0] - min(values)) <= 2.0 ** -50 * 100.0, (row, u, v)
+                assert abs(got[1] - max(values)) <= 2.0 ** -50 * 100.0, (row, u, v)
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("eps", [0.5, 4.0])
@@ -582,9 +592,10 @@ class TestSameTree:
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("scale", [1e-70, 1e70])
     def test_scales_without_a_margin(self, p, scale):
-        # beyond (2^-200, 2^200) _margin claims no bound, so no cell is
-        # settled and every contested cell is resolved
-        assert np.isnan(obnoxious._margin(100.0 * scale))
+        # beyond (2^-200, 2^200) _margin claims no bound, so the
+        # reference settles no cell and resolves every contested one,
+        # as the level passes do at every scale
+        assert np.isnan(_reference._margin(100.0 * scale))
         rng = random.Random(f"no margin {p} {scale}")
         for n in (5, 40):
             self.check(oracle_rows(rng, n, "nearline", scale), 100.0 * scale, p,
@@ -1049,27 +1060,24 @@ class TestDominance:
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])
     def test_most_cells_skip_root_finding(self, split, norm, monkeypatch):
-        # a margin too wide to ever clear would leave every cell to root
-        # finding and change no answer; the counts show it. Here halves
-        # resolves about 40 % of these cells (most of them hold a
-        # crossing) and one-off about 5 %
+        # the one-off fold settles window pieces by dominance and resolves
+        # about 5 % of these cells; a margin too wide to ever clear would
+        # leave every cell to root finding and change no answer, and the
+        # counts show it. The level passes of halves settle nothing: they
+        # send every contested cell to root finding, and only those
         rng = random.Random(8)
         segs = [seg(rng.uniform(0, 100), rng.uniform(-2, 2), rng.uniform(0, 100), rng.uniform(-2, 2))
                 for _ in range(200)]
         contested, resolved = self.count_cells(segs, norm, split, monkeypatch)
         assert contested > 1000
+        if split == "halves":
+            assert resolved == contested
+            return
         assert resolved < 0.5 * contested
-        # with a margin that claims no bound anywhere
-        for module in (obnoxious, _reference):
-            monkeypatch.setattr(module, "_margin", lambda mag: np.full(np.shape(mag), np.nan))
-        unsettled = self.count_cells(segs, norm, split, monkeypatch)
-        if split == "one-off":
-            # settling whole window pieces sends no more cells to root
-            # finding than the same build without any margin
-            assert resolved <= unsettled[1]
-        else:
-            # the level passes resolve every contested cell, and only those
-            assert unsettled == (contested, contested)
+        # with a margin that claims no bound anywhere, settling whole
+        # window pieces sends no more cells to root finding
+        monkeypatch.setattr(_reference, "_margin", lambda mag: np.full(np.shape(mag), np.nan))
+        assert resolved <= self.count_cells(segs, norm, split, monkeypatch)[1]
 
 
 class TestOwnershipBoundaries:

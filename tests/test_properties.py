@@ -13,7 +13,6 @@ from lineplace import (
     PointSet,
     Segment,
     Tolerance,
-    compute_lower_envelope,
     lp_distance,
     max_empty_binsearch,
     min_enclosing,
@@ -259,8 +258,11 @@ def test_pruning_never_changes_an_answer(p, inst):
 
 # -- settling cells by dominance never changes an envelope piece -------
 
-# the production build, and the one-off fold of the reference
-_BUILDS = {"halves": compute_lower_envelope, "one-off": envelope_one_off}
+# the two builds that settle by dominance, both references: the
+# recursion over the scalar merge, which settles cells (_dominant), and
+# the one-off fold, which settles window pieces too. The production
+# level passes settle nothing; TestSameTree holds them to the first
+_BUILDS = {"halves": _reference.envelope_halves, "one-off": envelope_one_off}
 
 
 def _envelope_outcome(segs, L, p, split):
@@ -317,14 +319,13 @@ def _nearline(n, seed):
 @example(inst=_SETTLED_WINDOW).via("a newcomer whose whole window is settled")
 @settings(deadline=None)
 def test_dominance_never_changes_an_envelope(split, p, inst):
-    # no margin settles neither a level pass's cells (_settle) nor a
-    # fold's window pieces, so every contested cell is resolved
+    # no margin settles neither a scalar merge's cells (_dominant) nor
+    # a fold's window pieces, so every contested cell is resolved
     cols, L = inst
     segs = [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in cols.tolist()]
     settled = _envelope_outcome(segs, L, p, split)
     with pytest.MonkeyPatch.context() as m:
-        for module in (obnoxious, _reference):
-            m.setattr(module, "_margin", _no_margin)
+        m.setattr(_reference, "_margin", _no_margin)
         resolved = _envelope_outcome(segs, L, p, split)
     assert settled == resolved
 

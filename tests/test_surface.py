@@ -30,6 +30,7 @@ REFERENCE_ROUTES = {
     "_fold_windows",
     "_halfwidth",
     "_least_on",
+    "_margin",
     "_merge_raw",
     "_min_distance_search",
     "_quad_roots",
@@ -379,3 +380,15 @@ def test_one_envelope_build():
         names = set(_bound_names(ast.parse(path.read_text(), filename=str(path))))
         assert not {"_fold_one", "_fold_windows", "_envelope_peak", "_least_on",
                     "envelope_one_off", "copy"} & names, path.name
+
+
+def test_level_passes_settle_no_cell():
+    # the level passes send every cell of two owners to _resolve_cells:
+    # no solver module binds the dominance margin or a settle, and the
+    # piece table keeps no column that only a settle read. The margin
+    # and the scalar dominance test stay with the reference merge and
+    # the one-off fold
+    for path in _solver_modules():
+        names = set(_bound_names(ast.parse(path.read_text(), filename=str(path))))
+        assert not {"_margin", "_settle", "_extents", "_extent", "_dominant"} & names, path.name
+    assert lineplace.obnoxious._PieceTable._fields == ("p", "start", "kind", "u", "v", "count")
