@@ -35,8 +35,8 @@ from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _np_lp, \
     axis_argmin_abscissas, axis_distances, point_segment_distance, rescored_extreme, \
     segment_columns, segments_from_columns
 from .intervals import PASS_CELLS, Interval, SegmentArray, covering_slack, least_radius
-from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _no_finite_cover, \
-    _run_circle, _run_radii
+from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _best_breaks, \
+    _binding_radii, _no_finite_cover, _run_circle, _run_radii
 from .obnoxious import _AFFINE, _CONE, EnvelopePiece, LowerEnvelope, compute_lower_envelope
 from .one_center import PlacedCircle
 
@@ -1438,4 +1438,63 @@ def dp_scan(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec, cls) ->
         circles.append(PlacedCircle(cx, rad))
         weights.append(rad ** q)
     objective = math.fsum(weights) if is_sum else max(weights)
+    return CoverSolution(tuple(runs), tuple(circles), objective)
+
+
+def run_radii_full(xy, p: float, tol: Tolerance):
+    """The run table of k_cover._run_radii from whole N x N arrays: the
+    binding radii of all pairs at once (k_cover._binding_radii), and
+    their 2-D running maximum along each row toward larger r, then up
+    each column. Reference for the column blocks of
+    k_cover._run_columns and the pairs that they pass."""
+    n = len(xy)
+    X, Y = xy.T.copy()
+    I, J = np.triu_indices(n)
+    binding = np.zeros((n, n))
+    binding[I, J] = _binding_radii(X, Y, I, J, p, tol)
+    return np.maximum.accumulate(np.maximum.accumulate(binding, axis=1)[::-1], axis=0)[::-1]
+
+
+def dp_full_table(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec) -> CoverSolution:
+    """k_cover.dp_solve over whole N x N tables: the run table of
+    run_radii_full, and the DP's budget rows relaxed over the whole
+    square in one k_cover._best_breaks call each, for K = None one
+    column at a time. Reference for the stream of k_cover._run_columns
+    into k_cover._relax_blocks, which gives the same bits in O(N)
+    memory; this takes O(N^2)."""
+    xy, p = pts.xy, norm.p
+    n = len(xy)
+    radius = run_radii_full(xy, p, tol)
+    if K is not None:
+        K = min(K, n)
+    is_sum = agg.kind == "sum"
+    with np.errstate(over="ignore"):
+        last = (radius ** agg.q).T
+    np.copyto(last, _INF, where=~np.tri(n, dtype=bool))
+    rows, back = (1, 0) if K is None else (K, 1)
+    opt = np.full((rows + 1, n + 1), _INF)
+    brk = np.zeros((rows + 1, n + 1), dtype=np.intp)
+    opt[:, 0] = 0.0
+    with np.errstate(over="ignore"):
+        if K is None:
+            for j in range(1, n + 1):
+                opt[1, j:j + 1], brk[1, j:j + 1] = _best_breaks(opt[1, :j], last[j - 1:j, :j],
+                                                                is_sum)
+        else:
+            for k in range(1, K + 1):
+                opt[k, 1:], brk[k, 1:] = _best_breaks(opt[k - 1, :n], last, is_sum)
+    if opt[rows, n] == _INF:
+        raise _no_finite_cover()
+    runs = []
+    k, j = rows, n
+    while j > 0:
+        left = int(brk[k, j])
+        runs.append((left, j - 1))
+        j = left
+        k -= back
+    runs.reverse()
+    circles = [PlacedCircle(*_run_circle(xy[left:right + 1], radius[left, right], p))
+               for left, right in runs]
+    powers = [c.radius ** agg.q for c in circles]
+    objective = math.fsum(powers) if is_sum else max(powers)
     return CoverSolution(tuple(runs), tuple(circles), objective)

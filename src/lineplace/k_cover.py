@@ -3,22 +3,25 @@
 An optimal solution may be chosen so that each ball covers an index
 run of the x-sorted points, so the problem reduces to a DP over the
 runs. By Helly's theorem on the line, the least radius of a run is the
-largest minimax radius of its pairs (_run_radii): the circles through
+largest minimax radius of its pairs (_run_columns): the circles through
 one point, and through two points whose equidistant center lies
-between them (_binding_radii). All O(N^2) pairs are tested at once over
-numpy arrays: in closed form at p = 1 and p = 2, and at other p by
-the signs at each pair's two ends, after which a lockstep safeguarded
-Newton iteration, rtsafe, solves the pairs inside within their own
-span, each on its own power-of-two scale. A 2-D running maximum of
-those binding radii gives the exact radius of every run in O(N^2), and
-the DP relaxes every break of every column against that table (_cover):
-for an integer K in K array passes of O(N^2), one per budget row, each
-holding one more N x N array of values, and for K = None in N
-relaxations of its one row. It minimises the objective that it reports, and the
-circle of each chosen run is read off the same table (_run_circle),
-with no radius search. The run table is the only run weight that a
-solve takes; the p = 2 candidate lists of slack-grown pair circles,
-which _cover can weigh runs by instead, are the second route of
+between them (_binding_radii). The pairs are tested over numpy arrays:
+in closed form at p = 1 and p = 2, and at other p by the signs at each
+pair's two ends, after which a lockstep safeguarded Newton iteration,
+rtsafe, solves the pairs inside within their own span, each on its own
+power-of-two scale. The run table streams into the DP in blocks of
+columns of at most PAIR_BUDGET pairs: running maxima extend it by each
+block, exactly, and at p other than 1 and 2 the pairs whose certified
+bound lies at or below their floor in the table are not solved. The DP
+relaxes each block's columns over the breaks before them
+(_relax_blocks): for an integer K one array pass per budget row and
+block, for K = None an array pass over the breaks before every few
+columns and a scalar scan of those among them. A solve holds one block
+and O(K·N) DP cells, which record their last run's radius, so that the
+circle of each chosen run is read off them (_run_circles), with no
+radius search. The run table is the only run weight that a solve
+takes; the p = 2 candidate lists of slack-grown pair circles, which
+_cover can weigh runs by instead, are the second route of
 `lineplace solve --verify` (lineplace.verify).
 """
 
@@ -193,28 +196,208 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
     return binding
 
 
-def _run_radii(xy, p: float, tol: Tolerance):
-    """The least radius of every run of the sorted points xy, as an
-    N x N table: entry [l, r], l <= r, is the radius of the smallest
-    ball centered on the axis that covers points l..r. Entries below
-    the diagonal are 0 and never read.
+# Pairs of the run table that one block of columns solves at once
+# (_column_blocks); a block's temporaries hold about ten floats a pair.
+# In-process at the benchmark's sizes (N 100-260, numpy 2.4.6, 2-vCPU
+# VM) dp_solve took least time from 4096 to 8192 pairs, up to 1.2 times
+# more at 2048; 4096 holds the least memory of those.
+PAIR_BUDGET = 4096
+# Columns that a K = None relaxation settles by one array pass over
+# the breaks before them, before a scalar scan of the breaks among
+# them (_relax_blocks).
+_SCAN_COLUMNS = 16
+_ROUNDOFF = 2.0 ** -53  # unit roundoff
+
+
+def _column_blocks(n: int):
+    """(c0, c1) of consecutive blocks of the run table's columns c0..c1-1,
+    each holding at most PAIR_BUDGET pairs (column c holds c + 1) and at
+    least one column."""
+    c0 = 0
+    while c0 < n:
+        # the largest c1 with c1 (c1 + 1) <= 2 PAIR_BUDGET + c0 (c0 + 1)
+        c1 = (math.isqrt(8 * PAIR_BUDGET + 4 * c0 * (c0 + 1) + 1) - 1) // 2
+        c1 = min(n, max(c1, c0 + 1))
+        yield c0, c1
+        c0 = c1
+
+
+def _skip_margin(p: float, tol: Tolerance):
+    """(1 + 2 rho, a, 4 (kappa + 1) u) of the bound U below at p, or None
+    where _run_columns solves every pair: at p = 1 and 2, whose closed
+    forms cost less than the bounds (with them the tables at N 150-260
+    took 1.1-1.7 times as long in-process), below the default iteration
+    cap, and where rho exceeds 2^-30 (p above about 10), too loose a
+    bound to pass a pair. At p = 1.5 the skip took the tables of spread
+    points to 0.7-0.8 times, and near the line to 1.02-1.04 times.
+
+    A pair i < j with d = x_j - x_i > 0 and ymax = max(|y_i|, |y_j|) is
+    not solved where
+    U = M (1 + 2 rho) + a + 4 (kappa + 1) u max(|x_i|, |x_j|) + 2^-1068
+    is at most its floor, for M = _np_lp(d / 2, ymax), u = 2^-53,
+    kappa = max(2, 2^(p-1)), a = kappa eps / 2 and
+    rho = (48 + (p + 12)(2^p + 2) 2^(p-1) / p) u: the binding radius r
+    that _binding_radii would compute is at most U. Derivation, in the
+    pair's scaled units (_pair_scale, exact) unless said otherwise,
+    with every numpy power, root and hypot taken to be within 4 ulps:
+
+    - The exact pair minimax m* is at most the midpoint's, ((d/2)^p +
+      ymax^p)^(1/p), which M computes on the larger of its terms'
+      scale with relative error at most 22u, plus 2^-1070 of
+      underflow; and m* >= L = max(d/2, ymax).
+    - G(x) = F(x) - t increases on [a, b] with slope between
+      sigma = p (d/2)^(p-1) and kappa sigma. _power_gap's f has error
+      at most E = (p + 12) u (d^p + 2 ymax^p) there (the rounded
+      distance raised to p, the powers, the subtractions), and f' a
+      relative (p + 10) u.
+    - rtsafe returns a c of the final bracket. If it stops at an exact
+      root, by bisection of a bracket at most q wide, or where its
+      ends are adjacent floats, c - c* <= q + ulp + E / sigma. If it
+      stops after a Newton step delta <= max(q, ulp) from x_k with
+      f_k >= 0, then x_k - c* <= (f_k + E) / sigma and
+      f_k <= delta kappa sigma (1 + (p + 10) u), so c <= x_k gives
+      c - c* <= kappa (1 + (p + 10) u) max(q, ulp) + E / sigma; with
+      f_k < 0 the step moves right from below the root, so
+      c - c* <= q + E / sigma. Here q = eps / 4 in the pair's own
+      units and ulp <= 2u max(|x_i|, |x_j|).
+    - r is f_i(c) = (|c - x_i|^p + |y_i|^p)^(1/p) up to 24u relative
+      (the subtraction and _np_lp) and 2^-1070; f_i(c*) = m*, and on
+      [c*, c] the slope of f_i is at most min(1, (d / L)^(p-1)). The
+      E / sigma share times that slope is at most
+      (p + 12)(2^p + 2) 2^(p-1) / p u L, with L <= M.
+
+    Summing, r <= M (1 + rho) + kappa eps / 4 (1 + (p + 10) u) +
+    2 (kappa + 1) u max(|x_i|, |x_j|) + 2^-1069; U doubles every term
+    beyond M, which also covers its own rounding. The bound holds for
+    every search that stops by rtsafe's own rule; a search cut off by
+    max_iters has no bound but its bracket, so the skip runs only at
+    the default cap or above, which no pair of the benchmark's point
+    sets comes near (at most 6 steps of 200). A pair whose U is not
+    finite is always solved.
+    """
+    if p in (1.0, 2.0) or p > 64.0 or tol.max_iters < Tolerance().max_iters:
+        return None
+    rho = (48.0 + (p + 12.0) * (2.0 ** p + 2.0) * 2.0 ** (p - 1.0) / p) * _ROUNDOFF
+    if rho > 2.0 ** -30:
+        return None
+    kappa = max(2.0, 2.0 ** (p - 1.0))
+    return 1.0 + 2.0 * rho, kappa * tol.eps / 2.0, 4.0 * (kappa + 1.0) * _ROUNDOFF
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _skip_bounds(X, Y, I, J, p: float, margin):
+    """U of _skip_margin for the pairs I[k] < J[k] of the sorted
+    abscissas X and ordinates Y."""
+    scale, a, per_x = margin
+    xi, xj = X[I], X[J]
+    m = _np_lp(0.5 * (xj - xi), np.maximum(np.abs(Y[I]), np.abs(Y[J])), p)
+    return m * scale + a + per_x * np.maximum(np.abs(xi), np.abs(xj)) + 2.0 ** -1068
+
+
+def _near_pairs(X, ys, top, c0: int):
+    """((i, j), floor) of the pairs i < j, c0 <= j < len(X), of a block
+    that _run_columns may pass, and their floors; None where they are
+    less than a quarter of the block's pairs, too few to repay the
+    bounds. A pair's floor is max(top[i], the largest |y| of the points
+    max(i, c0)..j), with top the column before the block and ys the
+    block's |y|, so it is at most max(top[i], max ys); and U >= d / 2
+    (_skip_margin). So only the pairs with x_j <= x_i + 2 max(top[i],
+    max ys) are listed, found by a search per row."""
+    c1 = len(X)
+    start = np.maximum(np.arange(1, c1 + 1), c0)
+    with np.errstate(over="ignore"):
+        stop = np.searchsorted(X, X + 2.0 * np.maximum(top, ys.max()), side="right")
+    counts = np.maximum(stop - start, 0)
+    total = int(counts.sum())
+    if 8 * total < (c1 - c0) * (c1 + c0 + 1):
+        return None
+    i = np.repeat(np.arange(c1), counts)
+    j = np.arange(total) + np.repeat(start - np.cumsum(counts) + counts, counts)
+    return (i, j), np.maximum(top[i], _range_max(ys, np.maximum(i - c0, 0), j - c0))
+
+
+def _range_max(v, a, b):
+    """max(v[a[k]..b[k]]) for the index arrays a <= b, from a sparse
+    table: level l holds the maxima of the 2^l-long windows of v."""
+    levels = [v]
+    while 2 ** len(levels) <= len(v):
+        h = 2 ** (len(levels) - 1)
+        levels.append(np.maximum(levels[-1][:-h], levels[-1][h:]))
+    level = np.frexp(b - a + 1)[1] - 1
+    start = np.cumsum([0] + [len(t) for t in levels[:-1]])[level]
+    table = np.concatenate(levels)
+    return np.maximum(table[start + a], table[start + b + 1 - (1 << level)])
+
+
+def _run_columns(xy, p: float, tol: Tolerance):
+    """The run table of the sorted points xy, one block of columns at a
+    time (_column_blocks): yields (c0, R), where row k of R holds
+    column c0 + k of the table over the left ends l < c1, R[k, l] the
+    least radius of the run l..c0+k (_run_radii), and 0 at l > c0 + k.
 
     Each distance f_k(c) = (|c - x_k|^p + |y_k|^p)^(1/p) is convex, so
     the centers within R of a point form an interval, and by Helly's
     theorem on the line these meet iff every two do. So the least
     radius of a run is the largest min_c max(f_i, f_j) over its pairs,
     which is the largest of its pairs' binding radii (_binding_radii)
-    and its points' |y|. The table is the running maximum of the
-    binding radii along each row toward larger r, then up each column
-    toward smaller l: O(N^2) after the pair circles, and as exact as
-    the pair radii (closed forms at p = 1 and 2).
+    and its points' |y|. A block solves the pairs (i, j) of its columns
+    and takes, down each column toward smaller i, the running maximum
+    of their binding radii, then along the block toward larger j the
+    running maximum of those and of the column before the block:
+    R(l, j) = max(R(l, j - 1), max over l <= i <= j of b(i, j)). A
+    maximum is exact, so every entry has the bits of a 2-D running
+    maximum over the whole table, and as exact as the pair radii
+    (closed forms at p = 1 and 2).
+
+    A pair i < j cannot raise any entry where its computed binding
+    radius is at most its floor, max(R(i, j0 - 1), max |y_k| over
+    i <= k <= j), for the block's first column j0: every run l..j'
+    that holds the pair has l <= i, j' >= j, so its entry is at least
+    the floor. Where _skip_margin gives a bound U on that radius,
+    pairs with U at most their floor are not solved. Memory is
+    O(PAIR_BUDGET + N) floats; the blocks cost O(N^2) pairs in all.
     """
     n = len(xy)
     X, Y = xy.T.copy()
-    I, J = np.triu_indices(n)
-    binding = np.zeros((n, n))
-    binding[I, J] = _binding_radii(X, Y, I, J, p, tol)
-    return np.maximum.accumulate(np.maximum.accumulate(binding, axis=1)[::-1], axis=0)[::-1]
+    margin = _skip_margin(p, tol)
+    prev = np.zeros(0)
+    for c0, c1 in _column_blocks(n):
+        lefts = np.arange(c1)
+        tri = lefts <= np.arange(c0, c1)[:, None]
+        K, I = np.nonzero(tri)
+        J = K + c0
+        top = np.zeros(c1)
+        top[:len(prev)] = prev
+        near = None if margin is None else _near_pairs(X[:c1], np.abs(Y[c0:c1]), top, c0)
+        if near is not None:
+            (i, j), floor = near
+            bound = _skip_bounds(X, Y, i, j, p, margin)
+            passed = (bound <= floor) & (bound < _INF)
+            # a passed pair becomes the pin (j, j) of its right point,
+            # whose |y_j| is at most its floor, at the pair's place in
+            # the block's row-major order
+            k = j[passed] - c0
+            I[k * (c0 + 1) + k * (k - 1) // 2 + i[passed]] = j[passed]
+        binding = _binding_radii(X, Y, I, J, p, tol)
+        R = np.zeros((c1 - c0, c1))
+        R[tri] = binding
+        R = np.maximum(np.maximum.accumulate(R[:, ::-1], axis=1)[:, ::-1], top)
+        np.maximum.accumulate(R, axis=0, out=R)
+        yield c0, R
+        prev = R[-1]
+
+
+def _run_radii(xy, p: float, tol: Tolerance):
+    """The least radius of every run of the sorted points xy, as an
+    N x N table: entry [l, r], l <= r, is the radius of the smallest
+    ball centered on the axis that covers points l..r; the columns of
+    _run_columns gathered into one table. Entries below the diagonal
+    are 0 and never read."""
+    n = len(xy)
+    table = np.zeros((n, n))
+    for c0, R in _run_columns(xy, p, tol):
+        table[:R.shape[1], c0:c0 + len(R)] = R.T
+    return table
 
 
 def _center_slack(xy, r: float) -> float:
@@ -225,7 +408,7 @@ def _center_slack(xy, r: float) -> float:
     closed form through (97.992753, -0.274142) and (99.000195,
     -0.658268) leaves a point 1.4e-12 outside r = 0.73. No absolute
     term, so that a run and its power-of-two scaling take the same
-    branch of _run_circle."""
+    branch of _run_circles."""
     return _SLACK_FLOOR * max(r, float(np.abs(xy[:, 0]).max()))
 
 
@@ -254,35 +437,59 @@ def _midpoint(lo: float, hi: float) -> float:
     return mid if math.isfinite(mid) else 0.5 * lo + 0.5 * hi
 
 
-def _run_circle(xy, r, p: float):
+def _run_circles(xy, runs, radii, p: float) -> list:
     """(center, radius) of the smallest ball centered on the axis that
-    covers the points, the rows [x, y] of xy, given their least radius
-    r (_run_radii). The center is the midpoint of the intersection of
-    the points' intervals at that radius (_meeting). A radius that is
-    not finite raises the ValueError of PlacedCircle.
+    covers each run (l, r) of the sorted points xy, the runs tiling
+    xy[runs[0][0]:runs[-1][1] + 1] in order, given their least radii
+    (_run_radii). A center is the midpoint of the intersection of the
+    run's intervals at its radius (_meeting). A radius that is not
+    finite raises the ValueError of PlacedCircle.
 
     At large p a point's interval widens steeply just above its |y|,
     so at an r equal to the largest |y| to the last bit that point's
     interval has width 0 while one float more gives it a wide one; the
     intervals may then cross, and their midpoint can miss a point far.
-    Where the midpoint leaves a point outside r by more than
-    _center_slack, the center comes from the intervals at the least
-    float radius >= r at which they meet, found by doubling a step of
-    ulps and then bisecting; the radius stays r.
+    Every point's distance from its run's midpoint comes from one
+    _np_lp pass, and each run's largest from np.maximum.reduceat. Where
+    it leaves a point outside r by more than _center_slack, the center
+    comes from the intervals at the least float radius >= r at which
+    they meet (_wider_meeting); the radius stays r.
     """
-    r = float(r)
-    if not r < _INF:
+    radii = [float(r) for r in radii]
+    if not all(r < _INF for r in radii):
         raise ValueError("circle parameters must be finite")
-    lo, hi = _meeting(xy, r, p)
-    center = _midpoint(lo, hi)
-    miss = _np_lp(xy[:, 0] - center, xy[:, 1], p).max() - r
-    if not miss > _center_slack(xy, r):
-        return center, r
+    centers = [_midpoint(*_meeting(xy[left:right + 1], r, p))
+               for (left, right), r in zip(runs, radii)]
+    first = runs[0][0]
+    pts = xy[first:runs[-1][1] + 1]
+    starts = [left - first for left, _ in runs]
+    sizes = [right - left + 1 for left, right in runs]
+    reach = np.maximum.reduceat(_np_lp(pts[:, 0] - np.repeat(centers, sizes), pts[:, 1], p),
+                                starts)
+    span = np.maximum.reduceat(np.abs(pts[:, 0]), starts)
+    out = []
+    for (left, right), r, center, far, x in zip(runs, radii, centers, reach.tolist(),
+                                                span.tolist()):
+        if far - r > _SLACK_FLOOR * max(r, x):  # the run's _center_slack
+            center = _wider_meeting(xy[left:right + 1], r, p, center)
+        out.append((center, r))
+    return out
+
+
+def _run_circle(xy, r, p: float):
+    """(center, radius) of the one run xy by _run_circles."""
+    return _run_circles(xy, [(0, len(xy) - 1)], [r], p)[0]
+
+
+def _wider_meeting(xy, r: float, p: float, center: float) -> float:
+    """The midpoint of the points' intervals at the least float radius
+    >= r at which they meet, found by doubling a step of ulps and then
+    bisecting; center where no finite radius above r is left."""
     below, step = r, math.ulp(r)
     while True:
         above = r + step
         if not math.isfinite(above):
-            return center, r
+            return center
         meet = _meeting(xy, above, p)
         if meet[0] <= meet[1]:
             break
@@ -296,7 +503,7 @@ def _run_circle(xy, r, p: float):
             above, meet = mid, (lo, hi)
         else:
             below = mid
-    return _midpoint(*meet), r
+    return _midpoint(*meet)
 
 
 def _best_breaks(prev, w, is_sum: bool):
@@ -319,65 +526,91 @@ def _no_finite_cover() -> OverflowError:
     return OverflowError("no cover by the allowed runs has a finite objective")
 
 
-def _cover(xy, K, radius, weights, p: float, agg: AggSpec) -> CoverSolution:
+def _relax_blocks(xy, K, blocks, p: float, agg: AggSpec) -> CoverSolution:
     """Optimal cover of the sorted points xy by at most K runs (K=None:
-    unlimited, else an integer >= 1), each run b..r weighing
-    weights[b, r], as an N x N table whose entries b > r are never read.
+    unlimited, else an integer >= 1), over the run weights that blocks
+    yields one block of table columns at a time: (c0, radius, weights),
+    row k of each holding column c0 + k over the left ends b < c1 (the
+    block's end), the run b..c0+k's radius and weight. Entries b > c0 + k
+    are never read.
 
     Some optimal cover serves contiguous runs of the x-sorted points, so
     the DP relaxes the last run b..j-1 of every prefix 0..j-1 over each
-    break b (_best_breaks). For an integer K each budget row k relaxes
-    from row k - 1 for all N columns in one pass of O(N^2) array work,
-    K passes in all; with K = None the one row relaxes from itself, one
-    column at a time, in N relaxations of one row. Either way the DP is
-    O(K·N^2). It reads the weights through a transposed copy with inf
-    at the breaks b >= j, and for an integer K each pass holds one more
-    N x N float64 array, of the row's values. Unused budget is free
-    because zero points always cost zero, and a budget beyond n runs
-    changes nothing, so K is clamped to n. The circles reported are the
-    exact ones of the chosen runs, read off the run table radius
-    (_run_circle), and the objective is the fsum or max of their
-    radius ** q.
+    break b (_best_breaks), the first break of the smallest value
+    winning. A block settles the DP cells c0 + 1..c1 over the breaks
+    b < c1 only, with inf at b >= j. For an integer K each budget row k
+    relaxes from row k - 1 in one array pass per block, K passes per
+    block. With K = None the one row relaxes from itself: each
+    _SCAN_COLUMNS columns of a block take their breaks before them in
+    one array pass and those among them by a scalar scan in break
+    order, with the same strict first-minimum rule. Either way the DP
+    is O(K·N^2) and holds a block and O(K·N) besides: each DP cell
+    records the radius of its last run, so no table is kept. Unused
+    budget is free because zero points always cost zero, and a budget
+    beyond n runs changes nothing, so K is clamped to n. The circles
+    reported are the exact ones of the chosen runs (_run_circles), and
+    the objective is the fsum or max of their radius ** q.
     """
     n = len(xy)
     if K is not None:
         K = min(K, n)
     q = agg.q
     is_sum = agg.kind == "sum"
-    # row j - 1 holds the weights of the runs b..j-1, b < j, and inf at
-    # b >= j, where the caller's table may hold any value
-    last = weights.T.copy()
-    np.copyto(last, _INF, where=~np.tri(n, dtype=bool))
-
     rows, back = (1, 0) if K is None else (K, 1)
     opt = np.full((rows + 1, n + 1), _INF)
     brk = np.zeros((rows + 1, n + 1), dtype=np.intp)
+    rad = np.zeros((rows + 1, n + 1))
     opt[:, 0] = 0.0
     with np.errstate(over="ignore"):
-        if K is None:
-            # the one row relaxes from itself, which is sound because
-            # column j reads only columns < j
-            for j in range(1, n + 1):
-                opt[1, j:j + 1], brk[1, j:j + 1] = _best_breaks(opt[1, :j], last[j - 1:j, :j],
-                                                                is_sum)
-        else:
-            for k in range(1, K + 1):
-                opt[k, 1:], brk[k, 1:] = _best_breaks(opt[k - 1, :n], last, is_sum)
+        for c0, radius, weights in blocks:
+            width, c1 = radius.shape
+            cells = slice(c0 + 1, c1 + 1)
+            # inf at the breaks b >= j, where the table may hold any value
+            w = np.where(np.arange(c1) <= np.arange(c0, c1)[:, None], weights, _INF)
+            if K is not None:
+                at = np.arange(width)
+                for k in range(1, K + 1):
+                    opt[k, cells], brk[k, cells] = _best_breaks(opt[k - 1, :c1], w, is_sum)
+                    rad[k, cells] = radius[at, brk[k, cells]]
+                continue
+            for s0 in range(0, width, _SCAN_COLUMNS):
+                s1 = min(s0 + _SCAN_COLUMNS, width)
+                top = c0 + s0 + 1  # the breaks b < top are settled
+                best, left = _best_breaks(opt[1, :top], w[s0:s1, :top], is_sum)
+                for s, v, b in zip(range(s0, s1), best.tolist(), left.tolist()):
+                    for t, (o, wt) in enumerate(zip(opt[1, top:c0 + s + 1].tolist(),
+                                                    w[s, top:c0 + s + 1].tolist()), top):
+                        val = o + wt if is_sum else (o if o >= wt else wt)
+                        if val < v:
+                            v, b = val, t
+                    opt[1, c0 + s + 1], brk[1, c0 + s + 1] = v, b
+                    rad[1, c0 + s + 1] = radius[s, b]
     if opt[rows, n] == _INF:
         raise _no_finite_cover()
-    runs = []
+    runs, radii = [], []
     k, j = rows, n
     while j > 0:
         left = int(brk[k, j])
         runs.append((left, j - 1))
+        radii.append(rad[k, j])
         j = left
         k -= back
     runs.reverse()
-    circles = [PlacedCircle(*_run_circle(xy[left:right + 1], radius[left, right], p))
-               for left, right in runs]
+    radii.reverse()
+    circles = [PlacedCircle(*c) for c in _run_circles(xy, runs, radii, p)]
     powers = [c.radius ** q for c in circles]
     objective = math.fsum(powers) if is_sum else max(powers)
     return CoverSolution(tuple(runs), tuple(circles), objective)
+
+
+def _cover(xy, K, radius, weights, p: float, agg: AggSpec) -> CoverSolution:
+    """_relax_blocks over whole N x N tables, radius the run table
+    (_run_radii) and weights[b, r] the weight of the run b..r, whose
+    entries b > r are never read: verify.dp_solve_sweep's route. The
+    tables are fed to the relaxation in the blocks of _column_blocks."""
+    blocks = ((c0, radius.T[c0:c1, :c1], weights.T[c0:c1, :c1])
+              for c0, c1 in _column_blocks(len(xy)))
+    return _relax_blocks(xy, K, blocks, p, agg)
 
 
 def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
@@ -387,8 +620,10 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     Centers range over the whole axis, the line through the constraint;
     no stretch [0, L] bounds them, and none is taken.
 
-    Every run weighs its least radius (_run_radii) to the power q, so
-    the DP (_cover) minimises the objective it reports.
+    Every run weighs its least radius (_run_columns) to the power q, so
+    the DP (_relax_blocks) minimises the objective it reports. The run
+    table streams into the DP one block of columns at a time, so no
+    N x N array is held.
 
     lists selects nothing: "naive" and "sweep" both weigh runs by the
     run table, and any other value raises ValueError. It stays only for
@@ -396,9 +631,9 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     the benchmark change of ROADMAP item 1b. The p = 2 sweep lists weigh
     the runs of the --verify cross-check (verify.dp_solve_sweep).
 
-    Cost: O(N^2) pair circles and the O(N^2) radius table, then the DP's
-    O(K·N^2): for an integer K, K array passes of O(N^2), each holding
-    one more N x N float64 array; for K = None, N relaxations of one row.
+    Cost: O(N^2) pair circles, fewer where the skip of _run_columns
+    passes pairs, the O(N^2) running maxima, and the DP's O(K·N^2);
+    memory O(PAIR_BUDGET + K·N) floats.
     """
     n = len(pts)
     if n == 0:
@@ -407,7 +642,11 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
         raise ValueError("K must be None or an integer >= 1")
     if lists not in ("naive", "sweep"):
         raise ValueError(f"unknown lists {lists!r}")
-    radius = _run_radii(pts.xy, norm.p, tol)
-    with np.errstate(over="ignore"):
-        weights = radius ** agg.q
-    return _cover(pts.xy, K, radius, weights, norm.p, agg)
+
+    def blocks():
+        for c0, radius in _run_columns(pts.xy, norm.p, tol):
+            with np.errstate(over="ignore"):
+                weights = radius ** agg.q
+            yield c0, radius, weights
+
+    return _relax_blocks(pts.xy, K, blocks(), norm.p, agg)

@@ -389,3 +389,38 @@ def test_criterion_8_cli_goldens():
     dt = time.perf_counter() - t0
     print(f"criterion 8 PASS: 10 golden instances byte-identical (wall time "
           f"excluded), verify deltas in tolerance, SVGs well-formed, {dt:.1f}s")
+
+
+def test_criterion_9_large_k_cover_streams():
+    # report-only: N = 10^4 points at p = 2 and N = 4000 at p = 1.5, near
+    # the line and spread, K = 5, sum. Whole N x N run tables would hold
+    # 0.8 GB at N = 10^4; the stream holds one block of pairs. Soft
+    # target 20 s per solve: timings reported, not asserted
+    rows = []
+    for p, n in ((2.0, 10000), (1.5, 4000)):
+        for regime in ("nearline", "spread"):
+            rng = random.Random(f"criterion 9 {regime} {n}")
+            if regime == "nearline":
+                xy = [(rng.uniform(0.0, 100.0), rng.uniform(-2.0, 2.0)) for _ in range(n)]
+            else:
+                xy = [(rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0)) for _ in range(n)]
+            pts = PointSet(np.array(xy))
+            t0 = time.perf_counter()
+            sol = dp_solve(pts, 5, NormP(p), TOL, AggSpec())
+            dt = time.perf_counter() - t0
+            # the runs tile the points, the objective is the sum of the
+            # radii, and each circle covers its run within the rounding
+            # that k_cover._center_slack allows
+            assert [left for left, _ in sol.intervals] == [0] + [
+                right + 1 for _, right in sol.intervals[:-1]]
+            assert sol.intervals[-1][1] == n - 1 and len(sol.intervals) <= 5
+            assert sol.objective == math.fsum(c.radius for c in sol.circles)
+            for (left, right), c in zip(sol.intervals, sol.circles):
+                run = pts.xy[left:right + 1]
+                d = np.abs(run[:, 0] - c.cx)
+                reach = np.hypot(d, run[:, 1]) if p == 2.0 else (
+                    d ** p + np.abs(run[:, 1]) ** p) ** (1.0 / p)
+                assert reach.max() - c.radius <= 2.0 ** -40 * max(c.radius, np.abs(run[:, 0]).max())
+            rows.append(f"{regime} p={p:g} N={n} {dt:.1f}s")
+    print(f"criterion 9 PASS: k-cover K=5 sum streamed, {', '.join(rows)} "
+          f"(soft target 20s per solve)")

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lineplace import (
     AggSpec,
@@ -24,8 +24,8 @@ from lineplace import (
 )
 from lineplace import geometry, k_cover, verify
 from lineplace.cli import main
-from lineplace._reference import _halfwidth, _rmin_points, build_lists_loop, dp_scan, \
-    min_enclosing_scalar, relax_scan, rmin_on_axis, two_point_circle
+from lineplace._reference import _halfwidth, _rmin_points, build_lists_loop, dp_full_table, \
+    dp_scan, min_enclosing_scalar, relax_scan, rmin_on_axis, run_radii_full, two_point_circle
 from lineplace.errors import NoBisectorRoot, TooLarge
 from lineplace.verify import _enclosing_circle, build_lists_sweep, dp_solve_sweep, \
     enumerate_partitions, set_partition_oracle
@@ -1142,11 +1142,11 @@ class TestHellyReduction:
         good = verify_block()
         assert good["ok"] is True
 
-        def midpoint(xy, r, p):
-            lo, hi = k_cover._meeting(xy, float(r), p)
-            return 0.5 * (lo + hi), float(r)
+        def midpoints(xy, runs, radii, p):
+            return [(0.5 * (lo + hi), float(r)) for (left, right), r in zip(runs, radii)
+                    for lo, hi in [k_cover._meeting(xy[left:right + 1], float(r), p)]]
 
-        monkeypatch.setattr(k_cover, "_run_circle", midpoint)
+        monkeypatch.setattr(k_cover, "_run_circles", midpoints)
         bad = verify_block()
         assert bad["ok"] is False
         assert bad.keys() == good.keys() and bad["delta"] == good["delta"]
@@ -1432,9 +1432,11 @@ class TestDpAgainstScan:
 
     @pytest.mark.parametrize("K", [1, 3, "n", "n+2", None])
     def test_one_relaxation_per_budget_row(self, monkeypatch, K):
-        # an integer K relaxes each budget row for all n columns in one
-        # call, min(K, n) calls in all; K = None relaxes its one row
-        # column by column, n calls of one weight row each
+        # an integer K relaxes each budget row for all columns of a block
+        # in one call, min(K, n) calls per block; K = None relaxes its one
+        # row from the breaks before each _SCAN_COLUMNS columns of a
+        # block in one call, and scans the breaks among them. A budget of
+        # 20 pairs cuts the larger sets into blocks
         calls = []
         real = k_cover._best_breaks
 
@@ -1443,18 +1445,23 @@ class TestDpAgainstScan:
             return real(prev, w, is_sum)
 
         monkeypatch.setattr(k_cover, "_best_breaks", counting)
+        monkeypatch.setattr(k_cover, "PAIR_BUDGET", 20)
+        monkeypatch.setattr(k_cover, "_SCAN_COLUMNS", 3)
         rng = random.Random(f"relax calls {K}")
         for n, regime in ((1, "nearline"), (2, "grid"), (9, "nearline"), (14, "spread")):
             ps, k = random_pset(rng, n, regime), budget(K, n)
             agg = AggSpec(2.0, "sum")
+            blocks = list(k_cover._column_blocks(n))
+            assert len(blocks) == {1: 1, 2: 1, 9: 3, 14: 8}[n]
+            if k is None:
+                want = [(min(3, c1 - s), s + 1) for c0, c1 in blocks for s in range(c0, c1, 3)]
+            else:
+                want = [(c1 - c0, c1) for c0, c1 in blocks for _ in range(min(k, n))]
             for route, cls in ((dp_solve, table_lists(ps, N2)),
                                (dp_solve_sweep, build_lists_sweep(ps, N2, TOL))):
                 calls.clear()
                 got = route(ps, k, N2, TOL, agg)
-                if k is None:
-                    assert calls == [(1, j) for j in range(1, n + 1)]
-                else:
-                    assert calls == [(n, n)] * min(k, n)
+                assert calls == want
                 assert got == dp_scan(ps, k, N2, TOL, agg, cls)
 
     @pytest.mark.parametrize("kind", ["sum", "max"])
@@ -1499,6 +1506,142 @@ class TestDpAgainstScan:
         finally:
             tracemalloc.stop()
         assert peak < 3 * n * n * 8
+
+
+@st.composite
+def stream_sets(draw):
+    """Up to 300 points near the line, spread, on a small integer grid,
+    or drawn again and again from a few points with equal |y| (ties in
+    abscissa, in |y| and duplicates)."""
+    n = draw(st.integers(1, 300))
+    regime = draw(st.sampled_from(["nearline", "spread", "grid", "repeats"]))
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if regime != "repeats":
+        return random_pset(rng, n, regime)
+    base = [(float(rng.randint(0, 40)), rng.choice([-1.5, 1.5, 0.25])) for _ in range(1 + n // 4)]
+    return pset(*(rng.choice(base) for _ in range(n)))
+
+
+def sol_bits(sol):
+    return (sol.intervals, [bits((c.cx, c.radius)) for c in sol.circles], sol.objective.hex())
+
+
+class TestStream:
+    """The run table streamed into the DP in column blocks
+    (k_cover._run_columns, k_cover._relax_blocks) against the whole
+    N x N tables of lineplace._reference, bit for bit."""
+
+    @given(ps=stream_sets(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 30.0]),
+           K=st.sampled_from([None, 1, 2, 3, 4, 5, 6, 7]), kind=st.sampled_from(["sum", "max"]),
+           q=st.sampled_from([1.0, 2.0]), pairs=st.sampled_from([1, 2, 7, 60, 600, 4096]))
+    @example(ps=pset((0, 1), (0, 1), (0, -1), (2, 1)), p=2.0, K=None, kind="sum", q=1.0,
+             pairs=1).via("duplicates and a tie in |y| at one pair per block")
+    @example(ps=pset(*((float(i % 5), float(i % 3 - 1)) for i in range(40))), p=1.5, K=3,
+             kind="max", q=2.0, pairs=7).via("an integer grid, blocks cutting through runs")
+    @settings(deadline=None, max_examples=40)
+    def test_stream_equals_the_full_table(self, ps, p, K, kind, q, pairs):
+        # a small pair budget makes blocks of a column or a few, which
+        # cut through the optimal runs; a maximum is exact and the DP
+        # keeps the first break of the least value, so nothing moves
+        agg = AggSpec(q, kind)
+        want = dp_full_table(ps, K, NormP(p), TOL, agg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(k_cover, "PAIR_BUDGET", pairs)
+            got = dp_solve(ps, K, NormP(p), TOL, agg)
+            table = k_cover._run_radii(ps.xy, p, TOL)
+        assert sol_bits(got) == sol_bits(want)
+        assert table.tobytes() == run_radii_full(ps.xy, p, TOL).tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 30.0, 1000.0])
+    def test_pairs_whose_bound_meets_the_floor(self, monkeypatch, p):
+        # a point between the two points of a pair, with |y| equal to the
+        # pair's bound U to the last bit, makes U the pair's floor: the
+        # skip passes the pair where _skip_margin gives a bound (here at
+        # p = 1.5 and 3), and solves it elsewhere; the table keeps the
+        # bits of the full one, in one block and in blocks of a column
+        margin = k_cover._skip_margin(p, TOL)
+        assert (margin is None) == (p not in (1.5, 3.0))
+        solved = []
+        real = k_cover._binding_radii
+
+        def recording(X, Y, I, J, *args):
+            solved.extend(zip(I.tolist(), J.tolist()))
+            return real(X, Y, I, J, *args)
+
+        monkeypatch.setattr(k_cover, "_binding_radii", recording)
+        rng = random.Random(f"bound meets floor {p}")
+        for trial in range(40):
+            scale = rng.choice([1e-6, 1.0, 100.0, 1e6])
+            x0, d = rng.uniform(-100, 100) * scale, rng.uniform(0.01, 10) * scale
+            X = np.array([x0, x0 + d])
+            Y = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)]) * scale * rng.choice([1, 1e-3])
+            if margin is None:
+                top = real(X, Y, np.array([0]), np.array([1]), p, TOL)[0]
+            else:
+                top = k_cover._skip_bounds(X, Y, np.array([0]), np.array([1]), p, margin)[0]
+                assert real(X, Y, np.array([0]), np.array([1]), p, TOL)[0] <= top
+            ps = PointSet(np.array([[X[0], Y[0]], [x0 + 0.5 * d, rng.choice([-top, top])],
+                                    [X[1], Y[1]]]))
+            assert ps.xy[1, 1] in (-top, top)
+            for pairs in (1, k_cover.PAIR_BUDGET):
+                monkeypatch.setattr(k_cover, "PAIR_BUDGET", pairs)
+                solved.clear()
+                table = k_cover._run_radii(ps.xy, p, TOL)
+                assert ((0, 2) not in solved) == (margin is not None), (trial, pairs)
+                assert table.tobytes() == run_radii_full(ps.xy, p, TOL).tobytes(), (trial, pairs)
+
+    def test_a_pair_with_no_finite_bound_is_solved(self, monkeypatch):
+        # the pair circle of points 0 and 1 overflows, so in blocks of one
+        # column the floor R(0, 1) of pair (0, 2) is inf, and so is the
+        # pair's bound; it is solved all the same
+        solved = []
+        real = k_cover._binding_radii
+
+        def recording(X, Y, I, J, *args):
+            solved.extend(zip(I.tolist(), J.tolist()))
+            return real(X, Y, I, J, *args)
+
+        monkeypatch.setattr(k_cover, "_binding_radii", recording)
+        monkeypatch.setattr(k_cover, "PAIR_BUDGET", 1)
+        ps = pset((0.0, 1.5e308), (1.7e308, 1.5e308), (1.75e308, 0.0))
+        margin = k_cover._skip_margin(1.5, TOL)
+        X, Y = ps.xy.T.copy()
+        assert k_cover._skip_bounds(X, Y, np.array([0]), np.array([2]), 1.5, margin)[0] == math.inf
+        table = k_cover._run_radii(ps.xy, 1.5, TOL)
+        assert (0, 2) in solved and table[0, 1] == table[0, 2] == math.inf
+        assert table.tobytes() == run_radii_full(ps.xy, 1.5, TOL).tobytes()
+
+    def test_blocks_hold_at_most_the_pair_budget(self, monkeypatch):
+        for pairs in (1, 2, 7, 60, 4096):
+            monkeypatch.setattr(k_cover, "PAIR_BUDGET", pairs)
+            for n in (1, 2, 3, 50, 301):
+                blocks = list(k_cover._column_blocks(n))
+                assert [c0 for c0, _ in blocks] == [0] + [c1 for _, c1 in blocks[:-1]]
+                assert blocks[-1][1] == n
+                for c0, c1 in blocks:
+                    size = (c1 * (c1 + 1) - c0 * (c0 + 1)) // 2
+                    # a block is as wide as the budget allows, and holds one
+                    # column at least
+                    assert size <= pairs or c1 == c0 + 1
+                    assert c1 == n or size + c1 + 1 > pairs
+
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_dp_memory_follows_the_block(self, p):
+        # one dp_solve at N = 2000 near the line traced 334 MiB (p = 2)
+        # and 513 MiB (p = 1.5) over whole N x N tables; streamed, it
+        # holds one block of at most PAIR_BUDGET pairs, the DP's K + 1
+        # rows of value, break and radius, and O(N) besides, about
+        # 0.9 and 1.5 MiB: 10 and 13 floats per budget pair and DP cell
+        rng = random.Random(2000)
+        n, K = 2000, 5
+        ps = pset(*((rng.uniform(0, 100), rng.uniform(-2, 2)) for _ in range(n)))
+        tracemalloc.start()
+        try:
+            dp_solve(ps, K, NormP(p), TOL, AggSpec())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * (k_cover.PAIR_BUDGET + (K + 1) * n) * 8
 
 
 class TestEnumeratePartitions:

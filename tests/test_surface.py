@@ -26,6 +26,8 @@ REFERENCE_ROUTES = {
     "_envelope_peak",
     "_extent",
     "_finalize_lists",
+    "dp_full_table",
+    "run_radii_full",
     "_fold_one",
     "_fold_windows",
     "_halfwidth",

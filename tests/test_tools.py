@@ -84,3 +84,49 @@ def test_summary_counts_the_differing_requests_of_each_kind():
     # with no difference the line names no kind
     assert summary_line(kinds, [False] * 7, ["segments-nearline"], [201], "tiny") == (
         "0 of 7 requests differ (segments-nearline; seeds 201; tiny)")
+
+
+def test_abpair_finds_no_change_between_two_copies(tmp_path):
+    # two copies of this tree, two alternating pairs of tiny runs: no
+    # metric can be better (that takes nine in ten of ten pairs or
+    # more), and none moves beyond its bound and the parent's IQR
+    import shutil
+
+    ignore = shutil.ignore_patterns("__pycache__", ".bench_out")
+    for name in ("a", "b"):
+        for part in ("src", "bench"):
+            shutil.copytree(ROOT / part, tmp_path / name / part, ignore=ignore)
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / name)
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "abpair.py"), str(tmp_path / "a"),
+                           str(tmp_path / "b"), "--workload", "points-spread", "--pairs", "2",
+                           "--seed", "201", "--seconds", "1", "--size", "tiny", "--bitcheck"],
+                          capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "points-spread: 2 alternating pairs, seeds 201-202, 1 s, tiny"
+    assert [line.split()[0] for line in lines[1:6]] == ["solve_p50_s", "solve_tail_s",
+                                                       "solves_per_s", "setup_s", "peak_rss_mb"]
+    assert lines[-2] == "verdict: no change", proc.stdout
+    assert re.match(r"bitcheck: 0 of [1-9][0-9]* requests differ \(points-spread; seeds 201, 202; "
+                    r"tiny\)$", lines[-1]), lines[-1]
+
+
+def test_abpair_verdicts():
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        from abpair import compare
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    parent = [10.0, 11.0, 9.0, 10.5, 9.5, 10.0, 10.2, 9.8, 10.1, 9.9]
+    # nine wins of ten and a median gap beyond the parent's IQR
+    faster = [8.0] * 9 + [12.0]
+    row = compare("solve_p50_s", "lower", 0.25, parent, faster)
+    assert (row["wins"], row["clears_iqr"], row["verdict"]) == (9, True, "better")
+    # the same moves over nine pairs are too few to claim
+    assert compare("solve_p50_s", "lower", 0.25, parent[:9], faster[:9])["verdict"] == "no change"
+    # worse by more than the bound and beyond the IQR
+    row = compare("solves_per_s", "higher", 0.25, parent, [7.0] * 10)
+    assert (row["wins"], row["beyond_bound"], row["verdict"]) == (0, True, "worse")
+    # worse beyond the IQR but within the bound
+    assert compare("solves_per_s", "higher", 0.25, parent, [9.0] * 10)["verdict"] == "no change"
+    assert compare("peak_rss_mb", "lower", 0.1, parent, parent)["verdict"] == "no change"
