@@ -36,7 +36,7 @@ from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _np_lp, \
     segment_columns, segments_from_columns
 from .intervals import PASS_CELLS, Interval, SegmentArray, covering_slack, least_radius
 from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _best_breaks, \
-    _binding_radii, _no_finite_cover, _run_circle, _run_radii
+    _binding_radii, _no_finite_cover, _run_circles, _run_radii
 from .obnoxious import _AFFINE, _CONE, EnvelopePiece, LowerEnvelope, compute_lower_envelope
 from .one_center import PlacedCircle
 
@@ -1308,13 +1308,19 @@ def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
     if not 0 <= i <= j < len(pts):
         raise ValueError("need 0 <= i <= j < len(points)")
     xy = pts.xy[i:j + 1]
-    return _run_circle(xy, _run_radii(xy, norm.p, tol)[0, -1], norm.p)
+    return run_circle(xy, _run_radii(xy, norm.p, tol)[0, -1], norm.p)
+
+
+def run_circle(xy, r, p: float):
+    """(center, radius) of the one run xy of radius r by
+    k_cover._run_circles, as dp_solve reads each chosen run's circle."""
+    return _run_circles(xy, [(0, len(xy) - 1)], [r], p)[0]
 
 
 def _rmin_points(xy, norm: NormP, tol: Tolerance):
     """Smallest ball centered anywhere on the axis covering the points,
     the rows [x, y] of the array xy, by bisection. Reference for
-    k_cover._run_circle, which rmin_on_axis and dp_solve take.
+    k_cover._run_circles, which rmin_on_axis and dp_solve take.
 
     The center is not held to any stretch [0, L]: it ranges over the
     whole line. A center left or right of every point gets nearer to
@@ -1331,7 +1337,7 @@ def _rmin_points(xy, norm: NormP, tol: Tolerance):
     the same window. min_enclosing's array kernel takes its powers from
     numpy, which may round them 1 ulp apart from Python's at p != 1 (at
     p = 2, its square root against pow), so its bits can differ there.
-    _run_circle's intervals (k_cover._meeting) take the operations of
+    _run_circles' intervals (k_cover._meeting) take the operations of
     _halfwidth at its radius, which it reads off the run table, so the
     radii of the two agree within the bisection's eps.
     """
@@ -1493,7 +1499,7 @@ def dp_full_table(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec) -
         j = left
         k -= back
     runs.reverse()
-    circles = [PlacedCircle(*_run_circle(xy[left:right + 1], radius[left, right], p))
+    circles = [PlacedCircle(*run_circle(xy[left:right + 1], radius[left, right], p))
                for left, right in runs]
     powers = [c.radius ** agg.q for c in circles]
     objective = math.fsum(powers) if is_sum else max(powers)

@@ -11,15 +11,13 @@ pair's two ends, after which a lockstep safeguarded Newton iteration,
 rtsafe, solves the pairs inside within their own span, each on its own
 power-of-two scale. The run table streams into the DP in blocks of
 columns of at most PAIR_BUDGET pairs: running maxima extend it by each
-block, exactly, and at p other than 1 and 2 the pairs whose certified
-bound lies at or below their floor in the table are not solved. The DP
-relaxes each block's columns over the breaks before them
-(_relax_blocks): for an integer K one array pass per budget row and
-block, for K = None an array pass over the breaks before every few
-columns and a scalar scan of those among them. A solve holds one block
-and O(K·N) DP cells, which record their last run's radius, so that the
-circle of each chosen run is read off them (_run_circles), with no
-radius search. The run table is the only run weight that a solve
+block, exactly. The DP relaxes each block's columns over the breaks
+before them (_relax_blocks): for an integer K one array pass per
+budget row and block, for K = None an array pass over the breaks
+before every few columns and a scalar scan of those among them. A
+solve holds one block and O(K·N) DP cells, which record their last
+run's radius, so that the circle of each chosen run is read off them
+(_run_circles), with no radius search. The run table is the only run weight that a solve
 takes; the p = 2 candidate lists of slack-grown pair circles, which
 _cover can weigh runs by instead, are the second route of
 `lineplace solve --verify` (lineplace.verify).
@@ -206,7 +204,6 @@ PAIR_BUDGET = 4096
 # the breaks before them, before a scalar scan of the breaks among
 # them (_relax_blocks).
 _SCAN_COLUMNS = 16
-_ROUNDOFF = 2.0 ** -53  # unit roundoff
 
 
 def _column_blocks(n: int):
@@ -220,113 +217,6 @@ def _column_blocks(n: int):
         c1 = min(n, max(c1, c0 + 1))
         yield c0, c1
         c0 = c1
-
-
-def _skip_margin(p: float, tol: Tolerance):
-    """(1 + 2 rho, a, 4 (kappa + 1) u) of the bound U below at p, or None
-    where _run_columns solves every pair: at p = 1 and 2, whose closed
-    forms cost less than the bounds (with them the tables at N 150-260
-    took 1.1-1.7 times as long in-process), below the default iteration
-    cap, and where rho exceeds 2^-30 (p above about 10), too loose a
-    bound to pass a pair. At p = 1.5 the skip took the tables of spread
-    points to 0.7-0.8 times, and near the line to 1.02-1.04 times.
-
-    A pair i < j with d = x_j - x_i > 0 and ymax = max(|y_i|, |y_j|) is
-    not solved where
-    U = M (1 + 2 rho) + a + 4 (kappa + 1) u max(|x_i|, |x_j|) + 2^-1068
-    is at most its floor, for M = _np_lp(d / 2, ymax), u = 2^-53,
-    kappa = max(2, 2^(p-1)), a = kappa eps / 2 and
-    rho = (48 + (p + 12)(2^p + 2) 2^(p-1) / p) u: the binding radius r
-    that _binding_radii would compute is at most U. Derivation, in the
-    pair's scaled units (_pair_scale, exact) unless said otherwise,
-    with every numpy power, root and hypot taken to be within 4 ulps:
-
-    - The exact pair minimax m* is at most the midpoint's, ((d/2)^p +
-      ymax^p)^(1/p), which M computes on the larger of its terms'
-      scale with relative error at most 22u, plus 2^-1070 of
-      underflow; and m* >= L = max(d/2, ymax).
-    - G(x) = F(x) - t increases on [a, b] with slope between
-      sigma = p (d/2)^(p-1) and kappa sigma. _power_gap's f has error
-      at most E = (p + 12) u (d^p + 2 ymax^p) there (the rounded
-      distance raised to p, the powers, the subtractions), and f' a
-      relative (p + 10) u.
-    - rtsafe returns a c of the final bracket. If it stops at an exact
-      root, by bisection of a bracket at most q wide, or where its
-      ends are adjacent floats, c - c* <= q + ulp + E / sigma. If it
-      stops after a Newton step delta <= max(q, ulp) from x_k with
-      f_k >= 0, then x_k - c* <= (f_k + E) / sigma and
-      f_k <= delta kappa sigma (1 + (p + 10) u), so c <= x_k gives
-      c - c* <= kappa (1 + (p + 10) u) max(q, ulp) + E / sigma; with
-      f_k < 0 the step moves right from below the root, so
-      c - c* <= q + E / sigma. Here q = eps / 4 in the pair's own
-      units and ulp <= 2u max(|x_i|, |x_j|).
-    - r is f_i(c) = (|c - x_i|^p + |y_i|^p)^(1/p) up to 24u relative
-      (the subtraction and _np_lp) and 2^-1070; f_i(c*) = m*, and on
-      [c*, c] the slope of f_i is at most min(1, (d / L)^(p-1)). The
-      E / sigma share times that slope is at most
-      (p + 12)(2^p + 2) 2^(p-1) / p u L, with L <= M.
-
-    Summing, r <= M (1 + rho) + kappa eps / 4 (1 + (p + 10) u) +
-    2 (kappa + 1) u max(|x_i|, |x_j|) + 2^-1069; U doubles every term
-    beyond M, which also covers its own rounding. The bound holds for
-    every search that stops by rtsafe's own rule; a search cut off by
-    max_iters has no bound but its bracket, so the skip runs only at
-    the default cap or above, which no pair of the benchmark's point
-    sets comes near (at most 6 steps of 200). A pair whose U is not
-    finite is always solved.
-    """
-    if p in (1.0, 2.0) or p > 64.0 or tol.max_iters < Tolerance().max_iters:
-        return None
-    rho = (48.0 + (p + 12.0) * (2.0 ** p + 2.0) * 2.0 ** (p - 1.0) / p) * _ROUNDOFF
-    if rho > 2.0 ** -30:
-        return None
-    kappa = max(2.0, 2.0 ** (p - 1.0))
-    return 1.0 + 2.0 * rho, kappa * tol.eps / 2.0, 4.0 * (kappa + 1.0) * _ROUNDOFF
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _skip_bounds(X, Y, I, J, p: float, margin):
-    """U of _skip_margin for the pairs I[k] < J[k] of the sorted
-    abscissas X and ordinates Y."""
-    scale, a, per_x = margin
-    xi, xj = X[I], X[J]
-    m = _np_lp(0.5 * (xj - xi), np.maximum(np.abs(Y[I]), np.abs(Y[J])), p)
-    return m * scale + a + per_x * np.maximum(np.abs(xi), np.abs(xj)) + 2.0 ** -1068
-
-
-def _near_pairs(X, ys, top, c0: int):
-    """((i, j), floor) of the pairs i < j, c0 <= j < len(X), of a block
-    that _run_columns may pass, and their floors; None where they are
-    less than a quarter of the block's pairs, too few to repay the
-    bounds. A pair's floor is max(top[i], the largest |y| of the points
-    max(i, c0)..j), with top the column before the block and ys the
-    block's |y|, so it is at most max(top[i], max ys); and U >= d / 2
-    (_skip_margin). So only the pairs with x_j <= x_i + 2 max(top[i],
-    max ys) are listed, found by a search per row."""
-    c1 = len(X)
-    start = np.maximum(np.arange(1, c1 + 1), c0)
-    with np.errstate(over="ignore"):
-        stop = np.searchsorted(X, X + 2.0 * np.maximum(top, ys.max()), side="right")
-    counts = np.maximum(stop - start, 0)
-    total = int(counts.sum())
-    if 8 * total < (c1 - c0) * (c1 + c0 + 1):
-        return None
-    i = np.repeat(np.arange(c1), counts)
-    j = np.arange(total) + np.repeat(start - np.cumsum(counts) + counts, counts)
-    return (i, j), np.maximum(top[i], _range_max(ys, np.maximum(i - c0, 0), j - c0))
-
-
-def _range_max(v, a, b):
-    """max(v[a[k]..b[k]]) for the index arrays a <= b, from a sparse
-    table: level l holds the maxima of the 2^l-long windows of v."""
-    levels = [v]
-    while 2 ** len(levels) <= len(v):
-        h = 2 ** (len(levels) - 1)
-        levels.append(np.maximum(levels[-1][:-h], levels[-1][h:]))
-    level = np.frexp(b - a + 1)[1] - 1
-    start = np.cumsum([0] + [len(t) for t in levels[:-1]])[level]
-    table = np.concatenate(levels)
-    return np.maximum(table[start + a], table[start + b + 1 - (1 << level)])
 
 
 def _run_columns(xy, p: float, tol: Tolerance):
@@ -347,41 +237,21 @@ def _run_columns(xy, p: float, tol: Tolerance):
     R(l, j) = max(R(l, j - 1), max over l <= i <= j of b(i, j)). A
     maximum is exact, so every entry has the bits of a 2-D running
     maximum over the whole table, and as exact as the pair radii
-    (closed forms at p = 1 and 2).
-
-    A pair i < j cannot raise any entry where its computed binding
-    radius is at most its floor, max(R(i, j0 - 1), max |y_k| over
-    i <= k <= j), for the block's first column j0: every run l..j'
-    that holds the pair has l <= i, j' >= j, so its entry is at least
-    the floor. Where _skip_margin gives a bound U on that radius,
-    pairs with U at most their floor are not solved. Memory is
-    O(PAIR_BUDGET + N) floats; the blocks cost O(N^2) pairs in all.
+    (closed forms at p = 1 and 2). Memory is O(PAIR_BUDGET + N)
+    floats; the blocks cost O(N^2) pairs in all.
     """
     n = len(xy)
     X, Y = xy.T.copy()
-    margin = _skip_margin(p, tol)
     prev = np.zeros(0)
     for c0, c1 in _column_blocks(n):
         lefts = np.arange(c1)
         tri = lefts <= np.arange(c0, c1)[:, None]
         K, I = np.nonzero(tri)
         J = K + c0
-        top = np.zeros(c1)
-        top[:len(prev)] = prev
-        near = None if margin is None else _near_pairs(X[:c1], np.abs(Y[c0:c1]), top, c0)
-        if near is not None:
-            (i, j), floor = near
-            bound = _skip_bounds(X, Y, i, j, p, margin)
-            passed = (bound <= floor) & (bound < _INF)
-            # a passed pair becomes the pin (j, j) of its right point,
-            # whose |y_j| is at most its floor, at the pair's place in
-            # the block's row-major order
-            k = j[passed] - c0
-            I[k * (c0 + 1) + k * (k - 1) // 2 + i[passed]] = j[passed]
-        binding = _binding_radii(X, Y, I, J, p, tol)
         R = np.zeros((c1 - c0, c1))
-        R[tri] = binding
-        R = np.maximum(np.maximum.accumulate(R[:, ::-1], axis=1)[:, ::-1], top)
+        R[tri] = _binding_radii(X, Y, I, J, p, tol)
+        R = np.maximum.accumulate(R[:, ::-1], axis=1)[:, ::-1]
+        R[:, :c0] = np.maximum(R[:, :c0], prev)
         np.maximum.accumulate(R, axis=0, out=R)
         yield c0, R
         prev = R[-1]
@@ -400,16 +270,17 @@ def _run_radii(xy, p: float, tol: Tolerance):
     return table
 
 
-def _center_slack(xy, r: float) -> float:
-    """How far rounding may leave a point of the run xy outside radius r
-    from the midpoint of _meeting: the coverage-slack floor grown with
-    the run's abscissas, 2^-40 max(r, |x|). A pair circle's center
+def _center_slack(r: float, span: float) -> float:
+    """How far rounding may leave a point of a run outside radius r from
+    the midpoint of _meeting, for span the run's largest |x|: the
+    coverage-slack floor grown with the run's abscissas,
+    2^-40 max(r, span). A pair circle's center
     rounds at the scale of its abscissas, not of r: at p = 2 the
     closed form through (97.992753, -0.274142) and (99.000195,
     -0.658268) leaves a point 1.4e-12 outside r = 0.73. No absolute
     term, so that a run and its power-of-two scaling take the same
     branch of _run_circles."""
-    return _SLACK_FLOOR * max(r, float(np.abs(xy[:, 0]).max()))
+    return _SLACK_FLOOR * max(r, span)
 
 
 def _meeting(xy, r: float, p: float):
@@ -470,15 +341,10 @@ def _run_circles(xy, runs, radii, p: float) -> list:
     out = []
     for (left, right), r, center, far, x in zip(runs, radii, centers, reach.tolist(),
                                                 span.tolist()):
-        if far - r > _SLACK_FLOOR * max(r, x):  # the run's _center_slack
+        if far - r > _center_slack(r, x):
             center = _wider_meeting(xy[left:right + 1], r, p, center)
         out.append((center, r))
     return out
-
-
-def _run_circle(xy, r, p: float):
-    """(center, radius) of the one run xy by _run_circles."""
-    return _run_circles(xy, [(0, len(xy) - 1)], [r], p)[0]
 
 
 def _wider_meeting(xy, r: float, p: float, center: float) -> float:
@@ -631,9 +497,8 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     the benchmark change of ROADMAP item 1b. The p = 2 sweep lists weigh
     the runs of the --verify cross-check (verify.dp_solve_sweep).
 
-    Cost: O(N^2) pair circles, fewer where the skip of _run_columns
-    passes pairs, the O(N^2) running maxima, and the DP's O(K·N^2);
-    memory O(PAIR_BUDGET + K·N) floats.
+    Cost: O(N^2) pair circles, the O(N^2) running maxima, and the DP's
+    O(K·N^2); memory O(PAIR_BUDGET + K·N) floats.
     """
     n = len(pts)
     if n == 0:

@@ -212,7 +212,7 @@ def _enclosing_circle(points, norm: NormP, tol: Tolerance):
     holds the optimum. The oracle prices its blocks here, on the
     covering intervals of intervals.SegmentArray, as every
     min_enclosing does. It shares nothing with the k-cover circles
-    (k_cover._run_circle, from pair circles), and with their bisecting
+    (k_cover._run_circles, from pair circles), and with their bisecting
     reference (_reference._rmin_points, on scalar halfwidths) only
     intervals.least_radius; the grid oracle shares neither."""
     maxy = max(abs(y) for _, y in points)
@@ -422,7 +422,7 @@ def _covers(ps: PointSet, circles, p: float, eps: float) -> bool:
         left, right = c["run"]
         xy = ps.xy[left:right + 1]
         R = c["radius"]
-        slack = max(_cover_slack(R, eps), _center_slack(xy, R))
+        slack = max(_cover_slack(R, eps), _center_slack(R, float(np.abs(xy[:, 0]).max())))
         if (_np_lp(xy[:, 0] - c["center_x"], xy[:, 1], p) > R + slack).any():
             return False
     return True

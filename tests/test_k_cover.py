@@ -25,7 +25,8 @@ from lineplace import (
 from lineplace import geometry, k_cover, verify
 from lineplace.cli import main
 from lineplace._reference import _halfwidth, _rmin_points, build_lists_loop, dp_full_table, \
-    dp_scan, min_enclosing_scalar, relax_scan, rmin_on_axis, run_radii_full, two_point_circle
+    dp_scan, min_enclosing_scalar, relax_scan, rmin_on_axis, run_circle, run_radii_full, \
+    two_point_circle
 from lineplace.errors import NoBisectorRoot, TooLarge
 from lineplace.verify import _enclosing_circle, build_lists_sweep, dp_solve_sweep, \
     enumerate_partitions, set_partition_oracle
@@ -788,7 +789,7 @@ class TestCertifiedJumps:
         radius = k_cover._run_radii(ps.xy, p, TOL)
         for _ in range(10):
             i, j = sorted(rng.randrange(n) for _ in range(2))
-            got = k_cover._run_circle(ps.xy[i:j + 1], radius[i, j], p)
+            got = run_circle(ps.xy[i:j + 1], radius[i, j], p)
             assert bits(got) == bits(rmin_on_axis(ps, i, j, norm, TOL)), (i, j)
         sol = dp_solve(ps, most, norm, TOL, AggSpec(1.0, "sum"))
         assert sol.intervals == bench_relaxation(radius, most)
@@ -999,7 +1000,7 @@ def pair_rounding(a, b, p, R):
 
 
 class TestHellyReduction:
-    """The circle of a run from its pair circles (k_cover._run_circle)."""
+    """The circle of a run from its pair circles (k_cover._run_circles)."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_radius_is_the_exact_maximum(self, p):
@@ -1093,7 +1094,7 @@ class TestHellyReduction:
         ps = PointSet(np.array(self.LARGE_P))
         norm = NormP(30.0)
         radius = k_cover._run_radii(ps.xy, 30.0, TOL)
-        cx, r = k_cover._run_circle(ps.xy, radius[0, 2], 30.0)
+        cx, r = run_circle(ps.xy, radius[0, 2], 30.0)
         assert r == 1.946048
         for x, y in self.LARGE_P:
             assert lp_distance(Point(x, y), Point(cx, 0.0), norm) <= r + verify._cover_slack(r, 0.0)
@@ -1123,8 +1124,8 @@ class TestHellyReduction:
         def excess(cx):
             return max(lp_distance(Point(x, y), Point(cx, 0.0), N2) for x, y in xy.tolist()) - r
 
-        assert excess(float(xy[0, 0])) > k_cover._center_slack(xy, r)
-        cx, got = k_cover._run_circle(xy, r, 2.0)
+        assert excess(float(xy[0, 0])) > k_cover._center_slack(r, float(np.abs(xy[:, 0]).max()))
+        cx, got = run_circle(xy, r, 2.0)
         assert got == r and excess(cx) <= 0.0
 
     def test_verify_checks_coverage(self, tmp_path, monkeypatch, capsys):
@@ -1164,7 +1165,7 @@ class TestHellyReduction:
             radius = k_cover._run_radii(ps.xy, p, TOL)
             for _ in range(40):
                 i, j = sorted(rng.randrange(n) for _ in range(2))
-                got = k_cover._run_circle(ps.xy[i:j + 1], radius[i, j], p)
+                got = run_circle(ps.xy[i:j + 1], radius[i, j], p)
                 assert bits(got) == bits(rmin_on_axis(ps, i, j, norm, TOL)), (i, j)
             routes = [dp_solve, dp_solve_sweep] if p == 2.0 else [dp_solve]
             for K, how in ((1, "sum"), (3, "max"), (None, "sum")):
@@ -1552,65 +1553,6 @@ class TestStream:
         assert sol_bits(got) == sol_bits(want)
         assert table.tobytes() == run_radii_full(ps.xy, p, TOL).tobytes()
 
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 30.0, 1000.0])
-    def test_pairs_whose_bound_meets_the_floor(self, monkeypatch, p):
-        # a point between the two points of a pair, with |y| equal to the
-        # pair's bound U to the last bit, makes U the pair's floor: the
-        # skip passes the pair where _skip_margin gives a bound (here at
-        # p = 1.5 and 3), and solves it elsewhere; the table keeps the
-        # bits of the full one, in one block and in blocks of a column
-        margin = k_cover._skip_margin(p, TOL)
-        assert (margin is None) == (p not in (1.5, 3.0))
-        solved = []
-        real = k_cover._binding_radii
-
-        def recording(X, Y, I, J, *args):
-            solved.extend(zip(I.tolist(), J.tolist()))
-            return real(X, Y, I, J, *args)
-
-        monkeypatch.setattr(k_cover, "_binding_radii", recording)
-        rng = random.Random(f"bound meets floor {p}")
-        for trial in range(40):
-            scale = rng.choice([1e-6, 1.0, 100.0, 1e6])
-            x0, d = rng.uniform(-100, 100) * scale, rng.uniform(0.01, 10) * scale
-            X = np.array([x0, x0 + d])
-            Y = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)]) * scale * rng.choice([1, 1e-3])
-            if margin is None:
-                top = real(X, Y, np.array([0]), np.array([1]), p, TOL)[0]
-            else:
-                top = k_cover._skip_bounds(X, Y, np.array([0]), np.array([1]), p, margin)[0]
-                assert real(X, Y, np.array([0]), np.array([1]), p, TOL)[0] <= top
-            ps = PointSet(np.array([[X[0], Y[0]], [x0 + 0.5 * d, rng.choice([-top, top])],
-                                    [X[1], Y[1]]]))
-            assert ps.xy[1, 1] in (-top, top)
-            for pairs in (1, k_cover.PAIR_BUDGET):
-                monkeypatch.setattr(k_cover, "PAIR_BUDGET", pairs)
-                solved.clear()
-                table = k_cover._run_radii(ps.xy, p, TOL)
-                assert ((0, 2) not in solved) == (margin is not None), (trial, pairs)
-                assert table.tobytes() == run_radii_full(ps.xy, p, TOL).tobytes(), (trial, pairs)
-
-    def test_a_pair_with_no_finite_bound_is_solved(self, monkeypatch):
-        # the pair circle of points 0 and 1 overflows, so in blocks of one
-        # column the floor R(0, 1) of pair (0, 2) is inf, and so is the
-        # pair's bound; it is solved all the same
-        solved = []
-        real = k_cover._binding_radii
-
-        def recording(X, Y, I, J, *args):
-            solved.extend(zip(I.tolist(), J.tolist()))
-            return real(X, Y, I, J, *args)
-
-        monkeypatch.setattr(k_cover, "_binding_radii", recording)
-        monkeypatch.setattr(k_cover, "PAIR_BUDGET", 1)
-        ps = pset((0.0, 1.5e308), (1.7e308, 1.5e308), (1.75e308, 0.0))
-        margin = k_cover._skip_margin(1.5, TOL)
-        X, Y = ps.xy.T.copy()
-        assert k_cover._skip_bounds(X, Y, np.array([0]), np.array([2]), 1.5, margin)[0] == math.inf
-        table = k_cover._run_radii(ps.xy, 1.5, TOL)
-        assert (0, 2) in solved and table[0, 1] == table[0, 2] == math.inf
-        assert table.tobytes() == run_radii_full(ps.xy, 1.5, TOL).tobytes()
-
     def test_blocks_hold_at_most_the_pair_budget(self, monkeypatch):
         for pairs in (1, 2, 7, 60, 4096):
             monkeypatch.setattr(k_cover, "PAIR_BUDGET", pairs)
@@ -1676,7 +1618,7 @@ class TestSetPartitionOracle:
             raise AssertionError("the oracle reached the k-cover kernel")
 
         monkeypatch.setattr(k_cover, "_binding_radii", broken)
-        monkeypatch.setattr(k_cover, "_run_circle", broken)
+        monkeypatch.setattr(k_cover, "_run_circles", broken)
         inst = json.loads((GOLDEN / "inst_10.json").read_text())
         out = json.loads((GOLDEN / "out_10.json").read_text())
         ps = pset(*inst["points"])

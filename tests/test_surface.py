@@ -28,6 +28,7 @@ REFERENCE_ROUTES = {
     "_finalize_lists",
     "dp_full_table",
     "run_radii_full",
+    "run_circle",
     "_fold_one",
     "_fold_windows",
     "_halfwidth",
@@ -196,7 +197,7 @@ def test_no_unused_imports():
 
 def test_k_cover_reconstructs_on_one_route():
     # the circles of k-cover runs come from the pair circles (Helly's
-    # theorem, k_cover._run_circle); they reach neither route of
+    # theorem, k_cover._run_circles); they reach neither route of
     # min_enclosing, nor the interval objects, nor a radius search
     names = {parts[-1] for _, parts in _imported_names(SRC / "k_cover.py")}
     assert not names & {"min_enclosing", "covering_interval", "Interval", "SegmentArray",

@@ -130,3 +130,14 @@ def test_abpair_verdicts():
     # worse beyond the IQR but within the bound
     assert compare("solves_per_s", "higher", 0.25, parent, [9.0] * 10)["verdict"] == "no change"
     assert compare("peak_rss_mb", "lower", 0.1, parent, parent)["verdict"] == "no change"
+    # worse by more than the bound, but within a parent IQR that is wider still
+    wide = [6.0, 14.0, 7.0, 13.0, 6.5, 13.5, 10.0, 6.0, 14.0, 10.0]
+    row = compare("solve_p50_s", "lower", 0.25, wide, [13.0] * 10)
+    assert (row["beyond_bound"], row["clears_iqr"], row["verdict"]) == (True, False, "unresolved")
+    # a parent IQR wider than the bound hides a move of any size below it
+    row = compare("solve_p50_s", "lower", 0.25, wide, [10.5] * 10)
+    assert (row["beyond_bound"], row["verdict"]) == (False, "unresolved")
+    # unless every change run beats every parent run; within the IQR that
+    # is no claim
+    assert compare("solve_p50_s", "lower", 0.25, wide, [5.0] * 10)["verdict"] == "no change"
+    assert compare("solve_p50_s", "lower", 0.25, wide, [2.0] * 10)["verdict"] == "better"

@@ -16,9 +16,12 @@ For every end-to-end metric it prints both medians, both quartiles
 whether the move clears PARENT's interquartile range, and whether it
 is worse than PARENT's median by more than the metric's bound. A
 metric is "better" when CHANGE won at least nine in ten of at least
-ten pairs and the move clears PARENT's IQR, "worse" when the move is
-beyond the bound and clears PARENT's IQR, and "no change" otherwise;
-the last line is the verdict over all metrics. --bitcheck then runs
+ten pairs and the move clears PARENT's IQR, and "worse" when the move
+is beyond the bound and clears PARENT's IQR. It is "unresolved" when
+the runs cannot tell a move beyond the bound from none: the move is
+beyond the bound but within PARENT's IQR, or that IQR is wider than
+the bound; unless every CHANGE run beats every PARENT run. Otherwise
+it is "no change". The last line is the verdict over all metrics. --bitcheck then runs
 tools/bitcheck.py on the same workload and seeds and prints its
 summary line. It exits 1 when a run fails or is wrong, or bitcheck
 finds a difference, and 0 otherwise.
@@ -64,10 +67,13 @@ def compare(name: str, better: str, bound: float, parent: list, change: list) ->
     wins = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
     clears_iqr = abs(mc - mp) > q3 - q1
     beyond_bound = -gain > bound * abs(mp)
+    beats_all = min(sign * c for c in change) > max(sign * v for v in parent)
     if clears_iqr and gain > 0.0 and len(parent) >= 10 and wins >= math.ceil(0.9 * len(parent)):
         verdict = "better"
     elif clears_iqr and beyond_bound:
         verdict = "worse"
+    elif (beyond_bound or q3 - q1 > bound * abs(mp)) and not beats_all:
+        verdict = "unresolved"
     else:
         verdict = "no change"
     return {"metric": name, "parent": (mp, q1, q3), "change": (mc, *quartiles(change)),
