@@ -17,9 +17,10 @@ the solver merges a whole tree level in one array pass over a piece
 table, and the one-off fold of the lower envelope, which adds the
 segments one at a time where the solver merges halves.
 Beside them sit the one-at-a-time entry points that only the tests
-call: the scalar pair circle, the circle of one k-cover run, the
-single-segment envelope, and the merge and compaction of two
-envelopes. Not exported, and no solver module imports it.
+call: the scalar pair circle, the k-cover run table gathered from its
+column blocks, the circle of one k-cover run, the single-segment
+envelope, and the merge and compaction of two envelopes. Not
+exported, and no solver module imports it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _np_lp, \
     segment_columns, segments_from_columns
 from .intervals import PASS_CELLS, Interval, SegmentArray, covering_slack, least_radius
 from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _best_breaks, \
-    _binding_radii, _no_finite_cover, _run_circles, _run_radii
+    _binding_radii, _no_finite_cover, _run_circles, _run_columns
 from .obnoxious import _AFFINE, _CONE, EnvelopePiece, LowerEnvelope, compute_lower_envelope
 from .one_center import PlacedCircle
 
@@ -1303,12 +1304,12 @@ def build_lists_loop(pts: PointSet, norm: NormP, tol: Tolerance):
 
 def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
     """Smallest axis-centered ball covering points i..j; returns (cx, r),
-    from the run's own radius table (k_cover._run_radii), as dp_solve
-    reads the circles of its chosen runs."""
+    from the run's own radius table (run_radii), as dp_solve reads the
+    circles of its chosen runs."""
     if not 0 <= i <= j < len(pts):
         raise ValueError("need 0 <= i <= j < len(points)")
     xy = pts.xy[i:j + 1]
-    return run_circle(xy, _run_radii(xy, norm.p, tol)[0, -1], norm.p)
+    return run_circle(xy, run_radii(xy, norm.p, tol)[0, -1], norm.p)
 
 
 def run_circle(xy, r, p: float):
@@ -1404,12 +1405,12 @@ def relax_scan(row_prev, j: int, lefts, weights, is_sum: bool):
 def dp_scan(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec, cls) -> CoverSolution:
     """The k-cover DP over the candidate lists cls, one relax_scan per
     DP cell, row after row. Reference for the relaxation of
-    k_cover._cover (a whole budget row per array pass for an integer K,
-    one cell at a time for K = None), which gives the same solution over
-    the same lists: those of verify.build_lists_sweep in
-    verify.dp_solve_sweep, or the exact radius table as lists in
-    k_cover.dp_solve. The circles of the chosen runs come from
-    rmin_on_axis.
+    k_cover._relax_blocks (a whole budget row per array pass and block
+    for an integer K, a few columns per array pass and a scalar scan for
+    K = None), which gives the same solution over the same lists: those
+    of verify.build_lists_sweep in verify.dp_solve_sweep, or the exact
+    radius table as lists in k_cover.dp_solve. The circles of the chosen
+    runs come from rmin_on_axis.
     """
     n = len(pts)
     if n == 0:
@@ -1447,12 +1448,25 @@ def dp_scan(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec, cls) ->
     return CoverSolution(tuple(runs), tuple(circles), objective)
 
 
+def run_radii(xy, p: float, tol: Tolerance):
+    """The least radius of every run of the sorted points xy, as an
+    N x N table: entry [l, r], l <= r, is the radius of the smallest
+    ball centered on the axis that covers points l..r; the column blocks
+    of k_cover._run_columns gathered into one table. Entries below the
+    diagonal are 0."""
+    n = len(xy)
+    table = np.zeros((n, n))
+    for c0, R in _run_columns(xy, p, tol):
+        table[:R.shape[1], c0:c0 + len(R)] = R.T
+    return table
+
+
 def run_radii_full(xy, p: float, tol: Tolerance):
-    """The run table of k_cover._run_radii from whole N x N arrays: the
-    binding radii of all pairs at once (k_cover._binding_radii), and
-    their 2-D running maximum along each row toward larger r, then up
-    each column. Reference for the column blocks of
-    k_cover._run_columns and the pairs that they pass."""
+    """The run table of run_radii from whole N x N arrays: the binding
+    radii of all pairs at once (k_cover._binding_radii), and their 2-D
+    running maximum along each row toward larger r, then up each
+    column. Reference for the column blocks of k_cover._run_columns and
+    the pairs that they pass."""
     n = len(xy)
     X, Y = xy.T.copy()
     I, J = np.triu_indices(n)

@@ -160,36 +160,7 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
     tol = Tolerance(eps=args.eps, max_iters=args.max_iters)
     frame, table = _axis_instance(inst)
     t0 = time.perf_counter()
-    if inst.problem == "one-center":
-        c = min_enclosing(table, frame.L, inst.norm, tol)
-        center = frame.inverse_point(Point(c.cx, 0.0))
-        payload = {
-            "problem": inst.problem,
-            "method": "exact",
-            "eps": tol.eps,
-            "center_x": c.cx,
-            "center": [center.x, center.y],
-            "radius": c.radius,
-            "objective": c.radius,
-        }
-    elif inst.problem == "obnoxious-center":
-        if args.method == "binsearch":
-            best = max_empty_binsearch(table, frame.L, inst.norm, tol)
-        else:
-            best = max_empty_envelope(table, frame.L, inst.norm, tol)
-        cx, radius = best.cx, best.radius
-        center = frame.inverse_point(Point(cx, 0.0))
-        payload = {
-            "problem": inst.problem,
-            "method": args.method,
-            "split": "halves" if args.method == "envelope" else None,
-            "eps": tol.eps,
-            "center_x": cx,
-            "center": [center.x, center.y],
-            "radius": radius,
-            "objective": radius,
-        }
-    else:
+    if inst.problem == "k-cover":
         sol = dp_solve(PointSet(table), inst.k, inst.norm, tol, inst.agg)
         circles = []
         for run, c in zip(sol.intervals, sol.circles):
@@ -206,6 +177,18 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
             "circles": circles,
             "objective": sol.objective,
         }
+    else:
+        if inst.problem == "one-center":
+            c = min_enclosing(table, frame.L, inst.norm, tol)
+            method = {"method": "exact"}
+        else:
+            solve = max_empty_binsearch if args.method == "binsearch" else max_empty_envelope
+            c = solve(table, frame.L, inst.norm, tol)
+            method = {"method": args.method,
+                      "split": "halves" if args.method == "envelope" else None}
+        center = frame.inverse_point(Point(c.cx, 0.0))
+        payload = {"problem": inst.problem, **method, "eps": tol.eps, "center_x": c.cx,
+                   "center": [center.x, center.y], "radius": c.radius, "objective": c.radius}
     if args.verify:
         payload["verify"] = cross_check(inst, args, tol, frame.L, table, payload)
     payload["wall_time_ms"] = round((time.perf_counter() - t0) * 1e3, 3)

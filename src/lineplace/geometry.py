@@ -102,14 +102,14 @@ def _rtsafe(fdf, lo, hi, q, max_iters: int):
     Newton iteration rtsafe (Numerical Recipes, section 9.4), in
     lockstep: one evaluation of the running rows per step.
 
-    fdf(x, act) returns f and f' at x for the rows act (an index array,
-    or None for all rows), oriented so that f increases through the
-    root: the caller passes brackets with f(lo) < 0 <= f(hi), or ends it
-    knows to straddle the root as well. lo and hi are updated in place:
-    each evaluation moves one end, lo where f < 0 and hi elsewhere (f =
-    0 or NaN). A Newton step is taken when it lands in the closed
-    bracket and is at most half the step before the last one;
-    otherwise the bracket is halved, which is also what an f' that
+    fdf(x, act) returns f and f' at x for the rows act, always an index
+    array (all rows on the first step), oriented so that f increases
+    through the root: the caller passes brackets with f(lo) < 0 <=
+    f(hi), or ends it knows to straddle the root as well. lo and hi are
+    updated in place: each evaluation moves one end, lo where f < 0 and
+    hi elsewhere (f = 0 or NaN). A Newton step is taken when it lands in
+    the closed bracket and is at most half the step before the last
+    one; otherwise the bracket is halved, which is also what an f' that
     underflows to 0 or a NaN f gives. A row stops at an exact root, at
     a Newton step of at most q (its row of the array q), at the
     bisection of a bracket at most q wide, or once its iterate stops
@@ -130,7 +130,7 @@ def _rtsafe(fdf, lo, hi, q, max_iters: int):
     x = 0.5 * (lo + hi)
     dx = hi - lo
     dxold = dx.copy()
-    act = None
+    act = np.arange(len(x))
     steps = 0
     while steps < max_iters:
         steps += 1
@@ -141,16 +141,11 @@ def _rtsafe(fdf, lo, hi, q, max_iters: int):
 
 
 def _rtsafe_step(fdf, act, x, lo, hi, dx, dxold, q):
-    """One step of _rtsafe for the running rows act (None: all of them),
-    in place; returns the rows still running. Its temporaries span
-    those rows and are freed on return."""
-    if act is None:
-        act = np.arange(len(x))
-        xa = x
-        f, df = fdf(x, None)
-    else:
-        xa = x[act]
-        f, df = fdf(xa, act)
+    """One step of _rtsafe for the running rows act, an index array, in
+    place; returns the rows still running. Its temporaries span those
+    rows and are freed on return."""
+    xa = x[act]
+    f, df = fdf(xa, act)
     below = f < 0.0
     lo[act[below]] = xa[below]
     hi[act[~below]] = xa[~below]
@@ -200,7 +195,7 @@ def _certified_roots(fdf, lo, hi, w: float, max_iters: int) -> np.ndarray:
     left = max_iters
     while len(rows):
         def sub(xs, act):
-            return fdf(xs, rows if act is None else rows[act])
+            return fdf(xs, rows[act])
 
         xr, steps = _rtsafe(sub, lo, hi, q[:len(rows)], left)
         x[rows] = xr

@@ -17,10 +17,10 @@ budget row and block, for K = None an array pass over the breaks
 before every few columns and a scalar scan of those among them. A
 solve holds one block and O(K·N) DP cells, which record their last
 run's radius, so that the circle of each chosen run is read off them
-(_run_circles), with no radius search. The run table is the only run weight that a solve
-takes; the p = 2 candidate lists of slack-grown pair circles, which
-_cover can weigh runs by instead, are the second route of
-`lineplace solve --verify` (lineplace.verify).
+(_run_circles), with no radius search. The run table is the only run
+weight that dp_solve takes. The second route of `lineplace solve
+--verify` (lineplace.verify) feeds _relax_blocks the same blocks with
+the weights of the p = 2 candidate lists of slack-grown pair circles.
 """
 
 from __future__ import annotations
@@ -127,7 +127,8 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
       diagonal holds it;
     - the pair circle's radius where its center lies inside;
     - inf where the center or that radius is not finite (coordinates
-      near the float range), so that no run over the pair passes it
+      near the float range), and at p not in {1, 2} where the span
+      x_j - x_i overflows, so that no run over the pair passes it
       silently.
 
     F(x) = |x - x_i|^p - |x - x_j|^p increases, so the center, the root
@@ -142,10 +143,11 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
     far from the axis), then run rtsafe (geometry._rtsafe, the root
     kernel the envelope shares) on all inside pairs in lockstep, F - t
     by _power_gap, to the tolerance eps/4 of each pair's own scale
-    within their own [x_i, x_j]; the center is scaled back. Its accepted Newton steps at least halve every
-    second step and its other steps halve the bracket, so a pair stops
-    within about twice the steps of a bisection to the same width, or
-    sooner where the bracket ends become adjacent floats. On the
+    within their own [x_i, x_j]; the center is scaled back. Its accepted
+    Newton steps at least halve every second step and its other steps
+    halve the bracket, so a pair stops within about twice the steps of
+    a bisection to the same width, or sooner where the bracket ends
+    become adjacent floats. On the
     benchmark's point sets the lockstep takes at most 6 steps, against
     the default cap of 200. At every p the radius of a pair inside is
     _np_lp of c - x_i and y_i. The scalar kernel of one pair, which the
@@ -170,6 +172,9 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
             target, span, a, b = target[h], span[h], xi[h], xj[h]
             c = np.where(target == span, b, np.where(target == -span, a, 0.5 * (a + b + target)))
         else:
+            far = np.isinf(xj - xi)
+            binding[g[far]] = _INF
+            g, xi, yi, xj, yj = g[~far], xi[~far], yi[~far], xj[~far], yj[~far]
             s = _pair_scale(xi, yi, xj, yj)
             a, b = xi * s, xj * s
             with np.errstate(over="raise", invalid="raise"):
@@ -179,8 +184,6 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
                 s, a, b, target = s[h], a[h], b[h], target[h]
 
                 def gap(x, act):
-                    if act is None:
-                        return _power_gap(x, a, b, target, p)
                     return _power_gap(x, a[act], b[act], target[act], p)
 
                 c = _rtsafe(gap, a.copy(), b.copy(), tol.eps / 4.0 * s, tol.max_iters)[0]
@@ -223,7 +226,7 @@ def _run_columns(xy, p: float, tol: Tolerance):
     """The run table of the sorted points xy, one block of columns at a
     time (_column_blocks): yields (c0, R), where row k of R holds
     column c0 + k of the table over the left ends l < c1, R[k, l] the
-    least radius of the run l..c0+k (_run_radii), and 0 at l > c0 + k.
+    least radius of the run l..c0+k, and 0 at l > c0 + k.
 
     Each distance f_k(c) = (|c - x_k|^p + |y_k|^p)^(1/p) is convex, so
     the centers within R of a point form an interval, and by Helly's
@@ -255,19 +258,6 @@ def _run_columns(xy, p: float, tol: Tolerance):
         np.maximum.accumulate(R, axis=0, out=R)
         yield c0, R
         prev = R[-1]
-
-
-def _run_radii(xy, p: float, tol: Tolerance):
-    """The least radius of every run of the sorted points xy, as an
-    N x N table: entry [l, r], l <= r, is the radius of the smallest
-    ball centered on the axis that covers points l..r; the columns of
-    _run_columns gathered into one table. Entries below the diagonal
-    are 0 and never read."""
-    n = len(xy)
-    table = np.zeros((n, n))
-    for c0, R in _run_columns(xy, p, tol):
-        table[:R.shape[1], c0:c0 + len(R)] = R.T
-    return table
 
 
 def _center_slack(r: float, span: float) -> float:
@@ -312,7 +302,7 @@ def _run_circles(xy, runs, radii, p: float) -> list:
     """(center, radius) of the smallest ball centered on the axis that
     covers each run (l, r) of the sorted points xy, the runs tiling
     xy[runs[0][0]:runs[-1][1] + 1] in order, given their least radii
-    (_run_radii). A center is the midpoint of the intersection of the
+    (_run_columns). A center is the midpoint of the intersection of the
     run's intervals at its radius (_meeting). A radius that is not
     finite raises the ValueError of PlacedCircle.
 
@@ -469,16 +459,6 @@ def _relax_blocks(xy, K, blocks, p: float, agg: AggSpec) -> CoverSolution:
     return CoverSolution(tuple(runs), tuple(circles), objective)
 
 
-def _cover(xy, K, radius, weights, p: float, agg: AggSpec) -> CoverSolution:
-    """_relax_blocks over whole N x N tables, radius the run table
-    (_run_radii) and weights[b, r] the weight of the run b..r, whose
-    entries b > r are never read: verify.dp_solve_sweep's route. The
-    tables are fed to the relaxation in the blocks of _column_blocks."""
-    blocks = ((c0, radius.T[c0:c1, :c1], weights.T[c0:c1, :c1])
-              for c0, c1 in _column_blocks(len(xy)))
-    return _relax_blocks(xy, K, blocks, p, agg)
-
-
 def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
              lists: str = "naive") -> CoverSolution:
     """Optimal cover of the points by at most K runs (K=None: unlimited).
@@ -494,8 +474,9 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     lists selects nothing: "naive" and "sweep" both weigh runs by the
     run table, and any other value raises ValueError. It stays only for
     the callers under bench/ that still pass it, and goes with them in
-    the benchmark change of ROADMAP item 1b. The p = 2 sweep lists weigh
-    the runs of the --verify cross-check (verify.dp_solve_sweep).
+    the benchmark change of ROADMAP item 1b. The --verify cross-check
+    at p = 2 (verify.dp_solve_sweep) streams the same blocks into the
+    same DP, with the runs weighed by the sweep's candidate lists.
 
     Cost: O(N^2) pair circles, the O(N^2) running maxima, and the DP's
     O(K·N^2); memory O(PAIR_BUDGET + K·N) floats.

@@ -249,14 +249,14 @@ def _lp_minus(c, h, q1, q2, level, sign, p: float):
     """fdf(x, act) for _rtsafe over rows: sign times lp(x - c, h) minus
     the second profile's piece at x, lp(x - q1, q2) where that is a cone
     and q1 * x + q2 where it is affine (level), and its slope, for the
-    rows act (None: all). One _np_lp call evaluates both cones. A cone's
-    slope sign(d) (|d| / lp)^(p-1) has a base of at most 1, since lp >=
-    |d| as evaluated too, so it cannot overflow; where it underflows to
-    0, or lp is not finite, _rtsafe halves instead of stepping."""
+    rows act (an index array, or slice(None) for all). One _np_lp call
+    evaluates both cones. A cone's slope sign(d) (|d| / lp)^(p-1) has a
+    base of at most 1, since lp >= |d| as evaluated too, so it cannot
+    overflow; where it underflows to 0, or lp is not finite, _rtsafe
+    halves instead of stepping."""
 
     def fdf(x, act):
-        rows = (c, h, q1, q2, level, sign)
-        c_, h_, q1_, q2_, level_, sign_ = rows if act is None else (col[act] for col in rows)
+        c_, h_, q1_, q2_, level_, sign_ = (col[act] for col in (c, h, q1, q2, level, sign))
         n = len(x)
         d = np.concatenate((x - c_, x - q1_))
         vals = _np_lp(d, np.concatenate((h_, q2_)), p)
@@ -334,7 +334,7 @@ def _crossings(table: _PieceTable, i, j, a, b, tol: Tolerance):
     rho = np.abs(q1) ** (p / (p - 1.0))
     xhat = c + np.copysign(h * (rho / (1.0 - rho)) ** (1.0 / p), q1)
     inner = mixed & (rho < 1.0) & (a < xhat) & (xhat < b)
-    fa, fb, fm = f(a, None)[0], f(b, None)[0], f(xhat, None)[0]
+    fa, fb, fm = (f(x, slice(None))[0] for x in (a, b, xhat))
     # a sign change over the whole subcell: the crossing of two cones,
     # or of a cone and an affine without an interior minimum inside
     change = (both & (u1 != u2)) | (mixed & ~inner)

@@ -27,8 +27,8 @@ import numpy as np
 from .errors import EmptyInput, TooLarge
 from .geometry import NormP, Point, Segment, Tolerance, _np_lp, segments_from_columns
 from .intervals import Interval
-from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _center_slack, _cover, \
-    _run_radii
+from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _center_slack, \
+    _relax_blocks, _run_columns
 from .obnoxious import max_empty_binsearch, max_empty_envelope
 from .one_center import PlacedCircle, min_enclosing
 
@@ -214,13 +214,16 @@ def _enclosing_circle(points, norm: NormP, tol: Tolerance):
     min_enclosing does. It shares nothing with the k-cover circles
     (k_cover._run_circles, from pair circles), and with their bisecting
     reference (_reference._rmin_points, on scalar halfwidths) only
-    intervals.least_radius; the grid oracle shares neither."""
+    intervals.least_radius; the grid oracle shares neither. A window
+    wider than the float range raises TooLarge."""
     maxy = max(abs(y) for _, y in points)
     xs = [x for x, _ in points]
     lo = min(xs) - maxy
     hi = max(xs) + maxy
     if hi <= lo:
         lo, hi = min(xs), max(xs)
+    if not math.isfinite(hi - lo):
+        raise TooLarge(f"window [{lo:.3g}, {hi:.3g}] is wider than the float range")
     segs = [Segment(Point(x - lo, y), Point(x - lo, y)) for x, y in points]
     c = min_enclosing(segs, hi - lo, norm, tol)
     return c.cx + lo, c.radius
@@ -383,9 +386,11 @@ def dp_solve_sweep(pts: PointSet, K, norm: NormP, tol: Tolerance,
                    agg: AggSpec) -> CoverSolution:
     """k_cover.dp_solve with every run weighed by the sweep's lists at
     p = 2 (build_lists_sweep, _list_weights) instead of the run table:
-    the same DP (k_cover._cover), and the same circles, the exact ones
-    of the chosen runs. A list radius is a pair circle grown with a
-    coverage slack, so a run's weight may lie below its exact radius
+    the same blocks of the run table (k_cover._run_columns) feed the
+    same DP (k_cover._relax_blocks), each with the columns of the list
+    weights that it spans, and the circles are the same, the exact
+    ones of the chosen runs. A list radius is a pair circle grown with
+    a coverage slack, so a run's weight may lie below its exact radius
     by that slack, and the lists reach the runs of a circle by coverage
     tests rather than by Helly's theorem. K is None or an integer >= 1.
 
@@ -393,7 +398,9 @@ def dp_solve_sweep(pts: PointSet, K, norm: NormP, tol: Tolerance,
     point, besides those of dp_solve.
     """
     weights = _list_weights(build_lists_sweep(pts, norm, tol), agg.q)
-    return _cover(pts.xy, K, _run_radii(pts.xy, norm.p, tol), weights, norm.p, agg)
+    blocks = ((c0, R, weights.T[c0:c0 + len(R), :R.shape[1]])
+              for c0, R in _run_columns(pts.xy, norm.p, tol))
+    return _relax_blocks(pts.xy, K, blocks, norm.p, agg)
 
 
 # -- the report ---------------------------------------------------------

@@ -313,6 +313,29 @@ class TestRobustness:
         (circle,) = json.loads(out)["result"]["circles"]
         assert (circle["center_x"], circle["radius"]) == (8.98846567431158e+307, 0.0)
 
+    @pytest.mark.parametrize("k", [None, 3, 1])
+    def test_pair_span_beyond_the_float_range(self, tmp_path, k):
+        # at p = 1.5 the span of the two outer points overflows: their
+        # pair binds at inf, so k >= 3 answers the three singletons and
+        # k = 1 has no finite cover. --verify's set-partition oracle
+        # cannot window the outer pair, and reports no verdict
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({
+            "problem": "k-cover", "p": 1.5, "constraint": [0, 0, 1, 0],
+            "points": [[-1.6e308, 1.0], [0.0, 2.0], [1.6e308, 1.0]], "k": k}))
+        code, out = run_cli(["solve", "--in", str(path), "--verify"])
+        if k == 1:
+            assert code == 3
+            assert json.loads(out)["error"]["name"] == "OverflowError"
+            return
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["objective"] == 4.0
+        assert [c["run"] for c in result["circles"]] == [[0, 0], [1, 1], [2, 2]]
+        assert result["verify"]["kind"] == "set-partition"
+        assert result["verify"]["ok"] is None
+        assert "float range" in result["verify"]["reason"]
+
     def test_split_selects_nothing(self, tmp_path):
         # --split is accepted but both values build by halves, which the
         # result reports; the output is that of --split halves

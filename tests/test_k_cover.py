@@ -25,8 +25,8 @@ from lineplace import (
 from lineplace import geometry, k_cover, verify
 from lineplace.cli import main
 from lineplace._reference import _halfwidth, _rmin_points, build_lists_loop, dp_full_table, \
-    dp_scan, min_enclosing_scalar, relax_scan, rmin_on_axis, run_circle, run_radii_full, \
-    two_point_circle
+    dp_scan, min_enclosing_scalar, relax_scan, rmin_on_axis, run_circle, run_radii, \
+    run_radii_full, two_point_circle
 from lineplace.errors import NoBisectorRoot, TooLarge
 from lineplace.verify import _enclosing_circle, build_lists_sweep, dp_solve_sweep, \
     enumerate_partitions, set_partition_oracle
@@ -429,7 +429,7 @@ class TestPairCirclesBatch:
         for norm in (N1, N2):
             for cl in build_lists_loop(ps, norm, TOL):
                 assert all(math.isfinite(radius) for _, radius in cl)
-        radius = k_cover._run_radii(ps.xy, 2.0, TOL)
+        radius = run_radii(ps.xy, 2.0, TOL)
         assert radius[0, 3] == radius[1, 3] == math.inf
         assert np.isfinite(np.diag(radius)).all()
 
@@ -479,7 +479,7 @@ class TestPairCirclesBatch:
         step = geometry._rtsafe_step
 
         def counted(fdf, act, x, *args):
-            running.append(len(x) if act is None else len(act))
+            running.append(len(act))
             return step(fdf, act, x, *args)
 
         monkeypatch.setattr(geometry, "_rtsafe_step", counted)
@@ -520,7 +520,7 @@ class TestPairCirclesBatch:
         # radius stays finite
         ps = pset((1e-320, 2e-315), (3e-318, -1e-310), (5e-300, 1.5e-300))
         assert all(math.isfinite(R) for *_, R in batch_binding(ps, NormP(p), TOL))
-        radius = k_cover._run_radii(ps.xy, p, TOL)
+        radius = run_radii(ps.xy, p, TOL)
         assert np.isfinite(radius).all()
         sol = dp_solve(ps, None, NormP(p), TOL, AggSpec())
         assert all(math.isfinite(c.radius) for c in sol.circles)
@@ -545,7 +545,7 @@ class TestPairCirclesBatch:
             except NoBisectorRoot:  # (0, 1): one abscissa, |y| differ
                 want = None
             check_binding(ps, i, j, R, want, norm.p, TOL.eps)
-        assert np.isfinite(k_cover._run_radii(ps.xy, norm.p, TOL)).all()
+        assert np.isfinite(run_radii(ps.xy, norm.p, TOL)).all()
 
 
 def list_cover(cls):
@@ -562,7 +562,7 @@ def list_cover(cls):
 
 
 class TestListsAgainstLoop:
-    """The run table (k_cover._run_radii) against the candidate lists of
+    """The run table (_reference.run_radii) against the candidate lists of
     the per-pair loop of lineplace._reference.
 
     A candidate is a pair circle grown over the points that it covers
@@ -578,7 +578,7 @@ class TestListsAgainstLoop:
 
     def _compare(self, ps, p, above):
         iu = np.triu_indices(len(ps))
-        radius = k_cover._run_radii(ps.xy, p, TOL)[iu]
+        radius = run_radii(ps.xy, p, TOL)[iu]
         cover = list_cover(build_lists_loop(ps, NormP(p), TOL))[iu]
         assert (cover <= radius + above).all()
         slack = max(TOL.eps, 2.0 ** -40) * np.maximum(1.0, cover)
@@ -595,7 +595,7 @@ class TestListsAgainstLoop:
         rng = random.Random(f"lists{regime}{p}")
         for n in (1, 2, 7, 30):
             ps = random_pset(rng, n, regime)
-            radius = k_cover._run_radii(ps.xy, p, TOL)[np.triu_indices(n)]
+            radius = run_radii(ps.xy, p, TOL)[np.triu_indices(n)]
             if p == 1.0:
                 above = TOL.eps / 8 + 16 * U * float(np.abs(ps.xy).max()) + 4 * U * radius
             else:
@@ -606,7 +606,7 @@ class TestListsAgainstLoop:
         # the run of both points has the table's radius from np.hypot and
         # the loop's candidate from math.hypot, 1 ulp apart
         ps = pset(*HYPOT_APART)
-        radius = k_cover._run_radii(ps.xy, 2.0, TOL)[np.triu_indices(2)]
+        radius = run_radii(ps.xy, 2.0, TOL)[np.triu_indices(2)]
         cover = list_cover(build_lists_loop(ps, N2, TOL))[np.triu_indices(2)]
         assert radius[1] != cover[1]
         self._compare(ps, 2.0, hypot_tolerance(radius))
@@ -628,7 +628,7 @@ class TestListsAgainstLoop:
 
     def test_near_equal_abscissas(self):
         ps = pset((0.447712, 96.415328), (0.447713, 54.104628), (3, 1))
-        radius = k_cover._run_radii(ps.xy, 2.0, TOL)[np.triu_indices(3)]
+        radius = run_radii(ps.xy, 2.0, TOL)[np.triu_indices(3)]
         self._compare(ps, 2.0, hypot_tolerance(radius))
 
 
@@ -786,7 +786,7 @@ class TestCertifiedJumps:
         rng = random.Random(f"steps {regime}")
         ps = bench_like_pset(rng, n, regime)
         norm = NormP(p)
-        radius = k_cover._run_radii(ps.xy, p, TOL)
+        radius = run_radii(ps.xy, p, TOL)
         for _ in range(10):
             i, j = sorted(rng.randrange(n) for _ in range(2))
             got = run_circle(ps.xy[i:j + 1], radius[i, j], p)
@@ -814,7 +814,7 @@ class TestCertifiedJumps:
         else:
             ps = bench_like_pset(rng, 25, case)
         n = len(ps)
-        radius = k_cover._run_radii(ps.xy, p, TOL)
+        radius = run_radii(ps.xy, p, TOL)
         D = decimal.Context(prec=60)
         e = D.create_decimal(p)
         X = [D.create_decimal(x) for x in ps.xy[:, 0].tolist()]
@@ -1093,7 +1093,7 @@ class TestHellyReduction:
         # comes from there, with the radius unchanged
         ps = PointSet(np.array(self.LARGE_P))
         norm = NormP(30.0)
-        radius = k_cover._run_radii(ps.xy, 30.0, TOL)
+        radius = run_radii(ps.xy, 30.0, TOL)
         cx, r = run_circle(ps.xy, radius[0, 2], 30.0)
         assert r == 1.946048
         for x, y in self.LARGE_P:
@@ -1117,7 +1117,7 @@ class TestHellyReduction:
         X, Y = xy.T.copy()
         I, J = np.triu_indices(len(xy))
         binding = k_cover._binding_radii(X, Y, I, J, 2.0, TOL)
-        r = k_cover._run_radii(xy, 2.0, TOL)[0, -1]
+        r = run_radii(xy, 2.0, TOL)[0, -1]
         top = int(np.argmax(binding))
         assert (I[top], J[top]) == (0, 0) and binding[top] == r
 
@@ -1162,7 +1162,7 @@ class TestHellyReduction:
         rng = random.Random(f"helly slices {p}")
         for n, regime in ((23, "nearline"), (30, "spread"), (12, "grid")):
             ps = random_pset(rng, n, regime)
-            radius = k_cover._run_radii(ps.xy, p, TOL)
+            radius = run_radii(ps.xy, p, TOL)
             for _ in range(40):
                 i, j = sorted(rng.randrange(n) for _ in range(2))
                 got = run_circle(ps.xy[i:j + 1], radius[i, j], p)
@@ -1294,7 +1294,7 @@ class TestRelax:
     weight rows at once, against the nested scan of lineplace._reference,
     cell by cell. Each cell is a column j and the candidate list of its
     last runs; its weight row is that list's (verify._list_weights) with
-    inf at the breaks b >= j, as k_cover._cover masks them."""
+    inf at the breaks b >= j, as k_cover._relax_blocks masks them."""
 
     def _both(self, prev, cells, q, is_sum):
         rows = []
@@ -1365,9 +1365,9 @@ def budget(K, n):
 
 
 def table_lists(ps, norm, tol=TOL):
-    """The run table (k_cover._run_radii) as candidate lists: list r
+    """The run table (_reference.run_radii) as candidate lists: list r
     holds (l, the least radius of run l..r) for every l <= r."""
-    radius = k_cover._run_radii(ps.xy, norm.p, tol).tolist()
+    radius = run_radii(ps.xy, norm.p, tol).tolist()
     return tuple(tuple((left, radius[left][r]) for left in range(r + 1)) for r in range(len(ps)))
 
 
@@ -1467,46 +1467,39 @@ class TestDpAgainstScan:
 
     @pytest.mark.parametrize("kind", ["sum", "max"])
     @pytest.mark.parametrize("K", [1, 3, "n", "n+2", None])
-    def test_entries_below_the_diagonal_are_not_read(self, K, kind):
-        # _cover masks the breaks b > r of the weight table, so any
-        # finite value there gives the solution of an inf-filled table.
+    def test_entries_below_the_diagonal_are_not_read(self, monkeypatch, K, kind):
+        # _relax_blocks masks the breaks b > r of its weight blocks and
+        # reads the radius blocks only at the breaks it chooses, so any
+        # finite value there gives the solution of inf-filled weights.
         # A value >= 0 there cannot win: the prefix before such a break
         # holds more points, so it alone costs no less than the optimum
         # (ties keep the first break). Only a negative value under the
-        # sum shows a read; grid points tie often
+        # sum shows a read; grid points tie often. A budget of 20 pairs
+        # cuts every set into several blocks
+        monkeypatch.setattr(k_cover, "PAIR_BUDGET", 20)
         rng = random.Random(f"below {K}{kind}")
         agg = AggSpec(2.0, kind)
+
+        def relax(ps, k, radius, weights):
+            blocks = ((c0, radius.T[c0:c1, :c1], weights.T[c0:c1, :c1])
+                      for c0, c1 in k_cover._column_blocks(len(ps)))
+            return k_cover._relax_blocks(ps.xy, k, blocks, 2.0, agg)
+
         for n, regime in ((12, "grid"), (15, "grid"), (11, "nearline")):
             ps, k = random_pset(rng, n, regime), budget(K, n)
-            radius = k_cover._run_radii(ps.xy, 2.0, TOL)
+            radius = run_radii(ps.xy, 2.0, TOL)
             below = np.tril_indices(n, -1)
             weights = radius ** agg.q
             weights[below] = math.inf
-            want = k_cover._cover(ps.xy, k, radius, weights, 2.0, agg)
+            want = relax(ps, k, radius, weights)
+            assert want == dp_solve(ps, k, N2, TOL, agg)
             # what _list_weights leaves below the diagonal: the running
             # minimum of the lists' weights down each column
             listed = verify._list_weights(build_lists_sweep(ps, N2, TOL), agg.q)[below]
             drawn = np.array([rng.uniform(-4, 4) for _ in listed])
             for fill in (0.0, drawn, listed):
-                weights[below] = fill
-                assert k_cover._cover(ps.xy, k, radius, weights, 2.0, agg) == want
-
-    def test_dp_memory_stays_quadratic(self):
-        # one relaxation pass holds an N x N table of values beside the
-        # masked weights; a K x N x N temporary would be K / 3 times
-        # the bound
-        rng = random.Random(1000)
-        n, K = 1000, 5
-        ps = pset(*((rng.uniform(0, 100), rng.uniform(-2, 2)) for _ in range(n)))
-        radius = k_cover._run_radii(ps.xy, 2.0, TOL)
-        weights = radius ** 1.0
-        tracemalloc.start()
-        try:
-            k_cover._cover(ps.xy, K, radius, weights, 2.0, AggSpec())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * n * n * 8
+                weights[below] = radius[below] = fill
+                assert relax(ps, k, radius, weights) == want
 
 
 @st.composite
@@ -1549,7 +1542,7 @@ class TestStream:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(k_cover, "PAIR_BUDGET", pairs)
             got = dp_solve(ps, K, NormP(p), TOL, agg)
-            table = k_cover._run_radii(ps.xy, p, TOL)
+            table = run_radii(ps.xy, p, TOL)
         assert sol_bits(got) == sol_bits(want)
         assert table.tobytes() == run_radii_full(ps.xy, p, TOL).tobytes()
 

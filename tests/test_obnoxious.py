@@ -543,7 +543,7 @@ class TestSameTree:
                 turn = np.full(len(a), -sign)
 
                 def fdf(x, act):
-                    r, t = (root, turn) if act is None else (root[act], turn[act])
+                    r, t = root[act], turn[act]
                     return t * sign * (r - x) * (x + 20.0), t * sign * (r - 2.0 * x - 20.0)
 
                 got = geometry._certified_roots(fdf, a.copy(), b.copy(), eps / 8.0, max_iters)
@@ -675,7 +675,7 @@ class TestRootKernel:
         r = np.array([-0.3, 0.0, 0.123456789, 2.0 / 3.0])
 
         def cube(x, act):
-            rr = r if act is None else r[act]
+            rr = r[act]
             return (x - rr) ** 3, 3.0 * (x - rr) ** 2
 
         got = geometry._certified_roots(cube, r - 1.0, r + 0.7, self.W, TOL.max_iters)
@@ -707,7 +707,7 @@ class TestRootKernel:
         # every step
         fdf = obnoxious._lp_minus(np.zeros(1), np.ones(1), np.full(1, apart),
                                   np.full(1, 1.0 + apart / 2.0), np.zeros(1, bool), np.ones(1), p)
-        f, df = fdf(np.zeros(1), None)
+        f, df = fdf(np.zeros(1), slice(None))
         assert f[0] < 0.0 and df[0] == 0.0
         widths = []
         step = geometry._rtsafe_step
@@ -726,7 +726,7 @@ class TestRootKernel:
         widths.clear()
         r = np.array([0.3, -2.0, 1e-3])
         flat = geometry._certified_roots(
-            lambda x, act: (x - (r if act is None else r[act]), np.zeros(len(x))),
+            lambda x, act: (x - r[act], np.zeros(len(x))),
             np.full(3, -3.0), np.full(3, 3.0), self.W, TOL.max_iters)
         assert np.abs(flat - r).max() <= self.W
         for before, after in zip(widths, widths[1:]):
@@ -739,7 +739,7 @@ class TestRootKernel:
         r = np.array([1.0, 0.25, -3.0])
 
         def line(x, act):
-            rr = r if act is None else r[act]
+            rr = r[act]
             return 2.0 * (x - rr), np.full(len(x), 2.0)
 
         got = geometry._certified_roots(line, r - np.array([2.0, 0.5, 7.0]), r.copy(), self.W,
@@ -757,7 +757,7 @@ class TestRootKernel:
 
         def line(x, act):
             calls.append(len(x))
-            a, b = (lo, hi) if act is None else (lo[act], hi[act])
+            a, b = lo[act], hi[act]
             return 2.0 * (x - a) - (b - a), np.full(len(x), 2.0)
 
         # the bracket test's product overflows near 1e300, as the level
@@ -805,7 +805,7 @@ class TestRootKernel:
         rtsafe = geometry._rtsafe
 
         def counted(fdf, act, x, *args):
-            calls[-1].append(len(x) if act is None else len(act))
+            calls[-1].append(len(act))
             return step(fdf, act, x, *args)
 
         def started(*args):

@@ -27,6 +27,7 @@ REFERENCE_ROUTES = {
     "_extent",
     "_finalize_lists",
     "dp_full_table",
+    "run_radii",
     "run_radii_full",
     "run_circle",
     "_fold_one",
@@ -273,7 +274,7 @@ GONE_FROM_K_COVER = {
     "build_lists_naive", "_naive_lists", "_certified_thresholds", "_certify", "_running_max",
     "_jump_ends", "_expand_runs", "_relax", "_break", "_SLICE", "_U", "_TINY", "_pair_circles",
     "_sweep_pass", "build_lists_sweep", "_group_lists", "_list_weights", "_cover_slack",
-    "UnsupportedNorm", "itertools",
+    "UnsupportedNorm", "itertools", "_cover", "_run_radii",
 }
 
 
@@ -311,8 +312,9 @@ def test_envelope_merges_by_level_passes():
 
 def test_k_cover_dp_reads_the_run_table():
     # a solve weighs its runs by the run table alone and builds no
-    # candidate lists; lists= only rejects unknown values, and the DP
-    # takes its weight table with no word of which caller it serves
+    # candidate lists; lists= only rejects unknown values, the DP takes
+    # its weight blocks with no word of which caller it serves, and
+    # k_cover keeps no whole-table route beside the stream
     tree = ast.parse((SRC / "k_cover.py").read_text())
     assert not GONE_FROM_K_COVER & set(_bound_names(tree))
     for name in ("build_lists_naive", "UnsupportedNorm"):
@@ -325,8 +327,8 @@ def test_k_cover_dp_reads_the_run_table():
                 name.id for name in ast.walk(node.test) if isinstance(name, ast.Name)}:
             assert isinstance(node, ast.If) and not node.orelse
             assert [type(stmt) for stmt in node.body] == [ast.Raise]
-    assert [arg.arg for arg in fns["_cover"].args.args] == ["xy", "K", "radius", "weights",
-                                                             "p", "agg"]
+    assert [arg.arg for arg in fns["_relax_blocks"].args.args] == ["xy", "K", "blocks", "p",
+                                                                    "agg"]
     gap = next(node for node in tree.body
                if isinstance(node, ast.FunctionDef) and node.name == "_power_gap")
     assert [arg.arg for arg in gap.args.args] == ["x", "a", "b", "t", "p"]

@@ -16,7 +16,7 @@ both outputs have an objective, how far it moved, and the float field
 of the result objects that moved the most ulps, with its key; then a
 summary line, which counts the differing requests of every request
 kind (workload and RequestType label) that has any. It exits 1 when any request differs and 0 otherwise.
-By default it checks every workload at seeds 201-203, at full size.
+By default it checks every workload at seeds 201-205, at full size.
 --workload and --seed may be repeated; their values add up.
 """
 
@@ -180,7 +180,7 @@ def main(argv=None) -> int:
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     args.workload = args.workload or list(WORKLOADS)
-    args.seed = args.seed or [201, 202, 203]
+    args.seed = args.seed or [201, 202, 203, 204, 205]
     if args.worker:
         json.dump(run_requests(args.worker, json.load(sys.stdin)), sys.stdout)
         return 0
