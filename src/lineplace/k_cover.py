@@ -6,10 +6,10 @@ runs. By Helly's theorem on the line, the least radius of a run is the
 largest minimax radius of its pairs (_run_columns): the circles through
 one point, and through two points whose equidistant center lies
 between them (_binding_radii). The pairs are tested over numpy arrays:
-in closed form at p = 1 and p = 2, and at other p by the signs at each
-pair's two ends, after which a lockstep safeguarded Newton iteration,
-rtsafe, solves the pairs inside within their own span, each on its own
-power-of-two scale. The run table streams into the DP in blocks of
+p = 2 by its closed-form center, other p by one inside test of their
+span, and the centers inside come in closed form at p = 1 and from a
+lockstep safeguarded Newton iteration, rtsafe, at other p, each on its
+own power-of-two scale. The run table streams into the DP in blocks of
 columns of at most PAIR_BUDGET pairs: running maxima extend it by each
 block, exactly. The DP relaxes each block's columns over the breaks
 before them (_relax_blocks): for an integer K one array pass per
@@ -131,34 +131,35 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
       x_j - x_i overflows, so that no run over the pair passes it
       silently.
 
-    F(x) = |x - x_i|^p - |x - x_j|^p increases, so the center, the root
-    of F(x) = t with t = |y_j|^p - |y_i|^p, lies in [x_i, x_j] iff
-    F(x_i) <= t <= F(x_j), and only those pairs are solved. At p = 1, F
-    is -span at x_i and +span at x_j, and between them 2x - x_i - x_j,
-    so the center is the closed form (x_i + x_j + t) / 2; p = 2 takes its
-    closed-form center for every pair. Both closed forms keep the test
-    x_i <= c <= x_j on the computed center. Other p test the two signs
-    of _power_gap at the pair's ends on its own power-of-two scale
-    (_pair_scale: exact, and the powers do not overflow even for a point
-    far from the axis), then run rtsafe (geometry._rtsafe, the root
-    kernel the envelope shares) on all inside pairs in lockstep, F - t
-    by _power_gap, to the tolerance eps/4 of each pair's own scale
-    within their own [x_i, x_j]; the center is scaled back. Its accepted
-    Newton steps at least halve every second step and its other steps
-    halve the bracket, so a pair stops within about twice the steps of
-    a bisection to the same width, or sooner where the bracket ends
-    become adjacent floats. On the
-    benchmark's point sets the lockstep takes at most 6 steps, against
-    the default cap of 200. At every p the radius of a pair inside is
-    _np_lp of c - x_i and y_i. The scalar kernel of one pair, which the
-    tests compare against, is _reference.two_point_circle: it bisects
-    at every p != 2, so the values of i == j and the centers of p = 2
-    equal its bit for bit, the radii of p = 2 agree within rounding
-    (np.hypot against math.hypot), and the others agree within its
-    eps/8 bracket and the rounding of F. The powers run under
-    np.errstate(over="raise", invalid="raise"), so no inf - inf steers a
-    search. Other arithmetic overflows to inf, silently, as Python float
-    arithmetic does.
+    F(x) = |x - x_i|^p - |x - x_j|^p increases from F(x_i) = -S to
+    F(x_j) = S, S = span^p for the span x_j - x_i, so the center, the
+    root of F(x) = t with t = |y_j|^p - |y_i|^p, lies in [x_i, x_j] iff
+    |t| <= S: one inside test for every p != 2, and only the pairs inside
+    are solved. At p = 1, S is the span and F is 2x - x_i - x_j between
+    the ends, so the center is the closed form (x_i + x_j + t) / 2; p = 2
+    takes its closed-form center for every pair. Both closed forms keep
+    the test x_i <= c <= x_j on the computed center. Other p take t and
+    the span on each pair's own power-of-two scale (_pair_scale: exact,
+    and the powers do not overflow even for a point far from the axis),
+    and S as span^(p-1) span, the product _power_gap forms at either end:
+    as IEEE subtraction is monotone and rounds no nonzero difference to
+    0, these are exactly the pairs whose _power_gap F - t is <= 0 at x_i
+    and >= 0 at x_j. rtsafe (geometry._rtsafe, the root kernel the
+    envelope shares) solves them in lockstep, F - t by _power_gap, to the
+    tolerance eps/4 of each pair's own scale within their own [x_i, x_j];
+    the center is scaled back. Its accepted Newton steps at least halve
+    every second step and its other steps halve the bracket, so a pair
+    stops within about twice the steps of a bisection to the same width,
+    or sooner where the bracket ends become adjacent floats. At every p
+    the radius of a pair inside is _np_lp of c - x_i and y_i. The scalar
+    kernel of one pair, which the tests compare against, is
+    _reference.two_point_circle: it bisects at every p != 2, so the
+    values of i == j and the centers of p = 2 equal its bit for bit, the
+    radii of p = 2 agree within rounding (np.hypot against math.hypot),
+    and the others agree within its eps/8 bracket and the rounding of F.
+    The powers run under np.errstate(over="raise", invalid="raise"), so
+    no inf - inf steers a search. Other arithmetic overflows to inf,
+    silently, as Python float arithmetic does.
     """
     binding = np.where(I == J, np.abs(Y[I]), 0.0)
     g = np.flatnonzero(X[I] != X[J])
@@ -178,9 +179,8 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
             s = _pair_scale(xi, yi, xj, yj)
             a, b = xi * s, xj * s
             with np.errstate(over="raise", invalid="raise"):
-                target = np.abs(yj * s) ** p - np.abs(yi * s) ** p
-                h = np.flatnonzero((_power_gap(a, a, b, target, p)[0] <= 0.0)
-                                   & (_power_gap(b, a, b, target, p)[0] >= 0.0))
+                target, span = np.abs(yj * s) ** p - np.abs(yi * s) ** p, b - a
+                h = np.flatnonzero(np.abs(target) <= span ** (p - 1.0) * span)
                 s, a, b, target = s[h], a[h], b[h], target[h]
 
                 def gap(x, act):

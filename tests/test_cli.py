@@ -313,25 +313,33 @@ class TestRobustness:
         (circle,) = json.loads(out)["result"]["circles"]
         assert (circle["center_x"], circle["radius"]) == (8.98846567431158e+307, 0.0)
 
-    @pytest.mark.parametrize("k", [None, 3, 1])
-    def test_pair_span_beyond_the_float_range(self, tmp_path, k):
-        # at p = 1.5 the span of the two outer points overflows: their
+    @pytest.mark.parametrize("p, k", [(1.5, None), (1.5, 3), (1.5, 1), (1, None), (1, 3), (1, 1)],
+                             ids=["None", "3", "1", "p1-None", "p1-3", "p1-1"])
+    def test_pair_span_beyond_the_float_range(self, tmp_path, p, k):
+        # the span of the two outer points overflows. At p = 1.5 their
         # pair binds at inf, so k >= 3 answers the three singletons and
-        # k = 1 has no finite cover. --verify's set-partition oracle
-        # cannot window the outer pair, and reports no verdict
+        # k = 1 has no finite cover. At p = 1 the closed form takes the
+        # inf span as it is, and k = 1 answers one circle about the
+        # origin. --verify's set-partition oracle cannot window the
+        # outer pair, and reports no verdict
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({
-            "problem": "k-cover", "p": 1.5, "constraint": [0, 0, 1, 0],
+            "problem": "k-cover", "p": p, "constraint": [0, 0, 1, 0],
             "points": [[-1.6e308, 1.0], [0.0, 2.0], [1.6e308, 1.0]], "k": k}))
         code, out = run_cli(["solve", "--in", str(path), "--verify"])
-        if k == 1:
+        if k == 1 and p == 1.5:
             assert code == 3
             assert json.loads(out)["error"]["name"] == "OverflowError"
             return
         assert code == 0
         result = json.loads(out)["result"]
-        assert result["objective"] == 4.0
-        assert [c["run"] for c in result["circles"]] == [[0, 0], [1, 1], [2, 2]]
+        if k == 1:
+            (circle,) = result["circles"]
+            assert (circle["run"], circle["center_x"], circle["radius"]) == ([0, 2], 0.0, 1.6e308)
+            assert result["objective"] == 1.6e308
+        else:
+            assert result["objective"] == 4.0
+            assert [c["run"] for c in result["circles"]] == [[0, 0], [1, 1], [2, 2]]
         assert result["verify"]["kind"] == "set-partition"
         assert result["verify"]["ok"] is None
         assert "float range" in result["verify"]["reason"]
@@ -516,6 +524,20 @@ class TestRobustness:
         assert verify["kind"] == "grid"
         assert "exceeds the limit" in verify["reason"]
 
+    @pytest.mark.parametrize("p, n, seed", [("3", 3, 1), ("1.5", 6, 4)],
+                             ids=["3-points-p3", "6-points-p1.5"])
+    def test_verify_partition_oracle_at_k_above_4(self, tmp_path, p, n, seed):
+        # the oracle's only cap is its 10 points, which bound the
+        # enumeration at every K, so a budget of 5 is checked
+        path = tmp_path / "inst.json"
+        run_cli(["gen", "--problem", "k-cover", "--p", p, "--n", str(n), "--k", "5",
+                 "--seed", str(seed), "--out", str(path)])
+        code, out = run_cli(["solve", "--in", str(path), "--verify"])
+        assert code == 0
+        verify = json.loads(out)["result"]["verify"]
+        assert verify["kind"] == "set-partition"
+        assert verify["ok"] is True
+
     def test_verify_on_a_small_instance_unchanged(self):
         # golden case 2 is a one-center instance solved with --verify
         case = json.loads((GOLDEN / "manifest.json").read_text())["cases"][1]
@@ -543,7 +565,7 @@ class TestRobustness:
         assert verify["kind"] == "grid"
         assert 0.0 < verify["grid_radius"] < math.inf
 
-    @pytest.mark.parametrize("n,k", [(12, None), (6, 5)])
+    @pytest.mark.parametrize("n,k", [(12, None), (11, 5)])
     def test_verify_beyond_oracle_limits(self, tmp_path, n, k):
         path = tmp_path / "inst.json"
         argv = ["gen", "--problem", "k-cover", "--p", "1.5", "--n", str(n),

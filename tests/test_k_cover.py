@@ -494,24 +494,79 @@ class TestPairCirclesBatch:
     @pytest.mark.parametrize("p", [1.5, 3.0, 300.0])
     @pytest.mark.parametrize("case", ["nearline", "spread", "far"])
     def test_search_stays_in_the_span(self, case, p, monkeypatch):
-        # F is evaluated only inside each pair's own [a, b]: at its two
-        # ends for the sign test, then by rtsafe on the pairs whose
-        # center lies inside. "far" holds pairs whose centers lie up to
-        # 1e10 away, which a bracket widened toward them would reach
+        # F is evaluated only inside each pair's own [a, b], and only by
+        # rtsafe: its first call of every block takes the midpoints of
+        # the pairs that pass the span test, whose ends straddle the
+        # target, and its calls never grow within a block. "far" holds
+        # pairs whose centers lie up to 1e10 away, which a bracket
+        # widened toward them would reach
         rng = random.Random(f"span {case}{p}")
         ps = pset(*far_center_pairs(rng, 24)) if case == "far" else random_pset(rng, 30, case)
-        calls = []
-        real = k_cover._power_gap
+        calls, blocks = [], []
+        real_gap, real_rtsafe = k_cover._power_gap, k_cover._rtsafe
 
         def checked(x, a, b, t, p):
             assert ((a <= x) & (x <= b)).all()
-            calls.append(len(x))
-            return real(x, a, b, t, p)
+            calls.append(x.copy())
+            return real_gap(x, a, b, t, p)
+
+        def rtsafe(fdf, lo, hi, q, max_iters):
+            assert not calls, "F was evaluated before rtsafe"
+            rows = np.arange(len(lo))
+            assert (fdf(lo, rows)[0] <= 0.0).all() and (fdf(hi, rows)[0] >= 0.0).all()
+            calls.clear()
+            first = 0.5 * (lo + hi)
+            out = real_rtsafe(fdf, lo, hi, q, max_iters)
+            blocks.append((first, calls[:]))
+            calls.clear()
+            return out
 
         monkeypatch.setattr(k_cover, "_power_gap", checked)
+        monkeypatch.setattr(k_cover, "_rtsafe", rtsafe)
         dp_solve(ps, 3, NormP(p), TOL, AggSpec())
-        # the two ends of every pair with a span, then rtsafe
-        assert len(calls) > 2 and calls[0] == calls[1] > calls[2] > 0
+        assert blocks and not calls
+        for first, seen in blocks:
+            assert len(first) > 0 and len(seen) > 1
+            assert np.array_equal(seen[0], first)
+            assert all(len(later) <= len(earlier) for earlier, later in zip(seen, seen[1:]))
+
+    @given(p=st.sampled_from([1.01, 1.5, 3.0, 30.0, 400.0, 1000.0]),
+           scale=st.integers(-300, 300).map(lambda e: 10.0 ** e),
+           pairs=st.one_of(st.lists(_GRID_POINT, min_size=2, max_size=8),
+                           st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                                    min_size=2, max_size=8),
+                           st.lists(st.floats(1e-3, 1.0).map(lambda v: (v, v)), min_size=1,
+                                    max_size=7).map(lambda diagonal: [(0.0, 0.0)] + diagonal)))
+    @example(p=3.0, scale=1.0, pairs=[(0.0, 0.0), (2.0, 2.0), (4.0, 0.0), (2.0, -2.0)]).via(
+        "targets of +S and -S: span 2, |y| of 0 and 2")
+    @settings(deadline=None)
+    def test_span_test_matches_the_end_signs(self, p, scale, pairs):
+        # the pairs that reach rtsafe are exactly those whose _power_gap
+        # values at their two ends, on the pair's own scale, give
+        # F(a) - t <= 0 <= F(b) - t. The origin's pairs with points of
+        # |y| = x have t = span^p, within rounding of S = span^(p-1) span
+        ps = pset(*((x * scale, y * scale) for x, y in pairs))
+        X, Y = ps.xy.T.copy()
+        I, J = np.triu_indices(len(ps))
+        seen = []
+        real = k_cover._rtsafe
+
+        def rtsafe(fdf, lo, hi, q, max_iters):
+            seen.append((lo.copy(), hi.copy()))
+            return real(fdf, lo, hi, q, max_iters)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(k_cover, "_rtsafe", rtsafe)
+            k_cover._binding_radii(X, Y, I, J, p, TOL)
+        g = np.flatnonzero(X[I] != X[J])
+        xi, yi, xj, yj = X[I[g]], Y[I[g]], X[J[g]], Y[J[g]]
+        s = k_cover._pair_scale(xi, yi, xj, yj)
+        a, b = xi * s, xj * s
+        t = np.abs(yj * s) ** p - np.abs(yi * s) ** p
+        keep = ((k_cover._power_gap(a, a, b, t, p)[0] <= 0.0)
+                & (k_cover._power_gap(b, a, b, t, p)[0] >= 0.0))
+        (lo, hi), = seen
+        assert np.array_equal(lo, a[keep]) and np.array_equal(hi, b[keep])
 
     @pytest.mark.parametrize("p", [1.5, 3.0, 300.0])
     def test_subnormal_pairs_keep_a_finite_scale(self, p):
@@ -1597,12 +1652,15 @@ class TestEnumeratePartitions:
 
 class TestSetPartitionOracle:
     def test_size_guards(self):
+        # 10 points bound the enumeration at every K: K = None already
+        # enumerates every partition, and a K above 4 is answered
         big = pset(*((float(i), 1.0) for i in range(11)))
         with pytest.raises(TooLarge):
             set_partition_oracle(big, 2, N2, TOL, AggSpec())
         small = pset((0, 1), (1, 1))
-        with pytest.raises(TooLarge):
-            set_partition_oracle(small, 5, N2, TOL, AggSpec())
+        got = set_partition_oracle(small, 5, N2, TOL, AggSpec())
+        assert got.objective == set_partition_oracle(small, None, N2, TOL, AggSpec()).objective
+        assert abs(got.objective - dp_solve(small, 5, N2, TOL, AggSpec()).objective) <= TOL.eps
 
     def test_independent_of_the_reconstruction_kernel(self, monkeypatch):
         # --verify prices blocks by min_enclosing, not by the kernel

@@ -334,6 +334,23 @@ def test_k_cover_dp_reads_the_run_table():
     assert [arg.arg for arg in gap.args.args] == ["x", "a", "b", "t", "p"]
 
 
+def test_k_cover_pairs_are_tested_by_their_span():
+    # _binding_radii's inside test reads each pair's span: F, by
+    # _power_gap, is evaluated only in the one closure handed to rtsafe
+    tree = ast.parse((SRC / "k_cover.py").read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "_binding_radii")
+    closure, = [node for node in ast.walk(fn) if isinstance(node, ast.FunctionDef)
+                and node is not fn]
+    inside = set(map(id, ast.walk(closure)))
+    gaps = [node for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and node.id == "_power_gap"]
+    assert gaps and all(id(node) in inside for node in gaps)
+    rtsafe, = [node for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "_rtsafe"]
+    assert isinstance(rtsafe.args[0], ast.Name) and rtsafe.args[0].id == closure.name
+
+
 def test_k_cover_sweep_lists_keep_their_surface():
     # the p = 2 lists of the --verify cross-check grow every pair circle
     # over arrays, one anchor point at a time: no event heap and no
