@@ -34,7 +34,7 @@ import numpy as np
 from .errors import EmptyInput, NoBisectorRoot, NoCrossing
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _np_lp, \
     axis_argmin_abscissas, axis_distances, point_segment_distance, rescored_extreme, \
-    segment_columns, segments_from_columns
+    segment_columns, segment_rows, segments_from_columns
 from .intervals import PASS_CELLS, Interval, SegmentArray, covering_slack, least_radius
 from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _best_breaks, \
     _binding_radii, _no_finite_cover, _run_circles, _run_columns
@@ -354,11 +354,7 @@ def min_enclosing_scalar(segments, L: float, norm: NormP, tol: Tolerance) -> Pla
     lo the largest point_segment_distance at the constrained minimisers
     of axis_argmin_abscissas, hi the largest at x = 0.
     """
-    cols = segment_columns(segments)
-    if not len(cols):
-        raise EmptyInput("need at least one segment")
-    if L < 0.0 or not math.isfinite(L):
-        raise ValueError("L must be finite and nonnegative")
+    cols = segment_rows(segments, L)
     domain = Interval(0.0, L)
     segs = segments_from_columns(cols)
     xm = axis_argmin_abscissas(cols, L)
@@ -934,12 +930,7 @@ def envelope_halves(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEnv
     same owners within rounding at other p, where numpy's powers round
     differently from **.
     """
-    cols = segment_columns(segments)
-    n = len(cols)
-    if n == 0:
-        raise EmptyInput("need at least one segment")
-    if L < 0.0 or not math.isfinite(L):
-        raise ValueError("L must be finite and nonnegative")
+    cols = segment_rows(segments, L)
     profiles = [_build_profile(ax, ay, bx, by, norm.p) for ax, ay, bx, by in cols.tolist()]
 
     def build(lo: int, hi: int) -> list:
@@ -948,7 +939,7 @@ def envelope_halves(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEnv
         mid = (lo + hi) // 2
         return _compact_pieces(_merge_raw(build(lo, mid), build(mid, hi), profiles, tol), tol)
 
-    return _wrap(build(0, n))
+    return _wrap(build(0, len(cols)))
 
 
 
@@ -1347,8 +1338,6 @@ def _rmin_points(xy, norm: NormP, tol: Tolerance):
     ys = [abs(y) for y in ys]
     maxy = max(ys)
     shift, end = min(xs) - maxy, max(xs) + maxy
-    if end <= shift:
-        shift, end = min(xs), max(xs)
     L = end - shift
     xs = [x - shift for x in xs]
     if not math.isfinite(L):

@@ -190,7 +190,7 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
         payload = {"problem": inst.problem, **method, "eps": tol.eps, "center_x": c.cx,
                    "center": [center.x, center.y], "radius": c.radius, "objective": c.radius}
     if args.verify:
-        payload["verify"] = cross_check(inst, args, tol, frame.L, table, payload)
+        payload["verify"] = cross_check(inst, tol, frame.L, table, payload)
     payload["wall_time_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
     return payload
 

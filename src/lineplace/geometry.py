@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonIsometricRotation
+from .errors import EmptyInput, NonIsometricRotation
 
 
 @dataclass(frozen=True)
@@ -270,9 +270,9 @@ def _projection_scaled(A, B, ux, uy):
     [1/2, 1), the parameter is q 2^-e, q = (A sx + B sy) / (sx^2 +
     sy^2): the bits of the instance scaled up by a power of two, where
     nothing underflows. q is clamped before it counts, so an overflow
-    of q 2^-e is never used; a NaN q (both products overflow) gives 0,
-    where every parameter gives the same distance. ux and uy must not
-    both be 0.
+    of q 2^-e is never used; a NaN q (both products overflow, or ux and
+    uy are both 0) gives 0, where every parameter gives the same
+    distance.
     """
     e = np.frexp(np.maximum(np.abs(ux), np.abs(uy)))[1]
     sx, sy = np.ldexp(ux, -e), np.ldexp(uy, -e)
@@ -285,10 +285,12 @@ def point_segment_distance(q: Point, s: Segment, norm: NormP, tol: Tolerance) ->
 
     p = 2 uses the clamped perpendicular projection; when the squared
     length of the segment underflows, its parameter comes from the
-    coordinates scaled by a power of two (_projection_scaled). Other
-    exponents enumerate the finitely many optimality candidates of the
-    convex one-dimensional problem (segment ends, the two coordinate kinks,
-    and the sign-pattern stationary points), which is exact. The tests
+    coordinates scaled by a power of two (_projection_scaled), which is
+    0 for a point segment. Other exponents enumerate the finitely many
+    optimality candidates of the convex one-dimensional problem
+    (segment ends, the two coordinate kinks, and the sign-pattern
+    stationary points), which is exact; a point segment has its two
+    ends alone. The tests
     cross-check it against the golden-section search
     _reference._min_distance_search.
     """
@@ -296,8 +298,6 @@ def point_segment_distance(q: Point, s: Segment, norm: NormP, tol: Tolerance) ->
     ax, ay = s.a.x, s.a.y
     ux, uy = s.b.x - ax, s.b.y - ay
     A, B = q.x - ax, q.y - ay
-    if ux == 0.0 and uy == 0.0:
-        return _lp_pair(A, B, p)
     if p == 2.0:
         den = ux * ux + uy * uy
         if den < _MIN_NORMAL:
@@ -333,6 +333,18 @@ def segment_columns(segments) -> np.ndarray:
         return segments
     return np.array([(s.a.x, s.a.y, s.b.x, s.b.y) for s in segments],
                     dtype=np.float64).reshape(-1, 4)
+
+
+def segment_rows(segments, L: float) -> np.ndarray:
+    """The rows of segment_columns for a segment route over [0, L]:
+    raises EmptyInput for no segments, and ValueError for an L that is
+    negative or not finite."""
+    cols = segment_columns(segments)
+    if not len(cols):
+        raise EmptyInput("need at least one segment")
+    if L < 0.0 or not math.isfinite(L):
+        raise ValueError("L must be finite and nonnegative")
+    return cols
 
 
 def segments_from_columns(cols: np.ndarray) -> list:

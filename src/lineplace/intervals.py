@@ -308,9 +308,10 @@ def bisect_radius(lo: float, hi: float, fits, tol: Tolerance, per_pass: int = 1)
     about up to per_pass radii (1 to MAX_RADII), the current midpoint
     first (_pass_radii): every midpoint of the next levels, and below
     them the path to the zero of the secant of the margins
-    (_secant_zero). The walk then halves the bracket from the answers,
-    taking each decision only from the answer at that exact midpoint,
-    and the next pass starts where it met a midpoint not asked about.
+    (_secant_zero); one radius a pass is the midpoint alone. The walk
+    then halves the bracket from the answers, taking each decision only
+    from the answer at that exact midpoint, and the next pass starts
+    where it met a midpoint not asked about.
     A wrong guess costs time only; each pass walks at least the levels
     of its full tree. A pass whose predicate raises ValueError or
     ArithmeticError, as the kernels do at NaN bounds or radii beyond
@@ -324,7 +325,7 @@ def bisect_radius(lo: float, hi: float, fits, tol: Tolerance, per_pass: int = 1)
     known_r, known_m = np.empty(0), np.empty(0)
     levels = 0
     while hi - lo > eps and levels < cap:
-        guess = _secant_zero(known_r, known_m, lo, hi) if per_pass > 1 else None
+        guess = _secant_zero(known_r, known_m, lo, hi)
         radii = _pass_radii(lo, hi, eps, cap - levels, per_pass, guess, seen)
         try:
             ok, margin = fits(np.array(radii))
@@ -335,10 +336,9 @@ def bisect_radius(lo: float, hi: float, fits, tol: Tolerance, per_pass: int = 1)
             ok, margin = fits(np.array(radii))
         ok = ok.tolist()
         seen.update(zip(radii, ok))
-        if per_pass > 1:
-            known = np.isfinite(margin)
-            known_r = np.concatenate((known_r, np.array(radii)[known]))
-            known_m = np.concatenate((known_m, margin[known]))
+        known = np.isfinite(margin)
+        known_r = np.concatenate((known_r, np.array(radii)[known]))
+        known_m = np.concatenate((known_m, margin[known]))
         # the current midpoint is decided from its own answer, even NaN
         mid, fit = radii[0], ok[0]
         while True:

@@ -28,10 +28,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyInput
 from .geometry import NormP, Point, Tolerance, _certified_roots, _np_lp, axis_argmin_abscissas, \
     axis_distances, near_extreme, point_segment_distance, rescored_extreme, \
-    segment_columns, segments_from_columns
+    segment_columns, segment_rows, segments_from_columns
 from .intervals import Interval, SegmentArray, bisect_radius, covering_slack, \
     union_covers_rows
 from .one_center import PlacedCircle
@@ -228,10 +227,7 @@ def _piece_at(table: _PieceTable, rows: np.ndarray, x: np.ndarray) -> np.ndarray
 def _piece_values(table: _PieceTable, slot: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The value at x of the piece in each slot."""
     u, v = table.u[slot], table.v[slot]
-    cone = table.kind[slot] == _CONE
-    if cone.any():
-        return np.where(cone, _np_lp(x - u, v, table.p), u * x + v)
-    return u * x + v
+    return np.where(table.kind[slot] == _CONE, _np_lp(x - u, v, table.p), u * x + v)
 
 
 # -- one tree level of merges per array pass -----------------------------
@@ -497,8 +493,6 @@ def _merge_level(env, lo: np.ndarray, mid: np.ndarray, table: _PieceTable, L: fl
     u, g = x[distinct], merge[distinct]
     i, j = own[left_at[distinct]], own[right_at[distinct]]
     v = np.where(np.append(g[1:] == g[:-1], False), np.append(u[1:], L), L)
-    cells = v > u
-    u, v, g, i, j = u[cells], v[cells], g[cells], i[cells], j[cells]
     one, two = i == j, i != j
     ra, rb, ro, rc = _resolve_cells(u[two], v[two], i[two], j[two], table, tol)
     # the raw pieces in cell order: a cell of one owner as it is, the
@@ -536,11 +530,12 @@ def _merge_schedule(n: int) -> list:
     return list(zip(np.split(lo, cuts), np.split(mid, cuts)))
 
 
-def _envelope_arrays(cols: np.ndarray, L: float, p: float, tol: Tolerance):
-    """Lower envelope of the profiles of the rows [ax, ay, bx, by] of
-    cols over [0, L], as flat arrays (a, b, owner) of its pieces, left
-    to right, by merging the envelopes of the two halves of the
-    segments recursively.
+def _envelope_arrays(segments, L: float, p: float, tol: Tolerance):
+    """Lower envelope of the profiles of segments, a sequence of Segment
+    or an (N, 4) array of rows [ax, ay, bx, by] (geometry.segment_rows),
+    over [0, L], as flat arrays (a, b, owner) of its pieces, left to
+    right, by merging the envelopes of the two halves of the segments
+    recursively.
 
     The rows are converted once into one piece table of the distance
     profiles (_piece_table), which every merge reads. A single
@@ -552,33 +547,19 @@ def _envelope_arrays(cols: np.ndarray, L: float, p: float, tol: Tolerance):
     then fuses same-owner neighbours (_compact), so the pieces are
     maximal ownership runs: no two neighbours share an owner. The
     envelope's maximum lies where ownership changes or at 0 or L,
-    never inside one owner's run, since each profile is convex. At
-    L = 0 the envelope is the one piece (0, 0) of the segment nearest
-    to the origin, ties to the lower index, decided merge by merge in
-    the same tree. The merge of two envelopes one cell at a time, and the
-    recursion over it, are the test references _reference._merge_raw
-    and _reference.envelope_halves.
+    never inside one owner's run, since each profile is convex. L = 0
+    runs through the same level passes: every merge has the one cell
+    [0, 0], which goes to the owner nearer to the origin, ties to the
+    lower index, as every cell's stretches do. The merge of two
+    envelopes one cell at a time, and the recursion over it, are the
+    test references _reference._merge_raw and _reference.envelope_halves.
     """
+    cols = segment_rows(segments, L)
     n = len(cols)
-    if n == 0:
-        raise EmptyInput("need at least one segment")
-    if L < 0.0 or not math.isfinite(L):
-        raise ValueError("L must be finite and nonnegative")
     with np.errstate(all="ignore"):
         table = _piece_table(cols, p)
-        schedule = _merge_schedule(n)
-        if L == 0.0 and n > 1:
-            # one point: each merge keeps the nearer owner, ties to the lower index
-            at = np.arange(n)
-            d = _piece_values(table, _piece_at(table, at, np.zeros(n)), np.zeros(n))
-            owner = at
-            for lo, mid in schedule:
-                o1, o2 = owner[lo], owner[mid]
-                d1, d2 = d[o1], d[o2]
-                owner[lo] = np.where(np.where(d2 == d1, o2 < o1, d2 < d1), o2, o1)
-            return np.zeros(1), np.zeros(1), owner[:1]
         pieces = (np.zeros(n), np.full(n, L), np.arange(n), np.arange(n))
-        for lo, mid in schedule:
+        for lo, mid in _merge_schedule(n):
             pieces = _merge_level(pieces, lo, mid, table, L, tol)
     a, b, owner, _ = pieces
     assert a[0] == 0.0 and b[-1] == L and (b[:-1] == a[1:]).all()
@@ -603,7 +584,7 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     """
     if split not in ("halves", "one-off"):
         raise ValueError(f"unknown split {split!r}")
-    a, b, owner = _envelope_arrays(segment_columns(segments), L, norm.p, tol)
+    a, b, owner = _envelope_arrays(segments, L, norm.p, tol)
     return LowerEnvelope(tuple(EnvelopePiece(a, b, s)
                                for a, b, s in zip(a.tolist(), b.tolist(), owner.tolist())))
 
@@ -697,26 +678,22 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
     to cover [0, L]; the witness of the failure is the center.
 
     segments is a sequence of Segment or an (N, 4) array of rows
-    [ax, ay, bx, by]; either is converted once. The search is
-    intervals.bisect_radius on the bracket [0, max(d0, dL) of
-    segments[0]]. One array pass over all rows finds the rows that
-    cannot own any part of the answer, and the radius R_s from which
-    the union covers [0, L] (_owning_rows); the search runs on a
-    SegmentArray of the rest, at every N. A pass of it takes the union
-    of the covering intervals at up to SegmentArray.radii_per_pass
-    radii at once (union_covers_rows), answers covered unasked at every
-    radius from R_s on, and guesses the path below its tree from the
-    widest gap, known only where the union does not cover. The final
-    radius, the distance from the witness to the nearest segment, comes
-    from an array kernel over all rows with its near-ties recomputed by
-    point_segment_distance, so every bit is that of the search over
-    all rows.
+    [ax, ay, bx, by]; either is converted and checked once
+    (geometry.segment_rows). The search is intervals.bisect_radius on
+    the bracket [0, max(d0, dL) of segments[0]]. One array pass over all
+    rows finds the rows that cannot own any part of the answer, and the
+    radius R_s from which the union covers [0, L] (_owning_rows); the
+    search runs on a SegmentArray of the rest, at every N. A pass of it
+    takes the union of the covering intervals at up to
+    SegmentArray.radii_per_pass radii at once (union_covers_rows),
+    answers covered unasked at every radius from R_s on, and guesses the
+    path below its tree from the widest gap, known only where the union
+    does not cover. The final radius, the distance from the witness to
+    the nearest segment, comes from an array kernel over all rows with
+    its near-ties recomputed by point_segment_distance, so every bit is
+    that of the search over all rows.
     """
-    cols = segment_columns(segments)
-    if not len(cols):
-        raise EmptyInput("need at least one segment")
-    if L < 0.0 or not math.isfinite(L):
-        raise ValueError("L must be finite and nonnegative")
+    cols = segment_rows(segments, L)
     domain = Interval(0.0, L)
     p = norm.p
     scale = max(float(np.abs(cols).max()), L)

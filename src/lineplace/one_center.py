@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInput
 from .geometry import NormP, Tolerance, axis_argmin_abscissas, axis_distances, \
-    rescored_extreme, segment_columns
+    rescored_extreme, segment_rows
 from .intervals import Interval, SegmentArray, covering_slack, intersect_rows, least_radius
 
 
@@ -55,9 +54,10 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
     """Minimise over x in [0, L] the largest distance to any segment.
 
     segments is a sequence of Segment or an (N, 4) array of rows
-    [ax, ay, bx, by]; either is converted once. Feasibility of a radius
-    R means the covering intervals of all segments and [0, L] share a
-    point. The search is intervals.least_radius, between a certified
+    [ax, ay, bx, by]; either is converted and checked once
+    (geometry.segment_rows). Feasibility of a radius R means the
+    covering intervals of all segments and [0, L] share a point. The
+    search is intervals.least_radius, between a certified
     lower bound lo (largest per-segment constrained minimum, returned
     exactly when already feasible) and the radius hi that works at
     x = 0; the center is the midpoint of the region at its radius.
@@ -75,11 +75,7 @@ def min_enclosing(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCirc
     scalar route that the tests compare it with is
     _reference.min_enclosing_scalar.
     """
-    cols = segment_columns(segments)
-    if not len(cols):
-        raise EmptyInput("need at least one segment")
-    if L < 0.0 or not math.isfinite(L):
-        raise ValueError("L must be finite and nonnegative")
+    cols = segment_rows(segments, L)
     domain = Interval(0.0, L)
     xm = axis_argmin_abscissas(cols, L)
     p = norm.p

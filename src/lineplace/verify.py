@@ -220,8 +220,6 @@ def _enclosing_circle(points, norm: NormP, tol: Tolerance):
     xs = [x for x, _ in points]
     lo = min(xs) - maxy
     hi = max(xs) + maxy
-    if hi <= lo:
-        lo, hi = min(xs), max(xs)
     if not math.isfinite(hi - lo):
         raise TooLarge(f"window [{lo:.3g}, {hi:.3g}] is wider than the float range")
     segs = [Segment(Point(x - lo, y), Point(x - lo, y)) for x, y in points]
@@ -434,15 +432,16 @@ def _covers(ps: PointSet, circles, p: float, eps: float) -> bool:
     return True
 
 
-def cross_check(inst, args, tol: Tolerance, L: float, table, result: dict) -> dict:
+def cross_check(inst, tol: Tolerance, L: float, table, result: dict) -> dict:
     """The verify block of a solve's result.
 
-    inst is the parsed instance and args the solve's options (method);
-    table is the instance's table in the axis frame of
-    length L (cli._axis_instance): segments as (N, 4) rows [ax, ay, bx,
-    by] or points as (N, 2) rows [x, y], as the solvers took it; and
-    result is the solve's result object. A k-cover check is also not ok
-    when a point lies outside its run's circle (_covers).
+    inst is the parsed instance; table is the instance's table in the
+    axis frame of length L (cli._axis_instance): segments as (N, 4)
+    rows [ax, ay, bx, by] or points as (N, 2) rows [x, y], as the
+    solvers took it; and result is the solve's result object, whose
+    "method" names the largest empty circle's route, so that the check
+    runs the other one. A k-cover check is also not ok when a point
+    lies outside its run's circle (_covers).
     """
     norm = inst.norm
     objective = result["objective"]
@@ -452,7 +451,7 @@ def cross_check(inst, args, tol: Tolerance, L: float, table, result: dict) -> di
                         lambda: grid_one_center(segments_from_columns(table), grid, norm).radius,
                         objective, _GRID_TOL)
     if inst.problem == "obnoxious-center":
-        if args.method == "binsearch":
+        if result["method"] == "binsearch":
             return _compare("envelope", "other_radius",
                             lambda: max_empty_envelope(table, L, norm, tol).radius,
                             objective, 2.0 * tol.eps)

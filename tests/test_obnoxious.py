@@ -640,6 +640,8 @@ class TestSameTree:
         assert np.isnan(obnoxious._piece_table(rows, p).v).any()
         for order in (rows, rows[::-1], np.vstack([rows, rows[:1] * 0.5])):
             self.check(order, 1e300, p, TOL)
+            # the one-point owner, from rows with NaN and inf pieces
+            self.check(order, 0.0, p, TOL)
 
 
 class TestRootKernel:

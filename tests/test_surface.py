@@ -3,8 +3,10 @@
 import ast
 import importlib.util
 import inspect
+import math
 import pathlib
 
+import numpy as np
 import pytest
 
 import lineplace
@@ -308,6 +310,38 @@ def test_envelope_merges_by_level_passes():
         assert "_envelope_arrays" in set(_called_names(fns[name])), name
     # the solve maximises the build's flat arrays, with no piece objects
     assert "compute_lower_envelope" not in set(_called_names(fns["max_empty_envelope"]))
+
+
+def test_segment_routes_share_one_prologue():
+    # geometry.segment_rows converts and checks a segment instance; the
+    # envelope build takes L = 0 through its level passes, not a branch
+    # of its own, and no function of the segment solvers raises the
+    # prologue's errors itself
+    messages = {"need at least one segment", "L must be finite and nonnegative"}
+    for name in ("one_center.py", "obnoxious.py"):
+        tree = ast.parse((SRC / name).read_text())
+        raised = {arg.value for node in ast.walk(tree) if isinstance(node, ast.Raise)
+                  for arg in ast.walk(node) if isinstance(arg, ast.Constant)}
+        assert not messages & raised, name
+    build = next(node for node in ast.parse((SRC / "obnoxious.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_envelope_arrays")
+    for node in ast.walk(build):
+        if isinstance(node, (ast.If, ast.IfExp, ast.While)):
+            assert "L" not in {name.id for name in ast.walk(node.test)
+                               if isinstance(name, ast.Name)}
+    assert "segment_rows" in set(_called_names(build))
+    # every segment route raises the prologue's errors, messages and all
+    from lineplace import _reference
+
+    norm, tol = lineplace.NormP(2.0), lineplace.Tolerance()
+    for route in (lineplace.min_enclosing, lineplace.max_empty_binsearch,
+                  lineplace.obnoxious.max_empty_envelope, lineplace.compute_lower_envelope,
+                  _reference.min_enclosing_scalar, _reference.envelope_halves):
+        with pytest.raises(lineplace.EmptyInput, match="^need at least one segment$"):
+            route([], 1.0, norm, tol)
+        for L in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^L must be finite and nonnegative$"):
+                route(np.zeros((1, 4)), L, norm, tol)
 
 
 def test_k_cover_dp_reads_the_run_table():

@@ -16,12 +16,14 @@ For every end-to-end metric it prints both medians, both quartiles
 whether the move clears PARENT's interquartile range, and whether it
 is worse than PARENT's median by more than the metric's bound. A
 metric is "better" when CHANGE won at least nine in ten of at least
-ten pairs and the move clears PARENT's IQR, and "worse" when the move
-is beyond the bound and clears PARENT's IQR. It is "unresolved" when
-the runs cannot tell a move beyond the bound from none: the move is
-beyond the bound but within PARENT's IQR, or that IQR is wider than
-the bound; unless every CHANGE run beats every PARENT run. Otherwise
-it is "no change". The last line is the verdict over all metrics. --bitcheck then runs
+ten pairs and the move clears PARENT's IQR, and "worse" when there are
+at least ten pairs and the move is beyond the bound and clears
+PARENT's IQR. It is "unresolved" when the runs cannot tell a move
+beyond the bound from none: the move is beyond the bound but there
+are fewer than ten pairs or it lies within PARENT's IQR, or that IQR
+is wider than the bound; unless every CHANGE run beats every PARENT
+run. Otherwise it is "no change". The last line is the verdict over
+all metrics. --bitcheck then runs
 tools/bitcheck.py on the same workload and seeds and prints its
 summary line. It exits 1 when a run fails or is wrong, or bitcheck
 finds a difference, and 0 otherwise.
@@ -68,9 +70,10 @@ def compare(name: str, better: str, bound: float, parent: list, change: list) ->
     clears_iqr = abs(mc - mp) > q3 - q1
     beyond_bound = -gain > bound * abs(mp)
     beats_all = min(sign * c for c in change) > max(sign * v for v in parent)
-    if clears_iqr and gain > 0.0 and len(parent) >= 10 and wins >= math.ceil(0.9 * len(parent)):
+    enough = len(parent) >= 10
+    if enough and clears_iqr and gain > 0.0 and wins >= math.ceil(0.9 * len(parent)):
         verdict = "better"
-    elif clears_iqr and beyond_bound:
+    elif enough and clears_iqr and beyond_bound:
         verdict = "worse"
     elif (beyond_bound or q3 - q1 > bound * abs(mp)) and not beats_all:
         verdict = "unresolved"
