@@ -4,15 +4,17 @@ Solvers for three planar facility location problems whose center is
 restricted to a given segment, all under general L_p norms:
 
 * smallest enclosing ball of segments (min_enclosing),
-* largest empty ball among segments (max_empty_binsearch, or the
-  lower-envelope route via compute_lower_envelope),
+* largest empty ball among segments (max_empty_binsearch),
 * covering points by at most K balls minimising an aggregate of the
   radii (dp_solve).
 
 The cross-checks of `lineplace solve --verify` live in lineplace.verify,
 which only the CLI imports; the second routes that the tests compare
 the solvers against, and the entry points only the tests call, live in
-lineplace._reference. Neither is exported.
+lineplace._reference. Neither is exported. The lower envelope of the
+distance profiles, the --verify route of the largest empty ball, stays
+in lineplace.obnoxious (compute_lower_envelope,
+largest_empty_from_envelope) and is not exported either.
 """
 
 from .errors import (
@@ -38,13 +40,7 @@ from .k_cover import (
     PointSet,
     dp_solve,
 )
-from .obnoxious import (
-    EnvelopePiece,
-    LowerEnvelope,
-    compute_lower_envelope,
-    largest_empty_from_envelope,
-    max_empty_binsearch,
-)
+from .obnoxious import max_empty_binsearch
 from .one_center import PlacedCircle, min_enclosing
 
 __version__ = "1.0.0"
@@ -54,9 +50,7 @@ __all__ = [
     "AxisFrame",
     "CoverSolution",
     "EmptyInput",
-    "EnvelopePiece",
     "Interval",
-    "LowerEnvelope",
     "NonIsometricRotation",
     "NormP",
     "PlacedCircle",
@@ -66,9 +60,7 @@ __all__ = [
     "Segment",
     "SolverError",
     "Tolerance",
-    "compute_lower_envelope",
     "dp_solve",
-    "largest_empty_from_envelope",
     "lp_distance",
     "max_empty_binsearch",
     "min_enclosing",

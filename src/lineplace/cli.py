@@ -24,7 +24,7 @@ import numpy as np
 from .errors import SchemaError, SolverError
 from .geometry import NormP, Point, Segment, Tolerance, transform_to_axis
 from .k_cover import AggSpec, PointSet, dp_solve
-from .obnoxious import max_empty_binsearch, max_empty_envelope
+from .obnoxious import max_empty_binsearch
 from .one_center import min_enclosing
 from .verify import cross_check
 
@@ -182,10 +182,8 @@ def _solve_payload(inst: InstanceFile, args) -> dict:
             c = min_enclosing(table, frame.L, inst.norm, tol)
             method = {"method": "exact"}
         else:
-            solve = max_empty_binsearch if args.method == "binsearch" else max_empty_envelope
-            c = solve(table, frame.L, inst.norm, tol)
-            method = {"method": args.method,
-                      "split": "halves" if args.method == "envelope" else None}
+            c = max_empty_binsearch(table, frame.L, inst.norm, tol)
+            method = {"method": "binsearch", "split": None}
         center = frame.inverse_point(Point(c.cx, 0.0))
         payload = {"problem": inst.problem, **method, "eps": tol.eps, "center_x": c.cx,
                    "center": [center.x, center.y], "radius": c.radius, "objective": c.radius}
@@ -389,11 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--in", dest="inp", default="-",
                     help="instance path, - for stdin")
     ps.add_argument("--out", default="-", help="result path, - for stdout")
-    ps.add_argument("--method", choices=("binsearch", "envelope"),
-                    default="binsearch", help="obnoxious solver")
+    ps.add_argument("--method", choices=("binsearch", "envelope"), default="binsearch",
+                    help="accepted and ignored: the largest empty circle always "
+                         "bisects, and the envelope is the route of its --verify; "
+                         "removed with the benchmark change of ROADMAP item 1b")
     ps.add_argument("--split", choices=("halves", "one-off"), default="halves",
-                    help="accepted and ignored: the envelope route always merges "
-                         "halves; removed with the benchmark change of ROADMAP item 1b")
+                    help="accepted and ignored, as --method is; removed with the "
+                         "benchmark change of ROADMAP item 1b")
     ps.add_argument("--lists", choices=("naive", "sweep"), default="naive",
                     help="accepted and ignored: k-cover always weighs runs by the "
                          "exact run radii; removed with the benchmark change of "

@@ -282,7 +282,9 @@ def union_covers_rows(lo, hi, domain: Interval):
     covered = ~gap.any(axis=1) | ((g > 0) & (reach_g >= domain.hi))
     # a gap ends at the next lo, or at domain.hi if sooner
     end = np.where(starts < domain.hi, starts, domain.hi)
-    witness = np.where(g == 0, domain.lo, 0.5 * (reach_g + end[rows, g]))
+    with np.errstate(over="ignore"):
+        # ends that sum beyond the float range give inf, as Python floats do
+        witness = np.where(g == 0, domain.lo, 0.5 * (reach_g + end[rows, g]))
     witness[covered] = math.nan
     width = np.where(gap, end - reach, 0.0).max(axis=1)
     width[covered] = 0.0

@@ -1,23 +1,28 @@
-"""Largest empty ball centered on [0, L]: envelope and search routes.
+"""Largest empty ball centered on [0, L]: search and envelope routes.
 
 The objective max over x of min over segments of distance((x,0), s) is
-solved two independent ways: a radius binary search over covering
-intervals, and an explicit lower envelope of the per-segment distance
-profiles along the axis. The envelope is built by one route, divide
-and conquer merges of the two halves of the segments, all merges of
-one tree height in one array pass over a piece table of the profiles.
-Each merge resolves the ownership of every cell of two owners exactly,
-by decomposing every profile into convex cone and affine pieces, so
-cells where two profiles cross twice (which defeats endpoint-sign
-tests) are handled. The build carries pieces as flat arrays, and the
-solve maximises those arrays; only compute_lower_envelope wraps them
-in EnvelopePiece and LowerEnvelope. The crossings at p != 1, 2 come
-from the lockstep rtsafe kernel that k-cover shares
-(geometry._rtsafe), each root certified (geometry._certified_roots).
-The scalar merge of two envelopes one cell at a time, the recursion
-over it, and the one-off fold, which adds the segments to the running
-envelope one at a time, are the test references _reference._merge_raw,
-_reference.envelope_halves and _reference.envelope_one_off.
+solved two independent ways. A solve takes the radius binary search
+over covering intervals (max_empty_binsearch). The explicit lower
+envelope of the per-segment distance profiles along the axis
+(max_empty_envelope) is the route of `lineplace solve --verify` and a
+test reference, which the package does not export; it stays in this
+module because the benchmark imports compute_lower_envelope and
+largest_empty_from_envelope from here. The envelope is built by one
+route, divide and conquer merges of the two halves of the segments,
+all merges of one tree height in one array pass over a piece table of
+the profiles. Each merge resolves the ownership of every cell of two
+owners exactly, by decomposing every profile into convex cone and
+affine pieces, so cells where two profiles cross twice (which defeats
+endpoint-sign tests) are handled. The build carries pieces as flat
+arrays, and max_empty_envelope maximises those arrays; only
+compute_lower_envelope wraps them in EnvelopePiece and LowerEnvelope.
+The crossings at p != 1, 2 come from the lockstep rtsafe kernel that
+k-cover shares (geometry._rtsafe), each root certified
+(geometry._certified_roots). The scalar merge of two envelopes one
+cell at a time, the recursion over it, and the one-off fold, which
+adds the segments to the running envelope one at a time, are the test
+references _reference._merge_raw, _reference.envelope_halves and
+_reference.envelope_one_off.
 """
 
 from __future__ import annotations
@@ -573,8 +578,8 @@ def compute_lower_envelope(segments, L: float, norm: NormP, tol: Tolerance,
     (_envelope_arrays), as EnvelopePiece and LowerEnvelope objects.
 
     segments is a sequence of Segment or an (N, 4) array of rows [ax,
-    ay, bx, by]. The solve (max_empty_envelope) maximises the flat
-    arrays of the build and makes none of these objects.
+    ay, bx, by]. max_empty_envelope, the route of --verify, maximises
+    the flat arrays of the build and makes none of these objects.
 
     split selects nothing: "halves" and "one-off" both build by halves,
     and any other value raises ValueError. It stays only for the

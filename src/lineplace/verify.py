@@ -2,7 +2,7 @@
 only the CLI imports it.
 
 cross_check runs a second route to a solve's objective and reports the
-gap: a grid scan for the one-center, the other solver route for the
+gap: a grid scan for the one-center, the lower envelope for the
 largest empty circle, and for k-cover at p = 2 the DP over the runs of
 the sweep's candidate lists (dp_solve_sweep) where the solve weighs
 runs by the exact run table, else an exhaustive minimum over all
@@ -29,7 +29,7 @@ from .geometry import NormP, Point, Segment, Tolerance, _np_lp, segments_from_co
 from .intervals import Interval
 from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _center_slack, \
     _relax_blocks, _run_columns
-from .obnoxious import max_empty_binsearch, max_empty_envelope
+from .obnoxious import max_empty_envelope
 from .one_center import PlacedCircle, min_enclosing
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -438,10 +438,11 @@ def cross_check(inst, tol: Tolerance, L: float, table, result: dict) -> dict:
     inst is the parsed instance; table is the instance's table in the
     axis frame of length L (cli._axis_instance): segments as (N, 4)
     rows [ax, ay, bx, by] or points as (N, 2) rows [x, y], as the
-    solvers took it; and result is the solve's result object, whose
-    "method" names the largest empty circle's route, so that the check
-    runs the other one. A k-cover check is also not ok when a point
-    lies outside its run's circle (_covers).
+    solvers took it; and result is the solve's result object. The
+    largest empty circle, which the solve bisects, is checked against
+    the lower envelope (obnoxious.max_empty_envelope), which no solve
+    runs. A k-cover check is also not ok when a point lies outside its
+    run's circle (_covers).
     """
     norm = inst.norm
     objective = result["objective"]
@@ -451,12 +452,8 @@ def cross_check(inst, tol: Tolerance, L: float, table, result: dict) -> dict:
                         lambda: grid_one_center(segments_from_columns(table), grid, norm).radius,
                         objective, _GRID_TOL)
     if inst.problem == "obnoxious-center":
-        if result["method"] == "binsearch":
-            return _compare("envelope", "other_radius",
-                            lambda: max_empty_envelope(table, L, norm, tol).radius,
-                            objective, 2.0 * tol.eps)
-        return _compare("binsearch", "other_radius",
-                        lambda: max_empty_binsearch(table, L, norm, tol).radius,
+        return _compare("envelope", "other_radius",
+                        lambda: max_empty_envelope(table, L, norm, tol).radius,
                         objective, 2.0 * tol.eps)
     ps = PointSet(table)
     covered = _covers(ps, result["circles"], norm.p, tol.eps)

@@ -25,9 +25,7 @@ from lineplace import (
     PointSet,
     Segment,
     Tolerance,
-    compute_lower_envelope,
     dp_solve,
-    largest_empty_from_envelope,
     max_empty_binsearch,
     min_enclosing,
     point_segment_distance,
@@ -36,6 +34,7 @@ from lineplace._reference import build_lists_loop, compact, covering_interval, \
     envelope_one_off, envelope_value, rmin_on_axis
 from lineplace.cli import main as cli_main
 from lineplace.intervals import SegmentArray
+from lineplace.obnoxious import compute_lower_envelope, largest_empty_from_envelope
 from lineplace.verify import GridSpec, build_lists_sweep, dp_solve_sweep, enumerate_partitions, \
     grid_obnoxious_center, grid_one_center, segment_distances, set_partition_oracle
 

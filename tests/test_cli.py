@@ -12,10 +12,11 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lineplace import Tolerance, largest_empty_from_envelope
+from lineplace import Tolerance
 from lineplace._reference import envelope_one_off
 from lineplace.cli import _axis_instance, main, parse_instance
 from lineplace.errors import SchemaError
+from lineplace.obnoxious import largest_empty_from_envelope
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -284,16 +285,19 @@ class TestRobustness:
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     def test_envelope_at_p400(self, tmp_path, split):
         # |ey|^(p-1) overflowed in the envelope's regime boundaries. The
-        # solve builds by halves whatever --split says, so the one-off
-        # case checks the reference fold on the same rows as well
+        # solve bisects whatever --method and --split say, and --verify
+        # builds the envelope by halves, so the one-off case checks the
+        # reference fold on the same rows as well
         path = tmp_path / "inst.json"
         run_cli(["gen", "--problem", "obnoxious-center", "--p", "400",
                  "--out", str(path)])
         code, out = run_cli(["solve", "--in", str(path), "--method", "envelope",
                              "--split", split, "--verify"])
         assert code == 0
-        verify = json.loads(out)["result"]["verify"]
-        assert verify["kind"] == "binsearch"
+        result = json.loads(out)["result"]
+        assert result["method"] == "binsearch"
+        verify = result["verify"]
+        assert verify["kind"] == "envelope"
         assert verify["ok"] is True
         assert verify["delta"] <= 2 * 1e-9
         if split == "one-off":
@@ -345,8 +349,8 @@ class TestRobustness:
         assert "float range" in result["verify"]["reason"]
 
     def test_split_selects_nothing(self, tmp_path):
-        # --split is accepted but both values build by halves, which the
-        # result reports; the output is that of --split halves
+        # --split is accepted but no route reads it, and the result
+        # reports no split; the output is that of --split halves
         path = tmp_path / "inst.json"
         run_cli(["gen", "--problem", "obnoxious-center", "--n", "40", "--seed", "3",
                  "--out", str(path)])
@@ -355,8 +359,30 @@ class TestRobustness:
             code, outs[split] = run_cli(["solve", "--in", str(path), "--method", "envelope",
                                          "--split", split])
             assert code == 0
-        assert json.loads(outs["one-off"])["result"]["split"] == "halves"
+        assert json.loads(outs["one-off"])["result"]["split"] is None
         assert canonical(outs["one-off"]) == canonical(outs["halves"])
+
+    def test_method_selects_nothing(self, tmp_path):
+        # the largest empty circle always bisects, and --verify checks it
+        # against the envelope, whatever --method and --split say
+        path = tmp_path / "inst.json"
+        run_cli(["gen", "--problem", "obnoxious-center", "--n", "40", "--seed", "5",
+                 "--p", "3", "--out", str(path)])
+        flags = [[]] + [["--method", method, "--split", split]
+                        for method in ("binsearch", "envelope")
+                        for split in ("halves", "one-off")]
+        for verify in ([], ["--verify"]):
+            outs = []
+            for flag in flags:
+                code, out = run_cli(["solve", "--in", str(path)] + flag + verify)
+                assert code == 0
+                outs.append(canonical(out))
+            assert outs == [outs[0]] * len(flags)
+            result = json.loads(outs[0])["result"]
+            assert (result["method"], result["split"]) == ("binsearch", None)
+            if verify:
+                assert result["verify"]["kind"] == "envelope"
+                assert result["verify"]["ok"] is True
 
     @pytest.mark.parametrize("inst", [
         # near the line, k = None, max, q = 2: weighed by the sweep's lists
@@ -565,6 +591,25 @@ class TestRobustness:
         assert verify["kind"] == "grid"
         assert 0.0 < verify["grid_radius"] < math.inf
 
+    def test_verify_catches_the_one_center_at_p_1e17(self, tmp_path):
+        # a wrong answer with exit 0 (ROADMAP item 3): at p >= 1e16 the
+        # ystar ratio of SegmentArray rounds to 1 or one ulp below, the
+        # covering intervals come out too narrow, and the solve answers
+        # radius 1.554 at x = 1.740, where the farthest distance is 1.064
+        # and the optimum about 1.0255 (1.025462 at p = 1e10). --verify
+        # must flag it; this flips to ok: true when item 3 lands
+        rng = random.Random(1)
+        segs = [[rng.uniform(-5, 5) for _ in range(4)] for _ in range(6)]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"problem": "one-center", "p": 1e17,
+                                    "constraint": [0, 0, 10, 0], "segments": segs}))
+        code, out = run_cli(["solve", "--in", str(path), "--verify"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["verify"]["kind"] == "grid"
+        assert result["verify"]["ok"] is False
+        assert abs(result["verify"]["grid_radius"] - 1.0256) < 1e-4
+
     @pytest.mark.parametrize("n,k", [(12, None), (11, 5)])
     def test_verify_beyond_oracle_limits(self, tmp_path, n, k):
         path = tmp_path / "inst.json"
@@ -753,6 +798,9 @@ _flags = st.lists(st.one_of(
 @example(doc=_TINY_EPS_COVER, flags=[("--eps", "1e-300")]).via(
     "a pair circle missed its own point below eps = 2^-40")
 @example(doc=_FAR_POINT_COVER, flags=[]).via("the midpoint of a run's interval overflowed")
+@example(doc={"problem": "obnoxious-center", "p": 1, "constraint": [0, 0, 8.988465674311171e+307, 0],
+              "segments": [[0, 0, 4.081493432998502e+294, 0]]},
+         flags=[]).via("the midpoint of a gap between covering intervals overflowed")
 @settings(max_examples=200, deadline=None)
 def test_fuzz_solve_exits_with_a_documented_code(doc, flags):
     with tempfile.TemporaryDirectory() as tmp:

@@ -13,14 +13,10 @@ import pytest
 from lineplace import _reference, geometry, obnoxious
 from lineplace import (
     EmptyInput,
-    EnvelopePiece,
-    LowerEnvelope,
     NormP,
     Point,
     Segment,
     Tolerance,
-    compute_lower_envelope,
-    largest_empty_from_envelope,
     max_empty_binsearch,
     point_segment_distance,
 )
@@ -28,7 +24,8 @@ from lineplace._reference import _build_profile, base_envelope, compact, envelop
     envelope_value, equal_distance_point, merge_lower_envelopes
 from lineplace.geometry import segment_columns
 from lineplace.intervals import PASS_CELLS, SegmentArray
-from lineplace.obnoxious import _AFFINE
+from lineplace.obnoxious import _AFFINE, EnvelopePiece, LowerEnvelope, compute_lower_envelope, \
+    largest_empty_from_envelope
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)

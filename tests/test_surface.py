@@ -312,6 +312,22 @@ def test_envelope_merges_by_level_passes():
     assert "compute_lower_envelope" not in set(_called_names(fns["max_empty_envelope"]))
 
 
+def test_envelope_is_only_the_verify_route():
+    # the solve bisects, and the lower envelope is the --verify route of
+    # the largest empty circle whatever the result's "method" says; it
+    # is off the package but stays in lineplace.obnoxious, whence the
+    # benchmark imports it
+    cli = set(_bound_names(ast.parse((SRC / "cli.py").read_text())))
+    assert not cli & {"max_empty_envelope", "compute_lower_envelope", "_envelope_arrays"}
+    check = next(node for node in ast.parse((SRC / "verify.py").read_text()).body
+                 if isinstance(node, ast.FunctionDef) and node.name == "cross_check")
+    assert "method" not in {node.value for node in ast.walk(check) if isinstance(node, ast.Constant)}
+    for name in ("compute_lower_envelope", "largest_empty_from_envelope", "LowerEnvelope",
+                 "EnvelopePiece"):
+        assert name not in lineplace.__all__ and not hasattr(lineplace, name), name
+        assert getattr(lineplace.obnoxious, name).__module__ == "lineplace.obnoxious", name
+
+
 def test_segment_routes_share_one_prologue():
     # geometry.segment_rows converts and checks a segment instance; the
     # envelope build takes L = 0 through its level passes, not a branch
@@ -335,7 +351,8 @@ def test_segment_routes_share_one_prologue():
 
     norm, tol = lineplace.NormP(2.0), lineplace.Tolerance()
     for route in (lineplace.min_enclosing, lineplace.max_empty_binsearch,
-                  lineplace.obnoxious.max_empty_envelope, lineplace.compute_lower_envelope,
+                  lineplace.obnoxious.max_empty_envelope,
+                  lineplace.obnoxious.compute_lower_envelope,
                   _reference.min_enclosing_scalar, _reference.envelope_halves):
         with pytest.raises(lineplace.EmptyInput, match="^need at least one segment$"):
             route([], 1.0, norm, tol)
