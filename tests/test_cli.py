@@ -798,7 +798,8 @@ _flags = st.lists(st.one_of(
 @example(doc=_TINY_EPS_COVER, flags=[("--eps", "1e-300")]).via(
     "a pair circle missed its own point below eps = 2^-40")
 @example(doc=_FAR_POINT_COVER, flags=[]).via("the midpoint of a run's interval overflowed")
-@example(doc={"problem": "obnoxious-center", "p": 1, "constraint": [0, 0, 8.988465674311171e+307, 0],
+@example(doc={"problem": "obnoxious-center", "p": 1,
+              "constraint": [0, 0, 8.988465674311171e+307, 0],
               "segments": [[0, 0, 4.081493432998502e+294, 0]]},
          flags=[]).via("the midpoint of a gap between covering intervals overflowed")
 @settings(max_examples=200, deadline=None)

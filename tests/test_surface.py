@@ -321,7 +321,8 @@ def test_envelope_is_only_the_verify_route():
     assert not cli & {"max_empty_envelope", "compute_lower_envelope", "_envelope_arrays"}
     check = next(node for node in ast.parse((SRC / "verify.py").read_text()).body
                  if isinstance(node, ast.FunctionDef) and node.name == "cross_check")
-    assert "method" not in {node.value for node in ast.walk(check) if isinstance(node, ast.Constant)}
+    constants = {node.value for node in ast.walk(check) if isinstance(node, ast.Constant)}
+    assert "method" not in constants
     for name in ("compute_lower_envelope", "largest_empty_from_envelope", "LowerEnvelope",
                  "EnvelopePiece"):
         assert name not in lineplace.__all__ and not hasattr(lineplace, name), name
