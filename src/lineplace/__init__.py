@@ -12,9 +12,10 @@ The cross-checks of `lineplace solve --verify` live in lineplace.verify,
 which only the CLI imports; the second routes that the tests compare
 the solvers against, and the entry points only the tests call, live in
 lineplace._reference. Neither is exported. The lower envelope of the
-distance profiles, the --verify route of the largest empty ball, stays
-in lineplace.obnoxious (compute_lower_envelope,
-largest_empty_from_envelope) and is not exported either.
+distance profiles, the --verify route of the largest empty ball,
+which one scalar merge of halves builds, stays in lineplace.obnoxious
+(compute_lower_envelope, largest_empty_from_envelope) and is not
+exported either.
 """
 
 from .errors import (

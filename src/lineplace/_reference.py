@@ -11,11 +11,9 @@ the bisection that asks about one midpoint at a time, the one-segment
 constrained argmin and axis crossing, where the solvers read one
 array table, a dict-based grouping of candidate runs into k-cover
 lists, the bisected circle of a k-cover run, which the solver reads
-off its pair circles, the lower envelope by the same tree of halves
-merged one cell at a time over one scalar profile per segment, where
-the solver merges a whole tree level in one array pass over a piece
-table, and the one-off fold of the lower envelope, which adds the
-segments one at a time where the solver merges halves.
+off its pair circles, and the one-off fold of the lower envelope,
+which adds the segments one at a time where the solver merges halves,
+through the solver's own merge of two envelopes.
 Beside them sit the one-at-a-time entry points that only the tests
 call: the scalar pair circle, the k-cover run table gathered from its
 column blocks, the circle of one k-cover run, the single-segment
@@ -38,7 +36,8 @@ from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _np_lp, \
 from .intervals import PASS_CELLS, Interval, SegmentArray, covering_slack, least_radius
 from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _best_breaks, \
     _binding_radii, _no_finite_cover, _run_circles, _run_columns
-from .obnoxious import _AFFINE, _CONE, EnvelopePiece, LowerEnvelope, compute_lower_envelope
+from .obnoxious import _CONE, EnvelopePiece, LowerEnvelope, _Profile, _build_profile, \
+    _compact_pieces, _merge_raw, compute_lower_envelope
 from .one_center import PlacedCircle
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -457,305 +456,25 @@ def union_covers(intervals, domain: Interval):
     return False, 0.5 * (reach + domain.hi)
 
 
-# -- the scalar envelope merge ------------------------------------------
+# -- the one-off fold of the lower envelope ----------------------------
 #
-# The merge of two envelopes one cell at a time, over one _Profile
-# object per segment, and the recursion over the halves that drives
-# it: the second route to obnoxious.compute_lower_envelope, which
-# merges every pair of one tree height in one array pass over a piece
-# table. A profile is the function x -> distance((x,0), s) decomposed
-# into cone pieces lp(x - c, h) and affine pieces A*x + B (see
-# obnoxious._piece_table); its pieces tile the axis, the first from
-# -inf and the last to +inf, so piece_at finds a piece at every x.
+# The second route to obnoxious.compute_lower_envelope: the segments
+# join the running envelope one at a time, each newcomer's one piece
+# merged in by the build's own scalar merge (obnoxious._merge_raw) over
+# the build's profiles (obnoxious._build_profile), where the build
+# merges halves. A window piece that the newcomer clearly cannot take
+# (_margin) is settled without a merge.
 
-class _Profile:
-    __slots__ = ("p", "pieces", "starts", "ends", "mag")
-
-    def __init__(self, p: float, pieces, mag: float):
-        self.p = p
-        self.pieces = pieces
-        self.starts = [pc[0] for pc in pieces]
-        self.ends = self.starts[1:] + [_INF]
-        # the largest coordinate magnitude of the segment
-        self.mag = mag
-
-    def piece_at(self, x: float):
-        return self.pieces[bisect_right(self.starts, x) - 1]
-
-    def value(self, x: float) -> float:
-        xa, xb, kind, u, v = self.piece_at(x)
-        if kind == _CONE:
-            return _lp_pair(x - u, v, self.p)
-        return u * x + v
-
-    def knots_in(self, lo: float, hi: float):
-        return [xs for xs in self.starts if lo < xs < hi]
-
-
-def _append_affine_abs(pieces, A: float, B: float, lo: float, hi: float, h: float = 0.0) -> None:
-    """Emit |A*x + B| + h on (lo, hi) as one or two pure affine pieces;
-    a sloped offset gets h only where h is nonzero, so that -0.0 keeps
-    its sign."""
-    if hi <= lo:
-        return
-    if A == 0.0:
-        pieces.append((lo, hi, _AFFINE, 0.0, abs(B) + h))
-        return
-    sA = math.copysign(1.0, A)
-    rb, lb = sA * B, -sA * B
-    if h != 0.0:
-        rb, lb = rb + h, lb + h
-    right = (_AFFINE, abs(A), rb)
-    left = (_AFFINE, -abs(A), lb)
-    xz = -B / A
-    if xz <= lo:
-        pieces.append((lo, hi) + right)
-    elif xz >= hi:
-        pieces.append((lo, hi) + left)
-    else:
-        pieces.extend(((lo, xz) + left, (xz, hi) + right))
-
-
-def _append_cone(pieces, c: float, h: float, lo: float, hi: float, p: float) -> None:
-    """Emit lp(x - c, h) on (lo, hi). A degenerate cone, and every cone
-    at p = 1, where it is |x - c| + h, becomes affine pieces split at
-    the apex."""
-    if hi <= lo:
-        return
-    if h == 0.0 or p == 1.0:
-        _append_affine_abs(pieces, 1.0, -c, lo, hi, h)
-        return
-    pieces.append((lo, hi, _CONE, c, h))
-
-
-def _regime_boundary(ex: float, ey: float, U: float, V: float, p: float) -> float:
-    """Abscissa where the nearest segment point stops being endpoint e.
-
-    Solves the first-order condition of the parametric distance at the
-    endpoint: the boundary is ex - |kappa|^(1/(p-1)) sign(kappa) with
-    kappa = -(V/U) |ey|^(p-1) sign(ey). The root is taken factor by
-    factor, as |V/U|^(1/(p-1)) |ey|, because |ey|^(p-1) alone overflows
-    or underflows at large p. Overflow of the remaining power means the
-    endpoint regime covers a whole half line. At p = 1 the power takes
-    its p -> 1 limit: 0 when |V| < U, 1 when |V| = U and infinity when
-    |V| > U, so the boundary is the endpoint itself, ex -/+ |ey|, or an
-    infinity.
-    """
-    if ey == 0.0 or V == 0.0:
-        return ex
-    kappa_sign = -math.copysign(1.0, V / U) * math.copysign(1.0, ey)
-    if p == 1.0:
-        root = 0.0 if abs(V) < U else (1.0 if abs(V) == U else _INF)
-    else:
-        try:
-            root = abs(V / U) ** (1.0 / (p - 1.0))
-        except OverflowError:
-            root = _INF
-    # an infinite magnitude puts the boundary at the matching infinity
-    return ex - math.copysign(root * abs(ey), kappa_sign)
-
-
-def _build_profile(ax: float, ay: float, bx: float, by: float, p: float) -> _Profile:
-    """The profile of the segment from (ax, ay) to (bx, by)."""
-    if bx < ax:
-        ax, ay, bx, by = bx, by, ax, ay
-    U = bx - ax
-    V = by - ay
-    pieces = []
-    if U == 0.0:
-        hmin = 0.0 if ay * by <= 0.0 else min(abs(ay), abs(by))
-        _append_cone(pieces, ax, hmin, -_INF, _INF, p)
-    else:
-        # distance to the supporting line: |V x - (U ay - V ax)| over the
-        # dual norm of (V, U), which is the max norm at p = 1
-        mx = max(abs(V), U)
-        if p == 1.0:
-            nrm = mx
-        else:
-            ps = p / (p - 1.0)
-            nrm = mx * ((abs(V) / mx) ** ps + (U / mx) ** ps) ** (1.0 / ps)
-        A = V / nrm
-        B = (U * ay - V * ax) / nrm
-        w1 = _regime_boundary(ax, ay, U, V, p)
-        w2 = _regime_boundary(bx, by, U, V, p)
-        if w1 > w2:
-            w1 = w2 = 0.5 * (w1 + w2)
-        _append_cone(pieces, ax, abs(ay), -_INF, w1, p)
-        _append_affine_abs(pieces, A, B, w1, w2)
-        _append_cone(pieces, bx, abs(by), w2, _INF, p)
-        if not pieces:
-            # both boundaries collapsed to infinities of the same side
-            _append_cone(pieces, ax, abs(ay), -_INF, _INF, p)
-    return _Profile(p, pieces, max(abs(ax), abs(ay), abs(bx), abs(by)))
-
-
-# -- per-cell crossing analysis ----------------------------------------
-
-
-def _refine_root(f, a: float, b: float, fa_pos: bool, eps: float, max_iters: int) -> float:
-    it = 0
-    while b - a > eps and it < max_iters:
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fm > 0.0) == fa_pos:
-            a = m
-        else:
-            b = m
-        it += 1
-    return 0.5 * (a + b)
-
-
-def _quad_roots(alpha: float, beta: float, gamma: float):
-    if alpha == 0.0:
-        if beta == 0.0:
-            return []
-        return [-gamma / beta]
-    disc = beta * beta - 4.0 * alpha * gamma
-    if disc < 0.0:
-        return []
-    sq = math.sqrt(disc)
-    q = -0.5 * (beta + math.copysign(sq, beta))
-    if q == 0.0:
-        return [0.0] if gamma == 0.0 else []
-    r1 = q / alpha
-    r2 = gamma / q
-    return [r1] if r1 == r2 else [r1, r2]
-
-
-def _subcell_roots(prof_i, prof_j, a: float, b: float, p: float, tol: Tolerance):
-    """Equal-distance points strictly inside (a, b).
-
-    (a, b) lies within a single piece of each profile. Case analysis:
-    two affines cross at most once; cone vs cone crosses at most once
-    (the p-th power difference of the offsets is strictly monotone);
-    cone vs affine differs by a convex function, so up to two roots,
-    located from its closed-form interior minimum.
-    """
-    mid = 0.5 * (a + b)
-    xa1, xb1, k1, u1, v1 = prof_i.piece_at(mid)
-    xa2, xb2, k2, u2, v2 = prof_j.piece_at(mid)
-    eps = tol.eps / 4.0
-
-    if k1 == _AFFINE and k2 == _AFFINE:
-        if u1 == u2:
-            return []
-        xr = (v2 - v1) / (u1 - u2)
-        return [xr] if a < xr < b else []
-
-    if k1 == _CONE and k2 == _CONE:
-        c1, h1, c2, h2 = u1, v1, u2, v2
-        if c1 == c2:
-            return []
-        if p == 2.0:
-            xr = (c2 * c2 + h2 * h2 - c1 * c1 - h1 * h1) / (2.0 * (c2 - c1))
-            return [xr] if a < xr < b else []
-        ga = _lp_pair(a - c1, h1, p) - _lp_pair(a - c2, h2, p)
-        gb = _lp_pair(b - c1, h1, p) - _lp_pair(b - c2, h2, p)
-        if ga == 0.0 or gb == 0.0 or (ga > 0.0) == (gb > 0.0):
-            return []
-        g = lambda x: _lp_pair(x - c1, h1, p) - _lp_pair(x - c2, h2, p)
-        return [_refine_root(g, a, b, ga > 0.0, eps, tol.max_iters)]
-
-    # one cone, one affine
-    if k1 == _CONE:
-        c, h, A, B = u1, v1, u2, v2
-    else:
-        c, h, A, B = u2, v2, u1, v1
-
-    if p == 2.0:
-        alpha = 1.0 - A * A
-        beta = -2.0 * (c + A * B)
-        gamma = c * c + h * h - B * B
-        roots = _quad_roots(alpha, beta, gamma)
-        return sorted(x for x in roots if a < x < b and A * x + B >= 0.0)
-
-    psi = lambda x: _lp_pair(x - c, h, p) - (A * x + B)
-
-    def sign_change_root():
-        pa, pb = psi(a), psi(b)
-        if pa == 0.0 or pb == 0.0 or (pa > 0.0) == (pb > 0.0):
-            return []
-        return [_refine_root(psi, a, b, pa > 0.0, eps, tol.max_iters)]
-
-    # |A| <= 1, so the power cannot overflow
-    rho = abs(A) ** (p / (p - 1.0))
-    if rho >= 1.0:
-        return sign_change_root()
-    xhat = c + math.copysign(h * (rho / (1.0 - rho)) ** (1.0 / p), A)
-    if not (a < xhat < b):
-        return sign_change_root()
-    pm = psi(xhat)
-    if pm >= 0.0:
-        return []
-    roots = []
-    pa = psi(a)
-    if pa > 0.0:
-        roots.append(_refine_root(psi, a, xhat, True, eps, tol.max_iters))
-    pb = psi(b)
-    if pb > 0.0:
-        roots.append(_refine_root(psi, xhat, b, False, eps, tol.max_iters))
-    return roots
-
-
-def _resolve_cell(u, v, i, j, prof_i, prof_j, tol):
-    """Ownership stretches of cell [u, v] where owners i and j differ.
-
-    The knots of both profiles split the cell into subcells that each
-    lie within one piece of each profile, where _subcell_roots finds
-    every equal-distance point.
-    """
-    p = prof_i.p
-    knots = sorted(set(prof_i.knots_in(u, v) + prof_j.knots_in(u, v)))
-    roots = []
-    edges = [u] + knots + [v]
-    for k in range(len(edges) - 1):
-        if edges[k + 1] > edges[k]:
-            roots.extend(_subcell_roots(prof_i, prof_j, edges[k], edges[k + 1], p, tol))
-
-    cuts = sorted(knots + roots)
-    kept = []
-    for x in cuts:
-        if x <= u or x >= v:
-            continue
-        if kept and x - kept[-1] <= tol.eps / 8.0:
-            continue
-        kept.append(x)
-    edges = [u] + kept + [v]
-    out = []
-    for k in range(len(edges) - 1):
-        a, b = edges[k], edges[k + 1]
-        if b <= a:
-            continue
-        m = 0.5 * (a + b)
-        di = prof_i.value(m)
-        dj = prof_j.value(m)
-        if di < dj:
-            owner = i
-        elif dj < di:
-            owner = j
-        else:
-            owner = min(i, j)
-        if out and out[-1][2] == owner:
-            out[-1] = (out[-1][0], b, owner)
-        else:
-            out.append((a, b, owner))
-    return out
-
-
-# -- cells settled by dominance -----------------------------------------
 
 def _margin(mag):
-    """2^-44 mag: the margin by which one profile must clear another for
-    a cell of the scalar merge to be settled without root finding
-    (_dominant), given the largest coordinate magnitude mag (a float or
-    an array) of the segments and the cell; the one-off fold
-    (envelope_one_off) settles its window pieces by the same margin.
-    NaN outside (2^-200, 2^200), where no bound is claimed: no
-    difference clears a NaN.
+    """2^-44 mag: the margin by which a newcomer's least over a window
+    piece of the one-off fold (envelope_one_off) must clear the greatest
+    of the piece's owner for the fold to settle the piece without a
+    merge, given the largest coordinate magnitude mag (a float or an
+    array) of the segments and L. NaN outside (2^-200, 2^200), where no
+    bound is claimed: no difference clears a NaN.
 
-    Proof. Let M >= mag bound |x| on the cell and every coordinate of
+    Proof. Let M >= mag bound |x| on the piece and every coordinate of
     both segments, and r = 2^-53 the unit roundoff.
     - Every stored piece has |A| <= 1 and |c|, h <= M, and |B| <= 4 M:
       B = (U ay - V ax) / nrm with U, |V| <= mx <= nrm, and a rounded
@@ -770,22 +489,22 @@ def _margin(mag):
       math.hypot. Allowing each of the powers of _np_lp 4 ulps, the
       same count gives 11 ulps of 3 M, so an array evaluation (the
       fold's window least, _least_on) is off by at most e' = 2 e.
-    - A route settles and resolves a cell on the same pieces. A point m
-      that a cell's resolution compares lies in the part [a, b] of one
-      piece of each profile, and the exact piece is convex there, so
-      its exact value at m lies between the exact least and greatest
-      of the piece on [a, b]. The computed greatest, taken over parts
-      that cover the cell, or over a superset of it (the fold's cached
-      greatest of a whole envelope piece), only grows:
-      the lower profile's computed value at m is below greatest + 2 e',
-      one e' for the greatest and one for the value at m (each e where
-      it is scalar). The computed least, taken over parts covering the
-      cell or a superset, only shrinks: the upper profile's computed
-      value at m is above least - 2 e'.
+    - The merge that a settled piece skips (obnoxious._merge_raw) would
+      compare the two profiles at points m of the piece, on the same
+      pieces of the profiles as the fold reads. Such an m lies in the
+      part [a, b] of one piece of each profile, and the exact piece is
+      convex there, so its exact value at m lies between the exact
+      least and greatest of the piece on [a, b]. The owner's computed
+      greatest, taken over parts that cover the envelope piece
+      (_extent, cached for the whole piece), only grows: the owner's
+      computed value at m is below greatest + 2 e', one e' for the
+      greatest and one for the value at m (each e where it is scalar).
+      The newcomer's computed least, taken over parts covering the
+      piece, only shrinks: its computed value at m is above
+      least - 2 e'.
     - The rounded difference least - greatest errs by at most 12 r M.
-    So a difference above 4 e' + 12 r M = 204 r M decides every
-    comparison, whichever evaluations a route takes (4 e + 12 r M =
-    108 r M where all are scalar); 2^-44 M = 512 r M leaves room. The
+    So a difference above 4 e' + 12 r M = 204 r M gives the owner every
+    comparison of the merge; 2^-44 M = 512 r M leaves room. The
     fold reads the newcomer's least piece by piece and not at its
     constrained minimiser: the distance is 1-Lipschitz in x, so
     a minimiser off by d moves the distance by at most d, but the
@@ -809,11 +528,11 @@ def _extent(prof: _Profile, u: float, v: float):
     lies inside (a, b), where the least is h.
     """
     k = bisect_right(prof.starts, u) - 1
-    ends, pieces, p = prof.ends, prof.pieces, prof.p
+    pieces, p = prof.pieces, prof.p
     least, greatest = _INF, -_INF
     a = u
     while True:
-        nxt = ends[k]
+        nxt = pieces[k][1]
         b = nxt if nxt < v else v
         _, _, kind, c, h = pieces[k]
         if kind == _CONE:
@@ -831,116 +550,6 @@ def _extent(prof: _Profile, u: float, v: float):
             return least, greatest
         a = nxt
         k += 1
-
-
-def _dominant(u: float, v: float, i: int, j: int, prof_i: _Profile, prof_j: _Profile):
-    """Owner of the whole cell [u, v] when one profile clears the other.
-
-    When j's least value over the cell (_extent) exceeds i's greatest by
-    more than _margin of the segments and v, every midpoint that
-    _resolve_cell compares goes to i (see _margin), so it would return
-    [(u, v, i)]: this returns i instead, and the merge emits that piece
-    bit for bit, without root finding. The same holds with i and j
-    swapped. Otherwise, or where _margin claims no bound (NaN, which
-    no difference clears), it returns None.
-    """
-    margin = _margin(max(prof_i.mag, prof_j.mag, v))
-    least_i, greatest_i = _extent(prof_i, u, v)
-    least_j, greatest_j = _extent(prof_j, u, v)
-    if least_j - greatest_i > margin:
-        return i
-    if least_i - greatest_j > margin:
-        return j
-    return None
-
-
-# -- envelope assembly --------------------------------------------------
-#
-# Inside the build an envelope is a list of (a, b, seg_index) tuples
-# that tile its span left to right; envelope_halves wraps the final
-# one in EnvelopePiece and LowerEnvelope.
-
-
-def _compact_pieces(pieces, tol: Tolerance) -> list:
-    # Pieces narrower than half of tol.eps are merge order noise, not
-    # certified ownership: each folds into the next kept piece (the
-    # last kept one reaches the end), which keeps both build orders on
-    # the same piece list. Same-owner neighbours fuse, so every piece
-    # is a maximal ownership run
-    sliver = 0.5 * tol.eps
-    keep = [pc for pc in pieces if pc[1] - pc[0] > sliver]
-    if not keep:
-        return [(pieces[0][0], pieces[-1][1], pieces[0][2])]
-    out = []
-    cursor = pieces[0][0]
-    for _, b, s in keep:
-        if out and out[-1][2] == s:
-            out[-1] = (out[-1][0], b, s)
-        else:
-            out.append((cursor, b, s))
-        cursor = b
-    out[-1] = (out[-1][0], pieces[-1][1], out[-1][2])
-    return out
-
-
-def _merge_raw(e1, e2, profiles, tol: Tolerance) -> list:
-    """Cellwise minimum of two envelopes over the same span, uncompacted.
-
-    profiles holds the _Profile of every segment, by index. A cell
-    whose two owners differ goes to the owner _dominant names, or else
-    to _resolve_cell.
-    """
-    bounds = sorted({x for a, b, _ in e1 for x in (a, b)} | {x for a, b, _ in e2 for x in (a, b)})
-    i1 = i2 = 0
-    n1, n2 = len(e1) - 1, len(e2) - 1
-    raw = []
-    for k in range(len(bounds) - 1):
-        u, v = bounds[k], bounds[k + 1]
-        if v <= u:
-            continue
-        while i1 < n1 and e1[i1][1] <= u:
-            i1 += 1
-        while i2 < n2 and e2[i2][1] <= u:
-            i2 += 1
-        oi, oj = e1[i1][2], e2[i2][2]
-        if oi == oj:
-            raw.append((u, v, oi))
-            continue
-        prof_i, prof_j = profiles[oi], profiles[oj]
-        owner = _dominant(u, v, oi, oj, prof_i, prof_j)
-        if owner is not None:
-            raw.append((u, v, owner))
-            continue
-        raw.extend(_resolve_cell(u, v, oi, oj, prof_i, prof_j, tol))
-    if not raw:
-        # a one-point span (L = 0): the nearer owner, ties to the lower index
-        x = e1[0][0]
-        owner = min((e1[0][2], e2[0][2]),
-                    key=lambda s: (profiles[s].value(x), s))
-        raw = [(x, x, owner)]
-    return raw
-
-
-def envelope_halves(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEnvelope:
-    """The lower envelope of obnoxious.compute_lower_envelope by its
-    tree, recursively, one cell at a time: the segments lo..hi-1 are
-    the merge (_merge_raw, then _compact_pieces) of the envelopes of
-    lo..mid-1 and mid..hi-1, mid = (lo + hi) // 2, over one
-    _build_profile per segment. The same pieces at p = 1 and 2, and the
-    same owners within rounding at other p, where numpy's powers round
-    differently from **.
-    """
-    cols = segment_rows(segments, L)
-    profiles = [_build_profile(ax, ay, bx, by, norm.p) for ax, ay, bx, by in cols.tolist()]
-
-    def build(lo: int, hi: int) -> list:
-        if hi - lo == 1:
-            return [(0.0, L, lo)]
-        mid = (lo + hi) // 2
-        return _compact_pieces(_merge_raw(build(lo, mid), build(mid, hi), profiles, tol), tol)
-
-    return _wrap(build(0, len(cols)))
-
 
 
 def _spans(le: LowerEnvelope) -> list:
@@ -1033,12 +642,12 @@ def _fold_one(env, tops, i: int, lo_x: float, hi_x: float, profiles, margin, tol
     A window piece is settled when the newcomer's least over it
     (_least_on, one array pass over the window) exceeds its top by more
     than margin: every comparison in the piece goes to its owner
-    (_margin), so _dominant names the owner or no one, _resolve_cell
-    gives the owner every cell, and the merge would emit the piece
-    again. Only the stretch from the first to the last unsettled piece
-    is merged, and compaction runs on it plus two flanking pieces on
-    each side, which bounds how far same-owner fusion can propagate;
-    the pieces it emits get a fresh top. A fold that settles every
+    (_margin), so the merge's cell resolution gives the owner every
+    cell, and the merge would emit the piece again. Only the stretch
+    from the first to the last unsettled piece is merged, and
+    compaction runs on it plus two flanking pieces on each side, which
+    bounds how far same-owner fusion can propagate; the pieces it emits
+    get a fresh top. A fold that settles every
     piece returns env and tops as they are, and a NaN margin settles
     none. Returns the new (env, tops).
     """
@@ -1105,12 +714,11 @@ def envelope_one_off(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEn
     where no bound is claimed (eta >= 1, or R not finite) the fold
     contests all of [0, L].
 
-    The fold settles its window the way _dominant settles a cell of the
-    scalar merge, all at once (_fold_one): its running envelope carries
-    the greatest value of each piece's owner over the piece, and the
-    newcomer's least over every window piece comes from one array pass
-    (_least_on), against one margin for the solve, _margin of the
-    largest coordinate magnitude and L. A settled piece costs one
+    The fold settles its window pieces all at once (_fold_one): its
+    running envelope carries the greatest value of each piece's owner
+    over the piece, and the newcomer's least over every window piece
+    comes from one array pass (_least_on), against one margin for the
+    solve, _margin of the largest coordinate magnitude and L. A settled piece costs one
     array element; only the stretch from the first to the last
     unsettled piece is merged, and a newcomer that settles every piece
     leaves the envelope as it is. A fold needs a window of positive

@@ -5,7 +5,7 @@ center line is the interval [0, L] of the horizontal axis. This module
 provides the norm and tolerance types, exact point-to-segment
 distances, the frame transform, the closed-form argmin along the
 axis that the solvers build on, and the lockstep root kernel (rtsafe)
-that k-cover's pair centers and the envelope's crossings share. Iterative second routes to these
+that finds k-cover's pair centers. Iterative second routes to these
 quantities live in lineplace._reference, for the tests only.
 """
 
@@ -123,9 +123,7 @@ def _rtsafe(fdf, lo, hi, q, max_iters: int):
     x is that root (and hi); after a Newton step of d <= q, x lies
     within d of its last iterate, one end of [lo, hi], and no bound is
     claimed toward the other end, since a Newton step may fall short of
-    the root by more than it moved where f bends. A caller that needs a
-    bound there certifies x by evaluating f across it (as
-    _certified_roots does).
+    the root by more than it moved where f bends.
     """
     x = 0.5 * (lo + hi)
     dx = hi - lo
@@ -170,56 +168,6 @@ def _rtsafe_step(fdf, act, x, lo, hi, dx, dxold, q):
     dx[act] = step
     x[act] = xn
     return act[~(done | stuck | exact)]
-
-
-def _certified_roots(fdf, lo, hi, w: float, max_iters: int) -> np.ndarray:
-    """The root of every bracket [lo, hi] of f (fdf oriented as _rtsafe
-    takes it), each within w of a sign change of f: x, with points of
-    [x - w, x + w] on both sides of 0 in _rtsafe's sense (f < 0 against
-    f >= 0 or NaN), or within one ulp of x where w is less.
-
-    _rtsafe runs to w; where the final bracket ends further than w from
-    its iterate x (after a Newton stop, on the side it stepped toward),
-    f is evaluated at x -+ w across it. If that point lies on the root's
-    side, x is certified; else the sign change lies beyond it, which
-    becomes the bracket's end, and _rtsafe resumes on those rows. Every
-    evaluation counts toward max_iters; where the cap ends the search, a
-    root lies inside its final bracket only. The scalar reference,
-    _reference._refine_root, bisects to a bracket of tol.eps / 4 and so
-    stops within tol.eps / 8 of a sign change, the w that
-    obnoxious._crossings passes.
-    """
-    x = np.empty(len(lo))
-    rows = np.arange(len(lo))
-    q = np.full(len(lo), w)
-    left = max_iters
-    while len(rows):
-        def sub(xs, act):
-            return fdf(xs, rows[act])
-
-        xr, steps = _rtsafe(sub, lo, hi, q[:len(rows)], left)
-        x[rows] = xr
-        left -= steps
-        if not left:
-            break
-        left -= 1
-        below = np.minimum(xr - w, np.nextafter(xr, -math.inf))
-        above = np.maximum(xr + w, np.nextafter(xr, math.inf))
-        need_lo, need_hi = np.flatnonzero(below > lo), np.flatnonzero(above < hi)
-        if not (len(need_lo) or len(need_hi)):
-            break
-        f = sub(np.concatenate((below[need_lo], above[need_hi])),
-                np.concatenate((need_lo, need_hi)))[0]
-        short_lo, short_hi = np.zeros(len(rows), bool), np.zeros(len(rows), bool)
-        short_lo[need_lo[~(f[:len(need_lo)] < 0.0)]] = True
-        short_hi[need_hi[f[len(need_lo):] < 0.0]] = True
-        # a row short on both sides holds a sign change on each; it takes the lower
-        short_hi &= ~short_lo
-        hi[short_lo] = below[short_lo]
-        lo[short_hi] = above[short_hi]
-        again = np.flatnonzero(short_lo | short_hi)
-        rows, lo, hi = rows[again], lo[again], hi[again]
-    return x
 
 
 def lp_distance(a: Point, b: Point, norm: NormP) -> float:

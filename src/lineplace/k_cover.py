@@ -144,8 +144,8 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
     and S as span^(p-1) span, the product _power_gap forms at either end:
     as IEEE subtraction is monotone and rounds no nonzero difference to
     0, these are exactly the pairs whose _power_gap F - t is <= 0 at x_i
-    and >= 0 at x_j. rtsafe (geometry._rtsafe, the root kernel the
-    envelope shares) solves them in lockstep, F - t by _power_gap, to the
+    and >= 0 at x_j. rtsafe (geometry._rtsafe, whose only caller this
+    is) solves them in lockstep, F - t by _power_gap, to the
     tolerance eps/4 of each pair's own scale within their own [x_i, x_j];
     the center is scaled back. Its accepted Newton steps at least halve
     every second step and its other steps halve the bracket, so a pair

@@ -3,7 +3,8 @@ only the CLI imports it.
 
 cross_check runs a second route to a solve's objective and reports the
 gap: a grid scan for the one-center, the lower envelope for the
-largest empty circle, and for k-cover at p = 2 the DP over the runs of
+largest empty circle (one scalar merge of halves, whose crossings
+share no root kernel with the solvers), and for k-cover at p = 2 the DP over the runs of
 the sweep's candidate lists (dp_solve_sweep) where the solve weighs
 runs by the exact run table, else an exhaustive minimum over all
 partitions of the points; a k-cover is also checked to cover every
@@ -441,8 +442,8 @@ def cross_check(inst, tol: Tolerance, L: float, table, result: dict) -> dict:
     solvers took it; and result is the solve's result object. The
     largest empty circle, which the solve bisects, is checked against
     the lower envelope (obnoxious.max_empty_envelope), which no solve
-    runs. A k-cover check is also not ok when a point lies outside its
-    run's circle (_covers).
+    runs and whose crossings it bisects. A k-cover check is also not ok
+    when a point lies outside its run's circle (_covers).
     """
     norm = inst.norm
     objective = result["objective"]

@@ -464,8 +464,8 @@ class TestPairCirclesBatch:
     def test_no_pair_reaches_the_cap(self, case, p, monkeypatch):
         # pairs whose centers lie up to 1e10 away are not searched, and
         # every searched pair stops before 64 steps of rtsafe (the root
-        # kernel geometry._rtsafe, which the envelope shares), so a cap
-        # of 64 gives the same binding radii as the default 200
+        # kernel geometry._rtsafe), so a cap of 64 gives the same binding
+        # radii as the default 200
         if case == "near-equal":
             ps = pset(*self.SPECIAL[case])
         else:

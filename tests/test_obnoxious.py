@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lineplace import _reference, geometry, obnoxious
+from lineplace import _reference, geometry, k_cover, obnoxious
 from lineplace import (
     EmptyInput,
     NormP,
@@ -20,12 +20,12 @@ from lineplace import (
     max_empty_binsearch,
     point_segment_distance,
 )
-from lineplace._reference import _build_profile, base_envelope, compact, envelope_one_off, \
-    envelope_value, equal_distance_point, merge_lower_envelopes
+from lineplace._reference import base_envelope, compact, envelope_one_off, envelope_value, \
+    equal_distance_point, merge_lower_envelopes
 from lineplace.geometry import segment_columns
 from lineplace.intervals import PASS_CELLS, SegmentArray
-from lineplace.obnoxious import _AFFINE, EnvelopePiece, LowerEnvelope, compute_lower_envelope, \
-    largest_empty_from_envelope
+from lineplace.obnoxious import _AFFINE, EnvelopePiece, LowerEnvelope, _build_profile, \
+    compute_lower_envelope, largest_empty_from_envelope
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -233,29 +233,6 @@ def off_by_ulps(rng):
     return estimates
 
 
-def same_pieces(table, s, row, pieces, p):
-    """Whether row s of the piece table, built from row [ax, ay, bx,
-    by], holds pieces, the scalar profile: the same kinds, and starts and parameters bit for bit at
-    p = 1 and 2, where the table takes the same operations. At other p
-    numpy's powers may round differently from **: the line's dual norm
-    and a regime boundary's root take one power each, a few ulps apart,
-    so each value lies within 2^-48 of the larger of its own magnitude
-    and the segment's largest coordinate magnitude; an affine piece's
-    offset and its zero follow its norm and slope within that too."""
-    k = int(table.count[s])
-    at = slice(s * obnoxious._SLOTS, s * obnoxious._SLOTS + k)
-    if k != len(pieces) or table.kind[at].tolist() != [pc[2] for pc in pieces]:
-        return False
-    got = np.stack([table.start[s, :k], table.u[at], table.v[at]], axis=1)
-    want = np.array([(pc[0], pc[3], pc[4]) for pc in pieces])
-    if p in (1.0, 2.0):
-        return got.tobytes() == want.tobytes()
-    bound = 2.0 ** -48 * np.maximum(np.abs(want), max(map(abs, row)))
-    with np.errstate(invalid="ignore"):
-        # the first start is -inf in both
-        return bool(np.all((got == want) | (np.abs(got - want) <= bound)))
-
-
 class TestMinimiserTable:
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])
@@ -285,40 +262,30 @@ class TestMinimiserTable:
     @pytest.mark.parametrize("norm", [N1, N2, N3])
     def test_one_profile_per_segment(self, split, norm, monkeypatch):
         # the profiles are read from the rows once, also for the far
-        # newcomer that the fold skips: the fold builds one scalar
-        # profile per segment, and the halves build one piece table,
-        # whose every row holds the scalar profile's pieces (same_pieces)
-        built, folded, tables = [], [], []
-        real_build, real_fold = _reference._build_profile, _reference._fold_one
-        real_table = obnoxious._piece_table
+        # newcomer that the fold skips: both builds make one scalar
+        # profile per segment, in row order, before any merge
+        built, folded = [], []
+        real_build, real_fold = obnoxious._build_profile, _reference._fold_one
 
         def counting_build(*args):
             built.append(list(args[:4]))
             return real_build(*args)
 
         def counting_fold(*args):
+            assert len(built) == len(segs)
             folded.append(args)
             return real_fold(*args)
 
-        def counting_table(cols, p):
-            tables.append((cols.tolist(), real_table(cols, p)))
-            return tables[-1][1]
-
-        monkeypatch.setattr(_reference, "_build_profile", counting_build)
+        for module in (obnoxious, _reference):
+            monkeypatch.setattr(module, "_build_profile", counting_build)
         monkeypatch.setattr(_reference, "_fold_one", counting_fold)
-        monkeypatch.setattr(obnoxious, "_piece_table", counting_table)
         segs = random_segments(random.Random(43), 20, span=2.0) + [seg(4, 80, 6, 81)]
         BUILDS[split](segs, 10.0, norm, TOL)
+        assert built == segment_columns(segs).tolist()
         if split == "one-off":
-            assert built == segment_columns(segs).tolist()
             assert len(folded) < len(segs) - 1
-            assert tables == []
-            return
-        assert built == [] and folded == []
-        [(rows, table)] = tables
-        assert rows == segment_columns(segs).tolist()
-        for s, row in enumerate(rows):
-            assert same_pieces(table, s, row, real_build(*row, norm.p).pieces, norm.p), s
+        else:
+            assert folded == []
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
@@ -405,34 +372,32 @@ class TestSplitSelectsNothing:
 
     @pytest.mark.parametrize("norm", [N1, N2, N3])
     def test_one_off_is_the_halves_build(self, norm, monkeypatch):
-        # the same level passes in the same order and the same bits,
-        # and no fold: neither the reference fold nor the covering
-        # kernel that gave the fold its windows is reached
+        # the same merges in the same order and the same bits, and no
+        # fold: neither the reference fold nor the covering kernel that
+        # gave the fold its windows is reached
         def no_fold(*args):
             raise AssertionError("split='one-off' reached a fold")
 
         monkeypatch.setattr(SegmentArray, "covering", no_fold)
         for name in ("envelope_one_off", "_fold_one", "_fold_windows"):
             monkeypatch.setattr(_reference, name, no_fold, raising=False)
-        real_level = obnoxious._merge_level
+        real_merge = obnoxious._merge_raw
         segs = random_segments(random.Random(f"alias {norm.p}"), 60, span=2.0)
-        passes, envelopes = {}, {}
+        merges, envelopes = {}, {}
         for split in ("one-off", "halves"):
-            passes[split] = []
+            merges[split] = []
 
-            def recording(pieces, lo, mid, *args, log=passes[split]):
-                log.append(([col.tobytes() for col in pieces], lo.tolist(), mid.tolist()))
-                return real_level(pieces, lo, mid, *args)
+            def recording(e1, e2, *args, log=merges[split]):
+                log.append((e1, e2))
+                return real_merge(e1, e2, *args)
 
             with monkeypatch.context() as m:
-                m.setattr(obnoxious, "_merge_level", recording)
+                m.setattr(obnoxious, "_merge_raw", recording)
                 env = compute_lower_envelope(segs, 10.0, norm, TOL, split=split)
             envelopes[split] = [(pc.a.hex(), pc.b.hex(), pc.seg_index) for pc in env.pieces]
-        # one pass per tree height, ceil(log2 60) = 6, and one merge per
-        # inner node of the tree
-        assert len(passes["halves"]) == 6
-        assert sum(len(lo) for _, lo, _ in passes["halves"]) == len(segs) - 1
-        assert passes["one-off"] == passes["halves"]
+        # one merge per inner node of the tree of halves
+        assert len(merges["halves"]) == len(segs) - 1
+        assert merges["one-off"] == merges["halves"]
         assert envelopes["one-off"] == envelopes["halves"]
         # an unknown value is still rejected
         with pytest.raises(ValueError, match="unknown split"):
@@ -442,7 +407,7 @@ class TestSplitSelectsNothing:
         def no_build(*args):
             raise AssertionError("an unknown split reached the build")
 
-        monkeypatch.setattr(obnoxious, "_envelope_arrays", no_build)
+        monkeypatch.setattr(obnoxious, "_envelope_pieces", no_build)
         segs = random_segments(random.Random("unknown split"), 60, span=2.0)
         for split in ("thirds", "", None):
             with pytest.raises(ValueError, match="unknown split"):
@@ -474,42 +439,40 @@ def oracle_rows(rng, n, regime, scale):
 
 
 class TestSameTree:
-    """The level passes build the envelope that the recursion over the
-    scalar merge builds (_reference.envelope_halves), merge for merge.
-
-    At p = 1 and 2 both take the same operations on the same pieces, so
-    the ends agree bit for bit. At other p the level passes find the
-    crossings by rtsafe where the reference bisects, and numpy's powers
-    may round differently from ** (geometry's rounding rule), so the
-    owners agree and every end agrees within the bound of end_bound."""
+    """The halves build gives the envelope of the one-off fold
+    (_reference.envelope_one_off): the same owners, and every end within
+    end_bound. Both read the same profiles through the same merge of two
+    envelopes, and differ only in the order of the merges. Where the
+    fold hands the input to the build (L = 0), or where the two orders
+    fold slivers away differently (a coarse eps), the build's structure
+    is checked instead."""
 
     @staticmethod
     def end_bound(tol, scale):
-        # A knot, a profile's piece start, is one power and a few
-        # roundings from the rows: within 2^-48 M (same_pieces), M the
-        # largest coordinate magnitude and L. A root at other p lies
-        # within tol.eps / 8 of a sign change of its route's own
-        # difference of profiles: the reference bisects to a final
-        # bracket no wider than tol.eps / 4 and takes its midpoint, and
-        # the level passes certify each rtsafe root across its last step
-        # (_certified_roots). Rounding moves the two routes' sign changes
-        # apart by far less than 2^-48 M where the crossing is not
-        # tangent; an affine crossing is a quotient of piece parameters
-        # that lie within that of each other
+        # A crossing at p != 2 is bisected to a final bracket no wider
+        # than tol.eps / 4, whose midpoint lies within tol.eps / 8 of a
+        # sign change of the computed difference of the profiles. The
+        # two builds bisect it on different cells, so their roots may
+        # lie on either side of it; 2^-48 M, M the largest coordinate
+        # magnitude and L, leaves room for a difference whose rounding
+        # changes sign more than once near the crossing
         return tol.eps / 4.0 + 2.0 ** -48 * scale
 
     def check(self, rows, L, p, tol):
         norm = NormP(p)
         got = compute_lower_envelope(rows, L, norm, tol)
-        want = _reference.envelope_halves(rows, L, norm, tol)
+        want = envelope_one_off(rows, L, norm, tol)
         assert [pc.seg_index for pc in got.pieces] == [pc.seg_index for pc in want.pieces]
-        if p in (1.0, 2.0):
-            assert got == want
-        else:
-            scale = max(float(np.abs(rows).max()), L)
-            assert all(abs(u.b - v.b) <= self.end_bound(tol, scale)
-                       for u, v in zip(got.pieces, want.pieces))
+        scale = max(float(np.abs(rows).max()), L)
+        assert all(abs(u.b - v.b) <= self.end_bound(tol, scale)
+                   for u, v in zip(got.pieces, want.pieces))
         return got
+
+    @staticmethod
+    def one_point_owner(rows, p):
+        # the owner that every merge at L = 0 keeps: the profile lowest
+        # at the origin, ties to the lower index
+        return min(range(len(rows)), key=lambda s: (_build_profile(*rows[s], p).value(0.0), s))
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 1.5, 3.0, 30.0, 400.0])
     @pytest.mark.parametrize("regime", ["nearline", "spread"])
@@ -518,53 +481,41 @@ class TestSameTree:
         for n in (2, 3, 5, 17, 64, 150, 300):
             self.check(oracle_rows(rng, n, regime, 1.0), 100.0, p, TOL)
 
-    def test_rtsafe_roots_are_certified(self):
+    def test_bisected_roots_lie_within_an_eighth_of_eps(self):
         # the draws that pinned the lockstep bisection, through the
-        # shared kernel as the level passes run it (_certified_roots),
-        # in both orientations: brackets that stop by width, at a zero
-        # midpoint, or at the iteration cap. The sign of (r - x)(x + 20)
-        # is exact on these brackets, so its sign change is r itself
-        # where r lies in the bracket; elsewhere, as for 17 of these
-        # draws, the difference keeps one sign and the root only stays
-        # in its bracket
+        # build's root finder (obnoxious._refine_root), in both
+        # orientations: brackets that stop by width, at a zero midpoint,
+        # or at the iteration cap. The sign of (r - x)(x + 20) is exact
+        # on these brackets, so its sign change is r itself where r lies
+        # in the bracket; elsewhere, as for 17 of these draws, the
+        # difference keeps one sign and the root only stays in its
+        # bracket
         rng = random.Random("lockstep")
-        a = np.array([rng.uniform(-10, 0) for _ in range(200)] + [0.0, -4.0])
-        b = np.array([rng.uniform(0, 10) for _ in range(200)] + [2.0, 4.0])
-        root = np.array([rng.uniform(-1, 1) for _ in range(200)] + [1.0, 0.0])
-        held = (a <= root) & (root <= b)
+        a = [rng.uniform(-10, 0) for _ in range(200)] + [0.0, -4.0]
+        b = [rng.uniform(0, 10) for _ in range(200)] + [2.0, 4.0]
+        root = [rng.uniform(-1, 1) for _ in range(200)] + [1.0, 0.0]
+        held = (np.array(a) <= root) & (np.array(root) <= b)
         assert held.sum() > 150
         for eps, max_iters in ((1e-9, 200), (0.3, 200), (1e-9, 7)):
             for pos in (True, False):
                 sign = 1.0 if pos else -1.0
-                # oriented as _crossings orients it: falling where f(a) > 0
-                turn = np.full(len(a), -sign)
-
-                def fdf(x, act):
-                    r, t = root[act], turn[act]
-                    return t * sign * (r - x) * (x + 20.0), t * sign * (r - 2.0 * x - 20.0)
-
-                got = geometry._certified_roots(fdf, a.copy(), b.copy(), eps / 8.0, max_iters)
+                got = np.array([obnoxious._refine_root(lambda x: sign * (r - x) * (x + 20.0),
+                                                       lo, hi, pos, eps / 4.0, max_iters)
+                                for lo, hi, r in zip(a, b, root)])
                 assert ((a <= got) & (got <= b)).all()
-                if max_iters < 200:
-                    continue
-                # the reference bisects a cell's crossings to eps / 4
-                want = np.array([_reference._refine_root(lambda x: sign * (r - x) * (x + 20.0),
-                                                         lo, hi, pos, eps / 4.0, max_iters)
-                                 for lo, hi, r in zip(a.tolist(), b.tolist(), root.tolist())])
-                # the derived bound of _certified_roots, and the reference's eps/8
-                assert np.abs(got - root)[held].max() <= eps / 8.0
-                assert np.abs(got - want)[held].max() <= eps / 4.0
+                if max_iters == 200:
+                    assert np.abs(got - root)[held].max() <= eps / 8.0
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 30.0])
     def test_extents_are_the_scalar_extents(self, p):
-        # the least and greatest that the reference's dominance test
-        # reads (_reference._extent) are those of the scalar profile
-        # over each span, sampled densely and at every knot and cone
-        # apex inside it: spans inside one piece, across knots, ending
-        # at knots, and around the apex of a cone
+        # the least and greatest that the fold's settle reads
+        # (_reference._extent) are those of the scalar profile over each
+        # span, sampled densely and at every knot and cone apex inside
+        # it: spans inside one piece, across knots, ending at knots, and
+        # around the apex of a cone
         rng = random.Random(f"extents {p}")
         for row in oracle_rows(rng, 40, "nearline", 1.0).tolist():
-            prof = _reference._build_profile(*row, p)
+            prof = _build_profile(*row, p)
             knots = [x for x in prof.starts if 0.0 < x < 100.0]
             apexes = [pc[3] for pc in prof.pieces if pc[2] == obnoxious._CONE]
             cuts = sorted({0.0, 100.0, *knots, *(rng.uniform(0, 100) for _ in range(12))})
@@ -580,18 +531,36 @@ class TestSameTree:
     def test_coarse_tolerance(self, p, eps):
         # cuts closer than eps / 8 to the last one kept are dropped one
         # at a time, and pieces narrower than eps / 2 fold away: at
-        # these eps every draw has such cuts, and most have such pieces
+        # these eps every draw has such cuts, and most have such pieces.
+        # The fold's order of merges folds other slivers, so the build
+        # is held to its structure: maximal ownership runs tiling
+        # [0, L], each wider than eps / 2, whose owner lies within eps
+        # of the nearest segment. A folded sliver moves an end by less
+        # than eps / 2, and the difference of two distances is
+        # 2-Lipschitz in x
         rng = random.Random(f"coarse {p} {eps}")
+        xs = np.linspace(0.0, 100.0, 201)
         for regime in ("nearline", "spread"):
             for n in (17, 64, 150):
-                self.check(oracle_rows(rng, n, regime, 1.0), 100.0, p, Tolerance(eps=eps))
+                rows = oracle_rows(rng, n, regime, 1.0)
+                env = compute_lower_envelope(rows, 100.0, NormP(p), Tolerance(eps=eps))
+                check_tiling(env, 100.0)
+                pieces = env.pieces
+                assert all(u.seg_index != v.seg_index for u, v in zip(pieces, pieces[1:]))
+                assert len(pieces) == 1 or min(pc.b - pc.a for pc in pieces) > eps / 2.0
+                ends = np.array([pc.b for pc in pieces])
+                owner = np.array([pc.seg_index for pc in pieces])[ends.searchsorted(xs)]
+                got = geometry.axis_distances(xs, rows[owner], p)
+                nearest = geometry.axis_distances(np.repeat(xs, n), np.tile(rows, (len(xs), 1)),
+                                                  p).reshape(len(xs), n).min(axis=1)
+                assert (got - nearest).max() <= eps
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("scale", [1e-70, 1e70])
     def test_scales_without_a_margin(self, p, scale):
-        # beyond (2^-200, 2^200) _margin claims no bound, so the
-        # reference settles no cell and resolves every contested one,
-        # as the level passes do at every scale
+        # beyond (2^-200, 2^200) _margin claims no bound, so the fold
+        # settles no window piece and merges every newcomer, as the
+        # halves build does at every scale
         assert np.isnan(_reference._margin(100.0 * scale))
         rng = random.Random(f"no margin {p} {scale}")
         for n in (5, 40):
@@ -606,15 +575,20 @@ class TestSameTree:
         for n in (2, 3, 9, 40):
             rows = oracle_rows(rng, n, "nearline", 1.0)
             rows[-1] = rows[0]
-            env = self.check(rows, 0.0, p, TOL)
-            assert [(pc.a, pc.b) for pc in env.pieces] == [(0.0, 0.0)]
-        self.check(np.array([[1.0, 2.0, 3.0, 2.0], [-3.0, 2.0, -1.0, 2.0]]), 0.0, p, TOL)
+            env = compute_lower_envelope(rows, 0.0, NormP(p), TOL)
+            assert [(pc.a, pc.b, pc.seg_index) for pc in env.pieces] == \
+                [(0.0, 0.0, self.one_point_owner(rows.tolist(), p))]
+        env = compute_lower_envelope(np.array([[1.0, 2.0, 3.0, 2.0], [-3.0, 2.0, -1.0, 2.0]]), 0.0,
+                                     NormP(p), TOL)
+        assert [pc.seg_index for pc in env.pieces] == [0]
 
     @pytest.mark.parametrize("p", [1.0, 3.0])
     def test_single_segment(self, p):
+        rows = np.array([[1.0, 2.0, 3.0, 4.0]])
         for L in (0.0, 10.0):
-            env = self.check(np.array([[1.0, 2.0, 3.0, 4.0]]), L, p, TOL)
+            env = compute_lower_envelope(rows, L, NormP(p), TOL)
             assert [(pc.a, pc.b, pc.seg_index) for pc in env.pieces] == [(0.0, L, 0)]
+        self.check(rows, 10.0, p, TOL)
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_every_piece_a_sliver(self, p):
@@ -634,51 +608,62 @@ class TestSameTree:
                           -6.572665339832966e299, 3.7292578879228924e296],
                          [8.795959788966634e299, 3.0939054382359757e296,
                           4.066444125146898e299, -6.5443474838477e296]])
-        assert np.isnan(obnoxious._piece_table(rows, p).v).any()
+        assert any(math.isnan(pc[4]) for row in rows.tolist()
+                   for pc in _build_profile(*row, p).pieces)
         for order in (rows, rows[::-1], np.vstack([rows, rows[:1] * 0.5])):
             self.check(order, 1e300, p, TOL)
             # the one-point owner, from rows with NaN and inf pieces
-            self.check(order, 0.0, p, TOL)
+            env = compute_lower_envelope(order, 0.0, NormP(p), TOL)
+            assert [(pc.a, pc.b, pc.seg_index) for pc in env.pieces] == \
+                [(0.0, 0.0, self.one_point_owner(order.tolist(), p))]
+
+
+def cone_minus(c, h, q1, q2, level, sign, p: float):
+    """fdf(x, act) for geometry._rtsafe over rows: sign times lp(x - c,
+    h) minus lp(x - q1, q2), or minus the affine q1 * x + q2 where level
+    is set, and its slope, for the rows act. A cone's slope sign(d)
+    (|d| / lp)^(p-1) underflows to 0 where |d| is far below lp."""
+
+    def fdf(x, act):
+        c_, h_, q1_, q2_, level_, sign_ = (col[act] for col in (c, h, q1, q2, level, sign))
+        d1, d2 = x - c_, x - q1_
+        v1, v2 = geometry._np_lp(d1, h_, p), geometry._np_lp(d2, q2_, p)
+        s1 = np.copysign((np.abs(d1) / v1) ** (p - 1.0), d1)
+        s2 = np.copysign((np.abs(d2) / v2) ** (p - 1.0), d2)
+        f = v1 - np.where(level_, q1_ * x + q2_, v2)
+        df = s1 - np.where(level_, q1_, s2)
+        return sign_ * f, sign_ * df
+
+    return fdf
 
 
 class TestRootKernel:
-    """The envelope's crossings at p != 1, 2 come from the root kernel
-    that k-cover shares (geometry._rtsafe), each certified within w =
-    tol.eps / 8 of a sign change of the difference of profiles
-    (geometry._certified_roots)."""
+    """The lockstep root kernel of k-cover's pair centers
+    (geometry._rtsafe), called directly on brackets of w = tol.eps / 8:
+    near-tangent and flat differences, NaN rows, and brackets that end
+    at a root or are one ulp wide."""
 
     W = TOL.eps / 8.0
 
     @staticmethod
-    def certified(fdf, x, w):
-        # f, as oriented, lies below 0 at or left of x - w and not below
-        # at or right of x + w: a sign change lies within w of x
-        n = len(x)
-        f = fdf(np.concatenate((x - w, x + w)), np.tile(np.arange(n), 2))[0]
-        return (f[:n] < 0.0) & ~(f[n:] < 0.0)
-
-    @staticmethod
-    def cone_affine(p, c, h, A, B, sign):
-        # lp(x - c, h) - (A x + B), oriented by sign
-        n = len(c)
-        return obnoxious._lp_minus(np.asarray(c, float), np.asarray(h, float),
-                                   np.full(n, A), np.full(n, B), np.ones(n, bool),
-                                   np.full(n, sign), p)
+    def rtsafe(fdf, lo, hi, w):
+        return geometry._rtsafe(fdf, lo, hi, np.full(len(lo), w), TOL.max_iters)[0]
 
     def test_near_tangent_crossings(self):
-        # where f' -> 0 at the root, Newton steps shrink slowly and may
-        # fall short, so the roots rest on their certificates: a triple
-        # root, and an affine 1e-10 above the tangent of a p = 3 cone,
-        # where f' is about 1e-5 at the crossings (closer to tangent,
-        # f moves less over w than its rounding)
+        # where f' -> 0 at the root, Newton steps shrink slowly: a triple
+        # root, where a Newton step covers a third of the way, so a stop
+        # after a step of at most w leaves the iterate within 2 w of it,
+        # and an affine 1e-10 above the tangent of a p = 3 cone, where
+        # f' is about 1e-5 at the crossings: the kernel finds each of
+        # the two crossings in its own bracket
         r = np.array([-0.3, 0.0, 0.123456789, 2.0 / 3.0])
 
         def cube(x, act):
             rr = r[act]
             return (x - rr) ** 3, 3.0 * (x - rr) ** 2
 
-        got = geometry._certified_roots(cube, r - 1.0, r + 0.7, self.W, TOL.max_iters)
-        assert np.abs(got - r).max() <= self.W
+        got = self.rtsafe(cube, r - 1.0, r + 0.7, self.W)
+        assert np.abs(got - r).max() <= 2.0 * self.W
         x0 = np.array([0.7, -0.35, 1.9])
         lp = (np.abs(x0) ** 3 + 1.0) ** (1.0 / 3.0)
         A = (np.abs(x0) / lp) ** 2 * np.sign(x0)
@@ -686,13 +671,12 @@ class TestRootKernel:
             B = lp[k] - A[k] * x0[k] + 1e-10
             # both crossings, about 1e-5 either side of the tangent point
             for lo, hi, sign in ((x0[k] - 1.0, x0[k], -1.0), (x0[k], x0[k] + 1.0, 1.0)):
-                fdf = self.cone_affine(3.0, [0.0], [1.0], A[k], B, sign)
+                fdf = cone_minus(np.zeros(1), np.ones(1), np.full(1, A[k]), np.full(1, B),
+                                 np.ones(1, bool), np.full(1, sign), 3.0)
                 ends = fdf(np.array([lo, hi]), np.array([0, 0]))[0]
                 assert ends[0] < 0.0 < ends[1]
-                got = geometry._certified_roots(fdf, np.array([lo]), np.array([hi]), self.W,
-                                                 TOL.max_iters)
+                got = self.rtsafe(fdf, np.array([lo]), np.array([hi]), self.W)
                 assert lo <= got[0] <= hi and 0.0 < abs(got[0] - x0[k]) < 1e-4
-                assert self.certified(fdf, got, self.W).all()
 
     @pytest.mark.parametrize("p, apart", [(30.0, 1e-12), (400.0, 1e-3)])
     def test_underflowed_slopes_halve(self, p, apart, monkeypatch):
@@ -704,9 +688,9 @@ class TestRootKernel:
         # is below its rounding near the crossing, so only the bracket
         # holds the root. A kernel whose f' is 0 everywhere halves at
         # every step
-        fdf = obnoxious._lp_minus(np.zeros(1), np.ones(1), np.full(1, apart),
-                                  np.full(1, 1.0 + apart / 2.0), np.zeros(1, bool), np.ones(1), p)
-        f, df = fdf(np.zeros(1), slice(None))
+        fdf = cone_minus(np.zeros(1), np.ones(1), np.full(1, apart),
+                         np.full(1, 1.0 + apart / 2.0), np.zeros(1, bool), np.ones(1), p)
+        f, df = fdf(np.zeros(1), np.array([0]))
         assert f[0] < 0.0 and df[0] == 0.0
         widths = []
         step = geometry._rtsafe_step
@@ -718,15 +702,13 @@ class TestRootKernel:
 
         monkeypatch.setattr(geometry, "_rtsafe_step", watched)
         lo, hi = np.array([-3.0]), np.array([3.0])
-        got = geometry._certified_roots(fdf, lo, hi, self.W, TOL.max_iters)
+        got = self.rtsafe(fdf, lo, hi, self.W)
         assert widths[0] == [3.0]
-        assert -3.0 <= got[0] <= 3.0
-        assert p == 30.0 or self.certified(fdf, got, self.W).all()
+        assert lo[0] <= got[0] <= hi[0] and -3.0 <= lo[0] <= hi[0] <= 3.0
         widths.clear()
         r = np.array([0.3, -2.0, 1e-3])
-        flat = geometry._certified_roots(
-            lambda x, act: (x - r[act], np.zeros(len(x))),
-            np.full(3, -3.0), np.full(3, 3.0), self.W, TOL.max_iters)
+        flat = self.rtsafe(lambda x, act: (x - r[act], np.zeros(len(x))),
+                           np.full(3, -3.0), np.full(3, 3.0), self.W)
         assert np.abs(flat - r).max() <= self.W
         for before, after in zip(widths, widths[1:]):
             assert all(abs(v - 0.5 * u) <= 2.0 ** -50 for u, v in zip(before, after))
@@ -741,15 +723,14 @@ class TestRootKernel:
             rr = r[act]
             return 2.0 * (x - rr), np.full(len(x), 2.0)
 
-        got = geometry._certified_roots(line, r - np.array([2.0, 0.5, 7.0]), r.copy(), self.W,
-                                         TOL.max_iters)
+        got = self.rtsafe(line, r - np.array([2.0, 0.5, 7.0]), r.copy(), self.W)
         assert (got <= r).all() and np.abs(got - r).max() <= self.W
 
     @pytest.mark.parametrize("w", [TOL.eps / 8.0, 1e-300])
     def test_adjacent_float_ends(self, w):
         # a bracket one ulp wide holds no float between its ends: the
-        # root is one of them, also where w is below an ulp, and it is
-        # certified by the ends themselves, in one evaluation
+        # root is one of them, also where w is below an ulp, found in
+        # one evaluation
         lo = np.array([1.0, -2.0, 1e300])
         hi = np.nextafter(lo, np.inf)
         calls = []
@@ -759,10 +740,9 @@ class TestRootKernel:
             a, b = lo[act], hi[act]
             return 2.0 * (x - a) - (b - a), np.full(len(x), 2.0)
 
-        # the bracket test's product overflows near 1e300, as the level
-        # passes let it (they run under np.errstate(all="ignore"))
+        # the bracket test's product overflows near 1e300
         with np.errstate(over="ignore"):
-            got = geometry._certified_roots(line, lo.copy(), hi.copy(), w, TOL.max_iters)
+            got = self.rtsafe(line, lo.copy(), hi.copy(), w)
         assert ((got == lo) | (got == hi)).all()
         assert calls == [3]
 
@@ -778,11 +758,10 @@ class TestRootKernel:
         level, sign = np.ones(5, bool), np.ones(5)
 
         def roots(rows):
-            fdf = obnoxious._lp_minus(c[rows], h[rows], np.zeros(len(rows)), B[rows],
-                                      level[rows], sign[rows], 3.0)
+            fdf = cone_minus(c[rows], h[rows], np.zeros(len(rows)), B[rows], level[rows],
+                             sign[rows], 3.0)
             with np.errstate(all="ignore"):
-                return geometry._certified_roots(fdf, lo[rows].copy(), hi[rows].copy(), self.W,
-                                                  TOL.max_iters)
+                return self.rtsafe(fdf, lo[rows].copy(), hi[rows].copy(), self.W)
 
         every = roots(np.arange(5))
         finite = np.array([0, 1, 4])
@@ -793,12 +772,10 @@ class TestRootKernel:
         assert (every[nan] - lo[nan] <= np.maximum(self.W, np.spacing(lo[nan]))).all()
 
     def test_few_steps_near_the_line(self, monkeypatch):
-        # near-line draws at p = 3: every lockstep call stops before the
-        # 40 halvings that bisection takes from a bracket of the
-        # domain's width to w (a root that the rounding of f puts just
-        # beyond an end of its bracket rejects every Newton step and is
-        # bisected), and Newton steps keep the mean number of steps per
-        # root small
+        # the pair centers of near-line points at p = 3: every lockstep
+        # call stops before the 40 halvings that bisection takes from a
+        # bracket of the line's width to w, and Newton steps keep the
+        # mean number of steps per root small
         calls = []
         step = geometry._rtsafe_step
         rtsafe = geometry._rtsafe
@@ -812,12 +789,14 @@ class TestRootKernel:
             return rtsafe(*args)
 
         monkeypatch.setattr(geometry, "_rtsafe_step", counted)
-        monkeypatch.setattr(geometry, "_rtsafe", started)
+        monkeypatch.setattr(k_cover, "_rtsafe", started)
         rng = random.Random("few steps")
-        for n in (17, 64, 150, 300):
-            compute_lower_envelope(oracle_rows(rng, n, "nearline", 1.0), 100.0, NormP(3.0), TOL)
+        for n in (17, 64, 150):
+            xy = np.array(sorted((rng.uniform(0, 100), rng.uniform(-2, 2)) for _ in range(n)))
+            I, J = np.triu_indices(n)
+            k_cover._binding_radii(xy[:, 0], xy[:, 1], I, J, 3.0, TOL)
         running = [c for c in calls if c]
-        assert len(running) > 10
+        assert len(running) >= 3
         assert max(len(c) for c in running) < 40
         assert sum(map(sum, running)) < 6 * sum(c[0] for c in running)
 
@@ -994,12 +973,12 @@ class TestDominance:
     def count_cells(segs, norm, split, monkeypatch):
         """(contested, resolved): the differing cells of every merge plus
         the window pieces that the one-off fold settles without a merge,
-        and the cells that reach root finding: _resolve_cell one at a
-        time in the fold, _resolve_cells in a level pass of halves."""
+        and the cells that reach root finding (_resolve_cell). Both
+        builds merge by obnoxious._merge_raw, which the fold reaches by
+        its name in _reference."""
         differing, windows, merged, resolved = [], [], [], []
-        real_merge, real_resolve = _reference._merge_raw, _reference._resolve_cell
+        real_merge, real_resolve = obnoxious._merge_raw, obnoxious._resolve_cell
         real_least = _reference._least_on
-        real_level, real_cells = obnoxious._merge_level, obnoxious._resolve_cells
 
         def counting_merge(e1, e2, *args):
             differing.append(_differing_cells(e1, e2))
@@ -1014,25 +993,11 @@ class TestDominance:
             windows.append(len(a))
             return real_least(prof, a, b)
 
-        def counting_level(pieces, lo, mid, *args):
-            # each merge's children, as piece lists, from the pass's input
-            envs = {}
-            for a, b, s, node in zip(*(col.tolist() for col in pieces)):
-                envs.setdefault(node, []).append((a, b, s))
-            for left, right in zip(lo.tolist(), mid.tolist()):
-                differing.append(_differing_cells(sorted(envs[left]), sorted(envs[right])))
-            return real_level(pieces, lo, mid, *args)
-
-        def counting_cells(u, *args):
-            resolved.extend(u.tolist())
-            return real_cells(u, *args)
-
         with monkeypatch.context() as m:
-            m.setattr(_reference, "_merge_raw", counting_merge)
-            m.setattr(_reference, "_resolve_cell", counting_resolve)
+            for module in (obnoxious, _reference):
+                m.setattr(module, "_merge_raw", counting_merge)
+            m.setattr(obnoxious, "_resolve_cell", counting_resolve)
             m.setattr(_reference, "_least_on", counting_least)
-            m.setattr(obnoxious, "_merge_level", counting_level)
-            m.setattr(obnoxious, "_resolve_cells", counting_cells)
             BUILDS[split](segs, 100.0, norm, TOL)
         # a fold that settles pieces merges only the stretch between its
         # first and last unsettled piece (every merge of one-off is a
@@ -1062,7 +1027,7 @@ class TestDominance:
         # the one-off fold settles window pieces by dominance and resolves
         # about 5 % of these cells; a margin too wide to ever clear would
         # leave every cell to root finding and change no answer, and the
-        # counts show it. The level passes of halves settle nothing: they
+        # counts show it. The halves build settles nothing: its merges
         # send every contested cell to root finding, and only those
         rng = random.Random(8)
         segs = [seg(rng.uniform(0, 100), rng.uniform(-2, 2), rng.uniform(0, 100), rng.uniform(-2, 2))
@@ -1179,8 +1144,8 @@ class TestArrayRoute:
 class TestFootprint:
     def test_criterion_7_build_memory(self):
         # one build of criterion 7's instance (100,000 spread segments,
-        # p = 2, L = 10) traces below the 99 MiB that the scalar merge
-        # over one _Profile object per segment took
+        # p = 2, L = 10), one _Profile object per segment, traces below
+        # 99 MiB
         rng = random.Random(7)
         segs = [seg(rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0),
                     rng.uniform(-100.0, 100.0), rng.uniform(-100.0, 100.0))

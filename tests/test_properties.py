@@ -21,8 +21,8 @@ from lineplace import (
     point_segment_distance,
     transform_to_axis,
 )
-from lineplace._reference import _build_profile, axis_argmin_exact, covering_interval, \
-    distance_argmin_on_axis, envelope_one_off, equal_distance_point, rmin_on_axis
+from lineplace._reference import axis_argmin_exact, covering_interval, distance_argmin_on_axis, \
+    envelope_one_off, equal_distance_point, rmin_on_axis
 from lineplace.errors import NoCrossing, SolverError
 from lineplace.intervals import SegmentArray, union_covers_rows
 
@@ -102,7 +102,7 @@ def test_covering_interval_membership(s, radius, p):
 def test_profile_matches_distance(s, p, x):
     # the envelope machinery rests on these per-segment profiles
     norm = NormP(p)
-    prof = _build_profile(s.a.x, s.a.y, s.b.x, s.b.y, p)
+    prof = obnoxious._build_profile(s.a.x, s.a.y, s.b.x, s.b.y, p)
     got = prof.value(x)
     want = point_segment_distance(Point(x, 0.0), s, norm, TOL)
     assert abs(got - want) <= 1e-8 * max(1.0, want)
@@ -258,11 +258,10 @@ def test_pruning_never_changes_an_answer(p, inst):
 
 # -- settling cells by dominance never changes an envelope piece -------
 
-# the two builds that settle by dominance, both references: the
-# recursion over the scalar merge, which settles cells (_dominant), and
-# the one-off fold, which settles window pieces too. The production
-# level passes settle nothing; TestSameTree holds them to the first
-_BUILDS = {"halves": _reference.envelope_halves, "one-off": envelope_one_off}
+# the build that settles by dominance: the one-off fold of the
+# reference, which settles window pieces. The halves build settles
+# nothing; TestSameTree holds it to the fold
+_BUILDS = {"one-off": envelope_one_off}
 
 
 def _envelope_outcome(segs, L, p, split):
@@ -307,7 +306,7 @@ def _nearline(n, seed):
                       rng.uniform(0.0, 100.0), rng.uniform(-2.0, 2.0)] for _ in range(n)]), 100.0
 
 
-@pytest.mark.parametrize("split", ["halves", "one-off"])
+@pytest.mark.parametrize("split", sorted(_BUILDS))
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 # 1e-70, 1e70 and 1e300 lie outside (2^-200, 2^200), where _margin
 # claims no bound; 1.0 is listed twice to weight the scales inside
@@ -319,8 +318,8 @@ def _nearline(n, seed):
 @example(inst=_SETTLED_WINDOW).via("a newcomer whose whole window is settled")
 @settings(deadline=None)
 def test_dominance_never_changes_an_envelope(split, p, inst):
-    # no margin settles neither a scalar merge's cells (_dominant) nor
-    # a fold's window pieces, so every contested cell is resolved
+    # no margin settles no window piece of the fold, so every contested
+    # cell is resolved
     cols, L = inst
     segs = [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in cols.tolist()]
     settled = _envelope_outcome(segs, L, p, split)

@@ -18,13 +18,7 @@ PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
 # independent second routes and the entry points only the tests call,
 # kept for the tests in lineplace._reference
 REFERENCE_ROUTES = {
-    "_Profile",
-    "_append_affine_abs",
-    "_append_cone",
-    "_build_profile",
-    "_compact_pieces",
     "_covering_bisect",
-    "_dominant",
     "_envelope_peak",
     "_extent",
     "_finalize_lists",
@@ -37,14 +31,8 @@ REFERENCE_ROUTES = {
     "_halfwidth",
     "_least_on",
     "_margin",
-    "_merge_raw",
     "_min_distance_search",
-    "_quad_roots",
-    "_refine_root",
-    "_regime_boundary",
-    "_resolve_cell",
     "_rmin_points",
-    "_subcell_roots",
     "_ystar_ratio",
     "axis_argmin_exact",
     "base_envelope",
@@ -54,7 +42,6 @@ REFERENCE_ROUTES = {
     "covering_interval",
     "distance_argmin_on_axis",
     "dp_scan",
-    "envelope_halves",
     "envelope_one_off",
     "equal_distance_point",
     "envelope_value",
@@ -292,24 +279,61 @@ def _bound_names(tree):
                 yield alias.asname or alias.name.split(".")[0]
 
 
-def test_envelope_merges_by_level_passes():
-    # the scalar merge, one cell at a time over one _Profile object per
-    # segment, and the recursion over it are test references: no
-    # solver module binds their names, and the one build, which both
-    # compute_lower_envelope and the solve call, runs the level passes
+def test_envelope_merges_one_cell_at_a_time():
+    # no solver module binds a reference route, and the one build, which
+    # both compute_lower_envelope and the --verify route call, reads one
+    # scalar profile per segment and merges halves with the scalar merge
     for path in _solver_modules():
         names = set(_bound_names(ast.parse(path.read_text(), filename=str(path))))
         assert not REFERENCE_ROUTES & names, (path.name, REFERENCE_ROUTES & names)
     tree = ast.parse((SRC / "obnoxious.py").read_text())
     fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
-    build = fns["_envelope_arrays"]
-    assert {"_piece_table", "_merge_schedule", "_merge_level"} <= set(_called_names(build))
-    assert not any(isinstance(node, ast.FunctionDef)
-                   for node in ast.walk(build) if node is not build)
+    build = fns["_envelope_pieces"]
+    assert {"_build_profile", "_merge_raw", "_compact_pieces"} <= set(_called_names(build))
+    assert "_resolve_cell" in set(_called_names(fns["_merge_raw"]))
     for name in ("compute_lower_envelope", "max_empty_envelope"):
-        assert "_envelope_arrays" in set(_called_names(fns[name])), name
-    # the solve maximises the build's flat arrays, with no piece objects
+        assert "_envelope_pieces" in set(_called_names(fns[name])), name
+    # the --verify route maximises the build's pieces, with no piece objects
     assert "compute_lower_envelope" not in set(_called_names(fns["max_empty_envelope"]))
+
+
+# what the one scalar build of the lower envelope replaced: the array
+# level passes over a piece table, with their crossings and compaction,
+# and the root certifier that only they called
+GONE_FROM_OBNOXIOUS = {
+    "_PieceTable", "_SLOTS", "_abs_affine_slots", "_cone_slots", "_regime_boundaries",
+    "_piece_table", "_piece_at", "_piece_values", "_lp_minus", "_quadratic_roots", "_crossings",
+    "_runs", "_resolve_cells", "_compact", "_merge_level", "_merge_schedule", "_envelope_arrays",
+    "_certified_roots", "_rtsafe",
+}
+
+
+def test_one_scalar_envelope_build():
+    # the array level passes are gone with their root certifier, and the
+    # reference keeps no second copy of the merge: the envelope build
+    # reaches no root kernel of k-cover, so --verify shares none with it
+    from lineplace import _reference
+
+    obnoxious = ast.parse((SRC / "obnoxious.py").read_text())
+    assert not GONE_FROM_OBNOXIOUS & set(_bound_names(obnoxious))
+    assert not hasattr(lineplace.geometry, "_certified_roots")
+    reference = ast.parse((SRC / "_reference.py").read_text())
+    defined = {node.name for node in reference.body if isinstance(node, ast.FunctionDef)}
+    assert not {"_dominant", "envelope_halves"} & defined
+    assert not hasattr(_reference, "_dominant") and not hasattr(_reference, "envelope_halves")
+
+    def no_rtsafe(*args):
+        raise AssertionError("the envelope build reached rtsafe")
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lineplace.geometry, "_rtsafe", no_rtsafe)
+        m.setattr(lineplace.k_cover, "_rtsafe", no_rtsafe)
+        rows = np.array([[0.0, 1.0, 4.0, -2.0], [3.0, 2.0, 9.0, 1.5], [5.0, -1.0, 5.0, 3.0],
+                         [8.0, 0.5, 8.0, 0.5]])
+        for p in (1.0, 1.5, 2.0, 3.0, 30.0):
+            norm, tol = lineplace.NormP(p), lineplace.Tolerance()
+            lineplace.obnoxious.compute_lower_envelope(rows, 10.0, norm, tol)
+            lineplace.obnoxious.max_empty_envelope(rows, 10.0, norm, tol)
 
 
 def test_envelope_is_only_the_verify_route():
@@ -318,7 +342,7 @@ def test_envelope_is_only_the_verify_route():
     # is off the package but stays in lineplace.obnoxious, whence the
     # benchmark imports it
     cli = set(_bound_names(ast.parse((SRC / "cli.py").read_text())))
-    assert not cli & {"max_empty_envelope", "compute_lower_envelope", "_envelope_arrays"}
+    assert not cli & {"max_empty_envelope", "compute_lower_envelope", "_envelope_pieces"}
     check = next(node for node in ast.parse((SRC / "verify.py").read_text()).body
                  if isinstance(node, ast.FunctionDef) and node.name == "cross_check")
     constants = {node.value for node in ast.walk(check) if isinstance(node, ast.Constant)}
@@ -331,7 +355,7 @@ def test_envelope_is_only_the_verify_route():
 
 def test_segment_routes_share_one_prologue():
     # geometry.segment_rows converts and checks a segment instance; the
-    # envelope build takes L = 0 through its level passes, not a branch
+    # envelope build takes L = 0 through its merges, not a branch
     # of its own, and no function of the segment solvers raises the
     # prologue's errors itself
     messages = {"need at least one segment", "L must be finite and nonnegative"}
@@ -341,7 +365,7 @@ def test_segment_routes_share_one_prologue():
                   for arg in ast.walk(node) if isinstance(arg, ast.Constant)}
         assert not messages & raised, name
     build = next(node for node in ast.parse((SRC / "obnoxious.py").read_text()).body
-                 if isinstance(node, ast.FunctionDef) and node.name == "_envelope_arrays")
+                 if isinstance(node, ast.FunctionDef) and node.name == "_envelope_pieces")
     for node in ast.walk(build):
         if isinstance(node, (ast.If, ast.IfExp, ast.While)):
             assert "L" not in {name.id for name in ast.walk(node.test)
@@ -354,7 +378,7 @@ def test_segment_routes_share_one_prologue():
     for route in (lineplace.min_enclosing, lineplace.max_empty_binsearch,
                   lineplace.obnoxious.max_empty_envelope,
                   lineplace.obnoxious.compute_lower_envelope,
-                  _reference.min_enclosing_scalar, _reference.envelope_halves):
+                  _reference.min_enclosing_scalar):
         with pytest.raises(lineplace.EmptyInput, match="^need at least one segment$"):
             route([], 1.0, norm, tol)
         for L in (-1.0, math.inf, math.nan):
@@ -456,13 +480,10 @@ def test_one_envelope_build():
                     "envelope_one_off", "copy"} & names, path.name
 
 
-def test_level_passes_settle_no_cell():
-    # the level passes send every cell of two owners to _resolve_cells:
-    # no solver module binds the dominance margin or a settle, and the
-    # piece table keeps no column that only a settle read. The margin
-    # and the scalar dominance test stay with the reference merge and
-    # the one-off fold
+def test_envelope_build_settles_no_cell():
+    # the merge sends every cell of two owners to _resolve_cell: no
+    # solver module binds the dominance margin or a settle. The margin
+    # and the extents it reads stay with the one-off fold
     for path in _solver_modules():
         names = set(_bound_names(ast.parse(path.read_text(), filename=str(path))))
         assert not {"_margin", "_settle", "_extents", "_extent", "_dominant"} & names, path.name
-    assert lineplace.obnoxious._PieceTable._fields == ("p", "start", "kind", "u", "v", "count")
