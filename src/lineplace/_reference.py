@@ -30,13 +30,13 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import EmptyInput, NoBisectorRoot, NoCrossing
-from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, _np_lp, \
+from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, \
     axis_argmin_abscissas, axis_distances, point_segment_distance, rescored_extreme, \
     segment_columns, segment_rows, segments_from_columns
 from .intervals import PASS_CELLS, Interval, SegmentArray, covering_slack, least_radius
 from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _best_breaks, \
     _binding_radii, _no_finite_cover, _run_circles, _run_columns
-from .obnoxious import _CONE, EnvelopePiece, LowerEnvelope, _Profile, _build_profile, \
+from .obnoxious import EnvelopePiece, LowerEnvelope, _build_profile, \
     _compact_pieces, _merge_raw, compute_lower_envelope
 from .one_center import PlacedCircle
 
@@ -460,96 +460,9 @@ def union_covers(intervals, domain: Interval):
 #
 # The second route to obnoxious.compute_lower_envelope: the segments
 # join the running envelope one at a time, each newcomer's one piece
-# merged in by the build's own scalar merge (obnoxious._merge_raw) over
-# the build's profiles (obnoxious._build_profile), where the build
-# merges halves. A window piece that the newcomer clearly cannot take
-# (_margin) is settled without a merge.
-
-
-def _margin(mag):
-    """2^-44 mag: the margin by which a newcomer's least over a window
-    piece of the one-off fold (envelope_one_off) must clear the greatest
-    of the piece's owner for the fold to settle the piece without a
-    merge, given the largest coordinate magnitude mag (a float or an
-    array) of the segments and L. NaN outside (2^-200, 2^200), where no
-    bound is claimed: no difference clears a NaN.
-
-    Proof. Let M >= mag bound |x| on the piece and every coordinate of
-    both segments, and r = 2^-53 the unit roundoff.
-    - Every stored piece has |A| <= 1 and |c|, h <= M, and |B| <= 4 M:
-      B = (U ay - V ax) / nrm with U, |V| <= mx <= nrm, and a rounded
-      product is at most twice the exact one, in the subnormal range
-      too. A p = 1 piece has |B| = |c -+ h| <= 2 M.
-    - Evaluating a piece at x in [u, v] is off by at most e = 24 r M:
-      x - c by 2 r M, then _lp_pair by 6 ulps of a value below 3 M (a
-      power amplifies the relative error of its base by p, the 1/p root
-      of a sum >= 1 divides it back); A x + B by r (M + 5 M).
-      Underflow adds a few 2^-1074, far below r M while M > 2^-200.
-    - np.power and np.hypot may round differently from ** and
-      math.hypot. Allowing each of the powers of _np_lp 4 ulps, the
-      same count gives 11 ulps of 3 M, so an array evaluation (the
-      fold's window least, _least_on) is off by at most e' = 2 e.
-    - The merge that a settled piece skips (obnoxious._merge_raw) would
-      compare the two profiles at points m of the piece, on the same
-      pieces of the profiles as the fold reads. Such an m lies in the
-      part [a, b] of one piece of each profile, and the exact piece is
-      convex there, so its exact value at m lies between the exact
-      least and greatest of the piece on [a, b]. The owner's computed
-      greatest, taken over parts that cover the envelope piece
-      (_extent, cached for the whole piece), only grows: the owner's
-      computed value at m is below greatest + 2 e', one e' for the
-      greatest and one for the value at m (each e where it is scalar).
-      The newcomer's computed least, taken over parts covering the
-      piece, only shrinks: its computed value at m is above
-      least - 2 e'.
-    - The rounded difference least - greatest errs by at most 12 r M.
-    So a difference above 4 e' + 12 r M = 204 r M gives the owner every
-    comparison of the merge; 2^-44 M = 512 r M leaves room. The
-    fold reads the newcomer's least piece by piece and not at its
-    constrained minimiser: the distance is 1-Lipschitz in x, so
-    a minimiser off by d moves the distance by at most d, but the
-    stored pieces follow the distance only up to the rounding of the
-    regime boundaries, which 1/(p - 1) amplifies near p = 1; the bound
-    above needs no such term. Outside (2^-200, 2^200) products of
-    coordinates can underflow or overflow (near 1e300, U ay - V ax
-    overflows and the profile gets NaN and inf pieces), so no bound is
-    claimed.
-    """
-    with np.errstate(invalid="ignore"):
-        return np.where((2.0 ** -200 < mag) & (mag < 2.0 ** 200), mag * 2.0 ** -44, np.nan)
-
-
-def _extent(prof: _Profile, u: float, v: float):
-    """(least, greatest) value of prof's pieces over [u, v], as evaluated.
-
-    The part [a, b] of [u, v] on which piece_at picks a piece is taken
-    whole; the piece, as stored, is convex, so its greatest value sits
-    at a or b, and so does its least, except for a cone whose apex c
-    lies inside (a, b), where the least is h.
-    """
-    k = bisect_right(prof.starts, u) - 1
-    pieces, p = prof.pieces, prof.p
-    least, greatest = _INF, -_INF
-    a = u
-    while True:
-        nxt = pieces[k][1]
-        b = nxt if nxt < v else v
-        _, _, kind, c, h = pieces[k]
-        if kind == _CONE:
-            fa, fb = _lp_pair(a - c, h, p), _lp_pair(b - c, h, p)
-            low = h if a < c < b else (fa if c <= a else fb)
-        else:
-            fa, fb = c * a + h, c * b + h
-            low = fa if fa < fb else fb
-        high = fa if fa > fb else fb
-        if low < least:
-            least = low
-        if high > greatest:
-            greatest = high
-        if nxt > v:
-            return least, greatest
-        a = nxt
-        k += 1
+# merged over its whole window by the build's own scalar merge
+# (obnoxious._merge_raw) over the build's profiles
+# (obnoxious._build_profile), where the build merges halves.
 
 
 def _spans(le: LowerEnvelope) -> list:
@@ -594,27 +507,6 @@ def envelope_value(le: LowerEnvelope, segments, x: float, norm: NormP, tol: Tole
     return point_segment_distance(Point(x, 0.0), segments[le.pieces[i].seg_index], norm, tol)
 
 
-def _least_on(prof: _Profile, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Least value of prof's pieces over every [a[k], b[k]] at once, as
-    _extent takes it.
-
-    Where one piece serves all of (a[k], b[k]) (piece_at), its least
-    there is a cone's value at its apex clamped into [a[k], b[k]], or
-    an affine piece's smaller end value, from one array pass; the few
-    spans that hold a knot of prof take _extent's least.
-    """
-    k = np.array(prof.starts).searchsorted(a, side="right") - 1
-    _, ends, kind, c, h = np.array(prof.pieces)[k].T
-    with np.errstate(all="ignore"):
-        least = np.minimum(c * a, c * b) + h
-        cone = kind == _CONE
-        if cone.any():
-            least = np.where(cone, _np_lp(np.clip(c, a, b) - c, h, prof.p), least)
-    for w in np.flatnonzero(b > ends).tolist():
-        least[w] = _extent(prof, float(a[w]), float(b[w]))[0]
-    return least
-
-
 def _envelope_peak(env, cols: np.ndarray, norm: NormP, tol: Tolerance, scale: float) -> float:
     """Exact maximum of the envelope value over its span.
 
@@ -632,48 +524,22 @@ def _envelope_peak(env, cols: np.ndarray, norm: NormP, tol: Tolerance, scale: fl
                             largest=True, initial=0.0)
 
 
-def _fold_one(env, tops, i: int, lo_x: float, hi_x: float, profiles, margin, tol: Tolerance):
+def _fold_one(env, i: int, lo_x: float, hi_x: float, profiles, tol: Tolerance) -> list:
     """Merge segment i, whose own envelope is one piece, into env inside
-    [lo_x, hi_x] only.
+    [lo_x, hi_x] only, and return the new env.
 
     The caller guarantees the new segment strictly loses outside the
-    window, so pieces there are spliced through untouched. tops holds
-    the greatest value of each piece's owner over the piece (_extent).
-    A window piece is settled when the newcomer's least over it
-    (_least_on, one array pass over the window) exceeds its top by more
-    than margin: every comparison in the piece goes to its owner
-    (_margin), so the merge's cell resolution gives the owner every
-    cell, and the merge would emit the piece again. Only the stretch
-    from the first to the last unsettled piece is merged, and
-    compaction runs on it plus two flanking pieces on each side, which
-    bounds how far same-owner fusion can propagate; the pieces it emits
-    get a fresh top. A fold that settles every
-    piece returns env and tops as they are, and a NaN margin settles
-    none. Returns the new (env, tops).
+    window, so pieces there are spliced through untouched. The newcomer
+    is merged over every piece that meets the window, and compaction
+    runs on those plus two flanking pieces on each side, which bounds
+    how far same-owner fusion can propagate.
     """
     m = len(env)
-    ilo = bisect_right(env, lo_x, key=itemgetter(1))
-    ilo = min(ilo, m - 1)
-    ihi = bisect_left(env, hi_x, key=itemgetter(0)) - 1
-    ihi = min(max(ihi, ilo), m - 1)
-    if not np.isnan(margin):
-        window = env[ilo:ihi + 1]
-        w = len(window)
-        least = _least_on(profiles[i], np.fromiter(map(itemgetter(0), window), float, w),
-                          np.fromiter(map(itemgetter(1), window), float, w))
-        at = np.flatnonzero(~(least - np.fromiter(tops[ilo:ihi + 1], float, w) > margin))
-        if not len(at):
-            return env, tops
-        ilo, ihi = ilo + int(at[0]), ilo + int(at[-1])
+    ilo = min(bisect_right(env, lo_x, key=itemgetter(1)), m - 1)
+    ihi = min(max(bisect_left(env, hi_x, key=itemgetter(0)) - 1, ilo), m - 1)
     raw = _merge_raw(env[ilo:ihi + 1], [(env[ilo][0], env[ihi][1], i)], profiles, tol)
     head, tail = max(ilo - 2, 0), min(ihi + 3, m)
-    fused = _compact_pieces(env[head:ilo] + raw + env[ihi + 1:tail], tol)
-    # a piece's top depends on the piece alone, so a flank that comes
-    # out as it went in keeps its top
-    kept = dict(zip(env[head:ilo] + env[ihi + 1:tail], tops[head:ilo] + tops[ihi + 1:tail]))
-    fresh = [kept[pc] if pc in kept else _extent(profiles[pc[2]], pc[0], pc[1])[1]
-             for pc in fused]
-    return env[:head] + fused + env[tail:], tops[:head] + fresh + tops[tail:]
+    return env[:head] + _compact_pieces(env[head:ilo] + raw + env[ihi + 1:tail], tol) + env[tail:]
 
 
 def _fold_windows(arr: SegmentArray, peak: float, scale: float, L: float):
@@ -696,7 +562,12 @@ def _fold_windows(arr: SegmentArray, peak: float, scale: float, L: float):
 def envelope_one_off(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEnvelope:
     """The lower envelope of obnoxious.compute_lower_envelope, by folding
     the segments into the running envelope one at a time instead of
-    merging halves: the same envelope up to root refinement tolerance.
+    merging halves. Where eps is fine against the gaps between
+    crossings, the two give the same owners with ends within root
+    refinement tolerance. At a coarse eps the two orders of merges can
+    leave different slivers to fold away (obnoxious._compact_pieces), so
+    the piece lists can differ; each is still a list of maximal
+    ownership runs tiling [0, L], each wider than eps / 2.
 
     A newcomer can only beat envelope values, which are at most the
     envelope's peak (_envelope_peak, one array pass over the piece
@@ -712,18 +583,10 @@ def envelope_one_off(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEn
     refresh; R is the same between refreshes, so these are the windows
     at the current peak. A newcomer whose window is empty is skipped;
     where no bound is claimed (eta >= 1, or R not finite) the fold
-    contests all of [0, L].
-
-    The fold settles its window pieces all at once (_fold_one): its
-    running envelope carries the greatest value of each piece's owner
-    over the piece, and the newcomer's least over every window piece
-    comes from one array pass (_least_on), against one margin for the
-    solve, _margin of the largest coordinate magnitude and L. A settled piece costs one
-    array element; only the stretch from the first to the last
-    unsettled piece is merged, and a newcomer that settles every piece
-    leaves the envelope as it is. A fold needs a window of positive
-    width, so at L = 0 compute_lower_envelope builds the envelope; it
-    also raises what an empty input or a bad L raises.
+    contests all of [0, L], and every other newcomer is merged over the
+    pieces its window meets (_fold_one). A fold needs a window of
+    positive width, so at L = 0 compute_lower_envelope builds the
+    envelope; it also raises what an empty input or a bad L raises.
     """
     cols = segment_columns(segments)
     n = len(cols)
@@ -731,9 +594,7 @@ def envelope_one_off(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEn
         return compute_lower_envelope(cols, L, norm, tol)
     profiles = [_build_profile(ax, ay, bx, by, norm.p) for ax, ay, bx, by in cols.tolist()]
     scale = max(float(np.abs(cols).max()), L)
-    margin = _margin(scale)
     env = [(0.0, L, 0)]
-    tops = [_extent(profiles[0], 0.0, L)[1]]
     peak = _envelope_peak(env, cols, norm, tol, scale)
     accepted = 0
     # rows first..stop-1 have their windows at the current peak
@@ -745,7 +606,7 @@ def envelope_one_off(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEn
         lo_x, hi_x = lo_w[i - first], hi_w[i - first]
         if lo_x > hi_x:
             continue
-        env, tops = _fold_one(env, tops, i, lo_x, hi_x, profiles, margin, tol)
+        env = _fold_one(env, i, lo_x, hi_x, profiles, tol)
         accepted += 1
         if accepted % 32 == 0:
             peak = _envelope_peak(env, cols, norm, tol, scale)

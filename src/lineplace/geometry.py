@@ -369,22 +369,6 @@ def axis_argmin_abscissas(cols: np.ndarray, L: float) -> np.ndarray:
         return np.where(phi < 0.0, 0.0, np.where(plo > L, L, np.where(plo > 0.0, plo, 0.0)))
 
 
-def near_extreme(approx: np.ndarray, scale: float, largest: bool) -> np.ndarray:
-    """Mask of the estimates that may hold the exact max (largest) or
-    min: those within 2^-30 (|extreme| + scale) + 2^-1022 of the
-    extreme finite estimate, and those that are not finite. Estimates
-    within a few ulp of values below scale (axis_distances) leave every
-    exact extreme inside it."""
-    finite = np.isfinite(approx)
-    rows = ~finite
-    if finite.any():
-        ext = float(approx[finite].max() if largest else approx[finite].min())
-        # the floor covers estimates that differ by subnormal steps
-        tie = 2.0 ** -30 * (abs(ext) + scale) + 2.0 ** -1022
-        rows |= approx >= ext - tie if largest else approx <= ext + tie
-    return rows
-
-
 def rescored_extreme(approx: np.ndarray, x, cols: np.ndarray, norm: NormP, tol: Tolerance,
                      scale: float, largest: bool, initial=None):
     """max (largest) or min over the rows of cols of point_segment_distance
@@ -393,12 +377,21 @@ def rescored_extreme(approx: np.ndarray, x, cols: np.ndarray, norm: NormP, tol: 
     x is one abscissa or one per row, as axis_distances takes it, and
     approx holds the estimates of those distances at every row, within
     a few ulp of the value (axis_distances). The exact distance is
-    computed only at the rows of near_extreme and at row 0, then folded
-    in row order as Python's max() and min() fold (a NaN first wins, a
-    NaN later is skipped), starting from initial when given. So the
-    result is that of folding point_segment_distance over all rows.
+    computed only at the rows whose estimates are not finite or lie
+    within 2^-30 (|extreme| + scale) + 2^-1022 of the extreme finite
+    estimate, which leaves every exact extreme inside, and at row 0,
+    then folded in row order as Python's max() and min() fold (a NaN
+    first wins, a NaN later is skipped), starting from initial when
+    given. So the result is that of folding point_segment_distance over
+    all rows.
     """
-    rows = near_extreme(approx, scale, largest)
+    finite = np.isfinite(approx)
+    rows = ~finite
+    if finite.any():
+        ext = float(approx[finite].max() if largest else approx[finite].min())
+        # the floor covers estimates that differ by subnormal steps
+        tie = 2.0 ** -30 * (abs(ext) + scale) + 2.0 ** -1022
+        rows |= approx >= ext - tie if largest else approx <= ext + tie
     if initial is None:
         rows[0] = True
     xs = np.broadcast_to(x, rows.shape)[rows].tolist()

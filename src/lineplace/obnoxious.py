@@ -14,8 +14,10 @@ Each merge resolves the ownership of every cell of two owners exactly,
 by decomposing every profile into convex cone and affine pieces, so
 cells where two profiles cross twice (which defeats endpoint-sign
 tests) are handled. The crossings are closed forms at p = 1 and 2 and
-bisected at other p. The one-off fold, which adds the segments to the
-running envelope one at a time, is the test reference
+bisected at other p. The maximum is read off the pieces by folding
+point_segment_distance over their distinct ends. The one-off fold,
+which adds the segments to the running envelope one at a time, each
+merged over its whole window, is the test reference
 _reference.envelope_one_off.
 """
 
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import NormP, Point, Tolerance, _lp_pair, axis_argmin_abscissas, \
-    axis_distances, near_extreme, point_segment_distance, rescored_extreme, \
-    segment_columns, segment_rows, segments_from_columns
+    axis_distances, point_segment_distance, rescored_extreme, segment_columns, segment_rows, \
+    segments_from_columns
 from .intervals import Interval, SegmentArray, bisect_radius, covering_slack, \
     union_covers_rows
 from .one_center import PlacedCircle
@@ -372,9 +374,11 @@ def _resolve_cell(u, v, i, j, prof_i, prof_j, tol):
 def _compact_pieces(pieces, tol: Tolerance) -> list:
     # Pieces narrower than half of tol.eps are merge order noise, not
     # certified ownership: each folds into the next kept piece (the
-    # last kept one reaches the end), which keeps both build orders on
-    # the same piece list. Same-owner neighbours fuse, so every piece
-    # is a maximal ownership run
+    # last kept one reaches the end). Where eps is fine against the
+    # gaps between crossings, this keeps both build orders on the same
+    # owners; at a coarse eps the two orders can leave different
+    # slivers, and their piece lists can differ. Same-owner neighbours
+    # fuse, so every piece is a maximal ownership run
     sliver = 0.5 * tol.eps
     keep = [pc for pc in pieces if pc[1] - pc[0] > sliver]
     if not keep:
@@ -483,34 +487,23 @@ def _largest_empty(pieces, cols: np.ndarray, norm: NormP, tol: Tolerance) -> Pla
     Every piece is convex, so local maxima of the pointwise minimum can
     only occur where ownership changes or at the domain ends. The value
     at a piece end is the least point_segment_distance to the owners of
-    the pieces that end or start there, and the result is that of
-    folding these values over the ends in ascending order with a strict
-    >: ties resolve to the smallest abscissa, and a NaN at the first
-    end, from overflowed coordinates, is kept for PlacedCircle to
-    reject. The distances at every piece end to its owner come from one
-    axis_distances pass, and only the first end and the ends whose
-    least estimate lies in near_extreme's band of the largest are
-    recomputed, from Segment objects of their owners alone.
+    the pieces that end or start there, and the result folds these
+    values over the distinct ends in ascending order with a strict >:
+    ties resolve to the smallest abscissa, and a NaN at the first end,
+    from overflowed coordinates, is kept for PlacedCircle to reject.
+    Segment objects are made for the owners alone.
     """
-    pieces = np.array(pieces)
-    xs = pieces[:, :2].ravel()
-    owners = pieces[:, 2].astype(np.intp).repeat(2)
-    ends, first, at = np.unique(xs, return_index=True, return_inverse=True)
-    approx = np.full(len(ends), _INF)
-    with np.errstate(invalid="ignore"):
-        # a NaN estimate stays NaN, and near_extreme recomputes it
-        np.minimum.at(approx, at, axis_distances(xs, cols[owners], norm.p))
-    scale = max(float(np.abs(cols[owners]).max()), float(np.abs(ends).max()))
-    near = near_extreme(approx, scale, largest=True)
-    near[0] = True
+    owners = {}
+    for a, b, s in pieces:
+        owners.setdefault(a, []).append(s)
+        owners.setdefault(b, []).append(s)
+    used = sorted({s for _, _, s in pieces})
+    segs = dict(zip(used, segments_from_columns(cols[used])))
     best_x, best = None, -_INF
-    for u in np.flatnonzero(near).tolist():
-        x = float(xs[first[u]])
+    for x in sorted(owners):
         # the owners in piece order, as a set built in that order
-        own = set(owners[at == u].tolist())
-        val = min(point_segment_distance(Point(x, 0.0), segments_from_columns(cols[s:s + 1])[0],
-                                         norm, tol) for s in own)
-        # a NaN from overflowed coordinates is kept, for PlacedCircle to reject
+        val = min(point_segment_distance(Point(x, 0.0), segs[s], norm, tol)
+                  for s in set(owners[x]))
         if best_x is None or val > best:
             best_x, best = x, val
     return PlacedCircle(best_x, best)

@@ -25,7 +25,7 @@ from lineplace._reference import base_envelope, compact, envelope_one_off, envel
 from lineplace.geometry import segment_columns
 from lineplace.intervals import PASS_CELLS, SegmentArray
 from lineplace.obnoxious import _AFFINE, EnvelopePiece, LowerEnvelope, _build_profile, \
-    compute_lower_envelope, largest_empty_from_envelope
+    compute_lower_envelope, largest_empty_from_envelope, max_empty_envelope
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -47,6 +47,13 @@ def random_segments(rng, n, span=12.0):
 
 # the production build, and the one-off fold that tests compare with it
 BUILDS = {"halves": compute_lower_envelope, "one-off": envelope_one_off}
+
+# rows in the axis frame of the constraint [0, 0, 1e300, 0] whose
+# profiles overflow: U ay - V ax gives them NaN and inf pieces
+NEAR_1E300 = np.array([[-8.375333314944607e299, -7.842016392780372e294,
+                        -6.572665339832966e299, 3.7292578879228924e296],
+                       [8.795959788966634e299, 3.0939054382359757e296,
+                        4.066444125146898e299, -6.5443474838477e296]])
 
 
 def check_tiling(env, L):
@@ -317,12 +324,12 @@ class TestMinimiserTable:
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e300])
-    def test_extraction_is_the_scalar_fold(self, split, p, scale, monkeypatch):
-        # one axis_distances pass with rescoring gives the bits of the
-        # scalar extraction: at every piece end, in ascending order, the
-        # least point_segment_distance to the owners there, kept on a
-        # strict >. A level segment makes many ends tie, where the
-        # smallest abscissa wins; rows and Segment objects agree
+    def test_extraction_is_the_scalar_fold(self, split, p, scale):
+        # the extraction gives the bits of the scalar fold: at every
+        # piece end, in ascending order, the least point_segment_distance
+        # to the owners there, kept on a strict >. A level segment makes
+        # many ends tie, where the smallest abscissa wins; rows and
+        # Segment objects agree
         norm, tol = NormP(p), Tolerance(eps=1e-9 * scale)
         rng = random.Random(f"extract {p} {scale}")
         for trial in range(4):
@@ -342,14 +349,12 @@ class TestMinimiserTable:
                           for s in owners[x])
                 if want_x is None or val > want:
                     want_x, want = x, val
-            with monkeypatch.context() as m:
-                m.setattr(obnoxious, "axis_distances", off_by_ulps(rng))
-                if math.isnan(want):
-                    with pytest.raises(ValueError):
-                        largest_empty_from_envelope(le, segs, norm, tol)
-                    continue
-                got = largest_empty_from_envelope(le, segs, norm, tol)
-                rows = largest_empty_from_envelope(le, segment_columns(segs), norm, tol)
+            if math.isnan(want):
+                with pytest.raises(ValueError):
+                    largest_empty_from_envelope(le, segs, norm, tol)
+                continue
+            got = largest_empty_from_envelope(le, segs, norm, tol)
+            rows = largest_empty_from_envelope(le, segment_columns(segs), norm, tol)
             assert (got.cx.hex(), got.radius.hex()) == (want_x.hex(), want.hex())
             assert rows == got
 
@@ -438,14 +443,41 @@ def oracle_rows(rng, n, regime, scale):
     return np.array(rows[:n]) * scale
 
 
+def _nearline(n, seed):
+    rng = random.Random(seed)
+    return np.array([[rng.uniform(0.0, 100.0), rng.uniform(-2.0, 2.0),
+                      rng.uniform(0.0, 100.0), rng.uniform(-2.0, 2.0)] for _ in range(n)]), 100.0
+
+
+# inputs (rows, L) whose folds meet the edge cases of a window
+PINNED_FOLDS = {
+    # coordinates near 1e300 overflow the profile
+    "overflow": (NEAR_1E300, 1e300),
+    # many cells where two profiles nearly touch
+    "nearline": _nearline(240, 9),
+    # at p = 1 a newcomer (row 9) has the constrained minimiser 5.0 of
+    # the owner (row 3) of a piece in its window, where the envelope
+    # keeps no breakpoint
+    "shared minimiser": (np.array([[5.0, 2.0, -3.5, -5.0], [5.0, 2.5, 12.0, -5.0],
+                                   [5.0, 2.0, -1.0, -3.75], [5.0, -0.5, 5.0, -2.25],
+                                   [6.5, -3.0, -2.0, -4.75], [0.5, 2.5, -8.0, 3.0],
+                                   [0.5, 2.25, -1.5, 3.75], [5.0, 2.5, -1.0, -4.0],
+                                   [5.0, 2.5, -3.0, -4.0], [5.0, -2.5, 9.5, -3.75]]), 10.0),
+    # at p = 2 one newcomer loses on all six pieces of its window
+    "lost window": (np.array([[0.0, 3.0, 1.0, 3.5], [9.5, -0.25, 18.5, -1.0],
+                              [3.5, 2.5, 12.0, -3.75], [7.0, 1.0, 0.5, 3.5],
+                              [9.5, -2.5, 7.5, -3.25]]), 10.0),
+}
+
+
 class TestSameTree:
     """The halves build gives the envelope of the one-off fold
     (_reference.envelope_one_off): the same owners, and every end within
     end_bound. Both read the same profiles through the same merge of two
     envelopes, and differ only in the order of the merges. Where the
-    fold hands the input to the build (L = 0), or where the two orders
-    fold slivers away differently (a coarse eps), the build's structure
-    is checked instead."""
+    fold hands the input to the build (L = 0), where the two orders
+    fold slivers away differently (a coarse eps), or where two distances
+    tie exactly, the build's structure is checked instead."""
 
     @staticmethod
     def end_bound(tol, scale):
@@ -506,25 +538,37 @@ class TestSameTree:
                 if max_iters == 200:
                     assert np.abs(got - root)[held].max() <= eps / 8.0
 
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 30.0])
-    def test_extents_are_the_scalar_extents(self, p):
-        # the least and greatest that the fold's settle reads
-        # (_reference._extent) are those of the scalar profile over each
-        # span, sampled densely and at every knot and cone apex inside
-        # it: spans inside one piece, across knots, ending at knots, and
-        # around the apex of a cone
-        rng = random.Random(f"extents {p}")
-        for row in oracle_rows(rng, 40, "nearline", 1.0).tolist():
-            prof = _build_profile(*row, p)
-            knots = [x for x in prof.starts if 0.0 < x < 100.0]
-            apexes = [pc[3] for pc in prof.pieces if pc[2] == obnoxious._CONE]
-            cuts = sorted({0.0, 100.0, *knots, *(rng.uniform(0, 100) for _ in range(12))})
-            for u, v in zip(cuts, cuts[1:]):
-                xs = [*np.linspace(u, v, 33).tolist(), *(x for x in knots + apexes if u < x < v)]
-                values = [prof.value(x) for x in xs]
-                got = _reference._extent(prof, u, v)
-                assert abs(got[0] - min(values)) <= 2.0 ** -50 * 100.0, (row, u, v)
-                assert abs(got[1] - max(values)) <= 2.0 ** -50 * 100.0, (row, u, v)
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("name", sorted(PINNED_FOLDS))
+    def test_pinned_folds(self, p, name):
+        rows, L = PINNED_FOLDS[name]
+        self.check(rows, L, p, TOL)
+
+    def test_exact_tie(self):
+        # segments 33 and 37 both start at (3.7744664444485063, 0), and
+        # at p = 1 their distances tie on [3.7744664444485063,
+        # 4.315648140076976] but for the rounding of their stored
+        # profiles. The halves build gives that stretch to 33 (40
+        # pieces) and the fold to 37 (41 pieces); both are the envelope,
+        # with one radius, 2.671442438263667, where the search gives
+        # 2.671442438068069
+        rng = random.Random(40)
+        L = 100.0
+        segs = [seg(rng.uniform(0, 100), rng.uniform(-2, 2), rng.uniform(0, 100), rng.uniform(-2, 2))
+                for _ in range(33)]
+        top = largest_empty_from_envelope(compute_lower_envelope(segs, L, N1, TOL), segs, N1, TOL)
+        x, r = top.cx, top.radius
+        for k in range(12):
+            ax, ay = [(x + r, 0.0), (x - r, 0.0), (x, r), (x, -r)][k % 4]
+            segs.append(seg(ax, ay, ax + rng.uniform(-3, 3), ay + rng.uniform(-3, 3)))
+        radii = []
+        for build in BUILDS.values():
+            env = build(segs, L, N1, TOL)
+            check_tiling(env, L)
+            check_minimal(env, segs, N1, samples=800)
+            radii.append(largest_empty_from_envelope(env, segs, N1, TOL).radius)
+        assert radii[0] == radii[1]
+        assert abs(radii[0] - max_empty_binsearch(segs, L, N1, TOL).radius) <= 2.0 * TOL.eps
 
     @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
     @pytest.mark.parametrize("eps", [0.5, 4.0])
@@ -554,18 +598,6 @@ class TestSameTree:
                 nearest = geometry.axis_distances(np.repeat(xs, n), np.tile(rows, (len(xs), 1)),
                                                   p).reshape(len(xs), n).min(axis=1)
                 assert (got - nearest).max() <= eps
-
-    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
-    @pytest.mark.parametrize("scale", [1e-70, 1e70])
-    def test_scales_without_a_margin(self, p, scale):
-        # beyond (2^-200, 2^200) _margin claims no bound, so the fold
-        # settles no window piece and merges every newcomer, as the
-        # halves build does at every scale
-        assert np.isnan(_reference._margin(100.0 * scale))
-        rng = random.Random(f"no margin {p} {scale}")
-        for n in (5, 40):
-            self.check(oracle_rows(rng, n, "nearline", scale), 100.0 * scale, p,
-                       Tolerance(eps=1e-9 * scale))
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_one_point_domain(self, p):
@@ -604,10 +636,7 @@ class TestSameTree:
     def test_profiles_near_1e300(self, p):
         # U ay - V ax overflows: the profiles get NaN and inf pieces
         # (the instance of test_one_off_solve_near_1e300)
-        rows = np.array([[-8.375333314944607e299, -7.842016392780372e294,
-                          -6.572665339832966e299, 3.7292578879228924e296],
-                         [8.795959788966634e299, 3.0939054382359757e296,
-                          4.066444125146898e299, -6.5443474838477e296]])
+        rows = NEAR_1E300
         assert any(math.isnan(pc[4]) for row in rows.tolist()
                    for pc in _build_profile(*row, p).pieces)
         for order in (rows, rows[::-1], np.vstack([rows, rows[:1] * 0.5])):
@@ -904,7 +933,7 @@ class TestFoldWindow:
             return real_covering(arr, radii)
 
         def counting_fold(*args):
-            folded.append(args[2])
+            folded.append(args[1])
             return real_fold(*args)
 
         def scalar(*args):
@@ -940,12 +969,8 @@ class TestFoldWindow:
         # covering_slack claims no bound at this scale, so the fold
         # contests all of [0, L]; its answer has the radius (or raises
         # the error, which a solve exits 3 with) that it gave with the
-        # hand-built window. The rows lie in the axis frame of the
-        # constraint [0, 0, 1e300, 0]
-        rows = np.array([[-8.375333314944607e299, -7.842016392780372e294,
-                          -6.572665339832966e299, 3.7292578879228924e296],
-                         [8.795959788966634e299, 3.0939054382359757e296,
-                          4.066444125146898e299, -6.5443474838477e296]])
+        # hand-built window
+        rows = NEAR_1E300
         norm = NormP(p)
         try:
             env = envelope_one_off(rows, 1e300, norm, TOL)
@@ -971,77 +996,41 @@ def _differing_cells(e1, e2):
 class TestDominance:
     @staticmethod
     def count_cells(segs, norm, split, monkeypatch):
-        """(contested, resolved): the differing cells of every merge plus
-        the window pieces that the one-off fold settles without a merge,
-        and the cells that reach root finding (_resolve_cell). Both
-        builds merge by obnoxious._merge_raw, which the fold reaches by
-        its name in _reference."""
-        differing, windows, merged, resolved = [], [], [], []
+        """(contested, resolved): the differing cells of every merge, and
+        the cells that reach root finding (_resolve_cell). Both builds
+        merge by obnoxious._merge_raw, which the fold reaches by its name
+        in _reference."""
+        differing, resolved = [], []
         real_merge, real_resolve = obnoxious._merge_raw, obnoxious._resolve_cell
-        real_least = _reference._least_on
 
         def counting_merge(e1, e2, *args):
             differing.append(_differing_cells(e1, e2))
-            merged.append(len(e1))
             return real_merge(e1, e2, *args)
 
         def counting_resolve(*args):
             resolved.append(args[:2])
             return real_resolve(*args)
 
-        def counting_least(prof, a, b):
-            windows.append(len(a))
-            return real_least(prof, a, b)
-
         with monkeypatch.context() as m:
             for module in (obnoxious, _reference):
                 m.setattr(module, "_merge_raw", counting_merge)
             m.setattr(obnoxious, "_resolve_cell", counting_resolve)
-            m.setattr(_reference, "_least_on", counting_least)
             BUILDS[split](segs, 100.0, norm, TOL)
-        # a fold that settles pieces merges only the stretch between its
-        # first and last unsettled piece (every merge of one-off is a
-        # fold's, and halves settles no window)
-        settled = sum(windows) - sum(merged) if windows else 0
-        return sum(differing) + settled, len(resolved)
-
-    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 30.0])
-    def test_window_least_is_the_extent_least(self, p):
-        # the fold's array pass gives every window piece the least that
-        # _extent takes over it, up to the array evaluation's ulps, far
-        # inside the margin: spans inside one piece, across knots, and
-        # around the apex of a cone
-        rng = random.Random(f"window least {p}")
-        for _ in range(60):
-            ax, bx = rng.uniform(0, 100), rng.uniform(0, 100)
-            prof = _build_profile(ax, rng.uniform(-3, 3), bx, rng.uniform(-3, 3), p)
-            cuts = sorted({0.0, 100.0, ax, bx, *(rng.uniform(0, 100) for _ in range(30))})
-            a, b = np.array(cuts[:-1]), np.array(cuts[1:])
-            got = _reference._least_on(prof, a, b)
-            want = [_reference._extent(prof, u, v)[0] for u, v in zip(cuts, cuts[1:])]
-            assert np.abs(got - want).max() <= 2.0 ** -50 * 100.0
+        return sum(differing), len(resolved)
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])
     def test_most_cells_skip_root_finding(self, split, norm, monkeypatch):
-        # the one-off fold settles window pieces by dominance and resolves
-        # about 5 % of these cells; a margin too wide to ever clear would
-        # leave every cell to root finding and change no answer, and the
-        # counts show it. The halves build settles nothing: its merges
-        # send every contested cell to root finding, and only those
+        # neither build settles a cell by dominance: the merges of
+        # halves, and the one-off fold's merges of a newcomer over every
+        # piece of its window, send every contested cell to root finding,
+        # and only those
         rng = random.Random(8)
         segs = [seg(rng.uniform(0, 100), rng.uniform(-2, 2), rng.uniform(0, 100), rng.uniform(-2, 2))
                 for _ in range(200)]
         contested, resolved = self.count_cells(segs, norm, split, monkeypatch)
         assert contested > 1000
-        if split == "halves":
-            assert resolved == contested
-            return
-        assert resolved < 0.5 * contested
-        # with a margin that claims no bound anywhere, settling whole
-        # window pieces sends no more cells to root finding
-        monkeypatch.setattr(_reference, "_margin", lambda mag: np.full(np.shape(mag), np.nan))
-        assert resolved <= self.count_cells(segs, norm, split, monkeypatch)[1]
+        assert resolved == contested
 
 
 class TestOwnershipBoundaries:
@@ -1108,6 +1097,62 @@ class TestMaxEmpty:
             env = compute_lower_envelope(segs, 10.0, norm, TOL)
             c2 = largest_empty_from_envelope(env, segs, norm, TOL)
             assert abs(c1.radius - c2.radius) <= 2e-9
+
+
+def off_axis_rows(rng, n, regime):
+    """n rows over x in [-10, 110] that keep to one side of the axis,
+    near it (0.05 <= |y| <= 2, "nearline") or spread (|y| <= 40): every
+    fifth from the second on is a point, from the third a level segment
+    and from the fourth a vertical one. In the "points" regime every row
+    is a spread point."""
+    rows = []
+    for k in range(n):
+        side = rng.choice((-1.0, 1.0))
+        span = 2.0 if regime == "nearline" else 40.0
+        ax, bx = rng.uniform(-10, 110), rng.uniform(-10, 110)
+        ay, by = side * rng.uniform(0.05, span), side * rng.uniform(0.05, span)
+        if regime == "points" or k % 5 == 1:
+            bx, by = ax, ay
+        elif k % 5 == 2:
+            by = ay
+        elif k % 5 == 3:
+            bx = ax
+        rows.append([ax, ay, bx, by])
+    return np.array(rows)
+
+
+class TestVerifyRouteBits:
+    """max_empty_envelope, the route of solve --verify, gives these
+    (cx, radius) bits, or raises this error, which a solve exits 3 with.
+    tools/bitcheck.py sends no --verify, so it does not see this route."""
+
+    @pytest.mark.parametrize("p, regime, n, L, want", [
+        (1.0, "nearline", 40, 100.0, ("0x1.6dde9488e78bcp+2", "0x1.923ccd0a063b0p-1")),
+        (1.5, "spread", 40, 100.0, ("0x1.9000000000000p+6", "0x1.4b611cc49996cp+3")),
+        (2.0, "nearline", 150, 100.0, ("0x1.7846c365399eep+6", "0x1.6e5b91dce0797p-3")),
+        (2.0, "spread", 64, 100.0, ("0x1.819b783ab6206p+6", "0x1.24596de8613efp+2")),
+        (3.0, "nearline", 64, 100.0, ("0x1.18443f8024c8ep+5", "0x1.0a074c86b4bb1p-1")),
+        (3.0, "spread", 150, 100.0, ("0x0.0p+0", "0x1.20493f9333cafp+1")),
+        (30.0, "nearline", 40, 100.0, ("0x1.87064eb51fba6p+6", "0x1.99d08b5dec846p+0")),
+        (400.0, "spread", 40, 100.0, ("0x1.c9bc5d877ca38p+0", "0x1.67bfd3ae48f60p+1")),
+        (2.0, "points", 30, 100.0, ("0x1.54d7db8b611a4p+5", "0x1.b4e4600aa13e6p+3")),
+        (1.5, "nearline", 17, 0.0, ("0x0.0p+0", "0x1.c0f3a93423beep-3")),
+        (1.0, "near 1e300", 2, 1e300, ("0x0.0p+0", "0x1.37645a919e282p+995")),
+        (1.5, "near 1e300", 2, 1e300, ("0x0.0p+0", "0x1.36e7b1930fc10p+995")),
+        (2.0, "near 1e300", 2, 1e300, "ValueError"),
+        (3.0, "near 1e300", 2, 1e300, ("0x0.0p+0", "0x1.36e444a9665f1p+995"))])
+    def test_pinned_bits(self, p, regime, n, L, want):
+        if regime == "near 1e300":
+            rows = NEAR_1E300
+        else:
+            rows = off_axis_rows(random.Random(f"verify route {p} {regime} {n}"), n, regime)
+        try:
+            c = max_empty_envelope(rows, L, NormP(p), TOL)
+        except ValueError as exc:
+            got = type(exc).__name__
+        else:
+            got = (c.cx.hex(), c.radius.hex())
+        assert got == want
 
 
 class TestArrayRoute:

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from lineplace import (
-    _reference,
     Interval,
     NormP,
     Point,
@@ -22,8 +21,8 @@ from lineplace import (
     transform_to_axis,
 )
 from lineplace._reference import axis_argmin_exact, covering_interval, distance_argmin_on_axis, \
-    envelope_one_off, equal_distance_point, rmin_on_axis
-from lineplace.errors import NoCrossing, SolverError
+    equal_distance_point, rmin_on_axis
+from lineplace.errors import NoCrossing
 from lineplace.intervals import SegmentArray, union_covers_rows
 
 TOL = Tolerance()
@@ -164,24 +163,24 @@ def test_union_covers_witness_is_uncovered(raw):
 # -- pruning in the two radius bisections never changes an answer ------
 
 @st.composite
-def _row_instances(draw, sizes, scales, vertical=False):
-    """Rows mixing the shapes the pruning and dominance rules meet.
+def _row_instances(draw, sizes, scales):
+    """Rows mixing the shapes the pruning rules meet.
 
     A seeded generator fills the rows; hypothesis draws the seed, the
     size, the coordinate scale, L and the share of each shape: spread
     or near-line rows, rows crossing the axis, point rows, level rows,
-    duplicates (ties in every bound), rows lying on the axis over all
-    of [0, L], and, with vertical, rows of one abscissa. When every row
-    lies on the axis, the one-center lower bound is 0 and a rule that
-    dropped every row with max(d0, dL) <= lo would keep none.
+    duplicates (ties in every bound), and rows lying on the axis over all
+    of [0, L]. When every row lies on the axis, the one-center lower
+    bound is 0 and a rule that dropped every row with max(d0, dL) <= lo
+    would keep none.
     """
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(sizes)
     scale = draw(st.sampled_from(scales))
     L = draw(st.sampled_from([0.0, 1.0, 10.0, 100.0])) * scale
     nearline = draw(st.booleans())
-    shapes = 6 if vertical else 5
-    weights = draw(st.lists(st.integers(0, 3), min_size=shapes + 1, max_size=shapes + 1))
+    # one weight per shape, and the last for duplicates
+    weights = draw(st.lists(st.integers(0, 3), min_size=6, max_size=6))
     rng = random.Random(seed)
 
     def coord(lo, hi):
@@ -210,15 +209,11 @@ def _row_instances(draw, sizes, scales, vertical=False):
     def on_axis():
         return [-coord(0.0, 5.0), 0.0, L + coord(0.0, 5.0), 0.0]
 
-    def upright():
-        x1, y1, _, y2 = row()
-        return [x1, y1, x1, y2]
-
-    makers = [row, crossing, point, level, on_axis, upright][:shapes]
+    makers = [row, crossing, point, level, on_axis]
     pick = [m for m, w in zip(makers, weights) for _ in range(w)] or [on_axis]
     rows = []
     while len(rows) < n:
-        if rows and rng.random() < 0.1 * weights[shapes]:
+        if rows and rng.random() < 0.1 * weights[5]:
             rows.append(list(rng.choice(rows)))
         else:
             rows.append(rng.choice(pick)())
@@ -253,80 +248,6 @@ def test_pruning_never_changes_an_answer(p, inst):
         full = [_bits(min_enclosing(segs, L, norm, TOL)),
                 _bits(max_empty_binsearch(segs, L, norm, TOL))]
     assert pruned == full
-
-
-
-# -- settling cells by dominance never changes an envelope piece -------
-
-# the build that settles by dominance: the one-off fold of the
-# reference, which settles window pieces. The halves build settles
-# nothing; TestSameTree holds it to the fold
-_BUILDS = {"one-off": envelope_one_off}
-
-
-def _envelope_outcome(segs, L, p, split):
-    """Pieces as exact bits, or the error the build stops with."""
-    try:
-        env = _BUILDS[split](segs, L, NormP(p), TOL)
-    except (SolverError, ArithmeticError, ValueError) as exc:  # what a solve exits 3 with
-        return type(exc).__name__, str(exc)
-    return [(pc.a.hex(), pc.b.hex(), pc.seg_index) for pc in env.pieces]
-
-
-def _no_margin(mag):
-    """A margin that claims no bound anywhere."""
-    return np.full(np.shape(mag), np.nan)
-
-
-_PINNED_OVERFLOW = (np.array([[-8.375333314944607e299, -7.842016392780372e294,
-                               -6.572665339832966e299, 3.7292578879228924e296],
-                              [8.795959788966634e299, 3.0939054382359757e296,
-                               4.066444125146898e299, -6.5443474838477e296]]), 1e300)
-
-
-# at p = 1 the one-off fold meets a newcomer (row 9) whose constrained
-# minimiser 5.0 is that of the owner (row 3) of a piece it would settle.
-# The envelope keeps no breakpoint at a minimiser, so that piece is
-# settled or merged like any other
-_SHARED_MINIMISER = (np.array([[5.0, 2.0, -3.5, -5.0], [5.0, 2.5, 12.0, -5.0],
-                               [5.0, 2.0, -1.0, -3.75], [5.0, -0.5, 5.0, -2.25],
-                               [6.5, -3.0, -2.0, -4.75], [0.5, 2.5, -8.0, 3.0],
-                               [0.5, 2.25, -1.5, 3.75], [5.0, 2.5, -1.0, -4.0],
-                               [5.0, 2.5, -3.0, -4.0], [5.0, -2.5, 9.5, -3.75]]), 10.0)
-
-# at p = 2 the fold settles all six pieces of one newcomer's window
-_SETTLED_WINDOW = (np.array([[0.0, 3.0, 1.0, 3.5], [9.5, -0.25, 18.5, -1.0],
-                             [3.5, 2.5, 12.0, -3.75], [7.0, 1.0, 0.5, 3.5],
-                             [9.5, -2.5, 7.5, -3.25]]), 10.0)
-
-
-def _nearline(n, seed):
-    rng = random.Random(seed)
-    return np.array([[rng.uniform(0.0, 100.0), rng.uniform(-2.0, 2.0),
-                      rng.uniform(0.0, 100.0), rng.uniform(-2.0, 2.0)] for _ in range(n)]), 100.0
-
-
-@pytest.mark.parametrize("split", sorted(_BUILDS))
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-# 1e-70, 1e70 and 1e300 lie outside (2^-200, 2^200), where _margin
-# claims no bound; 1.0 is listed twice to weight the scales inside
-@given(inst=_row_instances(st.integers(1, 120),
-                           [1.0, 1e-6, 1e6, 1.0, 1e-70, 1e70, 1e300], vertical=True))
-@example(inst=_PINNED_OVERFLOW).via("coordinates near 1e300 overflow the profile")
-@example(inst=_nearline(240, 9)).via("many cells where two profiles nearly touch")
-@example(inst=_SHARED_MINIMISER).via("a newcomer with an owner's constrained minimiser")
-@example(inst=_SETTLED_WINDOW).via("a newcomer whose whole window is settled")
-@settings(deadline=None)
-def test_dominance_never_changes_an_envelope(split, p, inst):
-    # no margin settles no window piece of the fold, so every contested
-    # cell is resolved
-    cols, L = inst
-    segs = [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in cols.tolist()]
-    settled = _envelope_outcome(segs, L, p, split)
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_reference, "_margin", _no_margin)
-        resolved = _envelope_outcome(segs, L, p, split)
-    assert settled == resolved
 
 
 # -- the k-cover circle of a run scales with its points ----------------

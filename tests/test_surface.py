@@ -20,7 +20,6 @@ PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
 REFERENCE_ROUTES = {
     "_covering_bisect",
     "_envelope_peak",
-    "_extent",
     "_finalize_lists",
     "dp_full_table",
     "run_radii",
@@ -29,8 +28,6 @@ REFERENCE_ROUTES = {
     "_fold_one",
     "_fold_windows",
     "_halfwidth",
-    "_least_on",
-    "_margin",
     "_min_distance_search",
     "_rmin_points",
     "_ystar_ratio",
@@ -476,14 +473,32 @@ def test_one_envelope_build():
     assert not hasattr(lineplace.intervals.SegmentArray, "__getitem__")
     for path in _solver_modules():
         names = set(_bound_names(ast.parse(path.read_text(), filename=str(path))))
-        assert not {"_fold_one", "_fold_windows", "_envelope_peak", "_least_on",
-                    "envelope_one_off", "copy"} & names, path.name
+        assert not {"_fold_one", "_fold_windows", "_envelope_peak", "envelope_one_off",
+                    "copy"} & names, path.name
 
 
 def test_envelope_build_settles_no_cell():
-    # the merge sends every cell of two owners to _resolve_cell: no
-    # solver module binds the dominance margin or a settle. The margin
-    # and the extents it reads stay with the one-off fold
-    for path in _solver_modules():
+    # every merge, the one-off fold's too, sends every cell of two owners
+    # to _resolve_cell: no module binds the dominance margin, a settle or
+    # the extents it read. The extraction folds exact distances, so the
+    # band of near-extreme estimates went with it
+    from lineplace import _reference
+
+    for path in SRC.glob("*.py"):
         names = set(_bound_names(ast.parse(path.read_text(), filename=str(path))))
-        assert not {"_margin", "_settle", "_extents", "_extent", "_dominant"} & names, path.name
+        assert not {"_margin", "_settle", "_extents", "_extent", "_least_on", "_dominant",
+                    "near_extreme"} & names, path.name
+    for name in ("_margin", "_extent", "_least_on"):
+        assert not hasattr(_reference, name), name
+    assert not hasattr(lineplace.geometry, "near_extreme")
+
+
+def test_extraction_folds_exact_distances():
+    # the envelope's maximum is read from point_segment_distance at
+    # every piece end, with no array estimate to rescore
+    obnoxious = ast.parse((SRC / "obnoxious.py").read_text())
+    extraction = next(node for node in obnoxious.body
+                      if isinstance(node, ast.FunctionDef) and node.name == "_largest_empty")
+    names = {node.id for node in ast.walk(extraction) if isinstance(node, ast.Name)}
+    assert "point_segment_distance" in names
+    assert not {"axis_distances", "near_extreme", "rescored_extreme"} & names
