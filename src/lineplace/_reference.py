@@ -9,9 +9,10 @@ kernel takes numpy's powers, its intersection and union cover and the
 one-center search over them, where the solvers run one array kernel,
 the bisection that asks about one midpoint at a time, the one-segment
 constrained argmin and axis crossing, where the solvers read one
-array table, a dict-based grouping of candidate runs into k-cover
-lists, the bisected circle of a k-cover run, which the solver reads
-off its pair circles, and the one-off fold of the lower envelope,
+array table, the k-cover candidate lists of slack-grown pair circles,
+a second weight of the runs where the solver reads the run table, the
+bisected circle of a k-cover run, which the solver reads off its pair
+circles, and the one-off fold of the lower envelope,
 which adds the segments one at a time where the solver merges halves,
 through the solver's own merge of two envelopes.
 Beside them sit the one-at-a-time entry points that only the tests
@@ -682,21 +683,14 @@ def two_point_circle(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance)
     return xc, _lp_pair(xc - xi, yi, p)
 
 
-def _covered_p2(px: float, py: float, xc: float, thr: float) -> bool:
-    dx = px - xc
-    return dx * dx + py * py <= thr
-
-
 def _finalize_lists(lists, pts: PointSet):
     """Add the pinned single-point candidate, dedup, and sort.
 
     lists[r] holds the (left, radius) of every run found that ends at
     point r. Radii that are not finite are dropped: coordinates near
     the float range give pair circles of radius inf or NaN, which the
-    DP never chooses. Returns the lists in the format of
-    verify.build_lists_sweep, grouped here by a dict per list; that
-    builder groups its runs by one sort over all of them
-    (verify._group_lists).
+    DP never chooses. Returns, for each right end, a tuple of
+    (left, radius) pairs in ascending left, grouped by a dict per list.
     """
     Y = pts.xy[:, 1].tolist()
     out = []
@@ -719,11 +713,9 @@ def build_lists_loop(pts: PointSet, norm: NormP, tol: Tolerance):
     directions while points stay covered; the resulting run and radius
     join the list of the run's right end. One two_point_circle call per
     pair, and O(N) coverage tests per circle: O(N^3) Python steps. A
-    point counts as covered within the slack of verify._cover_slack,
-    written out here, since within the package only the CLI imports
-    verify. At p = 2 verify.build_lists_sweep grows the same circles
-    with the same float operations, one anchor point at a time over
-    arrays, so its lists equal these bit for bit.
+    point counts as covered where its _lp_pair distance from the center
+    is at most R plus the slack of verify._cover_slack, written out
+    here, since within the package only the CLI imports verify.
     """
     n = len(pts)
     if n == 0:
@@ -738,17 +730,10 @@ def build_lists_loop(pts: PointSet, norm: NormP, tol: Tolerance):
                 xc, R = two_point_circle(pts, i, j, norm, tol)
             except NoBisectorRoot:
                 continue
-            slack = e * max(1.0, R)
-            if p == 2.0:
-                thr = (R + slack) * (R + slack)
+            reach = R + e * max(1.0, R)
 
-                def cov(k: int) -> bool:
-                    return _covered_p2(X[k], Y[k], xc, thr)
-            else:
-                reach = R + slack
-
-                def cov(k: int) -> bool:
-                    return _lp_pair(X[k] - xc, Y[k], p) <= reach
+            def cov(k: int) -> bool:
+                return _lp_pair(X[k] - xc, Y[k], p) <= reach
             left = i
             while left > 0 and cov(left - 1):
                 left -= 1
@@ -845,8 +830,9 @@ def relax_scan(row_prev, j: int, lefts, weights, is_sum: bool):
 
     Scans every candidate of list j - 1 (left ends lefts, weights
     radius ** q) and every break inside its run; the first strictly
-    smaller value wins. Reference for k_cover._best_breaks over the
-    weights of verify._list_weights.
+    smaller value wins. Reference for k_cover._best_breaks over a
+    weight row that holds, at each break, the least weight of the
+    candidates that start at or before it.
     """
     best, bl = math.inf, None
     for cand_left, w in zip(lefts, weights):
@@ -865,10 +851,11 @@ def dp_scan(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec, cls) ->
     DP cell, row after row. Reference for the relaxation of
     k_cover._relax_blocks (a whole budget row per array pass and block
     for an integer K, a few columns per array pass and a scalar scan for
-    K = None), which gives the same solution over the same lists: those
-    of verify.build_lists_sweep in verify.dp_solve_sweep, or the exact
-    radius table as lists in k_cover.dp_solve. The circles of the chosen
-    runs come from rmin_on_axis.
+    K = None), which gives the same solution over the same weights: the
+    exact radius table as lists, as k_cover.dp_solve weighs its runs.
+    Over the slack-grown lists of build_lists_loop it prices the runs a
+    second way, and the DP over the table never reports more. The
+    circles of the chosen runs come from rmin_on_axis.
     """
     n = len(pts)
     if n == 0:

@@ -18,9 +18,9 @@ before every few columns and a scalar scan of those among them. A
 solve holds one block and O(K·N) DP cells, which record their last
 run's radius, so that the circle of each chosen run is read off them
 (_run_circles), with no radius search. The run table is the only run
-weight that dp_solve takes. The second route of `lineplace solve
---verify` (lineplace.verify) feeds _relax_blocks the same blocks with
-the weights of the p = 2 candidate lists of slack-grown pair circles.
+weight that dp_solve takes. `lineplace solve --verify` above 10 points
+(lineplace.verify.certify_run_table) reads the same blocks and checks
+every entry by Helly's theorem on the point intervals alone.
 """
 
 from __future__ import annotations
@@ -474,9 +474,7 @@ def dp_solve(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec,
     lists selects nothing: "naive" and "sweep" both weigh runs by the
     run table, and any other value raises ValueError. It stays only for
     the callers under bench/ that still pass it, and goes with them in
-    the benchmark change of ROADMAP item 1b. The --verify cross-check
-    at p = 2 (verify.dp_solve_sweep) streams the same blocks into the
-    same DP, with the runs weighed by the sweep's candidate lists.
+    the benchmark change of ROADMAP item 1b.
 
     Cost: O(N^2) pair circles, the O(N^2) running maxima, and the DP's
     O(K·N^2); memory O(PAIR_BUDGET + K·N) floats.

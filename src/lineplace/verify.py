@@ -1,15 +1,16 @@
 """The cross-checks of `lineplace solve --verify`; not exported, and
 only the CLI imports it.
 
-cross_check runs a second route to a solve's objective and reports the
+cross_check runs a second route to a solve's answer and reports the
 gap: a grid scan for the one-center, the lower envelope for the
 largest empty circle (one scalar merge of halves, whose crossings
-share no root kernel with the solvers), and for k-cover at p = 2 the DP over the runs of
-the sweep's candidate lists (dp_solve_sweep) where the solve weighs
-runs by the exact run table, else an exhaustive minimum over all
-partitions of the points; a k-cover is also checked to cover every
-point by its run's circle. The grid distances come from numpy
-code (geometry._np_lp) that shares nothing with the exact scalar
+share no root kernel with the solvers), and for k-cover an exhaustive
+minimum over all partitions of at most 10 points; above 10 points a
+certificate checks every entry of the run table that the DP weighs
+runs by, by Helly's theorem on the line (certify_run_table). Both
+k-cover checks hold at every p, and a k-cover is also checked to
+cover every point by its run's circle. The grid distances come from
+numpy code (geometry._np_lp) that shares nothing with the exact scalar
 routines: the closed-form projection at p = 2, else a golden-section
 search over the segment parameter, all abscissas of a chunk in
 lockstep with one evaluation a step. The grid and the partition oracle
@@ -19,7 +20,6 @@ into "ok": null (false when a point is not covered).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,8 +28,8 @@ import numpy as np
 from .errors import EmptyInput, TooLarge
 from .geometry import NormP, Point, Segment, Tolerance, _np_lp, segments_from_columns
 from .intervals import Interval
-from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _center_slack, \
-    _relax_blocks, _run_columns
+from .k_cover import _SLACK_FLOOR, AggSpec, PointSet, _center_slack, _column_blocks, \
+    _run_columns
 from .obnoxious import max_empty_envelope
 from .one_center import PlacedCircle, min_enclosing
 
@@ -267,7 +267,144 @@ def set_partition_oracle(pts: PointSet, K, norm: NormP, tol: Tolerance,
     return OraclePartition(best, best_blocks, contiguous)
 
 
-# -- the p = 2 sweep lists ----------------------------------------------
+# -- the run-table certificate ------------------------------------------
+
+
+def _halfwidths(ay, rho, p: float):
+    """rho (1 - (ay / rho)^p)^(1/p), broadcast over the |y| ay and the
+    radii rho: the halfwidth of a point's interval of centers within rho
+    of it, NaN where its |y| exceeds rho."""
+    h = ay / rho
+    h **= p
+    np.subtract(1.0, h, out=h)
+    h **= 1.0 / p
+    h *= rho
+    return h
+
+
+def _meet(X, AY, L, J, rho, p: float):
+    """Whether the intervals of the points of each run L[i]..J[i] meet at
+    radius rho[i], L ascending: the largest left end against the least
+    right end, a NaN (a point beyond rho) meeting nothing. X and AY hold
+    x and |y| of the sorted points. They come in the slabs a..b-1 of
+    k_cover._column_blocks against the runs that start before b, with
+    halfwidth inf where a run misses a point."""
+    lo = np.full(len(L), -math.inf)
+    hi = np.full(len(L), math.inf)
+    earliest = J.min()
+    for a, b in _column_blocks(J.max() + 1):
+        s, e = np.searchsorted(L, (a, b)).tolist()
+        if b - 1 > earliest:
+            s = 0  # some run ends inside the slab
+        h = _halfwidths(AY[a:b, None], rho[:e], p)
+        k = np.arange(a, b)[:, None]
+        h[:, s:e][(k < L[s:e]) | (k > J[s:e])] = math.inf
+        x = X[a:b, None]
+        np.maximum(lo[:e], (x - h).max(axis=0), out=lo[:e])
+        h += x
+        np.minimum(hi[:e], h.min(axis=0), out=hi[:e])
+    return lo <= hi
+
+
+@np.errstate(all="ignore")
+def certify_run_table(pts: PointSet, norm: NormP, tol: Tolerance) -> dict:
+    """Check every entry R of the run table by Helly's theorem on the line
+    (Brass, Knauer, Na, Shin and Vigneron, "The aligned k-center
+    problem", IJCGA 2011): a ball of radius rho centered on the axis
+    covers a run iff rho is at least every |y| of the run and the
+    points' intervals of centers, x -+ rho (1 - (|y|/rho)^p)^(1/p),
+    meet. So the run's least radius lies within d of R iff they meet at
+    R + d, and at R - d they do not or some |y| exceeds R - d. R comes
+    from the blocks that dp_solve streams (k_cover._run_columns); no
+    closed form, rtsafe or other k_cover kernel is taken. A non-finite
+    R fails.
+
+    d = 4 eps + 2^-40 max(R, X), X the run's largest |x|, u = 2^-52. R
+    is an exact maximum of |y|s and pair radii, which err by at most:
+    - eps/4 at p not in {1, 2}, where rtsafe stops on a bracket or a
+      Newton step of eps/4 (geometry._rtsafe) and a radius moves no
+      more than its center; 4 eps leaves room for the shortfall of a
+      last Newton step. F's rounding adds under 32 u R / p;
+    - 4 u (2 X + R) at p = 1, the closed form's rounding;
+    - 2 u X^2 / R + 4 u max(R, X) at p = 2, where the closed form's
+      numerator x_j^2 + y_j^2 - x_i^2 - y_i^2 cancels: it rounds by up
+      to 4 u (X^2 + R^2), and the radius moves by the center's error
+      times (x_j - x_i) / R. That is within d while X <= 2000 R or
+      u X^2 / R <= 2 eps; beyond, the table has lost the accuracy that
+      d asks for, and the check flags it.
+    The check's own rounding is a few u (|x| + rho), far inside
+    2^-40 max(R, X), since two intervals' overlap grows at slope >= 2
+    in rho.
+
+    A run's least radius is at least its largest |y| and at least that
+    of each run inside it, so the bound at R - d follows wherever R - d
+    is at most that of the run one point shorter at either end. In a
+    true table the pair of ends alone binds each entry left: their two
+    intervals are tested first, and all of the run's where they meet.
+
+    Returns {"runs": entries checked, "failed": entries that fail}, and
+    for the first failure "run": [l, r], "radius": R and "tolerance": d,
+    None where not finite. O(N^3) array work; memory is one column block
+    against about sqrt(2 PAIR_BUDGET) points (_meet).
+    """
+    X, Y = pts.xy.T.copy()
+    AX, AY = np.abs(X), np.abs(Y)
+    p = norm.p
+    runs = failed = 0
+    first = {}
+    prev = np.zeros(0)
+    for c0, block in _run_columns(pts.xy, p, tol):
+        c1 = block.shape[1]
+        tri = np.arange(c1)[:, None] <= np.arange(c0, c1)
+
+        def most(v):
+            # the largest of v over each run l..j, in the layout of R
+            return np.maximum.accumulate(np.where(tri, v[:c1, None], 0.0)[::-1], axis=0)[::-1]
+
+        # R[l, k] and d[l, k] of the run l..c0+k; the runs in order of l
+        R = block.T
+        d = 4.0 * tol.eps + _SLACK_FLOOR * np.maximum(R, most(AX))
+        L, J = np.nonzero(tri)
+        J += c0
+        radius, slack = R[tri], d[tri]
+        bad = ~(np.isfinite(radius) & _meet(X, AY, L, J, radius + slack, p))
+        down = np.where(tri, R - d, -math.inf)
+        known = most(AY) > down
+        known[:-1] |= down[:-1] <= down[1:]
+        known[:, 1:] |= down[:, 1:] <= down[:, :-1]
+        known[:c0, 0] |= down[:c0, 0] <= prev
+        prev = down[:, -1]
+        rest = np.flatnonzero(~known[tri])
+        r, left, right = down[tri][rest], L[rest], J[rest]
+        apart = X[left] + _halfwidths(AY[left], r, p) < X[right] - _halfwidths(AY[right], r, p)
+        rest, r = rest[~apart], r[~apart]
+        if len(rest):
+            bad[rest] |= _meet(X, AY, L[rest], J[rest], r, p)
+        runs += len(L)
+        failed += int(bad.sum())
+        if failed and not first:
+            i = int(np.argmax(bad))
+            first = {"run": [int(L[i]), int(J[i])],
+                     "radius": float(radius[i]) if np.isfinite(radius[i]) else None,
+                     "tolerance": float(slack[i]) if np.isfinite(slack[i]) else None}
+    return {"runs": runs, "failed": failed, **first}
+
+
+# -- the report ---------------------------------------------------------
+
+
+def _compare(kind: str, key: str, other_route, value: float, tolerance: float,
+             covered: bool = True) -> dict:
+    """Run other_route and report its value under key, against value;
+    ok also needs covered."""
+    try:
+        other = other_route()
+    except TooLarge as exc:
+        # the solve stands; only its cross-check is out of reach
+        return {"kind": kind, "ok": None if covered else False, "reason": str(exc)}
+    delta = abs(other - value)
+    return {"kind": kind, key: other, "delta": delta, "tolerance": tolerance,
+            "ok": delta <= tolerance and covered}
 
 
 def _cover_slack(R: float, eps: float) -> float:
@@ -288,147 +425,17 @@ def _cover_slack(R: float, eps: float) -> float:
     return (eps if eps > _SLACK_FLOOR else _SLACK_FLOOR) * max(1.0, R)
 
 
-def _group_lists(right, left, rad, absy):
-    """The candidate lists of the runs left..right at radius rad.
-
-    right, left and rad are parallel arrays, one entry per circle found;
-    absy holds |y| of the sorted points. Adds the pinned single-point
-    circle of every point (the run k..k at radius |y_k|), drops radii
-    that are not finite (pair circles of coordinates near the float
-    range, which the DP could never choose) and keeps the smallest
-    radius of each (right, left). Returns, for each right end, a tuple
-    of (left, radius) pairs in ascending left.
-    """
-    n = len(absy)
-    fin = np.isfinite(rad)
-    key = np.concatenate((right[fin] * n + left[fin], np.arange(n) * (n + 1)))
-    rad = np.concatenate((rad[fin], absy))
-    order = np.argsort(key)
-    key, rad = key[order], rad[order]
-    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    rights, lefts = np.divmod(key[first], n)
-    radii = np.minimum.reduceat(rad, first).tolist()
-    lefts = lefts.tolist()
-    bounds = np.searchsorted(rights, np.arange(n + 1)).tolist()
-    return tuple(tuple(zip(lefts[a:b], radii[a:b])) for a, b in zip(bounds, bounds[1:]))
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def build_lists_sweep(pts: PointSet, norm: NormP, tol: Tolerance):
-    """Candidate lists at p = 2: every pair circle grown over the sorted
-    points, one anchor point at a time.
-
-    For each anchor i it takes the pairs (i, j), j >= i, that have a
-    circle at once: the closed-form center (the anchor's abscissa for
-    j == i and for an equal abscissa with equal |y|; an equal abscissa
-    with other |y| has none), the radius by math.hypot from the anchor,
-    and the coverage threshold (R + slack)^2 with the slack of
-    _cover_slack. Every point is tested against every such circle with
-    the operations of _reference._covered_p2, in its order, and a run
-    reaches from the anchor to the first uncovered point on each side,
-    as _reference.build_lists_loop grows it point by point: its lists
-    bit for bit. The runs are grouped by _group_lists.
-
-    Cost: O(N^3) array work, and O(N^2) memory per anchor. Arithmetic
-    that overflows gives inf or NaN, as Python floats do; such radii
-    never reach a list.
-    """
-    if norm.p != 2.0:
-        raise ValueError("the sweep builder requires p = 2")
-    n = len(pts)
-    if n == 0:
-        raise EmptyInput("need at least one point")
-    X, Y = pts.xy.T
-    yy = Y * Y
-    e = tol.eps if tol.eps > _SLACK_FLOOR else _SLACK_FLOOR
-    rights, lefts, radii = [], [], []
-    for i in range(n):
-        xi, yi = X[i], Y[i]
-        xj, yj = X[i:], Y[i:]
-        same = xj == xi
-        # the closed form divides by zero at equal abscissas; np.where
-        # drops those entries
-        xc = np.where(same, xi, (xj * xj + yj * yj - xi * xi - yi * yi) / (2.0 * (xj - xi)))
-        xc = xc[~same | (yy[i:] == yi * yi)]
-        R = np.fromiter(map(math.hypot, (xc - xi).tolist(), itertools.repeat(float(yi))),
-                        dtype=float, count=len(xc))
-        reach = R + e * np.maximum(1.0, R)
-        d = X - xc[:, None]
-        d *= d
-        d += yy
-        # covered[:, k + 1] tells whether point k is covered, framed by
-        # an uncovered column at each end
-        covered = np.zeros((len(xc), n + 2), dtype=bool)
-        np.less_equal(d, (reach * reach)[:, None], out=covered[:, 1:-1])
-        rights.append(i + covered[:, i + 2:].argmin(axis=1))
-        lefts.append(i - covered[:, i::-1].argmin(axis=1))
-        radii.append(R)
-    return _group_lists(np.concatenate(rights), np.concatenate(lefts),
-                        np.concatenate(radii), np.abs(Y))
-
-
-def _list_weights(cls, q: float):
-    """The weight of every last run b..r over the candidate lists cls, as
-    an N x N table: the least radius ** q (Python's **) of list r's
-    candidates with left <= b, since a candidate's circle covers every
-    sub-run with its right end. A b below every left of list r weighs
-    inf; entries b > r are never read."""
-    n = len(cls)
-    weights = np.full(n * n, math.inf)
-    at = [left * n + r for r, cl in enumerate(cls) for left, _ in cl]
-    weights[at] = [radius ** q for cl in cls for _, radius in cl]
-    return np.minimum.accumulate(weights.reshape(n, n), axis=0)
-
-
-def dp_solve_sweep(pts: PointSet, K, norm: NormP, tol: Tolerance,
-                   agg: AggSpec) -> CoverSolution:
-    """k_cover.dp_solve with every run weighed by the sweep's lists at
-    p = 2 (build_lists_sweep, _list_weights) instead of the run table:
-    the same blocks of the run table (k_cover._run_columns) feed the
-    same DP (k_cover._relax_blocks), each with the columns of the list
-    weights that it spans, and the circles are the same, the exact
-    ones of the chosen runs. A list radius is a pair circle grown with
-    a coverage slack, so a run's weight may lie below its exact radius
-    by that slack, and the lists reach the runs of a circle by coverage
-    tests rather than by Helly's theorem. K is None or an integer >= 1.
-
-    Cost: the lists' O(N^3) array work and O(N^2) memory per anchor
-    point, besides those of dp_solve.
-    """
-    weights = _list_weights(build_lists_sweep(pts, norm, tol), agg.q)
-    blocks = ((c0, R, weights.T[c0:c0 + len(R), :R.shape[1]])
-              for c0, R in _run_columns(pts.xy, norm.p, tol))
-    return _relax_blocks(pts.xy, K, blocks, norm.p, agg)
-
-
-# -- the report ---------------------------------------------------------
-
-
-def _compare(kind: str, key: str, other_route, value: float, tolerance: float,
-             covered: bool = True) -> dict:
-    """Run other_route and report its value under key, against value;
-    ok also needs covered."""
-    try:
-        other = other_route()
-    except TooLarge as exc:
-        # the solve stands; only its cross-check is out of reach
-        return {"kind": kind, "ok": None if covered else False, "reason": str(exc)}
-    delta = abs(other - value)
-    return {"kind": kind, key: other, "delta": delta, "tolerance": tolerance,
-            "ok": delta <= tolerance and covered}
-
-
-def _covers(ps: PointSet, circles, p: float, eps: float) -> bool:
+def _covers(ps: PointSet, circles, norm: NormP, eps: float) -> bool:
     """Whether every point lies within its run's circle, up to the larger
-    of the sweep's coverage slack, max(eps, 2^-40) max(1, R)
-    (_cover_slack), and the rounding that k_cover's circles allow,
-    2^-40 max(R, |x|) (k_cover._center_slack)."""
+    of the coverage slack, max(eps, 2^-40) max(1, R) (_cover_slack), and
+    the rounding that k_cover's circles allow, 2^-40 max(R, |x|)
+    (k_cover._center_slack)."""
     for c in circles:
         left, right = c["run"]
         xy = ps.xy[left:right + 1]
         R = c["radius"]
         slack = max(_cover_slack(R, eps), _center_slack(R, float(np.abs(xy[:, 0]).max())))
-        if (_np_lp(xy[:, 0] - c["center_x"], xy[:, 1], p) > R + slack).any():
+        if (_np_lp(xy[:, 0] - c["center_x"], xy[:, 1], norm.p) > R + slack).any():
             return False
     return True
 
@@ -442,8 +449,10 @@ def cross_check(inst, tol: Tolerance, L: float, table, result: dict) -> dict:
     solvers took it; and result is the solve's result object. The
     largest empty circle, which the solve bisects, is checked against
     the lower envelope (obnoxious.max_empty_envelope), which no solve
-    runs and whose crossings it bisects. A k-cover check is also not ok
-    when a point lies outside its run's circle (_covers).
+    runs and whose crossings it bisects. At every p a k-cover of up to
+    the partition oracle's 10 points is checked against it, and a larger
+    one by certify_run_table; either is not ok when a point lies
+    outside its run's circle (_covers).
     """
     norm = inst.norm
     objective = result["objective"]
@@ -457,11 +466,10 @@ def cross_check(inst, tol: Tolerance, L: float, table, result: dict) -> dict:
                         lambda: max_empty_envelope(table, L, norm, tol).radius,
                         objective, 2.0 * tol.eps)
     ps = PointSet(table)
-    covered = _covers(ps, result["circles"], norm.p, tol.eps)
-    if norm.p == 2.0:
-        return _compare("lists:sweep", "other_objective",
-                        lambda: dp_solve_sweep(ps, inst.k, norm, tol, inst.agg).objective,
-                        objective, _OBJECTIVE_TOL, covered)
+    covered = _covers(ps, result["circles"], norm, tol.eps)
+    if len(ps) > 10:
+        report = certify_run_table(ps, norm, tol)
+        return {"kind": "run-table", **report, "ok": not report["failed"] and covered}
     return _compare("set-partition", "other_objective",
                     lambda: set_partition_oracle(ps, inst.k, norm, tol, inst.agg).objective,
                     objective, _OBJECTIVE_TOL, covered)

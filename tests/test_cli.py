@@ -9,10 +9,11 @@ import warnings
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from lineplace import Tolerance
+from lineplace import PointSet, Tolerance
 from lineplace._reference import envelope_one_off
 from lineplace.cli import _axis_instance, main, parse_instance
 from lineplace.errors import SchemaError
@@ -269,7 +270,8 @@ class TestRobustness:
         # sweep once listed their pair circle, radius 1.118..., for the run
         # of all three points, though (2, 0) lies 1.5 from its center, and
         # the DP took that run: objective 1.25, verify false, exit 0. The
-        # sweep's lists now weigh the runs of the --verify route
+        # run table weighs the runs, and --verify checks three points
+        # against the partition oracle
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({
             "problem": "k-cover", "p": 2, "constraint": [0, 0, 10, 0],
@@ -278,8 +280,8 @@ class TestRobustness:
         assert code == 0
         result = json.loads(out)["result"]
         assert result["objective"] == 1.118033988749895
-        assert result["verify"]["kind"] == "lists:sweep"
-        assert result["verify"]["other_objective"] == 1.118033988749895
+        assert result["verify"]["kind"] == "set-partition"
+        assert abs(result["verify"]["other_objective"] - 1.118033988749895) <= 1e-6
         assert result["verify"]["ok"] is True
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
@@ -612,6 +614,8 @@ class TestRobustness:
 
     @pytest.mark.parametrize("n,k", [(12, None), (11, 5)])
     def test_verify_beyond_oracle_limits(self, tmp_path, n, k):
+        # above the partition oracle's 10 points the run-table
+        # certificate checks every run, at every p
         path = tmp_path / "inst.json"
         argv = ["gen", "--problem", "k-cover", "--p", "1.5", "--n", str(n),
                 "--seed", "4", "--out", str(path)]
@@ -621,9 +625,49 @@ class TestRobustness:
         code, out = run_cli(["solve", "--in", str(path), "--verify"])
         assert code == 0
         verify = json.loads(out)["result"]["verify"]
-        assert verify["ok"] is None
-        assert verify["kind"] == "set-partition"
-        assert "oracle limited" in verify["reason"]
+        assert verify == {"kind": "run-table", "runs": n * (n + 1) // 2, "failed": 0,
+                          "ok": True}
+
+    def test_verify_catches_the_k_cover_at_p_1000(self, tmp_path):
+        # a wrong run table with exit 0 (ROADMAP item 3): at p = 1000 the
+        # scaled powers of a pair near the line underflow to 0, rtsafe
+        # takes the pair's midpoint for its center, and the table holds
+        # half its span. Three entries here lie farther from their runs'
+        # least radii than the certificate's slack; the first, run 5..6,
+        # holds 1.8868145 against 1.8876350 at 80 digits. This flips to
+        # ok: true when item 3 lands
+        mpmath = pytest.importorskip("mpmath")
+        rng = random.Random(1)
+        points = [[round(rng.uniform(0, 100), 6), round(rng.uniform(-2, 2), 6)]
+                  for _ in range(60)]
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"problem": "k-cover", "p": 1000.0, "k": 5, "q": 1,
+                                    "agg": "sum", "constraint": [0, 0, 100, 0],
+                                    "points": points}))
+        code, out = run_cli(["solve", "--in", str(path), "--verify"])
+        assert code == 0
+        verify = json.loads(out)["result"]["verify"]
+        assert verify["kind"] == "run-table"
+        assert verify["ok"] is False and verify["failed"] >= 1
+        left, right = verify["run"]
+        xy = PointSet(np.array(points)).xy[left:right + 1].tolist()
+        with mpmath.workdps(80):
+            p = mpmath.mpf(1000)
+            xs = [mpmath.mpf(x) for x, _ in xy]
+            ys = [abs(mpmath.mpf(y)) for _, y in xy]
+
+            def meet(r):
+                h = [r * (1 - (y / r) ** p) ** (1 / p) for y in ys]
+                return max(x - w for x, w in zip(xs, h)) <= min(x + w for x, w in zip(xs, h))
+
+            lo, hi = max(ys), max(ys) + max(xs) - min(xs)
+            if meet(lo):
+                hi = lo
+            for _ in range(300):
+                mid = (lo + hi) / 2
+                lo, hi = (lo, mid) if meet(mid) else (mid, hi)
+            gap = abs(hi - mpmath.mpf(verify["radius"]))
+        assert gap > verify["tolerance"]
 
 
 class TestKCoverCenters:

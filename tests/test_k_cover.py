@@ -28,8 +28,8 @@ from lineplace._reference import _halfwidth, _rmin_points, build_lists_loop, dp_
     dp_scan, min_enclosing_scalar, relax_scan, rmin_on_axis, run_circle, run_radii, \
     run_radii_full, two_point_circle
 from lineplace.errors import NoBisectorRoot, TooLarge
-from lineplace.verify import _enclosing_circle, build_lists_sweep, dp_solve_sweep, \
-    enumerate_partitions, set_partition_oracle
+from lineplace.verify import _enclosing_circle, certify_run_table, enumerate_partitions, \
+    set_partition_oracle
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -44,10 +44,6 @@ def pset(*pairs):
 def point(ps, i):
     """Point i of the sorted set, as a Point of plain floats."""
     return Point(*ps.xy[i].tolist())
-
-
-def lists_as_tuples(lists):
-    return [tuple((left, radius) for left, radius in cl) for cl in lists]
 
 
 def random_pset(rng, n, regime):
@@ -272,15 +268,16 @@ _MILLI_POINT = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(
 
 
 class TestCandidateLists:
-    """The candidate lists of the sweep, and of the naive enumeration
-    that grows one pair circle at a time (_reference.build_lists_loop)."""
+    """The candidate lists of the per-pair loop that grows one pair circle
+    at a time (_reference.build_lists_loop), which dp_scan prices as a
+    second weight of the runs."""
 
     def test_pair_circle_expands(self):
-        lists = build_lists_sweep(pset((0, 0), (1, 0), (10, 0)), N2, TOL)
+        lists = build_lists_loop(pset((0, 0), (1, 0), (10, 0)), N2, TOL)
         assert (0, 0.5) in [(left, radius) for left, radius in lists[1]]
 
     def test_diagonal_always_present(self):
-        lists = build_lists_sweep(pset((0, 3), (5, 1)), N2, TOL)
+        lists = build_lists_loop(pset((0, 3), (5, 1)), N2, TOL)
         for r, cl in enumerate(lists):
             assert any(left == r for left, _ in cl)
 
@@ -288,67 +285,22 @@ class TestCandidateLists:
         rng = random.Random(4)
         ps = pset(*((rng.uniform(-20, 20), rng.uniform(-20, 20))
                     for _ in range(12)))
-        for cl in build_lists_sweep(ps, N2, TOL):
+        for cl in build_lists_loop(ps, N2, TOL):
             lefts = [left for left, _ in cl]
             assert lefts == sorted(lefts)
             assert len(set(lefts)) == len(lefts)
 
     def test_lists_hold_plain_pairs(self):
-        # both builders give, per right end, (left, radius) pairs of a
-        # Python int and float, the format that dp_solve weighs
+        # per right end, (left, radius) pairs of a Python int and float,
+        # the format that dp_scan weighs
         ps = pset((0, 1), (0, -1), (2, 3), (5, 0.5), (6, 2))
-        for build in (build_lists_sweep, build_lists_loop):
-            lists = build(ps, N2, TOL)
-            assert isinstance(lists, tuple) and len(lists) == len(ps)
-            for cl in lists:
-                assert isinstance(cl, tuple) and cl
-                for pair in cl:
-                    assert type(pair) is tuple and len(pair) == 2
-                    assert type(pair[0]) is int and type(pair[1]) is float
-
-    def test_sweep_requires_euclidean(self):
-        with pytest.raises(ValueError, match="requires p = 2"):
-            build_lists_sweep(pset((0, 1), (2, 2)), N3, TOL)
-
-    @pytest.mark.parametrize("n", [1, 2, 5, 12, 25])
-    def test_sweep_matches_naive(self, n):
-        rng = random.Random(n)
-        ps = pset(*((round(rng.uniform(-50, 50), 3), round(rng.uniform(-50, 50), 3))
-                    for _ in range(n)))
-        a = lists_as_tuples(build_lists_loop(ps, N2, TOL))
-        b = lists_as_tuples(build_lists_sweep(ps, N2, TOL))
-        assert a == b
-
-    def test_sweep_matches_naive_with_duplicates(self):
-        ps = pset((1, 2), (1, 2), (1, -2), (4, 0), (4, 1), (7, 2))
-        a = lists_as_tuples(build_lists_loop(ps, N2, TOL))
-        b = lists_as_tuples(build_lists_sweep(ps, N2, TOL))
-        assert a == b
-
-    @given(pairs=st.one_of(st.lists(_GRID_POINT, min_size=1, max_size=14),
-                           st.lists(_ONE_DECIMAL_POINT, min_size=1, max_size=14),
-                           st.lists(_MILLI_POINT, min_size=1, max_size=14)))
-    @example(pairs=[(0.0, -1.0), (1.0, 1.0), (2.0, 0.0)]).via(
-        "a pair circle listed for a run past a point it misses")
-    def test_sweep_matches_naive_on_ties(self, pairs):
-        # ties in distance, abscissa and |y|, which 3-decimal random
-        # floats almost never draw
-        ps = pset(*pairs)
-        assert build_lists_sweep(ps, N2, TOL) == build_lists_loop(ps, N2, TOL)
-
-    def test_sweep_memory_stays_quadratic(self):
-        # per-anchor temporaries are O(N^2); one N x N x N float array
-        # would be N / 16 times the bound
-        rng = random.Random(300)
-        n = 300
-        ps = pset(*((rng.uniform(0, 100), rng.uniform(-2, 2)) for _ in range(n)))
-        tracemalloc.start()
-        try:
-            build_lists_sweep(ps, N2, TOL)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * n * n * 8
+        lists = build_lists_loop(ps, N2, TOL)
+        assert isinstance(lists, tuple) and len(lists) == len(ps)
+        for cl in lists:
+            assert isinstance(cl, tuple) and cl
+            for pair in cl:
+                assert type(pair) is tuple and len(pair) == 2
+                assert type(pair[0]) is int and type(pair[1]) is float
 
 
 class TestPairCirclesBatch:
@@ -424,8 +376,6 @@ class TestPairCirclesBatch:
                   (1.7602215165300773e+241, 1.0), (1.2662318830438603e+282, 0.0))
         assert two_point_circle(ps, 1, 3, N2, TOL)[1] == math.inf
         assert math.isnan(two_point_circle(ps, 0, 3, N2, TOL)[1])
-        want = lists_as_tuples(build_lists_loop(ps, N2, TOL))
-        assert lists_as_tuples(build_lists_sweep(ps, N2, TOL)) == want
         for norm in (N1, N2):
             for cl in build_lists_loop(ps, norm, TOL):
                 assert all(math.isfinite(radius) for _, radius in cl)
@@ -616,6 +566,19 @@ def list_cover(cls):
     return np.minimum.accumulate(cover[:, ::-1], axis=1)[:, ::-1]
 
 
+def list_weights(cls, q):
+    """The weight of every last run b..r over the candidate lists cls, as
+    an N x N table: the least radius ** q of list r's candidates with
+    left <= b, since a candidate's circle covers every sub-run with its
+    right end. A b below every left of list r weighs inf; entries b > r
+    are never read."""
+    weights = np.full((len(cls), len(cls)), math.inf)
+    for r, cl in enumerate(cls):
+        for left, radius in cl:
+            weights[left, r] = radius ** q
+    return np.minimum.accumulate(weights, axis=0)
+
+
 class TestListsAgainstLoop:
     """The run table (_reference.run_radii) against the candidate lists of
     the per-pair loop of lineplace._reference.
@@ -685,6 +648,44 @@ class TestListsAgainstLoop:
         ps = pset((0.447712, 96.415328), (0.447713, 54.104628), (3, 1))
         radius = run_radii(ps.xy, 2.0, TOL)[np.triu_indices(3)]
         self._compare(ps, 2.0, hypot_tolerance(radius))
+
+
+class TestRunTableCertificate:
+    """verify.certify_run_table, the k-cover check of --verify above 10
+    points, on tables that are right; criterion 6 moves entries."""
+
+    @given(pairs=st.one_of(st.lists(_GRID_POINT, min_size=1, max_size=40),
+                           st.lists(_ONE_DECIMAL_POINT, min_size=1, max_size=40),
+                           st.lists(_MILLI_POINT, min_size=1, max_size=40)),
+           p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 30.0]))
+    def test_passes_tied_tables(self, pairs, p):
+        # ties in distance, abscissa and |y|, and duplicates, which
+        # random floats almost never draw
+        n = len(pairs)
+        report = certify_run_table(pset(*pairs), NormP(p), TOL)
+        assert report == {"runs": n * (n + 1) // 2, "failed": 0}
+
+    def test_non_finite_entry_fails(self):
+        # the pair circle of these points has a NaN center, so the run of
+        # both has radius inf in the table: a failing run, not an error
+        report = certify_run_table(pset((1e200, 1), (2e200, 1)), N2, TOL)
+        assert report == {"runs": 3, "failed": 1, "run": [0, 1], "radius": None,
+                          "tolerance": None}
+
+    def test_memory_stays_within_blocks(self):
+        # one column block of runs against a slab of points at a time,
+        # with no N x N table
+        rng = random.Random(300)
+        n = 1100
+        ps = pset(*((rng.uniform(0, 100), rng.uniform(-2, 2)) for _ in range(n)))
+        tracemalloc.start()
+        try:
+            report = certify_run_table(ps, N2, TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report["failed"] == 0
+        assert peak < n * n * 8
 
 
 def far_center_pairs(rng, n):
@@ -1222,19 +1223,16 @@ class TestHellyReduction:
                 i, j = sorted(rng.randrange(n) for _ in range(2))
                 got = run_circle(ps.xy[i:j + 1], radius[i, j], p)
                 assert bits(got) == bits(rmin_on_axis(ps, i, j, norm, TOL)), (i, j)
-            routes = [dp_solve, dp_solve_sweep] if p == 2.0 else [dp_solve]
             for K, how in ((1, "sum"), (3, "max"), (None, "sum")):
-                for route in routes:
-                    sol = route(ps, K, norm, TOL, AggSpec(1.0, how))
-                    assert ([bits((c.cx, c.radius)) for c in sol.circles]
-                            == [bits(rmin_on_axis(ps, i, j, norm, TOL)) for i, j in sol.intervals])
+                sol = dp_solve(ps, K, norm, TOL, AggSpec(1.0, how))
+                assert ([bits((c.cx, c.radius)) for c in sol.circles]
+                        == [bits(rmin_on_axis(ps, i, j, norm, TOL)) for i, j in sol.intervals])
 
     @pytest.mark.parametrize("lists, p", [("naive", 1.0), ("naive", 1.5), ("naive", 2.0),
                                           ("sweep", 2.0)])
     def test_one_pair_table_per_solve(self, monkeypatch, lists, p):
-        # the naive weights and the circles share one pass of
-        # _binding_radii over all pairs; the sweep route of --verify
-        # builds its lists without it and reads its circles off that pass
+        # the weights and the circles share one pass of _binding_radii
+        # over all pairs, whatever lists= says
         calls = []
         real = k_cover._binding_radii
 
@@ -1244,8 +1242,7 @@ class TestHellyReduction:
 
         monkeypatch.setattr(k_cover, "_binding_radii", counting)
         ps = random_pset(random.Random(f"one table {lists}{p}"), 30, "nearline")
-        route = dp_solve if lists == "naive" else dp_solve_sweep
-        route(ps, 4, NormP(p), TOL, AggSpec())
+        dp_solve(ps, 4, NormP(p), TOL, AggSpec(), lists=lists)
         assert calls == [30 * 31 // 2]
 
 
@@ -1296,8 +1293,7 @@ class TestDpSolve:
 
     @pytest.mark.parametrize("norm", [N2, N3])
     def test_lists_select_nothing(self, norm):
-        # both values weigh the runs by the run table, at every p; the
-        # sweep's lists chose other circles of the same max here
+        # both values weigh the runs by the run table, at every p
         ps = pset((2.82, -0.75), (3.64, -0.13), (2.86, 0.16), (2.75, -0.03))
         agg = AggSpec(2.0, "max")
         want = dp_solve(ps, None, norm, TOL, agg)
@@ -1327,9 +1323,7 @@ class TestDpSolve:
             K = rng.randint(1, 3)
             agg = AggSpec(rng.choice([1.0, 2.0]), kind)
             a = dp_solve(ps, K, N2, TOL, agg)
-            b = dp_solve_sweep(ps, K, N2, TOL, agg)
             o = set_partition_oracle(ps, K, N2, TOL, agg)
-            assert abs(a.objective - b.objective) <= 1e-9
             assert abs(a.objective - o.objective) <= 1e-6
 
     def test_non_euclidean_against_oracle(self):
@@ -1348,15 +1342,15 @@ class TestRelax:
     """k_cover._best_breaks, one previous DP row against a block of
     weight rows at once, against the nested scan of lineplace._reference,
     cell by cell. Each cell is a column j and the candidate list of its
-    last runs; its weight row is that list's (verify._list_weights) with
-    inf at the breaks b >= j, as k_cover._relax_blocks masks them."""
+    last runs; its weight row is that list's (list_weights) with inf at
+    the breaks b >= j, as k_cover._relax_blocks masks them."""
 
     def _both(self, prev, cells, q, is_sum):
         rows = []
         for j, cands in cells:
             # list j - 1 holds cands; the lists before it are not read
-            w = verify._list_weights(((),) * (j - 1) + (tuple(cands),), q)[:, j - 1]
-            rows.append(np.concatenate([w[:j], np.full(len(prev) - j, math.inf)]))
+            w = list_weights(((),) * (j - 1) + (tuple(cands),), q)[:, j - 1]
+            rows.append(np.concatenate([w, np.full(len(prev) - j, math.inf)]))
         # the DP's np.errstate: prev + w overflows to inf, as Python floats do
         with np.errstate(over="ignore"):
             best, brk = k_cover._best_breaks(np.array(prev), np.array(rows), is_sum)
@@ -1429,12 +1423,9 @@ def table_lists(ps, norm, tol=TOL):
 class TestDpAgainstScan:
     """dp_solve against the per-cell scan of lineplace._reference.
 
-    The naive route weighs every run by its least radius, so the scan
-    runs over the table as lists (table_lists): a candidate entered at
-    a break inside its run then weighs no less than the run from that
-    break. The sweep route of --verify (verify.dp_solve_sweep) runs the
-    same DP over the sweep's lists, which are the loop's at p = 2, bit
-    for bit.
+    dp_solve weighs every run by its least radius, so the scan runs over
+    the table as lists (table_lists): a candidate entered at a break
+    inside its run then weighs no less than the run from that break.
     """
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -1452,23 +1443,19 @@ class TestDpAgainstScan:
             assert got == dp_scan(ps, k, norm, TOL, agg, table_lists(ps, norm))
             loop = dp_scan(ps, k, norm, TOL, agg, build_lists_loop(ps, norm, TOL))
             assert got.objective <= loop.objective * (1 + dp_rounding(n))
-            if p == 2.0:
-                sweep = dp_scan(ps, k, norm, TOL, agg, build_lists_sweep(ps, norm, TOL))
-                assert dp_solve_sweep(ps, k, norm, TOL, agg) == sweep == loop
 
     @pytest.mark.parametrize("lists", ["naive", "sweep"])
     def test_non_finite_pair_circle(self, lists):
         # the pair circle of points near the float range has a NaN
         # center; the loops skip it, and so must the DP over the run
-        # table and over the sweep's lists
+        # table, whatever lists= says
         ps = pset((1e200, 1), (2e200, 1))
         agg = AggSpec(1.0, "sum")
-        route = dp_solve if lists == "naive" else dp_solve_sweep
-        got = [route(ps, K, N2, TOL, agg) for K in (2, None)]
+        got = [dp_solve(ps, K, N2, TOL, agg, lists=lists) for K in (2, None)]
         assert got[0] == got[1]
         assert got[0].intervals == ((0, 0), (1, 1))
         with pytest.raises(OverflowError):
-            route(ps, 1, N2, TOL, agg)
+            dp_solve(ps, 1, N2, TOL, agg, lists=lists)
         cls = build_lists_loop(ps, N2, TOL)
         assert [dp_scan(ps, K, N2, TOL, agg, cls) for K in (2, None)] == got
         with pytest.raises(OverflowError):
@@ -1513,12 +1500,10 @@ class TestDpAgainstScan:
                 want = [(min(3, c1 - s), s + 1) for c0, c1 in blocks for s in range(c0, c1, 3)]
             else:
                 want = [(c1 - c0, c1) for c0, c1 in blocks for _ in range(min(k, n))]
-            for route, cls in ((dp_solve, table_lists(ps, N2)),
-                               (dp_solve_sweep, build_lists_sweep(ps, N2, TOL))):
-                calls.clear()
-                got = route(ps, k, N2, TOL, agg)
-                assert calls == want
-                assert got == dp_scan(ps, k, N2, TOL, agg, cls)
+            calls.clear()
+            got = dp_solve(ps, k, N2, TOL, agg)
+            assert calls == want
+            assert got == dp_scan(ps, k, N2, TOL, agg, table_lists(ps, N2))
 
     @pytest.mark.parametrize("kind", ["sum", "max"])
     @pytest.mark.parametrize("K", [1, 3, "n", "n+2", None])
@@ -1548,9 +1533,9 @@ class TestDpAgainstScan:
             weights[below] = math.inf
             want = relax(ps, k, radius, weights)
             assert want == dp_solve(ps, k, N2, TOL, agg)
-            # what _list_weights leaves below the diagonal: the running
-            # minimum of the lists' weights down each column
-            listed = verify._list_weights(build_lists_sweep(ps, N2, TOL), agg.q)[below]
+            # what list_weights leaves below the diagonal: the running
+            # minimum of the loop's list weights down each column
+            listed = list_weights(build_lists_loop(ps, N2, TOL), agg.q)[below]
             drawn = np.array([rng.uniform(-4, 4) for _ in listed])
             for fill in (0.0, drawn, listed):
                 weights[below] = radius[below] = fill

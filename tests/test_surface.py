@@ -63,7 +63,7 @@ UNEXPORTED = {
     "set_partition_oracle",
     "enumerate_partitions",
     "OraclePartition",
-    "build_lists_sweep",
+    "certify_run_table",
     "compact",
     "merge_lower_envelopes",
     "base_envelope",
@@ -424,22 +424,31 @@ def test_k_cover_pairs_are_tested_by_their_span():
     assert isinstance(rtsafe.args[0], ast.Name) and rtsafe.args[0].id == closure.name
 
 
-def test_k_cover_sweep_lists_keep_their_surface():
-    # the p = 2 lists of the --verify cross-check grow every pair circle
-    # over arrays, one anchor point at a time: no event heap and no
-    # sorted index sets
+# the p = 2 sweep lists of the k-cover --verify route, which the
+# run-table certificate replaced at every p
+GONE_FROM_VERIFY = {"build_lists_sweep", "_group_lists", "_list_weights", "dp_solve_sweep"}
+
+
+def test_k_cover_verify_has_one_route():
+    # one k-cover rule at every p: cross_check never reads the norm's p,
+    # and the certificate reads the run table's blocks with no pair
+    # kernel of k_cover (no closed form, no rtsafe)
+    for path in SRC.glob("*.py"):
+        names = set(_bound_names(ast.parse(path.read_text(), filename=str(path))))
+        assert not GONE_FROM_VERIFY & names, path.name
+    assert not any(hasattr(verify, name) for name in GONE_FROM_VERIFY)
     tree = ast.parse((SRC / "verify.py").read_text())
-    modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-               for alias in node.names}
-    modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
-    assert not {"heapq", "bisect", "insort"} & (set(_bound_names(tree)) | modules)
-    build = verify.build_lists_sweep
-    assert list(inspect.signature(build).parameters) == ["pts", "norm", "tol"]
-    pts = lineplace.PointSet((lineplace.Point(0.0, 1.0), lineplace.Point(2.0, 2.0)))
-    with pytest.raises(ValueError, match="requires p = 2"):
-        build(pts, lineplace.NormP(3.0), lineplace.Tolerance())
-    with pytest.raises(lineplace.EmptyInput):
-        build(lineplace.PointSet(()), lineplace.NormP(2.0), lineplace.Tolerance())
+    fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    check = fns["cross_check"]
+    assert "p" not in {node.attr for node in ast.walk(check) if isinstance(node, ast.Attribute)}
+    assert "itertools" not in set(_bound_names(tree))
+    kernels = {name for name, value in vars(lineplace.k_cover).items()
+               if inspect.isfunction(value) and value.__module__ == "lineplace.k_cover"}
+    used = set()
+    for name in ("certify_run_table", "_meet", "_halfwidths"):
+        used |= {node.id for node in ast.walk(fns[name]) if isinstance(node, ast.Name)}
+    assert used & kernels == {"_run_columns", "_column_blocks"}
+    assert not {"_rtsafe", "_np_lp", "_lp_pair"} & used
 
 
 # the second covering-interval route that min_enclosing took below a
