@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import EmptyInput, NoBisectorRoot, NoCrossing
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, \
-    axis_argmin_abscissas, axis_distances, point_segment_distance, rescored_extreme, \
-    segment_columns, segment_rows, segments_from_columns
+    axis_argmin_abscissas, point_segment_distance, segment_columns, segment_rows, \
+    segments_from_columns
 from .intervals import PASS_CELLS, Interval, SegmentArray, covering_slack, least_radius
 from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _best_breaks, \
     _binding_radii, _no_finite_cover, _run_circles, _run_columns
@@ -508,21 +508,25 @@ def envelope_value(le: LowerEnvelope, segments, x: float, norm: NormP, tol: Tole
     return point_segment_distance(Point(x, 0.0), segments[le.pieces[i].seg_index], norm, tol)
 
 
-def _envelope_peak(env, cols: np.ndarray, norm: NormP, tol: Tolerance, scale: float) -> float:
+def _envelope_peak(env, cols: np.ndarray, norm: NormP, tol: Tolerance) -> float:
     """Exact maximum of the envelope value over its span.
 
     Each piece's distance profile is convex, so the maximum of the
-    pointwise minimum sits at a piece boundary or a domain end. The
-    distances at both ends of every piece, from its owner's row of
-    cols, come from one axis_distances pass, and rescored_extreme makes
-    the result that of folding point_segment_distance over them in
-    order from 0.
+    pointwise minimum sits at a piece boundary or a domain end. This
+    folds point_segment_distance from both ends of every piece to its
+    owner's row of cols, in piece order from 0, keeping a value only
+    when it is larger; Segment objects are made for the owners alone,
+    as obnoxious._largest_empty makes them.
     """
-    ends = np.array(env)
-    xs = ends[:, :2].ravel()
-    rows = cols[ends[:, 2].astype(np.intp).repeat(2)]
-    return rescored_extreme(axis_distances(xs, rows, norm.p), xs, rows, norm, tol, scale,
-                            largest=True, initial=0.0)
+    used = sorted({s for _, _, s in env})
+    segs = dict(zip(used, segments_from_columns(cols[used])))
+    peak = 0.0
+    for a, b, s in env:
+        for x in (a, b):
+            d = point_segment_distance(Point(x, 0.0), segs[s], norm, tol)
+            if d > peak:
+                peak = d
+    return peak
 
 
 def _fold_one(env, i: int, lo_x: float, hi_x: float, profiles, tol: Tolerance) -> list:
@@ -571,8 +575,8 @@ def envelope_one_off(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEn
     ownership runs tiling [0, L], each wider than eps / 2.
 
     A newcomer can only beat envelope values, which are at most the
-    envelope's peak (_envelope_peak, one array pass over the piece
-    ends), so the fold contests only the abscissas within the peak of
+    envelope's peak (_envelope_peak, a fold of exact distances over the
+    piece ends), so the fold contests only the abscissas within the peak of
     it: its covering interval at R = (peak + c) / (1 - eta), (eta, c) =
     covering_slack(peak), clipped to [0, L]. That computed interval
     holds the exact one at peak, by the margin that
@@ -596,7 +600,7 @@ def envelope_one_off(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEn
     profiles = [_build_profile(ax, ay, bx, by, norm.p) for ax, ay, bx, by in cols.tolist()]
     scale = max(float(np.abs(cols).max()), L)
     env = [(0.0, L, 0)]
-    peak = _envelope_peak(env, cols, norm, tol, scale)
+    peak = _envelope_peak(env, cols, norm, tol)
     accepted = 0
     # rows first..stop-1 have their windows at the current peak
     stop = 1
@@ -610,7 +614,7 @@ def envelope_one_off(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEn
         env = _fold_one(env, i, lo_x, hi_x, profiles, tol)
         accepted += 1
         if accepted % 32 == 0:
-            peak = _envelope_peak(env, cols, norm, tol, scale)
+            peak = _envelope_peak(env, cols, norm, tol)
             stop = i + 1
     return _wrap(env)
 

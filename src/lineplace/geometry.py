@@ -212,7 +212,7 @@ _MIN_NORMAL = 2.0 ** -1022
 @np.errstate(all="ignore")
 def _projection_scaled(A, B, ux, uy):
     """The clamped projection parameter of (A, B) on (ux, uy) at p = 2,
-    for directions whose squared length underflows; scalars or arrays.
+    for directions whose squared length underflows; arrays.
 
     With ux = sx 2^e, uy = sy 2^e and the larger of |sx|, |sy| in
     [1/2, 1), the parameter is q 2^-e, q = (A sx + B sy) / (sx^2 +
@@ -228,13 +228,30 @@ def _projection_scaled(A, B, ux, uy):
     return np.where(q > 0.0, np.where(q > np.ldexp(1.0, e), 1.0, np.ldexp(q, -e)), 0.0)
 
 
+def _projection_scaled_float(A: float, B: float, ux: float, uy: float) -> float:
+    """_projection_scaled of one direction, with the same bits, in
+    Python floats: a point segment (ux = uy = 0) gives 0, as the NaN q
+    of the array form does, and q 2^-e is formed only once q is at most
+    2^e, where it cannot overflow."""
+    e = math.frexp(max(abs(ux), abs(uy)))[1]
+    sx, sy = math.ldexp(ux, -e), math.ldexp(uy, -e)
+    den = sx * sx + sy * sy
+    if den == 0.0:
+        return 0.0
+    q = (A * sx + B * sy) / den
+    if not q > 0.0:
+        return 0.0
+    return 1.0 if q > math.ldexp(1.0, e) else math.ldexp(q, -e)
+
+
 def point_segment_distance(q: Point, s: Segment, norm: NormP, tol: Tolerance) -> float:
     """Minimum distance from q to any point of s under the norm.
 
     p = 2 uses the clamped perpendicular projection; when the squared
     length of the segment underflows, its parameter comes from the
-    coordinates scaled by a power of two (_projection_scaled), which is
-    0 for a point segment. Other exponents enumerate the finitely many
+    coordinates scaled by a power of two (_projection_scaled_float, the
+    bits of the array form _projection_scaled), which is 0 for a point
+    segment. Other exponents enumerate the finitely many
     optimality candidates of the convex one-dimensional problem
     (segment ends, the two coordinate kinks, and the sign-pattern
     stationary points), which is exact; a point segment has its two
@@ -249,7 +266,7 @@ def point_segment_distance(q: Point, s: Segment, norm: NormP, tol: Tolerance) ->
     if p == 2.0:
         den = ux * ux + uy * uy
         if den < _MIN_NORMAL:
-            t = float(_projection_scaled(A, B, ux, uy))
+            t = _projection_scaled_float(A, B, ux, uy)
         else:
             t = (A * ux + B * uy) / den
             if t < 0.0:

@@ -20,6 +20,12 @@ SegmentArray.covering, one row of intervals per radius (covering_slack
 bounds how far it may stray, which is what makes the solvers' pruning
 exact). The largest-empty-ball search combines each row by
 union_covers_rows and the enclosing search by intersect_rows. The
+largest-empty-ball search also reads the gaps and covered stretches of
+one row (union_gaps): inside its bracket it takes the union of the
+segments that can reach the gaps left at an anchor radius a
+covering_slack band below the bracket, with the stretches covered
+there as fixed intervals (obnoxious._GapAnchor), which is the union of
+all its segments bit for bit. The
 scalar kernel _reference.covering_interval, with its halfwidth and
 ystar rules, and the scalar combinations _reference.intersect_all and
 _reference.union_covers are the references that these are tested
@@ -77,6 +83,11 @@ MAX_RADII = 64
 # with numpy 2.4.6 a pass costs about 0.15 ms plus 0.2 us a cell, and
 # on the segments-spread instances of bench/ the largest-empty-ball
 # search took least time in all at 1024, within 4 % from 768 to 1536.
+# A pass asks as many radii as this allows over the rows it reads: the
+# kept rows, or in the largest-empty-ball search the rows of its gap
+# anchor, which it moves before a pass only while they allow fewer
+# than MAX_RADII. Where the anchor has no bound (covering_slack claims
+# none, or L = 0), every pass reads all kept rows.
 PASS_CELLS = 1024
 
 
@@ -291,6 +302,32 @@ def union_covers_rows(lo, hi, domain: Interval):
     return covered, witness, width
 
 
+def union_gaps(lo, hi, domain: Interval):
+    """The gaps that the intervals [lo[i], hi[i]] leave in domain, a
+    closed interval of positive width, and the stretches they cover.
+
+    Returns arrays (a, b, c, d), left to right: the closures [a[k],
+    b[k]] of the gaps, and the covered stretches [c[k], d[k]] of
+    domain between them, so that the union of the intervals meets
+    domain in exactly those stretches. The gaps are those that
+    union_covers_rows finds on the same row, from the same sorted lo
+    and hi: a gap starts at its reach and ends at the next lo, or at
+    domain.hi if sooner. Its ends are covered where an interval ends or
+    starts there; domain.lo is not where no interval reaches it, nor
+    domain.hi where the last gap runs to it.
+    """
+    keep = (lo <= hi) & (hi >= domain.lo)
+    starts = np.append(np.sort(np.where(keep, lo, math.inf)), math.inf)
+    reach = np.maximum(np.append(-math.inf, np.sort(np.where(keep, hi, math.inf))), domain.lo)
+    gap = (starts > reach) & (reach < domain.hi)
+    a, after = reach[gap], starts[gap]
+    b = np.where(after < domain.hi, after, domain.hi)
+    c, d = np.append(domain.lo, b), np.append(a, domain.hi)
+    first = 1 if gap[0] else 0
+    last = len(c) - 1 if len(after) and after[-1] > domain.hi else len(c)
+    return a, b, c[first:last], d[first:last]
+
+
 def bisect_radius(lo: float, hi: float, fits, tol: Tolerance, per_pass: int = 1):
     """Bisect [lo, hi] at the sign of fits, monotone in R, with lo
     infeasible and hi feasible; returns the final (lo, hi) and the
@@ -308,9 +345,12 @@ def bisect_radius(lo: float, hi: float, fits, tol: Tolerance, per_pass: int = 1)
     does not fit and falls through 0 at the boundary (NaN or inf where
     unknown). fits must depend on each radius alone. A pass asks it
     about up to per_pass radii (1 to MAX_RADII), the current midpoint
-    first (_pass_radii): every midpoint of the next levels, and below
-    them the path to the zero of the secant of the margins
-    (_secant_zero); one radius a pass is the midpoint alone. The walk
+    first (_pass_radii). per_pass is a count, or a function that takes
+    the bracket (lo, hi) before each pass and returns the count for
+    that pass; every radius of the pass, and of the passes after it,
+    lies inside that bracket. A pass asks every midpoint of the next
+    levels, and below them the path to the zero of the secant of the
+    margins (_secant_zero); one radius a pass is the midpoint alone. The walk
     then halves the bracket from the answers, taking each decision only
     from the answer at that exact midpoint, and the next pass starts
     where it met a midpoint not asked about.
@@ -322,13 +362,14 @@ def bisect_radius(lo: float, hi: float, fits, tol: Tolerance, per_pass: int = 1)
     """
     hi = hi + max(tol.eps, 1e-12 * hi)
     eps, cap = tol.eps, tol.max_iters
-    per_pass = max(1, min(per_pass, MAX_RADII))
+    pass_size = per_pass if callable(per_pass) else lambda lo, hi: per_pass
     seen = {}
     known_r, known_m = np.empty(0), np.empty(0)
     levels = 0
     while hi - lo > eps and levels < cap:
         guess = _secant_zero(known_r, known_m, lo, hi)
-        radii = _pass_radii(lo, hi, eps, cap - levels, per_pass, guess, seen)
+        n = max(1, min(pass_size(lo, hi), MAX_RADII))
+        radii = _pass_radii(lo, hi, eps, cap - levels, n, guess, seen)
         try:
             ok, margin = fits(np.array(radii))
         except (ValueError, ArithmeticError):

@@ -32,8 +32,8 @@ import numpy as np
 from .geometry import NormP, Point, Tolerance, _lp_pair, axis_argmin_abscissas, \
     axis_distances, point_segment_distance, rescored_extreme, segment_columns, segment_rows, \
     segments_from_columns
-from .intervals import Interval, SegmentArray, bisect_radius, covering_slack, \
-    union_covers_rows
+from .intervals import MAX_RADII, Interval, SegmentArray, bisect_radius, covering_slack, \
+    union_covers_rows, union_gaps
 from .one_center import PlacedCircle
 
 _INF = math.inf
@@ -553,6 +553,99 @@ def _owning_rows(far: np.ndarray, dmin: np.ndarray, scale: float, p: float):
     return ~(dmin > R_s * (1.0 + eta) + 2.0 * c), R_s
 
 
+class _GapAnchor:
+    """The rows that max_empty_binsearch's covering test reads inside
+    the current bracket: all kept rows, or those that can reach the
+    gaps left at a lower radius, the anchor.
+
+    e(R) = eta R + c is the band of covering_slack: a row's computed
+    interval at R lies between its exact intervals at R - e and R + e,
+    exact intervals grow with R, and R - e and R + e grow with R.
+    Let r1 be a radius whose union leaves the gaps G and covers the
+    stretches C of [0, L]. At every R with R - e(R) >= r1 + e(r1) each
+    row's computed interval holds its interval at r1, so the union of
+    all rows covers C. At h' with h' - e(h') >= h + e(h) each row's
+    interval holds its intervals at every R <= h, so a row whose
+    interval at h' misses every closed gap of G adds nothing to the
+    union in [0, L] beyond C at those R. There the rows that meet G,
+    with C as fixed intervals, have a union that meets [0, L] in the
+    same set as the union of all rows, and union_covers_rows gives the
+    same answer, witness and widest gap width, bit for bit.
+
+    Before each pass, pass_size takes the bracket (lo, hi) of the
+    search, and every radius asked from then on lies in (lo, hi]. lo
+    left a gap, and r1 is a radius a band below it, r1 + e(r1) <= lo -
+    e(lo), so r1 leaves a gap too and every later midpoint clears its
+    band; h is hi, and h' = (h (1 + eta) + 2c) / (1 - eta) at h's eta.
+    A covering pass at r1 and one at h' move the anchor: over the rows
+    and fixed stretches of the previous anchor when r1 lies in that
+    one's bracket, else over all kept rows. When only hi has moved, the
+    pass at h' alone picks the rows again. The anchor moves while its
+    rows keep a pass below MAX_RADII radii. Until one exists, and
+    wherever covering_slack claims no bound or L = 0 (one point), a
+    pass reads all kept rows.
+    """
+
+    def __init__(self, rows: np.ndarray, norm: NormP, domain: Interval, scale: float):
+        self.rows, self.norm, self.domain, self.scale = rows, norm, domain, scale
+        self.all = self.arr = SegmentArray(rows, norm)
+        # the anchor's rows of rows, the bracket (lo, hi] where they
+        # decide the union, its closed gaps and its covered stretches
+        self.index = self.lo = self.hi = self.gaps = None
+        self.fixed = (np.empty(0), np.empty(0))
+
+    def _band(self, R: float) -> float:
+        eta, c = covering_slack(R, self.scale, self.norm.p)
+        return eta * R + c if eta < 1.0 else _INF
+
+    def covering(self, radii: np.ndarray):
+        """SegmentArray.covering of the rows that decide the union at
+        radii, with the anchor's covered stretches as fixed columns."""
+        if self.index is None or not (radii.min() > self.lo and radii.max() <= self.hi):
+            return self.all.covering(radii)
+        lo, hi = self.arr.covering(radii)
+        shape = (len(radii), len(self.fixed[0]))
+        return (np.concatenate((lo, np.broadcast_to(self.fixed[0], shape)), axis=1),
+                np.concatenate((hi, np.broadcast_to(self.fixed[1], shape)), axis=1))
+
+    def pass_size(self, lo: float, hi: float) -> int:
+        """Move the anchor to the bracket (lo, hi) and return the radii
+        that a pass over the rows it reads may ask."""
+        if self.domain.hi > self.domain.lo and self.arr.radii_per_pass < MAX_RADII:
+            self._move(lo, hi)
+        return self.arr.radii_per_pass
+
+    def _move(self, lo: float, hi: float) -> None:
+        r1 = self._below(lo - self._band(lo))
+        if self.index is not None and r1 is not None and r1 <= self.lo:
+            r1 = None
+        if r1 is None and (self.index is None or hi == self.hi):
+            return
+        # eta falls as R grows, so it is below 1 at hi > lo
+        eta, c = covering_slack(hi, self.scale, self.norm.p)
+        h2 = (hi * (1.0 + eta) + 2.0 * c) / (1.0 - eta)
+        if r1 is not None:
+            (a,), (b,) = self.arr.covering(np.array([r1]))
+            self.gaps = union_gaps(np.append(a, self.fixed[0]), np.append(b, self.fixed[1]),
+                                   self.domain)
+            self.fixed, self.lo = self.gaps[2:], lo
+            if self.index is None:
+                self.index = np.arange(len(self.rows))
+        (a,), (b,) = self.arr.covering(np.array([h2]))
+        g_lo, g_hi = self.gaps[:2]
+        k = np.minimum(np.searchsorted(g_hi, a), len(g_hi) - 1)
+        self.index = self.index[(a <= g_hi[k]) & (b >= g_lo[k]) & (a <= b)]
+        self.arr = SegmentArray(self.rows[self.index], self.norm)
+        self.hi = hi
+
+    def _below(self, top: float):
+        """A radius r with r + e(r) <= top, or None. eta falls as R
+        grows, so eta at top / 2 bounds it at every r >= top / 2."""
+        eta, c = covering_slack(0.5 * top, self.scale, self.norm.p)
+        r = (top - c) / (1.0 + eta)
+        return r if r > 0.0 and r + self._band(r) <= top else None
+
+
 def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCircle:
     """Binary search the largest radius whose covering intervals fail
     to cover [0, L]; the witness of the failure is the center.
@@ -563,15 +656,21 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
     the bracket [0, max(d0, dL) of segments[0]]. One array pass over all
     rows finds the rows that cannot own any part of the answer, and the
     radius R_s from which the union covers [0, L] (_owning_rows); the
-    search runs on a SegmentArray of the rest, at every N. A pass of it
-    takes the union of the covering intervals at up to
-    SegmentArray.radii_per_pass radii at once (union_covers_rows),
-    answers covered unasked at every radius from R_s on, and guesses the
-    path below its tree from the widest gap, known only where the union
-    does not cover. The final radius, the distance from the witness to
-    the nearest segment, comes from an array kernel over all rows with
-    its near-ties recomputed by point_segment_distance, so every bit is
-    that of the search over all rows.
+    search runs on the rest, at every N. A pass of it takes the union of
+    the covering intervals at up to SegmentArray.radii_per_pass radii
+    at once (union_covers_rows), answers covered unasked at every radius
+    from R_s on, and guesses the path below its tree from the widest
+    gap, known only where the union does not cover. Once the bracket's
+    lo is above 0, a pass reads only the rows that can reach the gaps
+    left at an anchor radius a covering_slack band below lo, with the
+    stretches covered there as fixed intervals, and asks as many radii
+    as PASS_CELLS allows over those rows (_GapAnchor); the union is
+    that of all kept rows, bit for bit. Where covering_slack claims no
+    bound, and at L = 0, every pass reads all kept rows. The final
+    radius, the distance from the witness to the nearest segment, comes
+    from an array kernel over all rows with its near-ties recomputed by
+    point_segment_distance, so every bit is that of the search over all
+    rows.
     """
     cols = segment_rows(segments, L)
     domain = Interval(0.0, L)
@@ -580,7 +679,7 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
     far = np.maximum(axis_distances(0.0, cols, p), axis_distances(L, cols, p))
     dmin = axis_distances(axis_argmin_abscissas(cols, L), cols, p)
     keep, R_s = _owning_rows(far, dmin, scale, p)
-    arr = SegmentArray(cols[keep], norm)
+    rows = _GapAnchor(cols[keep], norm, domain, scale)
 
     witnesses = {}
 
@@ -592,9 +691,10 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
         margin = np.full(len(radii), math.nan)
         ask = radii < R_s
         if ask.any():
-            ok[ask], witness, width = union_covers_rows(*arr.covering(radii[ask]), domain)
+            asked = radii[ask]
+            ok[ask], witness, width = union_covers_rows(*rows.covering(asked), domain)
             margin[ask] = np.where(ok[ask], math.nan, width)
-            witnesses.update(zip(radii[ask].tolist(), witness.tolist()))
+            witnesses.update(zip(asked.tolist(), witness.tolist()))
         return ok, margin
 
     def nearest(x: float) -> float:
@@ -608,6 +708,6 @@ def max_empty_binsearch(segments, L: float, norm: NormP, tol: Tolerance) -> Plac
              point_segment_distance(Point(L, 0.0), s0, norm, tol))
     # the covering interval of s0 at radius hi spans [0, L] by convexity;
     # lo is 0 or a radius asked about that left a gap
-    lo = bisect_radius(0.0, hi, covered, tol, arr.radii_per_pass)[0]
+    lo = bisect_radius(0.0, hi, covered, tol, rows.pass_size)[0]
     witness = witnesses[lo]
     return PlacedCircle(witness, nearest(witness))

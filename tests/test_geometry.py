@@ -18,8 +18,8 @@ from lineplace import (
 from lineplace._reference import _min_distance_search, axis_argmin_exact, \
     distance_argmin_on_axis, equal_distance_point, segment_ox_intersection
 from lineplace.errors import NoCrossing
-from lineplace.geometry import axis_argmin_abscissas, axis_distances, rescored_extreme, \
-    segment_columns
+from lineplace.geometry import _projection_scaled, _projection_scaled_float, \
+    axis_argmin_abscissas, axis_distances, rescored_extreme, segment_columns
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -128,6 +128,22 @@ class TestPointSegmentDistance:
                 big = point_segment_distance(Point(c[0] * up, c[1] * up),
                                              seg(*(v * up for v in c[2:])), N2, TOL)
                 assert abs(d - big / up) <= 4 * math.ulp(big / up), (c, d, big / up)
+
+    def test_scalar_scaled_projection_is_the_array_form(self):
+        # the scalar caller's form of the scaled projection gives the
+        # bits of the array form, on point segments (0 or -0 in either
+        # coordinate) and on segments whose squared length underflows,
+        # down to subnormal directions, seen from near and far points
+        rng = random.Random("projection")
+        for _ in range(4000):
+            scale = 10.0 ** rng.uniform(-323.0, -155.0)
+            ux, uy = (rng.choice([0.0, -0.0, rng.uniform(-1.0, 1.0) * scale, 5e-324])
+                      for _ in range(2))
+            A, B = (rng.choice([0.0, rng.uniform(-10.0, 10.0) * scale,
+                                rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300.0, 308.0)])
+                    for _ in range(2))
+            want = float(_projection_scaled(np.array(A), np.array(B), np.array(ux), np.array(uy)))
+            assert _projection_scaled_float(A, B, ux, uy).hex() == want.hex(), (A, B, ux, uy)
 
     def test_subnormal_segment(self):
         # a segment 2 ulp of the smallest subnormal long, seen from above

@@ -16,7 +16,7 @@ from lineplace import (
 from lineplace._reference import _covering_bisect, _ystar_ratio, bisect_sequential, \
     covering_interval, intersect_all, union_covers
 from lineplace.intervals import MAX_RADII, SegmentArray, bisect_radius, intersect_rows, \
-    least_radius, union_covers_rows
+    least_radius, union_covers_rows, union_gaps
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -378,6 +378,38 @@ class TestArrayCombine:
             for k, (a, b) in enumerate(zip(*intersect_rows(lo, hi, domain))):
                 iv = Interval.empty() if a > b else Interval(a, b)
                 assert iv == intersect_all(table[k] + [domain])
+
+    # small integers make touching ends, point intervals and intervals
+    # that end at or start beyond an end of the domain
+    @given(st.lists(st.one_of(st.just(E), st.builds(
+               lambda a, w: Interval(a, a + w),
+               st.integers(-4, 12).map(float), st.integers(0, 6).map(float))),
+               min_size=1, max_size=8),
+           st.sampled_from([1.0, 5.0, 10.0]))
+    @example([Interval(-2, 0), Interval(4, 4), Interval(10, 12)], 10.0)
+    @example([Interval(1, 3), Interval(3, 9)], 10.0)
+    def test_gaps_are_the_union_complement(self, ivs, L):
+        # the covered stretches meet domain where the union does, the
+        # gaps lie between them, and the first gap and the widest are
+        # those of union_covers_rows
+        domain = Interval(0.0, L)
+        lo, hi = as_arrays(ivs)
+        a, b, c, d = union_gaps(lo, hi, domain)
+        ends = sorted({domain.lo, domain.hi} | {x for iv in ivs for x in (iv.lo, iv.hi)
+                                                if domain.contains(x)})
+        probes = ends + [0.5 * (u + v) for u, v in zip(ends, ends[1:])]
+        for x in probes:
+            inside = any(iv.contains(x) for iv in ivs)
+            assert inside == any(ck <= x <= dk for ck, dk in zip(c, d)), x
+            assert inside or any(ak <= x <= bk for ak, bk in zip(a, b)), x
+        assert all(ck <= dk for ck, dk in zip(c, d)) and all(d[:-1] < c[1:])
+        assert all(ak < bk for ak, bk in zip(a, b))
+        (covered,), (witness,), (width,) = union_covers_rows(lo[None], hi[None], domain)
+        assert covered == (len(a) == 0)
+        if not covered:
+            first = domain.lo if not len(c) or c[0] > domain.lo else 0.5 * (a[0] + b[0])
+            assert witness == first
+            assert width == max(b - a)
 
     def test_nan_bound_raises_as_an_interval_does(self):
         lo, hi = np.array([[0.0, math.nan]]), np.array([[5.0, 3.0]])

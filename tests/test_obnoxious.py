@@ -232,14 +232,6 @@ class TestP1Profile:
                 assert abs(A * x + B - want) <= 1e-12 * max(1.0, want), (x, A, B)
 
 
-def off_by_ulps(rng):
-    """geometry.axis_distances with every estimate moved by up to 3 ulp."""
-    def estimates(x, cols, p):
-        d = geometry.axis_distances(x, cols, p)
-        return d * (1.0 + np.array([rng.randint(-3, 3) for _ in d]) * 2.0 ** -53)
-    return estimates
-
-
 class TestMinimiserTable:
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("norm", [N1, N2, N3])
@@ -297,10 +289,9 @@ class TestMinimiserTable:
     @pytest.mark.parametrize("split", ["halves", "one-off"])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @pytest.mark.parametrize("scale", [1.0, 1e-170, 1e300])
-    def test_peak_is_the_scalar_fold(self, split, p, scale, monkeypatch):
-        # one axis_distances pass with rescoring gives the bits of the
-        # fold of point_segment_distance over every piece end in order,
-        # also when the estimates are a few ulp off
+    def test_peak_is_the_scalar_fold(self, split, p, scale):
+        # the peak is the fold of point_segment_distance over every
+        # piece end in order, bit for bit
         norm, tol = NormP(p), Tolerance(eps=1e-9 * scale)
         rng = random.Random(f"peak {p} {scale}")
         for _ in range(4):
@@ -315,10 +306,7 @@ class TestMinimiserTable:
                     d = point_segment_distance(Point(x, 0.0), segs[s], norm, tol)
                     if d > want:
                         want = d
-            with monkeypatch.context() as m:
-                m.setattr(_reference, "axis_distances", off_by_ulps(rng))
-                got = _reference._envelope_peak(env, segment_columns(segs), norm, tol,
-                                                100.0 * scale)
+            got = _reference._envelope_peak(env, segment_columns(segs), norm, tol)
             assert got.hex() == want.hex()
 
     @pytest.mark.parametrize("split", ["halves", "one-off"])
@@ -1097,6 +1085,67 @@ class TestMaxEmpty:
             env = compute_lower_envelope(segs, 10.0, norm, TOL)
             c2 = largest_empty_from_envelope(env, segs, norm, TOL)
             assert abs(c1.radius - c2.radius) <= 2e-9
+
+
+# the coordinate ranges of a segments-nearline row under bench/, whose
+# coordinates are rounded to 6 digits
+BENCH_NEARLINE = [(0.0, 100.0), (-2.0, 2.0)] * 2
+
+
+class TestGapAnchor:
+    # at the parent of the gap anchor every pass read all kept rows:
+    # 31.5 to 41 cells a row on these draws, 33 to 51 on the bench's
+    CELLS_PER_ROW = 20
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_cells_per_row(self, p, monkeypatch):
+        # seeded near-line instances of the bench's segments-nearline
+        # (N 220 to 480): the (radius, segment) cells that one search
+        # evaluates over all its covering passes stay below 20 N, at 5.7
+        # to 14.6 N on these draws, with the bits of the search that
+        # reads all kept rows at every pass
+        cells = []
+        real = SegmentArray.covering
+
+        def counting(arr, radii):
+            cells[-1] += len(radii) * len(arr.ax)
+            return real(arr, radii)
+
+        monkeypatch.setattr(SegmentArray, "covering", counting)
+        norm = NormP(p)
+        for seed in range(4):
+            for n in (220, 300, 400, 480):
+                rng = random.Random(f"gap anchor {seed} {n}")
+                cols = np.array([[round(rng.uniform(lo, hi), 6) for lo, hi in BENCH_NEARLINE]
+                                 for _ in range(n)])
+                cells.append(0)
+                got = max_empty_binsearch(cols, 100.0, norm, TOL)
+                assert cells[-1] < self.CELLS_PER_ROW * n, (seed, n)
+                with monkeypatch.context() as m:
+                    m.setattr(obnoxious._GapAnchor, "_move", lambda *args: None)
+                    cells.append(0)
+                    want = max_empty_binsearch(cols, 100.0, norm, TOL)
+                assert (got.cx.hex(), got.radius.hex()) == (want.cx.hex(), want.radius.hex())
+
+    def test_no_anchor_without_a_bound(self, monkeypatch):
+        # at p = 30 covering_slack's eta is above 1, beyond 2^200 it
+        # claims no bound, and at L = 0 the domain is one point: every
+        # pass reads all kept rows
+        moved = []
+        real = obnoxious._GapAnchor.covering
+
+        def spying(anchor, radii):
+            moved.append(anchor.index is not None)
+            return real(anchor, radii)
+
+        monkeypatch.setattr(obnoxious._GapAnchor, "covering", spying)
+        cols, L = _nearline(240, 5)
+        for rows, span, p in ((cols, L, 30.0), (cols * 1e70, L * 1e70, 2.0), (cols, 0.0, 2.0)):
+            max_empty_binsearch(rows, span, NormP(p), Tolerance(eps=1e-9 * max(span, 1.0)))
+            assert moved and not any(moved)
+            moved.clear()
+        max_empty_binsearch(cols, L, N2, TOL)
+        assert any(moved)
 
 
 def off_axis_rows(rng, n, regime):

@@ -162,23 +162,39 @@ def test_union_covers_witness_is_uncovered(raw):
 
 # -- pruning in the two radius bisections never changes an answer ------
 
+# the search tolerances: the default, one relative to the coordinate
+# scale, and coarse ones, 0.5 and 4 times the scale
+_EPS = [None, 1e-9, 0.5, 4.0]
+
+
+def _tolerance(eps, scale):
+    if eps is None:
+        return TOL
+    return Tolerance(eps=eps) if eps == 0.5 else Tolerance(eps=eps * scale)
+
+
 @st.composite
 def _row_instances(draw, sizes, scales):
-    """Rows mixing the shapes the pruning rules meet.
+    """Rows mixing the shapes the pruning rules meet, with the search
+    tolerance.
 
     A seeded generator fills the rows; hypothesis draws the seed, the
-    size, the coordinate scale, L and the share of each shape: spread
-    or near-line rows, rows crossing the axis, point rows, level rows,
-    duplicates (ties in every bound), and rows lying on the axis over all
-    of [0, L]. When every row lies on the axis, the one-center lower
-    bound is 0 and a rule that dropped every row with max(d0, dL) <= lo
-    would keep none.
+    size, the coordinate scale, L, the tolerance and the share of each
+    shape: spread or near-line rows, rows crossing the axis, point rows,
+    level rows, duplicates (ties in every bound), and rows lying on the
+    axis over all of [0, L]. When every row lies on the axis, the
+    one-center lower bound is 0 and a rule that dropped every row with
+    max(d0, dL) <= lo would keep none. Near-line rows either overhang
+    [0, 100 scale] or lie over it, where the largest empty circle sits
+    at 0 or next to 100 scale once L is that.
     """
     seed = draw(st.integers(0, 2**32 - 1))
     n = draw(sizes)
     scale = draw(st.sampled_from(scales))
     L = draw(st.sampled_from([0.0, 1.0, 10.0, 100.0])) * scale
+    tol = _tolerance(draw(st.sampled_from(_EPS)), scale)
     nearline = draw(st.booleans())
+    x_lo, x_hi = draw(st.sampled_from([(-20.0, 120.0), (0.0, 100.0)]))
     # one weight per shape, and the last for duplicates
     weights = draw(st.lists(st.integers(0, 3), min_size=6, max_size=6))
     rng = random.Random(seed)
@@ -188,7 +204,7 @@ def _row_instances(draw, sizes, scales):
 
     def row():
         if nearline:
-            x1, x2 = coord(-20.0, 120.0), coord(-20.0, 120.0)
+            x1, x2 = coord(x_lo, x_hi), coord(x_lo, x_hi)
             y1, y2 = coord(-2.0, 2.0), coord(-2.0, 2.0)
         else:
             x1, y1, x2, y2 = (coord(-100.0, 100.0) for _ in range(4))
@@ -217,7 +233,15 @@ def _row_instances(draw, sizes, scales):
             rows.append(list(rng.choice(rows)))
         else:
             rows.append(rng.choice(pick)())
-    return np.array(rows), L
+    return np.array(rows), L, tol
+
+
+def _nearline(seed, n, L, scale=1.0, eps=None):
+    """n rows with x in [0, 100 scale] and |y| <= 2 scale, over [0, L]."""
+    rng = random.Random(seed)
+    rows = [[rng.uniform(0.0, 100.0) * scale, rng.uniform(-2.0, 2.0) * scale,
+             rng.uniform(0.0, 100.0) * scale, rng.uniform(-2.0, 2.0) * scale] for _ in range(n)]
+    return np.array(rows), L, _tolerance(eps, scale)
 
 
 def _bits(c):
@@ -233,21 +257,58 @@ def _all_rows_every_radius(far, *args):
     return _all_rows(far), math.inf
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
-@given(inst=_row_instances(st.integers(24, 200), [1e-6, 1.0, 1e6]))
+def _binsearch_runs(segs, L, norm, tol):
+    """The bits of max_empty_binsearch as it runs, with the gap anchor
+    moved before every pass however few its rows, and with no anchor."""
+    runs = [_bits(max_empty_binsearch(segs, L, norm, tol))]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(obnoxious, "MAX_RADII", math.inf)
+        runs.append(_bits(max_empty_binsearch(segs, L, norm, tol)))
+        m.setattr(obnoxious._GapAnchor, "_move", lambda *args: None)
+        runs.append(_bits(max_empty_binsearch(segs, L, norm, tol)))
+    return runs
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 30.0])
+@given(inst=_row_instances(st.integers(24, 200), [1e-70, 1e-6, 1.0, 1e6, 1e70]))
+@example(inst=_nearline(9, 200, 100.0)).via("largest empty circle at x = 0")
+@example(inst=_nearline(8, 200, 100.0)).via("largest empty circle next to x = L")
+@example(inst=_nearline(2, 60, 0.0)).via("L = 0")
+@example(inst=_nearline(3, 120, 100.0, eps=0.5)).via("eps of 0.5")
+@example(inst=_nearline(4, 120, 100.0, eps=4.0)).via("eps of 4 times the scale")
+@example(inst=_nearline(5, 120, 1e72, scale=1e70)).via("scale beyond 2^200")
+@example(inst=_nearline(5, 120, 1e-68, scale=1e-70, eps=1e-9)).via("scale below 2^-200")
 @settings(deadline=None)
 def test_pruning_never_changes_an_answer(p, inst):
-    cols, L = inst
+    # the rows that cannot own the answer, and the rows that cannot
+    # reach the gaps left a band below the bracket, are dropped: with
+    # the pruning and without any, the bits agree
+    cols, L, tol = inst
     norm = NormP(p)
     segs = [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in cols.tolist()]
-    pruned = [_bits(min_enclosing(segs, L, norm, TOL)),
-              _bits(max_empty_binsearch(segs, L, norm, TOL))]
+    pruned = _bits(min_enclosing(segs, L, norm, tol))
+    runs = _binsearch_runs(segs, L, norm, tol)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(one_center, "_binding_rows", _all_rows)
         m.setattr(obnoxious, "_owning_rows", _all_rows_every_radius)
-        full = [_bits(min_enclosing(segs, L, norm, TOL)),
-                _bits(max_empty_binsearch(segs, L, norm, TOL))]
-    assert pruned == full
+        m.setattr(obnoxious._GapAnchor, "_move", lambda *args: None)
+        full = [_bits(min_enclosing(segs, L, norm, tol)),
+                _bits(max_empty_binsearch(segs, L, norm, tol))]
+    assert pruned == full[0]
+    assert runs == [full[1]] * 3
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(17, 300),
+       L=st.sampled_from([10.0, 50.0, 100.0]))
+@settings(deadline=None)
+def test_gap_anchor_never_changes_an_answer(p, seed, n, L):
+    # near-line rows over [0, 100], where the search reaches a bracket a
+    # few bands wide and the anchor drops all but a few rows
+    cols, L, tol = _nearline(seed, n, L)
+    segs = [Segment(Point(ax, ay), Point(bx, by)) for ax, ay, bx, by in cols.tolist()]
+    runs = _binsearch_runs(segs, L, NormP(p), tol)
+    assert runs[1:] == runs[:1] * 2
 
 
 # -- the k-cover circle of a run scales with its points ----------------
