@@ -9,17 +9,19 @@ kernel takes numpy's powers, its intersection and union cover and the
 one-center search over them, where the solvers run one array kernel,
 the bisection that asks about one midpoint at a time, the one-segment
 constrained argmin and axis crossing, where the solvers read one
-array table, the k-cover candidate lists of slack-grown pair circles,
-a second weight of the runs where the solver reads the run table, the
-bisected circle of a k-cover run, which the solver reads off its pair
-circles, and the one-off fold of the lower envelope,
-which adds the segments one at a time where the solver merges halves,
-through the solver's own merge of two envelopes.
+array table, the scalar pair circle of k-cover, which bisects where
+the solver takes closed forms and rtsafe, the plain recursion of the
+k-cover DP over the run table, one scalar scan a cell where the solver
+relaxes blocks of cells in array passes, and the one-off fold of the
+lower envelope, which adds the segments one at a time where the solver
+merges halves, through the solver's own merge of two envelopes. The
+circle of one k-cover run has no second route here: the tests compare
+it with the partition oracle's min_enclosing in lineplace.verify.
 Beside them sit the one-at-a-time entry points that only the tests
-call: the scalar pair circle, the k-cover run table gathered from its
-column blocks, the circle of one k-cover run, the single-segment
-envelope, and the merge and compaction of two envelopes. Not
-exported, and no solver module imports it.
+call: the k-cover run table gathered from its column blocks, the circle
+of one k-cover run, the single-segment envelope, and the merge and
+compaction of two envelopes. Not exported, and no solver module
+imports it.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, \
     axis_argmin_abscissas, point_segment_distance, segment_columns, segment_rows, \
     segments_from_columns
 from .intervals import PASS_CELLS, Interval, SegmentArray, covering_slack, least_radius
-from .k_cover import _SLACK_FLOOR, AggSpec, CoverSolution, PointSet, _best_breaks, \
-    _binding_radii, _no_finite_cover, _run_circles, _run_columns
+from .k_cover import AggSpec, CoverSolution, PointSet, _no_finite_cover, _run_circles, \
+    _run_columns
 from .obnoxious import EnvelopePiece, LowerEnvelope, _build_profile, \
     _compact_pieces, _merge_raw, compute_lower_envelope
 from .one_center import PlacedCircle
@@ -240,8 +242,8 @@ def _halfwidth(R: float, y: float, p: float):
 
     Returns the largest h with lp(h, y) <= R, or None when |y| > R.
     A slightly negative base only arises from rounding at |y| = R and
-    is clamped to the boundary. The scalar rule of covering_interval and
-    _rmin_points: reference for the halfwidth of SegmentArray.covering,
+    is clamped to the boundary. The scalar rule of covering_interval:
+    reference for the halfwidth of SegmentArray.covering,
     which admits the same bases, and, where R >= |y|, for the strict
     halfwidth of k_cover._meeting, which takes the same operations.
     """
@@ -687,70 +689,6 @@ def two_point_circle(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance)
     return xc, _lp_pair(xc - xi, yi, p)
 
 
-def _finalize_lists(lists, pts: PointSet):
-    """Add the pinned single-point candidate, dedup, and sort.
-
-    lists[r] holds the (left, radius) of every run found that ends at
-    point r. Radii that are not finite are dropped: coordinates near
-    the float range give pair circles of radius inf or NaN, which the
-    DP never chooses. Returns, for each right end, a tuple of
-    (left, radius) pairs in ascending left, grouped by a dict per list.
-    """
-    Y = pts.xy[:, 1].tolist()
-    out = []
-    for r, cand in enumerate(lists):
-        best = {r: abs(Y[r])}
-        for left, rad in cand:
-            if not math.isfinite(rad):
-                continue
-            cur = best.get(left)
-            if cur is None or rad < cur:
-                best[left] = rad
-        out.append(tuple((left, best[left]) for left in sorted(best)))
-    return tuple(out)
-
-
-def build_lists_loop(pts: PointSet, norm: NormP, tol: Tolerance):
-    """Candidate lists by direct enumeration of all point pairs.
-
-    Each pair circle is expanded from its smaller index in both
-    directions while points stay covered; the resulting run and radius
-    join the list of the run's right end. One two_point_circle call per
-    pair, and O(N) coverage tests per circle: O(N^3) Python steps. A
-    point counts as covered where its _lp_pair distance from the center
-    is at most R plus the slack of verify._cover_slack, written out
-    here, since within the package only the CLI imports verify.
-    """
-    n = len(pts)
-    if n == 0:
-        raise EmptyInput("need at least one point")
-    p = norm.p
-    e = tol.eps if tol.eps > _SLACK_FLOOR else _SLACK_FLOOR
-    X, Y = pts.xy.T.tolist()
-    lists = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            try:
-                xc, R = two_point_circle(pts, i, j, norm, tol)
-            except NoBisectorRoot:
-                continue
-            reach = R + e * max(1.0, R)
-
-            def cov(k: int) -> bool:
-                return _lp_pair(X[k] - xc, Y[k], p) <= reach
-            left = i
-            while left > 0 and cov(left - 1):
-                left -= 1
-            right = i
-            while right + 1 < n and cov(right + 1):
-                right += 1
-            # expansion is stepwise, so a run that reached the pair's
-            # far point must be covered throughout
-            assert right < j or all(cov(k) for k in range(left, right + 1))
-            lists[right].append((left, R))
-    return _finalize_lists(lists, pts)
-
-
 def rmin_on_axis(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):
     """Smallest axis-centered ball covering points i..j; returns (cx, r),
     from the run's own radius table (run_radii), as dp_solve reads the
@@ -767,99 +705,31 @@ def run_circle(xy, r, p: float):
     return _run_circles(xy, [(0, len(xy) - 1)], [r], p)[0]
 
 
-def _rmin_points(xy, norm: NormP, tol: Tolerance):
-    """Smallest ball centered anywhere on the axis covering the points,
-    the rows [x, y] of the array xy, by bisection. Reference for
-    k_cover._run_circles, which rmin_on_axis and dp_solve take.
-
-    The center is not held to any stretch [0, L]: it ranges over the
-    whole line. A center left or right of every point gets nearer to
-    all of them by moving toward them, so the optimum lies in
-    [min x, max x]. The search is min_enclosing's, the shared
-    intervals.least_radius, over the window [min x - max|y|,
-    max x + max|y|] shifted to [0, L], with a region kernel on plain
-    floats. Each point's nearest abscissa lies in the window, at
-    distance |y|, so the lower bound is max|y|; at every radius R
-    tried, R >= |y|, a point covers the abscissas within _halfwidth of
-    its own, as covering_interval gives for a point segment, and the
-    window clips their intersection. The center and radius are bit for
-    bit those of min_enclosing_scalar on the run's point segments in
-    the same window. min_enclosing's array kernel takes its powers from
-    numpy, which may round them 1 ulp apart from Python's at p != 1 (at
-    p = 2, its square root against pow), so its bits can differ there.
-    _run_circles' intervals (k_cover._meeting) take the operations of
-    _halfwidth at its radius, which it reads off the run table, so the
-    radii of the two agree within the bisection's eps.
+def relax_scan(row_prev, weights, is_sum: bool):
+    """Best (value, break) of a DP cell whose last run starts at a break
+    b < len(weights) and weighs weights[b]: row_prev[b] + weights[b], or
+    the larger of the two, scanned in break order, the first strictly
+    smaller value winning; (inf, None) where every value is inf.
+    Reference for k_cover._best_breaks.
     """
-    p = norm.p
-    xs, ys = xy.T.tolist()
-    ys = [abs(y) for y in ys]
-    maxy = max(ys)
-    shift, end = min(xs) - maxy, max(xs) + maxy
-    L = end - shift
-    xs = [x - shift for x in xs]
-    if not math.isfinite(L):
-        # a shifted abscissa or L beyond the float range, with the
-        # errors that Point and min_enclosing raise for them
-        raise ValueError("point coordinates must be finite" if not math.isfinite(max(xs))
-                         else "L must be finite and nonnegative")
-
-    def region_at(radii):
-        """Arrays of the one (lo, hi) where the points' covering
-        intervals and [0, L] meet at the one radius of radii; lo > hi
-        where they do not."""
-        (R,) = radii.tolist()
-        if not math.isfinite(R):
-            raise ValueError("radius must be finite and nonnegative")
-        lo, hi = -math.inf, math.inf
-        for x, y in zip(xs, ys):
-            h = _halfwidth(R, y, p)
-            if x - h > lo:
-                lo = x - h
-            if x + h < hi:
-                hi = x + h
-        if 0.0 > lo:
-            lo = 0.0
-        if L < hi:
-            hi = L
-        return np.array([lo]), np.array([hi])
-
-    hi = max(_lp_pair(x, y, p) for x, y in zip(xs, ys))
-    (a, b), R = least_radius(maxy, hi, region_at, tol)
-    return 0.5 * (a + b) + shift, R
+    best, brk = math.inf, None
+    for b, w in enumerate(weights):
+        prev = row_prev[b]
+        val = prev + w if is_sum else (prev if prev >= w else w)
+        if val < best:
+            best, brk = val, b
+    return best, brk
 
 
-def relax_scan(row_prev, j: int, lefts, weights, is_sum: bool):
-    """Best (value, break) for a last run ending at point j - 1.
-
-    Scans every candidate of list j - 1 (left ends lefts, weights
-    radius ** q) and every break inside its run; the first strictly
-    smaller value wins. Reference for k_cover._best_breaks over a
-    weight row that holds, at each break, the least weight of the
-    candidates that start at or before it.
-    """
-    best, bl = math.inf, None
-    for cand_left, w in zip(lefts, weights):
-        for left in range(cand_left, j):
-            prev = row_prev[left]
-            if prev == math.inf:
-                continue
-            val = prev + w if is_sum else (prev if prev >= w else w)
-            if val < best:
-                best, bl = val, left
-    return best, bl
-
-
-def dp_scan(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec, cls) -> CoverSolution:
-    """The k-cover DP over the candidate lists cls, one relax_scan per
-    DP cell, row after row. Reference for the relaxation of
-    k_cover._relax_blocks (a whole budget row per array pass and block
-    for an integer K, a few columns per array pass and a scalar scan for
-    K = None), which gives the same solution over the same weights: the
-    exact radius table as lists, as k_cover.dp_solve weighs its runs.
-    Over the slack-grown lists of build_lists_loop it prices the runs a
-    second way, and the DP over the table never reports more. The
-    circles of the chosen runs come from rmin_on_axis.
+def dp_scan(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec) -> CoverSolution:
+    """The k-cover DP by the plain recursion over the run table
+    (run_radii), one relax_scan per DP cell, row after row: O(K N^2)
+    scalar steps. Reference for the relaxation of k_cover._relax_blocks
+    (a whole budget row per array pass and block for an integer K, a
+    few columns per array pass and a scalar scan for K = None), which
+    gives the same solution: the same weights radius ** q, and the same
+    first break of the least value. The circles of the chosen runs come
+    from rmin_on_axis.
     """
     n = len(pts)
     if n == 0:
@@ -868,15 +738,14 @@ def dp_scan(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec, cls) ->
         K = min(K, n)
     q = agg.q
     is_sum = agg.kind == "sum"
-    cand_lefts = [[left for left, _ in cl] for cl in cls]
-    cand_weights = [[radius ** q for _, radius in cl] for cl in cls]
+    radius = run_radii(pts.xy, norm.p, tol).T.tolist()
+    weights = [[r ** q for r in row[:j + 1]] for j, row in enumerate(radius)]
     rows, back = (1, 0) if K is None else (K, 1)
     opt = [[0.0] + [math.inf] * n for _ in range(rows + 1)]
     par = [[None] * (n + 1) for _ in range(rows + 1)]
     for k in range(1, rows + 1):
         for j in range(1, n + 1):
-            opt[k][j], par[k][j] = relax_scan(opt[k - back], j, cand_lefts[j - 1],
-                                              cand_weights[j - 1], is_sum)
+            opt[k][j], par[k][j] = relax_scan(opt[k - back], weights[j - 1], is_sum)
     if opt[rows][n] == math.inf:
         raise _no_finite_cover()
     runs = []
@@ -887,13 +756,9 @@ def dp_scan(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec, cls) ->
         j = left
         k -= back
     runs.reverse()
-    circles = []
-    weights = []
-    for left, right in runs:
-        cx, rad = rmin_on_axis(pts, left, right, norm, tol)
-        circles.append(PlacedCircle(cx, rad))
-        weights.append(rad ** q)
-    objective = math.fsum(weights) if is_sum else max(weights)
+    circles = [PlacedCircle(*rmin_on_axis(pts, left, right, norm, tol)) for left, right in runs]
+    powers = [c.radius ** q for c in circles]
+    objective = math.fsum(powers) if is_sum else max(powers)
     return CoverSolution(tuple(runs), tuple(circles), objective)
 
 
@@ -908,62 +773,3 @@ def run_radii(xy, p: float, tol: Tolerance):
     for c0, R in _run_columns(xy, p, tol):
         table[:R.shape[1], c0:c0 + len(R)] = R.T
     return table
-
-
-def run_radii_full(xy, p: float, tol: Tolerance):
-    """The run table of run_radii from whole N x N arrays: the binding
-    radii of all pairs at once (k_cover._binding_radii), and their 2-D
-    running maximum along each row toward larger r, then up each
-    column. Reference for the column blocks of k_cover._run_columns and
-    the pairs that they pass."""
-    n = len(xy)
-    X, Y = xy.T.copy()
-    I, J = np.triu_indices(n)
-    binding = np.zeros((n, n))
-    binding[I, J] = _binding_radii(X, Y, I, J, p, tol)
-    return np.maximum.accumulate(np.maximum.accumulate(binding, axis=1)[::-1], axis=0)[::-1]
-
-
-def dp_full_table(pts: PointSet, K, norm: NormP, tol: Tolerance, agg: AggSpec) -> CoverSolution:
-    """k_cover.dp_solve over whole N x N tables: the run table of
-    run_radii_full, and the DP's budget rows relaxed over the whole
-    square in one k_cover._best_breaks call each, for K = None one
-    column at a time. Reference for the stream of k_cover._run_columns
-    into k_cover._relax_blocks, which gives the same bits in O(N)
-    memory; this takes O(N^2)."""
-    xy, p = pts.xy, norm.p
-    n = len(xy)
-    radius = run_radii_full(xy, p, tol)
-    if K is not None:
-        K = min(K, n)
-    is_sum = agg.kind == "sum"
-    with np.errstate(over="ignore"):
-        last = (radius ** agg.q).T
-    np.copyto(last, _INF, where=~np.tri(n, dtype=bool))
-    rows, back = (1, 0) if K is None else (K, 1)
-    opt = np.full((rows + 1, n + 1), _INF)
-    brk = np.zeros((rows + 1, n + 1), dtype=np.intp)
-    opt[:, 0] = 0.0
-    with np.errstate(over="ignore"):
-        if K is None:
-            for j in range(1, n + 1):
-                opt[1, j:j + 1], brk[1, j:j + 1] = _best_breaks(opt[1, :j], last[j - 1:j, :j],
-                                                                is_sum)
-        else:
-            for k in range(1, K + 1):
-                opt[k, 1:], brk[k, 1:] = _best_breaks(opt[k - 1, :n], last, is_sum)
-    if opt[rows, n] == _INF:
-        raise _no_finite_cover()
-    runs = []
-    k, j = rows, n
-    while j > 0:
-        left = int(brk[k, j])
-        runs.append((left, j - 1))
-        j = left
-        k -= back
-    runs.reverse()
-    circles = [PlacedCircle(*run_circle(xy[left:right + 1], radius[left, right], p))
-               for left, right in runs]
-    powers = [c.radius ** agg.q for c in circles]
-    objective = math.fsum(powers) if is_sum else max(powers)
-    return CoverSolution(tuple(runs), tuple(circles), objective)

@@ -1,4 +1,4 @@
-"""Planar L_p geometry: distances, axis frames, and distance profiles.
+"""Planar L_p geometry: norms, distances, axis frames and a root kernel.
 
 Everything downstream works in an "axis frame" where the feasible
 center line is the interval [0, L] of the horizontal axis. This module

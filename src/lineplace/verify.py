@@ -213,10 +213,10 @@ def _enclosing_circle(points, norm: NormP, tol: Tolerance):
     holds the optimum. The oracle prices its blocks here, on the
     covering intervals of intervals.SegmentArray, as every
     min_enclosing does. It shares nothing with the k-cover circles
-    (k_cover._run_circles, from pair circles), and with their bisecting
-    reference (_reference._rmin_points, on scalar halfwidths) only
-    intervals.least_radius; the grid oracle shares neither. A window
-    wider than the float range raises TooLarge."""
+    (k_cover._run_circles, from pair circles), and the tests take it,
+    and min_enclosing's scalar reference in the same window, as the
+    bisecting reference for the circle of one run. A window wider than
+    the float range raises TooLarge."""
     maxy = max(abs(y) for _, y in points)
     xs = [x for x, _ in points]
     lo = min(xs) - maxy

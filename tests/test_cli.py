@@ -612,6 +612,34 @@ class TestRobustness:
         assert result["verify"]["ok"] is False
         assert abs(result["verify"]["grid_radius"] - 1.0256) < 1e-4
 
+    def test_verify_flags_the_envelope_overflow_near_1e300(self, tmp_path):
+        # a right answer that --verify rejects (ROADMAP item 3): near
+        # 1e300 the line offset of obnoxious._build_profile overflows, and
+        # the envelope route answers 6.009e299. The solve's 1.9057e299 at
+        # x = L is right: on the instance scaled exactly by 2^-994 the
+        # solve and its envelope check agree, and scale back to it. This
+        # flips to ok: true when item 3 lands
+        inst = {"problem": "obnoxious-center", "p": 3, "constraint": [0, 0, 1e300, 0],
+                "segments": [[-8.375e299, -7.84e294, -6.573e299, 3.73e296],
+                             [1e299, 5e298, 4e299, -1e299], [7e299, 1e298, 9e299, 2e299]]}
+        results = []
+        for k in (0, -994):
+            path = tmp_path / f"inst{k}.json"
+            path.write_text(json.dumps({**inst, "constraint": [math.ldexp(v, k) for v in
+                                                               inst["constraint"]],
+                                        "segments": [[math.ldexp(v, k) for v in seg]
+                                                     for seg in inst["segments"]]}))
+            code, out = run_cli(["solve", "--in", str(path), "--verify"])
+            assert code == 0
+            results.append(json.loads(out)["result"])
+        got, scaled = results
+        assert got["center_x"] == 1e300
+        assert got["verify"]["ok"] is False
+        assert abs(got["verify"]["other_radius"] - 6.009e299) < 1e296
+        assert scaled["verify"]["ok"] is True
+        for want in (scaled["radius"], scaled["verify"]["other_radius"]):
+            assert abs(got["radius"] - math.ldexp(want, 994)) <= 1e-9 * got["radius"]
+
     @pytest.mark.parametrize("n,k", [(12, None), (11, 5)])
     def test_verify_beyond_oracle_limits(self, tmp_path, n, k):
         # above the partition oracle's 10 points the run-table

@@ -24,9 +24,8 @@ from lineplace import (
 )
 from lineplace import geometry, k_cover, verify
 from lineplace.cli import main
-from lineplace._reference import _halfwidth, _rmin_points, build_lists_loop, dp_full_table, \
-    dp_scan, min_enclosing_scalar, relax_scan, rmin_on_axis, run_circle, run_radii, \
-    run_radii_full, two_point_circle
+from lineplace._reference import _halfwidth, dp_scan, min_enclosing_scalar, relax_scan, \
+    rmin_on_axis, run_circle, run_radii, two_point_circle
 from lineplace.errors import NoBisectorRoot, TooLarge
 from lineplace.verify import _enclosing_circle, certify_run_table, enumerate_partitions, \
     set_partition_oracle
@@ -267,42 +266,6 @@ _MILLI_POINT = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(
     lambda t: (t[0] * 1e-3, t[1] * 1e-3))
 
 
-class TestCandidateLists:
-    """The candidate lists of the per-pair loop that grows one pair circle
-    at a time (_reference.build_lists_loop), which dp_scan prices as a
-    second weight of the runs."""
-
-    def test_pair_circle_expands(self):
-        lists = build_lists_loop(pset((0, 0), (1, 0), (10, 0)), N2, TOL)
-        assert (0, 0.5) in [(left, radius) for left, radius in lists[1]]
-
-    def test_diagonal_always_present(self):
-        lists = build_lists_loop(pset((0, 3), (5, 1)), N2, TOL)
-        for r, cl in enumerate(lists):
-            assert any(left == r for left, _ in cl)
-
-    def test_sorted_and_unique_lefts(self):
-        rng = random.Random(4)
-        ps = pset(*((rng.uniform(-20, 20), rng.uniform(-20, 20))
-                    for _ in range(12)))
-        for cl in build_lists_loop(ps, N2, TOL):
-            lefts = [left for left, _ in cl]
-            assert lefts == sorted(lefts)
-            assert len(set(lefts)) == len(lefts)
-
-    def test_lists_hold_plain_pairs(self):
-        # per right end, (left, radius) pairs of a Python int and float,
-        # the format that dp_scan weighs
-        ps = pset((0, 1), (0, -1), (2, 3), (5, 0.5), (6, 2))
-        lists = build_lists_loop(ps, N2, TOL)
-        assert isinstance(lists, tuple) and len(lists) == len(ps)
-        for cl in lists:
-            assert isinstance(cl, tuple) and cl
-            for pair in cl:
-                assert type(pair) is tuple and len(pair) == 2
-                assert type(pair[0]) is int and type(pair[1]) is float
-
-
 class TestPairCirclesBatch:
     """k_cover._binding_radii against two_point_circle, pair by pair.
 
@@ -370,15 +333,12 @@ class TestPairCirclesBatch:
 
     def test_huge_coordinates_give_no_inf(self):
         # pair circles of coordinates near the float range overflow to
-        # inf or NaN at p = 2, as in Python floats; none reaches a list,
-        # and the runs over them get radius inf in the run table
+        # inf or NaN at p = 2, as in Python floats, and the runs over them
+        # get radius inf in the run table
         ps = pset((-2.019955896797132e+200, 0.0), (-9.864074220590215e+151, 0.0),
                   (1.7602215165300773e+241, 1.0), (1.2662318830438603e+282, 0.0))
         assert two_point_circle(ps, 1, 3, N2, TOL)[1] == math.inf
         assert math.isnan(two_point_circle(ps, 0, 3, N2, TOL)[1])
-        for norm in (N1, N2):
-            for cl in build_lists_loop(ps, norm, TOL):
-                assert all(math.isfinite(radius) for _, radius in cl)
         radius = run_radii(ps.xy, 2.0, TOL)
         assert radius[0, 3] == radius[1, 3] == math.inf
         assert np.isfinite(np.diag(radius)).all()
@@ -531,85 +491,71 @@ class TestPairCirclesBatch:
         assert all(math.isfinite(c.radius) for c in sol.circles)
 
     def test_far_pair_circles_do_not_overflow(self):
-        # Python's ** overflows in the scalar loop's widening; the batch
-        # runs each pair on its own power-of-two scale and binds every
-        # pair as the loop's circles do. The pairs of point 0, |y| =
-        # 3.73e16, have their centers far left of the span, where the
-        # loop overflows: they bind at 0
+        # Python's ** overflows in the scalar reference's widening; the
+        # batch runs each pair on its own power-of-two scale and binds
+        # every pair as the reference's circles do. The pairs of point 0,
+        # |y| = 3.73e16, have their centers far left of the span, where
+        # the reference overflows: they bind at 0
         ps = pset((-16, -3.73e16), (-16, 0), (-10, 0), (-6, -94.8), (1.2e-246, -16))
         norm = NormP(5.998)
-        with pytest.raises(OverflowError):
-            build_lists_loop(ps, norm, TOL)
+        overflows = 0
         for i, j, R in batch_binding(ps, norm, TOL):
             assert math.isfinite(R), (i, j)
             try:
                 want = two_point_circle(ps, i, j, norm, TOL)
             except OverflowError:
                 assert i == 0 and j > 0 and R == 0.0, (i, j)
+                overflows += 1
                 continue
             except NoBisectorRoot:  # (0, 1): one abscissa, |y| differ
                 want = None
             check_binding(ps, i, j, R, want, norm.p, TOL.eps)
+        assert overflows > 0
         assert np.isfinite(run_radii(ps.xy, norm.p, TOL)).all()
 
 
-def list_cover(cls):
-    """cover[l, r], l <= r: the least radius of a candidate of the lists
-    cls whose run holds l..r, a run left..right with left <= l and
-    right >= r; inf where none does."""
-    n = len(cls)
-    cover = np.full((n, n), math.inf)
-    for r, cl in enumerate(cls):
-        for left, radius in cl:
-            cover[left, r] = radius
-    cover = np.minimum.accumulate(cover, axis=0)
-    return np.minimum.accumulate(cover[:, ::-1], axis=1)[:, ::-1]
-
-
-def list_weights(cls, q):
-    """The weight of every last run b..r over the candidate lists cls, as
-    an N x N table: the least radius ** q of list r's candidates with
-    left <= b, since a candidate's circle covers every sub-run with its
-    right end. A b below every left of list r weighs inf; entries b > r
-    are never read."""
-    weights = np.full((len(cls), len(cls)), math.inf)
-    for r, cl in enumerate(cls):
-        for left, radius in cl:
-            weights[left, r] = radius ** q
-    return np.minimum.accumulate(weights, axis=0)
+def scalar_table(ps, norm):
+    """The run table by Helly's theorem from the scalar pair circles of
+    two_point_circle: entry [l, r], l <= r, is the largest |y| of points
+    l..r and radius of their pairs whose center lies between the pair's
+    points. A pair with no center (NoBisectorRoot) binds nothing."""
+    n = len(ps)
+    X = ps.xy[:, 0].tolist()
+    binding = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            try:
+                xc, R = two_point_circle(ps, i, j, norm, TOL)
+            except NoBisectorRoot:
+                continue
+            if X[i] <= xc <= X[j]:
+                binding[i, j] = R
+    return np.maximum.accumulate(np.maximum.accumulate(binding, axis=1)[::-1], axis=0)[::-1]
 
 
 class TestListsAgainstLoop:
-    """The run table (_reference.run_radii) against the candidate lists of
-    the per-pair loop of lineplace._reference.
-
-    A candidate is a pair circle grown over the points that it covers
-    within the slack of _cover_slack, so the least radius of a run that
-    it holds is at most its radius plus that slack; twice the slack
-    also covers the rounding of the coverage test and of the table.
-    Conversely the circle of a run's binding pair, whose radius is the
-    table's entry, holds the whole run by Helly's theorem, so a
-    candidate of that radius holds it. So the least candidate radius
-    over a run lies within the slack below the table's entry, and no
-    further above it than the two routes' pair radii differ.
+    """The run table (_reference.run_radii) against the scalar pair
+    circles of _reference.two_point_circle, maximised over each run by
+    Helly's theorem (scalar_table). The entries of the two differ by no
+    more than the two routes' pair radii do. (The class and test names
+    come from the candidate lists that the per-pair loop grew from the
+    same scalar pair circles; they are kept so that the test ids stay
+    stable.)
     """
 
     def _compare(self, ps, p, above):
         iu = np.triu_indices(len(ps))
         radius = run_radii(ps.xy, p, TOL)[iu]
-        cover = list_cover(build_lists_loop(ps, NormP(p), TOL))[iu]
-        assert (cover <= radius + above).all()
-        slack = max(TOL.eps, 2.0 ** -40) * np.maximum(1.0, cover)
-        assert (radius <= cover + 2 * slack + above).all()
+        assert (np.abs(scalar_table(ps, NormP(p))[iu] - radius) <= above).all()
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize("regime", ["nearline", "spread", "grid"])
     def test_identical_lists(self, regime, p):
         # at p = 2 both routes take the same closed-form pair circles,
         # whose radii np.hypot and math.hypot round within
-        # hypot_tolerance of each other; at p = 1 the loop bisects where
-        # the table takes the closed form, within taxicab_tolerance of
-        # each other
+        # hypot_tolerance of each other; at p = 1 the scalar route
+        # bisects where the table takes the closed form, within
+        # taxicab_tolerance of each other
         rng = random.Random(f"lists{regime}{p}")
         for n in (1, 2, 7, 30):
             ps = random_pset(rng, n, regime)
@@ -622,19 +568,18 @@ class TestListsAgainstLoop:
 
     def test_hypots_apart(self):
         # the run of both points has the table's radius from np.hypot and
-        # the loop's candidate from math.hypot, 1 ulp apart
+        # the scalar route's from math.hypot, 1 ulp apart
         ps = pset(*HYPOT_APART)
         radius = run_radii(ps.xy, 2.0, TOL)[np.triu_indices(2)]
-        cover = list_cover(build_lists_loop(ps, N2, TOL))[np.triu_indices(2)]
-        assert radius[1] != cover[1]
+        assert radius[1] != scalar_table(ps, N2)[0, 1]
         self._compare(ps, 2.0, hypot_tolerance(radius))
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("regime", ["nearline", "spread", "grid"])
     def test_identical_runs(self, regime, p):
-        # the loop bisects where the table takes rtsafe; a run's entry
-        # is the radius of a pair whose center lies between its points,
-        # and there the two routes differ within pair_tolerance
+        # the scalar route bisects where the table takes rtsafe; a run's
+        # entry is the radius of a pair whose center lies between its
+        # points, and there the two routes differ within pair_tolerance
         rng = random.Random(f"runs{regime}{p}")
         norm = NormP(p)
         for n in (1, 2, 7, 30):
@@ -760,31 +705,6 @@ def dp_rounding(n):
     return 4 * n * 2.0 ** -53
 
 
-def bench_relaxation(radius, K):
-    """The runs of the plain recursion over the table radius, K rows of
-    the sum of radii, each cell taking its first least break."""
-    n = len(radius)
-    W = radius.tolist()
-    prev = [0.0] + [math.inf] * n
-    parents = []
-    for _ in range(K):
-        cur, par = [0.0] + [math.inf] * n, [None] * (n + 1)
-        for j in range(1, n + 1):
-            for b in range(j):
-                v = prev[b] + W[b][j - 1]
-                if v < cur[j]:
-                    cur[j], par[j] = v, b
-        parents.append(par)
-        prev = cur
-    runs, j = [], n
-    for par in reversed(parents):
-        if j == 0:
-            break
-        runs.append((par[j], j - 1))
-        j = par[j]
-    return tuple(reversed(runs))
-
-
 class TestCertifiedJumps:
     """Extreme inputs for the DP over the run table: duplicates on a
     grid, p = 1 plateaus, far pair centers and points near the line, at
@@ -838,7 +758,7 @@ class TestCertifiedJumps:
         # sets of the benchmark's sizes, with a budget of most runs: the
         # table's entries are the standalone circles of its runs, bit for
         # bit, and the vectorised relaxation of dp_solve chooses the runs
-        # of the plain recursion over the same table (bench_relaxation)
+        # of the plain recursion over the same table (dp_scan)
         rng = random.Random(f"steps {regime}")
         ps = bench_like_pset(rng, n, regime)
         norm = NormP(p)
@@ -848,7 +768,7 @@ class TestCertifiedJumps:
             got = run_circle(ps.xy[i:j + 1], radius[i, j], p)
             assert bits(got) == bits(rmin_on_axis(ps, i, j, norm, TOL)), (i, j)
         sol = dp_solve(ps, most, norm, TOL, AggSpec(1.0, "sum"))
-        assert sol.intervals == bench_relaxation(radius, most)
+        assert sol.intervals == dp_scan(ps, most, norm, TOL, AggSpec(1.0, "sum")).intervals
         assert sol.objective == math.fsum(radius[i, j] for i, j in sol.intervals)
 
     @pytest.mark.parametrize("case, p", [("far", 1.5), ("far", 3.0), ("grid", 1.0),
@@ -856,8 +776,8 @@ class TestCertifiedJumps:
                                          ("nearline", 300.0)])
     def test_certified_thresholds_hold_exactly(self, case, p):
         # every entry R of the run table is the run's least radius within
-        # s = eps max(1, R), the slack with which the lists count a point
-        # as covered (_cover_slack): at R + s the points' intervals of
+        # s = eps max(1, R), the coverage slack of --verify
+        # (_cover_slack): at R + s the points' intervals of
         # centers meet, and at R - s they do not, checked in 60-digit
         # decimal arithmetic, far beyond the float rounding. "far" holds
         # pairs whose centers lie far away (abscissas 1e-6 apart, |y|
@@ -921,11 +841,6 @@ def kernel_psets(rng, n):
     yield pset(*((x0, 0.0) for _ in range(n)))
 
 
-def reference_route(ps, i, j, norm):
-    """The circle of run i..j by the bisecting reference."""
-    return _rmin_points(ps.xy[i:j + 1], norm, TOL)
-
-
 def rounding_scale(ps, i, j, r):
     """The magnitude that the rounding of a run's circle scales with:
     its radius and its points' coordinates."""
@@ -954,8 +869,9 @@ class TestRminOnAxis:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     def test_bits_of_the_scalar_enclosing_route(self, p):
         # the bisecting reference is min_enclosing's scalar reference
-        # route on plain floats, bit for bit (on these draws at p = 1
-        # and 2 the array route too, at every size; elsewhere numpy's
+        # route over the run's point segments, in the window of the
+        # partition oracle (on these draws at p = 1 and 2 the array
+        # route gives its bits too, at every size; elsewhere numpy's
         # powers may round 1 ulp apart from Python's), and rmin_on_axis
         # lies in that bisection's final bracket: the
         # reference reports its upper end hi, with hi - lo <= eps and
@@ -966,12 +882,10 @@ class TestRminOnAxis:
         for n in (1, 2, 5, 23, 24, 60, 200):
             for ps in kernel_psets(rng, n):
                 runs = [(0, n - 1), (n // 3, n - 1 - n // 4)]
-                want = [reference_route(ps, i, j, norm) for i, j in runs]
+                want = [scalar_enclosing_route(ps, i, j, norm) for i, j in runs]
                 if p in (1.0, 2.0):
                     assert ([bits(c) for c in want]
                             == [bits(enclosing_route(ps, i, j, norm)) for i, j in runs])
-                assert ([bits(c) for c in want]
-                        == [bits(scalar_enclosing_route(ps, i, j, norm)) for i, j in runs])
                 for (i, j), (_, r_ref) in zip(runs, want):
                     r = rmin_on_axis(ps, i, j, norm, TOL)[1]
                     slack = 16 * U * rounding_scale(ps, i, j, r_ref)
@@ -1094,8 +1008,8 @@ class TestHellyReduction:
         # whose interval holds it is covered up to rounding, and where
         # rounding leaves lo > hi no point lies farther than (lo - hi) / 2
         # outside its interval, where a distance grows at slope <= 1. The
-        # excess stays within the slack with which the lists count a
-        # point as covered at any eps, 2^-40 max(1, R) (_cover_slack)
+        # excess stays within the coverage slack of --verify at any eps,
+        # 2^-40 max(1, R) (_cover_slack)
         norm = NormP(p)
         rng = random.Random(f"helly cover {p}")
         for ps, i, j in helly_runs(rng):
@@ -1228,11 +1142,10 @@ class TestHellyReduction:
                 assert ([bits((c.cx, c.radius)) for c in sol.circles]
                         == [bits(rmin_on_axis(ps, i, j, norm, TOL)) for i, j in sol.intervals])
 
-    @pytest.mark.parametrize("lists, p", [("naive", 1.0), ("naive", 1.5), ("naive", 2.0),
-                                          ("sweep", 2.0)])
+    @pytest.mark.parametrize("lists, p", [("naive", 1.0), ("naive", 1.5), ("naive", 2.0)])
     def test_one_pair_table_per_solve(self, monkeypatch, lists, p):
         # the weights and the circles share one pass of _binding_radii
-        # over all pairs, whatever lists= says
+        # over all pairs
         calls = []
         real = k_cover._binding_radii
 
@@ -1338,12 +1251,25 @@ class TestDpSolve:
             assert abs(a.objective - o.objective) <= 1e-6
 
 
+def list_weights(cls, q):
+    """The weight of every last run b..r over the candidate lists cls, as
+    an N x N table: the least radius ** q of list r's candidates with
+    left <= b, since a candidate's circle covers every sub-run with its
+    right end. A b below every left of list r weighs inf; entries b > r
+    are never read."""
+    weights = np.full((len(cls), len(cls)), math.inf)
+    for r, cl in enumerate(cls):
+        for left, radius in cl:
+            weights[left, r] = radius ** q
+    return np.minimum.accumulate(weights, axis=0)
+
+
 class TestRelax:
     """k_cover._best_breaks, one previous DP row against a block of
-    weight rows at once, against the nested scan of lineplace._reference,
-    cell by cell. Each cell is a column j and the candidate list of its
-    last runs; its weight row is that list's (list_weights) with inf at
-    the breaks b >= j, as k_cover._relax_blocks masks them."""
+    weight rows at once, against the scalar scan of lineplace._reference,
+    cell by cell. Each cell is a column j and the candidate runs of its
+    last run; its weight row is theirs (list_weights) with inf at the
+    breaks b >= j, as k_cover._relax_blocks masks them."""
 
     def _both(self, prev, cells, q, is_sum):
         rows = []
@@ -1355,9 +1281,7 @@ class TestRelax:
         with np.errstate(over="ignore"):
             best, brk = k_cover._best_breaks(np.array(prev), np.array(rows), is_sum)
         got = [(b, None if b == math.inf else k) for b, k in zip(best.tolist(), brk.tolist())]
-        want = [relax_scan(prev, j, [left for left, _ in cands],
-                           [radius ** q for _, radius in cands], is_sum)
-                for j, cands in cells]
+        want = [relax_scan(prev, row.tolist(), is_sum) for row in rows]
         return got, want
 
     @pytest.mark.parametrize("kind", ["sum", "max"])
@@ -1413,42 +1337,25 @@ def budget(K, n):
     return {"n": n, "n+2": n + 2}.get(K, K)
 
 
-def table_lists(ps, norm, tol=TOL):
-    """The run table (_reference.run_radii) as candidate lists: list r
-    holds (l, the least radius of run l..r) for every l <= r."""
-    radius = run_radii(ps.xy, norm.p, tol).tolist()
-    return tuple(tuple((left, radius[left][r]) for left in range(r + 1)) for r in range(len(ps)))
-
-
 class TestDpAgainstScan:
-    """dp_solve against the per-cell scan of lineplace._reference.
-
-    dp_solve weighs every run by its least radius, so the scan runs over
-    the table as lists (table_lists): a candidate entered at a break
-    inside its run then weighs no less than the run from that break.
-    """
+    """dp_solve against the per-cell scan of lineplace._reference, the
+    plain recursion over the same run table."""
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     @pytest.mark.parametrize("K", [1, 3, "n", "n+2", None])
     def test_loops_give_the_same_solution(self, K, p):
-        # the loop's lists are slack-grown pair circles, whose runs the
-        # scan prices at their least radii as the DP does: the naive
-        # route minimises that objective, so it never reports more
         rng = random.Random(f"dp{K}{p}")
         norm = NormP(p)
         for n, regime, q, kind in ((9, "nearline", 1.0, "sum"), (14, "spread", 2.0, "max"),
                                    (12, "grid", 1.0, "max"), (25, "nearline", 2.0, "sum")):
             ps, agg, k = random_pset(rng, n, regime), AggSpec(q, kind), budget(K, n)
-            got = dp_solve(ps, k, norm, TOL, agg)
-            assert got == dp_scan(ps, k, norm, TOL, agg, table_lists(ps, norm))
-            loop = dp_scan(ps, k, norm, TOL, agg, build_lists_loop(ps, norm, TOL))
-            assert got.objective <= loop.objective * (1 + dp_rounding(n))
+            assert dp_solve(ps, k, norm, TOL, agg) == dp_scan(ps, k, norm, TOL, agg)
 
-    @pytest.mark.parametrize("lists", ["naive", "sweep"])
+    @pytest.mark.parametrize("lists", ["naive"])
     def test_non_finite_pair_circle(self, lists):
         # the pair circle of points near the float range has a NaN
-        # center; the loops skip it, and so must the DP over the run
-        # table, whatever lists= says
+        # center, and the run of both radius inf: the DP and the scan
+        # skip it
         ps = pset((1e200, 1), (2e200, 1))
         agg = AggSpec(1.0, "sum")
         got = [dp_solve(ps, K, N2, TOL, agg, lists=lists) for K in (2, None)]
@@ -1456,10 +1363,9 @@ class TestDpAgainstScan:
         assert got[0].intervals == ((0, 0), (1, 1))
         with pytest.raises(OverflowError):
             dp_solve(ps, 1, N2, TOL, agg, lists=lists)
-        cls = build_lists_loop(ps, N2, TOL)
-        assert [dp_scan(ps, K, N2, TOL, agg, cls) for K in (2, None)] == got
+        assert [dp_scan(ps, K, N2, TOL, agg) for K in (2, None)] == got
         with pytest.raises(OverflowError):
-            dp_scan(ps, 1, N2, TOL, agg, cls)
+            dp_scan(ps, 1, N2, TOL, agg)
 
     @pytest.mark.parametrize("p", [1.5, 3.0])
     @pytest.mark.parametrize("K", [1, 3, "n", "n+2", None])
@@ -1467,9 +1373,8 @@ class TestDpAgainstScan:
         rng = random.Random(f"dpq{K}{p}")
         for n, regime in ((9, "nearline"), (14, "spread"), (12, "grid")):
             ps, k = random_pset(rng, n, regime), budget(K, n)
-            cls = table_lists(ps, NormP(p))
             for agg in (AggSpec(1.0, "sum"), AggSpec(2.0, "max")):
-                want = dp_scan(ps, k, NormP(p), TOL, agg, cls)
+                want = dp_scan(ps, k, NormP(p), TOL, agg)
                 assert dp_solve(ps, k, NormP(p), TOL, agg) == want
 
 
@@ -1503,7 +1408,7 @@ class TestDpAgainstScan:
             calls.clear()
             got = dp_solve(ps, k, N2, TOL, agg)
             assert calls == want
-            assert got == dp_scan(ps, k, N2, TOL, agg, table_lists(ps, N2))
+            assert got == dp_scan(ps, k, N2, TOL, agg)
 
     @pytest.mark.parametrize("kind", ["sum", "max"])
     @pytest.mark.parametrize("K", [1, 3, "n", "n+2", None])
@@ -1533,11 +1438,8 @@ class TestDpAgainstScan:
             weights[below] = math.inf
             want = relax(ps, k, radius, weights)
             assert want == dp_solve(ps, k, N2, TOL, agg)
-            # what list_weights leaves below the diagonal: the running
-            # minimum of the loop's list weights down each column
-            listed = list_weights(build_lists_loop(ps, N2, TOL), agg.q)[below]
-            drawn = np.array([rng.uniform(-4, 4) for _ in listed])
-            for fill in (0.0, drawn, listed):
+            drawn = np.array([rng.uniform(-4, 4) for _ in below[0]])
+            for fill in (0.0, drawn):
                 weights[below] = radius[below] = fill
                 assert relax(ps, k, radius, weights) == want
 
@@ -1562,8 +1464,8 @@ def sol_bits(sol):
 
 class TestStream:
     """The run table streamed into the DP in column blocks
-    (k_cover._run_columns, k_cover._relax_blocks) against the whole
-    N x N tables of lineplace._reference, bit for bit."""
+    (k_cover._run_columns, k_cover._relax_blocks) against one block of
+    the whole table, bit for bit."""
 
     @given(ps=stream_sets(), p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 30.0]),
            K=st.sampled_from([None, 1, 2, 3, 4, 5, 6, 7]), kind=st.sampled_from(["sum", "max"]),
@@ -1575,16 +1477,18 @@ class TestStream:
     @settings(deadline=None, max_examples=40)
     def test_stream_equals_the_full_table(self, ps, p, K, kind, q, pairs):
         # a small pair budget makes blocks of a column or a few, which
-        # cut through the optimal runs; a maximum is exact and the DP
-        # keeps the first break of the least value, so nothing moves
+        # cut through the optimal runs; a budget of every pair makes one
+        # block, with no carry between blocks. A maximum is exact and the
+        # DP keeps the first break of the least value, so nothing moves
         agg = AggSpec(q, kind)
-        want = dp_full_table(ps, K, NormP(p), TOL, agg)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(k_cover, "PAIR_BUDGET", pairs)
-            got = dp_solve(ps, K, NormP(p), TOL, agg)
-            table = run_radii(ps.xy, p, TOL)
-        assert sol_bits(got) == sol_bits(want)
-        assert table.tobytes() == run_radii_full(ps.xy, p, TOL).tobytes()
+        got, table = [], []
+        for budget_pairs in (pairs, len(ps) * (len(ps) + 1) // 2):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(k_cover, "PAIR_BUDGET", budget_pairs)
+                got.append(sol_bits(dp_solve(ps, K, NormP(p), TOL, agg)))
+                table.append(run_radii(ps.xy, p, TOL).tobytes())
+        assert got[0] == got[1]
+        assert table[0] == table[1]
 
     def test_blocks_hold_at_most_the_pair_budget(self, monkeypatch):
         for pairs in (1, 2, 7, 60, 4096):

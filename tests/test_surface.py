@@ -20,21 +20,16 @@ PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
 REFERENCE_ROUTES = {
     "_covering_bisect",
     "_envelope_peak",
-    "_finalize_lists",
-    "dp_full_table",
     "run_radii",
-    "run_radii_full",
     "run_circle",
     "_fold_one",
     "_fold_windows",
     "_halfwidth",
     "_min_distance_search",
-    "_rmin_points",
     "_ystar_ratio",
     "axis_argmin_exact",
     "base_envelope",
     "bisect_sequential",
-    "build_lists_loop",
     "compact",
     "covering_interval",
     "distance_argmin_on_axis",
@@ -104,6 +99,29 @@ def test_reference_module_defines_the_routes():
 
     for name in REFERENCE_ROUTES:
         assert callable(getattr(_reference, name))
+
+
+def test_no_dead_references():
+    # every function of _reference.py is reached from the tests: a test
+    # module imports it or reads it off the module, or a function so
+    # reached calls it, directly or in turn
+    tree = ast.parse((SRC / "_reference.py").read_text())
+    fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached = set()
+    for path in sorted(pathlib.Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "lineplace._reference":
+                reached |= {alias.name for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id == "_reference"):
+                reached.add(node.attr)
+    todo = list(reached & set(fns))
+    while todo:
+        for name in set(_called_names(fns[todo.pop()])) & set(fns):
+            if name not in reached:
+                reached.add(name)
+                todo.append(name)
+    assert set(fns) <= reached, sorted(set(fns) - reached)
 
 
 def test_all_resolves_and_leaves_out_the_references():
@@ -193,7 +211,6 @@ def test_k_cover_reconstructs_on_one_route():
 
 @pytest.mark.parametrize("module, name", [("one_center.py", "min_enclosing"),
                                           ("obnoxious.py", "max_empty_binsearch"),
-                                          ("_reference.py", "_rmin_points"),
                                           ("_reference.py", "min_enclosing_scalar")])
 def test_radius_searches_share_one_bisection(module, name):
     # the bracket nudge, the stop rule and the re-check of a radius

@@ -1,9 +1,12 @@
 """tools/bitcheck.py, run on this checkout against itself."""
 
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -107,10 +110,30 @@ def test_abpair_finds_no_change_between_two_copies(tmp_path):
     assert [line.split()[0] for line in lines[1:6]] == ["solve_p50_s", "solve_tail_s",
                                                        "solves_per_s", "setup_s", "peak_rss_mb"]
     assert not any(line.endswith(("better", "worse")) for line in lines[1:6]), proc.stdout
-    assert lines[-2].startswith("verdict: ") and not re.search(r"better|worse", lines[-2]), (
+    assert lines[-3].startswith("verdict: ") and not re.search(r"better|worse", lines[-3]), (
         proc.stdout)
     assert re.match(r"bitcheck: 0 of [1-9][0-9]* requests differ \(points-spread; seeds 201, 202; "
-                    r"tiny\)$", lines[-1]), lines[-1]
+                    r"tiny\)$", lines[-2]), lines[-2]
+    # the last line records what was printed, as one JSON object
+    record = json.loads(lines[-1])
+    assert record.keys() == {"machine", "commits", "workload", "seeds", "pairs", "seconds", "size",
+                             "rows", "verdict", "bitcheck"}
+    assert record["machine"].keys() == {"cpus", "cpu_model", "python", "numpy"}
+    assert record["machine"]["cpus"] >= 1 and record["machine"]["numpy"] == np.__version__
+    # copies with no git checkout of their own name no commit
+    assert record["commits"] == {"parent": None, "change": None}
+    assert (record["workload"], record["seeds"], record["pairs"], record["seconds"],
+            record["size"]) == ("points-spread", [201, 202], 2, 1.0, "tiny")
+    assert "verdict: " + record["verdict"] == lines[-3]
+    assert "bitcheck: " + record["bitcheck"] == lines[-2]
+    assert [row["metric"] for row in record["rows"]] == [line.split()[0] for line in lines[1:6]]
+    for row, line in zip(record["rows"], lines[1:6]):
+        assert row.keys() == {"metric", "parent", "change", "move", "wins", "clears_iqr",
+                              "beyond_bound", "verdict"}
+        for side in ("parent", "change"):
+            assert row[side].keys() == {"median", "q1", "q3"}
+            assert row[side]["q1"] <= row[side]["median"] <= row[side]["q3"]
+        assert 0 <= row["wins"] <= 2 and line.endswith(row["verdict"])
 
 
 def test_abpair_verdicts():

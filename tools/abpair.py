@@ -22,11 +22,16 @@ PARENT's IQR. It is "unresolved" when the runs cannot tell a move
 beyond the bound from none: the move is beyond the bound but there
 are fewer than ten pairs or it lies within PARENT's IQR, or that IQR
 is wider than the bound; unless every CHANGE run beats every PARENT
-run. Otherwise it is "no change". The last line is the verdict over
+run. Otherwise it is "no change". A line then gives the verdict over
 all metrics. --bitcheck then runs
 tools/bitcheck.py on the same workload and seeds and prints its
-summary line. It exits 1 when a run fails or is wrong, or bitcheck
-finds a difference, and 0 otherwise.
+summary line. The last line is one JSON object of what was printed
+(record): the machine, both roots' commits, the workload, seeds, pairs,
+seconds and size, every row, the verdict and the bitcheck line (null
+without --bitcheck). A BENCH_<short sha>.json at the repository root
+is a JSON list of these records, one per workload. It exits 1 when a
+run fails or is wrong, or bitcheck finds a difference, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -34,9 +39,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import statistics
 import subprocess
 import sys
+from importlib import metadata
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -94,6 +102,43 @@ def format_row(row: dict, pairs: int) -> str:
             f"beyond bound {'yes' if row['beyond_bound'] else 'no'}  {row['verdict']}")
 
 
+def commit(root: Path):
+    """The commit that root checks out, or None where it is no git
+    checkout of its own."""
+    if not (root / ".git").exists():
+        return None
+    proc = subprocess.run(["git", "-C", str(root), "rev-parse", "HEAD"], capture_output=True,
+                          text=True, check=False)
+    return proc.stdout.strip() or None
+
+
+def machine() -> dict:
+    """CPU count and model, and the Python and numpy that run the bench."""
+    model = platform.processor() or None
+    try:
+        with open("/proc/cpuinfo") as fh:
+            model = next(line.split(":", 1)[1].strip() for line in fh
+                         if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"cpus": os.cpu_count(), "cpu_model": model, "python": platform.python_version(),
+            "numpy": metadata.version("numpy")}
+
+
+def record(args, seconds: float, rows: list, verdict: str, bitcheck) -> dict:
+    """The JSON object of one abpair run: what it printed, and where."""
+    def spread(m, q1, q3):
+        return {"median": m, "q1": q1, "q3": q3}
+
+    return {"machine": machine(),
+            "commits": {"parent": commit(args.parent), "change": commit(args.change)},
+            "workload": args.workload, "seeds": list(range(args.seed, args.seed + args.pairs)),
+            "pairs": args.pairs, "seconds": seconds, "size": args.size,
+            "rows": [{**row, "parent": spread(*row["parent"]), "change": spread(*row["change"]),
+                      "move": None if math.isnan(row["move"]) else row["move"]} for row in rows],
+            "verdict": verdict, "bitcheck": bitcheck}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path)
@@ -124,16 +169,20 @@ def main(argv=None) -> int:
     for row in rows:
         print(format_row(row, args.pairs))
     moved = [f"{row['metric']} {row['verdict']}" for row in rows if row["verdict"] != "no change"]
-    print("verdict: " + ("; ".join(moved) if moved else "no change")
-          + ("" if ok else "; some runs failed or were wrong"))
+    verdict = ("; ".join(moved) if moved else "no change") + (
+        "" if ok else "; some runs failed or were wrong")
+    print("verdict: " + verdict)
+    bitcheck = None
     if args.bitcheck:
         proc = subprocess.run([sys.executable, str(HERE / "bitcheck.py"), str(args.parent),
                                str(args.change), "--workload", args.workload, "--size", args.size,
                                "--seed", *map(str, range(args.seed, args.seed + args.pairs))],
                               capture_output=True, text=True, check=False)
         lines = proc.stdout.strip().splitlines()
-        print("bitcheck: " + (lines[-1] if lines else proc.stderr.strip()))
+        bitcheck = lines[-1] if lines else proc.stderr.strip()
+        print("bitcheck: " + bitcheck)
         ok &= proc.returncode == 0
+    print(json.dumps(record(args, seconds, rows, verdict, bitcheck)))
     return 0 if ok else 1
 
 
