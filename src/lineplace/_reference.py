@@ -44,7 +44,6 @@ from .obnoxious import EnvelopePiece, LowerEnvelope, _build_profile, \
 from .one_center import PlacedCircle
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_INF = math.inf
 
 
 def _min_distance_search(q: Point, s: Segment, norm: NormP, tol: Tolerance) -> float:
