@@ -1,26 +1,48 @@
 """Second routes to quantities the solvers compute, kept for the tests.
 
-Each function here reaches a result of the production code by an
-independent method (bisection, golden-section search, candidate
-evaluation, plain loops where the solver works on arrays or range
-minima), so the tests can compare the two: among them the scalar
-covering interval with its halfwidth and ystar rules, where the array
-kernel takes numpy's powers, its intersection and union cover and the
-one-center search over them, where the solvers run one array kernel,
-the bisection that asks about one midpoint at a time, the one-segment
-constrained argmin and axis crossing, where the solvers read one
-array table, the scalar pair circle of k-cover, which bisects where
-the solver takes closed forms and rtsafe, the plain recursion of the
-k-cover DP over the run table, one scalar scan a cell where the solver
-relaxes blocks of cells in array passes, and the one-off fold of the
-lower envelope, which adds the segments one at a time where the solver
-merges halves, through the solver's own merge of two envelopes. The
-circle of one k-cover run has no second route here: the tests compare
-it with the partition oracle's min_enclosing in lineplace.verify.
-Beside them sit the one-at-a-time entry points that only the tests
-call: the k-cover run table gathered from its column blocks, the circle
-of one k-cover run, the single-segment envelope, and the merge and
-compaction of two envelopes. Not exported, and no solver module
+Each quantity has one production route, at most one test reference
+here beside what an acceptance criterion reads, and lineplace.verify's
+routes. A reference stays where some mutant of the production route
+that tools/mutants/ lists is killed only by the tests over it, or
+where it is an independent route that the roadmap's north star names;
+every other reference went with the tests over it.
+
+quantity             production route           test reference here          criterion
+-------------------  -------------------------  ---------------------------  ---------
+covering interval    SegmentArray.covering      _covering_bisect (boundary   1, 2
+                                                bisection); the criteria
+                                                read covering_interval, the
+                                                scalar kernel, with
+                                                _halfwidth and _ystar_ratio
+                                                (the only killer of
+                                                star-inf)
+row intersection     intervals.intersect_rows,  none: hand-worked cases and  -
+and union            union_covers_rows          the postconditions
+radius bisection     intervals.bisect_radius    bisect_sequential (the only  -
+                                                killer of bisect-nudge)
+one-center search    one_center.min_enclosing   min_enclosing_scalar         -
+constrained argmin   axis_argmin_abscissas      axis_argmin_exact (the only  -
+                                                killer of argmin-crossing
+                                                and argmin-plateau); and
+                                                distance_argmin_on_axis, the
+                                                derivative search that the
+                                                north star names, which
+                                                kills no mutant alone
+point-segment        point_segment_distance     none: verify.segment_        -
+distance                                        distances, golden section
+envelope crossing    obnoxious._subcell_roots   none: the equal-distance     -
+                                                postcondition
+envelope build       compute_lower_envelope     envelope_one_off, the one-   3, 7;
+                                                off fold (_fold_one,         compact and
+                                                _fold_windows,               envelope_value
+                                                _envelope_peak)              4
+k-cover pair circle  k_cover._binding_radii     two_point_circle             -
+k-cover DP           k_cover._relax_blocks      dp_scan, relax_scan          -
+k-cover run circle   k_cover._run_circles       none: verify's min_enclosing rmin_on_axis 5
+
+Beside them sit the entry points that only the tests call: the k-cover
+run table gathered from its column blocks (run_radii) and the circle of
+one k-cover run (run_circle). Not exported, and no solver module
 imports it.
 """
 
@@ -32,7 +54,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import EmptyInput, NoBisectorRoot, NoCrossing
+from .errors import EmptyInput, SolverError
 from .geometry import NormP, Point, Segment, Tolerance, _lp_pair, \
     axis_argmin_abscissas, point_segment_distance, segment_columns, segment_rows, \
     segments_from_columns
@@ -42,64 +64,6 @@ from .k_cover import AggSpec, CoverSolution, PointSet, _no_finite_cover, _run_ci
 from .obnoxious import EnvelopePiece, LowerEnvelope, _build_profile, \
     _compact_pieces, _merge_raw, compute_lower_envelope
 from .one_center import PlacedCircle
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _min_distance_search(q: Point, s: Segment, norm: NormP, tol: Tolerance) -> float:
-    """Golden-section minimisation over the segment parameter.
-
-    Distance to a convex set is convex, hence unimodal in t. Reference
-    for point_segment_distance; the width target is scaled by the
-    segment extent so the value error stays below tol.eps.
-    """
-    p = norm.p
-    ax, ay = s.a.x, s.a.y
-    ux, uy = s.b.x - ax, s.b.y - ay
-    A, B = q.x - ax, q.y - ay
-    if ux == 0.0 and uy == 0.0:
-        return _lp_pair(A, B, p)
-
-    def f(t: float) -> float:
-        return _lp_pair(A - t * ux, B - t * uy, p)
-
-    lo, hi = 0.0, 1.0
-    target = tol.eps / max(1.0, _lp_pair(ux, uy, p))
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    it = 0
-    while hi - lo > target and it < tol.max_iters:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-        it += 1
-    return min(f(lo), fc, fd, f(hi))
-
-
-def segment_ox_intersection(s: Segment):
-    """Where s meets the horizontal axis.
-
-    Returns (x, collinear) or None. A segment lying on the axis reports
-    its leftmost x with collinear=True; touching an endpoint counts.
-    """
-    ya, yb = s.a.y, s.b.y
-    if ya == 0.0 and yb == 0.0:
-        return min(s.a.x, s.b.x), True
-    if ya == 0.0:
-        return s.a.x, False
-    if yb == 0.0:
-        return s.b.x, False
-    if (ya > 0.0) == (yb > 0.0):
-        return None
-    t = ya / (ya - yb)
-    return s.a.x + t * (s.b.x - s.a.x), False
-
 
 def axis_argmin_exact(s: Segment, L: float, norm: NormP, tol: Tolerance):
     """Closed-form constrained argmin, one segment at a time.
@@ -132,90 +96,34 @@ def axis_argmin_exact(s: Segment, L: float, norm: NormP, tol: Tolerance):
     return x, point_segment_distance(Point(x, 0.0), s, norm, tol)
 
 
-def distance_argmin_on_axis(s: Segment, L: float, norm: NormP, tol: Tolerance,
-                            strategy: str = "candidates"):
-    """Minimise x -> distance((x,0), s) over [0, L].
+def distance_argmin_on_axis(s: Segment, L: float, norm: NormP, tol: Tolerance):
+    """Minimise x -> distance((x,0), s) over [0, L] by bisecting on the
+    sign of a forward difference of the distance.
 
-    Returns (xmin, dmin); reference for axis_argmin_exact. The
-    profile is convex, so the minimiser is the clamp of the
-    unconstrained plateau; ties resolve to the smallest x. Two
-    strategies are provided and must agree on the minimum value: direct
-    evaluation of the geometric candidates {0, L, endpoint abscissas,
-    axis crossing}, and a binary search on an approximate derivative
-    sign.
+    Returns (xmin, dmin); reference for axis_argmin_exact. The profile
+    is convex, so a distance that still falls eps to the right of m puts
+    the minimiser right of m; the bracket halves until it is within
+    tol.eps, and its midpoint is the answer.
     """
     if L < 0.0:
         raise ValueError("L must be nonnegative")
-    if strategy == "candidates":
-        xs = {0.0, L}
-        for x in (s.a.x, s.b.x):
-            if 0.0 <= x <= L:
-                xs.add(x)
-        hit = segment_ox_intersection(s)
-        if hit is not None and 0.0 <= hit[0] <= L:
-            xs.add(hit[0])
-        best_x, best = 0.0, math.inf
-        for x in sorted(xs):
-            d = point_segment_distance(Point(x, 0.0), s, norm, tol)
-            if d < best:
-                best_x, best = x, d
-        return best_x, best
-    if strategy == "derivative":
-        def d(x: float) -> float:
-            return point_segment_distance(Point(x, 0.0), s, norm, tol)
 
-        lo, hi = 0.0, L
-        it = 0
-        while hi - lo > tol.eps and it < tol.max_iters:
-            m = 0.5 * (lo + hi)
-            probe = min(L, m + tol.eps)
-            # strictly decreasing at m means the minimiser lies right of m
-            if d(probe) < d(m):
-                lo = m
-            else:
-                hi = m
-            it += 1
-        x = 0.5 * (lo + hi)
-        return x, d(x)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    def d(x: float) -> float:
+        return point_segment_distance(Point(x, 0.0), s, norm, tol)
 
-
-def equal_distance_point(s1: Segment, s2: Segment, u: float, v: float,
-                         norm: NormP, tol: Tolerance) -> float:
-    """Binary search the x in [u, v] equidistant from s1 and s2.
-
-    Reference for the ownership boundaries of the envelope merge.
-    Requires the signed difference of the two distances to change sign
-    across the bracket (an exact zero at an endpoint short-circuits),
-    else raises NoCrossing. Profiles are 1-Lipschitz in x, so bisecting
-    to eps/4 leaves the distance mismatch at the returned point below
-    tol.eps.
-    """
-    def g(x: float) -> float:
-        q = Point(x, 0.0)
-        return (point_segment_distance(q, s1, norm, tol)
-                - point_segment_distance(q, s2, norm, tol))
-
-    gu, gv = g(u), g(v)
-    if gu == 0.0:
-        return u
-    if gv == 0.0:
-        return v
-    if (gu > 0.0) == (gv > 0.0):
-        raise NoCrossing(f"no sign change on [{u}, {v}]")
-    pos_u = gu > 0.0
+    lo, hi = 0.0, L
     it = 0
-    while v - u > tol.eps / 4.0 and it < tol.max_iters:
-        m = 0.5 * (u + v)
-        gm = g(m)
-        if gm == 0.0:
-            return m
-        if (gm > 0.0) == pos_u:
-            u = m
+    while hi - lo > tol.eps and it < tol.max_iters:
+        m = 0.5 * (lo + hi)
+        probe = min(L, m + tol.eps)
+        # strictly decreasing at m means the minimiser lies right of m
+        if d(probe) < d(m):
+            lo = m
         else:
-            v = m
+            hi = m
         it += 1
-    return 0.5 * (u + v)
+    x = 0.5 * (lo + hi)
+    return x, d(x)
 
 
 def _profile_min_unclamped(s: Segment):
@@ -225,15 +133,20 @@ def _profile_min_unclamped(s: Segment):
     below the segment point of smallest |y|. Plateaus (horizontal or
     on-axis segments) resolve to the smallest x. Returns (xmin, dmin).
     """
-    ya, yb = s.a.y, s.b.y
-    hit = segment_ox_intersection(s)
-    if hit is not None:
-        return hit[0], 0.0
+    xa, ya, xb, yb = s.a.x, s.a.y, s.b.x, s.b.y
+    if ya == 0.0 and yb == 0.0:
+        return min(xa, xb), 0.0
+    if ya == 0.0:
+        return xa, 0.0
+    if yb == 0.0:
+        return xb, 0.0
+    if (ya > 0.0) != (yb > 0.0):
+        return xa + ya / (ya - yb) * (xb - xa), 0.0
     if abs(ya) < abs(yb):
-        return s.a.x, abs(ya)
+        return xa, abs(ya)
     if abs(yb) < abs(ya):
-        return s.b.x, abs(yb)
-    return min(s.a.x, s.b.x), abs(ya)
+        return xb, abs(yb)
+    return min(xa, xb), abs(ya)
 
 
 def _halfwidth(R: float, y: float, p: float):
@@ -334,29 +247,16 @@ def covering_interval(s: Segment, R: float, norm: NormP) -> Interval:
     return Interval(lo, hi)
 
 
-def intersect_all(intervals) -> Interval:
-    """Intersection of one or more intervals. Reference for
-    intervals.intersect_rows, row by row."""
-    items = list(intervals)
-    if not items:
-        raise ValueError("need at least one interval")
-    lo = max(iv.lo for iv in items)
-    hi = min(iv.hi for iv in items)
-    if lo > hi:
-        return Interval.empty()
-    return Interval(lo, hi)
-
-
 def min_enclosing_scalar(segments, L: float, norm: NormP, tol: Tolerance) -> PlacedCircle:
-    """one_center.min_enclosing by the scalar kernels, one radius a
-    pass: covering_interval and intersect_all over every segment, with
-    no rows pruned. Reference for min_enclosing's array route. The
-    search is the same intervals.least_radius between the same bounds:
-    lo the largest point_segment_distance at the constrained minimisers
-    of axis_argmin_abscissas, hi the largest at x = 0.
+    """one_center.min_enclosing by the scalar kernel, one radius a pass:
+    covering_interval over every segment, with no rows pruned, and the
+    intersection of those intervals with [0, L] folded as Python's max
+    and min fold. Reference for min_enclosing's array route. The search
+    is the same intervals.least_radius between the same bounds: lo the
+    largest point_segment_distance at the constrained minimisers of
+    axis_argmin_abscissas, hi the largest at x = 0.
     """
     cols = segment_rows(segments, L)
-    domain = Interval(0.0, L)
     segs = segments_from_columns(cols)
     xm = axis_argmin_abscissas(cols, L)
     lo = max(0.0, *(point_segment_distance(Point(x, 0.0), s, norm, tol)
@@ -365,8 +265,10 @@ def min_enclosing_scalar(segments, L: float, norm: NormP, tol: Tolerance) -> Pla
 
     def region_at(radii):
         (R,) = radii.tolist()
-        iv = intersect_all([covering_interval(s, R, norm) for s in segs] + [domain])
-        return np.array([iv.lo]), np.array([iv.hi])
+        ivs = [covering_interval(s, R, norm) for s in segs]
+        a = max(max(iv.lo for iv in ivs), 0.0)
+        b = min(min(iv.hi for iv in ivs), L)
+        return np.array([a]), np.array([b])
 
     (a, b), R = least_radius(lo, hi, region_at, tol)
     return PlacedCircle(0.5 * (a + b), R)
@@ -426,38 +328,6 @@ def bisect_sequential(lo: float, hi: float, fits, tol: Tolerance):
     return lo, hi
 
 
-def union_covers(intervals, domain: Interval):
-    """Whether the union of intervals covers domain; else a witness.
-
-    Returns (True, None) or (False, x) with x a point of domain no
-    interval contains. A gap at the start reports domain.lo itself,
-    interior and trailing gaps report the gap midpoint. Reference for
-    intervals.union_covers_rows, one interval at a time.
-    """
-    if domain.is_empty:
-        return True, None
-    items = sorted((iv for iv in intervals if not iv.is_empty),
-                   key=lambda iv: (iv.lo, iv.hi))
-    reach = domain.lo
-    touched = False
-    for iv in items:
-        if iv.hi < domain.lo:
-            continue
-        if iv.lo > reach:
-            if not touched:
-                return False, domain.lo
-            gap_end = iv.lo if iv.lo < domain.hi else domain.hi
-            return False, 0.5 * (reach + gap_end)
-        touched = True
-        if iv.hi > reach:
-            reach = iv.hi
-        if reach >= domain.hi:
-            return True, None
-    if not touched:
-        return False, domain.lo
-    return False, 0.5 * (reach + domain.hi)
-
-
 # -- the one-off fold of the lower envelope ----------------------------
 #
 # The second route to obnoxious.compute_lower_envelope: the segments
@@ -476,11 +346,6 @@ def _wrap(spans) -> LowerEnvelope:
     return LowerEnvelope(tuple(EnvelopePiece(a, b, s) for a, b, s in spans))
 
 
-def base_envelope(seg_index: int, L: float) -> LowerEnvelope:
-    """Single-segment envelope: the one piece [0, L]."""
-    return _wrap([(0.0, L, seg_index)])
-
-
 def compact(le: LowerEnvelope, tol: Tolerance) -> LowerEnvelope:
     """Fuse same-owner neighbours and absorb sub-resolution pieces.
 
@@ -490,14 +355,6 @@ def compact(le: LowerEnvelope, tol: Tolerance) -> LowerEnvelope:
     envelope (L = 0) keeps one zero-width piece. Idempotent.
     """
     return _wrap(_compact_pieces(_spans(le), tol))
-
-
-def merge_lower_envelopes(e1: LowerEnvelope, e2: LowerEnvelope, segments,
-                          norm: NormP, tol: Tolerance) -> LowerEnvelope:
-    """Pointwise minimum of two envelopes over the same [0, L]."""
-    profiles = [_build_profile(ax, ay, bx, by, norm.p)
-                for ax, ay, bx, by in segment_columns(segments).tolist()]
-    return compact(_wrap(_merge_raw(_spans(e1), _spans(e2), profiles, tol)), tol)
 
 
 def envelope_value(le: LowerEnvelope, segments, x: float, norm: NormP, tol: Tolerance) -> float:
@@ -618,6 +475,11 @@ def envelope_one_off(segments, L: float, norm: NormP, tol: Tolerance) -> LowerEn
             peak = _envelope_peak(env, cols, norm, tol)
             stop = i + 1
     return _wrap(env)
+
+
+class NoBisectorRoot(SolverError):
+    """Two points admit no equidistant center on the axis; only
+    two_point_circle raises it."""
 
 
 def two_point_circle(pts: PointSet, i: int, j: int, norm: NormP, tol: Tolerance):

@@ -21,22 +21,6 @@ class NonIsometricRotation(SolverError):
     """
 
 
-class NoCrossing(SolverError):
-    """An equal-distance search was bracketed by same-sign values.
-
-    Raised by the reference search _reference.equal_distance_point when
-    its caller passes a bracket without a sign change; the solvers
-    never raise it.
-    """
-
-
-class NoBisectorRoot(SolverError):
-    """Two points admit no equidistant center on the axis.
-
-    Only the scalar pair circle _reference.two_point_circle raises it.
-    """
-
-
 class TooLarge(SolverError):
     """An exhaustive oracle was asked to enumerate beyond its caps.
 

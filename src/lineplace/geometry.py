@@ -257,7 +257,7 @@ def point_segment_distance(q: Point, s: Segment, norm: NormP, tol: Tolerance) ->
     stationary points), which is exact; a point segment has its two
     ends alone. The tests
     cross-check it against the golden-section search
-    _reference._min_distance_search.
+    verify.segment_distances.
     """
     p = norm.p
     ax, ay = s.a.x, s.a.y

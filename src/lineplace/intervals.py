@@ -27,11 +27,12 @@ covering_slack band below the bracket, with the stretches covered
 there as fixed intervals (obnoxious._GapAnchor), which is the union of
 all its segments bit for bit. The
 scalar kernel _reference.covering_interval, with its halfwidth and
-ystar rules, and the scalar combinations _reference.intersect_all and
-_reference.union_covers are the references that these are tested
-against. The kernel takes numpy's powers, so it matches the scalar
-kernel within rounding, not bit for bit; the combinations match
-theirs bit for bit.
+ystar rules, is the reference that the kernel is tested against; it
+takes numpy's powers, so it matches the scalar kernel within rounding,
+not bit for bit. The combinations are tested against hand-worked cases
+and the postconditions of an intersection and a union cover, and
+_reference.min_enclosing_scalar folds the scalar intervals as
+intersect_rows does, bit for bit.
 """
 
 from __future__ import annotations
@@ -240,9 +241,9 @@ def intersect_rows(lo, hi, domain: Interval):
     """Row by row, the intersection of the intervals [lo[k, i], hi[k, i]]
     and domain: arrays (a, b) over the rows, empty where a > b.
 
-    The bounds are those of the scalar reference
-    _reference.intersect_all bit for bit. A NaN bound
-    raises the ValueError that an Interval with that bound raises.
+    The bounds are those of Python's max and min folded over the row
+    and then the domain, bit for bit. A NaN bound raises the ValueError
+    that an Interval with that bound raises.
     """
     a = lo.max(axis=1)
     b = hi.min(axis=1)
@@ -264,13 +265,12 @@ def union_covers_rows(lo, hi, domain: Interval):
     has witness domain.lo itself, interior and trailing gaps their
     midpoint.
 
-    The scalar scan of the reference, _reference.union_covers, visits
-    the intervals sorted by (lo, hi), skipping empty ones and ones
-    ending before domain.lo; it reports the first visit whose lo lies
-    beyond its reach, the running maximum of hi from domain.lo, and
-    the reach then. Here lo and hi are sorted apart. The k-th smallest
-    lo starts a gap exactly when it exceeds domain.lo and the k
-    smallest hi: every interval before it in the scan then ends before
+    A scalar scan would visit the intervals sorted by (lo, hi), skipping
+    empty ones and ones ending before domain.lo, and report the first
+    visit whose lo lies beyond its reach, the running maximum of hi
+    from domain.lo, and the reach then. Here lo and hi are sorted
+    apart. The k-th smallest lo starts a gap exactly when it exceeds
+    domain.lo and the k smallest hi: every interval before it in the scan then ends before
     it, and every other interval ends after it. So the reach at a gap
     is the largest of domain.lo and those k his, the value of the
     scan, and no answer depends on how ties are ordered. Skipped

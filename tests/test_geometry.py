@@ -15,11 +15,11 @@ from lineplace import (
     point_segment_distance,
     transform_to_axis,
 )
-from lineplace._reference import _min_distance_search, axis_argmin_exact, \
-    distance_argmin_on_axis, equal_distance_point, segment_ox_intersection
-from lineplace.errors import NoCrossing
+from lineplace._reference import axis_argmin_exact, distance_argmin_on_axis
 from lineplace.geometry import _projection_scaled, _projection_scaled_float, \
     axis_argmin_abscissas, axis_distances, rescored_extreme, segment_columns
+from lineplace.obnoxious import compute_lower_envelope
+from lineplace.verify import segment_distances
 
 TOL = Tolerance()
 N1, N2, N3 = NormP(1.0), NormP(2.0), NormP(3.0)
@@ -97,8 +97,8 @@ class TestPointSegmentDistance:
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 6.0])
     def test_agrees_with_iterative_search(self, p):
-        import random
-
+        # the golden-section search of lineplace.verify, which measures
+        # from the axis, on the segment moved down by q.y
         rng = random.Random(p)
         norm = NormP(p)
         for _ in range(60):
@@ -106,7 +106,8 @@ class TestPointSegmentDistance:
             s = seg(rng.uniform(-10, 10), rng.uniform(-10, 10),
                     rng.uniform(-10, 10), rng.uniform(-10, 10))
             exact = point_segment_distance(q, s, norm, TOL)
-            search = _min_distance_search(q, s, norm, TOL)
+            moved = seg(s.a.x, s.a.y - q.y, s.b.x, s.b.y - q.y)
+            search = float(segment_distances(np.array([q.x]), moved, norm)[0])
             assert exact <= search + 1e-9
             assert abs(exact - search) < 1e-6 * max(1.0, exact)
 
@@ -214,18 +215,25 @@ class TestRescoredExtreme:
                         assert got.hex() == want.hex(), (draw, largest, initial, got, want)
 
 
+def axis_argmin(s, L=10.0):
+    return float(axis_argmin_abscissas(segment_columns([s]), L)[0])
+
+
 class TestOxIntersection:
+    # where a segment meets the axis, its profile's minimiser is there
     def test_proper_crossing(self):
-        assert segment_ox_intersection(seg(1, -1, 3, 1)) == (2.0, False)
+        assert axis_argmin(seg(1, -1, 3, 1)) == 2.0
 
     def test_collinear_reports_left_end(self):
-        assert segment_ox_intersection(seg(5, 0, 1, 0)) == (1.0, True)
+        assert axis_argmin(seg(5, 0, 1, 0)) == 1.0
 
     def test_endpoint_touch(self):
-        assert segment_ox_intersection(seg(2, 0, 4, 3)) == (2.0, False)
+        assert axis_argmin(seg(2, 0, 4, 3)) == 2.0
 
     def test_miss(self):
-        assert segment_ox_intersection(seg(0, 1, 5, 2)) is None
+        # no crossing: the end nearer the axis
+        assert axis_argmin(seg(0, 1, 5, 2)) == 0.0
+        assert axis_argmin(seg(1, -2, 5, -1)) == 5.0
 
 
 class TestArgminOnAxis:
@@ -268,13 +276,12 @@ class TestArgminOnAxis:
         want = [axis_argmin_exact(seg(*row), L, N2, TOL)[0] for row in rows]
         assert [x.hex() for x in got] == [x.hex() for x in want]
 
-    @pytest.mark.parametrize("strategy", ["candidates", "derivative"])
-    def test_strategies_agree(self, strategy):
+    def test_derivative_search_agrees(self):
         rng = random.Random(11)
         for _ in range(40):
             s = seg(rng.uniform(-5, 15), rng.uniform(-8, 8),
                     rng.uniform(-5, 15), rng.uniform(-8, 8))
-            x, d = distance_argmin_on_axis(s, 10.0, N2, TOL, strategy=strategy)
+            x, d = distance_argmin_on_axis(s, 10.0, N2, TOL)
             xe, de = axis_argmin_exact(s, 10.0, N2, TOL)
             assert abs(d - de) < 1e-6
             dx = point_segment_distance(Point(x, 0.0), s, N2, TOL)
@@ -282,25 +289,32 @@ class TestArgminOnAxis:
 
 
 class TestEqualDistancePoint:
+    # the ownership boundary of two segments' lower envelope
     def test_two_points(self):
         s1 = seg(0, 1, 0, 1)
         s2 = seg(3, 2, 3, 2)
-        x = equal_distance_point(s1, s2, 0.0, 3.0, N2, TOL)
-        assert abs(x - 2.0) < 1e-8
-
-    def test_no_crossing_raises(self):
-        s1 = seg(0, 1, 0, 1)
-        s2 = seg(0, 5, 0, 5)
-        with pytest.raises(NoCrossing):
-            equal_distance_point(s1, s2, 0.0, 10.0, N2, TOL)
+        left, right = compute_lower_envelope([s1, s2], 3.0, N2, TOL).pieces
+        assert (left.seg_index, right.seg_index) == (0, 1)
+        assert abs(left.b - 2.0) < 1e-8
 
     def test_crossing_is_equidistant(self):
-        s1 = seg(-1, 2, 2, 3)
-        s2 = seg(8, 1, 9, 4)
-        x = equal_distance_point(s1, s2, 0.0, 10.0, N3, TOL)
-        d1 = point_segment_distance(Point(x, 0.0), s1, N3, TOL)
-        d2 = point_segment_distance(Point(x, 0.0), s2, N3, TOL)
-        assert abs(d1 - d2) < 1e-7
+        # the merge's only root finder is _subcell_roots: each boundary
+        # of two owners has the two distances equal within eps
+        checked = 0
+        for p in (1.0, 1.5, 3.0):
+            norm = NormP(p)
+            rng = random.Random(round(p * 10))
+            for _ in range(200):
+                segs = [seg(rng.uniform(-4, 14), rng.uniform(-12, 12), rng.uniform(-4, 14),
+                            rng.uniform(-12, 12)) for _ in range(2)]
+                env = compute_lower_envelope(segs, 10.0, norm, TOL)
+                for left, right in zip(env.pieces, env.pieces[1:]):
+                    x = left.b
+                    d1 = point_segment_distance(Point(x, 0.0), segs[left.seg_index], norm, TOL)
+                    d2 = point_segment_distance(Point(x, 0.0), segs[right.seg_index], norm, TOL)
+                    assert abs(d1 - d2) <= TOL.eps
+                    checked += 1
+        assert checked >= 300
 
 
 class TestTransformToAxis:

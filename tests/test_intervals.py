@@ -14,7 +14,7 @@ from lineplace import (
     point_segment_distance,
 )
 from lineplace._reference import _covering_bisect, _ystar_ratio, bisect_sequential, \
-    covering_interval, intersect_all, union_covers
+    covering_interval
 from lineplace.intervals import MAX_RADII, SegmentArray, bisect_radius, intersect_rows, \
     least_radius, union_covers_rows, union_gaps
 
@@ -112,49 +112,51 @@ class TestCoveringInterval:
 
 
 class TestIntersectAll:
+    # intersect_rows on one row, within a domain wider than the intervals
     def test_basic(self):
-        iv = intersect_all([Interval(0, 5), Interval(2, 9), Interval(-3, 4)])
+        iv = intersect_row(np.array([0.0, 2.0, -3.0]), np.array([5.0, 9.0, 4.0]), WIDE)
         assert (iv.lo, iv.hi) == (2.0, 4.0)
 
     def test_disjoint_empty(self):
-        assert intersect_all([Interval(0, 1), Interval(2, 3)]).is_empty
+        assert intersect_row(np.array([0.0, 2.0]), np.array([1.0, 3.0]), WIDE).is_empty
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            intersect_all([])
+            intersect_row(np.zeros(0), np.zeros(0), WIDE)
 
 
 class TestUnionCovers:
+    # union_covers_rows on one row
     def test_full_cover(self):
-        ok, witness = union_covers([Interval(-1, 4), Interval(3, 11)],
-                                   Interval(0, 10))
+        ok, witness = union_cover_row(*as_arrays([Interval(-1, 4), Interval(3, 11)]),
+                                      Interval(0, 10))
         assert ok and witness is None
 
     def test_leading_gap_witness_is_domain_lo(self):
-        ok, witness = union_covers([Interval(2, 11)], Interval(0, 10))
+        ok, witness = union_cover_row(*as_arrays([Interval(2, 11)]), Interval(0, 10))
         assert not ok
         assert witness == 0.0
 
     def test_interior_gap_witness_is_midpoint(self):
-        ok, witness = union_covers([Interval(-1, 3), Interval(7, 11)],
-                                   Interval(0, 10))
+        ok, witness = union_cover_row(*as_arrays([Interval(-1, 3), Interval(7, 11)]),
+                                      Interval(0, 10))
         assert not ok
         assert abs(witness - 5.0) < 1e-12
 
     def test_trailing_gap_witness(self):
-        ok, witness = union_covers([Interval(-1, 6)], Interval(0, 10))
+        ok, witness = union_cover_row(*as_arrays([Interval(-1, 6)]), Interval(0, 10))
         assert not ok
         assert abs(witness - 8.0) < 1e-12
 
     def test_empty_intervals_ignored(self):
-        ok, witness = union_covers([Interval.empty(), Interval(-1, 11)],
-                                   Interval(0, 10))
+        ok, witness = union_cover_row(*as_arrays([Interval.empty(), Interval(-1, 11)]),
+                                      Interval(0, 10))
         assert ok and witness is None
 
     def test_witness_stays_inside_domain(self):
         # a later interval may start beyond the domain end
-        ok, witness = union_covers([Interval(-1, 6), Interval(14, 20)],
-                                   Interval(0, 10))
+        ok, witness = union_cover_row(*as_arrays([Interval(-1, 6), Interval(14, 20)]),
+                                      Interval(0, 10))
         assert not ok
         assert 6.0 < witness <= 10.0
 
@@ -297,19 +299,51 @@ def as_arrays(ivs):
 
 
 E = Interval.empty()
+WIDE = Interval(-10.0, 10.0)
+# intervals, domain, the union's answer (covered, witness) and the
+# intersection with the domain, worked by hand
 COMBINE_CASES = {
-    "gap at start": ([Interval(2, 11), Interval(3, 4)], Interval(0, 10)),
-    "interior gap": ([Interval(7, 11), Interval(-1, 3), Interval(1, 2)], Interval(0, 10)),
-    "trailing gap": ([Interval(-1, 6), Interval(-5, -2)], Interval(0, 10)),
-    "gap beyond domain end": ([Interval(-1, 6), Interval(14, 20)], Interval(0, 10)),
-    "covered": ([Interval(3, 11), E, Interval(-1, 4)], Interval(0, 10)),
-    "covered by one": ([Interval(-1, 11), Interval(2, 3)], Interval(0, 10)),
-    "ties on lo": ([Interval(0, 2), Interval(0, 5), Interval(5, 10)], Interval(0, 10)),
-    "L = 0 covered": ([Interval(-1, 0), Interval(3, 4)], Interval(0, 0)),
-    "L = 0 missed": ([Interval(1, 2), Interval(-3, -1)], Interval(0, 0)),
-    "all empty": ([E, E, E], Interval(0, 10)),
-    "all before domain": ([Interval(-5, -1), Interval(-3, -2)], Interval(0, 10)),
+    "gap at start": ([Interval(2, 11), Interval(3, 4)], Interval(0, 10), (False, 0.0),
+                     Interval(3, 4)),
+    "interior gap": ([Interval(7, 11), Interval(-1, 3), Interval(1, 2)], Interval(0, 10),
+                     (False, 5.0), E),
+    "trailing gap": ([Interval(-1, 6), Interval(-5, -2)], Interval(0, 10), (False, 8.0), E),
+    "gap beyond domain end": ([Interval(-1, 6), Interval(14, 20)], Interval(0, 10), (False, 8.0),
+                              E),
+    "covered": ([Interval(3, 11), E, Interval(-1, 4)], Interval(0, 10), (True, None), E),
+    "covered by one": ([Interval(-1, 11), Interval(2, 3)], Interval(0, 10), (True, None),
+                       Interval(2, 3)),
+    "ties on lo": ([Interval(0, 2), Interval(0, 5), Interval(5, 10)], Interval(0, 10),
+                   (True, None), E),
+    "L = 0 covered": ([Interval(-1, 0), Interval(3, 4)], Interval(0, 0), (True, None), E),
+    "L = 0 missed": ([Interval(1, 2), Interval(-3, -1)], Interval(0, 0), (False, 0.0), E),
+    "all empty": ([E, E, E], Interval(0, 10), (False, 0.0), E),
+    "all before domain": ([Interval(-5, -1), Interval(-3, -2)], Interval(0, 10), (False, 0.0), E),
 }
+
+
+def intersection(ivs, domain):
+    """The intersection of the intervals and domain, by its definition."""
+    lo = max(max(iv.lo for iv in ivs), domain.lo)
+    hi = min(min(iv.hi for iv in ivs), domain.hi)
+    return E if lo > hi else Interval(lo, hi)
+
+
+def check_union_answer(answer, ivs, domain):
+    """A union answer (covered, witness) that holds on the intervals: a
+    witness is a point of domain inside no interval (it may round onto
+    the end of a gap one ulp wide); covered means every end of an
+    interval inside domain, every midpoint between two such ends, and
+    both ends of domain lie in some interval."""
+    covered, witness = answer
+    if not covered:
+        assert domain.contains(witness)
+        assert not any(iv.lo < witness < iv.hi for iv in ivs)
+        return
+    ends = sorted({domain.lo, domain.hi} | {x for iv in ivs for x in (iv.lo, iv.hi)
+                                            if domain.contains(x)})
+    for x in ends + [0.5 * (u + v) for u, v in zip(ends, ends[1:])]:
+        assert any(iv.contains(x) for iv in ivs), x
 
 
 def widest_gap(ivs, domain):
@@ -325,8 +359,8 @@ def widest_gap(ivs, domain):
 
 
 def union_cover_row(lo, hi, domain):
-    """union_covers_rows on the one row lo, hi, as union_covers answers:
-    (True, None) or (False, witness)."""
+    """union_covers_rows on the one row lo, hi: (True, None) or (False,
+    witness)."""
     (covered,), (witness,), _ = union_covers_rows(np.asarray(lo)[None], np.asarray(hi)[None],
                                                   domain)
     return (True, None) if covered else (False, float(witness))
@@ -340,10 +374,11 @@ def intersect_row(lo, hi, domain):
 class TestArrayCombine:
     @pytest.mark.parametrize("case", sorted(COMBINE_CASES))
     def test_cases_equal_scalar(self, case):
-        ivs, domain = COMBINE_CASES[case]
+        ivs, domain, union, common = COMBINE_CASES[case]
         lo, hi = as_arrays(ivs)
-        assert union_cover_row(lo, hi, domain) == union_covers(ivs, domain)
-        assert intersect_row(lo, hi, domain) == intersect_all(ivs + [domain])
+        assert union_cover_row(lo, hi, domain) == union
+        check_union_answer(union, ivs, domain)
+        assert intersect_row(lo, hi, domain) == common == intersection(ivs, domain)
 
     @given(st.lists(st.one_of(st.just(E), st.builds(
                lambda a, w: Interval(a, a + w),
@@ -352,8 +387,8 @@ class TestArrayCombine:
     def test_random_equal_scalar(self, ivs, L):
         domain = Interval(0.0, L)
         lo, hi = as_arrays(ivs)
-        assert union_cover_row(lo, hi, domain) == union_covers(ivs, domain)
-        assert intersect_row(lo, hi, domain) == intersect_all(ivs + [domain])
+        check_union_answer(union_cover_row(lo, hi, domain), ivs, domain)
+        assert intersect_row(lo, hi, domain) == intersection(ivs, domain)
 
     # rows of one width, as the intervals of one segment set at several
     # radii; small integers tie on lo often, and E pads the shorter rows
@@ -372,12 +407,13 @@ class TestArrayCombine:
         covered, witness, gap = union_covers_rows(lo, hi, domain)
         for k, ivs in enumerate(table):
             got = (True, None) if covered[k] else (False, float(witness[k]))
-            assert got == union_cover_row(lo[k], hi[k], domain) == union_covers(ivs, domain)
+            assert got == union_cover_row(lo[k], hi[k], domain)
+            check_union_answer(got, ivs, domain)
             assert gap[k] == (0.0 if covered[k] else widest_gap(ivs, domain))
         if width:
             for k, (a, b) in enumerate(zip(*intersect_rows(lo, hi, domain))):
                 iv = Interval.empty() if a > b else Interval(a, b)
-                assert iv == intersect_all(table[k] + [domain])
+                assert iv == intersection(table[k], domain)
 
     # small integers make touching ends, point intervals and intervals
     # that end at or start beyond an end of the domain

@@ -24,9 +24,9 @@ from lineplace import (
 )
 from lineplace import geometry, k_cover, verify
 from lineplace.cli import main
-from lineplace._reference import _halfwidth, dp_scan, min_enclosing_scalar, relax_scan, \
-    rmin_on_axis, run_circle, run_radii, two_point_circle
-from lineplace.errors import NoBisectorRoot, TooLarge
+from lineplace._reference import NoBisectorRoot, _halfwidth, dp_scan, min_enclosing_scalar, \
+    relax_scan, rmin_on_axis, run_circle, run_radii, two_point_circle
+from lineplace.errors import TooLarge
 from lineplace.verify import _enclosing_circle, certify_run_table, enumerate_partitions, \
     set_partition_oracle
 

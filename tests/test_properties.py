@@ -21,8 +21,7 @@ from lineplace import (
     transform_to_axis,
 )
 from lineplace._reference import axis_argmin_exact, covering_interval, distance_argmin_on_axis, \
-    equal_distance_point, rmin_on_axis
-from lineplace.errors import NoCrossing
+    rmin_on_axis
 from lineplace.intervals import SegmentArray, union_covers_rows
 
 TOL = Tolerance()
@@ -110,10 +109,8 @@ def test_profile_matches_distance(s, p, x):
 @given(segments(small), norm_p)
 def test_argmin_strategies_agree(s, p):
     norm = NormP(p)
-    xc, dc = distance_argmin_on_axis(s, 10.0, norm, TOL, strategy="candidates")
-    xd, dd = distance_argmin_on_axis(s, 10.0, norm, TOL, strategy="derivative")
+    xd, dd = distance_argmin_on_axis(s, 10.0, norm, TOL)
     xe, de = axis_argmin_exact(s, 10.0, norm, TOL)
-    assert abs(dc - de) <= 1e-6 * max(1.0, de)
     assert abs(dd - de) <= 1e-6 * max(1.0, de)
     assert 0.0 <= xe <= 10.0
 
@@ -121,15 +118,16 @@ def test_argmin_strategies_agree(s, p):
 @given(segments(small), segments(small), norm_p)
 @settings(max_examples=60)
 def test_equal_distance_postcondition(s1, s2, p):
+    # at each ownership boundary of the two segments' lower envelope
     norm = NormP(p)
-    try:
-        x = equal_distance_point(s1, s2, 0.0, 10.0, norm, TOL)
-    except NoCrossing:
-        return
-    assert 0.0 <= x <= 10.0
-    d1 = point_segment_distance(Point(x, 0.0), s1, norm, TOL)
-    d2 = point_segment_distance(Point(x, 0.0), s2, norm, TOL)
-    assert abs(d1 - d2) <= 1e-6 * max(1.0, d1, d2)
+    segs = [s1, s2]
+    env = obnoxious.compute_lower_envelope(segs, 10.0, norm, TOL)
+    for left, right in zip(env.pieces, env.pieces[1:]):
+        x = left.b
+        assert 0.0 <= x <= 10.0
+        d1 = point_segment_distance(Point(x, 0.0), segs[left.seg_index], norm, TOL)
+        d2 = point_segment_distance(Point(x, 0.0), segs[right.seg_index], norm, TOL)
+        assert abs(d1 - d2) <= 1e-6 * max(1.0, d1, d2)
 
 
 @given(points(small), points(small), points(small))

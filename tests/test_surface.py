@@ -1,7 +1,6 @@
 """The package surface: what is exported, and where the second routes live."""
 
 import ast
-import importlib.util
 import inspect
 import math
 import pathlib
@@ -10,45 +9,18 @@ import numpy as np
 import pytest
 
 import lineplace
-from lineplace import verify
 
 SRC = pathlib.Path(lineplace.__file__).parent
-PYPROJECT = pathlib.Path(__file__).parent.parent / "pyproject.toml"
+ROOT = pathlib.Path(__file__).parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
-# independent second routes and the entry points only the tests call,
-# kept for the tests in lineplace._reference
-REFERENCE_ROUTES = {
-    "_covering_bisect",
-    "_envelope_peak",
-    "run_radii",
-    "run_circle",
-    "_fold_one",
-    "_fold_windows",
-    "_halfwidth",
-    "_min_distance_search",
-    "_ystar_ratio",
-    "axis_argmin_exact",
-    "base_envelope",
-    "bisect_sequential",
-    "compact",
-    "covering_interval",
-    "distance_argmin_on_axis",
-    "dp_scan",
-    "envelope_one_off",
-    "equal_distance_point",
-    "envelope_value",
-    "intersect_all",
-    "merge_lower_envelopes",
-    "min_enclosing_scalar",
-    "relax_scan",
-    "rmin_on_axis",
-    "segment_ox_intersection",
-    "two_point_circle",
-    "union_covers",
-}
+# independent second routes and the entry points only the tests call:
+# every function that lineplace._reference defines
+REFERENCE_ROUTES = {node.name for node in ast.parse((SRC / "_reference.py").read_text()).body
+                    if isinstance(node, ast.FunctionDef)}
 
 # names that live on in their modules (lineplace.verify, _reference,
-# k_cover, errors) but that no caller outside the tests and the CLI's
+# errors) but that no caller outside the tests and the CLI's
 # cross-checks needs, so the package does not export them
 UNEXPORTED = {
     "GridSpec",
@@ -59,13 +31,6 @@ UNEXPORTED = {
     "enumerate_partitions",
     "OraclePartition",
     "certify_run_table",
-    "compact",
-    "merge_lower_envelopes",
-    "base_envelope",
-    "two_point_circle",
-    "rmin_on_axis",
-    "covering_interval",
-    "intersect_all",
     "NoBisectorRoot",
     "TooLarge",
 }
@@ -94,13 +59,6 @@ def test_solver_modules_do_not_reach_the_references(path):
                 f"{path.name}:{node.lineno} defines {node.name}")
 
 
-def test_reference_module_defines_the_routes():
-    from lineplace import _reference
-
-    for name in REFERENCE_ROUTES:
-        assert callable(getattr(_reference, name))
-
-
 def test_no_dead_references():
     # every function of _reference.py is reached from the tests: a test
     # module imports it or reads it off the module, or a function so
@@ -124,10 +82,56 @@ def test_no_dead_references():
     assert set(fns) <= reached, sorted(set(fns) - reached)
 
 
+# the one definition that no root reaches: criterion 3 and
+# test_oracles.py read it, and it stays beside the other grid oracles
+# since _reference.py, where the other test-only routes live, may not
+# import lineplace.verify
+REACHED_BY_THE_TESTS_ONLY = {("verify", "grid_obnoxious_center")}
+
+
+def _read_names(node):
+    """Every name and attribute read anywhere under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_no_dead_code():
+    # every top-level function and class of a package module other than
+    # _reference.py is reached from a root: the exports, cli.main,
+    # verify.cross_check, and the names that bench/ and tools/ import
+    # from lineplace. A definition reaches every name read in its body,
+    # in whichever module that name is defined
+    defs = {}
+    for path in _solver_modules():
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((path.stem, node))
+    roots = set(lineplace.__all__) | {"main", "cross_check"}
+    for folder in ("bench", "tools"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lineplace"):
+                    roots |= {alias.name for alias in node.names}
+    reached = set()
+    todo = sorted(roots & set(defs))
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for _, node in defs[name]:
+                todo += sorted(set(_read_names(node)) & set(defs) - reached)
+    dead = {(module, name) for name in set(defs) - reached for module, _ in defs[name]}
+    assert dead == REACHED_BY_THE_TESTS_ONLY
+
+
 def test_all_resolves_and_leaves_out_the_references():
     for name in lineplace.__all__:
         assert hasattr(lineplace, name), name
     assert not REFERENCE_ROUTES & set(lineplace.__all__)
+    assert not any(hasattr(lineplace, name) for name in REFERENCE_ROUTES)
     assert "_reference" not in lineplace.__all__
 
 
@@ -136,15 +140,6 @@ def test_version_matches_pyproject():
     meta = tomllib.loads(PYPROJECT.read_text())["project"]
     assert meta["name"] == "lineplace"
     assert lineplace.__version__ == meta["version"]
-
-
-def test_no_crossing_stays_internal():
-    # only the reference search raises it, so the package does not export it
-    from lineplace import errors
-
-    assert "NoCrossing" not in lineplace.__all__
-    assert not hasattr(lineplace, "NoCrossing")
-    assert issubclass(errors.NoCrossing, errors.SolverError)
 
 
 def _imported_names(path):
@@ -165,12 +160,6 @@ def _imported_names(path):
 def test_only_the_cli_imports_verify(path):
     for lineno, parts in _imported_names(path):
         assert "verify" not in parts, f"{path.name}:{lineno} imports {'.'.join(parts)}"
-
-
-def test_oracles_module_is_gone():
-    # the grid oracles live in lineplace.verify
-    assert not (SRC / "oracles.py").exists()
-    assert importlib.util.find_spec("lineplace.oracles") is None
 
 
 def test_unexported_names_stay_off_the_package():
@@ -266,21 +255,6 @@ def test_points_travel_as_one_table():
     assert "problem" not in {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
 
 
-# the candidate-list machinery that the exact run table replaced in
-# k_cover: the naive builder, its coverage certificates and run
-# growth, and the suffix-minimum relaxation with its break recovery;
-# the pair-circle table that the binding radii replaced; the kinetic
-# sweep pass that the per-anchor array expansion replaced; and the p = 2
-# sweep lists with their grouping, weights, slack, imports and error,
-# which moved to lineplace.verify as the second route of --verify
-GONE_FROM_K_COVER = {
-    "build_lists_naive", "_naive_lists", "_certified_thresholds", "_certify", "_running_max",
-    "_jump_ends", "_expand_runs", "_relax", "_break", "_SLICE", "_U", "_TINY", "_pair_circles",
-    "_sweep_pass", "build_lists_sweep", "_group_lists", "_list_weights", "_cover_slack",
-    "UnsupportedNorm", "itertools", "_cover", "_run_radii",
-}
-
-
 def _bound_names(tree):
     """Every name that a module defines, assigns or imports."""
     for node in ast.walk(tree):
@@ -311,31 +285,9 @@ def test_envelope_merges_one_cell_at_a_time():
     assert "compute_lower_envelope" not in set(_called_names(fns["max_empty_envelope"]))
 
 
-# what the one scalar build of the lower envelope replaced: the array
-# level passes over a piece table, with their crossings and compaction,
-# and the root certifier that only they called
-GONE_FROM_OBNOXIOUS = {
-    "_PieceTable", "_SLOTS", "_abs_affine_slots", "_cone_slots", "_regime_boundaries",
-    "_piece_table", "_piece_at", "_piece_values", "_lp_minus", "_quadratic_roots", "_crossings",
-    "_runs", "_resolve_cells", "_compact", "_merge_level", "_merge_schedule", "_envelope_arrays",
-    "_certified_roots", "_rtsafe",
-}
-
-
 def test_one_scalar_envelope_build():
-    # the array level passes are gone with their root certifier, and the
-    # reference keeps no second copy of the merge: the envelope build
-    # reaches no root kernel of k-cover, so --verify shares none with it
-    from lineplace import _reference
-
-    obnoxious = ast.parse((SRC / "obnoxious.py").read_text())
-    assert not GONE_FROM_OBNOXIOUS & set(_bound_names(obnoxious))
-    assert not hasattr(lineplace.geometry, "_certified_roots")
-    reference = ast.parse((SRC / "_reference.py").read_text())
-    defined = {node.name for node in reference.body if isinstance(node, ast.FunctionDef)}
-    assert not {"_dominant", "envelope_halves"} & defined
-    assert not hasattr(_reference, "_dominant") and not hasattr(_reference, "envelope_halves")
-
+    # the envelope build reaches no root kernel of k-cover, so --verify
+    # shares none with it
     def no_rtsafe(*args):
         raise AssertionError("the envelope build reached rtsafe")
 
@@ -406,11 +358,6 @@ def test_k_cover_dp_reads_the_run_table():
     # its weight blocks with no word of which caller it serves, and
     # k_cover keeps no whole-table route beside the stream
     tree = ast.parse((SRC / "k_cover.py").read_text())
-    assert not GONE_FROM_K_COVER & set(_bound_names(tree))
-    for name in ("build_lists_naive", "UnsupportedNorm"):
-        assert name not in lineplace.__all__
-        assert not hasattr(lineplace, name)
-    assert not hasattr(lineplace.errors, "UnsupportedNorm")
     fns = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for node in ast.walk(fns["dp_solve"]):
         if isinstance(node, (ast.If, ast.IfExp)) and "lists" in {
@@ -441,24 +388,14 @@ def test_k_cover_pairs_are_tested_by_their_span():
     assert isinstance(rtsafe.args[0], ast.Name) and rtsafe.args[0].id == closure.name
 
 
-# the p = 2 sweep lists of the k-cover --verify route, which the
-# run-table certificate replaced at every p
-GONE_FROM_VERIFY = {"build_lists_sweep", "_group_lists", "_list_weights", "dp_solve_sweep"}
-
-
 def test_k_cover_verify_has_one_route():
     # one k-cover rule at every p: cross_check never reads the norm's p,
     # and the certificate reads the run table's blocks with no pair
     # kernel of k_cover (no closed form, no rtsafe)
-    for path in SRC.glob("*.py"):
-        names = set(_bound_names(ast.parse(path.read_text(), filename=str(path))))
-        assert not GONE_FROM_VERIFY & names, path.name
-    assert not any(hasattr(verify, name) for name in GONE_FROM_VERIFY)
     tree = ast.parse((SRC / "verify.py").read_text())
     fns = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
     check = fns["cross_check"]
     assert "p" not in {node.attr for node in ast.walk(check) if isinstance(node, ast.Attribute)}
-    assert "itertools" not in set(_bound_names(tree))
     kernels = {name for name, value in vars(lineplace.k_cover).items()
                if inspect.isfunction(value) and value.__module__ == "lineplace.k_cover"}
     used = set()
@@ -468,12 +405,6 @@ def test_k_cover_verify_has_one_route():
     assert not {"_rtsafe", "_np_lp", "_lp_pair"} & used
 
 
-# the second covering-interval route that min_enclosing took below a
-# segment count, and the one-row wrapper of union_covers_rows: no module
-# binds or reads them any more
-GONE_FROM_INTERVALS = {"ARRAY_MIN_SEGMENTS", "union_covers_arrays"}
-
-
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
 def test_one_covering_kernel(path):
     # SegmentArray.covering is the only covering-interval kernel that a
@@ -481,42 +412,16 @@ def test_one_covering_kernel(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     names = set(_bound_names(tree)) | {node.attr for node in ast.walk(tree)
                                        if isinstance(node, ast.Attribute)}
-    assert not GONE_FROM_INTERVALS & names
     if path.name != "_reference.py":
         assert not {"covering_interval", "intersect_all"} & names
 
 
 def test_one_envelope_build():
-    # the one-off fold is a reference (REFERENCE_ROUTES holds its
-    # functions, which no solver module defines or imports); the
-    # SegmentArray slicing that only the fold used is gone, and no
-    # production module makes a shallow copy
-    intervals = ast.parse((SRC / "intervals.py").read_text())
-    array = next(node for node in intervals.body
-                 if isinstance(node, ast.ClassDef) and node.name == "SegmentArray")
-    assert "__getitem__" not in {node.name for node in array.body
-                                 if isinstance(node, ast.FunctionDef)}
-    assert not hasattr(lineplace.intervals.SegmentArray, "__getitem__")
+    # the one-off fold is a reference: no solver module binds its functions
     for path in _solver_modules():
         names = set(_bound_names(ast.parse(path.read_text(), filename=str(path))))
-        assert not {"_fold_one", "_fold_windows", "_envelope_peak", "envelope_one_off",
-                    "copy"} & names, path.name
-
-
-def test_envelope_build_settles_no_cell():
-    # every merge, the one-off fold's too, sends every cell of two owners
-    # to _resolve_cell: no module binds the dominance margin, a settle or
-    # the extents it read. The extraction folds exact distances, so the
-    # band of near-extreme estimates went with it
-    from lineplace import _reference
-
-    for path in SRC.glob("*.py"):
-        names = set(_bound_names(ast.parse(path.read_text(), filename=str(path))))
-        assert not {"_margin", "_settle", "_extents", "_extent", "_least_on", "_dominant",
-                    "near_extreme"} & names, path.name
-    for name in ("_margin", "_extent", "_least_on"):
-        assert not hasattr(_reference, name), name
-    assert not hasattr(lineplace.geometry, "near_extreme")
+        assert not {"_fold_one", "_fold_windows", "_envelope_peak", "envelope_one_off"} & names, (
+            path.name)
 
 
 def test_extraction_folds_exact_distances():
@@ -527,4 +432,4 @@ def test_extraction_folds_exact_distances():
                       if isinstance(node, ast.FunctionDef) and node.name == "_largest_empty")
     names = {node.id for node in ast.walk(extraction) if isinstance(node, ast.Name)}
     assert "point_segment_distance" in names
-    assert not {"axis_distances", "near_extreme", "rescored_extreme"} & names
+    assert not {"axis_distances", "rescored_extreme"} & names

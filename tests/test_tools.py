@@ -1,6 +1,7 @@
 """tools/bitcheck.py, run on this checkout against itself."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -169,3 +170,47 @@ def test_abpair_verdicts():
     # is no claim
     assert compare("solve_p50_s", "lower", 0.25, wide, [5.0] * 10)["verdict"] == "no change"
     assert compare("solve_p50_s", "lower", 0.25, wide, [2.0] * 10)["verdict"] == "better"
+
+
+def test_every_listed_mutant_still_applies():
+    # each mutant's old string occurs exactly once in its file; in a run
+    # of tools/mutants.py the mutant it names has replaced its own
+    applied = os.environ.get("LINEPLACE_MUTANT")
+    lists = sorted((ROOT / "tools" / "mutants").glob("*.json"))
+    assert [path.name for path in lists] == ["k_cover.json", "segments.json"]
+    names = []
+    for path in lists:
+        mutants = json.loads(path.read_text())
+        names += [m["name"] for m in mutants]
+        for m in mutants:
+            assert m.keys() == {"name", "file", "old", "new"} and m["old"] not in m["new"]
+            found = (ROOT / m["file"]).read_text().count(m["old"])
+            assert found == (0 if m["name"] == applied else 1), (path.name, m["name"])
+    assert len(set(names)) == len(names)
+    assert applied is None or applied in names
+
+
+def test_mutants_kill_matrix_of_one_mutant(tmp_path):
+    # the 4 eps re-check of least_radius, run against the tests of the
+    # radius search alone: both of its tests kill it
+    segments = json.loads((ROOT / "tools" / "mutants" / "segments.json").read_text())
+    chosen = [m for m in segments if m["name"] == "recheck-4eps"]
+    (tmp_path / "one.json").write_text(json.dumps(chosen))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "mutants.py"),
+                           str(tmp_path / "one.json"), "tests/test_intervals.py::TestRadiusSearch"],
+                          capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    row, record = map(json.loads, proc.stdout.strip().splitlines())
+    assert row == {"name": "recheck-4eps", "file": "src/lineplace/intervals.py", "killed": [
+        "tests/test_intervals.py::TestRadiusSearch::test_raises_when_the_recheck_fails_too",
+        "tests/test_intervals.py::TestRadiusSearch::test_rechecks_four_eps_higher"]}
+    assert record.keys() == {"commit", "python", "numpy", "pytest_args", "passed", "survivors"}
+    assert record["numpy"] == np.__version__ and record["survivors"] == []
+    assert record["pytest_args"] == ["tests/test_intervals.py::TestRadiusSearch"]
+    assert record["passed"] >= 2
+    # a mutant whose old string is not in its file is refused before any run
+    (tmp_path / "bad.json").write_text(json.dumps([dict(chosen[0], old="no such line")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "tools" / "mutants.py"),
+                           str(tmp_path / "bad.json")],
+                          capture_output=True, text=True, timeout=600, check=False)
+    assert proc.returncode == 2 and "occurs 0 times" in proc.stderr
