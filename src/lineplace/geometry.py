@@ -97,25 +97,28 @@ def _np_lp(dx: np.ndarray, dy: np.ndarray, p: float) -> np.ndarray:
     return m * s ** (1.0 / p)
 
 
-def _rtsafe(fdf, lo, hi, q, max_iters: int):
+def _rtsafe(fdf, lo, hi, q, max_iters: int, x=None):
     """Root of f in every bracket [lo, hi] at once, by the bracketed
     Newton iteration rtsafe (Numerical Recipes, section 9.4), in
     lockstep: one evaluation of the running rows per step.
 
-    fdf(x, act) returns f and f' at x for the rows act, always an index
-    array (all rows on the first step), oriented so that f increases
-    through the root: the caller passes brackets with f(lo) < 0 <=
-    f(hi), or ends it knows to straddle the root as well. lo and hi are
-    updated in place: each evaluation moves one end, lo where f < 0 and
-    hi elsewhere (f = 0 or NaN). A Newton step is taken when it lands in
-    the closed bracket and is at most half the step before the last
-    one; otherwise the bracket is halved, which is also what an f' that
-    underflows to 0 or a NaN f gives. A row stops at an exact root, at
-    a Newton step of at most q (its row of the array q), at the
-    bisection of a bracket at most q wide, or once its iterate stops
-    moving: a Newton step that rounds to no step, or a bracket whose
-    ends are adjacent floats. Returns the iterates and the number of
-    steps taken, at most max_iters.
+    fdf(x, rows) returns f and f' at x for the rows rows, always an
+    index array into the brackets (all rows on the first step), oriented
+    so that f increases through the root: the caller passes brackets
+    with f(lo) < 0 <= f(hi), or ends it knows to straddle the root as
+    well. The first evaluation is at x, each row's start inside its
+    bracket, or at the midpoints where x is None; a start nearer the
+    root saves steps and changes nothing below. Each evaluation moves
+    one end, lo where f < 0 and hi elsewhere (f = 0 or NaN); lo, hi and
+    x are not modified. A Newton step is taken when it lands in the
+    closed bracket and is at most half the step before the last one
+    (the bracket's width, on the first step); otherwise the bracket is
+    halved, which is also what an f' that underflows to 0 or a NaN f
+    gives. A row stops at an exact root, at a Newton step of at most q
+    (its row of the array q), at the bisection of a bracket at most q
+    wide, or once its iterate stops moving: a Newton step that rounds
+    to no step, or a bracket whose ends are adjacent floats. Returns
+    the iterates and the number of steps taken, at most max_iters.
 
     How far a returned x lies from the sign change of f: x always lies
     in its final bracket [lo, hi], whose ends straddle it. A row that
@@ -123,51 +126,55 @@ def _rtsafe(fdf, lo, hi, q, max_iters: int):
     x is that root (and hi); after a Newton step of d <= q, x lies
     within d of its last iterate, one end of [lo, hi], and no bound is
     claimed toward the other end, since a Newton step may fall short of
-    the root by more than it moved where f bends.
+    the root by more than it moved where f bends. These bounds hold
+    from any start.
+
+    The state of the running rows (iterate, bracket, last two steps, q)
+    is one array of six rows, compacted to the rows still running
+    whenever one stops, so that a step works on contiguous arrays.
     """
-    x = 0.5 * (lo + hi)
-    dx = hi - lo
-    dxold = dx.copy()
-    act = np.arange(len(x))
+    out = 0.5 * (lo + hi) if x is None else np.array(x, dtype=np.float64)
+    state = np.empty((6, len(out)))
+    state[0], state[1], state[2], state[5] = out, lo, hi, q
+    np.subtract(hi, lo, out=state[3])
+    state[4] = state[3]
+    rows = np.arange(len(out))
     steps = 0
-    while steps < max_iters:
+    while len(rows) and steps < max_iters:
         steps += 1
-        act = _rtsafe_step(fdf, act, x, lo, hi, dx, dxold, q)
-        if not len(act):
-            break
-    return x, steps
+        running = _rtsafe_step(fdf, rows, *state)
+        if not running.all():
+            out[rows] = state[0]
+            keep = np.flatnonzero(running)
+            state, rows = state.take(keep, axis=1), rows[keep]
+    out[rows] = state[0]
+    return out, steps
 
 
-def _rtsafe_step(fdf, act, x, lo, hi, dx, dxold, q):
-    """One step of _rtsafe for the running rows act, an index array, in
-    place; returns the rows still running. Its temporaries span those
-    rows and are freed on return."""
-    xa = x[act]
-    f, df = fdf(xa, act)
+def _rtsafe_step(fdf, rows, x, lo, hi, dx, dxold, q):
+    """One step of _rtsafe for the running rows rows, an index array,
+    whose state x, lo, hi, dx, dxold and q it updates in place; returns
+    a mask of the rows still running."""
+    f, df = fdf(x, rows)
     below = f < 0.0
-    lo[act[below]] = xa[below]
-    hi[act[~below]] = xa[~below]
-    lo_a, hi_a = lo[act], hi[act]
+    lo[:] = np.where(below, x, lo)
+    hi[:] = np.where(below, hi, x)
     # Newton where (x - hi) f' - f and (x - lo) f' - f share no sign, so
     # that the step lands in the closed bracket, and where |f / f'| is at
     # most half the step before the last; an exact root stays put
     exact = f == 0.0
-    newton = ((((xa - hi_a) * df - f) * ((xa - lo_a) * df - f) <= 0.0)
-              & (np.abs(2.0 * f) <= np.abs(dxold[act] * df)) & ~exact)
-    dxold[act] = dx[act]
-    qa = q[act]
-    step = hi_a - lo_a
-    done = step <= qa
-    step *= 0.5
-    np.divide(f, df, out=step, where=newton)
-    xn = lo_a + step
-    np.subtract(xa, step, out=xn, where=newton)
-    stuck = np.where(newton, xn == xa, (xn == lo_a) | (xn == hi_a))
-    np.less_equal(np.abs(step), qa, out=done, where=newton)
-    np.copyto(xn, xa, where=exact)
-    dx[act] = step
-    x[act] = xn
-    return act[~(done | stuck | exact)]
+    newton = ((((x - hi) * df - f) * ((x - lo) * df - f) <= 0.0)
+              & (np.abs(2.0 * f) <= np.abs(dxold * df)) & ~exact)
+    dxold[:] = dx
+    width = hi - lo
+    with np.errstate(all="ignore"):  # f / f' of the rows that bisect
+        step = np.where(newton, f / df, 0.5 * width)
+    xn = np.where(newton, x - step, lo + step)
+    stuck = np.where(newton, xn == x, (xn == lo) | (xn == hi))
+    done = np.where(newton, np.abs(step) <= q, width <= q)
+    dx[:] = step
+    x[:] = np.where(exact, x, xn)
+    return ~(done | stuck | exact)
 
 
 def lp_distance(a: Point, b: Point, norm: NormP) -> float:

@@ -9,7 +9,9 @@ between them (_binding_radii). The pairs are tested over numpy arrays:
 p = 2 by its closed-form center, other p by one inside test of their
 span, and the centers inside come in closed form at p = 1 and from a
 lockstep safeguarded Newton iteration, rtsafe, at other p, each on its
-own power-of-two scale. The run table streams into the DP in blocks of
+own power-of-two scale and started from a table of the inverse of the
+normalised gap (_table_starts), which leaves fewer than two
+evaluations a pair. The run table streams into the DP in blocks of
 columns of at most PAIR_BUDGET pairs: running maxima extend it by each
 block, exactly. The DP relaxes each block's columns over the breaks
 before them (_relax_blocks): for an integer K one array pass per
@@ -25,6 +27,7 @@ every entry by Helly's theorem on the point intervals alone.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,6 +88,18 @@ class CoverSolution:
 
 
 _SLACK_FLOOR = 2.0 ** -40  # see _center_slack, and verify._cover_slack
+# Intervals of the tau grid of _gap_inverse. At 1 < p <= 3 no cell of
+# the table rises by more than 1.4 / _TABLE_STEPS, and from a start read
+# off 8192 cells about half the pairs stop after one Newton step and the
+# rest after a second: 1.4-1.6 evaluations a pair on bench-style draws,
+# against 1.9-2.0 at 1024 cells and 1.2-1.4 at 16384, whose build takes
+# three times as long. At large p the cells around tau = 0 rise by up to
+# 1/2 (0.26 at p = 30, 0.49 at p = 1000), and a pair in a cell that
+# rises by more than _STEEP_RISE starts at the midpoint. Any bound from
+# 1/16 to 1/4 gave the same evaluations at p in {30, 100, 1000}; with
+# none, p = 30 took 4 % more and p = 100 1 % fewer.
+_TABLE_STEPS = 8192
+_STEEP_RISE = 1.0 / 8.0
 
 
 def _power_gap(x, a, b, t, p: float):
@@ -103,6 +118,45 @@ def _power_gap(x, a, b, t, p: float):
     ma -= mb
     ma *= p
     return f, ma
+
+
+@functools.lru_cache(maxsize=8)
+def _gap_inverse(p: float):
+    """w(tau) at tau_k = -1 + 2k / _TABLE_STEPS, k = 0.._TABLE_STEPS, for
+    the normalised gap G(w) = w^p - (1 - w)^p, which increases from
+    G(0) = -1 to G(1) = 1: G sampled at uniform w, and its linear
+    interpolant inverted at the tau grid. Read-only, built once per p
+    by the first solve that asks, never at import: about 0.14 ms, and
+    1 ms at p = 1000, where most powers of w are subnormal."""
+    w = np.linspace(0.0, 1.0, _TABLE_STEPS + 1)
+    table = np.interp(np.linspace(-1.0, 1.0, _TABLE_STEPS + 1), w ** p - (1.0 - w) ** p, w)
+    table.flags.writeable = False
+    return table
+
+
+def _table_starts(a, b, target, S, p: float):
+    """rtsafe's start for each pair inside its span [a, b], S = (b -
+    a)^p and |target| <= S: F(a + w (b - a)) = S G(w), so the center is
+    a + w (b - a) at G(w) = tau = target / S, and the start reads w(tau)
+    off _gap_inverse by linear interpolation, clipped to [a, b].
+
+    A pair starts at the midpoint of [a, b] instead where S underflows
+    to 0, so that tau is 0 / 0, and where its cell of the table rises
+    by more than _STEEP_RISE: there G is flat in w (around w = 1/2 at
+    large p), and the interpolant guesses no better than the midpoint.
+    """
+    table = _gap_inverse(p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = (target / S + 1.0) * (0.5 * _TABLE_STEPS)
+    table_start = np.isfinite(u)
+    u[~table_start] = 0.0
+    k = np.minimum(u.astype(np.intp), _TABLE_STEPS - 1)
+    w = table[k]
+    rise = table[k + 1] - w
+    w += (u - k) * rise
+    table_start &= rise <= _STEEP_RISE
+    start = np.where(table_start, a + w * (b - a), 0.5 * (a + b))
+    return np.clip(start, a, b, out=start)
 
 
 def _pair_scale(xi, yi, xj, yj):
@@ -150,7 +204,19 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
     the center is scaled back. Its accepted Newton steps at least halve
     every second step and its other steps halve the bracket, so a pair
     stops within about twice the steps of a bisection to the same width,
-    or sooner where the bracket ends become adjacent floats. At every p
+    or sooner where the bracket ends become adjacent floats. Each pair
+    starts at its tabulated guess (_table_starts): F(x_i + w span) =
+    S G(w) with G(w) = w^p - (1 - w)^p, so the center's w solves
+    G(w) = t / S, read off a table of the inverse of G built once per
+    p. From there about half the pairs stop after one Newton step and
+    the rest after a second, 1.4-1.6 evaluations a pair at 1 < p <= 3
+    against 3 to 4.5 from the midpoint, and a center at an end of the
+    span (t = +-S) is found at the first; at large p the pairs of the table's steep cells around
+    t = 0 start at the midpoint, as before. The start moves no bound
+    below: the center lies within rtsafe's stop of the root from any
+    start, but where the stop leaves room it may take other bits than
+    from the midpoint (at most a few ulps of the objective on the
+    benchmark's p = 1.5 requests). At every p
     the radius of a pair inside is _np_lp of c - x_i and y_i. The scalar
     kernel of one pair, which the tests compare against, is
     _reference.two_point_circle: it bisects at every p != 2, so the
@@ -174,19 +240,22 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
             c = np.where(target == span, b, np.where(target == -span, a, 0.5 * (a + b + target)))
         else:
             far = np.isinf(xj - xi)
-            binding[g[far]] = _INF
-            g, xi, yi, xj, yj = g[~far], xi[~far], yi[~far], xj[~far], yj[~far]
+            if far.any():
+                binding[g[far]] = _INF
+                g, xi, yi, xj, yj = g[~far], xi[~far], yi[~far], xj[~far], yj[~far]
             s = _pair_scale(xi, yi, xj, yj)
             a, b = xi * s, xj * s
             with np.errstate(over="raise", invalid="raise"):
                 target, span = np.abs(yj * s) ** p - np.abs(yi * s) ** p, b - a
-                h = np.flatnonzero(np.abs(target) <= span ** (p - 1.0) * span)
+                S = span ** (p - 1.0) * span
+                h = np.flatnonzero(np.abs(target) <= S)
                 s, a, b, target = s[h], a[h], b[h], target[h]
+                start = _table_starts(a, b, target, S[h], p)
 
                 def gap(x, act):
                     return _power_gap(x, a[act], b[act], target[act], p)
 
-                c = _rtsafe(gap, a.copy(), b.copy(), tol.eps / 4.0 * s, tol.max_iters)[0]
+                c = _rtsafe(gap, a, b, tol.eps / 4.0 * s, tol.max_iters, start)[0]
             c /= s
         g, xi, yi, xj = g[h], xi[h], yi[h], xj[h]
     inside = (xi <= c) & (c <= xj)

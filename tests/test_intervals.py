@@ -234,6 +234,18 @@ class TestSegmentArray:
             assert abs(lo[k] - ref.lo) <= kernel_tolerance(ref.lo, R, p)
             assert abs(hi[k] - ref.hi) <= kernel_tolerance(ref.hi, R, p)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 8.0])
+    def test_a_zero_bound_may_take_the_other_sign(self, p):
+        # a row that starts on the axis at x = -0.0, at R = 0: t1 = -0.0
+        # and t2 = +0.0 give tA = +0.0 by np.minimum and np.maximum and
+        # -0.0 by Python's min and max, so lo is +0.0 here and -0.0 in
+        # the scalar kernel; hi is +0.0 in both
+        row = [-0.0, 0.0, 11.27955933822092, 2.0]
+        (lo,), (hi,) = SegmentArray(np.array([row]), NormP(p)).covering(np.array([0.0]))
+        ref = covering_interval(seg(*row), 0.0, NormP(p))
+        assert bits(lo[0]) == bits(0.0) and bits(ref.lo) == bits(-0.0)
+        assert bits(hi[0]) == bits(ref.hi) == bits(0.0)
+
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
     @given(cols=rows, rs=radii)
     @example(cols=[[0.0, 1.0, 5.0, 1.0], [2.0, -1.0, 2.0, 1.0]], rs=[0.0, 1.0, 0.0, 2.5])

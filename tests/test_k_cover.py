@@ -401,40 +401,133 @@ class TestPairCirclesBatch:
             assert sum(running) < 8 * running[0]
         assert list(batch_binding(ps, NormP(p), Tolerance(max_iters=64))) == want
 
+    @pytest.mark.parametrize("p", [1.01, 1.5, 3.0, 30.0, 1000.0])
+    def test_table_starts_save_evaluations(self, p, monkeypatch):
+        # rtsafe's evaluations of F per pair inside its span, on
+        # bench-style near-line and spread draws of 90 points. From the
+        # table's starts a pair stops after one or two Newton steps, 1.4
+        # to 1.6 evaluations at 1 < p <= 3, where the midpoints take 3-4.5.
+        # At large p the cells around tau = 0 are steep and their pairs
+        # start at the midpoint: no more evaluations in all than from
+        # the midpoint of every pair
+        rng = random.Random("table starts")
+        draws = [pset(*nearline_pairs(rng, 90)), pset(*spread_pairs(rng, 90)),
+                 pset(*nearline_pairs(rng, 90)), pset(*spread_pairs(rng, 90))]
+        evaluated, inside = [], []
+        real_gap, real_rtsafe = k_cover._power_gap, k_cover._rtsafe
+
+        def counted(x, *args):
+            evaluated.append(len(x))
+            return real_gap(x, *args)
+
+        def rtsafe(fdf, lo, *args):
+            inside.append(len(lo))
+            return real_rtsafe(fdf, lo, *args)
+
+        def evaluations():
+            evaluated.clear()
+            inside.clear()
+            for ps in draws:
+                X, Y = ps.xy.T.copy()
+                I, J = np.triu_indices(len(ps))
+                k_cover._binding_radii(X, Y, I, J, p, TOL)
+            return sum(evaluated), sum(inside)
+
+        monkeypatch.setattr(k_cover, "_power_gap", counted)
+        monkeypatch.setattr(k_cover, "_rtsafe", rtsafe)
+        total, pairs = evaluations()
+        assert pairs > 10000
+        if p <= 3.0:
+            assert total <= 2.5 * pairs
+        else:
+            monkeypatch.setattr(k_cover, "_table_starts", lambda a, b, *args: 0.5 * (a + b))
+            assert evaluations() >= (total, pairs)
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 3.0, 30.0, 1000.0])
+    def test_steep_cells_start_at_the_midpoint(self, p):
+        # the table of w(tau) rises by at most 1.4 / _TABLE_STEPS a cell
+        # at 1 < p <= 3. At large p, where G is flat around w = 1/2, the
+        # cells around tau = 0 rise by up to 1/2, and a pair whose tau
+        # falls in one starts at the midpoint of its span, bit for bit.
+        # Every other start is the table's linear interpolant, in [a, b]
+        steps = k_cover._TABLE_STEPS
+        table = k_cover._gap_inverse(p)
+        rise = np.diff(table)
+        assert (rise.max() <= 1.4 / steps) == (p <= 3.0)
+        tau = np.linspace(-1.0, 1.0, 20001)
+        a, b = np.full(len(tau), 0.25), np.full(len(tau), 0.75)
+        start = k_cover._table_starts(a, b, tau, np.ones(len(tau)), p)
+        steep = rise[np.minimum(((tau + 1.0) * (steps / 2)).astype(int), steps - 1)] \
+            > k_cover._STEEP_RISE
+        assert steep.any() == (p > 3.0)
+        assert (start[steep] == 0.5).all()
+        w = np.interp(tau, np.linspace(-1.0, 1.0, steps + 1), table)
+        assert np.allclose(start[~steep], 0.25 + 0.5 * w[~steep], rtol=0.0, atol=1e-15)
+        assert ((a <= start) & (start <= b)).all()
+
+    @pytest.mark.parametrize("p", [1.5, 3.0, 30.0, 1000.0])
+    def test_a_root_at_a_span_end_takes_one_evaluation(self, p, monkeypatch):
+        # t = +S or -S puts the center at an end of the span: a point on
+        # the axis and one whose |y| is their span. The table reads w = 0
+        # or 1 there exactly, so rtsafe's first evaluation is that end,
+        # an exact zero of F - t, and so is the midpoint of the pair of
+        # equal |y|. From the midpoint these ends took 6 evaluations at
+        # p = 1.5 and 33 at p = 3 and 30, bisecting toward them
+        ps = pset((0.0, 0.0), (2.0, 2.0), (4.0, 0.0), (2.0, -2.0))
+        evaluated = []
+        real_gap = k_cover._power_gap
+
+        def counted(x, *args):
+            evaluated.append(len(x))
+            return real_gap(x, *args)
+
+        monkeypatch.setattr(k_cover, "_power_gap", counted)
+        got = [R for i, j, R in batch_binding(ps, NormP(p), TOL) if i < j]
+        assert evaluated == [5]
+        assert got == [2.0, 2.0, 2.0, 0.0, 2.0, 2.0]
+
     @pytest.mark.parametrize("p", [1.5, 3.0, 300.0])
     @pytest.mark.parametrize("case", ["nearline", "spread", "far"])
     def test_search_stays_in_the_span(self, case, p, monkeypatch):
         # F is evaluated only inside each pair's own [a, b], and only by
-        # rtsafe: its first call of every block takes the midpoints of
-        # the pairs that pass the span test, whose ends straddle the
-        # target, and its calls never grow within a block. "far" holds
+        # rtsafe: its first call of every block takes the starts read
+        # off the table (_table_starts) for the pairs that pass the span
+        # test, whose ends straddle the target, every start inside its
+        # [a, b], and its calls never grow within a block. "far" holds
         # pairs whose centers lie up to 1e10 away, which a bracket
         # widened toward them would reach
         rng = random.Random(f"span {case}{p}")
         ps = pset(*far_center_pairs(rng, 24)) if case == "far" else random_pset(rng, 30, case)
-        calls, blocks = [], []
+        calls, blocks, starts = [], [], []
         real_gap, real_rtsafe = k_cover._power_gap, k_cover._rtsafe
+        real_starts = k_cover._table_starts
 
         def checked(x, a, b, t, p):
             assert ((a <= x) & (x <= b)).all()
             calls.append(x.copy())
             return real_gap(x, a, b, t, p)
 
-        def rtsafe(fdf, lo, hi, q, max_iters):
+        def tabulated(*args):
+            starts.append(real_starts(*args))
+            return starts[-1]
+
+        def rtsafe(fdf, lo, hi, q, max_iters, x):
             assert not calls, "F was evaluated before rtsafe"
             rows = np.arange(len(lo))
             assert (fdf(lo, rows)[0] <= 0.0).all() and (fdf(hi, rows)[0] >= 0.0).all()
             calls.clear()
-            first = 0.5 * (lo + hi)
-            out = real_rtsafe(fdf, lo, hi, q, max_iters)
+            assert x is starts[-1] and ((lo <= x) & (x <= hi)).all()
+            first = x.copy()
+            out = real_rtsafe(fdf, lo, hi, q, max_iters, x)
             blocks.append((first, calls[:]))
             calls.clear()
             return out
 
         monkeypatch.setattr(k_cover, "_power_gap", checked)
+        monkeypatch.setattr(k_cover, "_table_starts", tabulated)
         monkeypatch.setattr(k_cover, "_rtsafe", rtsafe)
         dp_solve(ps, 3, NormP(p), TOL, AggSpec())
-        assert blocks and not calls
+        assert blocks and not calls and len(starts) == len(blocks)
         for first, seen in blocks:
             assert len(first) > 0 and len(seen) > 1
             assert np.array_equal(seen[0], first)
@@ -449,6 +542,8 @@ class TestPairCirclesBatch:
                                     max_size=7).map(lambda diagonal: [(0.0, 0.0)] + diagonal)))
     @example(p=3.0, scale=1.0, pairs=[(0.0, 0.0), (2.0, 2.0), (4.0, 0.0), (2.0, -2.0)]).via(
         "targets of +S and -S: span 2, |y| of 0 and 2")
+    @example(p=1000.0, scale=1.0, pairs=[(0.0, 0.5), (0.25, -0.5)]).via(
+        "S = 0.25^1000 underflows to 0 and t = 0: tau is 0 / 0, the start the midpoint")
     @settings(deadline=None)
     def test_span_test_matches_the_end_signs(self, p, scale, pairs):
         # the pairs that reach rtsafe are exactly those whose _power_gap
@@ -461,9 +556,9 @@ class TestPairCirclesBatch:
         seen = []
         real = k_cover._rtsafe
 
-        def rtsafe(fdf, lo, hi, q, max_iters):
+        def rtsafe(fdf, lo, hi, *args):
             seen.append((lo.copy(), hi.copy()))
-            return real(fdf, lo, hi, q, max_iters)
+            return real(fdf, lo, hi, *args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(k_cover, "_rtsafe", rtsafe)
@@ -633,12 +728,19 @@ class TestRunTableCertificate:
         assert peak < n * n * 8
 
 
+def spread_pairs(rng, n):
+    """n points spread over the plane as the benchmark draws them:
+    x and y in [-100, 100], rounded to 6 decimals."""
+    return [(round(rng.uniform(-100, 100), 6), round(rng.uniform(-100, 100), 6))
+            for _ in range(n)]
+
+
 def far_center_pairs(rng, n):
-    """n spread points, and a twin of every eighth one whose abscissa is
-    1e-6 larger and whose |y| differs by tens: the twins' pair centers
-    lie far away, where F is about as large as its own rounding."""
-    pairs = [(round(rng.uniform(-100, 100), 6), round(rng.uniform(-100, 100), 6))
-             for _ in range(n)]
+    """n spread points (spread_pairs), and a twin of every eighth one
+    whose abscissa is 1e-6 larger and whose |y| differs by tens: the
+    twins' pair centers lie far away, where F is about as large as its
+    own rounding."""
+    pairs = spread_pairs(rng, n)
     return pairs + [(x + 1e-6, rng.choice((-1, 1)) * rng.uniform(50, 100)) for x, _ in pairs[::8]]
 
 
