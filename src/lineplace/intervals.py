@@ -158,11 +158,12 @@ class SegmentArray:
     halfwidth, where the scalar kernel takes Python's, so it matches
     that kernel within rounding: tA, tB and t0 come out bit for bit up
     to the sign of a zero bound, and the ystar parameters and the
-    halfwidths may differ in the last ulps. (np.minimum and np.maximum
-    of -0.0 and +0.0 give +0.0 where Python's min and max give their
-    first argument, so at R = 0 a row that starts on the axis at x =
-    -0.0 gets lo = +0.0 here and -0.0 there.) Each radius gets its own row of elementwise operations, so a
-    row is that of a call with its radius alone, bit for bit.
+    halfwidths may differ in the last ulps. (Where -0.0 meets +0.0,
+    np.minimum and np.maximum return their second argument and Python's
+    min and max their first, so at R = 0 a row that starts on the axis
+    at x = -0.0 gets lo = +0.0 here and -0.0 there.) Each radius gets
+    its own row of elementwise operations, so a row is that of a call
+    with its radius alone, bit for bit.
 
     radii_per_pass is how many radii one bisection pass asks covering
     about: as many as keep the pass within PASS_CELLS (radius, segment)

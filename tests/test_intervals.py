@@ -237,9 +237,10 @@ class TestSegmentArray:
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 8.0])
     def test_a_zero_bound_may_take_the_other_sign(self, p):
         # a row that starts on the axis at x = -0.0, at R = 0: t1 = -0.0
-        # and t2 = +0.0 give tA = +0.0 by np.minimum and np.maximum and
-        # -0.0 by Python's min and max, so lo is +0.0 here and -0.0 in
-        # the scalar kernel; hi is +0.0 in both
+        # and t2 = +0.0 give tA = +0.0 by np.minimum and np.maximum,
+        # which return their second argument on a tie of zeros, and -0.0
+        # by Python's min and max, which return their first, so lo is
+        # +0.0 here and -0.0 in the scalar kernel; hi is +0.0 in both
         row = [-0.0, 0.0, 11.27955933822092, 2.0]
         (lo,), (hi,) = SegmentArray(np.array([row]), NormP(p)).covering(np.array([0.0]))
         ref = covering_interval(seg(*row), 0.0, NormP(p))
