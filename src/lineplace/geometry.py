@@ -97,7 +97,7 @@ def _np_lp(dx: np.ndarray, dy: np.ndarray, p: float) -> np.ndarray:
     return m * s ** (1.0 / p)
 
 
-def _rtsafe(fdf, lo, hi, q, max_iters: int, x=None):
+def _rtsafe(fdf, lo, hi, q, max_iters: int, x):
     """Root of f in every bracket [lo, hi] at once, by the bracketed
     Newton iteration rtsafe (Numerical Recipes, section 9.4), in
     lockstep: one evaluation of the running rows per step.
@@ -107,18 +107,18 @@ def _rtsafe(fdf, lo, hi, q, max_iters: int, x=None):
     so that f increases through the root: the caller passes brackets
     with f(lo) < 0 <= f(hi), or ends it knows to straddle the root as
     well. The first evaluation is at x, each row's start inside its
-    bracket, or at the midpoints where x is None; a start nearer the
-    root saves steps and changes nothing below. Each evaluation moves
-    one end, lo where f < 0 and hi elsewhere (f = 0 or NaN); lo, hi and
-    x are not modified. A Newton step is taken when it lands in the
-    closed bracket and is at most half the step before the last one
-    (the bracket's width, on the first step); otherwise the bracket is
-    halved, which is also what an f' that underflows to 0 or a NaN f
-    gives. A row stops at an exact root, at a Newton step of at most q
-    (its row of the array q), at the bisection of a bracket at most q
-    wide, or once its iterate stops moving: a Newton step that rounds
-    to no step, or a bracket whose ends are adjacent floats. Returns
-    the iterates and the number of steps taken, at most max_iters.
+    bracket; a start nearer the root saves steps and changes nothing
+    below. Each evaluation moves one end, lo where f < 0 and hi
+    elsewhere (f = 0 or NaN); lo, hi and x are not modified. A Newton
+    step is taken when it lands in the closed bracket and is at most
+    half the step before the last one (the bracket's width, on the
+    first step); otherwise the bracket is halved, which is also what an
+    f' that underflows to 0 or a NaN f gives. A row stops at an exact
+    root, at a Newton step of at most q (its row of the array q), at
+    the bisection of a bracket at most q wide, or once its iterate
+    stops moving: a Newton step that rounds to no step, or a bracket
+    whose ends are adjacent floats. Returns the iterates and the number
+    of steps taken, at most max_iters.
 
     How far a returned x lies from the sign change of f: x always lies
     in its final bracket [lo, hi], whose ends straddle it. A row that
@@ -133,7 +133,7 @@ def _rtsafe(fdf, lo, hi, q, max_iters: int, x=None):
     is one array of six rows, compacted to the rows still running
     whenever one stops, so that a step works on contiguous arrays.
     """
-    out = 0.5 * (lo + hi) if x is None else np.array(x, dtype=np.float64)
+    out = np.array(x, dtype=np.float64)
     state = np.empty((6, len(out)))
     state[0], state[1], state[2], state[5] = out, lo, hi, q
     np.subtract(hi, lo, out=state[3])

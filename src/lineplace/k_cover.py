@@ -11,7 +11,7 @@ span, and the centers inside come in closed form at p = 1 and from a
 lockstep safeguarded Newton iteration, rtsafe, at other p, each on its
 own power-of-two scale and started from a table of the inverse of the
 normalised gap (_table_starts), which leaves fewer than two
-evaluations a pair. The run table streams into the DP in blocks of
+evaluations a pair at 1 < p <= 3. The run table streams into the DP in blocks of
 columns of at most PAIR_BUDGET pairs: running maxima extend it by each
 block, exactly. The DP relaxes each block's columns over the breaks
 before them (_relax_blocks): for an integer K one array pass per
@@ -93,13 +93,8 @@ _SLACK_FLOOR = 2.0 ** -40  # see _center_slack, and verify._cover_slack
 # off 8192 cells about half the pairs stop after one Newton step and the
 # rest after a second: 1.4-1.6 evaluations a pair on bench-style draws,
 # against 1.9-2.0 at 1024 cells and 1.2-1.4 at 16384, whose build takes
-# three times as long. At large p the cells around tau = 0 rise by up to
-# 1/2 (0.26 at p = 30, 0.49 at p = 1000), and a pair in a cell that
-# rises by more than _STEEP_RISE starts at the midpoint. Any bound from
-# 1/16 to 1/4 gave the same evaluations at p in {30, 100, 1000}; with
-# none, p = 30 took 4 % more and p = 100 1 % fewer.
+# three times as long.
 _TABLE_STEPS = 8192
-_STEEP_RISE = 1.0 / 8.0
 
 
 def _power_gap(x, a, b, t, p: float):
@@ -138,24 +133,17 @@ def _table_starts(a, b, target, S, p: float):
     """rtsafe's start for each pair inside its span [a, b], S = (b -
     a)^p and |target| <= S: F(a + w (b - a)) = S G(w), so the center is
     a + w (b - a) at G(w) = tau = target / S, and the start reads w(tau)
-    off _gap_inverse by linear interpolation, clipped to [a, b].
-
-    A pair starts at the midpoint of [a, b] instead where S underflows
-    to 0, so that tau is 0 / 0, and where its cell of the table rises
-    by more than _STEEP_RISE: there G is flat in w (around w = 1/2 at
-    large p), and the interpolant guesses no better than the midpoint.
+    off _gap_inverse by linear interpolation, clipped to [a, b]. A pair
+    whose S underflows to 0 (and so its target) takes tau = 0, not
+    0 / 0: the table reads w = 1/2 there, the midpoint of [a, b].
     """
     table = _gap_inverse(p)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = (target / S + 1.0) * (0.5 * _TABLE_STEPS)
-    table_start = np.isfinite(u)
-    u[~table_start] = 0.0
+    tau = np.divide(target, S, out=np.zeros_like(target), where=S > 0.0)
+    u = (tau + 1.0) * (0.5 * _TABLE_STEPS)
     k = np.minimum(u.astype(np.intp), _TABLE_STEPS - 1)
     w = table[k]
-    rise = table[k + 1] - w
-    w += (u - k) * rise
-    table_start &= rise <= _STEEP_RISE
-    start = np.where(table_start, a + w * (b - a), 0.5 * (a + b))
+    w += (u - k) * (table[k + 1] - w)
+    start = a + w * (b - a)
     return np.clip(start, a, b, out=start)
 
 
@@ -210,15 +198,16 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
     G(w) = t / S, read off a table of the inverse of G built once per
     p. From there about half the pairs stop after one Newton step and
     the rest after a second, 1.4-1.6 evaluations a pair at 1 < p <= 3
-    against 3 to 4.5 from the midpoint, and a center at an end of the
-    span (t = +-S) is found at the first; at large p the pairs of the table's steep cells around
-    t = 0 start at the midpoint, as before. The start moves no bound
-    below: the center lies within rtsafe's stop of the root from any
-    start, but where the stop leaves room it may take other bits than
-    from the midpoint (at most a few ulps of the objective on the
-    benchmark's p = 1.5 requests). At every p
-    the radius of a pair inside is _np_lp of c - x_i and y_i. The scalar
-    kernel of one pair, which the tests compare against, is
+    against 3.0-3.35 from the midpoint, and a center at an end of the
+    span (t = +-S) is found at the first. At large p, where G is flat
+    around w = 1/2, the table helps less: 2.57 evaluations a pair at
+    p = 30 and 3.02 at p = 1000, against 3.01 and 3.05 from the
+    midpoint. The start moves no bound below: the center lies within
+    rtsafe's stop of the root from any start, but where the stop leaves
+    room it may take other bits than from the midpoint (at most a few
+    ulps of the objective on the benchmark's p = 1.5 requests). At
+    every p the radius of a pair inside is _np_lp of c - x_i and y_i.
+    The scalar kernel of one pair, which the tests compare against, is
     _reference.two_point_circle: it bisects at every p != 2, so the
     values of i == j and the centers of p = 2 equal its bit for bit, the
     radii of p = 2 agree within rounding (np.hypot against math.hypot),
@@ -240,7 +229,7 @@ def _binding_radii(X, Y, I, J, p: float, tol: Tolerance):
             c = np.where(target == span, b, np.where(target == -span, a, 0.5 * (a + b + target)))
         else:
             far = np.isinf(xj - xi)
-            if far.any():
+            if far.any():  # the compress took 2-3 % of the p = 1.5 kernel
                 binding[g[far]] = _INF
                 g, xi, yi, xj, yj = g[~far], xi[~far], yi[~far], xj[~far], yj[~far]
             s = _pair_scale(xi, yi, xj, yj)

@@ -679,7 +679,8 @@ class TestRootKernel:
 
     @staticmethod
     def rtsafe(fdf, lo, hi, w):
-        return geometry._rtsafe(fdf, lo, hi, np.full(len(lo), w), TOL.max_iters)[0]
+        return geometry._rtsafe(fdf, lo, hi, np.full(len(lo), w), TOL.max_iters,
+                                0.5 * (lo + hi))[0]
 
     def test_near_tangent_crossings(self):
         # where f' -> 0 at the root, Newton steps shrink slowly: a triple
@@ -724,19 +725,22 @@ class TestRootKernel:
                          np.full(1, 1.0 + apart / 2.0), np.zeros(1, bool), np.ones(1), p)
         f, df = fdf(np.zeros(1), np.array([0]))
         assert f[0] < 0.0 and df[0] == 0.0
-        widths = []
+        widths, ends = [], []
         step = geometry._rtsafe_step
 
         def watched(fdf, act, x, lo, hi, *args):
             out = step(fdf, act, x, lo, hi, *args)
             widths.append((hi - lo).tolist())
+            ends.append((lo[0], hi[0]))
             return out
 
         monkeypatch.setattr(geometry, "_rtsafe_step", watched)
-        lo, hi = np.array([-3.0]), np.array([3.0])
-        got = self.rtsafe(fdf, lo, hi, self.W)
+        got = self.rtsafe(fdf, np.array([-3.0]), np.array([3.0]), self.W)
         assert widths[0] == [3.0]
-        assert lo[0] <= got[0] <= hi[0] and -3.0 <= lo[0] <= hi[0] <= 3.0
+        # the root lies in the final bracket, the row's state after its
+        # last step
+        lo, hi = ends[-1]
+        assert lo <= got[0] <= hi and -3.0 <= lo <= hi <= 3.0
         widths.clear()
         r = np.array([0.3, -2.0, 1e-3])
         flat = self.rtsafe(lambda x, act: (x - r[act], np.zeros(len(x))),
