@@ -11,18 +11,18 @@ span, and the centers inside come in closed form at p = 1 and from a
 lockstep safeguarded Newton iteration, rtsafe, at other p, each on its
 own power-of-two scale and started from a table of the inverse of the
 normalised gap (_table_starts), which leaves fewer than two
-evaluations a pair at 1 < p <= 3. The run table streams into the DP in blocks of
-columns of at most PAIR_BUDGET pairs: running maxima extend it by each
-block, exactly. The DP relaxes each block's columns over the breaks
-before them (_relax_blocks): for an integer K one array pass per
-budget row and block, for K = None an array pass over the breaks
-before every few columns and a scalar scan of those among them. A
-solve holds one block and O(K·N) DP cells, which record their last
-run's radius, so that the circle of each chosen run is read off them
-(_run_circles), with no radius search. The run table is the only run
-weight that dp_solve takes. `lineplace solve --verify` above 10 points
-(lineplace.verify.certify_run_table) reads the same blocks and checks
-every entry by Helly's theorem on the point intervals alone.
+evaluations a pair at 1 < p <= 3. The run table streams into the DP
+in blocks of columns of at most PAIR_BUDGET pairs: running maxima
+extend it by each block, exactly. The DP relaxes each block's columns
+over the breaks before them (_relax_blocks): for an integer K one
+array pass per budget row and block, for K = None an array pass over
+the breaks before every few columns and a scalar scan of those among
+them. A solve holds one block and O(K·N) DP cells, which record their
+last run's radius, so that the circle of each chosen run is read off
+them (_run_circles), with no radius search. The run table is the only
+run weight that dp_solve takes. `lineplace solve --verify` above 10
+points (lineplace.verify.certify_run_table) reads the same blocks and
+checks every entry by Helly's theorem on the point intervals alone.
 """
 
 from __future__ import annotations

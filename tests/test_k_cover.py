@@ -522,7 +522,7 @@ class TestPairCirclesBatch:
     @example(p=3.0, scale=1.0, pairs=[(0.0, 0.0), (2.0, 2.0), (4.0, 0.0), (2.0, -2.0)]).via(
         "targets of +S and -S: span 2, |y| of 0 and 2")
     @example(p=1000.0, scale=1.0, pairs=[(0.0, 0.5), (0.25, -0.5)]).via(
-        "S = 0.25^1000 underflows to 0 and t = 0: tau is 0 / 0, the start the midpoint")
+        "S = 0.25^1000 underflows to 0 and t = 0: tau is taken as 0, not 0 / 0")
     @settings(deadline=None)
     def test_span_test_matches_the_end_signs(self, p, scale, pairs):
         # the pairs that reach rtsafe are exactly those whose _power_gap
